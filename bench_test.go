@@ -477,24 +477,6 @@ func BenchmarkAblationHybrid(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationShadowBackend (ABL5, §4): the paper's two-level
-// direct-mapped shadow table against the sharded-map default, full
-// SF-Order detection.
-func BenchmarkAblationShadowBackend(b *testing.B) {
-	for _, bench := range []*workload.Benchmark{workload.MM(64, 16), workload.Sort(20_000, 512)} {
-		bench := bench
-		for _, backend := range []detect.Backend{detect.BackendShardedMap, detect.BackendTwoLevel} {
-			backend := backend
-			b.Run(bench.Name+"/"+backend.String(), func(b *testing.B) {
-				res := measure(b, bench, harness.Config{
-					Detector: harness.SFOrder, Mode: harness.Full, Serial: true, Backend: backend,
-				})
-				b.ReportMetric(float64(res.HistMem), "hist-bytes")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationBitmapVsHash (ABL3, §4): the reach-only overhead gap
 // between SF-Order's bitmaps and F-Order's per-node hash tables on a
 // future-heavy random program — the isolated version of the paper's

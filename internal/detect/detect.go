@@ -1,7 +1,7 @@
 // Package detect provides the access-history component shared by the
-// race detectors: a sharded shadow-memory table remembering, per memory
-// location, the last writer and a set of previous readers, plus the race
-// reporting machinery.
+// race detectors: a paged shadow-memory table (table.go) remembering, per
+// memory location, the last writer and a set of previous readers, plus
+// the race reporting machinery.
 //
 // A detector is assembled from a reachability component (SF-Order,
 // F-Order, or MultiBags — anything implementing Reachability) and a
@@ -14,9 +14,11 @@
 //     (location, future) pair — at most 2k readers per location — which
 //     §3.5 proves sufficient for structured futures (Lemmas 3.10, 3.11).
 //
-// As in the paper's implementation, every access locks the shard of the
-// access history covering its location (fine-grained locking); the sheer
-// volume of lock operations, not contention, dominates "full" overhead.
+// As in the paper's implementation, the history is locked per page of
+// locations (fine-grained locking), and the sheer volume of lock
+// operations, not contention, dominates "full" overhead. Without
+// Options.FastPath every access takes its page's lock; with it, a strand
+// takes each page's lock once, when it closes (fastpath.go).
 package detect
 
 import (
@@ -24,7 +26,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"sforder/internal/obsv"
 	"sforder/internal/sched"
@@ -114,10 +115,9 @@ type Options struct {
 	// MaxRaces caps the number of detailed Race records retained
 	// (counting continues past the cap). 0 means 256.
 	MaxRaces int
-	// Shards is the number of lock shards for BackendShardedMap;
-	// 0 means 256 (rounded up to a power of two).
-	Shards int
-	// Backend selects the shadow-table layout.
+	// Backend is accepted and ignored: there is one shadow table
+	// (table.go). The field and BackendShardedMap stay only because the
+	// frozen bench/adapter.go sets them.
 	Backend Backend
 	// DedupByAddr reports at most one race per memory location: after
 	// the first report on an address, later races there are counted
@@ -134,7 +134,7 @@ type Options struct {
 	// access stream at location granularity.
 	Tap AccessTap
 	// FastPath enables the lock-avoiding access path (see fastpath.go):
-	// a per-location published state word absorbing redundant accesses,
+	// the per-location state words absorbing redundant accesses,
 	// per-strand batches applied one lock acquisition per shadow page at
 	// strand close, and a per-strand Precedes memo. Detection at
 	// location granularity is unchanged (DESIGN.md §4 has the soundness
@@ -154,163 +154,20 @@ type AccessTap interface {
 	TapAccesses(s *sched.Strand, addrs []uint64, kinds []AccessKind)
 }
 
-// Backend selects the shadow-memory storage layout.
+// Backend and BackendShardedMap are the stub of the retired shadow-layout
+// selector that Options.Backend documents; remove with the next benchmark
+// PR.
 type Backend int
 
-const (
-	// BackendShardedMap (default) is a power-of-two array of
-	// mutex-protected Go maps.
-	BackendShardedMap Backend = iota
-	// BackendTwoLevel is the paper's layout (§4): a two-level table
-	// acting like a direct-mapped cache — a directory of contiguous
-	// pages, with one lock per page (the paper's "each lock represents
-	// a subset of the access history" fine-grained locking).
-	BackendTwoLevel
-)
-
-func (b Backend) String() string {
-	switch b {
-	case BackendShardedMap:
-		return "sharded-map"
-	case BackendTwoLevel:
-		return "two-level"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-type lrPair struct {
-	l, r *sched.Strand
-}
-
-// loc is the access-history metadata of one memory location.
-type loc struct {
-	lastWriter *sched.Strand
-	readers    []*sched.Strand // ReadersAll
-	pairs      map[int]*lrPair // ReadersLR, keyed by future ID
-}
-
-// addrTable is the storage backend of the access history: it maps a
-// shadow address to its location metadata under a fine-grained lock.
-type addrTable interface {
-	// acquire returns addr's metadata with its covering lock held;
-	// release must be called when done.
-	acquire(addr uint64) (l *loc, release func())
-	// unitOf returns the key of the lock unit covering addr: every
-	// address with the same key is protected by the same lock, so a
-	// batch of same-unit addresses can be applied under one acquisition.
-	unitOf(addr uint64) uint64
-	// applyUnit invokes fn(i, l) for each addrs[i] — which must all
-	// share one unitOf key — under a single acquisition of the covering
-	// lock, creating locations as needed.
-	applyUnit(unit uint64, addrs []uint64, fn func(i int, l *loc))
-	// forEach visits every populated location (taking locks itself);
-	// used by the accounting methods, not the hot path.
-	forEach(fn func(*loc))
-	// memBytes estimates the backend's heap footprint.
-	memBytes() int
-}
-
-// shardedTable is the default backend: a power-of-two array of mutex-
-// protected Go maps. Shards are selected by the address's page (its high
-// bits), not the address itself, so one shard lock covers a contiguous
-// page of locations — the granularity the batched fast path flushes at.
-type shardedTable struct {
-	shards []*shard
-	mask   uint64
-}
-
-type shard struct {
-	mu sync.Mutex
-	m  map[uint64]*loc
-}
-
-func newShardedTable(n int) *shardedTable {
-	if n == 0 {
-		n = 256
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	t := &shardedTable{mask: uint64(p - 1)}
-	for i := 0; i < p; i++ {
-		t.shards = append(t.shards, &shard{m: map[uint64]*loc{}})
-	}
-	return t
-}
-
-// shardFor hashes addr's page number to a shard; Fibonacci hashing
-// spreads dense page numbers across shards.
-func (t *shardedTable) shardFor(unit uint64) *shard {
-	return t.shards[(unit*0x9e3779b97f4a7c15)>>32&t.mask]
-}
-
-func (t *shardedTable) unitOf(addr uint64) uint64 { return addr >> pageBits }
-
-func (t *shardedTable) acquire(addr uint64) (*loc, func()) {
-	sh := t.shardFor(addr >> pageBits)
-	sh.mu.Lock()
-	l := sh.m[addr]
-	if l == nil {
-		l = &loc{}
-		sh.m[addr] = l
-	}
-	return l, sh.mu.Unlock
-}
-
-func (t *shardedTable) applyUnit(unit uint64, addrs []uint64, fn func(int, *loc)) {
-	sh := t.shardFor(unit)
-	sh.mu.Lock()
-	for i, a := range addrs {
-		l := sh.m[a]
-		if l == nil {
-			l = &loc{}
-			sh.m[a] = l
-		}
-		fn(i, l)
-	}
-	sh.mu.Unlock()
-}
-
-func (t *shardedTable) forEach(fn func(*loc)) {
-	for _, sh := range t.shards {
-		sh.mu.Lock()
-		for _, l := range sh.m {
-			fn(l)
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// locSize and pairSize are the real struct sizes, derived rather than
-// hard-coded so the memory accounting cannot drift as the structs evolve
-// (a test pins them to the expected values). entryOverhead approximates
-// a Go map entry (key + value pointer + bucket share); it is a model
-// constant, not a struct size.
-var (
-	locSize  = int(unsafe.Sizeof(loc{}))
-	pairSize = int(unsafe.Sizeof(lrPair{}))
-)
-
-const entryOverhead = 48
-
-func (t *shardedTable) memBytes() int {
-	total := 0
-	t.forEach(func(l *loc) {
-		total += locSize + entryOverhead + 8*cap(l.readers) + pairSize*len(l.pairs)
-	})
-	return total
-}
+const BackendShardedMap Backend = 0
 
 // History is the access-history component: it implements
 // sched.AccessChecker and reports every determinacy race it observes.
 type History struct {
 	opts Options
-	tbl  addrTable
-	fast *stateDir // lock-free shadow directory; nil unless Options.FastPath
+	tbl  table
 
-	// countLocks enables the shard-lock acquisition counter and the
+	// countLocks enables the page-lock acquisition counter and the
 	// fast-path hit counters. It is set (before the run starts) by
 	// RegisterStats only, so the disabled hot path pays one predictable
 	// branch and nothing else.
@@ -340,19 +197,7 @@ func NewHistory(opts Options) *History {
 	if opts.MaxRaces == 0 {
 		opts.MaxRaces = 256
 	}
-	h := &History{opts: opts}
-	switch opts.Backend {
-	case BackendShardedMap:
-		h.tbl = newShardedTable(opts.Shards)
-	case BackendTwoLevel:
-		h.tbl = newTwoLevelTable()
-	default:
-		panic(fmt.Sprintf("detect: unknown backend %v", opts.Backend))
-	}
-	if opts.FastPath {
-		h.fast = &stateDir{}
-	}
-	return h
+	return &History{opts: opts}
 }
 
 func (h *History) report(addr uint64, prev *sched.Strand, prevKind AccessKind, cur *sched.Strand, curKind AccessKind) {
@@ -394,61 +239,94 @@ func (h *History) report(addr uint64, prev *sched.Strand, prevKind AccessKind, c
 
 // Read implements sched.AccessChecker: check against the last writer,
 // then record the reader per the configured policy. With FastPath the
-// access goes through the state word + strand batch instead of taking
-// the location's lock here (fastpath.go).
+// access goes through the state words + strand batch instead of taking
+// the page's lock here (fastpath.go).
 func (h *History) Read(s *sched.Strand, addr uint64) {
-	if h.fast != nil {
+	if h.opts.FastPath {
 		h.fastRead(s, addr)
 		return
 	}
+	h.applyOne(s, addr, AccessRead)
+}
+
+// Write implements sched.AccessChecker: check against the last writer
+// and all retained readers, then make s the last writer and clear the
+// readers (they are subsumed: any later access racing a cleared reader
+// also races this write or was already reported — §3.6). With FastPath
+// the access goes through the state words + strand batch (fastpath.go).
+func (h *History) Write(s *sched.Strand, addr uint64) {
+	if h.opts.FastPath {
+		h.fastWrite(s, addr)
+		return
+	}
+	h.applyOne(s, addr, AccessWrite)
+}
+
+// applyOne is the locked slow path: one access, one page-lock
+// acquisition.
+func (h *History) applyOne(s *sched.Strand, addr uint64, kind AccessKind) {
+	if h.opts.Tap != nil {
+		// Through a buffer of one, allocated only when tapping, keeping
+		// the batched TapAccesses signature.
+		h.opts.Tap.TapAccesses(s, []uint64{addr}, []AccessKind{kind})
+	}
+	p := h.lockPage(addr >> pageBits)
+	h.apply(s, addr, kind, p.record(addr))
+	p.mu.Unlock()
+}
+
+// lockPage returns page num, created if need be, with its lock held.
+func (h *History) lockPage(num uint64) *page {
 	if h.countLocks {
 		h.lockAcquires.Add(1)
 	}
-	if h.opts.Tap != nil {
-		h.tapOne(s, addr, AccessRead)
+	p := h.tbl.pageFor(num)
+	p.mu.Lock()
+	return p
+}
+
+// apply performs one access's history update on r, which the caller
+// holds the page lock for.
+func (h *History) apply(s *sched.Strand, addr uint64, kind AccessKind, r *record) {
+	if kind == AccessWrite {
+		h.applyWrite(s, addr, r)
+	} else {
+		h.applyRead(s, addr, r)
 	}
-	l, release := h.tbl.acquire(addr)
-	h.applyRead(s, addr, l)
-	release()
 }
 
-// tapOne feeds a single slow-path access to the tap through a stack
-// buffer, keeping the batched TapAccesses signature allocation-free.
-func (h *History) tapOne(s *sched.Strand, addr uint64, kind AccessKind) {
-	addrs := [1]uint64{addr}
-	kinds := [1]AccessKind{kind}
-	h.opts.Tap.TapAccesses(s, addrs[:], kinds[:])
-}
-
-// applyRead performs the read-side history update on l, which the caller
-// holds the covering lock for.
-func (h *History) applyRead(s *sched.Strand, addr uint64, l *loc) {
-	if w := l.lastWriter; w != nil && w != s && !h.precedes(w, s) {
+// applyRead checks a read against the last writer, then records the
+// reader per the configured policy.
+func (h *History) applyRead(s *sched.Strand, addr uint64, r *record) {
+	if w := r.writer.Load(); w != nil && w != s && !h.precedes(w, s) {
 		h.report(addr, w, AccessWrite, s, AccessRead)
+	}
+	// Skip a consecutive duplicate reader: a strand reading the same
+	// location repeatedly adds no information (under ReadersLR a second
+	// updateLR of the same strand decides as the first did).
+	if r.reader.Load() == s {
+		return
 	}
 	switch h.opts.Policy {
 	case ReadersAll:
-		// Skip consecutive duplicate readers: a strand reading the same
-		// location repeatedly adds no information.
-		if n := len(l.readers); n == 0 || l.readers[n-1] != s {
-			l.readers = append(l.readers, s)
-		}
+		r.readers = append(r.readers, s)
 	case ReadersLR:
-		h.updateLR(l, s)
+		h.updateLR(r, s)
 	}
+	r.reader.Store(s)
 }
 
 // updateLR maintains the leftmost and rightmost reader of s's future for
 // this location, with the classic replacement rules (Mellor-Crummey):
 // a serially later reader subsumes the stored one; among parallel
 // readers, keep the leftmost (respectively rightmost) in English order.
-func (h *History) updateLR(l *loc, s *sched.Strand) {
-	if l.pairs == nil {
-		l.pairs = map[int]*lrPair{}
+func (h *History) updateLR(r *record, s *sched.Strand) {
+	if r.pairs == nil {
+		r.pairs = map[int]*lrPair{}
 	}
-	p := l.pairs[s.Fut.ID]
+	p := r.pairs[s.Fut.ID]
 	if p == nil {
-		l.pairs[s.Fut.ID] = &lrPair{l: s, r: s}
+		r.pairs[s.Fut.ID] = &lrPair{l: s, r: s}
 		return
 	}
 	if p.l != s {
@@ -467,43 +345,25 @@ func (h *History) updateLR(l *loc, s *sched.Strand) {
 	}
 }
 
-// Write implements sched.AccessChecker: check against the last writer
-// and all retained readers, then make s the last writer and clear the
-// readers (they are subsumed: any later access racing a cleared reader
-// also races this write or was already reported — §3.6). With FastPath
-// the access goes through the state word + strand batch (fastpath.go).
-func (h *History) Write(s *sched.Strand, addr uint64) {
-	if h.fast != nil {
-		h.fastWrite(s, addr)
-		return
-	}
-	if h.countLocks {
-		h.lockAcquires.Add(1)
-	}
-	if h.opts.Tap != nil {
-		h.tapOne(s, addr, AccessWrite)
-	}
-	l, release := h.tbl.acquire(addr)
-	h.applyWrite(s, addr, l)
-	release()
-}
-
-// applyWrite performs the write-side history update on l, which the
-// caller holds the covering lock for.
-func (h *History) applyWrite(s *sched.Strand, addr uint64, l *loc) {
-	if w := l.lastWriter; w != nil && w != s && !h.precedes(w, s) {
+// applyWrite checks a write against the last writer and every retained
+// reader, then makes s the last writer of an empty reader set. The state
+// words are stored only when they change: an atomic store costs far more
+// than the load that finds it redundant.
+func (h *History) applyWrite(s *sched.Strand, addr uint64, r *record) {
+	w := r.writer.Load()
+	if w != nil && w != s && !h.precedes(w, s) {
 		h.report(addr, w, AccessWrite, s, AccessWrite)
 	}
 	switch h.opts.Policy {
 	case ReadersAll:
-		for _, r := range l.readers {
-			if r != s && !h.precedes(r, s) {
-				h.report(addr, r, AccessRead, s, AccessWrite)
+		for _, rd := range r.readers {
+			if rd != s && !h.precedes(rd, s) {
+				h.report(addr, rd, AccessRead, s, AccessWrite)
 			}
 		}
-		l.readers = l.readers[:0]
+		r.readers = r.readers[:0]
 	case ReadersLR:
-		for _, p := range l.pairs {
+		for _, p := range r.pairs {
 			if p.l != s && !h.precedes(p.l, s) {
 				h.report(addr, p.l, AccessRead, s, AccessWrite)
 			}
@@ -511,9 +371,14 @@ func (h *History) applyWrite(s *sched.Strand, addr uint64, l *loc) {
 				h.report(addr, p.r, AccessRead, s, AccessWrite)
 			}
 		}
-		l.pairs = nil
+		r.pairs = nil
 	}
-	l.lastWriter = s
+	if w != s {
+		r.writer.Store(s)
+	}
+	if r.reader.Load() != nil {
+		r.reader.Store(nil)
+	}
 }
 
 // RaceCount returns the total number of races reported (including ones
@@ -547,13 +412,7 @@ func (h *History) RacyAddrs() []uint64 {
 func (h *History) LockAcquires() uint64 { return h.lockAcquires.Load() }
 
 // MemBytes estimates the history's heap footprint.
-func (h *History) MemBytes() int {
-	total := h.tbl.memBytes()
-	if h.fast != nil {
-		total += h.fast.memBytes()
-	}
-	return total
-}
+func (h *History) MemBytes() int { return h.tbl.memBytes() }
 
 // RegisterStats publishes the history counters (hist.*) on r and enables
 // the lock-acquisition and fast-path counters. Call it before the run
@@ -574,8 +433,8 @@ func (h *History) RegisterStats(r *obsv.Registry) {
 // ReadersLR policy.
 func (h *History) MaxReaders() int {
 	max := 0
-	h.tbl.forEach(func(l *loc) {
-		n := len(l.readers) + 2*len(l.pairs)
+	h.tbl.forEach(func(r *record) {
+		n := len(r.readers) + 2*len(r.pairs)
 		if n > max {
 			max = n
 		}

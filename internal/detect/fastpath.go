@@ -10,14 +10,13 @@ package detect
 // reported on a location iff one exists there; see DESIGN.md §4 for the
 // full soundness argument):
 //
-//  1. State word. Every location has an atomically published, immutable
-//     snapshot of its current history state (last writer + most recent
-//     reader), held in a lock-free shadow directory keyed like the
-//     two-level table. An access that repeats the published state — the
-//     recorded strand re-touching the location — adds no information the
-//     locked history would retain, so it skips everything. The load is
-//     seqlock-style validated by re-loading the slot and requiring the
-//     same snapshot.
+//  1. State words. A location's record (table.go) keeps its last writer
+//     and its most recently recorded reader in two atomic words, stored
+//     under the page lock and loaded without it. An access by the strand
+//     a word already names — the recorded strand re-touching the location
+//     — adds no information the locked history would retain, so it skips
+//     everything. Each word is tested on its own; neither test needs the
+//     other word to be current (DESIGN.md §4).
 //
 //  2. Strand-scoped batching. All accesses of one strand share a single
 //     dag position, so every Precedes verdict involving the strand is
@@ -39,81 +38,9 @@ package detect
 
 import (
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"sforder/internal/sched"
 )
-
-// fastState is one published location snapshot: the last writer and the
-// most recently recorded reader since that write (nil when none). A
-// snapshot is immutable after publication; updates allocate a fresh one.
-type fastState struct {
-	writer *sched.Strand
-	reader *sched.Strand
-}
-
-// statePage is one page of the lock-free shadow directory, covering the
-// same pageSize contiguous locations as the two-level table's pages.
-// next is immutable after publication (collision chains insert at head).
-type statePage struct {
-	num   uint64 // addr >> pageBits
-	next  *statePage
-	slots [pageSize]atomic.Pointer[fastState]
-}
-
-// stateDir is the lock-free shadow directory: the same two-level layout
-// as twoLevelTable, but with atomic directory slots and CAS insertion, so
-// lookups and publications never take a lock.
-type stateDir struct {
-	dir [1 << dirBits]atomic.Pointer[statePage]
-}
-
-// load returns addr's published snapshot, or nil when the location has
-// never been flushed.
-func (d *stateDir) load(addr uint64) *fastState {
-	num := addr >> pageBits
-	for p := d.dir[dirSlot(num)].Load(); p != nil; p = p.next {
-		if p.num == num {
-			return p.slots[addr&pageMask].Load()
-		}
-	}
-	return nil
-}
-
-// pageFor returns the page covering page number num, creating it with
-// CAS insertion if needed (only publishers create pages; load never
-// does). Flushes resolve the page once per lock unit — both backends'
-// unitOf is exactly the state directory's page number — and then index
-// slots directly.
-func (d *stateDir) pageFor(num uint64) *statePage {
-	sp := &d.dir[dirSlot(num)]
-	for {
-		head := sp.Load()
-		for p := head; p != nil; p = p.next {
-			if p.num == num {
-				return p
-			}
-		}
-		np := &statePage{num: num, next: head}
-		if sp.CompareAndSwap(head, np) {
-			return np
-		}
-	}
-}
-
-var statePageSize = int(unsafe.Sizeof(statePage{}))
-
-// memBytes estimates the directory's heap footprint.
-func (d *stateDir) memBytes() int {
-	total := len(d.dir) * 8
-	for i := range d.dir {
-		for p := d.dir[i].Load(); p != nil; p = p.next {
-			total += statePageSize
-		}
-	}
-	return total
-}
 
 const (
 	// memoSize is the per-strand Precedes memo size (direct-mapped,
@@ -128,7 +55,7 @@ const (
 	poolMaxDistinct = 1 << 14
 )
 
-// unitBatch is a strand's pending accesses within one lock unit.
+// unitBatch is a strand's pending accesses within one page.
 type unitBatch struct {
 	addrs []uint64
 	kinds []AccessKind
@@ -141,6 +68,10 @@ type unitBatch struct {
 // repeats), so misses only cost work, never detection.
 const batchCacheSize = 256
 
+// recentUnits is the size of the per-strand cache in front of the
+// page → batch map (direct-mapped, power of two).
+const recentUnits = 4
+
 // strandState is the per-strand detector payload hung off Strand.Aux:
 // the access batch, the Precedes memo, and the StrandFilter cache. A
 // strand is executed by one worker at a time, so no synchronization.
@@ -150,9 +81,14 @@ type strandState struct {
 	// masks need clearing on reuse.
 	seenAddr [batchCacheSize]uint64
 	seenMask [batchCacheSize]uint8
-	units    map[uint64]*unitBatch // lock unit → pending entries
-	free     []*unitBatch          // recycled batches (keep slice capacity warm)
-	pending  int                   // entries buffered since the last flush
+	units    map[uint64]*unitBatch // page number → pending entries
+	// recent is a direct-mapped cache in front of units: consecutive
+	// accesses of a strand fall on a handful of pages. A slot is occupied
+	// iff its batch is non-nil.
+	recentNum   [recentUnits]uint64
+	recentBatch [recentUnits]*unitBatch
+	free        []*unitBatch // recycled batches (keep slice capacity warm)
+	pending     int          // entries buffered since the last flush
 	// distinct counts every entry ever batched by this strand; it keeps
 	// growing across early flushes and gates pooling.
 	distinct int
@@ -201,6 +137,7 @@ func releaseStrandState(s *sched.Strand) {
 		}
 	}
 	clear(ss.units)
+	ss.recentBatch = [recentUnits]*unitBatch{} // recentNum is guarded by the batches
 	ss.pending, ss.distinct = 0, 0
 	ss.memoK = [memoSize]uint64{} // memoV is guarded by memoK
 	if ss.filter != nil {
@@ -214,7 +151,7 @@ func releaseStrandState(s *sched.Strand) {
 // fixed (u, v): every dag edge into v exists before v begins executing,
 // so no event during v's lifetime can create or destroy a u ⇝ v path.
 func (h *History) precedes(u, v *sched.Strand) bool {
-	if h.fast == nil {
+	if !h.opts.FastPath {
 		return h.opts.Reach.Precedes(u, v)
 	}
 	ss := stateOf(v)
@@ -231,14 +168,26 @@ func (h *History) precedes(u, v *sched.Strand) bool {
 	return ok
 }
 
+// published returns addr's record for a lock-free look at its state
+// words, or nil when no access to addr has been applied yet.
+func (h *History) published(addr uint64) *record {
+	if p := h.tbl.lookup(addr >> pageBits); p != nil {
+		return p.slots[addr&pageMask].Load()
+	}
+	return nil
+}
+
 // fastRead is the lock-avoiding read path. The state-word hit fires when
 // s is already recorded for this location — as the last writer (the
 // writer check subsumes the reader check for the same strand) or as the
 // recorded reader since the last write — in which case the locked
 // history would retain nothing new and every verdict it would compute is
-// already decided. The double load validates the snapshot seqlock-style.
+// already decided. Only s stores s into a word, so a word naming s is
+// s's own earlier flush; a flusher overwriting it right now runs
+// concurrently with s, is therefore parallel to s, and checks its access
+// against s's under the page lock.
 func (h *History) fastRead(s *sched.Strand, addr uint64) {
-	if st := h.fast.load(addr); st != nil && (st.reader == s || st.writer == s) && h.fast.load(addr) == st {
+	if r := h.published(addr); r != nil && (r.reader.Load() == s || r.writer.Load() == s) {
 		if h.countLocks {
 			h.fastHits.Add(1)
 		}
@@ -249,10 +198,10 @@ func (h *History) fastRead(s *sched.Strand, addr uint64) {
 
 // fastWrite is the lock-avoiding write path: a strand re-writing a
 // location it is already the published last writer of changes nothing
-// (the readers it would clear were each recorded after s's write by
-// strands parallel to s, and therefore already reported).
+// (the readers it would clear were each recorded after s's write, by s
+// itself or by strands parallel to s and therefore already reported).
 func (h *History) fastWrite(s *sched.Strand, addr uint64) {
-	if st := h.fast.load(addr); st != nil && st.writer == s && h.fast.load(addr) == st {
+	if r := h.published(addr); r != nil && r.writer.Load() == s {
 		if h.countLocks {
 			h.fastHits.Add(1)
 		}
@@ -282,7 +231,23 @@ func (h *History) batchAccess(s *sched.Strand, addr uint64, kind AccessKind) {
 		ss.seenAddr[i] = addr
 		ss.seenMask[i] = uint8(1) << kind
 	}
-	unit := h.tbl.unitOf(addr)
+	ub := ss.batchOf(addr >> pageBits)
+	ub.addrs = append(ub.addrs, addr)
+	ub.kinds = append(ub.kinds, kind)
+	ss.pending++
+	ss.distinct++
+	if ss.pending >= batchCap {
+		h.flush(s, ss)
+	}
+}
+
+// batchOf returns the strand's batch for page unit, creating it on the
+// page's first pending entry.
+func (ss *strandState) batchOf(unit uint64) *unitBatch {
+	c := unit & (recentUnits - 1)
+	if ub := ss.recentBatch[c]; ub != nil && ss.recentNum[c] == unit {
+		return ub
+	}
 	ub := ss.units[unit]
 	if ub == nil {
 		if n := len(ss.free); n > 0 {
@@ -293,18 +258,13 @@ func (h *History) batchAccess(s *sched.Strand, addr uint64, kind AccessKind) {
 		}
 		ss.units[unit] = ub
 	}
-	ub.addrs = append(ub.addrs, addr)
-	ub.kinds = append(ub.kinds, kind)
-	ss.pending++
-	ss.distinct++
-	if ss.pending >= batchCap {
-		h.flush(s, ss)
-	}
+	ss.recentNum[c], ss.recentBatch[c] = unit, ub
+	return ub
 }
 
-// flush applies every pending entry of s's batch to the locked history,
-// one lock acquisition per lock unit, and publishes the resulting
-// location snapshots to the shadow directory. Entries within a unit are
+// flush applies every pending entry of s's batch to the history, one
+// lock acquisition per page; applying a read or write under the lock is
+// what publishes the location's state words. Entries within a page are
 // applied in program order (a strand's read-then-write of an address
 // must check in that order).
 func (h *History) flush(s *sched.Strand, ss *strandState) {
@@ -316,33 +276,16 @@ func (h *History) flush(s *sched.Strand, ss *strandState) {
 			continue
 		}
 		if h.countLocks {
-			h.lockAcquires.Add(1)
 			h.batchFlushes.Add(1)
 		}
 		if h.opts.Tap != nil {
 			h.opts.Tap.TapAccesses(s, ub.addrs, ub.kinds)
 		}
-		// Snapshots are immutable and shared: one {writer: s} for every
-		// write of this flush, and one per last-writer streak for reads
-		// (the same last writer repeats across a streak of locations).
-		sp := h.fast.pageFor(unit)
-		var wst, rst *fastState
-		h.tbl.applyUnit(unit, ub.addrs, func(i int, l *loc) {
-			addr := ub.addrs[i]
-			if ub.kinds[i] == AccessWrite {
-				h.applyWrite(s, addr, l)
-				if wst == nil {
-					wst = &fastState{writer: s}
-				}
-				sp.slots[addr&pageMask].Store(wst)
-			} else {
-				h.applyRead(s, addr, l)
-				if rst == nil || rst.writer != l.lastWriter {
-					rst = &fastState{writer: l.lastWriter, reader: s}
-				}
-				sp.slots[addr&pageMask].Store(rst)
-			}
-		})
+		p := h.lockPage(unit)
+		for i, addr := range ub.addrs {
+			h.apply(s, addr, ub.kinds[i], p.record(addr))
+		}
+		p.mu.Unlock()
 		ub.addrs = ub.addrs[:0]
 		ub.kinds = ub.kinds[:0]
 	}
@@ -358,13 +301,13 @@ func (h *History) StrandClose(s *sched.Strand) {
 	if !ok {
 		return
 	}
-	if h.fast != nil {
+	if h.opts.FastPath {
 		h.flush(s, ss)
 	}
 	releaseStrandState(s)
 }
 
-// FastPathHits returns how many accesses the published state word
+// FastPathHits returns how many accesses the published state words
 // absorbed without any history work (zero unless stats were enabled).
 func (h *History) FastPathHits() uint64 { return h.fastHits.Load() }
 

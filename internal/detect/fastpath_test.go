@@ -62,23 +62,21 @@ func sameAddrs(a, b []uint64) bool {
 
 // TestFastPathMatchesOracleFuzz is the fast path's soundness fuzz: on
 // random programs, the racy-location set with the fast path on must be
-// byte-identical to the set with it off AND to the exhaustive oracle,
-// on both backends. Programs run in separate engine executions (the dag
+// byte-identical to the set with it off AND to the exhaustive oracle.
+// Programs run in separate engine executions (the dag
 // and access addresses are deterministic), so each detector variant gets
 // the StrandCloser hook it needs.
 func TestFastPathMatchesOracleFuzz(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
 		want := runOracle(t, p)
-		for _, backend := range []detect.Backend{detect.BackendShardedMap, detect.BackendTwoLevel} {
-			off := runRacy(t, p, detect.Options{Backend: backend})
-			on := runRacy(t, p, detect.Options{Backend: backend, FastPath: true})
-			if !sameAddrs(off, want) {
-				t.Fatalf("seed %d backend %v: fastpath off %v, oracle %v", seed, backend, off, want)
-			}
-			if !sameAddrs(on, want) {
-				t.Fatalf("seed %d backend %v: fastpath on %v, oracle %v", seed, backend, on, want)
-			}
+		off := runRacy(t, p, detect.Options{})
+		on := runRacy(t, p, detect.Options{FastPath: true})
+		if !sameAddrs(off, want) {
+			t.Fatalf("seed %d: fastpath off %v, oracle %v", seed, off, want)
+		}
+		if !sameAddrs(on, want) {
+			t.Fatalf("seed %d: fastpath on %v, oracle %v", seed, on, want)
 		}
 	}
 }
@@ -120,8 +118,8 @@ func TestFastPathParallelAgreement(t *testing.T) {
 
 // TestFastPathStateWordHammer drives concurrent strands over a small
 // shared address set with interleaved flushes, so state-word loads race
-// against publications — the seqlock-style validation must be clean
-// under the Go race detector (go test -race covers this file in CI).
+// against publications — clean under the Go race detector (go test -race
+// covers this file in CI).
 func TestFastPathStateWordHammer(t *testing.T) {
 	histFast := detect.NewHistory(detect.Options{
 		Reach:       &stubReach{prec: map[[2]uint64]bool{}},
@@ -265,42 +263,5 @@ func TestFastPathMemoServesRepeatedVerdicts(t *testing.T) {
 	}
 	if h.MemoHits() < 90 {
 		t.Fatalf("memo hits = %d, want ≥ 90 of 100 repeated verdicts", h.MemoHits())
-	}
-}
-
-// TestTwoLevelConcurrentPageCreation hammers the lock-free directory's
-// CAS insertion: many goroutines force page creation across colliding
-// directory slots; every access must land on a correct page (validated
-// by the race count being exactly one per address afterwards).
-func TestTwoLevelConcurrentPageCreation(t *testing.T) {
-	h := newTwoLevelHistory(map[[2]uint64]bool{})
-	fut := &sched.FutureTask{ID: 0}
-	const goroutines = 8
-	const pages = 2048
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(id uint64) {
-			defer wg.Done()
-			s := &sched.Strand{ID: 1 + id, Fut: fut}
-			for p := uint64(0); p < pages; p++ {
-				h.Read(s, p<<8|id) // distinct slot per goroutine: no races
-			}
-		}(uint64(g))
-	}
-	wg.Wait()
-	if h.RaceCount() != 0 {
-		t.Fatalf("distinct addresses reported racy: %d", h.RaceCount())
-	}
-	// Now one writer over every goroutine's addresses: if any page or
-	// slot was lost during concurrent creation, a race goes missing.
-	w := &sched.Strand{ID: 0, Fut: fut}
-	for p := uint64(0); p < pages; p++ {
-		for id := uint64(0); id < goroutines; id++ {
-			h.Write(w, p<<8|id)
-		}
-	}
-	if want := uint64(pages * goroutines); h.RaceCount() != want {
-		t.Fatalf("RaceCount = %d, want %d (one per address)", h.RaceCount(), want)
 	}
 }

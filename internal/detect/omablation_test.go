@@ -25,7 +25,7 @@ func runRacyCfg(t *testing.T, p *progen.Program, ccfg core.Config, opts detect.O
 // TestOMLockArenaMatchesOracleFuzz extends the fast-path fuzz to the PR
 // 4 ablation knobs: on random programs, the racy-location set must be
 // identical to the exhaustive oracle with OM locking fine-grained or
-// global and arenas on or off, across both shadow backends.
+// global and arenas on or off.
 func TestOMLockArenaMatchesOracleFuzz(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
@@ -33,12 +33,10 @@ func TestOMLockArenaMatchesOracleFuzz(t *testing.T) {
 		for _, global := range []bool{false, true} {
 			for _, noArena := range []bool{false, true} {
 				ccfg := core.Config{GlobalOMLock: global, NoArena: noArena}
-				for _, backend := range []detect.Backend{detect.BackendShardedMap, detect.BackendTwoLevel} {
-					got := runRacyCfg(t, p, ccfg, detect.Options{Backend: backend, FastPath: true})
-					if !sameAddrs(got, want) {
-						t.Fatalf("seed %d global=%v noarena=%v backend %v: got %v, oracle %v",
-							seed, global, noArena, backend, got, want)
-					}
+				got := runRacyCfg(t, p, ccfg, detect.Options{FastPath: true})
+				if !sameAddrs(got, want) {
+					t.Fatalf("seed %d global=%v noarena=%v: got %v, oracle %v",
+						seed, global, noArena, got, want)
 				}
 			}
 		}

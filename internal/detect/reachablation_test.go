@@ -27,19 +27,15 @@ func reachCfgs() []core.Config {
 // TestReachSubstrateMatchesOracleFuzz is the ABL10/ABL11 fuzz: on
 // random programs, the racy-location set under the DePa and hybrid
 // label substrates must be identical to both the OM substrate's and
-// the exhaustive dag oracle's, across both shadow backends (serial
-// engine).
+// the exhaustive dag oracle's (serial engine).
 func TestReachSubstrateMatchesOracleFuzz(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
 		want := runOracle(t, p)
 		for _, ccfg := range reachCfgs() {
-			for _, backend := range []detect.Backend{detect.BackendShardedMap, detect.BackendTwoLevel} {
-				got := runRacyCfg(t, p, ccfg, detect.Options{Backend: backend, FastPath: true})
-				if !sameAddrs(got, want) {
-					t.Fatalf("seed %d reach=%v backend %v: got %v, oracle %v",
-						seed, ccfg.Reach, backend, got, want)
-				}
+			got := runRacyCfg(t, p, ccfg, detect.Options{FastPath: true})
+			if !sameAddrs(got, want) {
+				t.Fatalf("seed %d reach=%v: got %v, oracle %v", seed, ccfg.Reach, got, want)
 			}
 		}
 	}

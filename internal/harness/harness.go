@@ -116,8 +116,6 @@ type Config struct {
 	// LockDeque selects the scheduler's historical mutex-guarded deque
 	// instead of the lock-free Chase–Lev deque (ABL9).
 	LockDeque bool
-	// Backend selects the shadow-table layout for Full mode.
-	Backend detect.Backend
 	// Registry, when non-nil, is attached to the run: every component
 	// registers its counters on it and Result.Stats carries the
 	// post-run snapshot. The table generators read their columns from
@@ -215,7 +213,6 @@ func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
 		hopts := detect.Options{
 			Reach:       reach,
 			Policy:      cfg.Policy,
-			Backend:     cfg.Backend,
 			DedupByAddr: cfg.DedupByAddr,
 			FastPath:    cfg.FastPath,
 		}

@@ -212,8 +212,6 @@ type Config struct {
 	// dag) and the static cmd/sfvet analyzer. Violations surface as
 	// Run's error in parallel mode and panic in Serial mode.
 	CheckStructure bool
-	// Backend selects the shadow-table layout for full detection.
-	Backend Backend
 	// Reach selects the SFOrder reachability substrate: the OM list
 	// pair (default), DePa fork-path cords, or the depth-adaptive
 	// flat/cord hybrid.
@@ -227,18 +225,6 @@ type Config struct {
 	// Run returns; write errors surface as Run's error.
 	Record io.Writer
 }
-
-// Backend selects the shadow-memory layout of the access history.
-type Backend = detect.Backend
-
-const (
-	// BackendShardedMap (default) shards a hash map across mutexes.
-	BackendShardedMap = detect.BackendShardedMap
-	// BackendTwoLevel is the paper's two-level direct-mapped layout
-	// (§4) — one lock per contiguous page of locations; measurably
-	// faster on dense address spaces.
-	BackendTwoLevel = detect.BackendTwoLevel
-)
 
 // Result reports a completed run.
 type Result struct {
@@ -289,6 +275,10 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 			ccfg.Reach = core.SubstrateHybrid
 		}
 		sf := core.New(ccfg)
+		// The Result holds only values — counts, Race records, a stats
+		// snapshot — so the arena slabs go back to their pools on every
+		// return path, after it is assembled.
+		defer sf.Release()
 		reach, leftOf = sf, sf.LeftOf
 	case FOrder:
 		reach = forder.NewReach()
@@ -339,7 +329,6 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 				Policy:      cfg.Policy,
 				LeftOf:      leftOf,
 				MaxRaces:    cfg.MaxRaces,
-				Backend:     cfg.Backend,
 				DedupByAddr: cfg.DedupByAddr,
 				FastPath:    cfg.FastPath,
 			}

@@ -2,6 +2,8 @@ package sforder_test
 
 import (
 	"bytes"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -235,5 +237,40 @@ func TestReplayRoundTrip(t *testing.T) {
 		if cfg.Streaming != rr.Streamed {
 			t.Fatalf("%+v: streamed=%v", cfg, rr.Streamed)
 		}
+	}
+}
+
+// TestRunReleasesArenaSlabs: Run hands the reachability arenas' slabs
+// back to their pools when it returns, so a second Run of the same
+// program draws them from there instead of the heap. With the pools
+// emptied first and the collector off in between, the second run must
+// allocate less than the first by most of the slab bytes the first held.
+func TestRunReleasesArenaSlabs(t *testing.T) {
+	prog := func(t *sforder.Task) {
+		for i := 0; i < 20000; i++ {
+			t.Spawn(func(c *sforder.Task) { c.Write(uint64(i)) })
+		}
+		t.Sync()
+	}
+	run := func() (allocated, slabs uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := sforder.Run(sforder.Config{Workers: 1, Stats: true, FastPath: true}, prog)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, uint64(res.Stats["core.arena_bytes"])
+	}
+	runtime.GC()
+	runtime.GC() // twice: the first only moves a sync.Pool's contents to its victim cache
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	first, slabs := run()
+	second, _ := run()
+	if slabs == 0 {
+		t.Fatal("the run held no arena slabs; the test measures nothing")
+	}
+	if second+slabs/2 > first {
+		t.Errorf("second run allocated %d bytes, first %d holding %d of slabs: slabs were not reused", second, first, slabs)
 	}
 }
