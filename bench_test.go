@@ -261,31 +261,9 @@ func BenchmarkAblationWSPDegeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStrandFilter (ABL4, §6 future work): full SF-Order
-// detection with and without the strand-local redundancy filter that
-// drops repeated same-strand accesses before the history lock.
-func BenchmarkAblationStrandFilter(b *testing.B) {
-	for _, bench := range []*workload.Benchmark{workload.MM(64, 16), workload.HW(4, 16, 256)} {
-		bench := bench
-		for _, filtered := range []bool{false, true} {
-			filtered := filtered
-			name := bench.Name + "/unfiltered"
-			if filtered {
-				name = bench.Name + "/filtered"
-			}
-			b.Run(name, func(b *testing.B) {
-				res := measure(b, bench, harness.Config{
-					Detector: harness.SFOrder, Mode: harness.Full, Serial: true, Filter: filtered,
-				})
-				b.ReportMetric(float64(res.Queries), "queries")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationFastPath (ABL7, §6 future work): full SF-Order
 // detection with and without the lock-avoiding access-history path
-// (state word + strand batching + Precedes memo). The reported
+// (exact strand-local dedup + strand batching + Precedes memo). The reported
 // lock-acquires metric is the acceptance quantity: with the fast path
 // on it must drop by at least 5× on the loop-heavy workloads (mm, hw).
 func BenchmarkAblationFastPath(b *testing.B) {

@@ -47,7 +47,7 @@ func main() {
 		traceOut      = flag.String("trace", "", "with -bench: write a Chrome trace-event JSON timeline to this file")
 		httpAddr      = flag.String("http", "", "serve /stats, /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
 		dedup         = flag.Bool("dedup", false, "with -bench: report at most one race record per address")
-		fastpath      = flag.Bool("fastpath", true, "with -bench: use the lock-avoiding access-history fast path in full mode")
+		fastpath      = flag.Bool("fastpath", true, "with -bench: use the lock-avoiding access-history fast path in full mode; -fastpath=false is the locked history (sforder.Config.LockedHistory, ABL7)")
 		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists), depa (prefix-sharing fork-path cords, ABL10/11), or hybrid (depth-adaptive flat+cord, ABL11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")

@@ -10,8 +10,8 @@ import (
 // through the history, one op per access. Run with -benchmem; the rows
 // are
 //
-//	read-hit       a read the state words absorb
-//	read-batched   a read that reaches the strand batch, its share of the flush included
+//	read-hit       a read the strand's bitmap absorbs
+//	read-batched   a read the strand's buffer keeps, its share of the flush included
 //	write-batched  the same for a write
 //	flush          one batched entry applied at strand close (reads and writes 2:1)
 //	locked         one access on the locked path (FastPath off)
@@ -25,8 +25,7 @@ const benchAddrs = 1000
 
 // passes runs strand passes over the same benchAddrs dense addresses: a
 // pass is a new strand touching every address with one kind and closing.
-// (A closed strand never acts again; one that did would find itself in
-// the state words and skip.)
+// (A closed strand never acts again.)
 type passes struct {
 	h    *History
 	next uint64 // next strand ID
@@ -52,7 +51,7 @@ func BenchmarkHistory(b *testing.B) {
 		h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
 		s := newStrand(1)
 		for a := uint64(0); a < 2*batchCap; a++ {
-			h.Read(s, a) // two early flushes publish s as every address's reader
+			h.Read(s, a) // sets the bit; the two early flushes keep it
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -101,35 +100,36 @@ func BenchmarkHistory(b *testing.B) {
 // flushCycle returns a function that runs six strand-close flushes over
 // the same benchAddrs addresses — twice two strands' reads and then a
 // third's writes, which empty the reader sets again — and the number of
-// entries one call applies. The batches are filled once; a flush
-// truncates them and the cycle restores their lengths, so a call does no
-// batching work and allocates no strand. Two rounds, so that no strand
-// follows itself as a location's writer.
+// entries one call applies. The buffers are filled once; a flush drains
+// them and the cycle puts their pages back on the dirty list at their old
+// lengths, so a call does no buffering work and allocates no strand. Two
+// rounds, so that no strand follows itself as a location's writer.
 func flushCycle() (cycle func(), entries int) {
 	h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
 	type filled struct {
 		s  *sched.Strand
 		ss *strandState
-		n  map[*unitBatch]int
+		n  []int // pending entries per page, in the buffer's page order
 	}
 	var fs []filled
 	for i, kind := range []AccessKind{AccessRead, AccessRead, AccessWrite, AccessRead, AccessRead, AccessWrite} {
 		s := newStrand(uint64(i))
 		for a := uint64(0); a < benchAddrs; a++ {
-			h.batchAccess(s, a, kind)
+			h.fastAccess(s, a, kind)
 		}
-		f := filled{s: s, ss: stateOf(s), n: map[*unitBatch]int{}}
-		for _, ub := range f.ss.units {
-			f.n[ub] = len(ub.addrs)
+		f := filled{s: s, ss: stateOf(s)}
+		for _, pb := range f.ss.buf.pages {
+			f.n = append(f.n, len(pb.addrs))
 		}
 		fs = append(fs, f)
 	}
 	return func() {
 		for _, f := range fs {
-			for ub, n := range f.n {
-				ub.addrs, ub.kinds = ub.addrs[:n], ub.kinds[:n]
+			b := &f.ss.buf
+			for i, pb := range b.pages {
+				pb.addrs, pb.kinds, pb.queued = pb.addrs[:f.n[i]], pb.kinds[:f.n[i]], true
 			}
-			f.ss.pending = benchAddrs
+			b.dirty, b.pending = append(b.dirty, b.pages...), benchAddrs
 			h.flush(f.s, f.ss)
 		}
 	}, len(fs) * benchAddrs

@@ -126,17 +126,17 @@ type Options struct {
 	DedupByAddr bool
 	// Tap, when non-nil, additionally receives every access the history
 	// applies — the record hook for offline replay (internal/trace). With
-	// FastPath the tap fires once per flushed batch unit, so recording
-	// costs one call per deduped (addr, kind) group, not one per access;
+	// FastPath the tap fires once per flushed page batch, so recording
+	// costs one call per page a strand touched, not one per access;
 	// without it the tap fires per access from the locked slow path. The
 	// entries handed to the tap are exactly the ones the history applies,
-	// after the state-word and batch dedup — a detection-equivalent
-	// access stream at location granularity.
+	// after the strand buffer's dedup — a detection-equivalent access
+	// stream at location granularity.
 	Tap AccessTap
 	// FastPath enables the lock-avoiding access path (see fastpath.go):
-	// the per-location state words absorbing redundant accesses,
-	// per-strand batches applied one lock acquisition per shadow page at
-	// strand close, and a per-strand Precedes memo. Detection at
+	// an exact strand-local dedup absorbing a strand's repeats, per-strand
+	// batches applied one lock acquisition per shadow page at strand
+	// close, and a per-strand Precedes memo. Detection at
 	// location granularity is unchanged (DESIGN.md §4 has the soundness
 	// argument). Requires the scheduler's StrandCloser hook: accesses
 	// are deferred until the engine closes the strand, so a History used
@@ -175,7 +175,6 @@ type History struct {
 	lockAcquires atomic.Uint64
 	fastHits     atomic.Uint64
 	batchFlushes atomic.Uint64
-	dedupHits    atomic.Uint64
 	memoHits     atomic.Uint64
 
 	raceCount atomic.Uint64
@@ -239,11 +238,11 @@ func (h *History) report(addr uint64, prev *sched.Strand, prevKind AccessKind, c
 
 // Read implements sched.AccessChecker: check against the last writer,
 // then record the reader per the configured policy. With FastPath the
-// access goes through the state words + strand batch instead of taking
-// the page's lock here (fastpath.go).
+// access goes through the strand's buffer instead of taking the page's
+// lock here (fastpath.go).
 func (h *History) Read(s *sched.Strand, addr uint64) {
 	if h.opts.FastPath {
-		h.fastRead(s, addr)
+		h.fastAccess(s, addr, AccessRead)
 		return
 	}
 	h.applyOne(s, addr, AccessRead)
@@ -253,10 +252,10 @@ func (h *History) Read(s *sched.Strand, addr uint64) {
 // and all retained readers, then make s the last writer and clear the
 // readers (they are subsumed: any later access racing a cleared reader
 // also races this write or was already reported — §3.6). With FastPath
-// the access goes through the state words + strand batch (fastpath.go).
+// the access goes through the strand's buffer (fastpath.go).
 func (h *History) Write(s *sched.Strand, addr uint64) {
 	if h.opts.FastPath {
-		h.fastWrite(s, addr)
+		h.fastAccess(s, addr, AccessWrite)
 		return
 	}
 	h.applyOne(s, addr, AccessWrite)
@@ -298,13 +297,13 @@ func (h *History) apply(s *sched.Strand, addr uint64, kind AccessKind, r *record
 // applyRead checks a read against the last writer, then records the
 // reader per the configured policy.
 func (h *History) applyRead(s *sched.Strand, addr uint64, r *record) {
-	if w := r.writer.Load(); w != nil && w != s && !h.precedes(w, s) {
+	if w := r.writer; w != nil && w != s && !h.precedes(w, s) {
 		h.report(addr, w, AccessWrite, s, AccessRead)
 	}
 	// Skip a consecutive duplicate reader: a strand reading the same
 	// location repeatedly adds no information (under ReadersLR a second
 	// updateLR of the same strand decides as the first did).
-	if r.reader.Load() == s {
+	if r.reader == s {
 		return
 	}
 	switch h.opts.Policy {
@@ -313,7 +312,7 @@ func (h *History) applyRead(s *sched.Strand, addr uint64, r *record) {
 	case ReadersLR:
 		h.updateLR(r, s)
 	}
-	r.reader.Store(s)
+	r.reader = s
 }
 
 // updateLR maintains the leftmost and rightmost reader of s's future for
@@ -346,11 +345,9 @@ func (h *History) updateLR(r *record, s *sched.Strand) {
 }
 
 // applyWrite checks a write against the last writer and every retained
-// reader, then makes s the last writer of an empty reader set. The state
-// words are stored only when they change: an atomic store costs far more
-// than the load that finds it redundant.
+// reader, then makes s the last writer of an empty reader set.
 func (h *History) applyWrite(s *sched.Strand, addr uint64, r *record) {
-	w := r.writer.Load()
+	w := r.writer
 	if w != nil && w != s && !h.precedes(w, s) {
 		h.report(addr, w, AccessWrite, s, AccessWrite)
 	}
@@ -373,12 +370,7 @@ func (h *History) applyWrite(s *sched.Strand, addr uint64, r *record) {
 		}
 		r.pairs = nil
 	}
-	if w != s {
-		r.writer.Store(s)
-	}
-	if r.reader.Load() != nil {
-		r.reader.Store(nil)
-	}
+	r.writer, r.reader = s, nil
 }
 
 // RaceCount returns the total number of races reported (including ones
@@ -424,7 +416,6 @@ func (h *History) RegisterStats(r *obsv.Registry) {
 	r.RegisterFunc("hist.mem_bytes", func() int64 { return int64(h.MemBytes()) })
 	r.RegisterFunc("hist.fastpath_hits", func() int64 { return int64(h.fastHits.Load()) })
 	r.RegisterFunc("hist.batch_flushes", func() int64 { return int64(h.batchFlushes.Load()) })
-	r.RegisterFunc("hist.batch_dedup_hits", func() int64 { return int64(h.dedupHits.Load()) })
 	r.RegisterFunc("hist.precedes_memo_hits", func() int64 { return int64(h.memoHits.Load()) })
 }
 

@@ -116,11 +116,91 @@ func TestFastPathParallelAgreement(t *testing.T) {
 	}
 }
 
-// TestFastPathStateWordHammer drives concurrent strands over a small
-// shared address set with interleaved flushes, so state-word loads race
-// against publications — clean under the Go race detector (go test -race
-// covers this file in CI).
-func TestFastPathStateWordHammer(t *testing.T) {
+// TestFastPathOverlappingFlushHammer runs parallel strands that flush the
+// same shadow pages at the same time — early, while they are still
+// running, and at their close — and then repeat accesses their buffers
+// must drop although other strands have overwritten the records in
+// between. The racy-address set must equal the dag oracle's at every
+// worker count, and the run must be clean under the Go race detector (CI
+// runs this package with -race): every record field is touched under its
+// page's lock only.
+func TestFastPathOverlappingFlushHammer(t *testing.T) {
+	const (
+		children = 8
+		shared   = 64  // addresses of page 0 every child reads or writes
+		columns  = 160 // pages every child touches at slots of its own
+		late     = 200 // page 0: read by all after their early flush, written by one
+	)
+	prog := func(t *sched.Task) {
+		for g := uint64(0); g < children; g++ {
+			g := g
+			t.Spawn(func(c *sched.Task) {
+				touchShared := func() {
+					for a := uint64(0); a < shared; a++ {
+						if (a+g)%4 == 0 {
+							c.Write(a)
+						} else {
+							c.Read(a)
+						}
+					}
+				}
+				touchShared()
+				// 8 slots on each of 160 pages, read then written: 2560
+				// entries, so the strand flushes early twice, onto pages
+				// all its siblings are flushing to.
+				for p := uint64(1); p <= columns; p++ {
+					for a := 8 * g; a < 8*g+8; a++ {
+						c.Read(p<<8 | a)
+						c.Write(p<<8 | a)
+					}
+				}
+				touchShared() // all repeats
+				if g == 0 {
+					c.Write(late)
+				} else {
+					c.Read(late)
+				}
+			})
+		}
+		t.Sync()
+		for a := uint64(0); a <= late; a++ {
+			t.Write(a) // ordered after every child: adds no race
+		}
+	}
+
+	rec, log := dag.NewRecorder(), oracle.NewLogger()
+	if _, err := sched.Run(sched.Options{Serial: true, Tracer: rec, Checker: log}, prog); err != nil {
+		t.Fatal(err)
+	}
+	want := log.RacyAddrs(rec)
+	if len(want) != shared+1 {
+		t.Fatalf("oracle found %d racy addresses, the program has %d", len(want), shared+1)
+	}
+	for _, workers := range []int{1, 4} {
+		for rep := 0; rep < 4; rep++ {
+			reach := core.NewReach()
+			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
+			hist.RegisterStats(obsv.NewRegistry())
+			if _, err := sched.Run(sched.Options{Workers: workers, Tracer: reach, Checker: hist}, prog); err != nil {
+				t.Fatal(err)
+			}
+			if got := hist.RacyAddrs(); !sameAddrs(got, want) {
+				t.Fatalf("%d workers, rep %d: racy addresses %v, oracle %v", workers, rep, got, want)
+			}
+			// Each child's second pass over the shared set is absorbed
+			// whole; nothing else repeats.
+			if got, want := hist.FastPathHits(), uint64(children*shared); got != want {
+				t.Fatalf("%d workers, rep %d: %d accesses absorbed, want %d", workers, rep, got, want)
+			}
+		}
+	}
+}
+
+// TestFastPathParallelStrandsHammer drives concurrent strands over a small
+// shared address set with interleaved flushes, without an engine: strands
+// on plain goroutines, all mutually parallel — clean under the Go race
+// detector (go test -race covers this file in CI).
+func TestFastPathParallelStrandsHammer(t *testing.T) {
 	histFast := detect.NewHistory(detect.Options{
 		Reach:       &stubReach{prec: map[[2]uint64]bool{}},
 		DedupByAddr: true,
@@ -135,14 +215,14 @@ func TestFastPathStateWordHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				// One strand per round: accesses batch on it, and the
-				// close publishes the state words other goroutines load.
+				// close applies them to pages other goroutines flush to.
 				s := &sched.Strand{ID: id*rounds + uint64(r), Fut: fut}
 				for a := uint64(0); a < addrs; a++ {
 					if (a+id)%4 == 0 {
 						histFast.Write(s, a)
 					} else {
 						histFast.Read(s, a)
-						histFast.Read(s, a) // repeat: dedup / state-word hit
+						histFast.Read(s, a) // repeat: dropped by the buffer
 					}
 				}
 				histFast.StrandClose(s)
@@ -176,8 +256,8 @@ func TestStrandCloseIdempotent(t *testing.T) {
 }
 
 // TestFastPathEarlyFlush: a strand exceeding the batch capacity must
-// flush early (bounding deferred work), after which re-accesses hit the
-// published state word without any history traffic.
+// flush early (bounding deferred work), after which its re-accesses are
+// still dropped by its buffer, without any history traffic.
 func TestFastPathEarlyFlush(t *testing.T) {
 	h := detect.NewHistory(detect.Options{
 		Reach:    &stubReach{prec: map[[2]uint64]bool{}},
@@ -192,8 +272,8 @@ func TestFastPathEarlyFlush(t *testing.T) {
 	if h.BatchFlushes() == 0 {
 		t.Fatal("early flush did not fire before strand close")
 	}
-	// Addresses from the flushed prefix are published: re-writing one is
-	// a pure state-word hit.
+	// The buffer's bitmaps outlive the flush: re-writing an address from
+	// the flushed prefix is absorbed.
 	before := h.FastPathHits()
 	h.Write(ss[0], 0)
 	if h.FastPathHits() != before+1 {
@@ -213,7 +293,7 @@ func TestFastPathEarlyFlush(t *testing.T) {
 	}
 }
 
-// TestFastPathDedupSubsumption checks the batch's (addr, kind) rules: a
+// TestFastPathDedupSubsumption checks the buffer's (addr, kind) rules: a
 // read is subsumed by a prior same-strand read or write, a write only by
 // a prior write — a write after a mere read must flush as a write.
 func TestFastPathDedupSubsumption(t *testing.T) {
@@ -229,8 +309,8 @@ func TestFastPathDedupSubsumption(t *testing.T) {
 	h.Write(ss[0], 9) // dup write
 	h.Read(ss[0], 9)  // subsumed by the write
 	h.StrandClose(ss[0])
-	if h.BatchDedupHits() != 3 {
-		t.Fatalf("dedup hits = %d, want 3", h.BatchDedupHits())
+	if h.FastPathHits() != 3 {
+		t.Fatalf("dedup hits = %d, want 3", h.FastPathHits())
 	}
 	// ss[1] reads: must race against ss[0]'s WRITE (kind preserved).
 	h.Read(ss[1], 9)

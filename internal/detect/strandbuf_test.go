@@ -1,0 +1,144 @@
+package detect
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+type bufEntry struct {
+	addr uint64
+	kind AccessKind
+}
+
+// drainInto appends what b has pending to got, per page, and returns the
+// pages in the order the drain handed them out.
+func drainInto(b *StrandBuffer, got map[uint64][]bufEntry) (order []uint64) {
+	b.Drain(func(page uint64, addrs []uint64, kinds []AccessKind) {
+		order = append(order, page)
+		for i, a := range addrs {
+			got[page] = append(got[page], bufEntry{a, kinds[i]})
+		}
+	})
+	return order
+}
+
+// TestStrandBufferMatchesReference is the buffer's property test: over
+// random access sequences that cross batchCap several times, what the
+// drains hand out is, page by page and in program order, exactly what a
+// map-based statement of the subsumption rule keeps — so nothing comes out
+// twice, before or after an early drain — and every drain visits its pages
+// in first-touch order.
+func TestStrandBufferMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		pages, accesses int
+	}{
+		{"dense, few pages", 12, 30000},
+		{"front collisions and spill", 200, 60000},
+		{"more pages than the pool keeps", 600, 40000},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.pages)))
+		// Page numbers far apart, and a few runs a power of two apart as
+		// in the matrix kernels.
+		nums := make([]uint64, tc.pages)
+		for i := range nums {
+			nums[i] = uint64(i%3)<<20 | uint64(i/3) | uint64(rng.Intn(2))<<40
+		}
+		var b StrandBuffer
+		seen := map[uint64]uint8{} // addr → kinds already kept, the rule's reference form
+		want := map[uint64][]bufEntry{}
+		got := map[uint64][]bufEntry{}
+		var wantOrder []uint64 // pages with pending entries, first-touch order
+		drains := 0
+		for i := 0; i < tc.accesses; i++ {
+			addr := nums[rng.Intn(len(nums))]<<pageBits | uint64(rng.Intn(pageSize))
+			kind := AccessKind(rng.Intn(2))
+			m := seen[addr]
+			keep := m&(1<<AccessWrite) == 0 && (kind == AccessWrite || m == 0)
+			if kept := b.Add(addr, kind); kept != keep {
+				t.Fatalf("%s: access %d (%v %#x): kept %v, the rule says %v", tc.name, i, kind, addr, kept, keep)
+			}
+			if keep {
+				seen[addr] = m | 1<<kind
+				page := addr >> pageBits
+				want[page] = append(want[page], bufEntry{addr, kind})
+				if !slices.Contains(wantOrder, page) {
+					wantOrder = append(wantOrder, page)
+				}
+			}
+			if b.Pending() >= batchCap {
+				if order := drainInto(&b, got); !slices.Equal(order, wantOrder) {
+					t.Fatalf("%s: drain %d visited pages %v, first-touch order is %v", tc.name, drains, order, wantOrder)
+				}
+				wantOrder = wantOrder[:0]
+				drains++
+			}
+		}
+		drainInto(&b, got)
+		if drains < 3 {
+			t.Fatalf("%s: only %d early drains; the sequence must cross batchCap several times", tc.name, drains)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: drained %d pages, want %d", tc.name, len(got), len(want))
+		}
+		for page, w := range want {
+			if !slices.Equal(got[page], w) {
+				t.Fatalf("%s: page %#x drained %v, want %v", tc.name, page, got[page], w)
+			}
+		}
+		if pool := b.Reset(); pool != (tc.pages <= poolMaxPages) {
+			t.Errorf("%s: Reset reported pool=%v after %d pages, the bound is %d", tc.name, pool, tc.pages, poolMaxPages)
+		}
+		// A reset buffer has forgotten the strand.
+		if !b.Add(nums[0]<<pageBits, AccessRead) || b.Pending() != 1 {
+			t.Errorf("%s: first access after Reset was not kept", tc.name)
+		}
+	}
+}
+
+// TestStrandBufferFootprint pins what a strand's buffer holds on to: a
+// touched page costs its batch (two bitmaps, two slice headers, a number)
+// plus its entries; a strand like the last one reuses all of it; and a
+// strand that touched too many pages leaves nothing behind to pool.
+func TestStrandBufferFootprint(t *testing.T) {
+	if pageBatchBytes > 128 {
+		t.Errorf("a touched page costs %d bytes before its entries, want at most 128", pageBatchBytes)
+	}
+
+	var b StrandBuffer
+	strand := func() {
+		// 40 pages in three runs, colliding in the front here and there,
+		// crossing batchCap twice.
+		for p := uint64(0); p < 40; p++ {
+			for a := uint64(0); a < 64; a++ {
+				b.Add((p%3<<16|p)<<pageBits|a, AccessKind(a&1))
+				b.Add((p%3<<16|p)<<pageBits|a, AccessRead)
+			}
+			if b.Pending() >= batchCap {
+				b.Drain(func(uint64, []uint64, []AccessKind) {})
+			}
+		}
+		b.Drain(func(uint64, []uint64, []AccessKind) {})
+		if !b.Reset() {
+			t.Fatal("a 40-page strand was not worth pooling")
+		}
+	}
+	strand()
+	if allocs := testing.AllocsPerRun(10, strand); allocs != 0 {
+		t.Errorf("a strand over the pages of the last one allocated %.1f times, want 0", allocs)
+	}
+
+	// One address on each of 100k pages: the batches, the spill map's
+	// buckets and the page lists must all go, not wait in a pool.
+	for p := uint64(0); p < 100_000; p++ {
+		b.Add(p<<pageBits, AccessWrite)
+	}
+	if b.Reset() {
+		t.Fatal("a 100k-page strand reported its buffer as worth pooling")
+	}
+	if b.spill != nil || cap(b.pages) != 0 || cap(b.dirty) != 0 || cap(b.free) != 0 {
+		t.Errorf("after an oversized strand the buffer still holds spill=%d pages=%d dirty=%d free=%d",
+			len(b.spill), cap(b.pages), cap(b.dirty), cap(b.free))
+	}
+}

@@ -19,8 +19,9 @@ import (
 // detector that must not miss races cannot, so we chain).
 //
 // Directory slots are atomic pointers with CAS insertion at the chain
-// head, so page lookup — on every instrumented access — is lock-free;
-// only a losing CAS (two workers creating the same page at once) retries.
+// head, so page lookup — once per flushed batch, or per access on the
+// locked path — is lock-free; only a losing CAS (two workers creating the
+// same page at once) retries.
 // A page's num and next fields are immutable once the page is published,
 // so chain walks need no synchronization beyond the slot load.
 //
@@ -41,21 +42,18 @@ const (
 
 type page struct {
 	mu    sync.Mutex
-	num   uint64 // addr >> pageBits
-	next  *page  // directory-collision chain; immutable after publication
-	slots [pageSize]atomic.Pointer[record]
+	num   uint64            // addr >> pageBits
+	next  *page             // directory-collision chain; immutable after publication
+	slots [pageSize]*record // guarded by mu
 }
 
 // record is the access-history metadata of one memory location. Every
-// field is written only under the page lock. writer and reader are also
-// the fast path's published state words: fastRead and fastWrite load them
-// without the lock (fastpath.go), so the word a strand tests itself
-// against is the history's own last-writer field, not a copy beside it.
+// field is read and written only under the page lock.
 type record struct {
-	writer  atomic.Pointer[sched.Strand] // last writer
-	reader  atomic.Pointer[sched.Strand] // most recently recorded reader since that write
-	readers []*sched.Strand              // ReadersAll
-	pairs   map[int]*lrPair              // ReadersLR, keyed by future ID
+	writer  *sched.Strand   // last writer
+	reader  *sched.Strand   // most recently recorded reader since that write
+	readers []*sched.Strand // ReadersAll
+	pairs   map[int]*lrPair // ReadersLR, keyed by future ID
 }
 
 type lrPair struct {
@@ -74,12 +72,6 @@ func (p *page) find(num uint64) *page {
 		}
 	}
 	return nil
-}
-
-// lookup returns the page numbered num, or nil when no access there has
-// been applied yet. Lock-free.
-func (t *table) lookup(num uint64) *page {
-	return t.dir[dirSlot(num)].Load().find(num)
 }
 
 // pageFor finds or creates the page numbered num, lock-free: walk the
@@ -104,12 +96,10 @@ func (t *table) pageFor(num uint64) *page {
 // holds p.mu.
 func (p *page) record(addr uint64) *record {
 	slot := &p.slots[addr&pageMask]
-	r := slot.Load()
-	if r == nil {
-		r = &record{}
-		slot.Store(r)
+	if *slot == nil {
+		*slot = &record{}
 	}
-	return r
+	return *slot
 }
 
 // forEach visits every populated record under its page's lock and returns
@@ -119,8 +109,8 @@ func (t *table) forEach(fn func(*record)) (pages int) {
 		for p := t.dir[i].Load(); p != nil; p = p.next {
 			pages++
 			p.mu.Lock()
-			for j := range p.slots {
-				if r := p.slots[j].Load(); r != nil {
+			for _, r := range p.slots[:] {
+				if r != nil {
 					fn(r)
 				}
 			}

@@ -95,11 +95,8 @@ type Config struct {
 	// CountAccesses enables engine access counters (adds overhead;
 	// used by the Figure 3 characterization run).
 	CountAccesses bool
-	// Filter puts the strand-local redundancy filter in front of the
-	// access history (the §6 future-work extension; ABL4).
-	Filter bool
-	// FastPath enables the access history's lock-avoiding path (state
-	// word + strand batching + Precedes memo; ABL7).
+	// FastPath enables the access history's lock-avoiding path (exact
+	// strand-local dedup + strand batching + Precedes memo; ABL7).
 	FastPath bool
 	// DedupByAddr keeps at most one detailed race record per address.
 	DedupByAddr bool
@@ -229,15 +226,7 @@ func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
 		if cfg.Registry != nil {
 			hist.RegisterStats(cfg.Registry)
 		}
-		if cfg.Filter {
-			filter := detect.NewStrandFilter(hist)
-			if cfg.Registry != nil {
-				filter.RegisterStats(cfg.Registry)
-			}
-			opts.Checker = filter
-		} else {
-			opts.Checker = hist
-		}
+		opts.Checker = hist
 	}
 	if rec != nil && hist == nil {
 		// Base and Reach modes have no access history to tap; the

@@ -909,24 +909,34 @@ func (w *worker) runJob(j *job) {
 			if _, ok := r.(errAbortUnwind); !ok {
 				w.eng.abort(r)
 			}
-			// Best-effort close of the strand that was executing, so a
-			// deferring checker keeps its partial results on failure.
-			// Guarded by its own recover: the checker may be mid-update.
-			func() {
-				defer func() { _ = recover() }()
-				w.eng.closeStrand(j.task.cur)
-			}()
+			w.eng.closeAfterPanic(j.task)
 		}
 		w.eng.finishJob()
 	}()
 	w.eng.runBody(j.task, w)
 }
 
+// closeAfterPanic is the best-effort close of the strand t was executing
+// when its body panicked, so a deferring checker keeps its partial
+// results on failure. Guarded by its own recover: the checker may be
+// mid-update.
+func (e *engine) closeAfterPanic(t *Task) {
+	defer func() { _ = recover() }()
+	e.closeStrand(t.cur)
+}
+
 // runInline executes a job synchronously on the current worker (inline
 // drain at sync, or a get claiming an unstarted future). Panics
-// propagate: the enclosing runJob converts them.
+// propagate: the enclosing runJob converts them, once the strand the
+// inline body was executing has had its best-effort close.
 func (e *engine) runInline(j *job, w *worker) {
 	defer e.finishJob()
+	defer func() {
+		if r := recover(); r != nil {
+			e.closeAfterPanic(j.task)
+			panic(r)
+		}
+	}()
 	e.runBody(j.task, w)
 	if w != nil {
 		w.trim()

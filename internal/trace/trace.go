@@ -8,9 +8,12 @@
 //     observes (root/spawn/create/sync/return/put/get), with strand and
 //     future IDs instead of pointers. Replay feeds these through a
 //     reachability substrate to rebuild the SF-dag's precedence oracle.
-//   - Access events — per-strand blocks of (addr, kind) pairs, tapped
-//     from the detector's batched flush (detect.Options.Tap), so
-//     recording costs one append per deduped (addr, kind) pair.
+//   - Access events — per-strand, per-shadow-page blocks of (addr, kind)
+//     pairs, tapped from the detector's batched flush
+//     (detect.Options.Tap) or drained from the recorder's own strand
+//     buffer: either way what detect.StrandBuffer kept, so recording
+//     costs one append per entry no earlier access of the strand
+//     subsumes.
 //
 // The recorder serializes all events through one mutex, so the file
 // order is a valid happens-before-consistent linearization of the run:
@@ -113,7 +116,8 @@ type Event struct {
 }
 
 // AccessBlock is one strand's tapped accesses: Addrs[i] was touched with
-// Kinds[i]. A strand may contribute several blocks (early flushes).
+// Kinds[i]. A strand contributes one block per shadow page it touched
+// (more after an early flush).
 type AccessBlock struct {
 	Strand uint64
 	Addrs  []uint64
@@ -136,8 +140,9 @@ type Capture struct {
 // sched.Options.Aux so the primary tracer's lane routing is untouched)
 // and detect.AccessTap (attach via detect.Options.Tap). For runs
 // without an access history it also implements sched.AccessChecker +
-// sched.StrandCloser directly, with its own per-strand (addr, kind)
-// dedup, so a program can be recorded without paying for detection.
+// sched.StrandCloser directly, buffering each strand through the
+// detector's own detect.StrandBuffer, so a program can be recorded
+// without paying for detection.
 //
 // All methods are safe for concurrent use; Close must be called once,
 // after the run, to write the trailer and flush.
@@ -282,69 +287,46 @@ func (r *Recorder) writeBlockLocked(strand uint64, addrs []uint64, kinds []detec
 	r.emit()
 }
 
-// recState is the per-strand dedup state of the standalone checker mode,
+// bufPool recycles the standalone checker mode's per-strand buffers,
 // hung off Strand.Aux (free in that mode: no History owns it).
-type recState struct {
-	seen  map[uint64]uint8
-	addrs []uint64
-	kinds []detect.AccessKind
-}
-
-var recPool = sync.Pool{New: func() any {
-	return &recState{seen: map[uint64]uint8{}}
-}}
-
-func recStateOf(s *sched.Strand) *recState {
-	if rs, ok := s.Aux.(*recState); ok {
-		return rs
-	}
-	rs := recPool.Get().(*recState)
-	s.Aux = rs
-	return rs
-}
-
-const (
-	recRead  = uint8(1) << detect.AccessRead
-	recWrite = uint8(1) << detect.AccessWrite
-)
+var bufPool = sync.Pool{New: func() any { return new(detect.StrandBuffer) }}
 
 // Read implements sched.AccessChecker for detection-free recording: the
-// access is buffered per strand, deduplicated by the StrandFilter rules
-// (a read is subsumed by any earlier same-strand access to the address,
-// a write by an earlier same-strand write), and emitted at strand close.
+// access goes through the same strand buffer the access history's fast
+// path uses, so a capture holds what a detecting run's would — one entry
+// per (strand, location, kind) that no earlier access of the strand
+// subsumes — emitted at strand close.
 func (r *Recorder) Read(s *sched.Strand, addr uint64) { r.record(s, addr, detect.AccessRead) }
 
 // Write implements sched.AccessChecker; see Read.
 func (r *Recorder) Write(s *sched.Strand, addr uint64) { r.record(s, addr, detect.AccessWrite) }
 
 func (r *Recorder) record(s *sched.Strand, addr uint64, kind detect.AccessKind) {
-	rs := recStateOf(s)
-	m := rs.seen[addr]
-	if m&(uint8(1)<<kind) != 0 || (kind == detect.AccessRead && m&recWrite != 0) {
-		return
+	b, ok := s.Aux.(*detect.StrandBuffer)
+	if !ok {
+		b = bufPool.Get().(*detect.StrandBuffer)
+		s.Aux = b
 	}
-	rs.seen[addr] = m | uint8(1)<<kind
-	rs.addrs = append(rs.addrs, addr)
-	rs.kinds = append(rs.kinds, kind)
+	b.Add(addr, kind)
 }
 
 // StrandClose implements sched.StrandCloser for the standalone checker
-// mode: the strand's buffered accesses become one block.
+// mode: the strand's buffered accesses become one block per shadow page.
 func (r *Recorder) StrandClose(s *sched.Strand) {
-	rs, ok := s.Aux.(*recState)
+	b, ok := s.Aux.(*detect.StrandBuffer)
 	if !ok {
 		return
 	}
 	s.Aux = nil
-	if len(rs.addrs) > 0 {
+	if b.Pending() > 0 {
 		r.mu.Lock()
-		r.writeBlockLocked(s.ID, rs.addrs, rs.kinds)
+		b.Drain(func(_ uint64, addrs []uint64, kinds []detect.AccessKind) {
+			r.writeBlockLocked(s.ID, addrs, kinds)
+		})
 		r.mu.Unlock()
 	}
-	if len(rs.seen) <= 1<<14 {
-		clear(rs.seen)
-		rs.addrs, rs.kinds = rs.addrs[:0], rs.kinds[:0]
-		recPool.Put(rs)
+	if b.Reset() {
+		bufPool.Put(b)
 	}
 }
 

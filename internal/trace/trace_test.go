@@ -115,7 +115,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 }
 
 // TestRecorderDedup: the standalone checker mode deduplicates by the
-// StrandFilter rules — a strand touching one address many times
+// strand buffer's rule — a strand touching one address many times
 // contributes at most a write entry and at most a read entry.
 func TestRecorderDedup(t *testing.T) {
 	var buf bytes.Buffer
@@ -150,6 +150,36 @@ func TestRecorderDedup(t *testing.T) {
 	}
 	if writes != 1 {
 		t.Fatalf("%d write entries, want 1", writes)
+	}
+}
+
+// TestStandaloneRecorderParallel: four workers buffering strands through
+// pooled strand buffers and draining them under the recorder's lock (run
+// under -race in CI). The dedup is exact, so the capture holds the same
+// number of entries whatever the schedule — the serial capture's.
+func TestStandaloneRecorderParallel(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		serial, _ := record(t, seed)
+		want, err := trace.Load(bytes.NewReader(serial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		rec := trace.NewRecorder(&buf)
+		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 7})
+		if _, err := sched.Run(sched.Options{Workers: 4, Aux: rec, Checker: rec}, p.Main()); err != nil {
+			t.Fatalf("seed %d: run: %v", seed, err)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatalf("seed %d: close: %v", seed, err)
+		}
+		got, err := trace.Load(&buf)
+		if err != nil {
+			t.Fatalf("seed %d: load: %v", seed, err)
+		}
+		if got.Entries != want.Entries {
+			t.Fatalf("seed %d: %d entries at four workers, %d serially", seed, got.Entries, want.Entries)
+		}
 	}
 }
 

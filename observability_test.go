@@ -104,7 +104,7 @@ func TestDedupByAddr(t *testing.T) {
 
 func TestStatsSnapshot(t *testing.T) {
 	for _, det := range []sforder.Detector{sforder.SFOrder, sforder.FOrder, sforder.MultiBags, sforder.WSPOrder} {
-		cfg := sforder.Config{Detector: det, Serial: true, Stats: true, StrandFilter: true}
+		cfg := sforder.Config{Detector: det, Serial: true, Stats: true}
 		res, err := sforder.Run(cfg, func(t *sforder.Task) {
 			t.Spawn(func(c *sforder.Task) { c.Write(1) })
 			t.Write(1)
@@ -120,7 +120,7 @@ func TestStatsSnapshot(t *testing.T) {
 		if res.Stats == nil {
 			t.Fatalf("%v: Stats nil with Config.Stats set", det)
 		}
-		for _, key := range []string{"sched.strands", "sched.spawns", "sched.writes", "reach.queries", "reach.mem_bytes", "hist.races", "hist.lock_acquires", "hist.filter_dropped", "hist.mem_bytes"} {
+		for _, key := range []string{"sched.strands", "sched.spawns", "sched.writes", "reach.queries", "reach.mem_bytes", "hist.races", "hist.lock_acquires", "hist.fastpath_hits", "hist.mem_bytes"} {
 			if _, ok := res.Stats[key]; !ok {
 				t.Errorf("%v: snapshot missing %q: %v", det, key, res.Stats)
 			}

@@ -171,20 +171,15 @@ type Config struct {
 	Policy ReaderPolicy
 	// MaxRaces caps retained detailed race records (0 = 256).
 	MaxRaces int
-	// StrandFilter puts a strand-local redundancy filter in front of
-	// the access history: accesses a strand already made to an address
-	// are dropped before taking the history lock. Detection at location
-	// granularity is unchanged; loop-heavy workloads check in much less
-	// often.
-	StrandFilter bool
-	// FastPath enables the access history's lock-avoiding path: a
-	// per-location published state word absorbs redundant accesses
-	// without locking, the rest are buffered per strand and applied one
-	// lock acquisition per shadow page when the strand ends, and
-	// Precedes verdicts are memoized per strand. Detection at location
-	// granularity is unchanged (DESIGN.md §4). Cuts hist.lock_acquires
-	// by the batch factor on loop-heavy workloads.
-	FastPath bool
+	// LockedHistory takes the access history off its lock-avoiding path
+	// (the ABL7 ablation): every access takes its shadow page's lock, as
+	// in the paper's implementation. By default a strand's repeated
+	// accesses to a location are dropped by an exact strand-local dedup,
+	// the rest are buffered per strand and applied one lock acquisition
+	// per shadow page when the strand ends, and Precedes verdicts are
+	// memoized per strand; detection at location granularity is the same
+	// either way (DESIGN.md §4).
+	LockedHistory bool
 	// DedupByAddr reports at most one detailed race record per memory
 	// location: after the first report on an address, later races there
 	// are counted in RaceCount but not retained in Races. Keeps reports
@@ -330,7 +325,7 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 				LeftOf:      leftOf,
 				MaxRaces:    cfg.MaxRaces,
 				DedupByAddr: cfg.DedupByAddr,
-				FastPath:    cfg.FastPath,
+				FastPath:    !cfg.LockedHistory,
 			}
 			if rec != nil {
 				// The history taps the recorder with the deduplicated
@@ -342,15 +337,7 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 			if reg != nil {
 				hist.RegisterStats(reg)
 			}
-			if cfg.StrandFilter {
-				filter := detect.NewStrandFilter(hist)
-				if reg != nil {
-					filter.RegisterStats(reg)
-				}
-				opts.Checker = filter
-			} else {
-				opts.Checker = hist
-			}
+			opts.Checker = hist
 		}
 	}
 	if rec != nil && hist == nil {

@@ -54,6 +54,55 @@ func TestRaceFreeProgram(t *testing.T) {
 	}
 }
 
+// TestZeroConfigIsTheShippingHistory: Config{} runs the lock-avoiding
+// access history — the configuration cmd/sforder and the benchmark run —
+// and LockedHistory is the ablation that takes a page lock per access.
+// Both report the same racy location.
+func TestZeroConfigIsTheShippingHistory(t *testing.T) {
+	const addrs, passes = 50, 4
+	prog := func(t *sforder.Task) {
+		t.Spawn(func(c *sforder.Task) {
+			for p := 0; p < passes; p++ {
+				for a := uint64(0); a < addrs; a++ {
+					c.Read(a)
+				}
+			}
+		})
+		t.Write(7) // races with the child's reads of 7
+		t.Sync()
+	}
+	shipping, err := sforder.Run(sforder.Config{Workers: 2, Stats: true}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locked, err := sforder.Run(sforder.Config{Workers: 2, Stats: true, LockedHistory: true}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*sforder.Result{"zero Config": shipping, "LockedHistory": locked} {
+		if len(res.Races) == 0 {
+			t.Errorf("%s: the race on address 7 was missed", name)
+		}
+		for _, r := range res.Races {
+			if r.Addr != 7 {
+				t.Errorf("%s: race reported on %#x, only address 7 is racy", name, r.Addr)
+			}
+		}
+	}
+	if got := shipping.Stats["hist.fastpath_hits"]; got != (passes-1)*addrs {
+		t.Errorf("zero Config: %d accesses absorbed by the strand buffer, want the %d repeats", got, (passes-1)*addrs)
+	}
+	if got := shipping.Stats["hist.lock_acquires"]; got != 2 {
+		t.Errorf("zero Config: %d page-lock acquisitions, want one per strand that touched the page", got)
+	}
+	if got := locked.Stats["hist.lock_acquires"]; got != passes*addrs+1 {
+		t.Errorf("LockedHistory: %d page-lock acquisitions, want one per access (%d)", got, passes*addrs+1)
+	}
+	if got := locked.Stats["hist.batch_flushes"]; got != 0 {
+		t.Errorf("LockedHistory: %d batch flushes, want none", got)
+	}
+}
+
 func TestReachabilityOnlyMode(t *testing.T) {
 	res, err := sforder.Run(sforder.Config{ReachabilityOnly: true, Serial: true}, func(t *sforder.Task) {
 		h := t.Create(func(c *sforder.Task) any { c.Write(7); return nil })
@@ -255,7 +304,7 @@ func TestRunReleasesArenaSlabs(t *testing.T) {
 	run := func() (allocated, slabs uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := sforder.Run(sforder.Config{Workers: 1, Stats: true, FastPath: true}, prog)
+		res, err := sforder.Run(sforder.Config{Workers: 1, Stats: true}, prog)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
