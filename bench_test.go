@@ -263,7 +263,7 @@ func BenchmarkAblationWSPDegeneration(b *testing.B) {
 
 // BenchmarkAblationFastPath (ABL7, §6 future work): full SF-Order
 // detection with and without the lock-avoiding access-history path
-// (exact strand-local dedup + strand batching + Precedes memo). The reported
+// (exact strand-local dedup + strand batching). The reported
 // lock-acquires metric is the acceptance quantity: with the fast path
 // on it must drop by at least 5× on the loop-heavy workloads (mm, hw).
 func BenchmarkAblationFastPath(b *testing.B) {

@@ -14,6 +14,9 @@ import (
 //	read-batched   a read the strand's buffer keeps, its share of the flush included
 //	write-batched  the same for a write
 //	flush          one batched entry applied at strand close (reads and writes 2:1)
+//	flush-run      the same over tile rows, a strand's slots all of one state
+//	flush-scatter  the same with a state per slot, what sharing can at worst cost
+//	flush-split    the same with readers of overlapping sub-ranges and a merging writer
 //	locked         one access on the locked path (FastPath off)
 //
 // Every strand precedes every other (serialReach), so no op pays for a
@@ -78,15 +81,25 @@ func BenchmarkHistory(b *testing.B) {
 			p.run(AccessWrite)
 		}
 	})
-	b.Run("flush", func(b *testing.B) {
-		cycle, entries := flushCycle()
-		cycle() // grow the reader slices
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += entries {
-			cycle()
-		}
-	})
+	for _, row := range []struct {
+		name  string
+		fills []fill
+	}{
+		{"flush", denseFills()},
+		{"flush-run", tileFills()},
+		{"flush-scatter", scatterFills()},
+		{"flush-split", splitFills()},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			cycle, entries := flushCycle(row.fills)
+			cycle() // grow the state tables and the reader slices
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += entries {
+				cycle()
+			}
+		})
+	}
 	b.Run("locked", func(b *testing.B) {
 		p := passes{h: NewHistory(Options{Reach: serialReach{}})}
 		b.ReportAllocs()
@@ -97,51 +110,118 @@ func BenchmarkHistory(b *testing.B) {
 	})
 }
 
-// flushCycle returns a function that runs six strand-close flushes over
-// the same benchAddrs addresses — twice two strands' reads and then a
-// third's writes, which empty the reader sets again — and the number of
-// entries one call applies. The buffers are filled once; a flush drains
-// them and the cycle puts their pages back on the dirty list at their old
-// lengths, so a call does no buffering work and allocates no strand. Two
-// rounds, so that no strand follows itself as a location's writer.
-func flushCycle() (cycle func(), entries int) {
+// fill is one strand's accesses in a flush row: every address, one kind.
+type fill struct {
+	kind  AccessKind
+	addrs []uint64
+}
+
+func span(from, to, step uint64) (addrs []uint64) {
+	for a := from; a < to; a += step {
+		addrs = append(addrs, a)
+	}
+	return addrs
+}
+
+// denseFills is the flush row: twice two strands' reads of benchAddrs
+// dense addresses and then a third's writes, which empty the reader sets
+// again. Two rounds, so that no strand follows itself as a location's
+// writer. Every page is one state throughout.
+func denseFills() []fill {
+	all := span(0, benchAddrs, 1)
+	return []fill{{AccessRead, all}, {AccessRead, all}, {AccessWrite, all}, {AccessRead, all}, {AccessRead, all}, {AccessWrite, all}}
+}
+
+// tileFills is the common case of the paper's kernels, flush-run: a band
+// of a 128-wide matrix, sixteen rows over eight pages, and per 16×16 tile
+// two strands reading it and one writing it. A page holds a state per
+// tile, and every strand's slots there are all of one state's.
+func tileFills() (fs []fill) {
+	for tile := uint64(0); tile < 8; tile++ {
+		var addrs []uint64
+		for row := uint64(0); row < 16; row++ {
+			addrs = append(addrs, span(row*128+tile*16, row*128+tile*16+16, 1)...)
+		}
+		fs = append(fs, fill{AccessRead, addrs}, fill{AccessRead, addrs}, fill{AccessWrite, addrs})
+	}
+	return fs
+}
+
+// scatterFills is the bound, flush-scatter: 250 strands each the last
+// writer of one slot on each of four pages, so no two slots share a
+// state, and two strands reading everything, a state per slot.
+func scatterFills() (fs []fill) {
+	all := span(0, benchAddrs, 1)
+	fs = append(fs, fill{AccessRead, all}, fill{AccessRead, all})
+	for k := uint64(0); k < benchAddrs/4; k++ {
+		fs = append(fs, fill{AccessWrite, span(k, benchAddrs, benchAddrs/4)})
+	}
+	return fs
+}
+
+// splitFills is flush-split: readers of overlapping sub-ranges of what one
+// strand wrote, each splitting the states the last one left, and a writer
+// merging them again.
+func splitFills() []fill {
+	return []fill{
+		{AccessRead, span(0, benchAddrs/2, 1)},
+		{AccessRead, span(benchAddrs/4, 3*benchAddrs/4, 1)},
+		{AccessRead, span(1, benchAddrs, 2)},
+		{AccessRead, span(benchAddrs/8, benchAddrs, 3)},
+		{AccessWrite, span(0, benchAddrs, 1)},
+	}
+}
+
+// flushCycle returns a function that runs one strand-close flush per fill,
+// in order, and the number of entries one call applies. The buffers are
+// filled once; a flush drains them and the cycle puts their pending sets
+// back and their pages on the dirty list again, so a call does no
+// buffering work and allocates no strand.
+func flushCycle(fills []fill) (cycle func(), entries int) {
 	h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
 	type filled struct {
-		s  *sched.Strand
-		ss *strandState
-		n  []int // pending entries per page, in the buffer's page order
+		s       *sched.Strand
+		ss      *strandState
+		pending [][2]SlotSet // per page, in the buffer's page order
+		n       int
 	}
 	var fs []filled
-	for i, kind := range []AccessKind{AccessRead, AccessRead, AccessWrite, AccessRead, AccessRead, AccessWrite} {
+	for i, fl := range fills {
 		s := newStrand(uint64(i))
-		for a := uint64(0); a < benchAddrs; a++ {
-			h.fastAccess(s, a, kind)
+		for _, a := range fl.addrs {
+			h.fastAccess(s, a, fl.kind)
 		}
-		f := filled{s: s, ss: stateOf(s)}
+		f := filled{s: s, ss: stateOf(s), n: len(fl.addrs)}
 		for _, pb := range f.ss.buf.pages {
-			f.n = append(f.n, len(pb.addrs))
+			f.pending = append(f.pending, pb.pending)
 		}
 		fs = append(fs, f)
+		entries += f.n
 	}
 	return func() {
 		for _, f := range fs {
 			b := &f.ss.buf
 			for i, pb := range b.pages {
-				pb.addrs, pb.kinds, pb.queued = pb.addrs[:f.n[i]], pb.kinds[:f.n[i]], true
+				pb.pending, pb.queued = f.pending[i], true
 			}
-			b.dirty, b.pending = append(b.dirty, b.pages...), benchAddrs
+			b.dirty, b.pending = append(b.dirty, b.pages...), f.n
 			h.flush(f.s, f.ss)
 		}
-	}, len(fs) * benchAddrs
+	}, entries
 }
 
-// TestFlushSteadyStateAllocs: once the records exist and the reader
-// slices have grown, applying a batch allocates nothing — no snapshot, no
-// table entry, no closure.
+// TestFlushSteadyStateAllocs: once the states exist and the reader slices
+// have grown, applying a batch allocates nothing — no snapshot, no table
+// entry, no closure — whether it updates states in place or splits and
+// merges them.
 func TestFlushSteadyStateAllocs(t *testing.T) {
-	cycle, entries := flushCycle()
-	cycle()
-	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
-		t.Errorf("steady-state flush: %.1f allocations per %d entries, want 0", allocs, entries)
+	for _, fills := range [][]fill{denseFills(), tileFills(), splitFills()} {
+		cycle, entries := flushCycle(fills)
+		for warm := 0; warm < 4; warm++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+			t.Errorf("steady-state flush: %.1f allocations per %d entries, want 0", allocs, entries)
+		}
 	}
 }

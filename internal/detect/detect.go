@@ -23,6 +23,7 @@ package detect
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,16 +132,17 @@ type Options struct {
 	// without it the tap fires per access from the locked slow path. The
 	// entries handed to the tap are exactly the ones the history applies,
 	// after the strand buffer's dedup — a detection-equivalent access
-	// stream at location granularity.
+	// stream at location granularity — a page's reads in slot order, then
+	// its writes.
 	Tap AccessTap
 	// FastPath enables the lock-avoiding access path (see fastpath.go):
-	// an exact strand-local dedup absorbing a strand's repeats, per-strand
-	// batches applied one lock acquisition per shadow page at strand
-	// close, and a per-strand Precedes memo. Detection at
-	// location granularity is unchanged (DESIGN.md §4 has the soundness
-	// argument). Requires the scheduler's StrandCloser hook: accesses
-	// are deferred until the engine closes the strand, so a History used
-	// without an engine must call StrandClose itself.
+	// an exact strand-local dedup absorbing a strand's repeats, and
+	// per-strand batches applied one lock acquisition per shadow page at
+	// strand close. Detection at location granularity is unchanged
+	// (DESIGN.md §4 has the soundness argument). Requires the scheduler's
+	// StrandCloser hook: accesses are deferred until the engine closes the
+	// strand, so a History used without an engine must call StrandClose
+	// itself.
 	FastPath bool
 }
 
@@ -175,7 +177,8 @@ type History struct {
 	lockAcquires atomic.Uint64
 	fastHits     atomic.Uint64
 	batchFlushes atomic.Uint64
-	memoHits     atomic.Uint64
+	groupOps     atomic.Uint64
+	stateSplits  atomic.Uint64
 
 	raceCount atomic.Uint64
 	raceMu    sync.Mutex
@@ -262,15 +265,21 @@ func (h *History) Write(s *sched.Strand, addr uint64) {
 }
 
 // applyOne is the locked slow path: one access, one page-lock
-// acquisition.
+// acquisition, and the flush's kernel over a set of one slot.
 func (h *History) applyOne(s *sched.Strand, addr uint64, kind AccessKind) {
 	if h.opts.Tap != nil {
 		// Through a buffer of one, allocated only when tapping, keeping
 		// the batched TapAccesses signature.
 		h.opts.Tap.TapAccesses(s, []uint64{addr}, []AccessKind{kind})
 	}
+	var set SlotSet
+	set[addr&pageMask>>6] = 1 << (addr & 63)
 	p := h.lockPage(addr >> pageBits)
-	h.apply(s, addr, kind, p.record(addr))
+	if kind == AccessWrite {
+		h.applyWrites(p, s, &set)
+	} else {
+		h.applyReads(p, s, &set)
+	}
 	p.mu.Unlock()
 }
 
@@ -284,93 +293,147 @@ func (h *History) lockPage(num uint64) *page {
 	return p
 }
 
-// apply performs one access's history update on r, which the caller
-// holds the page lock for.
-func (h *History) apply(s *sched.Strand, addr uint64, kind AccessKind, r *record) {
-	if kind == AccessWrite {
-		h.applyWrite(s, addr, r)
-	} else {
-		h.applyRead(s, addr, r)
+// applyReads performs s's reads of the slots in set on p, whose lock the
+// caller holds. The slots are taken one state at a time: every slot
+// pointing at a state has the same last writer and the same readers, so
+// Algorithm 1's check of one of them is the check of all, and one update
+// serves them all — in place when the state has no other slots, on a copy
+// otherwise.
+func (h *History) applyReads(p *page, s *sched.Strand, set *SlotSet) {
+	head := p.group(set)
+	var groups, splits uint64
+	for i := head; i != noState; groups++ {
+		st := &p.states[i]
+		hit, next := st.hit, st.link
+		st.hit = 0
+		if w := st.writer; w != nil && w != s && !h.opts.Reach.Precedes(w, s) {
+			h.reportGroup(p, set, i, w, AccessWrite, s, AccessRead)
+		}
+		// Skip a consecutive duplicate reader: a strand reading the same
+		// location repeatedly adds no information (under ReadersLR a second
+		// updateLR of the same strand decides as the first did).
+		if st.reader != s {
+			if hit < st.n {
+				st = &p.states[p.split(i, hit)]
+				splits++
+			}
+			switch h.opts.Policy {
+			case ReadersAll:
+				st.readers = append(st.readers, s)
+			case ReadersLR:
+				h.updateLR(st, s)
+			}
+			st.reader = s
+		}
+		i = next
 	}
-}
-
-// applyRead checks a read against the last writer, then records the
-// reader per the configured policy.
-func (h *History) applyRead(s *sched.Strand, addr uint64, r *record) {
-	if w := r.writer; w != nil && w != s && !h.precedes(w, s) {
-		h.report(addr, w, AccessWrite, s, AccessRead)
+	if splits > 0 {
+		p.move(set, head)
 	}
-	// Skip a consecutive duplicate reader: a strand reading the same
-	// location repeatedly adds no information (under ReadersLR a second
-	// updateLR of the same strand decides as the first did).
-	if r.reader == s {
-		return
+	if h.countLocks {
+		h.groupOps.Add(groups)
+		h.stateSplits.Add(splits)
 	}
-	switch h.opts.Policy {
-	case ReadersAll:
-		r.readers = append(r.readers, s)
-	case ReadersLR:
-		h.updateLR(r, s)
-	}
-	r.reader = s
 }
 
 // updateLR maintains the leftmost and rightmost reader of s's future for
-// this location, with the classic replacement rules (Mellor-Crummey):
-// a serially later reader subsumes the stored one; among parallel
-// readers, keep the leftmost (respectively rightmost) in English order.
-func (h *History) updateLR(r *record, s *sched.Strand) {
-	if r.pairs == nil {
-		r.pairs = map[int]*lrPair{}
+// the state's locations, with the classic replacement rules
+// (Mellor-Crummey): a serially later reader subsumes the stored one; among
+// parallel readers, keep the leftmost (respectively rightmost) in English
+// order.
+func (h *History) updateLR(st *state, s *sched.Strand) {
+	p, ok := st.pairs[s.Fut.ID]
+	if !ok {
+		p = lrPair{l: s, r: s}
 	}
-	p := r.pairs[s.Fut.ID]
-	if p == nil {
-		r.pairs[s.Fut.ID] = &lrPair{l: s, r: s}
-		return
+	if p.l != s && (h.opts.Reach.Precedes(p.l, s) || h.opts.LeftOf(s, p.l)) {
+		p.l = s
 	}
-	if p.l != s {
-		if h.precedes(p.l, s) {
-			p.l = s
-		} else if h.opts.LeftOf(s, p.l) {
-			p.l = s
+	if p.r != s && (h.opts.Reach.Precedes(p.r, s) || h.opts.LeftOf(p.r, s)) {
+		p.r = s
+	}
+	if st.pairs == nil {
+		st.pairs = map[int]lrPair{}
+	}
+	st.pairs[s.Fut.ID] = p
+}
+
+// applyWrites performs s's writes of the slots in set on p, whose lock
+// the caller holds: each state the slots point at is checked once — last
+// writer and every retained reader — and then all the slots share one
+// state, s the last writer of an empty reader set, whatever they pointed
+// at before: the first state the writes leave without slots, or a fresh
+// one when every state keeps some.
+func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
+	head, to := p.group(set), uint16(noState)
+	var total uint16
+	var groups uint64
+	for i := head; i != noState; groups++ {
+		st := &p.states[i]
+		hit, next := st.hit, st.link
+		st.hit = 0
+		h.checkWrite(p, set, i, s)
+		total += hit
+		if st.n -= hit; st.n == 0 {
+			if to == noState {
+				to = i
+			} else {
+				p.release(i)
+			}
+		}
+		i = next
+	}
+	moved := groups > 1 || to == noState // else one state's slots, all of them: they stay
+	if to == noState {
+		to = p.newState()
+	}
+	st := &p.states[to]
+	st.writer, st.reader, st.readers, st.pairs, st.n = s, nil, st.readers[:0], nil, total
+	if moved {
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				p.idx[w<<6|bits.TrailingZeros64(word)] = uint8(to)
+			}
 		}
 	}
-	if p.r != s {
-		if h.precedes(p.r, s) {
-			p.r = s
-		} else if h.opts.LeftOf(p.r, s) {
-			p.r = s
+	if h.countLocks {
+		h.groupOps.Add(groups)
+	}
+}
+
+// checkWrite checks a write by s against state i of p: the last writer
+// and every retained reader.
+func (h *History) checkWrite(p *page, set *SlotSet, i uint16, s *sched.Strand) {
+	st := &p.states[i]
+	if w := st.writer; w != nil && w != s && !h.opts.Reach.Precedes(w, s) {
+		h.reportGroup(p, set, i, w, AccessWrite, s, AccessWrite)
+	}
+	for _, rd := range st.readers {
+		if rd != s && !h.opts.Reach.Precedes(rd, s) {
+			h.reportGroup(p, set, i, rd, AccessRead, s, AccessWrite)
+		}
+	}
+	for _, pr := range st.pairs {
+		if pr.l != s && !h.opts.Reach.Precedes(pr.l, s) {
+			h.reportGroup(p, set, i, pr.l, AccessRead, s, AccessWrite)
+		}
+		if pr.r != pr.l && pr.r != s && !h.opts.Reach.Precedes(pr.r, s) {
+			h.reportGroup(p, set, i, pr.r, AccessRead, s, AccessWrite)
 		}
 	}
 }
 
-// applyWrite checks a write against the last writer and every retained
-// reader, then makes s the last writer of an empty reader set.
-func (h *History) applyWrite(s *sched.Strand, addr uint64, r *record) {
-	w := r.writer
-	if w != nil && w != s && !h.precedes(w, s) {
-		h.report(addr, w, AccessWrite, s, AccessWrite)
-	}
-	switch h.opts.Policy {
-	case ReadersAll:
-		for _, rd := range r.readers {
-			if rd != s && !h.precedes(rd, s) {
-				h.report(addr, rd, AccessRead, s, AccessWrite)
+// reportGroup reports the race between prev's recorded access and cur's
+// on every slot of set that points at state i: a verdict is per state, a
+// race is per address. Only the report path pays for the loop.
+func (h *History) reportGroup(p *page, set *SlotSet, i uint16, prev *sched.Strand, prevKind AccessKind, cur *sched.Strand, curKind AccessKind) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			if slot := w<<6 | bits.TrailingZeros64(word); uint16(p.idx[slot]) == i {
+				h.report(p.num<<pageBits|uint64(slot), prev, prevKind, cur, curKind)
 			}
 		}
-		r.readers = r.readers[:0]
-	case ReadersLR:
-		for _, p := range r.pairs {
-			if p.l != s && !h.precedes(p.l, s) {
-				h.report(addr, p.l, AccessRead, s, AccessWrite)
-			}
-			if p.r != p.l && p.r != s && !h.precedes(p.r, s) {
-				h.report(addr, p.r, AccessRead, s, AccessWrite)
-			}
-		}
-		r.pairs = nil
 	}
-	r.writer, r.reader = s, nil
 }
 
 // RaceCount returns the total number of races reported (including ones
@@ -416,21 +479,22 @@ func (h *History) RegisterStats(r *obsv.Registry) {
 	r.RegisterFunc("hist.mem_bytes", func() int64 { return int64(h.MemBytes()) })
 	r.RegisterFunc("hist.fastpath_hits", func() int64 { return int64(h.fastHits.Load()) })
 	r.RegisterFunc("hist.batch_flushes", func() int64 { return int64(h.batchFlushes.Load()) })
-	r.RegisterFunc("hist.precedes_memo_hits", func() int64 { return int64(h.memoHits.Load()) })
+	r.RegisterFunc("hist.group_ops", func() int64 { return int64(h.groupOps.Load()) })
+	r.RegisterFunc("hist.state_splits", func() int64 { return int64(h.stateSplits.Load()) })
+	r.RegisterFunc("hist.states", func() int64 { return int64(h.tbl.liveStates()) })
 }
 
 // MaxReaders returns the largest retained reader count over all
 // locations right now — used by tests asserting the 2k bound of the
 // ReadersLR policy.
 func (h *History) MaxReaders() int {
-	max := 0
-	h.tbl.forEach(func(r *record) {
-		n := len(r.readers) + 2*len(r.pairs)
-		if n > max {
-			max = n
+	most := 0
+	h.tbl.forEachPage(func(p *page) {
+		for i := range p.states { // a dead state retains none
+			most = max(most, len(p.states[i].readers)+2*len(p.states[i].pairs))
 		}
 	})
-	return max
+	return most
 }
 
 var _ sched.AccessChecker = (*History)(nil)

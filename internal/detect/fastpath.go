@@ -5,7 +5,7 @@ package detect
 // history"). Profiling PR 2's hist.lock_acquires counter confirmed the
 // paper's observation that full-mode overhead is dominated by the sheer
 // volume of lock acquisitions — one per instrumented access — not by
-// contention. Three mechanisms shed that volume while preserving the
+// contention. Two mechanisms shed that volume while preserving the
 // per-location detection guarantee (at least one race is reported on a
 // location iff one exists there; DESIGN.md §4 has the argument):
 //
@@ -14,19 +14,18 @@ package detect
 //     subsumes (StrandBuffer states the rule) adds nothing the history
 //     would retain and no verdict it has not already computed. The
 //     strand's buffer drops it on a bit test, before any shared memory is
-//     touched — an access either ends there or is appended there.
+//     touched — an access either ends there or sets a second bit there.
 //
-//  2. Strand-scoped batching. What the buffer keeps is grouped by lock
-//     unit (shadow page) and applied under ONE lock acquisition per page
-//     when the strand closes (the sched.StrandCloser hook), or earlier
-//     once batchCap entries are pending; the dedup state outlives early
-//     flushes. Every field of a location's record is read and written
-//     under its page's lock, here as on the locked path.
-//
-//  3. Precedes memo. The same last writer repeats across a streak of
-//     locations, and Precedes(w, s) is immutable for a fixed pair (all of
-//     s's incoming dag edges exist before s executes), so verdicts are
-//     memoized per current strand in a small direct-mapped table.
+//  2. Strand-scoped batching. What the buffer keeps is, per lock unit
+//     (shadow page), the set of slots read and the set of slots written,
+//     applied under ONE lock acquisition per page when the strand closes
+//     (the sched.StrandCloser hook), or earlier once batchCap entries are
+//     pending; the dedup state outlives early flushes. The page takes a
+//     set whole: Algorithm 1 runs once per state the set's slots share
+//     (table.go), not once per slot, so a tile row its last writer left
+//     in one state costs one Precedes query. Every field of a page's
+//     states is read and written under the page's lock, here as on the
+//     locked path, which is the same kernel over a set of one slot.
 //
 // All per-strand state lives on Strand.Aux and is pooled at strand close;
 // a strand is only ever executed by one worker at a time, so the access
@@ -38,22 +37,18 @@ import (
 	"sforder/internal/sched"
 )
 
-const (
-	// memoSize is the per-strand Precedes memo size (direct-mapped,
-	// power of two).
-	memoSize = 64
-	// batchCap bounds how many entries a strand buffers before an early
-	// flush, so long strands cannot defer unboundedly much work to their
-	// close.
-	batchCap = 1024
-)
+// batchCap bounds how many entries a strand buffers before an early flush,
+// so long strands cannot defer unboundedly much work to their close.
+const batchCap = 1024
 
 // strandState is the per-strand detector payload hung off Strand.Aux: the
-// access buffer and the Precedes memo.
+// access buffer and the tap's scratch.
 type strandState struct {
-	buf   StrandBuffer
-	memoK [memoSize]uint64 // Precedes memo keys (strand ID + 1; 0 = empty)
-	memoV [memoSize]bool
+	buf StrandBuffer
+	// The tap's view of a drained page, the slot sets expanded into the
+	// slices AccessTap takes; unused unless a tap is installed.
+	tapAddrs []uint64
+	tapKinds []AccessKind
 }
 
 var statePool = sync.Pool{New: func() any { return new(strandState) }}
@@ -77,28 +72,6 @@ func newState(s *sched.Strand) *strandState {
 	return ss
 }
 
-// precedes answers Reach.Precedes through the per-strand memo when the
-// fast path is enabled. Sound because the verdict is immutable for a
-// fixed (u, v): every dag edge into v exists before v begins executing,
-// so no event during v's lifetime can create or destroy a u ⇝ v path.
-func (h *History) precedes(u, v *sched.Strand) bool {
-	if !h.opts.FastPath {
-		return h.opts.Reach.Precedes(u, v)
-	}
-	ss := stateOf(v)
-	i := u.ID & (memoSize - 1)
-	if ss.memoK[i] == u.ID+1 {
-		if h.countLocks {
-			h.memoHits.Add(1)
-		}
-		return ss.memoV[i]
-	}
-	ok := h.opts.Reach.Precedes(u, v)
-	ss.memoK[i] = u.ID + 1
-	ss.memoV[i] = ok
-	return ok
-}
-
 // fastAccess is the lock-avoiding access path: the strand's buffer drops
 // the access if an earlier one of the same strand subsumes it, and keeps
 // it for the flush otherwise.
@@ -116,20 +89,25 @@ func (h *History) fastAccess(s *sched.Strand, addr uint64, kind AccessKind) {
 }
 
 // flush applies every pending entry of s's buffer to the history, one
-// lock acquisition per page. Entries within a page are applied in program
-// order (a strand's read-then-write of an address must check in that
-// order).
+// lock acquisition per page. A page's reads are applied before its writes:
+// a slot in both sets was read and then written (the buffer absorbs a read
+// after a write), and must check in that order.
 func (h *History) flush(s *sched.Strand, ss *strandState) {
-	ss.buf.Drain(func(num uint64, addrs []uint64, kinds []AccessKind) {
+	ss.buf.Drain(func(num uint64, reads, writes *SlotSet) {
 		if h.countLocks {
 			h.batchFlushes.Add(1)
 		}
 		if h.opts.Tap != nil {
-			h.opts.Tap.TapAccesses(s, addrs, kinds)
+			ss.tapAddrs, ss.tapKinds = appendSet(ss.tapAddrs[:0], ss.tapKinds[:0], num, reads, AccessRead)
+			ss.tapAddrs, ss.tapKinds = appendSet(ss.tapAddrs, ss.tapKinds, num, writes, AccessWrite)
+			h.opts.Tap.TapAccesses(s, ss.tapAddrs, ss.tapKinds)
 		}
 		p := h.lockPage(num)
-		for i, addr := range addrs {
-			h.apply(s, addr, kinds[i], p.record(addr))
+		if *reads != (SlotSet{}) {
+			h.applyReads(p, s, reads)
+		}
+		if *writes != (SlotSet{}) {
+			h.applyWrites(p, s, writes)
 		}
 		p.mu.Unlock()
 	})
@@ -150,7 +128,6 @@ func (h *History) StrandClose(s *sched.Strand) {
 	h.flush(s, ss)
 	s.Aux = nil
 	if ss.buf.Reset() {
-		ss.memoK = [memoSize]uint64{} // memoV is guarded by memoK
 		statePool.Put(ss)
 	}
 }
@@ -161,8 +138,5 @@ func (h *History) FastPathHits() uint64 { return h.fastHits.Load() }
 
 // BatchFlushes returns how many single-lock batch applications ran.
 func (h *History) BatchFlushes() uint64 { return h.batchFlushes.Load() }
-
-// MemoHits returns how many Precedes verdicts the per-strand memo served.
-func (h *History) MemoHits() uint64 { return h.memoHits.Load() }
 
 var _ sched.StrandCloser = (*History)(nil)

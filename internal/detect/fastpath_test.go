@@ -1,6 +1,7 @@
 package detect_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -60,6 +61,33 @@ func sameAddrs(a, b []uint64) bool {
 	return true
 }
 
+// fuzzShapes are the generated programs the fuzzes below run: single
+// accesses to a handful of hot addresses, and run-shaped ones — row and
+// tile runs that overlap, nest and cross page boundaries over a few pages,
+// so states are shared, split and merged; and runs long enough that one
+// strand flushes early.
+var fuzzShapes = []struct {
+	name  string
+	cfg   progen.Config
+	seeds int64 // of the seeds a fuzz asks for, one in this many is run
+}{
+	{"points", progen.Config{MaxDepth: 4, MaxOps: 8, Addrs: 5}, 1},
+	{"runs", progen.Config{MaxDepth: 4, MaxOps: 8, Addrs: 700, MaxRun: 48}, 2},
+	{"long runs", progen.Config{MaxDepth: 3, MaxOps: 8, Addrs: 1800, MaxRun: 900}, 5},
+}
+
+// fuzz calls check for seeds programs of every shape.
+func fuzz(t *testing.T, seeds int64, check func(name string, p *progen.Program, want []uint64)) {
+	for _, shape := range fuzzShapes {
+		for seed := int64(0); seed < seeds; seed += shape.seeds {
+			cfg := shape.cfg
+			cfg.Seed = seed
+			p := progen.New(cfg)
+			check(fmt.Sprintf("%s, seed %d", shape.name, seed), p, runOracle(t, p))
+		}
+	}
+}
+
 // TestFastPathMatchesOracleFuzz is the fast path's soundness fuzz: on
 // random programs, the racy-location set with the fast path on must be
 // byte-identical to the set with it off AND to the exhaustive oracle.
@@ -67,32 +95,28 @@ func sameAddrs(a, b []uint64) bool {
 // and access addresses are deterministic), so each detector variant gets
 // the StrandCloser hook it needs.
 func TestFastPathMatchesOracleFuzz(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
-		want := runOracle(t, p)
+	fuzz(t, 40, func(name string, p *progen.Program, want []uint64) {
 		off := runRacy(t, p, detect.Options{})
 		on := runRacy(t, p, detect.Options{FastPath: true})
 		if !sameAddrs(off, want) {
-			t.Fatalf("seed %d: fastpath off %v, oracle %v", seed, off, want)
+			t.Fatalf("%s: fastpath off %v, oracle %v", name, off, want)
 		}
 		if !sameAddrs(on, want) {
-			t.Fatalf("seed %d: fastpath on %v, oracle %v", seed, on, want)
+			t.Fatalf("%s: fastpath on %v, oracle %v", name, on, want)
 		}
-	}
+	})
 }
 
 // TestFastPathLRPolicyAgreement repeats the fuzz under the ReadersLR
-// retention policy (which routes Precedes through updateLR and therefore
-// through the per-strand memo).
+// retention policy (which routes Precedes through updateLR, and copies a
+// state's pairs when it splits).
 func TestFastPathLRPolicyAgreement(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
-		want := runOracle(t, p)
+	fuzz(t, 25, func(name string, p *progen.Program, want []uint64) {
 		on := runRacy(t, p, detect.Options{Policy: detect.ReadersLR, FastPath: true})
 		if !sameAddrs(on, want) {
-			t.Fatalf("seed %d: fastpath+LR %v, oracle %v", seed, on, want)
+			t.Fatalf("%s: fastpath+LR %v, oracle %v", name, on, want)
 		}
-	}
+	})
 }
 
 // TestFastPathParallelAgreement runs random programs on the parallel
@@ -100,9 +124,7 @@ func TestFastPathLRPolicyAgreement(t *testing.T) {
 // the serial oracle: the detection guarantee is per-location and
 // schedule-independent, so every schedule must produce the same set.
 func TestFastPathParallelAgreement(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
-		want := runOracle(t, p)
+	fuzz(t, 15, func(name string, p *progen.Program, want []uint64) {
 		for rep := 0; rep < 3; rep++ {
 			reach := core.NewReach()
 			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
@@ -110,10 +132,10 @@ func TestFastPathParallelAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := hist.RacyAddrs(); !sameAddrs(got, want) {
-				t.Fatalf("seed %d rep %d: parallel fastpath %v, oracle %v", seed, rep, got, want)
+				t.Fatalf("%s, rep %d: parallel fastpath %v, oracle %v", name, rep, got, want)
 			}
 		}
-	}
+	})
 }
 
 // TestFastPathOverlappingFlushHammer runs parallel strands that flush the
@@ -122,8 +144,8 @@ func TestFastPathParallelAgreement(t *testing.T) {
 // must drop although other strands have overwritten the records in
 // between. The racy-address set must equal the dag oracle's at every
 // worker count, and the run must be clean under the Go race detector (CI
-// runs this package with -race): every record field is touched under its
-// page's lock only.
+// runs this package with -race): every field of a page's states is touched
+// under the page's lock only.
 func TestFastPathOverlappingFlushHammer(t *testing.T) {
 	const (
 		children = 8
@@ -191,6 +213,91 @@ func TestFastPathOverlappingFlushHammer(t *testing.T) {
 			// whole; nothing else repeats.
 			if got, want := hist.FastPathHits(), uint64(children*shared); got != want {
 				t.Fatalf("%d workers, rep %d: %d accesses absorbed, want %d", workers, rep, got, want)
+			}
+		}
+	}
+}
+
+// TestSharedStateSplitMergeHammer runs parallel strands that split and
+// re-merge the states of the same pages while their siblings do the same:
+// each child reads tile rows that overlap its neighbours' (every read of
+// part of a state splits it), writes a sub-range of what the others read
+// (a write merges what the reads split), and touches enough pages to flush
+// early, so the splitting happens while the strands run and again at
+// their close. The parent then overwrites everything, ordered after the
+// children, and a second wave does it again, shifted, on states that are
+// whole pages. The racy-address set must equal the dag oracle's at every
+// worker count, and the run must be clean under the Go race detector (CI
+// runs this package with -race): index map, state table and free list are
+// touched under their page's lock only.
+func TestSharedStateSplitMergeHammer(t *testing.T) {
+	const (
+		children = 8
+		pages    = 24 // × (48 reads + 16 writes) = 1536 entries a child: one early flush
+		quiet    = 200
+	)
+	wave := func(t *sched.Task, shift uint64) {
+		for g := uint64(0); g < children; g++ {
+			g := g
+			t.Spawn(func(c *sched.Task) {
+				for p := uint64(0); p < pages; p++ {
+					base := p << 8
+					// Three tile rows of 16, the last two also the next
+					// two children's: racy where a neighbour writes.
+					for a := 16 * g; a < 16*g+48; a++ {
+						c.Read(base | (a + shift))
+					}
+					for a := 16 * g; a < 16*g+16; a++ {
+						c.Write(base | (a + shift))
+					}
+					// Read by all, written by none: shared state that
+					// every child's read updates, never racy.
+					for a := uint64(quiet); a < quiet+8; a++ {
+						c.Read(base | a)
+					}
+				}
+			})
+		}
+		t.Sync()
+	}
+	prog := func(t *sched.Task) {
+		wave(t, 0)
+		for p := uint64(0); p < pages; p++ {
+			for a := uint64(0); a < 256; a++ {
+				t.Write(p<<8 | a) // ordered after every child: one state a page again
+			}
+		}
+		wave(t, 8)
+	}
+
+	rec, log := dag.NewRecorder(), oracle.NewLogger()
+	if _, err := sched.Run(sched.Options{Serial: true, Tracer: rec, Checker: log}, prog); err != nil {
+		t.Fatal(err)
+	}
+	want := log.RacyAddrs(rec)
+	// Every tile row but the first is written by one child and read by the
+	// one or two before it: slots 16–127 in the first wave, 24–135 in the
+	// second.
+	if len(want) != pages*120 {
+		t.Fatalf("oracle found %d racy addresses, the program has %d", len(want), pages*120)
+	}
+	for _, workers := range []int{1, 4} {
+		for rep := 0; rep < 4; rep++ {
+			reach := core.NewReach()
+			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
+			reg := obsv.NewRegistry()
+			hist.RegisterStats(reg)
+			if _, err := sched.Run(sched.Options{Workers: workers, Tracer: reach, Checker: hist}, prog); err != nil {
+				t.Fatal(err)
+			}
+			if got := hist.RacyAddrs(); !sameAddrs(got, want) {
+				t.Fatalf("%d workers, rep %d: %d racy addresses, oracle %d", workers, rep, len(got), len(want))
+			}
+			// How many depends on the schedule; a split a child and page is
+			// well under what any schedule gives.
+			if snap := reg.Snapshot(); snap["hist.state_splits"] < children*pages {
+				t.Fatalf("%d workers, rep %d: %d state splits; every child is meant to split states on every page",
+					workers, rep, snap["hist.state_splits"])
 			}
 		}
 	}
@@ -321,27 +428,51 @@ func TestFastPathDedupSubsumption(t *testing.T) {
 	}
 }
 
-// TestFastPathMemoServesRepeatedVerdicts: a streak of locations with the
-// same last writer must hit the per-strand Precedes memo.
-func TestFastPathMemoServesRepeatedVerdicts(t *testing.T) {
-	ss := fakeStrands(2)
-	h := detect.NewHistory(detect.Options{
-		Reach:    orderAll(ss),
-		FastPath: true,
-	})
-	h.RegisterStats(obsv.NewRegistry())
-	for a := uint64(0); a < 100; a++ {
-		h.Write(ss[0], a)
-	}
-	h.StrandClose(ss[0])
-	for a := uint64(0); a < 100; a++ {
-		h.Write(ss[1], a) // each checks Precedes(ss[0], ss[1])
-	}
-	h.StrandClose(ss[1])
-	if h.RaceCount() != 0 {
-		t.Fatalf("serial writes reported racy: %v", h.Races())
-	}
-	if h.MemoHits() < 90 {
-		t.Fatalf("memo hits = %d, want ≥ 90 of 100 repeated verdicts", h.MemoHits())
+// countingReach counts the queries it passes on.
+type countingReach struct {
+	detect.Reachability
+	queries int
+}
+
+func (c *countingReach) Precedes(u, v *sched.Strand) bool {
+	c.queries++
+	return c.Reachability.Precedes(u, v)
+}
+
+// TestFlushQueriesOncePerState: locations with the same history are one
+// state, and a strand's flush asks Precedes once per predecessor of a
+// state it touches, not once per location: a hundred locations one strand
+// wrote and another read cost a third strand's writes one query about the
+// writer and one about the reader — and when it races with both, it is
+// still reported on every one of the hundred addresses.
+func TestFlushQueriesOncePerState(t *testing.T) {
+	for _, racy := range []bool{false, true} {
+		ss := fakeStrands(3)
+		reach := &countingReach{Reachability: orderAll(ss)}
+		if racy {
+			reach.Reachability = &stubReach{}
+		}
+		h := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
+		for _, s := range ss {
+			for a := uint64(300); a < 400; a++ { // not page-aligned, one page
+				if s == ss[1] {
+					h.Read(s, a)
+				} else {
+					h.Write(s, a)
+				}
+			}
+			h.StrandClose(s)
+		}
+		// ss[1]'s reads ask about ss[0]; ss[2]'s writes about both.
+		if reach.queries != 3 {
+			t.Errorf("racy=%v: %d Precedes queries for three strands over one shared state, want 3", racy, reach.queries)
+		}
+		wantRaces, wantAddrs := uint64(0), 0
+		if racy {
+			wantRaces, wantAddrs = 300, 100 // per address: read/write, write/write, write/read
+		}
+		if h.RaceCount() != wantRaces || len(h.RacyAddrs()) != wantAddrs {
+			t.Errorf("racy=%v: %d races on %d addresses, want %d on %d", racy, h.RaceCount(), len(h.RacyAddrs()), wantRaces, wantAddrs)
+		}
 	}
 }

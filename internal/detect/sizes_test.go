@@ -1,9 +1,12 @@
 package detect
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
+
+	"sforder/internal/sched"
 )
 
 // TestAccountingSizes pins the memory-accounting sizes to the real
@@ -12,12 +15,15 @@ import (
 // benchmark's detector_mem_mb) silently.
 func TestAccountingSizes(t *testing.T) {
 	const ptr = unsafe.Sizeof(uintptr(0))
-	// record: writer, reader, the readers slice header, the pairs map.
-	if want := int(2*ptr + unsafe.Sizeof([]uintptr(nil)) + ptr); recordBytes != want {
-		t.Errorf("record is %d bytes, its fields add up to %d", recordBytes, want)
+	// state: writer, reader, the readers slice header, the pairs map, and
+	// one word of four 16-bit counts and links.
+	if want := int(2*ptr + unsafe.Sizeof([]uintptr(nil)) + ptr + 8); stateBytes != want {
+		t.Errorf("state is %d bytes, its fields add up to %d", stateBytes, want)
 	}
-	// page: mu, num, next, one pointer per slot — no record held inline.
-	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize*ptr); pageBytes != want {
+	// page: mu, num, next, a one-byte state index per slot, the state
+	// table's slice header and the free list's head in a word of its own —
+	// no state held inline.
+	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + unsafe.Sizeof([]state(nil)) + 8); pageBytes != want {
 		t.Errorf("page is %d bytes, its fields add up to %d", pageBytes, want)
 	}
 	if want := int(2 * ptr); pairBytes != want {
@@ -28,44 +34,125 @@ func TestAccountingSizes(t *testing.T) {
 	}
 }
 
+// memPattern is an address pattern of TestHistoryMemPerLocation: fill
+// populates locations locations of h and returns the strands it used, so
+// that they stay reachable while the heap is measured.
+type memPattern struct {
+	name      string
+	locations int
+	fill      func(h *History, locations int) []*sched.Strand
+	limit     int // MemBytes per location
+}
+
+// writeThenRead writes every stride-th address from one strand and then
+// reads it from a second.
+func writeThenRead(stride uint64) func(h *History, locations int) []*sched.Strand {
+	return func(h *History, locations int) []*sched.Strand {
+		w, r := newStrand(1), newStrand(2)
+		for i := 0; i < locations; i++ {
+			h.Write(w, uint64(i)*stride)
+		}
+		h.StrandClose(w)
+		for i := 0; i < locations; i++ {
+			h.Read(r, uint64(i)*stride)
+		}
+		h.StrandClose(r)
+		return []*sched.Strand{w, r}
+	}
+}
+
+// nothingShared is the worst case of the shared-state layout: every slot
+// of every page was last written by a different strand, so no two slots
+// of a page share a state; one strand then reads everything, a reader
+// slice per state.
+func nothingShared(h *History, locations int) []*sched.Strand {
+	ss := make([]*sched.Strand, pageSize+1)
+	for i := range ss {
+		ss[i] = newStrand(uint64(i))
+	}
+	for slot, w := range ss[:pageSize] {
+		for a := uint64(slot); a < uint64(locations); a += pageSize {
+			h.Write(w, a)
+		}
+		h.StrandClose(w)
+	}
+	for a := uint64(0); a < uint64(locations); a++ {
+		h.Read(ss[pageSize], a)
+	}
+	h.StrandClose(ss[pageSize])
+	return ss
+}
+
+var memPatterns = []memPattern{
+	// A page of 256 slots is one state: 312 for the page with its index
+	// map, 448 for a state table of 8, one reader; and 2 for the directory.
+	// (Per-slot records cost 66 / 122 / 1144 on these three rows.)
+	{"dense stride 1", 1 << 14, writeThenRead(1), 5},
+	// 32 locations to a page, still one state.
+	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), 26},
+	// The directory's 32 KiB over 32 locations, as in racy-small.
+	{"one 32-address page", 32, writeThenRead(1), 1048},
+	// A state (56), a reader (8) and an index byte per slot, 2 for the page
+	// header and the directory: per-slot records cost 66 here. The state
+	// table must end at the 256 entries it can use, not where append's
+	// doubling would leave it.
+	{"nothing shared", 1 << 14, nothingShared, 67},
+}
+
 // TestHistoryMemPerLocation pins MemBytes per populated location for the
-// three address patterns the repository's programs produce, every
-// location written once and then read once by a second strand. A layout
-// that buys dense speed with sparse memory (records inline in the page,
-// say) passes the first row and fails the other two.
+// address patterns the repository's programs produce, every location
+// written once and then read once by a second strand, and for the pattern
+// in which sharing states saves nothing. A layout that buys dense speed
+// with sparse memory (states inline in the page, say) passes the first row
+// and fails the next two.
 func TestHistoryMemPerLocation(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the limits below are for 64-bit platforms")
 	}
-	for _, tc := range []struct {
-		name      string
-		locations int
-		stride    uint64
-		limit     int // bytes per location
-	}{
-		// record 48 + one reader 8 + slot 8, and 2 for the page header and
-		// the directory.
-		{"dense stride 1", 1 << 14, 1, 66},
-		// 32 records to a page: each carries 8 slots.
-		{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, 8, 122},
-		// The directory's 32 KiB over 32 locations, as in racy-small.
-		{"one 32-address page", 32, 1, 1144},
-	} {
+	for _, tc := range memPatterns {
 		h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
-		w, r := newStrand(1), newStrand(2)
-		for i := 0; i < tc.locations; i++ {
-			h.Write(w, uint64(i)*tc.stride)
-		}
-		h.StrandClose(w)
-		for i := 0; i < tc.locations; i++ {
-			h.Read(r, uint64(i)*tc.stride)
-		}
-		h.StrandClose(r)
+		tc.fill(h, tc.locations)
 		if h.RaceCount() != 0 {
 			t.Fatalf("%s: serial strands raced", tc.name)
 		}
-		if got := h.MemBytes() / tc.locations; got > tc.limit {
+		got := h.MemBytes() / tc.locations
+		t.Logf("%s: %d bytes per location", tc.name, got)
+		if got > tc.limit {
 			t.Errorf("%s: %d bytes per location, limit %d", tc.name, got, tc.limit)
 		}
+	}
+}
+
+// TestMemBytesTracksHeap holds the model against the allocator: what
+// MemBytes reports for a populated history is within a quarter of what
+// building it added to the live heap. detector_mem_mb, which the
+// benchmark gates on, is this number — a layout change that lowers it
+// must have freed that heap, not stopped counting it.
+func TestMemBytesTracksHeap(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // twice: a sync.Pool lets go of closed strands' buffers a cycle late
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for _, tc := range memPatterns {
+		if tc.locations < 1<<14 {
+			continue // a few hundred bytes drown in the runtime's own
+		}
+		before := heap()
+		h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
+		strands := tc.fill(h, tc.locations)
+		grew := int(heap() - before)
+		for _, s := range strands {
+			grew -= int(unsafe.Sizeof(*s)) // the test's, not the history's
+		}
+		model := h.MemBytes()
+		t.Logf("%s: MemBytes %d, heap grew %d", tc.name, model, grew)
+		if model < grew*3/4 || model > grew*5/4 {
+			t.Errorf("%s: MemBytes says %d bytes, the heap grew by %d", tc.name, model, grew)
+		}
+		runtime.KeepAlive(h)
+		runtime.KeepAlive(strands)
 	}
 }

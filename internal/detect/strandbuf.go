@@ -1,6 +1,9 @@
 package detect
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // StrandBuffer is one strand's access buffer and the only place the
 // same-strand subsumption rule lives: for a location l and a strand s,
@@ -12,8 +15,12 @@ import "unsafe"
 // slot and clear the readers). The rule is exact, not cached: every shadow
 // page the strand touches gets a bitmap per access kind over the page's
 // slots, tested and set before anything else happens to the access, and
-// kept until Reset — across every Drain in between. What is kept is
-// grouped by page, so a drain hands out one batch per page lock.
+// kept until Reset — across every Drain in between. What is kept is a
+// second pair of bitmaps beside the first, so a drain hands out, per page
+// lock, the set of slots read and the set of slots written and nothing per
+// access. A slot in both was read before it was written (the other order
+// absorbs the read); across slots the buffer keeps no order, and none is
+// needed: a location's history depends on the accesses to it alone.
 //
 // The access history's fast path (fastpath.go) and the standalone trace
 // recorder (internal/trace) both buffer through this type. A strand is
@@ -28,7 +35,7 @@ type StrandBuffer struct {
 	spill map[uint64]*pageBatch
 	pages []*pageBatch // every page the strand touched, first-touch order
 	dirty []*pageBatch // the pages with pending entries, first-touch order
-	free  []*pageBatch // reset batches, slice capacities warm
+	free  []*pageBatch // reset batches
 	// pending counts the entries kept since the last Drain.
 	pending int
 }
@@ -39,9 +46,9 @@ const (
 	frontBits = 6
 	frontSize = 1 << frontBits
 	// poolMaxPages is the most pages a strand may have touched for its
-	// buffer to be worth pooling: past it the batches, their entry slices
-	// and the spill map's buckets (a Go map does not shrink when cleared)
-	// go to the GC instead of being parked forever.
+	// buffer to be worth pooling: past it the batches and the spill map's
+	// buckets (a Go map does not shrink when cleared) go to the GC instead
+	// of being parked forever.
 	poolMaxPages = 256
 )
 
@@ -53,22 +60,23 @@ func frontSlot(num uint64) uint64 {
 }
 
 // pageBatch is a strand's footprint on one shadow page: which accesses
-// there it has already made one to subsume, and the entries kept since
+// there it has already made one to subsume, and which it has kept since
 // the last drain.
 type pageBatch struct {
 	num uint64 // page number
 	// covered[k] has one bit per slot of the page, set when an access of
 	// kind k to that slot is subsumed: a read sets the slot's bit in
 	// covered[AccessRead], a write sets it in both.
-	covered [2][pageSize / 64]uint64
-	addrs   []uint64
-	kinds   []AccessKind
+	covered [2]SlotSet
+	// pending[k] holds the slots with an access of kind k kept since the
+	// last drain.
+	pending [2]SlotSet
 	queued  bool // on the dirty list
 	spilled bool // in the spill map
 }
 
-// pageBatchBytes is what a touched page costs its strand beyond the
-// entries (strandbuf_test.go pins the bound).
+// pageBatchBytes is all a touched page costs its strand, however many
+// accesses it makes there (strandbuf_test.go pins the bound).
 const pageBatchBytes = int(unsafe.Sizeof(pageBatch{}))
 
 // Add notes one access and reports whether it was kept: false means an
@@ -86,8 +94,7 @@ func (b *StrandBuffer) Add(addr uint64, kind AccessKind) bool {
 	if kind == AccessWrite {
 		pb.covered[AccessWrite][w] |= bit
 	}
-	pb.addrs = append(pb.addrs, addr)
-	pb.kinds = append(pb.kinds, kind)
+	pb.pending[kind&1][w] |= bit
 	if !pb.queued {
 		pb.queued = true
 		b.dirty = append(b.dirty, pb)
@@ -123,17 +130,30 @@ func (b *StrandBuffer) frontMiss(num uint64) *pageBatch {
 	return pb
 }
 
+// appendSet appends the addresses of page's slots in set to addrs, in slot
+// order, and kind once for each to kinds.
+func appendSet(addrs []uint64, kinds []AccessKind, page uint64, set *SlotSet, kind AccessKind) ([]uint64, []AccessKind) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			addrs = append(addrs, page<<pageBits|uint64(w<<6|bits.TrailingZeros64(word)))
+			kinds = append(kinds, kind)
+		}
+	}
+	return addrs, kinds
+}
+
 // Pending returns how many entries were kept since the last Drain.
 func (b *StrandBuffer) Pending() int { return b.pending }
 
 // Drain hands every pending entry to emit, one call per page in the order
-// the pages were first touched since the last drain, entries within a
-// page in program order. emit must not retain the slices. The bitmaps
-// stay: what the strand has touched stays subsumed after the drain.
-func (b *StrandBuffer) Drain(emit func(page uint64, addrs []uint64, kinds []AccessKind)) {
+// the pages were first touched since the last drain: the slots read and
+// the slots written, a slot in both read first. emit must not retain the
+// sets. The covered bitmaps stay: what the strand has touched stays
+// subsumed after the drain.
+func (b *StrandBuffer) Drain(emit func(page uint64, reads, writes *SlotSet)) {
 	for _, pb := range b.dirty {
-		emit(pb.num, pb.addrs, pb.kinds)
-		pb.addrs, pb.kinds, pb.queued = pb.addrs[:0], pb.kinds[:0], false
+		emit(pb.num, &pb.pending[AccessRead], &pb.pending[AccessWrite])
+		pb.pending, pb.queued = [2]SlotSet{}, false
 	}
 	b.dirty = b.dirty[:0]
 	b.pending = 0
@@ -149,7 +169,7 @@ func (b *StrandBuffer) Reset() (pool bool) {
 	}
 	for _, pb := range b.pages {
 		b.front[frontSlot(pb.num)] = nil
-		*pb = pageBatch{addrs: pb.addrs[:0], kinds: pb.kinds[:0]}
+		*pb = pageBatch{}
 	}
 	b.free = append(b.free, b.pages...)
 	b.pages, b.dirty, b.pending = b.pages[:0], b.dirty[:0], 0

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,24 +12,32 @@ type bufEntry struct {
 	kind AccessKind
 }
 
-// drainInto appends what b has pending to got, per page, and returns the
-// pages in the order the drain handed them out.
-func drainInto(b *StrandBuffer, got map[uint64][]bufEntry) (order []uint64) {
-	b.Drain(func(page uint64, addrs []uint64, kinds []AccessKind) {
+// drainInto adds what b has pending to got and returns the pages in the
+// order the drain handed them out. An entry coming out twice fails the
+// test: got is a set.
+func drainInto(t *testing.T, b *StrandBuffer, got map[bufEntry]bool) (order []uint64) {
+	b.Drain(func(page uint64, reads, writes *SlotSet) {
 		order = append(order, page)
+		addrs, kinds := appendSet(nil, nil, page, reads, AccessRead)
+		addrs, kinds = appendSet(addrs, kinds, page, writes, AccessWrite)
 		for i, a := range addrs {
-			got[page] = append(got[page], bufEntry{a, kinds[i]})
+			if e := (bufEntry{a, kinds[i]}); got[e] {
+				t.Fatalf("%v of %#x drained twice", e.kind, e.addr)
+			} else {
+				got[e] = true
+			}
 		}
 	})
 	return order
 }
 
 // TestStrandBufferMatchesReference is the buffer's property test: over
-// random access sequences that cross batchCap several times, what the
-// drains hand out is, page by page and in program order, exactly what a
-// map-based statement of the subsumption rule keeps — so nothing comes out
-// twice, before or after an early drain — and every drain visits its pages
-// in first-touch order.
+// random access sequences that cross batchCap several times, what each
+// drain hands out is exactly the set of entries a map-based statement of
+// the subsumption rule has kept since the drain before — so nothing comes
+// out twice, before or after an early drain — and every drain visits its
+// pages in first-touch order. (Inside a page the buffer keeps a set, not a
+// sequence: program order there is not a property.)
 func TestStrandBufferMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -46,10 +55,9 @@ func TestStrandBufferMatchesReference(t *testing.T) {
 			nums[i] = uint64(i%3)<<20 | uint64(i/3) | uint64(rng.Intn(2))<<40
 		}
 		var b StrandBuffer
-		seen := map[uint64]uint8{} // addr → kinds already kept, the rule's reference form
-		want := map[uint64][]bufEntry{}
-		got := map[uint64][]bufEntry{}
-		var wantOrder []uint64 // pages with pending entries, first-touch order
+		seen := map[uint64]uint8{}  // addr → kinds already kept, the rule's reference form
+		want := map[bufEntry]bool{} // kept since the last drain
+		var wantOrder []uint64      // pages with pending entries, first-touch order
 		drains := 0
 		for i := 0; i < tc.accesses; i++ {
 			addr := nums[rng.Intn(len(nums))]<<pageBits | uint64(rng.Intn(pageSize))
@@ -62,30 +70,26 @@ func TestStrandBufferMatchesReference(t *testing.T) {
 			if keep {
 				seen[addr] = m | 1<<kind
 				page := addr >> pageBits
-				want[page] = append(want[page], bufEntry{addr, kind})
+				want[bufEntry{addr, kind}] = true
 				if !slices.Contains(wantOrder, page) {
 					wantOrder = append(wantOrder, page)
 				}
 			}
-			if b.Pending() >= batchCap {
-				if order := drainInto(&b, got); !slices.Equal(order, wantOrder) {
+			if b.Pending() >= batchCap || i == tc.accesses-1 {
+				got := map[bufEntry]bool{}
+				if order := drainInto(t, &b, got); !slices.Equal(order, wantOrder) {
 					t.Fatalf("%s: drain %d visited pages %v, first-touch order is %v", tc.name, drains, order, wantOrder)
 				}
+				if !maps.Equal(got, want) {
+					t.Fatalf("%s: drain %d handed out %d entries, the rule kept %d others", tc.name, drains, len(got), len(want))
+				}
+				clear(want)
 				wantOrder = wantOrder[:0]
 				drains++
 			}
 		}
-		drainInto(&b, got)
-		if drains < 3 {
-			t.Fatalf("%s: only %d early drains; the sequence must cross batchCap several times", tc.name, drains)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: drained %d pages, want %d", tc.name, len(got), len(want))
-		}
-		for page, w := range want {
-			if !slices.Equal(got[page], w) {
-				t.Fatalf("%s: page %#x drained %v, want %v", tc.name, page, got[page], w)
-			}
+		if drains < 4 {
+			t.Fatalf("%s: only %d drains; the sequence must cross batchCap several times", tc.name, drains)
 		}
 		if pool := b.Reset(); pool != (tc.pages <= poolMaxPages) {
 			t.Errorf("%s: Reset reported pool=%v after %d pages, the bound is %d", tc.name, pool, tc.pages, poolMaxPages)
@@ -98,12 +102,12 @@ func TestStrandBufferMatchesReference(t *testing.T) {
 }
 
 // TestStrandBufferFootprint pins what a strand's buffer holds on to: a
-// touched page costs its batch (two bitmaps, two slice headers, a number)
-// plus its entries; a strand like the last one reuses all of it; and a
-// strand that touched too many pages leaves nothing behind to pool.
+// touched page costs its batch (four bitmaps and a number) and nothing per
+// entry; a strand like the last one reuses all of it; and a strand that
+// touched too many pages leaves nothing behind to pool.
 func TestStrandBufferFootprint(t *testing.T) {
-	if pageBatchBytes > 128 {
-		t.Errorf("a touched page costs %d bytes before its entries, want at most 128", pageBatchBytes)
+	if pageBatchBytes > 144 {
+		t.Errorf("a touched page costs %d bytes, want at most 144", pageBatchBytes)
 	}
 
 	var b StrandBuffer
@@ -116,10 +120,10 @@ func TestStrandBufferFootprint(t *testing.T) {
 				b.Add((p%3<<16|p)<<pageBits|a, AccessRead)
 			}
 			if b.Pending() >= batchCap {
-				b.Drain(func(uint64, []uint64, []AccessKind) {})
+				b.Drain(func(uint64, *SlotSet, *SlotSet) {})
 			}
 		}
-		b.Drain(func(uint64, []uint64, []AccessKind) {})
+		b.Drain(func(uint64, *SlotSet, *SlotSet) {})
 		if !b.Reset() {
 			t.Fatal("a 40-page strand was not worth pooling")
 		}

@@ -1,6 +1,9 @@
 package detect
 
 import (
+	"maps"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -25,40 +28,67 @@ import (
 // A page's num and next fields are immutable once the page is published,
 // so chain walks need no synchronization beyond the slot load.
 //
-// A slot points to its location's record, allocated on first touch: a
-// pointer-keyed program (ShadowAddr, stride 8) or a small one populates a
-// fraction of a page's slots, and records held inline would charge it
-// for all 256.
+// A slot does not own its history: it holds a one-byte index into the
+// page's table of states, and slots whose history is identical — same last
+// writer, same readers — point at the same state. The paper's programs
+// touch tile rows, so a page of 256 slots holds a handful of states, and
+// Algorithm 1 runs once per state a flush touches instead of once per
+// slot (History.applyReads, History.applyWrites). A state is a value:
+// which slots share it is decided by equality of history alone, it is
+// updated in place only when every slot pointing at it takes the update,
+// and copied first otherwise (DESIGN.md §4).
 type table struct {
 	dir [1 << dirBits]atomic.Pointer[page]
 }
 
 const (
-	dirBits  = 12 // 4096 directory slots
-	pageBits = 8  // 256 locations per page
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
+	dirBits   = 12 // 4096 directory slots
+	pageBits  = 8  // 256 locations per page
+	pageSize  = 1 << pageBits
+	pageMask  = pageSize - 1
+	pageWords = pageSize / 64
 )
 
+// PageBits is the number of address bits a shadow page spans.
+const PageBits = pageBits
+
+// SlotSet is a set of slots of one shadow page: bit b of word w stands for
+// the address page<<PageBits | w<<6 | b.
+type SlotSet = [pageWords]uint64
+
 type page struct {
-	mu    sync.Mutex
-	num   uint64            // addr >> pageBits
-	next  *page             // directory-collision chain; immutable after publication
-	slots [pageSize]*record // guarded by mu
+	mu   sync.Mutex
+	num  uint64 // addr >> pageBits
+	next *page  // directory-collision chain; immutable after publication
+	// Guarded by mu: idx maps a slot to its state, and the slots of a
+	// fresh page all point at states[0], the history of an untouched
+	// location. free heads the list of dead states, chained by link.
+	idx    [pageSize]uint8
+	states []state
+	free   uint16
 }
 
-// record is the access-history metadata of one memory location. Every
-// field is read and written only under the page lock.
-type record struct {
+// state is the access-history metadata of every slot of a page pointing at
+// it. Every field is read and written only under the page lock.
+type state struct {
 	writer  *sched.Strand   // last writer
 	reader  *sched.Strand   // most recently recorded reader since that write
 	readers []*sched.Strand // ReadersAll
-	pairs   map[int]*lrPair // ReadersLR, keyed by future ID
+	pairs   map[int]lrPair  // ReadersLR, keyed by future ID
+	n       uint16          // slots pointing here; 0 = dead, on the free list
+	// Scratch of one apply, zero (noState for to) outside it: how many of
+	// the slots being applied point here, the next state the apply
+	// touched (or the next dead one), and the copy those slots move to.
+	hit, link, to uint16
 }
 
 type lrPair struct {
 	l, r *sched.Strand
 }
+
+// noState ends a list of states. A page has at most pageSize of them —
+// a live state owns a slot — so an index fits idx's byte.
+const noState = 0xffff
 
 func dirSlot(pageNum uint64) int {
 	return int((pageNum * 0x9e3779b97f4a7c15) >> (64 - dirBits))
@@ -85,57 +115,157 @@ func (t *table) pageFor(num uint64) *page {
 		if p := head.find(num); p != nil {
 			return p
 		}
-		np := &page{num: num, next: head}
+		np := &page{num: num, next: head, free: noState, states: make([]state, 1, 8)}
+		np.states[0] = state{n: pageSize, to: noState}
 		if sp.CompareAndSwap(head, np) {
 			return np
 		}
 	}
 }
 
-// record returns addr's record, creating it on first touch. The caller
-// holds p.mu.
-func (p *page) record(addr uint64) *record {
-	slot := &p.slots[addr&pageMask]
-	if *slot == nil {
-		*slot = &record{}
+// newState returns the index of an empty state with no slots yet, a dead
+// one if there is any. It may move p.states. The caller gives the state
+// slots that other states keep fewer of, so every entry of the table owns
+// a slot when it grows, and it stops growing at pageSize entries — grown
+// here, because append rounds a capacity up to its size class and would
+// end past that.
+func (p *page) newState() uint16 {
+	if i := p.free; i != noState {
+		p.free = p.states[i].link
+		return i
 	}
-	return *slot
+	if n := len(p.states); n == cap(p.states) {
+		grown := make([]state, n, min(2*n, pageSize))
+		copy(grown, p.states)
+		p.states = grown
+	}
+	p.states = append(p.states, state{to: noState})
+	return uint16(len(p.states) - 1)
 }
 
-// forEach visits every populated record under its page's lock and returns
-// the number of pages; used by the accounting methods, not the hot path.
-func (t *table) forEach(fn func(*record)) (pages int) {
+// release puts state i, which no slot points at any more, on the free
+// list. Its reader slice keeps its capacity for the next owner.
+func (p *page) release(i uint16) {
+	st := &p.states[i]
+	*st = state{readers: st.readers[:0], to: noState, link: p.free}
+	p.free = i
+}
+
+// group counts, for every state, the slots of set pointing at it (hit) and
+// chains the states it found through link, in order of their first slot.
+// It returns the head of the chain. The caller holds p.mu and zeroes the
+// hit counts again.
+func (p *page) group(set *SlotSet) (head uint16) {
+	head, tail := uint16(noState), uint16(noState)
+	// Neighbouring slots mostly share their state: count a run of one
+	// index in a register, and touch the state when the index changes.
+	cur, run := uint16(noState), uint16(0)
+	commit := func() {
+		st := &p.states[cur]
+		if st.hit == 0 {
+			st.link = noState
+			if tail == noState {
+				head = cur
+			} else {
+				p.states[tail].link = cur
+			}
+			tail = cur
+		}
+		st.hit += run
+	}
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			if i := uint16(p.idx[(w<<6|bits.TrailingZeros64(word))&pageMask]); i != cur {
+				if run > 0 {
+					commit()
+				}
+				cur, run = i, 0
+			}
+			run++
+		}
+	}
+	if run > 0 {
+		commit()
+	}
+	return head
+}
+
+// split moves hit of state i's slots to a copy of it, which it returns;
+// the slots' idx entries follow once every state of the apply is done
+// (p.move). It may move p.states.
+func (p *page) split(i, hit uint16) uint16 {
+	j := p.newState()
+	st, cp := &p.states[i], &p.states[j]
+	st.n -= hit
+	st.to = j
+	cp.writer, cp.reader, cp.n = st.writer, st.reader, hit
+	if len(st.readers) > 0 { // with room for the reader about to join; ReadersLR keeps none
+		cp.readers = append(slices.Grow(cp.readers, len(st.readers)+1), st.readers...)
+	}
+	cp.pairs = maps.Clone(st.pairs)
+	return j
+}
+
+// move repoints every slot of set whose state was split at the copy, and
+// clears the marks on the chain from head.
+func (p *page) move(set *SlotSet, head uint16) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			slot := w<<6 | bits.TrailingZeros64(word)
+			if to := p.states[p.idx[slot]].to; to != noState {
+				p.idx[slot] = uint8(to)
+			}
+		}
+	}
+	for i := head; i != noState; i = p.states[i].link {
+		p.states[i].to = noState
+	}
+}
+
+// forEachPage visits every page under its lock; used by the accounting
+// methods, not the hot path.
+func (t *table) forEachPage(fn func(*page)) {
 	for i := range t.dir {
 		for p := t.dir[i].Load(); p != nil; p = p.next {
-			pages++
 			p.mu.Lock()
-			for _, r := range p.slots[:] {
-				if r != nil {
-					fn(r)
-				}
-			}
+			fn(p)
 			p.mu.Unlock()
 		}
 	}
-	return pages
 }
 
 // The accounting sizes are the real struct sizes, so MemBytes cannot
 // drift as the structs evolve (sizes_test.go pins the expected values).
 const (
-	pageBytes   = int(unsafe.Sizeof(page{}))
-	recordBytes = int(unsafe.Sizeof(record{}))
-	pairBytes   = int(unsafe.Sizeof(lrPair{}))
-	ptrBytes    = int(unsafe.Sizeof(uintptr(0)))
+	pageBytes  = int(unsafe.Sizeof(page{}))
+	stateBytes = int(unsafe.Sizeof(state{}))
+	pairBytes  = int(unsafe.Sizeof(lrPair{}))
+	ptrBytes   = int(unsafe.Sizeof(uintptr(0)))
 )
 
-// memBytes is the table's heap footprint: the directory, every page,
-// every record with its reader slice at capacity, and the LR pairs (their
-// map's buckets are not modelled).
+// memBytes is the table's heap footprint: the directory, every page with
+// its index map, its state table at capacity, and the reader slices of
+// live and dead states at capacity, plus the LR pairs (their map's buckets
+// are not modelled).
 func (t *table) memBytes() int {
-	total := 0
-	pages := t.forEach(func(r *record) {
-		total += recordBytes + ptrBytes*cap(r.readers) + pairBytes*len(r.pairs)
+	total := int(unsafe.Sizeof(*t))
+	t.forEachPage(func(p *page) {
+		total += pageBytes + stateBytes*cap(p.states)
+		for i := range p.states {
+			total += ptrBytes*cap(p.states[i].readers) + pairBytes*len(p.states[i].pairs)
+		}
 	})
-	return total + int(unsafe.Sizeof(*t)) + pages*pageBytes
+	return total
+}
+
+// liveStates counts the states slots point at.
+func (t *table) liveStates() (n int) {
+	t.forEachPage(func(p *page) {
+		for i := range p.states {
+			if p.states[i].n > 0 {
+				n++
+			}
+		}
+	})
+	return n
 }

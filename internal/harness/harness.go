@@ -96,7 +96,7 @@ type Config struct {
 	// used by the Figure 3 characterization run).
 	CountAccesses bool
 	// FastPath enables the access history's lock-avoiding path (exact
-	// strand-local dedup + strand batching + Precedes memo; ABL7).
+	// strand-local dedup + strand batching; ABL7).
 	FastPath bool
 	// DedupByAddr keeps at most one detailed race record per address.
 	DedupByAddr bool

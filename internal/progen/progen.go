@@ -33,6 +33,11 @@ type op struct {
 	body *block // opSpawn, opCreate
 	slot int    // opCreate, opGet: index into the handle table
 	addr uint64 // opRead, opWrite
+	// With Config.MaxRun: the access covers n more addresses, step apart,
+	// after addr, and an opRead with update set writes each one after
+	// reading it. The zero values are the single access.
+	n, step uint64
+	update  bool
 }
 
 type block struct {
@@ -55,6 +60,14 @@ type Config struct {
 	// GetProb, per mille, biases how often an available handle is
 	// touched (default 700).
 	GetProb int
+	// MaxRun above 1 turns every memory access into a run: up to MaxRun
+	// addresses, consecutive or (one run in four) three apart, read,
+	// written, or (one read run in four) read and then written one by one
+	// — the row and tile shapes of the paper's kernels, which overlap,
+	// nest and straddle shadow pages when Addrs is a few pages. At 0 or 1
+	// an access is one address and programs are what they were before the
+	// field existed.
+	MaxRun int
 }
 
 func (c *Config) fill() {
@@ -92,9 +105,9 @@ func (p *Program) genBlock(rng *rand.Rand, depth int, avail []int) *block {
 		case choice < 30: // memory access
 			addr := uint64(rng.Intn(p.cfg.Addrs))
 			if rng.Intn(2) == 0 {
-				b.ops = append(b.ops, op{kind: opRead, addr: addr})
+				b.ops = append(b.ops, p.run(rng, op{kind: opRead, addr: addr}))
 			} else {
-				b.ops = append(b.ops, op{kind: opWrite, addr: addr})
+				b.ops = append(b.ops, p.run(rng, op{kind: opWrite, addr: addr}))
 			}
 		case choice < 50 && depth > 0: // spawn
 			var transfer []int
@@ -111,7 +124,7 @@ func (p *Program) genBlock(rng *rand.Rand, depth int, avail []int) *block {
 			avail = append(avail, slot)
 		default: // get one available handle
 			if len(avail) == 0 || rng.Intn(1000) >= p.cfg.GetProb {
-				b.ops = append(b.ops, op{kind: opRead, addr: uint64(rng.Intn(p.cfg.Addrs))})
+				b.ops = append(b.ops, p.run(rng, op{kind: opRead, addr: uint64(rng.Intn(p.cfg.Addrs))}))
 				break
 			}
 			j := rng.Intn(len(avail))
@@ -121,6 +134,20 @@ func (p *Program) genBlock(rng *rand.Rand, depth int, avail []int) *block {
 		}
 	}
 	return b
+}
+
+// run gives access o its run shape under Config.MaxRun, and draws nothing
+// from rng without it.
+func (p *Program) run(rng *rand.Rand, o op) op {
+	if p.cfg.MaxRun > 1 {
+		o.n, o.step = uint64(rng.Intn(p.cfg.MaxRun)), 1
+		if rng.Intn(4) == 0 {
+			o.step = 3
+		}
+		o.n = min(o.n, (uint64(p.cfg.Addrs)-1-o.addr)/o.step) // stay inside the address space
+		o.update = o.kind == opRead && rng.Intn(4) == 0
+	}
+	return o
 }
 
 // split randomly moves a subset of avail into a child's transfer set.
@@ -154,10 +181,18 @@ func (p *Program) Main() func(*sched.Task) {
 func runBlock(t *sched.Task, b *block, handles []*sched.Future) {
 	for _, o := range b.ops {
 		switch o.kind {
-		case opRead:
-			t.Read(o.addr)
-		case opWrite:
-			t.Write(o.addr)
+		case opRead, opWrite:
+			for k := uint64(0); k <= o.n; k++ {
+				a := o.addr + k*o.step
+				if o.kind == opWrite {
+					t.Write(a)
+					continue
+				}
+				t.Read(a)
+				if o.update {
+					t.Write(a)
+				}
+			}
 		case opSync:
 			t.Sync()
 		case opSpawn:

@@ -97,3 +97,39 @@ func TestQuickGeneratedProgramsNeverPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// maxAddr is an access checker remembering the largest address it saw and
+// how many accesses.
+type maxAddr struct{ max, n uint64 }
+
+func (m *maxAddr) Read(_ *sched.Strand, addr uint64)  { m.Write(nil, addr) }
+func (m *maxAddr) Write(_ *sched.Strand, addr uint64) { m.max, m.n = max(m.max, addr), m.n+1 }
+
+// TestRunsStayInsideTheAddressSpace: with MaxRun an access is a run of
+// addresses, all of them below Addrs; without it (0 or 1) a program is the
+// one the same seed always gave.
+func TestRunsStayInsideTheAddressSpace(t *testing.T) {
+	var plainTotal, runsTotal uint64
+	for seed := int64(0); seed < 30; seed++ {
+		var plain, one, runs maxAddr
+		for cfg, m := range map[progen.Config]*maxAddr{
+			{Seed: seed, Addrs: 300}:              &plain,
+			{Seed: seed, Addrs: 300, MaxRun: 1}:   &one,
+			{Seed: seed, Addrs: 300, MaxRun: 100}: &runs,
+		} {
+			if _, err := sched.Run(sched.Options{Serial: true, Checker: m}, progen.New(cfg).Main()); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		if plain != one {
+			t.Fatalf("seed %d: MaxRun 1 changed the program: %+v, was %+v", seed, one, plain)
+		}
+		if runs.max >= 300 {
+			t.Fatalf("seed %d: a run reached address %d of 300", seed, runs.max)
+		}
+		plainTotal, runsTotal = plainTotal+plain.n, runsTotal+runs.n
+	}
+	if runsTotal < 10*plainTotal {
+		t.Fatalf("%d accesses with runs of up to 100, %d without", runsTotal, plainTotal)
+	}
+}

@@ -37,6 +37,55 @@ func recordBytes(t testing.TB, main func(*sched.Task), workers int) ([]byte, []u
 	return buf.Bytes(), hist.RacyAddrs()
 }
 
+// TestRunShapedProgramsAllWays takes generated programs whose accesses are
+// runs — rows and tiles that overlap, nest and cross shadow pages, some
+// long enough that a strand flushes early, so the online history shares,
+// splits and merges page states and the capture's blocks come from slot
+// sets — through every way a verdict is reached: online at 1 and 4
+// workers, barriered and streamed replay of both recordings, and replay of
+// a detection-free recording. Each must equal the dag oracle's.
+func TestRunShapedProgramsAllWays(t *testing.T) {
+	for _, shape := range []progen.Config{
+		{MaxDepth: 4, MaxOps: 8, Addrs: 700, MaxRun: 48},
+		{MaxDepth: 3, MaxOps: 8, Addrs: 1800, MaxRun: 900},
+	} {
+		for seed := int64(0); seed < 8; seed++ {
+			shape.Seed = seed
+			p := progen.New(shape)
+			want := runOracle(t, p.Main())
+			check := func(how string, got []uint64) {
+				if !sameAddrs(got, want) {
+					t.Fatalf("runs of up to %d, seed %d, %s: %d racy addresses, the oracle %d",
+						shape.MaxRun, seed, how, len(got), len(want))
+				}
+			}
+			for _, recWorkers := range []int{1, 4} {
+				raw, online := recordBytes(t, p.Main(), recWorkers)
+				check("online", online)
+				c, err := trace.Load(bytes.NewReader(raw))
+				if err != nil {
+					t.Fatal(err)
+				}
+				barriered, err := replay.Run(c, replay.Options{Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("barriered replay", barriered.RacyAddrs)
+				streamed, err := replay.RunStream(bytes.NewReader(raw), replay.Options{Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("streamed replay", streamed.RacyAddrs)
+			}
+			standalone, err := replay.Run(recordStandalone(t, p.Main()), replay.Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("replay of a standalone recording", standalone.RacyAddrs)
+		}
+	}
+}
+
 // TestStreamReplayMatchesBarriered is the streaming verdict-equality
 // fuzz: on random programs — serial and parallel-recorded — RunStream
 // over every substrate and worker count must produce the exact merged

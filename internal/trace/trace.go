@@ -11,9 +11,10 @@
 //   - Access events — per-strand, per-shadow-page blocks of (addr, kind)
 //     pairs, tapped from the detector's batched flush
 //     (detect.Options.Tap) or drained from the recorder's own strand
-//     buffer: either way what detect.StrandBuffer kept, so recording
-//     costs one append per entry no earlier access of the strand
-//     subsumes.
+//     buffer: either way what detect.StrandBuffer kept, a page's reads in
+//     slot order and then its writes, so recording costs one bit per
+//     entry no earlier access of the strand subsumes until the strand
+//     closes, and one varint then.
 //
 // The recorder serializes all events through one mutex, so the file
 // order is a valid happens-before-consistent linearization of the run:
@@ -45,6 +46,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 
 	"sforder/internal/detect"
@@ -116,8 +118,9 @@ type Event struct {
 }
 
 // AccessBlock is one strand's tapped accesses: Addrs[i] was touched with
-// Kinds[i]. A strand contributes one block per shadow page it touched
-// (more after an early flush).
+// Kinds[i]; an address both read and written has its read first. A strand
+// contributes one block per shadow page it touched (more after an early
+// flush).
 type AccessBlock struct {
 	Strand uint64
 	Addrs  []uint64
@@ -287,6 +290,37 @@ func (r *Recorder) writeBlockLocked(strand uint64, addrs []uint64, kinds []detec
 	r.emit()
 }
 
+// writeSetsLocked writes the block of one drained page of a strand buffer
+// straight from its slot sets: the reads in slot order, then the writes,
+// so the kind bits are a run of zeros and a run of ones.
+func (r *Recorder) writeSetsLocked(strand, page uint64, reads, writes *detect.SlotSet) {
+	nr, nw := 0, 0
+	for w := range reads {
+		nr += bits.OnesCount64(reads[w])
+		nw += bits.OnesCount64(writes[w])
+	}
+	r.buf = append(r.buf, byte(opAccess))
+	r.buf = binary.AppendUvarint(r.buf, strand)
+	r.buf = binary.AppendUvarint(r.buf, uint64(nr+nw))
+	for i := 0; i < nr+nw; i += 8 {
+		ones := byte(0xff << max(nr-i, 0)) // of entries i..i+7, those from nr on
+		if rest := nr + nw - i; rest < 8 {
+			ones &= 1<<rest - 1
+		}
+		r.buf = append(r.buf, ones)
+	}
+	for _, set := range [2]*detect.SlotSet{reads, writes} {
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				r.buf = binary.AppendUvarint(r.buf, page<<detect.PageBits|uint64(w<<6|bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	r.accessBlocks++
+	r.accessEntries += uint64(nr + nw)
+	r.emit()
+}
+
 // bufPool recycles the standalone checker mode's per-strand buffers,
 // hung off Strand.Aux (free in that mode: no History owns it).
 var bufPool = sync.Pool{New: func() any { return new(detect.StrandBuffer) }}
@@ -320,8 +354,8 @@ func (r *Recorder) StrandClose(s *sched.Strand) {
 	s.Aux = nil
 	if b.Pending() > 0 {
 		r.mu.Lock()
-		b.Drain(func(_ uint64, addrs []uint64, kinds []detect.AccessKind) {
-			r.writeBlockLocked(s.ID, addrs, kinds)
+		b.Drain(func(page uint64, reads, writes *detect.SlotSet) {
+			r.writeSetsLocked(s.ID, page, reads, writes)
 		})
 		r.mu.Unlock()
 	}

@@ -2,6 +2,9 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -150,6 +153,88 @@ func TestRecorderDedup(t *testing.T) {
 	}
 	if writes != 1 {
 		t.Fatalf("%d write entries, want 1", writes)
+	}
+}
+
+// TestStandaloneBlocksMatchTappedOnes: the standalone recorder writes a
+// strand's block straight from the buffer's slot sets, the history's tap
+// through the (addrs, kinds) slices — the same entries either way, a
+// page's reads in slot order and then its writes, whatever the counts do
+// to the packed kind bits (no reads, no writes, a byte boundary inside the
+// reads, inside the writes, between them).
+func TestStandaloneBlocksMatchTappedOnes(t *testing.T) {
+	for _, n := range [][2]uint64{{0, 1}, {1, 0}, {3, 2}, {8, 8}, {5, 11}, {16, 1}, {9, 23}, {200, 256}} {
+		main := func(task *sched.Task) {
+			for a := uint64(0); a < n[1]; a++ {
+				task.Write(0x700 + 255 - a) // downwards: the block is in slot order, not program order
+			}
+			for a := uint64(0); a < n[0]; a++ {
+				task.Read(0x800 + 3*a%256)
+				task.Read(0x700 + a) // absorbed where the loop above wrote
+				task.Write(0x700 + a)
+			}
+		}
+		var blocks [2][]trace.AccessBlock
+		for i, tapped := range []bool{false, true} {
+			var buf bytes.Buffer
+			rec := trace.NewRecorder(&buf)
+			opts := sched.Options{Serial: true, Aux: rec, Checker: rec}
+			if tapped {
+				reach := core.NewReach()
+				opts.Tracer = reach
+				opts.Checker = detect.NewHistory(detect.Options{Reach: reach, FastPath: true, Tap: rec})
+			}
+			if _, err := sched.Run(opts, main); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c, err := trace.Load(&buf)
+			if err != nil {
+				t.Fatalf("%v reads, %v writes, tapped=%v: %v", n[0], n[1], tapped, err)
+			}
+			blocks[i] = c.Blocks
+		}
+		if !reflect.DeepEqual(blocks[0], blocks[1]) {
+			t.Fatalf("%d reads, %d writes: standalone blocks %v, tapped blocks %v", n[0], n[1], blocks[0], blocks[1])
+		}
+		for _, b := range blocks[0] {
+			var writes bool
+			for i, k := range b.Kinds {
+				if k == detect.AccessWrite {
+					writes = true
+				} else if writes {
+					t.Fatalf("%d reads, %d writes: a read after a write in block %v", n[0], n[1], b)
+				}
+				if i > 0 && b.Kinds[i-1] == k && b.Addrs[i-1] >= b.Addrs[i] {
+					t.Fatalf("%d reads, %d writes: block %v not in slot order", n[0], n[1], b)
+				}
+			}
+		}
+	}
+}
+
+// TestStandaloneRecorderFootprintIsPerPage: the recorder's strand buffer
+// holds bitmaps, not entries, so a strand like sw's reduce — a quarter of
+// a million first-time reads, never closed in between — costs memory by
+// the pages it touches (9 bytes an entry it used to be, until close).
+func TestStandaloneRecorderFootprintIsPerPage(t *testing.T) {
+	const entries, pages = 1 << 18, 1 << 10
+	rec := trace.NewRecorder(io.Discard)
+	s := &sched.Strand{Fut: &sched.FutureTask{}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for a := uint64(0); a < entries; a++ {
+		rec.Read(s, a)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > pages*512 {
+		t.Errorf("%d kept reads over %d pages allocated %d bytes, want at most %d (512 a page)", entries, pages, got, pages*512)
+	}
+	rec.StrandClose(s)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

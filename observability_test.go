@@ -120,7 +120,7 @@ func TestStatsSnapshot(t *testing.T) {
 		if res.Stats == nil {
 			t.Fatalf("%v: Stats nil with Config.Stats set", det)
 		}
-		for _, key := range []string{"sched.strands", "sched.spawns", "sched.writes", "reach.queries", "reach.mem_bytes", "hist.races", "hist.lock_acquires", "hist.fastpath_hits", "hist.mem_bytes"} {
+		for _, key := range []string{"sched.strands", "sched.spawns", "sched.writes", "reach.queries", "reach.mem_bytes", "hist.races", "hist.lock_acquires", "hist.fastpath_hits", "hist.mem_bytes", "hist.group_ops", "hist.state_splits", "hist.states"} {
 			if _, ok := res.Stats[key]; !ok {
 				t.Errorf("%v: snapshot missing %q: %v", det, key, res.Stats)
 			}
@@ -136,6 +136,19 @@ func TestStatsSnapshot(t *testing.T) {
 		}
 		if res.Stats["hist.lock_acquires"] == 0 {
 			t.Errorf("%v: lock acquisitions not counted", det)
+		}
+		// Address 1 is written twice and (but for WSP-Order) address 2 read
+		// once, each a state of its own beside the untouched rest of the
+		// page; the first touch of each splits it off.
+		groups, states := int64(3), int64(3)
+		if det == sforder.WSPOrder {
+			groups, states = 2, 2
+		}
+		if got := res.Stats["hist.group_ops"]; got != groups {
+			t.Errorf("%v: hist.group_ops %d, want %d", det, got, groups)
+		}
+		if got := res.Stats["hist.states"]; got != states {
+			t.Errorf("%v: hist.states %d, want %d", det, got, states)
 		}
 	}
 }

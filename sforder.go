@@ -176,9 +176,8 @@ type Config struct {
 	// in the paper's implementation. By default a strand's repeated
 	// accesses to a location are dropped by an exact strand-local dedup,
 	// the rest are buffered per strand and applied one lock acquisition
-	// per shadow page when the strand ends, and Precedes verdicts are
-	// memoized per strand; detection at location granularity is the same
-	// either way (DESIGN.md §4).
+	// per shadow page when the strand ends; detection at location
+	// granularity is the same either way (DESIGN.md §4).
 	LockedHistory bool
 	// DedupByAddr reports at most one detailed race record per memory
 	// location: after the first report on an address, later races there
