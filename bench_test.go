@@ -493,9 +493,10 @@ func BenchmarkAblationBitmapVsHash(b *testing.B) {
 // the capture is then replayed at 1/2/4/8 shards — and at 16 on the
 // bigger inputs — with the dag rebuilt on the DePa substrate (frozen
 // immutable labels, lock-free queries). Detection work partitions by
-// address hash, so entries-max-shard ≈ entries-total/shards certifies
-// a balanced partition: the wall-clock curve then tracks available
-// cores, machine-independently. The race verdict is checked identical
+// shadow page (a location lives in one page, a page in one shard), so
+// entries-max-shard ≈ entries-total/shards certifies a balanced
+// partition: the wall-clock curve then tracks available cores,
+// machine-independently. The race verdict is checked identical
 // at every width (also pinned by TestReplayDeterministicAcrossWorkers).
 func BenchmarkReplayScaling(b *testing.B) {
 	record := func(bench *workload.Benchmark) *trace.Capture {

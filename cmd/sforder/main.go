@@ -51,7 +51,7 @@ func main() {
 		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists), depa (prefix-sharing fork-path cords, ABL10/11), or hybrid (depth-adaptive flat+cord, ABL11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
-		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: rebuild the dag and re-run detection offline, sharded by address")
+		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: rebuild the dag and re-run detection offline, sharded by shadow page")
 		replayWorkers = flag.Int("replayworkers", 0, "with -replay: number of parallel detection shards (0 = GOMAXPROCS)")
 		rebuildW      = flag.Int("rebuildworkers", 0, "with -replay: parallel rebuild workers constructing the fork-path labels from the capture's segment index (label substrates only; <2 = serial event-order rebuild)")
 		stream        = flag.Bool("stream", false, "with -replay: stream the capture through a bounded pipeline — detection starts while the file is still being decoded, and resident memory stays constant in trace length")
@@ -115,8 +115,9 @@ func main() {
 
 // runReplay loads an sftrace capture and re-runs detection offline:
 // the dag is rebuilt on the selected reachability substrate, then the
-// access stream is partitioned by address hash across the requested
-// number of shards and detected in parallel (ABL12).
+// access blocks are routed by shadow page across the requested shards (a
+// location lives in one page, a page in one shard) and detected in
+// parallel (ABL12).
 func runReplay(path string, workers, rebuildWorkers int, stream bool, reachName string, dedup, stats bool, reg *obsv.Registry) {
 	sub, err := core.ParseSubstrate(reachName)
 	if err != nil {

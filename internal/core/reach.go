@@ -454,11 +454,11 @@ func (r *Reach) Precedes(u, v *sched.Strand) bool {
 	return r.precedes(u, v)
 }
 
-// PrecedesUncounted is Precedes without the shared query counter. The
-// counter is a single contended atomic; offline replay workers issuing
-// millions of queries from independent shards use this form so the one
-// shared cache line does not serialize them (each worker counts queries
-// locally and the replay engine sums them afterwards).
+// PrecedesUncounted is Precedes without the shared query counter, one
+// contended atomic: offline replay's independent shards use this form so
+// they write no shared cache line (each counts its queries locally and the
+// replay engine sums them). Queries are few — about 0.005 per access since
+// a page's slots share states — so this is about sharing, not volume.
 func (r *Reach) PrecedesUncounted(u, v *sched.Strand) bool {
 	return r.precedes(u, v)
 }

@@ -272,13 +272,26 @@ func (h *History) applyOne(s *sched.Strand, addr uint64, kind AccessKind) {
 		// the batched TapAccesses signature.
 		h.opts.Tap.TapAccesses(s, []uint64{addr}, []AccessKind{kind})
 	}
-	var set SlotSet
-	set[addr&pageMask>>6] = 1 << (addr & 63)
-	p := h.lockPage(addr >> pageBits)
-	if kind == AccessWrite {
-		h.applyWrites(p, s, &set)
-	} else {
-		h.applyReads(p, s, &set)
+	var sets [2]SlotSet
+	sets[kind&1][addr&pageMask>>6] = 1 << (addr & 63)
+	h.ApplyPage(s, addr>>pageBits, &sets[AccessRead], &sets[AccessWrite])
+}
+
+// ApplyPage performs s's accesses to one shadow page under one acquisition
+// of the page's lock: the reads of the slots in reads, then the writes of
+// the slots in writes — a slot in both was read and then written (the
+// strand buffer absorbs a read after a write), and must check in that
+// order. It is the one entry to the per-location kernel: the locked path
+// calls it with one slot, the fast path's flush once per page a strand
+// touched, an offline replay shard (internal/replay) once per recorded
+// block, on a history of its own.
+func (h *History) ApplyPage(s *sched.Strand, num uint64, reads, writes *SlotSet) {
+	p := h.lockPage(num)
+	if *reads != (SlotSet{}) {
+		h.applyReads(p, s, reads)
+	}
+	if *writes != (SlotSet{}) {
+		h.applyWrites(p, s, writes)
 	}
 	p.mu.Unlock()
 }

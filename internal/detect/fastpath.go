@@ -89,9 +89,7 @@ func (h *History) fastAccess(s *sched.Strand, addr uint64, kind AccessKind) {
 }
 
 // flush applies every pending entry of s's buffer to the history, one
-// lock acquisition per page. A page's reads are applied before its writes:
-// a slot in both sets was read and then written (the buffer absorbs a read
-// after a write), and must check in that order.
+// lock acquisition per page (ApplyPage).
 func (h *History) flush(s *sched.Strand, ss *strandState) {
 	ss.buf.Drain(func(num uint64, reads, writes *SlotSet) {
 		if h.countLocks {
@@ -102,14 +100,7 @@ func (h *History) flush(s *sched.Strand, ss *strandState) {
 			ss.tapAddrs, ss.tapKinds = appendSet(ss.tapAddrs, ss.tapKinds, num, writes, AccessWrite)
 			h.opts.Tap.TapAccesses(s, ss.tapAddrs, ss.tapKinds)
 		}
-		p := h.lockPage(num)
-		if *reads != (SlotSet{}) {
-			h.applyReads(p, s, reads)
-		}
-		if *writes != (SlotSet{}) {
-			h.applyWrites(p, s, writes)
-		}
-		p.mu.Unlock()
+		h.ApplyPage(s, num, reads, writes)
 	})
 }
 

@@ -19,29 +19,26 @@
 //     after the rebuild the reachability state is read-only — frozen
 //     labels any number of workers can query lock-free.
 //
-//  2. Sharded detection. Access entries are partitioned by address hash
-//     across P workers. Each worker owns a disjoint shadow-state shard —
-//     a private last-writer/readers table for exactly the addresses that
-//     hash to it — so the hot loop takes no locks, publishes no state
-//     words, and shares nothing with other workers but the read-only
-//     reachability structures and the capture itself. Per-location
-//     detection is what the online detector guarantees (a race is
-//     reported on a location iff one exists there), and every location
-//     lives wholly inside one shard, so sharding changes no verdict
-//     (DESIGN.md §4). Races merge deterministically at the end.
+//  2. Sharded detection. Access blocks are routed by shadow page across P
+//     shards, each entry visited once. A shard is the online detector's
+//     own access history (detect.History) over the pages it owns and no
+//     others, applied through the call the online flush makes
+//     (History.ApplyPage), so there is one per-location kernel and the
+//     two cannot drift; it shares nothing with the other shards but the
+//     read-only reachability structures. Per-location detection is what
+//     the online detector guarantees (a race is reported on a location
+//     iff one exists there); a location lives in one page and a page in
+//     one shard, so sharding changes no verdict (DESIGN.md §4). Races
+//     merge deterministically at the end.
 package replay
 
 import (
-	"fmt"
-	"runtime"
-	"sort"
-	"sync"
+	"io"
 	"time"
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
 	"sforder/internal/obsv"
-	"sforder/internal/sched"
 	"sforder/internal/trace"
 )
 
@@ -69,7 +66,7 @@ type Options struct {
 	// after the deterministic merge.
 	MaxRaces int
 	// DedupByAddr retains at most one detailed record per address.
-	// Exact under sharding: an address's accesses all land in one shard.
+	// Exact under sharding: an address's page belongs to one shard.
 	DedupByAddr bool
 	// Stats, when non-nil, receives the replay.* gauges.
 	Stats *obsv.Registry
@@ -132,448 +129,132 @@ type Result struct {
 	StreamPeakBytes  int64
 }
 
-// ShardOf returns the detection shard owning addr among p shards: the
-// same Fibonacci hash the shadow tables use, reduced modulo p. Exported
-// so tests can construct racing pairs that straddle a shard boundary.
-func ShardOf(addr uint64, p int) int {
-	return int((addr * 0x9e3779b97f4a7c15) >> 32 % uint64(p))
-}
-
-// dagStore abstracts strand/future identity storage during an
-// event-order rebuild, so the same validating event switch (applyEvent)
-// drives both the barriered path (sliceStore — presized dense arrays,
-// the fast layout when the capture's totals are known up front) and the
-// streaming path (mapStore in stream.go — grows with the events actually
-// read, never sized from an untrusted header field).
-type dagStore interface {
-	need(i int, id uint64) (*sched.Strand, error)
-	intro(i int, id uint64, f *sched.FutureTask) (*sched.Strand, error)
-	needFut(i, id int) (*sched.FutureTask, error)
-	introFut(i, id int, parent *sched.FutureTask) (*sched.FutureTask, error)
-}
-
-// sliceStore is the dense-array dagStore for whole-capture rebuilds.
-type sliceStore struct {
-	strands []*sched.Strand
-	futs    []*sched.FutureTask
-}
-
-func (st *sliceStore) need(i int, id uint64) (*sched.Strand, error) {
-	if id >= uint64(len(st.strands)) || st.strands[id] == nil {
-		return nil, fmt.Errorf("replay: event %d: strand %d referenced before introduction", i, id)
-	}
-	return st.strands[id], nil
-}
-
-func (st *sliceStore) intro(i int, id uint64, f *sched.FutureTask) (*sched.Strand, error) {
-	if id >= uint64(len(st.strands)) {
-		return nil, fmt.Errorf("replay: event %d: strand %d out of range", i, id)
-	}
-	if st.strands[id] != nil {
-		return nil, fmt.Errorf("replay: event %d: strand %d introduced twice", i, id)
-	}
-	s := &sched.Strand{ID: id, Fut: f}
-	st.strands[id] = s
-	return s, nil
-}
-
-func (st *sliceStore) needFut(i, id int) (*sched.FutureTask, error) {
-	if id < 0 || id >= len(st.futs) || st.futs[id] == nil {
-		return nil, fmt.Errorf("replay: event %d: future %d referenced before creation", i, id)
-	}
-	return st.futs[id], nil
-}
-
-func (st *sliceStore) introFut(i, id int, parent *sched.FutureTask) (*sched.FutureTask, error) {
-	if id < 0 || id >= len(st.futs) || st.futs[id] != nil {
-		return nil, fmt.Errorf("replay: event %d: future %d out of range or created twice", i, id)
-	}
-	f := &sched.FutureTask{ID: id, Parent: parent}
-	st.futs[id] = f
-	return f, nil
-}
-
-// applyEvent validates one structure event against the store and feeds
-// it to the tracer — the single rebuild event switch shared by the
-// barriered, parallel-verification and streaming paths.
-func applyEvent(store dagStore, r sched.Tracer, i int, ev *trace.Event) error {
-	switch ev.Op {
-	case trace.OpRoot:
-		if i != 0 {
-			return fmt.Errorf("replay: event %d: misplaced root", i)
-		}
-		f, err := store.introFut(i, 0, nil)
-		if err != nil {
-			return err
-		}
-		root, err := store.intro(i, ev.U, f)
-		if err != nil {
-			return err
-		}
-		r.OnRoot(root)
-	case trace.OpSpawn, trace.OpCreate:
-		u, err := store.need(i, ev.U)
-		if err != nil {
-			return err
-		}
-		childFut := u.Fut
-		var created *sched.FutureTask
-		if ev.Op == trace.OpCreate {
-			parent, err := store.needFut(i, ev.FutParent)
-			if err != nil {
-				return err
-			}
-			if created, err = store.introFut(i, ev.Fut, parent); err != nil {
-				return err
-			}
-			childFut = created
-		}
-		first, err := store.intro(i, ev.A, childFut)
-		if err != nil {
-			return err
-		}
-		cont, err := store.intro(i, ev.B, u.Fut)
-		if err != nil {
-			return err
-		}
-		var ph *sched.Strand
-		if ev.Placeholder > 0 {
-			if ph, err = store.intro(i, ev.Placeholder-1, u.Fut); err != nil {
-				return err
-			}
-		}
-		if ev.Op == trace.OpCreate {
-			r.OnCreate(u, first, cont, ph, created)
-		} else {
-			r.OnSpawn(u, first, cont, ph)
-		}
-	case trace.OpSync:
-		k, err := store.need(i, ev.U)
-		if err != nil {
-			return err
-		}
-		// The sync strand is the placeholder eagerly introduced at the
-		// region's first branch; the scheduler emits no sync event for
-		// branch-free regions, so an unintroduced sync strand is
-		// corruption, not a late introduction.
-		s, err := store.need(i, ev.A)
-		if err != nil {
-			return fmt.Errorf("replay: event %d: sync strand %d was never placed at a branch", i, ev.A)
-		}
-		sinks := make([]*sched.Strand, len(ev.Sinks))
-		for j, id := range ev.Sinks {
-			if sinks[j], err = store.need(i, id); err != nil {
-				return err
-			}
-		}
-		r.OnSync(k, s, sinks)
-	case trace.OpReturn:
-		sink, err := store.need(i, ev.U)
-		if err != nil {
-			return err
-		}
-		r.OnReturn(sink)
-	case trace.OpPut:
-		sink, err := store.need(i, ev.U)
-		if err != nil {
-			return err
-		}
-		f, err := store.needFut(i, ev.Fut)
-		if err != nil {
-			return err
-		}
-		f.SetLast(sink)
-		r.OnPut(sink, f)
-	case trace.OpGet:
-		u, err := store.need(i, ev.U)
-		if err != nil {
-			return err
-		}
-		f, err := store.needFut(i, ev.Fut)
-		if err != nil {
-			return err
-		}
-		if f.Last() == nil {
-			return fmt.Errorf("replay: event %d: get of future %d before its put", i, ev.Fut)
-		}
-		g, err := store.intro(i, ev.A, u.Fut)
-		if err != nil {
-			return err
-		}
-		r.OnGet(u, g, f)
-	default:
-		return fmt.Errorf("replay: event %d: unexpected op %v", i, ev.Op)
-	}
-	return nil
-}
-
-// rebuild replays the structure events through a fresh Reach,
-// reconstructing strand and future identities. It returns the synthetic
-// strands so detection can hand them to Precedes.
-func rebuild(c *trace.Capture, r *core.Reach) ([]*sched.Strand, error) {
-	// Dense-ID sanity: a structurally consistent capture introduces at
-	// most 3 strands and 1 future per event. Bounds the allocation on
-	// adversarial inputs before trusting the decoded maxima.
-	if c.Strands > 3*uint64(len(c.Events))+1 || uint64(c.Futures) > uint64(len(c.Events))+1 {
-		return nil, fmt.Errorf("replay: capture names %d strands/%d futures across %d events (corrupt capture)",
-			c.Strands, c.Futures, len(c.Events))
-	}
-	store := &sliceStore{
-		strands: make([]*sched.Strand, c.Strands),
-		futs:    make([]*sched.FutureTask, c.Futures),
-	}
-	for i := range c.Events {
-		if err := applyEvent(store, r, i, &c.Events[i]); err != nil {
-			return nil, err
-		}
-	}
-	return store.strands, nil
-}
-
-// wloc is one location's shadow state inside a worker's private shard.
-type wloc struct {
-	lastWriter *sched.Strand
-	readers    []*sched.Strand
-}
-
-// memoBits sizes the per-worker direct-mapped Precedes memo.
-const memoBits = 14
-
-// worker is one detection shard: private shadow state, private memo,
-// private results. Nothing here is touched by any other goroutine.
-type worker struct {
-	id      int
-	locs    map[uint64]*wloc
-	memoU   []uint64 // key: u.ID+1 (0 = empty)
-	memoV   []uint64 // key: v.ID
-	memoOK  []bool
-	races   []detect.Race
-	racy    map[uint64]bool
-	count   uint64
-	queries uint64
-	entries uint64
-}
-
-func (w *worker) precedes(r *core.Reach, u, v *sched.Strand) bool {
-	i := (u.ID*0x9e3779b97f4a7c15 ^ v.ID*0xc2b2ae3d27d4eb4f) >> (64 - memoBits)
-	if w.memoU[i] == u.ID+1 && w.memoV[i] == v.ID {
-		return w.memoOK[i]
-	}
-	w.queries++
-	ok := r.PrecedesUncounted(u, v)
-	w.memoU[i], w.memoV[i], w.memoOK[i] = u.ID+1, v.ID, ok
-	return ok
-}
-
-func (w *worker) report(addr uint64, prev *sched.Strand, prevKind detect.AccessKind, cur *sched.Strand, curKind detect.AccessKind, dedup bool) {
-	w.count++
-	if w.racy[addr] {
-		if dedup {
-			return
-		}
-	} else {
-		w.racy[addr] = true
-	}
-	w.races = append(w.races, detect.Race{
-		Addr:       addr,
-		PrevStrand: prev.ID,
-		CurStrand:  cur.ID,
-		PrevFuture: prev.Fut.ID,
-		CurFuture:  cur.Fut.ID,
-		Prev:       prevKind,
-		Cur:        curKind,
-	})
-}
-
-// apply runs the online history's per-location algorithm (ReadersAll
-// policy) on the worker's private shard.
-func (w *worker) apply(r *core.Reach, s *sched.Strand, addr uint64, kind detect.AccessKind, dedup bool) {
-	w.entries++
-	l := w.locs[addr]
-	if l == nil {
-		l = &wloc{}
-		w.locs[addr] = l
-	}
-	if lw := l.lastWriter; lw != nil && lw != s && !w.precedes(r, lw, s) {
-		w.report(addr, lw, detect.AccessWrite, s, kind, dedup)
-	}
-	if kind == detect.AccessRead {
-		if n := len(l.readers); n == 0 || l.readers[n-1] != s {
-			l.readers = append(l.readers, s)
-		}
-		return
-	}
-	for _, rd := range l.readers {
-		if rd != s && !w.precedes(r, rd, s) {
-			w.report(addr, rd, detect.AccessRead, s, detect.AccessWrite, dedup)
-		}
-	}
-	l.readers = l.readers[:0]
-	l.lastWriter = s
-}
-
-// Run replays a capture and returns the offline detection result.
+// Run replays a capture and returns the offline detection result: the
+// rebuild over the loaded structure events, then the pipeline over the
+// loaded access blocks.
 func Run(c *trace.Capture, opts Options) (*Result, error) {
-	p := opts.Workers
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
+	res := &Result{
+		Strands: c.Strands, Futures: uint64(c.Futures),
+		Events: uint64(len(c.Events)), Entries: c.Entries, RebuildWorkers: 1,
 	}
-	maxRaces := opts.MaxRaces
-	if maxRaces == 0 {
-		maxRaces = 256
-	}
-	rw := opts.RebuildWorkers
-	// The precomputed-table path needs a label substrate: an OM list is
-	// one mutable structure that must be built in event order, so OM
-	// falls back to the serial rebuild regardless of RebuildWorkers.
-	parallelRebuild := rw > 1 && (opts.Reach == core.SubstrateDePa || opts.Reach == core.SubstrateHybrid)
-	if !parallelRebuild {
-		rw = 1
-	}
-
 	rebuildStart := time.Now()
 	var (
-		reach   *core.Reach
-		strands []*sched.Strand
-		rinfo   *rebuildInfo
-		err     error
+		reach *core.Reach
+		st    *store
+		err   error
 	)
-	if parallelRebuild {
-		strands, reach, rinfo, err = rebuildParallel(c, opts, rw)
+	// The precomputed-table path needs a label substrate: an OM list is
+	// one mutable structure that must be built in event order, so OM
+	// rebuilds in event order regardless of RebuildWorkers.
+	if opts.RebuildWorkers > 1 && (opts.Reach == core.SubstrateDePa || opts.Reach == core.SubstrateHybrid) {
+		res.RebuildWorkers, res.RebuildParallel = opts.RebuildWorkers, true
+		st, reach, err = rebuildParallel(c, opts, res)
 	} else {
-		reach = core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth})
-		strands, err = rebuild(c, reach)
+		reach, st = core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth}), &store{}
+		// The Result holds only values, so the arena slabs go back to
+		// their pools on every return path, after it is assembled.
+		defer reach.Release()
+		for i := 0; i < len(c.Events) && err == nil; i++ {
+			err = applyEvent(st, reach, &c.Events[i])
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	rebuildElapsed := time.Since(rebuildStart)
-	if opts.Stats != nil {
-		reach.RegisterStats(opts.Stats)
-	}
-
-	// Pre-check block strand references once, so workers can index
-	// without validating.
-	for _, b := range c.Blocks {
-		if b.Strand >= uint64(len(strands)) || strands[b.Strand] == nil {
-			return nil, fmt.Errorf("replay: access block names unknown strand %d", b.Strand)
-		}
-	}
+	res.Rebuild = time.Since(rebuildStart)
 
 	detectStart := time.Now()
-	workers := make([]*worker, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		w := newWorker(i)
-		workers[i] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker scans the whole (read-only) capture and applies
-			// only its own shard's entries: no partitioning pass, no
-			// queues, no synchronization on the hot loop.
-			for _, b := range c.Blocks {
-				s := strands[b.Strand]
-				for j, addr := range b.Addrs {
-					if ShardOf(addr, p) != w.id {
-						continue
-					}
-					w.apply(reach, s, addr, b.Kinds[j], opts.DedupByAddr)
-				}
-			}
-		}()
+	pl := startShards(reach, opts)
+	for i := 0; i < len(c.Blocks) && err == nil; i++ {
+		err = pl.dispatch(st, &c.Blocks[i])
 	}
-	wg.Wait()
-	detectElapsed := time.Since(detectStart)
-
-	res := &Result{
-		Strands:         c.Strands,
-		Futures:         uint64(c.Futures),
-		Events:          uint64(len(c.Events)),
-		Entries:         c.Entries,
-		Shards:          p,
-		Rebuild:         rebuildElapsed,
-		Detect:          detectElapsed,
-		RebuildWorkers:  rw,
-		RebuildParallel: parallelRebuild,
+	pl.wait()
+	if err != nil {
+		return nil, err
 	}
-	if rinfo != nil {
-		res.RebuildLabels = rinfo.labels
-		res.RebuildWork = rinfo.totalWork
-		res.RebuildMaxSegment = rinfo.maxSegment
-	}
-	mergeWorkers(res, workers, maxRaces)
-	res.ReachMemBytes = reach.MemBytes()
-
-	if opts.Stats != nil {
-		registerStats(opts.Stats, res, int64(len(c.Blocks)), c.Bytes)
-	}
+	res.Detect = time.Since(detectStart)
+	pl.finish(res, int64(len(c.Blocks)), c.Bytes)
 	return res, nil
 }
 
-// mergeWorkers folds the per-shard results into res deterministically:
-// the per-worker orders depend only on file order, so sorting by (addr,
-// strand pair, kinds) makes the final report independent of worker
-// interleaving and worker count. Sets res.Merge.
-func mergeWorkers(res *Result, workers []*worker, maxRaces int) {
-	mergeStart := time.Now()
-	for _, w := range workers {
-		res.RaceCount += w.count
-		res.Queries += w.queries
-		if w.entries > res.MaxShardEntries {
-			res.MaxShardEntries = w.entries
-		}
-		res.Races = append(res.Races, w.races...)
-		for a := range w.racy {
-			res.RacyAddrs = append(res.RacyAddrs, a)
-		}
+// RunStream replays a capture directly from its byte stream, pipelining
+// the two phases: the loader thread decodes the file once in order,
+// applying structure events to the growing reachability state and
+// handing each access block to the shard owning its page the moment it is
+// read — detection of early blocks overlaps decoding of later ones, and
+// the capture is never resident in memory (peak in-flight blocks are
+// bounded by StreamQueueCap + Workers + 1, independent of trace
+// length).
+//
+// Soundness is the same order argument as the barriered path, carried
+// by the queues: file order is an HB-consistent linearization, the
+// loader applies every structure event before forwarding any later
+// block, and a channel send happens-before its receive — so by the time
+// a shard queries Precedes(u, v) for a block's strand, every label and
+// bitmap the query reads is already published and immutable (labels are
+// frozen at construction; a strand's gp is set before the first block
+// naming it was recorded; OM label words are seqlock-validated
+// optimistic reads designed for exactly this concurrency). A page's
+// blocks reach its one shard in file order, so verdicts, and the merged
+// report, are bit-identical to replay.Run on the loaded capture.
+//
+// The rebuild is the pipeline's producer stage, so
+// Options.RebuildWorkers does not apply (a precomputed label table
+// needs the whole structure stream first — that is the barriered
+// path's trade).
+func RunStream(r io.Reader, opts Options) (*Result, error) {
+	dec, err := trace.OpenStream(r)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(res.Races, func(i, j int) bool {
-		a, b := res.Races[i], res.Races[j]
-		if a.Addr != b.Addr {
-			return a.Addr < b.Addr
-		}
-		if a.PrevStrand != b.PrevStrand {
-			return a.PrevStrand < b.PrevStrand
-		}
-		if a.CurStrand != b.CurStrand {
-			return a.CurStrand < b.CurStrand
-		}
-		return a.Prev < b.Prev
-	})
-	if len(res.Races) > maxRaces {
-		res.Races = res.Races[:maxRaces]
-	}
-	sort.Slice(res.RacyAddrs, func(i, j int) bool { return res.RacyAddrs[i] < res.RacyAddrs[j] })
-	res.Merge = time.Since(mergeStart)
-}
+	reach := core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth})
+	defer reach.Release() // as in Run
 
-// newWorker allocates one detection shard.
-func newWorker(id int) *worker {
-	return &worker{
-		id:     id,
-		locs:   map[uint64]*wloc{},
-		memoU:  make([]uint64, 1<<memoBits),
-		memoV:  make([]uint64, 1<<memoBits),
-		memoOK: make([]bool, 1<<memoBits),
-		racy:   map[uint64]bool{},
+	// The loader: decode in order, apply structure events inline, route
+	// access blocks. It stops at the first error; the trailer check
+	// inside the Stream means a clean io.EOF is a complete, verified
+	// capture.
+	start := time.Now()
+	pl := startShards(reach, opts)
+	st := &store{}
+	res := &Result{RebuildWorkers: 1, Streamed: true}
+	for err == nil {
+		var ev *trace.Event
+		var blk *trace.AccessBlock
+		if ev, blk, err = dec.Next(); err != nil {
+			break
+		}
+		if ev != nil {
+			t0 := time.Now()
+			err = applyEvent(st, reach, ev)
+			res.Rebuild += time.Since(t0)
+		} else {
+			// The Stream already bounds block strand ids by the declared
+			// count; dispatch additionally requires an introduction.
+			err = pl.dispatch(st, blk)
+		}
 	}
+	pl.wait()
+	if err != io.EOF {
+		return nil, err
+	}
+	res.Strands, res.Futures = dec.Strands(), uint64(dec.Futures())
+	res.Events, res.Entries = dec.Events(), dec.Entries()
+	res.Detect = time.Since(start)
+	res.StreamPeakBlocks, res.StreamPeakBytes = pl.peakBlocks, pl.peakBytes
+	pl.finish(res, int64(dec.Blocks()), dec.Bytes())
+	return res, nil
 }
 
 // registerStats publishes the replay.* gauges for a completed run.
-func registerStats(reg *obsv.Registry, res *Result, blocks, bytes int64) {
-	streamed := int64(0)
+func registerStats(reg *obsv.Registry, res *Result, blocks, bytes, arena int64) {
 	wall := res.Rebuild + res.Detect + res.Merge
 	if res.Streamed {
-		streamed = 1
 		// Streamed Detect is the full pipeline wall and already
 		// contains the (overlapped) rebuild time.
 		wall = res.Detect + res.Merge
 	}
-	parallel := int64(0)
-	if res.RebuildParallel {
-		parallel = 1
-	}
+	flag := map[bool]int64{true: 1}
 	vals := map[string]int64{
 		"replay.events":              int64(res.Events),
 		"replay.entries":             int64(res.Entries),
@@ -588,16 +269,18 @@ func registerStats(reg *obsv.Registry, res *Result, blocks, bytes int64) {
 		"replay.queries":             int64(res.Queries),
 		"replay.races":               int64(res.RaceCount),
 		"replay.rebuild_workers":     int64(res.RebuildWorkers),
-		"replay.rebuild_parallel":    parallel,
+		"replay.rebuild_parallel":    flag[res.RebuildParallel],
 		"replay.rebuild_labels":      int64(res.RebuildLabels),
 		"replay.rebuild_work":        int64(res.RebuildWork),
 		"replay.rebuild_max_segment": int64(res.RebuildMaxSegment),
-		"replay.streamed":            streamed,
+		"replay.streamed":            flag[res.Streamed],
 		"replay.stream_peak_blocks":  res.StreamPeakBlocks,
 		"replay.stream_peak_bytes":   res.StreamPeakBytes,
+		// The slabs go back to their pools when the replay returns; the
+		// gauge keeps what the rebuilt reachability held.
+		"core.arena_bytes": arena,
 	}
 	for name, v := range vals {
-		v := v
 		reg.RegisterFunc(name, func() int64 { return v })
 	}
 }

@@ -2,6 +2,9 @@ package replay_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -168,8 +171,8 @@ func TestReplayStandaloneRecorder(t *testing.T) {
 	}
 }
 
-// TestShardBoundaryRace: two racing pairs on addresses that hash to
-// different shards must both be reported — races never cross a shard,
+// TestShardBoundaryRace: two racing pairs on addresses whose shadow pages
+// different shards own must both be reported — races never cross a shard,
 // and sharding must not drop one.
 func TestShardBoundaryRace(t *testing.T) {
 	const p = 4
@@ -212,36 +215,40 @@ func TestShardBoundaryRace(t *testing.T) {
 }
 
 // TestReplayDeterministicAcrossWorkers: the merged detailed reports are
-// identical for every worker count — sharding and merge order leak
-// nothing into the result.
+// identical for every worker count, barriered and streamed — sharding and
+// merge order leak nothing into the result. That includes a report cut by
+// MaxRaces: the shards keep every record and the cap falls on the sorted
+// merge, so the same records survive whatever the shard count.
 func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 	p := progen.New(progen.Config{Seed: 7, MaxDepth: 5, MaxOps: 9, Addrs: 4})
-	c, _ := record(t, p.Main(), 1)
-	var base *replay.Result
-	for _, workers := range []int{1, 2, 4, 8} {
-		res, err := replay.Run(c, replay.Options{Workers: workers, Reach: core.SubstrateDePa})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base == nil {
-			base = res
-			if res.RaceCount == 0 {
-				t.Fatal("seed produced no races; pick another")
+	raw, _ := recordBytes(t, p.Main(), 1)
+	c, err := trace.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxRaces := range []int{0, 3} {
+		var base *replay.Result
+		for _, workers := range []int{1, 2, 4, 8} {
+			opts := replay.Options{Workers: workers, Reach: core.SubstrateDePa, MaxRaces: maxRaces}
+			barriered, err := replay.Run(c, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if res.RaceCount != base.RaceCount || len(res.Races) != len(base.Races) {
-			t.Fatalf("%d workers: %d races (%d retained), 1 worker found %d (%d)",
-				workers, res.RaceCount, len(res.Races), base.RaceCount, len(base.Races))
-		}
-		for i := range res.Races {
-			if res.Races[i] != base.Races[i] {
-				t.Fatalf("%d workers: race %d differs: %v vs %v",
-					workers, i, res.Races[i], base.Races[i])
+			streamed, err := replay.RunStream(bytes.NewReader(raw), opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !sameAddrs(res.RacyAddrs, base.RacyAddrs) {
-			t.Fatalf("%d workers: racy set differs", workers)
+			if base == nil {
+				base = barriered
+				if base.RaceCount == 0 {
+					t.Fatal("seed produced no races; pick another")
+				}
+				if maxRaces > 0 && (base.RaceCount <= uint64(maxRaces) || len(base.Races) != maxRaces) {
+					t.Fatalf("%d races, %d retained: the cap of %d cuts nothing", base.RaceCount, len(base.Races), maxRaces)
+				}
+			}
+			sameRaces(t, fmt.Sprintf("cap %d, %d workers barriered", maxRaces, workers), barriered, base)
+			sameRaces(t, fmt.Sprintf("cap %d, %d workers streamed", maxRaces, workers), streamed, base)
 		}
 	}
 }
@@ -350,7 +357,7 @@ func TestReplayRejectsCorrupt(t *testing.T) {
 // TestReplayConcurrentRuns is the -race worker stress: several replays
 // of one shared capture run concurrently, each with parallel shards, so
 // the race detector sees the full sharing surface (read-only capture,
-// per-run reachability, per-worker shards).
+// per-run reachability, per-shard histories over disjoint pages).
 func TestReplayConcurrentRuns(t *testing.T) {
 	p := progen.New(progen.Config{Seed: 11, MaxDepth: 5, MaxOps: 9, Addrs: 8})
 	c, online := record(t, p.Main(), 4)
@@ -374,4 +381,53 @@ func TestReplayConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReplayReleasesArenaSlabs: a replay hands the rebuilt reachability's
+// arena slabs back to their pools when it returns, barriered or streamed,
+// so the next one draws them from there instead of the heap. With the
+// pools emptied first and the collector off in between, a second replay
+// must allocate less than the first by most of the slab bytes it held.
+func TestReplayReleasesArenaSlabs(t *testing.T) {
+	raw, _ := recordBytes(t, func(task *sched.Task) {
+		for i := 0; i < 20000; i++ {
+			task.Spawn(func(c *sched.Task) { c.Write(uint64(i)) })
+		}
+		task.Sync()
+	}, 1)
+	c, err := trace.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, streamed := range []bool{false, true} {
+		run := func() (allocated, slabs uint64) {
+			reg := obsv.NewRegistry()
+			opts := replay.Options{Workers: 2, Stats: reg}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if streamed {
+				_, err = replay.RunStream(bytes.NewReader(raw), opts)
+			} else {
+				_, err = replay.Run(c, opts)
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return after.TotalAlloc - before.TotalAlloc, uint64(reg.Snapshot()["core.arena_bytes"])
+		}
+		runtime.GC()
+		runtime.GC() // twice: the first only moves a sync.Pool's contents to its victim cache
+		restore := debug.SetGCPercent(-1)
+		first, slabs := run()
+		second, _ := run()
+		debug.SetGCPercent(restore)
+		if slabs == 0 {
+			t.Fatalf("streamed=%v: the replay held no arena slabs; the test measures nothing", streamed)
+		}
+		if second+slabs/2 > first {
+			t.Errorf("streamed=%v: second replay allocated %d bytes, first %d holding %d of slabs: slabs were not reused",
+				streamed, second, first, slabs)
+		}
+	}
 }

@@ -128,8 +128,8 @@ type AccessBlock struct {
 }
 
 // Capture is a fully decoded sftrace file. Events and Blocks each
-// preserve file order; Seq records the global interleaving (for tools
-// that need it, replay does not).
+// preserve file order; how the two interleaved in the file is not kept
+// (replay does not need it).
 type Capture struct {
 	Events  []Event       // structure events, file order
 	Blocks  []AccessBlock // access blocks, file order

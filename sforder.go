@@ -385,8 +385,8 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 type ReplayConfig struct {
 	// Workers is the number of detection shards replayed in parallel
 	// (0 = GOMAXPROCS). The race set is identical for every worker
-	// count; addresses are hash-partitioned so each location's history
-	// lives wholly in one shard.
+	// count; access blocks are routed by shadow page — a location lives
+	// in one page, a page in one shard — so no location's history splits.
 	Workers int
 	// RebuildWorkers parallelizes the dag rebuild itself when above 1:
 	// the strand forest is partitioned into independent segments and
@@ -419,11 +419,11 @@ type ReplayResult = replay.Result
 
 // Replay loads a capture recorded via Config.Record from r, rebuilds
 // the computation dag on the selected reachability substrate, and
-// re-runs full race detection offline, with access events partitioned
-// by address hash across Workers parallel shards. The location-level
-// verdict (which addresses race) equals the online run's; the detailed
-// race list is deterministic — independent of Workers and of the
-// recorded schedule.
+// re-runs full race detection offline, with access blocks routed by
+// shadow page across Workers parallel shards (a location lives in one
+// page, a page in one shard). The location-level verdict (which addresses
+// race) equals the online run's; the detailed race list is deterministic
+// — independent of Workers and of the recorded schedule.
 func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 	opts := replay.Options{
 		Workers:        cfg.Workers,
