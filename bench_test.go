@@ -207,15 +207,20 @@ func BenchmarkAblationGpMerge(b *testing.B) {
 
 // BenchmarkKSweep (KSWEEP): the O(k²) reachability-construction term,
 // isolated. Chain(k) holds per-future work constant while k grows;
-// reach-mode detector time should bend quadratically (each create copies
-// a Θ(k)-word cp bitmap) while base time stays linear in k. Both
-// parallel detectors are swept; fib (k=0) anchors the fork-join-only
-// cost.
+// F-Order's reach-mode time and memory bend quadratically (each create
+// copies a table with an entry per ancestor) while base time stays
+// linear in k — and so does SF-Order, whose gp sets down a get-chain are
+// single runs (bitset.RunSet): the k = 20000 case is there to keep that
+// linear path exercised, and F-Order sits it out (it would want ~20 GB).
+// fib (k=0) anchors the fork-join-only cost.
 func BenchmarkKSweep(b *testing.B) {
-	for _, k := range []int{64, 256, 1024} {
+	for _, k := range []int{64, 256, 1024, 20000} {
 		bench := workload.Chain(k, 16)
 		for _, det := range []harness.Detector{harness.SFOrder, harness.FOrder} {
 			det := det
+			if det == harness.FOrder && k > 1024 {
+				continue
+			}
 			b.Run(fmt.Sprintf("chain-k%d/%s", k, det), func(b *testing.B) {
 				res := measure(b, bench, harness.Config{Detector: det, Mode: harness.Reach, Serial: true})
 				b.ReportMetric(float64(res.ReachMem), "reach-bytes")

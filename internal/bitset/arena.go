@@ -7,8 +7,8 @@ import (
 )
 
 // arenaPageWords is the number of uint64 words per arena page (32 KiB).
-// gp/cp bitmaps are a handful of words each (one word covers 64 future
-// IDs), so a page serves thousands of sets.
+// Only a RunSet with a residue window draws words, a handful each (one
+// word covers 64 future IDs), so a page serves thousands of sets.
 const arenaPageWords = 4096
 
 type arenaPage struct{ words [arenaPageWords]uint64 }
@@ -17,25 +17,31 @@ type arenaPage struct{ words [arenaPageWords]uint64 }
 // Arena.Release.
 var arenaPagePool = sync.Pool{New: func() any { return new(arenaPage) }}
 
-// Arena is a bump allocator for Set word arrays, used by the per-worker
-// lane arenas of internal/core so gp/cp bitmap allocation on the reach
-// hot path is a pointer bump. Single-owner: not safe for concurrent
-// use. A nil *Arena is valid and falls back to the heap.
+// Arena is a bump allocator for RunSet windows, used by the per-worker
+// lane arenas of internal/core so a gp/cp set that needs residue words
+// gets them by a pointer bump (UnionIn, UnionAddIn, MergeSharedIn).
+// Single-owner: not safe for concurrent use. A nil *Arena is valid and
+// falls back to the heap.
 //
-// Word slices handed out are capacity-clamped (three-index slices), so
-// a Set that later grows past its arena allocation reallocates onto the
-// heap instead of overwriting its page neighbours.
+// A window is sized exactly and never grows in place (RunSet.Add builds
+// a new one), so page neighbours cannot overwrite each other.
 type Arena struct {
 	cur   *arenaPage
 	next  int
 	pages []*arenaPage
-	bytes atomic.Int64 // page bytes held; atomic so gauges scrape mid-run
+	bytes atomic.Int64 // bytes handed out or held in pages; atomic so gauges scrape mid-run
 }
 
-// alloc returns a zeroed word slice of length n. Requests larger than a
-// page, and all requests on a nil arena, go to the heap.
+// alloc returns a word slice of length n for the caller to fill (a
+// recycled page is not cleared). A request larger than a page goes to
+// the heap and still counts toward Bytes; a nil arena sends everything
+// to the heap and counts nothing.
 func (a *Arena) alloc(n int) []uint64 {
-	if a == nil || n > arenaPageWords {
+	if a == nil {
+		return make([]uint64, n)
+	}
+	if n > arenaPageWords {
+		a.bytes.Add(int64(8 * n))
 		return make([]uint64, n)
 	}
 	if a.cur == nil || a.next+n > arenaPageWords {
@@ -46,11 +52,11 @@ func (a *Arena) alloc(n int) []uint64 {
 	}
 	w := a.cur.words[a.next : a.next+n : a.next+n]
 	a.next += n
-	clear(w)
 	return w
 }
 
-// Bytes reports the page bytes currently held by the arena.
+// Bytes reports the bytes the arena holds: its pages plus every
+// over-page window it sent to the heap.
 func (a *Arena) Bytes() int64 {
 	if a == nil {
 		return 0
@@ -59,8 +65,8 @@ func (a *Arena) Bytes() int64 {
 }
 
 // Release returns every page to the shared pool for reuse by a later
-// run. The caller must guarantee no Set allocated from this arena is
-// referenced afterwards.
+// run. The caller must guarantee no RunSet whose window came from this
+// arena is referenced afterwards.
 func (a *Arena) Release() {
 	if a == nil {
 		return
@@ -72,62 +78,4 @@ func (a *Arena) Release() {
 	a.pages = a.pages[:0]
 	a.cur, a.next = nil, 0
 	a.bytes.Store(0)
-}
-
-// hintWords converts an ID-capacity hint into a word count.
-func hintWords(hint int) int {
-	if hint <= 0 {
-		return 0
-	}
-	return (hint + wordBits - 1) / wordBits
-}
-
-// CloneIn returns a copy of s with its words drawn from a, sized to
-// cover IDs < hint so a subsequent Add below the hint never grows the
-// set off-arena. Nil s clones to an empty set.
-func CloneIn(a *Arena, s *Set, hint int) *Set {
-	nw := hintWords(hint)
-	if s != nil && len(s.words) > nw {
-		nw = len(s.words)
-	}
-	c := &Set{}
-	if nw > 0 {
-		c.words = a.alloc(nw)
-		if s != nil {
-			copy(c.words, s.words)
-		}
-	}
-	return c
-}
-
-// UnionIn returns the union of x and y with the result words drawn from
-// a, pre-sized to cover IDs < hint. Nil arguments are empty sets.
-func UnionIn(a *Arena, x, y *Set, hint int) *Set {
-	u := CloneIn(a, x, hint)
-	if y != nil {
-		if len(y.words) > len(u.words) {
-			// y outgrew the hint: fall back to the growing path.
-			u.UnionWith(y)
-			return u
-		}
-		for i, w := range y.words {
-			u.words[i] |= w
-		}
-	}
-	return u
-}
-
-// MergeSharedIn is MergeShared with any freshly allocated union drawn
-// from a (see MergeShared for the copy-on-write policy).
-func MergeSharedIn(a *Arena, x, y *Set) (merged *Set, allocated bool) {
-	switch {
-	case x == nil && y == nil:
-		return nil, false
-	case x.Subsumes(y):
-		return x, false
-	case y.Subsumes(x):
-		return y, false
-	default:
-		return UnionIn(a, x, y, 0), true
-	}
 }

@@ -1,13 +1,21 @@
-// Package bitset provides fixed-purpose dynamic bitsets used by the
-// SF-Order reachability structures (the gp and cp tables of the paper,
-// §3.2). A Set is an append-only membership bitmap over small integer IDs
-// (future IDs in practice), stored as a slice of 64-bit words.
+// Package bitset provides the two sets of small non-negative integer IDs
+// the repository uses.
 //
-// Sets are value types built for a copy-on-write discipline: reachability
-// maintenance shares a *Set between dag nodes via pointer as long as no
-// divergence occurs, and allocates a fresh set only when two parents each
-// contain bits the other lacks (paper §3.4). The helpers Union, Subsumes
-// and MergeShared implement exactly that policy.
+// RunSet (runset.go) is the set behind the SF-Order reachability
+// structures, the gp and cp tables of the paper (§3.2): one dense run of
+// consecutive future IDs plus a residue window of bitmap words for the
+// members outside it, so the run-shaped sets structured futures build
+// cost a fixed header instead of the paper's k-bit bitmap. It is built
+// for a copy-on-write discipline: reachability maintenance shares a
+// *RunSet between dag nodes via pointer as long as no divergence occurs,
+// and allocates a fresh set only when two parents each contain members
+// the other lacks (paper §3.4). Subsumes, UnionIn and MergeSharedIn
+// implement exactly that policy, and Arena bump-allocates the windows.
+//
+// Set is the flat form, an append-only bitmap stored as a slice of 64-bit
+// words with the same Subsumes/Union/MergeShared contract. It is the
+// closure row of internal/dag (the reachability oracle) and the reference
+// RunSet is tested against.
 package bitset
 
 import (
@@ -89,7 +97,16 @@ func (s *Set) Len() int {
 }
 
 // Empty reports whether the set has no members.
-func (s *Set) Empty() bool { return s.Len() == 0 }
+func (s *Set) Empty() bool {
+	if s != nil {
+		for _, w := range s.words {
+			if w != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
@@ -189,10 +206,12 @@ func (s *Set) MemBytes() int {
 
 // String renders the set as "{1, 5, 9}" for debugging and test failure
 // messages.
-func (s *Set) String() string {
+func (s *Set) String() string { return formatIDs(s.IDs()) }
+
+func formatIDs(ids []int) string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, id := range s.IDs() {
+	for i, id := range ids {
 		if i > 0 {
 			b.WriteString(", ")
 		}

@@ -11,10 +11,11 @@ import (
 )
 
 // Slab arenas for the reach hot path. Every spawn/create/get allocates
-// per-strand node records, OM items, and (for creates/gets/merges)
-// bitmap words; drawing them from per-lane slabs turns those heap
-// allocations into pointer bumps and lets a finished Run recycle the
-// memory wholesale through sync.Pool instead of leaving it to the GC.
+// per-strand node records, OM items, and (for a create/get/merge whose
+// set is not a single run) residue-window words; drawing them from
+// per-lane slabs turns those heap allocations into pointer bumps and
+// lets a finished Run recycle the memory wholesale through sync.Pool
+// instead of leaving it to the GC.
 
 const (
 	nodeChunkLen = 256 // 256 × 24 B = 6 KiB per slab
@@ -100,7 +101,7 @@ func (s *metaSlab) release() {
 }
 
 // laneAlloc is one lane's allocation state: arenas for OM items, node
-// and future records, and bitmap words. The engine guarantees a lane is
+// and future records, and set-window words. The engine guarantees a lane is
 // never used by two workers at once (sched.LaneTracer contract); the
 // shared fallback lane — used when the Reach is driven through a
 // MultiTracer or other non-lane path — is serialized by Reach.sharedMu.
@@ -125,9 +126,10 @@ func (a *laneAlloc) release() {
 	a.sets.Release()
 }
 
-// itemsOf and labelsOf resolve a lane's substrate arenas; both are
-// nil-safe (NoArena mode and out-of-lane callers pass a nil lane, and
-// the arenas themselves treat nil receivers as heap fallback).
+// itemsOf, labelsOf and setsOf resolve a lane's substrate and set-window
+// arenas; all are nil-safe (NoArena mode, out-of-lane callers and the
+// offline rebuild pass a nil lane, and the arenas themselves treat nil
+// receivers as heap fallback).
 func itemsOf(a *laneAlloc) *om.ItemArena {
 	if a == nil {
 		return nil
@@ -140,4 +142,11 @@ func labelsOf(a *laneAlloc) *depa.Arena {
 		return nil
 	}
 	return &a.labels
+}
+
+func setsOf(a *laneAlloc) *bitset.Arena {
+	if a == nil {
+		return nil
+	}
+	return &a.sets
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"sforder/internal/bitset"
 	"sforder/internal/depa"
 	"sforder/internal/sched"
 )
@@ -82,11 +81,8 @@ func (o *Offline) BindRootFuture(f *sched.FutureTask) {
 // BindFuture binds a created future: cp(G) = cp(parent) ∪ {parent}.
 // The parent must already be bound (creation order).
 func (o *Offline) BindFuture(f *sched.FutureTask) {
-	parent := metaOf(f.Parent)
-	cp := bitset.CloneIn(nil, parent.cp, f.Parent.ID+1)
-	cp.Add(f.Parent.ID)
 	fm := &o.metas[f.ID]
-	fm.cp = o.r.trackSet(cp)
+	fm.cp = o.r.childCP(nil, f.Parent)
 	f.Det = fm
 }
 
@@ -106,12 +102,7 @@ func (o *Offline) SyncGP(k, s *sched.Strand, childSinks []*sched.Strand) {
 // {F}. Unlike the online placeGet it performs no placement — g's label
 // came from the table — and counts no extra strand.
 func (o *Offline) GetGP(u, g *sched.Strand, f *sched.FutureTask) {
-	un, gn := nodeOf(u), nodeOf(g)
-	last := nodeOf(f.Last())
-	gp := bitset.UnionIn(nil, un.gp, last.gp, f.ID+1)
-	gp.Add(f.ID)
-	o.r.gpMerges.Add(1)
-	gn.gp = o.r.trackSet(gp)
+	nodeOf(g).gp = o.r.getGP(nil, nodeOf(u).gp, nodeOf(f.Last()).gp, f)
 }
 
 // accountTable bulk-feeds the substrate counters for an offline-built

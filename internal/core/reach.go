@@ -10,11 +10,13 @@
 //     spawn edges, dropping get edges, and joining every created future
 //     at a sync of its creating future. A strand u reaches v in PSP(D)
 //     (written u ↠ v) iff u precedes v in both lists.
-//  2. cp(G): per future task G, the bitmap of G's ancestor future IDs.
-//  3. gp(v): per strand v, the bitmap of future IDs F whose last strand
-//     reaches v through a non-SP path. gp bitmaps are shared between
-//     strands copy-on-write and merged only when both sides own bits the
-//     other lacks (§3.4), which happens O(k) times for k futures.
+//  2. cp(G): per future task G, the set of G's ancestor future IDs. It
+//     depends only on the creating future, so every child of F shares
+//     one set.
+//  3. gp(v): per strand v, the set of future IDs F whose last strand
+//     reaches v through a non-SP path. gp sets are shared between
+//     strands copy-on-write and merged only when both sides own members
+//     the other lacks (§3.4), which happens O(k) times for k futures.
 //
 // A query Precedes(u ∈ F, v ∈ G) then follows Algorithm 1:
 //
@@ -23,10 +25,17 @@
 //	F ∈ gp(v):            true
 //	otherwise:            false
 //
-// The implementation mirrors the paper's engineering choices (§4): cp and
-// gp are arrays of 64-bit words indexed by future ID rather than hash
-// tables, which is both the asymptotic win over F-Order's per-node hash
-// tables and the practical memory win measured in Figure 5.
+// The paper (§4) keeps cp and gp as arrays of 64-bit words indexed by
+// future ID rather than hash tables — the asymptotic win over F-Order's
+// per-node hash tables and the memory win of Figure 5 — and pays k bits
+// per set, the k² of Theorem 3.14. Here both are bitset.RunSet values:
+// one run of consecutive IDs plus bitmap words only for the members
+// outside it. Membership is still O(1), and the sets structured futures
+// actually build — the ancestors of a chain, everything a pipeline stage
+// has joined — are single runs, so a get or a create allocates a 24-byte
+// header and copies no words; the bitmap survives as the residue window
+// of a set that is not run-shaped, never larger than the paper's.
+// childCP and getGP below are the only places a set is constructed.
 package core
 
 import (
@@ -51,7 +60,7 @@ import (
 // needs no tag.
 type node struct {
 	p0, p1 unsafe.Pointer
-	gp     *bitset.Set // future IDs F with last(F) ⇝NSP here (shared)
+	gp     *bitset.RunSet // future IDs F with last(F) ⇝NSP here (shared)
 }
 
 func (n *node) omPos() (eng, heb *om.Item) { return (*om.Item)(n.p0), (*om.Item)(n.p1) }
@@ -66,7 +75,11 @@ func (n *node) setDepa(l *depa.Label, f *depa.Flat) {
 
 // futMeta is the SF-Order per-future state.
 type futMeta struct {
-	cp *bitset.Set // ancestor future IDs (immutable once built)
+	cp *bitset.RunSet // ancestor future IDs (immutable once built)
+	// kids is cp ∪ {this future}: the cp of every future this one
+	// creates, built by the first create and shared by the rest. Strands
+	// of one future create in parallel, so it is published by CAS.
+	kids atomic.Pointer[bitset.RunSet]
 }
 
 // Config carries the Reach ablation knobs. The zero value is the paper
@@ -118,8 +131,11 @@ type Reach struct {
 	lanes    []*laneAlloc
 	shared   *laneAlloc
 
-	// setMem tracks bytes allocated for gp/cp bitmaps (each allocation
-	// recorded once; sets are immutable afterwards).
+	// cpSets counts the shared child-cp sets published (gpMerges counts
+	// every gp set built) and setMem the payload bytes gp and cp sets own
+	// — their residue windows (each set recorded once; sets are immutable
+	// afterwards).
+	cpSets atomic.Int64
 	setMem atomic.Int64
 }
 
@@ -230,11 +246,46 @@ func metaOf(f *sched.FutureTask) *futMeta {
 	return f.Det.(*futMeta)
 }
 
-func (r *Reach) trackSet(s *bitset.Set) *bitset.Set {
-	if s != nil {
-		r.setMem.Add(int64(s.MemBytes()))
+// trackSet records the payload of a freshly built set; a single run
+// owns none and touches no counter.
+func (r *Reach) trackSet(s *bitset.RunSet) *bitset.RunSet {
+	if n := s.MemBytes(); n != 0 {
+		r.setMem.Add(int64(n))
 	}
 	return s
+}
+
+// newGP counts and records a freshly built gp set: one per get and one
+// per divergent (or, under AlwaysMerge, every) merge.
+func (r *Reach) newGP(s *bitset.RunSet) *bitset.RunSet {
+	r.gpMerges.Add(1)
+	return r.trackSet(s)
+}
+
+// setCount is how many gp and cp sets have been built.
+func (r *Reach) setCount() int64 { return int64(r.gpMerges.Load()) + r.cpSets.Load() }
+
+// childCP returns cp(G) = cp(F) ∪ {F} for a future G created by F. The
+// set depends on F alone, so the first create builds it and publishes it
+// on F's record; a racing create from a parallel strand of F adopts the
+// winner's pointer and its own copy is dropped uncounted.
+func (r *Reach) childCP(sets *bitset.Arena, f *sched.FutureTask) *bitset.RunSet {
+	fm := metaOf(f)
+	if cp := fm.kids.Load(); cp != nil {
+		return cp
+	}
+	cp := bitset.UnionAddIn(sets, fm.cp, nil, f.ID)
+	if fm.kids.CompareAndSwap(nil, cp) {
+		r.cpSets.Add(1)
+		return r.trackSet(cp)
+	}
+	return fm.kids.Load()
+}
+
+// getGP returns gp(g) = gp(u) ∪ gp(last(F)) ∪ {F} for the strand g that
+// follows u's get of future F, given the two operand sets.
+func (r *Reach) getGP(sets *bitset.Arena, gpU, gpLast *bitset.RunSet, f *sched.FutureTask) *bitset.RunSet {
+	return r.newGP(bitset.UnionAddIn(sets, gpU, gpLast, f.ID))
 }
 
 // OnRoot implements sched.Tracer. The root is a single event before any
@@ -293,17 +344,12 @@ func (r *Reach) placeBranch(a *laneAlloc, u, child, cont, placeholder *sched.Str
 // spawn in PSP(D), and cp(G) = cp(F) ∪ {F} for the new future.
 func (r *Reach) placeCreate(a *laneAlloc, u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
 	r.placeBranch(a, u, first, cont, placeholder)
-	parent := metaOf(f.Parent)
-	var sets *bitset.Arena
 	var metas *metaSlab
 	if a != nil {
-		sets, metas = &a.sets, &a.metas
+		metas = &a.metas
 	}
-	// Sized to cover the parent's ID so the Add never grows off-arena.
-	cp := bitset.CloneIn(sets, parent.cp, f.Parent.ID+1)
-	cp.Add(f.Parent.ID)
 	fm := metas.get()
-	fm.cp = r.trackSet(cp)
+	fm.cp = r.childCP(setsOf(a), f.Parent)
 	f.Det = fm
 }
 
@@ -311,10 +357,7 @@ func (r *Reach) placeCreate(a *laneAlloc, u, first, cont, placeholder *sched.Str
 // merged gp of its real-dag predecessors — the continuation k and the
 // joined spawned children's sinks.
 func (r *Reach) placeSync(a *laneAlloc, k, s *sched.Strand, childSinks []*sched.Strand) {
-	var sets *bitset.Arena
-	if a != nil {
-		sets = &a.sets
-	}
+	sets := setsOf(a)
 	sn := nodeOf(s)
 	acc := nodeOf(k).gp
 	for _, c := range childSinks {
@@ -329,17 +372,12 @@ func (r *Reach) placeGet(a *laneAlloc, u, g *sched.Strand, f *sched.FutureTask) 
 	un := nodeOf(u)
 	r.strands.Add(1)
 	var nodes *nodeSlab
-	var sets *bitset.Arena
 	if a != nil {
-		nodes, sets = &a.nodes, &a.sets
+		nodes = &a.nodes
 	}
 	gn := nodes.get()
 	r.sub.placeSerial(a, un, gn)
-	last := nodeOf(f.Last())
-	gp := bitset.UnionIn(sets, un.gp, last.gp, f.ID+1)
-	gp.Add(f.ID)
-	r.gpMerges.Add(1)
-	gn.gp = r.trackSet(gp)
+	gn.gp = r.getGP(setsOf(a), un.gp, nodeOf(f.Last()).gp, f)
 	g.Det = gn
 }
 
@@ -414,18 +452,16 @@ func (r *Reach) OnGetLane(lane int, u, g *sched.Strand, f *sched.FutureTask) {
 	r.placeGet(r.laneFor(lane), u, g, f)
 }
 
-func (r *Reach) mergeGP(sets *bitset.Arena, a, b *bitset.Set) *bitset.Set {
+func (r *Reach) mergeGP(sets *bitset.Arena, a, b *bitset.RunSet) *bitset.RunSet {
 	if r.cfg.AlwaysMerge {
 		if a == nil && b == nil {
 			return nil
 		}
-		r.gpMerges.Add(1)
-		return r.trackSet(bitset.UnionIn(sets, a, b, 0))
+		return r.newGP(bitset.UnionIn(sets, a, b))
 	}
 	m, allocated := bitset.MergeSharedIn(sets, a, b)
 	if allocated {
-		r.gpMerges.Add(1)
-		r.trackSet(m)
+		r.newGP(m)
 	}
 	return m
 }
@@ -493,7 +529,7 @@ func (r *Reach) LeftOf(a, b *sched.Strand) bool {
 // Queries returns the number of Precedes calls served.
 func (r *Reach) Queries() uint64 { return r.queries.Load() }
 
-// GPMerges returns how many gp/get merges allocated a fresh bitmap; the
+// GPMerges returns how many gp/get merges allocated a fresh set; the
 // §3.4 argument bounds this by O(k).
 func (r *Reach) GPMerges() uint64 { return r.gpMerges.Load() }
 
@@ -504,7 +540,8 @@ var nodeSize = int(unsafe.Sizeof(node{}))
 
 // MemBytes estimates the memory footprint of the reachability component:
 // the substrate (OM lists or fork-path labels), the per-strand node
-// records, and all gp/cp bitmaps (Figure 5).
+// records, and the payload of all gp/cp sets (Figure 5). The 24-byte set
+// headers are left out, as the flat bitmap's slice headers always were.
 func (r *Reach) MemBytes() int {
 	return r.sub.memBytes() +
 		int(r.strands.Load())*nodeSize + int(r.setMem.Load())
@@ -519,7 +556,12 @@ func (r *Reach) RegisterStats(reg *obsv.Registry) {
 	reg.RegisterFunc("reach.queries", func() int64 { return int64(r.queries.Load()) })
 	reg.RegisterFunc("reach.gp_merges", func() int64 { return int64(r.gpMerges.Load()) })
 	reg.RegisterFunc("reach.strands", func() int64 { return int64(r.strands.Load()) })
+	reg.RegisterFunc("reach.sets", r.setCount)
 	reg.RegisterFunc("reach.set_mem_bytes", func() int64 { return r.setMem.Load() })
+	// A set's only payload is its residue window, so this is the same
+	// count under the name that answers "is my program run-shaped?": 0
+	// means every gp and cp set is a single interval of future IDs.
+	reg.RegisterFunc("reach.set_residue_bytes", func() int64 { return r.setMem.Load() })
 	reg.RegisterFunc("reach.mem_bytes", func() int64 { return int64(r.MemBytes()) })
 	r.sub.registerStats(reg)
 	if _, ok := r.sub.(*depaSub); ok {

@@ -1,14 +1,26 @@
 package core
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
+
+	"sforder/internal/bitset"
+	"sforder/internal/dag"
+	"sforder/internal/progen"
+	"sforder/internal/sched"
+	"sforder/internal/workload"
 )
 
 // TestAccountingSizes pins the per-strand record size to the real
 // struct layout. The old constant (nodeSize=40) had drifted; the size
 // is now unsafe.Sizeof-derived and this test pins the expected 64-bit
-// value so growth fails loudly.
+// value so growth fails loudly. The gp/cp set header is pinned with it:
+// MemBytes counts a set's window and leaves its header out, so the
+// header may not outgrow the flat bitmap's 24-byte slice header.
 func TestAccountingSizes(t *testing.T) {
 	if nodeSize != int(unsafe.Sizeof(node{})) {
 		t.Errorf("nodeSize %d != sizeof(node) %d", nodeSize, unsafe.Sizeof(node{}))
@@ -18,5 +30,163 @@ func TestAccountingSizes(t *testing.T) {
 	}
 	if nodeSize != 24 {
 		t.Errorf("node grew: %d bytes, expected 24", nodeSize)
+	}
+	if bitset.RunSetHeaderBytes > 24 {
+		t.Errorf("set header grew: %d bytes, expected ≤ 24", bitset.RunSetHeaderBytes)
+	}
+	if got := unsafe.Sizeof(futMeta{}); got > 16 {
+		t.Errorf("futMeta grew: %d bytes, expected ≤ 16 (cp and the shared child cp)", got)
+	}
+}
+
+// setBytes runs b under a fresh Reach and returns what its gp/cp sets
+// cost: counted payload plus one header a set.
+func setBytes(t *testing.T, b *workload.Benchmark, workers int) int64 {
+	t.Helper()
+	r := NewReach()
+	defer r.Release()
+	run := b.Make()
+	if _, err := sched.Run(sched.Options{Workers: workers, Tracer: r}, run.Main); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	return r.setMem.Load() + r.setCount()*int64(bitset.RunSetHeaderBytes)
+}
+
+// TestSetMemoryGrowsLinearly: on the get-chain shapes the k² of Theorem
+// 3.14 is gone — twice the futures cost about twice the set memory, not
+// four times (the flat bitmap's counted bytes grew 3.7× from chain(1000)
+// to chain(2000)).
+func TestSetMemoryGrowsLinearly(t *testing.T) {
+	const k = 1000
+	shapes := []struct {
+		name string
+		make func(k int) *workload.Benchmark
+	}{
+		{"chain", func(k int) *workload.Benchmark { return workload.Chain(k, 1) }},
+		{"pipeline", func(k int) *workload.Benchmark { return workload.Pipeline(8, k/8, 1) }},
+		{"ksweep", func(k int) *workload.Benchmark { return workload.KSweep(k, 2) }},
+	}
+	for _, shape := range shapes {
+		for _, workers := range []int{1, 4} {
+			small, big := setBytes(t, shape.make(k), workers), setBytes(t, shape.make(2*k), workers)
+			if small == 0 || float64(big) > 2.2*float64(small) {
+				t.Errorf("%s, %d workers: %d futures cost %d B of sets, %d cost %d B (%.2f×, want ≤ 2.2×)",
+					shape.name, workers, k, small, 2*k, big, float64(big)/float64(small))
+			}
+		}
+	}
+}
+
+// TestSetsNeverExceedFlat walks every gp and cp set of generated
+// programs (the dag shapes of internal/detect's fuzzShapes; addresses
+// play no part in a future-id set): none counts more than the flat
+// bitmap of its members would, and the gauges cover them all (plus the
+// intermediate unions of a sync with several divergent children, which
+// no strand keeps).
+func TestSetsNeverExceedFlat(t *testing.T) {
+	for _, cfg := range []progen.Config{{MaxDepth: 4, MaxOps: 8}, {MaxDepth: 3, MaxOps: 8}} {
+		for seed := int64(0); seed < 40; seed++ {
+			cfg.Seed = seed
+			r := NewReach()
+			rec := dag.NewRecorder()
+			if _, err := sched.Run(sched.Options{Serial: true, Tracer: sched.MultiTracer{r, rec}}, progen.New(cfg).Main()); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[*bitset.RunSet]bool{nil: true}
+			var counted int64
+			check := func(what string, s *bitset.RunSet) {
+				if seen[s] {
+					return
+				}
+				seen[s] = true
+				ids := s.IDs()
+				if flat := 8 * (ids[len(ids)-1]/64 + 1); s.MemBytes() > flat {
+					t.Fatalf("depth %d seed %d: %s %v counts %d B, flat %d B", cfg.MaxDepth, seed, what, s, s.MemBytes(), flat)
+				}
+				counted += int64(s.MemBytes())
+			}
+			for _, s := range rec.Strands() {
+				check("gp", nodeOf(s).gp)
+				check("cp", metaOf(s.Fut).cp)
+				check("child cp", metaOf(s.Fut).kids.Load())
+			}
+			if got := r.setMem.Load(); got < counted {
+				t.Fatalf("depth %d seed %d: reach.set_mem_bytes %d, sets own %d", cfg.MaxDepth, seed, got, counted)
+			}
+			if got, distinct := r.setCount(), int64(len(seen)-1); got < distinct {
+				t.Fatalf("depth %d seed %d: reach.sets %d, distinct sets %d", cfg.MaxDepth, seed, got, distinct)
+			}
+		}
+	}
+}
+
+// TestSharedChildCPHammer: strands of one future creating in parallel
+// race to publish that future's child cp; every child must end up with
+// the same pointer, and the set is counted once. The strands of a
+// parent line up before their first create (for a few milliseconds at
+// most — thieves usually pick all eight up), so the CAS is contended.
+// Run under -race in CI.
+func TestSharedChildCPHammer(t *testing.T) {
+	const parents, strands, creates = 40, 8, 6
+	r := NewReach()
+	var mu sync.Mutex
+	kids := make(map[*sched.FutureTask][]*sched.FutureTask) // parent → children
+	_, err := sched.Run(sched.Options{Workers: strands, Tracer: r}, func(t *sched.Task) {
+		for p := 0; p < parents; p++ {
+			f := t.Create(func(c *sched.Task) any {
+				var arrived atomic.Int32
+				lineUp := make(chan struct{})
+				for s := 0; s < strands; s++ {
+					c.Spawn(func(ch *sched.Task) {
+						if arrived.Add(1) == strands {
+							close(lineUp)
+						}
+						select {
+						case <-lineUp:
+						case <-time.After(5 * time.Millisecond):
+						}
+						var mine []*sched.FutureTask
+						for i := 0; i < creates; i++ {
+							g := ch.Create(func(*sched.Task) any { return nil })
+							mine = append(mine, g.Task())
+							ch.Get(g)
+						}
+						mu.Lock()
+						kids[c.FutureTask()] = append(kids[c.FutureTask()], mine...)
+						mu.Unlock()
+					})
+				}
+				c.Sync()
+				return nil
+			})
+			t.Get(f)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kids) != parents {
+		t.Fatalf("%d parents recorded, want %d", len(kids), parents)
+	}
+	for parent, children := range kids {
+		want := metaOf(parent).kids.Load()
+		if len(children) != strands*creates || want == nil {
+			t.Fatalf("future %d: %d children, shared cp %v", parent.ID, len(children), want)
+		}
+		if ids := fmt.Sprint(want.IDs()); ids != fmt.Sprint([]int{0, parent.ID}) {
+			t.Fatalf("future %d: child cp %s", parent.ID, ids)
+		}
+		for _, g := range children {
+			if metaOf(g).cp != want {
+				t.Fatalf("future %d: child %d holds its own cp %v", parent.ID, g.ID, metaOf(g).cp)
+			}
+		}
+	}
+	// One child cp for the root and one per parent, whoever won.
+	if got := r.cpSets.Load(); got != 1+parents {
+		t.Errorf("%d child cp sets counted, want %d: one counted more than once", got, 1+parents)
 	}
 }

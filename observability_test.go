@@ -150,6 +150,16 @@ func TestStatsSnapshot(t *testing.T) {
 		if got := res.Stats["hist.states"]; got != states {
 			t.Errorf("%v: hist.states %d, want %d", det, got, states)
 		}
+		if det == sforder.SFOrder {
+			// The root's child cp {0} and the get strand's gp {1}: two
+			// sets, both a single run, so no residue.
+			if got := res.Stats["reach.sets"]; got != 2 {
+				t.Errorf("reach.sets %d, want 2", got)
+			}
+			if got, ok := res.Stats["reach.set_residue_bytes"]; !ok || got != 0 {
+				t.Errorf("reach.set_residue_bytes %d (present %v), want 0", got, ok)
+			}
+		}
 	}
 }
 
