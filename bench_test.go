@@ -2,19 +2,17 @@
 // per table/figure (see DESIGN.md §5 and EXPERIMENTS.md):
 //
 //	BenchmarkFig3Characteristics  — Figure 3 columns as reported metrics
-//	BenchmarkFig4                 — Figure 4 grid: benchmark × detector × mode × workers
 //	BenchmarkFig5Memory           — Figure 5: reachability memory as reported metrics
 //	BenchmarkAblationReaderPolicy — ABL1: ReadersAll vs ReadersLR histories
-//	BenchmarkAblationGpMerge      — ABL2: §3.4 merge-on-divergence vs always-merge
 //	BenchmarkAblationBitmapVsHash — ABL3: SF-Order bitmaps vs F-Order tables, reach only
 //	BenchmarkAblationFastPath     — ABL7: lock-avoiding access history on vs off
-//	BenchmarkAblationOMLock       — ABL8: fine-grained vs global OM locking × arenas vs heap
-//	BenchmarkAblationDeque        — ABL9: lock-free Chase–Lev scheduler vs mutex deque
 //	BenchmarkAblationReach        — ABL10: English/Hebrew OM pair vs DePa fork-path labels
 //	BenchmarkAblationHybrid       — ABL11: prefix-sharing cords vs OM vs hybrid, worker scaling
 //	BenchmarkReplayScaling        — ABL12: offline replay of recorded captures, shard scaling
 //
-// Benchmark inputs are reduced from the paper's (its testbed ran minutes
+// The Figure 4 timing grid is not here: its cells are the bench/
+// module's full_overhead_* / reach_overhead_t1 metrics and
+// `sforder -table fig4`. Benchmark inputs are reduced from the paper's (its testbed ran minutes
 // per cell on a 20-core Xeon); the overhead and memory ratios — the
 // quantities the paper's claims are about — are preserved. Run with:
 //
@@ -30,6 +28,7 @@ import (
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
+	"sforder/internal/engine"
 	"sforder/internal/forder"
 	"sforder/internal/harness"
 	"sforder/internal/obsv"
@@ -92,9 +91,9 @@ func BenchmarkFig3Characteristics(b *testing.B) {
 	for _, bench := range benchSet() {
 		bench := bench
 		b.Run(bench.Name, func(b *testing.B) {
-			res := measure(b, bench, harness.Config{
-				Detector: harness.SFOrder, Mode: harness.Full, Serial: true, CountAccesses: true,
-			})
+			res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{
+				Serial: true, Stats: obsv.NewRegistry(), // a registry turns the access counters on
+			}})
 			b.ReportMetric(float64(res.Counts.Reads), "reads")
 			b.ReportMetric(float64(res.Counts.Writes), "writes")
 			b.ReportMetric(float64(res.Queries), "queries")
@@ -104,56 +103,15 @@ func BenchmarkFig3Characteristics(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4 times every cell of the Figure 4 grid. MultiBags runs
-// serially only; the parallel detectors run at 1 worker and at
-// DefaultWorkers.
-func BenchmarkFig4(b *testing.B) {
-	tp := harness.DefaultWorkers()
-	type cell struct {
-		name string
-		cfg  harness.Config
-	}
-	for _, bench := range benchSet() {
-		bench := bench
-		cells := []cell{
-			{"base/T1", harness.Config{Mode: harness.Base, Serial: true}},
-			{"base/TP", harness.Config{Mode: harness.Base, Workers: tp}},
-		}
-		for _, mode := range []harness.Mode{harness.Reach, harness.Full} {
-			cells = append(cells,
-				cell{"MultiBags/" + mode.String() + "/T1",
-					harness.Config{Detector: harness.MultiBags, Mode: mode, Serial: true}},
-				cell{"F-Order/" + mode.String() + "/T1",
-					harness.Config{Detector: harness.FOrder, Mode: mode, Workers: 1}},
-				cell{"SF-Order/" + mode.String() + "/T1",
-					harness.Config{Detector: harness.SFOrder, Mode: mode, Workers: 1}},
-				cell{"F-Order/" + mode.String() + "/TP",
-					harness.Config{Detector: harness.FOrder, Mode: mode, Workers: tp}},
-				cell{"SF-Order/" + mode.String() + "/TP",
-					harness.Config{Detector: harness.SFOrder, Mode: mode, Workers: tp}},
-			)
-		}
-		for _, c := range cells {
-			c := c
-			b.Run(bench.Name+"/"+c.name, func(b *testing.B) {
-				res := measure(b, bench, c.cfg)
-				if res.Races != 0 {
-					b.Fatalf("benchmark must be race-free, got %d races", res.Races)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFig5Memory reports reachability-maintenance memory per
 // detector per benchmark.
 func BenchmarkFig5Memory(b *testing.B) {
 	for _, bench := range benchSet() {
 		bench := bench
-		for _, det := range []harness.Detector{harness.FOrder, harness.SFOrder} {
+		for _, det := range []engine.Detector{engine.FOrder, engine.SFOrder} {
 			det := det
 			b.Run(bench.Name+"/"+det.String(), func(b *testing.B) {
-				res := measure(b, bench, harness.Config{Detector: det, Mode: harness.Reach, Serial: true})
+				res := measure(b, bench, harness.Config{Mode: harness.Reach, Config: engine.Config{Detector: det, Serial: true}})
 				b.ReportMetric(float64(res.ReachMem), "reach-bytes")
 			})
 		}
@@ -169,39 +127,10 @@ func BenchmarkAblationReaderPolicy(b *testing.B) {
 		for _, policy := range []detect.ReaderPolicy{detect.ReadersAll, detect.ReadersLR} {
 			policy := policy
 			b.Run(bench.Name+"/"+policy.String(), func(b *testing.B) {
-				res := measure(b, bench, harness.Config{
-					Detector: harness.SFOrder, Mode: harness.Full, Serial: true, Policy: policy,
-				})
+				res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{Serial: true, Policy: policy}})
 				b.ReportMetric(float64(res.HistMem), "hist-bytes")
 			})
 		}
-	}
-}
-
-// BenchmarkAblationGpMerge (ABL2, §3.4): the copy-on-write gp merge
-// policy against unconditional union allocation, on random future-heavy
-// programs.
-func BenchmarkAblationGpMerge(b *testing.B) {
-	// Seed 8 yields ~750 futures and ~300 gets at this shape.
-	prog := progen.New(progen.Config{Seed: 8, MaxDepth: 7, MaxOps: 10, Addrs: 64})
-	for _, variant := range []string{"merge-on-divergence", "always-merge"} {
-		variant := variant
-		b.Run(variant, func(b *testing.B) {
-			var merges uint64
-			for i := 0; i < b.N; i++ {
-				var r *core.Reach
-				if variant == "always-merge" {
-					r = core.NewReachAlwaysMerge()
-				} else {
-					r = core.NewReach()
-				}
-				if _, err := sched.Run(sched.Options{Serial: true, Tracer: r}, prog.Main()); err != nil {
-					b.Fatal(err)
-				}
-				merges = r.GPMerges()
-			}
-			b.ReportMetric(float64(merges), "gp-allocs")
-		})
 	}
 }
 
@@ -216,22 +145,22 @@ func BenchmarkAblationGpMerge(b *testing.B) {
 func BenchmarkKSweep(b *testing.B) {
 	for _, k := range []int{64, 256, 1024, 20000} {
 		bench := workload.Chain(k, 16)
-		for _, det := range []harness.Detector{harness.SFOrder, harness.FOrder} {
+		for _, det := range []engine.Detector{engine.SFOrder, engine.FOrder} {
 			det := det
-			if det == harness.FOrder && k > 1024 {
+			if det == engine.FOrder && k > 1024 {
 				continue
 			}
 			b.Run(fmt.Sprintf("chain-k%d/%s", k, det), func(b *testing.B) {
-				res := measure(b, bench, harness.Config{Detector: det, Mode: harness.Reach, Serial: true})
+				res := measure(b, bench, harness.Config{Mode: harness.Reach, Config: engine.Config{Detector: det, Serial: true}})
 				b.ReportMetric(float64(res.ReachMem), "reach-bytes")
 			})
 		}
 		b.Run(fmt.Sprintf("chain-k%d/base", k), func(b *testing.B) {
-			measure(b, bench, harness.Config{Mode: harness.Base, Serial: true})
+			measure(b, bench, harness.Config{Mode: harness.Base, Config: engine.Config{Serial: true}})
 		})
 	}
 	b.Run("fib-n16/SF-Order", func(b *testing.B) {
-		measure(b, workload.Fib(16), harness.Config{Detector: harness.SFOrder, Mode: harness.Reach, Serial: true})
+		measure(b, workload.Fib(16), harness.Config{Mode: harness.Reach, Config: engine.Config{Serial: true}})
 	})
 }
 
@@ -286,96 +215,12 @@ func BenchmarkAblationFastPath(b *testing.B) {
 				name = bench.Name + "/fastpath-on"
 			}
 			b.Run(name, func(b *testing.B) {
-				res := measure(b, bench, harness.Config{
-					Detector: harness.SFOrder, Mode: harness.Full, Serial: true,
-					FastPath: fast, Registry: obsv.NewRegistry(),
-				})
+				res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{
+					Serial: true, LockedHistory: !fast, Stats: obsv.NewRegistry(),
+				}})
 				b.ReportMetric(float64(res.Stats["hist.lock_acquires"]), "lock-acquires")
 				b.ReportMetric(float64(res.Stats["hist.fastpath_hits"]), "fastpath-hits")
 			})
-		}
-	}
-}
-
-// BenchmarkAblationOMLock (ABL8): reachability maintenance at 4 workers
-// with the order-maintenance lists under fine-grained bucket locking vs
-// the single list-level lock, and with per-worker slab arenas vs plain
-// heap allocation. The om-lock-acquires metric is the acceptance
-// quantity: fine-grained locking must cut list-level lock acquisitions
-// by at least 2× on mm (in practice the maintenance lock is only taken
-// at bucket splits, so the drop is far larger).
-func BenchmarkAblationOMLock(b *testing.B) {
-	benches := []*workload.Benchmark{
-		workload.MM(64, 16),
-		workload.HW(4, 16, 256),
-		workload.Sort(20_000, 512),
-	}
-	for _, bench := range benches {
-		bench := bench
-		for _, v := range []struct {
-			name    string
-			global  bool
-			noArena bool
-		}{
-			{"fine-arena", false, false},
-			{"fine-heap", false, true},
-			{"global-arena", true, false},
-			{"global-heap", true, true},
-		} {
-			v := v
-			b.Run(bench.Name+"/"+v.name, func(b *testing.B) {
-				res := measure(b, bench, harness.Config{
-					Detector: harness.SFOrder, Mode: harness.Reach, Workers: 4,
-					OMGlobalLock: v.global, NoArena: v.noArena,
-					Registry: obsv.NewRegistry(),
-				})
-				b.ReportMetric(float64(res.Stats["om.lock_acquires"]), "om-lock-acquires")
-				b.ReportMetric(float64(res.Stats["om.bucket_locks"]), "om-bucket-locks")
-				b.ReportMetric(float64(res.Stats["core.arena_bytes"]), "arena-bytes")
-			})
-		}
-	}
-}
-
-// BenchmarkAblationDeque (ABL9): the scheduler itself — lock-free
-// Chase–Lev deques with parking idle workers against the historical
-// mutex deque with the spin loop — on mm, hw, and sort in reach and
-// full mode at 1, 2, and 4 workers. deque-lock-acquires is the
-// acceptance quantity: ~0 for the lock-free scheduler, one per
-// push/pop/steal for the ablation.
-func BenchmarkAblationDeque(b *testing.B) {
-	benches := []*workload.Benchmark{
-		workload.MM(64, 16),
-		workload.HW(4, 16, 256),
-		workload.Sort(20_000, 512),
-	}
-	for _, bench := range benches {
-		bench := bench
-		for _, mode := range []harness.Mode{harness.Reach, harness.Full} {
-			mode := mode
-			for _, workers := range []int{1, 2, 4} {
-				workers := workers
-				for _, v := range []struct {
-					name      string
-					lockDeque bool
-				}{
-					{"chaselev", false},
-					{"lockdeque", true},
-				} {
-					v := v
-					name := fmt.Sprintf("%s/%s/w%d/%s", bench.Name, mode, workers, v.name)
-					b.Run(name, func(b *testing.B) {
-						res := measure(b, bench, harness.Config{
-							Detector: harness.SFOrder, Mode: mode, Workers: workers,
-							FastPath: mode == harness.Full, LockDeque: v.lockDeque,
-							Registry: obsv.NewRegistry(),
-						})
-						b.ReportMetric(float64(res.Stats["sched.lock_acquires"]), "deque-lock-acquires")
-						b.ReportMetric(float64(res.Stats["sched.steals"]), "steals")
-						b.ReportMetric(float64(res.Stats["sched.parks"]), "parks")
-					})
-				}
-			}
 		}
 	}
 }
@@ -404,11 +249,9 @@ func BenchmarkAblationReach(b *testing.B) {
 			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa, core.SubstrateHybrid} {
 				sub := sub
 				b.Run(fmt.Sprintf("%s/%s/%s", bench.Name, mode, sub), func(b *testing.B) {
-					res := measure(b, bench, harness.Config{
-						Detector: harness.SFOrder, Mode: mode, Workers: 4,
-						FastPath: mode == harness.Full, Reach: sub,
-						Registry: obsv.NewRegistry(),
-					})
+					res := measure(b, bench, harness.Config{Mode: mode, Config: engine.Config{
+						Workers: 4, Reach: sub, Stats: obsv.NewRegistry(),
+					}})
 					b.ReportMetric(float64(res.ReachMem), "reach-bytes")
 					b.ReportMetric(float64(res.Stats["om.lock_acquires"]), "om-lock-acquires")
 					b.ReportMetric(float64(res.Stats["om.english.renumbers"]+res.Stats["om.hebrew.renumbers"]), "om-renumbers")
@@ -445,11 +288,9 @@ func BenchmarkAblationHybrid(b *testing.B) {
 			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa, core.SubstrateHybrid} {
 				sub := sub
 				b.Run(fmt.Sprintf("%s/w%d/%s", bench.Name, workers, sub), func(b *testing.B) {
-					res := measure(b, bench, harness.Config{
-						Detector: harness.SFOrder, Mode: harness.Full, Workers: workers,
-						FastPath: true, Reach: sub,
-						Registry: obsv.NewRegistry(),
-					})
+					res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{
+						Workers: workers, Reach: sub, Stats: obsv.NewRegistry(),
+					}})
 					b.ReportMetric(float64(res.ReachMem), "reach-bytes")
 					b.ReportMetric(float64(res.Stats["depa.label_mem_bytes"]), "depa-label-bytes")
 					b.ReportMetric(float64(res.Stats["depa.compare_words"]), "depa-compare-words")
@@ -467,14 +308,14 @@ func BenchmarkAblationHybrid(b *testing.B) {
 func BenchmarkAblationBitmapVsHash(b *testing.B) {
 	// Seed 3 yields ~570 futures at this shape.
 	prog := progen.New(progen.Config{Seed: 3, MaxDepth: 7, MaxOps: 10, Addrs: 64})
-	for _, det := range []harness.Detector{harness.SFOrder, harness.FOrder} {
+	for _, det := range []engine.Detector{engine.SFOrder, engine.FOrder} {
 		det := det
 		b.Run(det.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var tracer sched.Tracer
 				var mem func() int
 				switch det {
-				case harness.SFOrder:
+				case engine.SFOrder:
 					r := core.NewReach()
 					tracer, mem = r, r.MemBytes
 				default:

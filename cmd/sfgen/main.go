@@ -102,11 +102,9 @@ func fuzzOne(seed int64, depth, ops, addrs int, detector string, dot bool, save 
 	p := progen.New(progen.Config{Seed: seed, MaxDepth: depth, MaxOps: ops, Addrs: addrs})
 
 	var reach reachComponent
-	var leftOf func(a, b *sched.Strand) bool
 	switch detector {
 	case "sforder":
-		sf := core.NewReach()
-		reach, leftOf = sf, sf.LeftOf
+		reach = core.NewReach()
 	case "forder":
 		reach = forder.NewReach()
 	case "multibags":
@@ -115,7 +113,6 @@ func fuzzOne(seed int64, depth, ops, addrs int, detector string, dot bool, save 
 		fmt.Fprintf(os.Stderr, "sfgen: unknown detector %q\n", detector)
 		os.Exit(2)
 	}
-	_ = leftOf
 
 	hist := detect.NewHistory(detect.Options{Reach: reach})
 	rec := dag.NewRecorder()

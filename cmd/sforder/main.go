@@ -2,7 +2,8 @@
 // detectors and regenerates the evaluation tables:
 //
 //	sforder -table fig3                # benchmark characteristics
-//	sforder -table fig4 -workers 4     # base/reach/full timing grid
+//	sforder -table fig4 -workers 4     # base/reach/full timing grid, shipping history
+//	sforder -table fig4 -fastpath=false  # the same grid on the paper's locked history
 //	sforder -table fig5                # reachability memory comparison
 //	sforder -table abl                 # reader-policy ablation
 //	sforder -bench sw -detector sforder -mode full -workers 2
@@ -25,6 +26,7 @@ import (
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
+	"sforder/internal/engine"
 	"sforder/internal/harness"
 	"sforder/internal/obsv"
 	"sforder/internal/replay"
@@ -47,7 +49,7 @@ func main() {
 		traceOut      = flag.String("trace", "", "with -bench: write a Chrome trace-event JSON timeline to this file")
 		httpAddr      = flag.String("http", "", "serve /stats, /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
 		dedup         = flag.Bool("dedup", false, "with -bench: report at most one race record per address")
-		fastpath      = flag.Bool("fastpath", true, "with -bench: use the lock-avoiding access-history fast path in full mode; -fastpath=false is the locked history (sforder.Config.LockedHistory, ABL7)")
+		fastpath      = flag.Bool("fastpath", true, "use the lock-avoiding access history in full mode (what ships); -fastpath=false is the paper's locked history (sforder.Config.LockedHistory, ABL7)")
 		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists), depa (prefix-sharing fork-path cords, ABL10/11), or hybrid (depth-adaptive flat+cord, ABL11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
@@ -55,9 +57,6 @@ func main() {
 		replayWorkers = flag.Int("replayworkers", 0, "with -replay: number of parallel detection shards (0 = GOMAXPROCS)")
 		rebuildW      = flag.Int("rebuildworkers", 0, "with -replay: parallel rebuild workers constructing the fork-path labels from the capture's segment index (label substrates only; <2 = serial event-order rebuild)")
 		stream        = flag.Bool("stream", false, "with -replay: stream the capture through a bounded pipeline — detection starts while the file is still being decoded, and resident memory stays constant in trace length")
-		omglobal      = flag.Bool("omglobal", false, "with -bench: force SF-Order's OM lists onto the single list-level lock (ABL8)")
-		noarena       = flag.Bool("noarena", false, "with -bench: disable SF-Order's per-worker slab arenas (ABL8)")
-		lockdeque     = flag.Bool("lockdeque", false, "with -bench: use the scheduler's historical mutex deque instead of the lock-free Chase–Lev deque (ABL9)")
 	)
 	flag.Parse()
 
@@ -92,7 +91,7 @@ func main() {
 	case *replayIn != "":
 		runReplay(*replayIn, *replayWorkers, *rebuildW, *stream, *reachSub, *dedup, *stats, reg)
 	case *table != "":
-		runTable(*table, benches, *workers, *repeats, *scale, *jsonOut)
+		runTable(*table, benches, *workers, *repeats, *scale, *jsonOut, !*fastpath)
 	case *bench != "":
 		runOne(*bench, sc, *detector, *mode, *policy, *workers, oneOpts{
 			reg:       reg,
@@ -102,9 +101,6 @@ func main() {
 			dedup:     *dedup,
 			fastpath:  *fastpath,
 			reach:     *reachSub,
-			omglobal:  *omglobal,
-			noarena:   *noarena,
-			lockdeque: *lockdeque,
 			block:     *httpAddr != "",
 		})
 	default:
@@ -191,13 +187,10 @@ type oneOpts struct {
 	dedup     bool
 	fastpath  bool
 	reach     string
-	omglobal  bool
-	noarena   bool
-	lockdeque bool
 	block     bool // keep serving -http after the run completes
 }
 
-func runTable(table string, benches []*workload.Benchmark, workers, repeats int, scale string, jsonOut bool) {
+func runTable(table string, benches []*workload.Benchmark, workers, repeats int, scale string, jsonOut, locked bool) {
 	report := &harness.Report{Env: harness.Env{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    workers,
@@ -206,7 +199,7 @@ func runTable(table string, benches []*workload.Benchmark, workers, repeats int,
 	}}
 	switch table {
 	case "fig3":
-		rows, err := harness.Fig3(benches)
+		rows, err := harness.Fig3(benches, locked)
 		check(err)
 		if jsonOut {
 			report.Fig3 = rows
@@ -215,14 +208,18 @@ func runTable(table string, benches []*workload.Benchmark, workers, repeats int,
 		fmt.Println("Figure 3: benchmark execution characteristics")
 		harness.PrintFig3(os.Stdout, rows)
 	case "fig4":
-		rows, err := harness.Fig4(benches, workers, repeats)
+		rows, err := harness.Fig4(benches, workers, repeats, locked)
 		check(err)
 		if jsonOut {
 			report.Fig4 = rows
 			break
 		}
-		fmt.Printf("Figure 4: execution times (P=%d workers, GOMAXPROCS=%d, best of %d)\n",
-			workers, runtime.GOMAXPROCS(0), repeats)
+		history := "shipping"
+		if locked {
+			history = "locked"
+		}
+		fmt.Printf("Figure 4: execution times (P=%d workers, GOMAXPROCS=%d, best of %d, %s history)\n",
+			workers, runtime.GOMAXPROCS(0), repeats, history)
 		harness.PrintFig4(os.Stdout, rows)
 	case "fig5":
 		rows, err := harness.Fig5(benches)
@@ -234,7 +231,7 @@ func runTable(table string, benches []*workload.Benchmark, workers, repeats int,
 		fmt.Println("Figure 5: reachability-maintenance memory")
 		harness.PrintFig5(os.Stdout, rows)
 	case "abl":
-		rows, err := harness.AblationReaderPolicy(benches, repeats)
+		rows, err := harness.AblationReaderPolicy(benches, repeats, locked)
 		check(err)
 		if jsonOut {
 			report.Ablation = rows
@@ -255,10 +252,10 @@ func runOne(name string, sc workload.Scale, detector, mode, policy string, worke
 	if b == nil {
 		fatalf("unknown benchmark %q", name)
 	}
-	det, ok := map[string]harness.Detector{
-		"sforder":   harness.SFOrder,
-		"forder":    harness.FOrder,
-		"multibags": harness.MultiBags,
+	det, ok := map[string]engine.Detector{
+		"sforder":   engine.SFOrder,
+		"forder":    engine.FOrder,
+		"multibags": engine.MultiBags,
 	}[detector]
 	if !ok {
 		fatalf("unknown detector %q", detector)
@@ -282,20 +279,16 @@ func runOne(name string, sc workload.Scale, detector, mode, policy string, worke
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg := harness.Config{
-		Detector:     det,
-		Mode:         md,
-		Workers:      workers,
-		Reach:        sub,
-		Serial:       det == harness.MultiBags,
-		Policy:       pol,
-		DedupByAddr:  obs.dedup,
-		FastPath:     obs.fastpath,
-		OMGlobalLock: obs.omglobal,
-		NoArena:      obs.noarena,
-		LockDeque:    obs.lockdeque,
-		Registry:     obs.reg,
-	}
+	cfg := harness.Config{Mode: md, Config: engine.Config{
+		Detector:      det,
+		Workers:       workers,
+		Reach:         sub,
+		Serial:        det == engine.MultiBags,
+		Policy:        pol,
+		DedupByAddr:   obs.dedup,
+		LockedHistory: !obs.fastpath,
+		Stats:         obs.reg,
+	}}
 	var traceFile *os.File
 	if obs.traceOut != "" {
 		f, err := os.Create(obs.traceOut)
@@ -324,7 +317,7 @@ func runOne(name string, sc workload.Scale, detector, mode, policy string, worke
 	fmt.Printf("  strands   %d\n", res.Counts.Strands)
 	fmt.Printf("  futures   %d\n", res.Counts.Futures-1)
 	fmt.Printf("  queries   %d\n", res.Queries)
-	fmt.Printf("  races     %d\n", res.Races)
+	fmt.Printf("  races     %d\n", res.RaceCount)
 	fmt.Printf("  reach mem %d bytes\n", res.ReachMem)
 	if md == harness.Full {
 		fmt.Printf("  hist mem  %d bytes\n", res.HistMem)

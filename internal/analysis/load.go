@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, parsed, and type-checked package.
@@ -38,13 +39,24 @@ type Package struct {
 // This deliberately avoids golang.org/x/tools/go/packages to keep the
 // analyzer dependency-free.
 type loader struct {
-	fset         *token.FileSet
 	root         string // module root directory (absolute)
 	modPath      string // module path from go.mod
 	includeTests bool
-	std          types.ImporterFrom
 	cache        map[string]*loadEntry // by absolute package dir
 }
+
+// The standard library is type-checked from source once per process, not
+// once per Load: the source importer checks every package it is first
+// asked for (~1.7 s for what one small program pulls in) and remembers
+// it, so every Load shares one importer and — positions being relative
+// to the importer's FileSet — one FileSet. Module-internal packages keep
+// their per-Load cache. The importer is not safe for concurrent use;
+// stdMu serializes it (the FileSet is).
+var (
+	stdMu  sync.Mutex
+	fset   = token.NewFileSet()
+	stdlib = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+)
 
 type loadEntry struct {
 	pkg     *Package
@@ -75,13 +87,11 @@ func Load(baseDir string, patterns []string, includeTests bool) ([]*Package, err
 		return nil, err
 	}
 	l := &loader{
-		fset:         token.NewFileSet(),
 		root:         root,
 		modPath:      modPath,
 		includeTests: includeTests,
 		cache:        map[string]*loadEntry{},
 	}
-	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
 
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -261,7 +271,7 @@ func (l *loader) parseAndCheck(dir string) (*Package, error) {
 	var files []*ast.File
 	pkgName := ""
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +294,7 @@ func (l *loader) parseAndCheck(dir string) (*Package, error) {
 	pkg := &Package{
 		Path: l.importPathFor(dir),
 		Dir:  dir,
-		Fset: l.fset,
+		Fset: fset,
 		Info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -298,7 +308,7 @@ func (l *loader) parseAndCheck(dir string) (*Package, error) {
 		Importer: l,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	pkg.Types, _ = conf.Check(pkg.Path, l.fset, files, pkg.Info)
+	pkg.Types, _ = conf.Check(pkg.Path, fset, files, pkg.Info)
 	return pkg, nil
 }
 
@@ -340,5 +350,7 @@ func (l *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 		}
 		return p.Types, nil
 	}
-	return l.std.ImportFrom(path, srcDir, mode)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdlib.ImportFrom(path, srcDir, mode)
 }

@@ -46,7 +46,7 @@ func TestArenaCloneUnionMerge(t *testing.T) {
 }
 
 // TestArenaNilFallback: every arena helper must work with a nil arena
-// (the -noarena ablation path).
+// (the offline rebuild's set builders pass one).
 func TestArenaNilFallback(t *testing.T) {
 	var a *Arena
 	if got := UnionIn(a, NewRunSet(9, 300), nil); !got.Equal(NewRunSet(9, 300)) {

@@ -127,9 +127,9 @@ func (a *laneAlloc) release() {
 }
 
 // itemsOf, labelsOf and setsOf resolve a lane's substrate and set-window
-// arenas; all are nil-safe (NoArena mode, out-of-lane callers and the
-// offline rebuild pass a nil lane, and the arenas themselves treat nil
-// receivers as heap fallback).
+// arenas; all are nil-safe (out-of-lane callers and the offline rebuild
+// pass a nil lane, and the arenas themselves treat nil receivers as heap
+// fallback).
 func itemsOf(a *laneAlloc) *om.ItemArena {
 	if a == nil {
 		return nil

@@ -37,9 +37,9 @@ func NewOffline(cfg Config, strands, futures int) (*Offline, error) {
 	if cfg.Reach != SubstrateDePa && cfg.Reach != SubstrateHybrid {
 		return nil, fmt.Errorf("core: offline rebuild requires a precomputable label substrate, not %v", cfg.Reach)
 	}
-	// Node and meta records come from the two dense slices below; the
-	// lane arenas would sit idle, so skip them.
-	cfg.NoArena = true
+	// Node and meta records come from the two dense slices below and
+	// every set builder is handed a nil arena, so the lane arenas sit
+	// idle.
 	r := New(cfg)
 	return &Offline{
 		r:     r,

@@ -82,9 +82,8 @@ type futMeta struct {
 	kids atomic.Pointer[bitset.RunSet]
 }
 
-// Config carries the Reach ablation knobs. The zero value is the paper
-// configuration: the English/Hebrew OM substrate with fine-grained
-// insert locking and per-worker arenas.
+// Config selects the reachability substrate. The zero value is the paper
+// configuration: the English/Hebrew OM pair.
 type Config struct {
 	// Reach selects the reachability substrate: the English/Hebrew OM
 	// list pair (default), DePa fork-path cords (ABL10), or the
@@ -95,16 +94,6 @@ type Config struct {
 	// flat-to-flat. Zero means DefaultHybridDepth. Ignored by the other
 	// substrates.
 	HybridDepth int
-	// GlobalOMLock forces both OM lists back onto the single list-level
-	// insert lock (the pre-fine-grained behavior; ABL8). Ignored by the
-	// DePa substrate, which takes no locks at all.
-	GlobalOMLock bool
-	// NoArena disables the slab arenas: every Item, node record, and
-	// bitmap allocates on the GC heap (ABL8).
-	NoArena bool
-	// AlwaysMerge disables the §3.4 subsumption optimization: every
-	// multi-parent strand allocates a fresh gp union (ABL2).
-	AlwaysMerge bool
 }
 
 // Reach is the SF-Order reachability component. It implements
@@ -112,7 +101,6 @@ type Config struct {
 // and serves Precedes queries from any worker concurrently.
 type Reach struct {
 	sub Reachability
-	cfg Config
 
 	queries  atomic.Uint64 // Precedes calls (Figure 3 "queries")
 	gpMerges atomic.Uint64 // gp allocations from divergent merges
@@ -123,13 +111,11 @@ type Reach struct {
 	// sched.LaneTracer exclusivity contract), so lane state is unlocked.
 	// shared is the fallback arena for events arriving through the plain
 	// Tracer methods (Reach wrapped in a MultiTracer, direct test
-	// drivers); it is serialized by sharedMu. Both are nil with
-	// cfg.NoArena, in which case every allocation goes to the heap and
-	// the fallback path needs no lock at all. sharedMu also orders
+	// drivers); it is serialized by sharedMu, which also orders
 	// lanes-slice resizing against the stats gauges.
 	sharedMu sync.Mutex
 	lanes    []*laneAlloc
-	shared   *laneAlloc
+	shared   laneAlloc
 
 	// cpSets counts the shared child-cp sets published (gpMerges counts
 	// every gp set built) and setMem the payload bytes gp and cp sets own
@@ -153,29 +139,18 @@ func New(cfg Config) *Reach {
 		}
 		sub = newDepaSub(hd)
 	default:
-		sub = newOMPair(cfg.GlobalOMLock)
+		sub = newOMPair()
 	}
-	r := &Reach{sub: sub, cfg: cfg}
-	if !cfg.NoArena {
-		r.shared = new(laneAlloc)
-	}
-	return r
+	return &Reach{sub: sub}
 }
 
 // NewReach returns an empty SF-Order reachability component with the
 // default (paper) configuration.
 func NewReach() *Reach { return New(Config{}) }
 
-// NewReachAlwaysMerge returns a Reach with the copy-on-write gp merge
-// optimization disabled, for the ablation study.
-func NewReachAlwaysMerge() *Reach { return New(Config{AlwaysMerge: true}) }
-
 // SetLanes implements sched.LaneTracer: called by the engine before the
 // first event with the worker count, it sizes the per-worker arenas.
 func (r *Reach) SetLanes(n int) {
-	if r.cfg.NoArena {
-		return
-	}
 	r.sharedMu.Lock()
 	defer r.sharedMu.Unlock()
 	for len(r.lanes) < n {
@@ -184,8 +159,8 @@ func (r *Reach) SetLanes(n int) {
 }
 
 // laneFor resolves a worker lane to its arena; out-of-range lanes (a
-// tracer driven outside a sched.Run) and NoArena mode yield nil, which
-// every arena falls back from to the heap.
+// tracer driven outside a sched.Run) yield nil, which every arena falls
+// back from to the heap.
 func (r *Reach) laneFor(lane int) *laneAlloc {
 	if lane >= 0 && lane < len(r.lanes) {
 		return r.lanes[lane]
@@ -193,21 +168,11 @@ func (r *Reach) laneFor(lane int) *laneAlloc {
 	return nil
 }
 
-// lockShared enters the fallback allocation critical section. With
-// NoArena there is no shared state to protect — allocation is on the
-// heap and list inserts synchronize internally — so no lock is taken.
+// lockShared enters the fallback allocation critical section; the caller
+// leaves it by unlocking sharedMu.
 func (r *Reach) lockShared() *laneAlloc {
-	if r.cfg.NoArena {
-		return nil
-	}
 	r.sharedMu.Lock()
-	return r.shared
-}
-
-func (r *Reach) unlockShared() {
-	if !r.cfg.NoArena {
-		r.sharedMu.Unlock()
-	}
+	return &r.shared
 }
 
 // Release returns every arena slab to the shared pools for reuse by a
@@ -221,9 +186,7 @@ func (r *Reach) Release() {
 	for _, a := range r.lanes {
 		a.release()
 	}
-	if r.shared != nil {
-		r.shared.release()
-	}
+	r.shared.release()
 }
 
 // ArenaBytes reports the slab bytes currently held across all lanes and
@@ -235,10 +198,7 @@ func (r *Reach) ArenaBytes() int64 {
 	for _, a := range r.lanes {
 		total += a.bytes()
 	}
-	if r.shared != nil {
-		total += r.shared.bytes()
-	}
-	return total
+	return total + r.shared.bytes()
 }
 
 func nodeOf(s *sched.Strand) *node { return s.Det.(*node) }
@@ -256,7 +216,7 @@ func (r *Reach) trackSet(s *bitset.RunSet) *bitset.RunSet {
 }
 
 // newGP counts and records a freshly built gp set: one per get and one
-// per divergent (or, under AlwaysMerge, every) merge.
+// per divergent merge.
 func (r *Reach) newGP(s *bitset.RunSet) *bitset.RunSet {
 	r.gpMerges.Add(1)
 	return r.trackSet(s)
@@ -293,18 +253,13 @@ func (r *Reach) getGP(sets *bitset.Arena, gpU, gpLast *bitset.RunSet, f *sched.F
 func (r *Reach) OnRoot(root *sched.Strand) {
 	r.strands.Add(1)
 	a := r.lockShared()
-	var nodes *nodeSlab
-	var metas *metaSlab
-	if a != nil {
-		nodes, metas = &a.nodes, &a.metas
-	}
-	rn := nodes.get()
+	rn := a.nodes.get()
 	r.sub.placeRoot(a, rn)
 	root.Det = rn
-	fm := metas.get()
+	fm := a.metas.get()
 	fm.cp = nil // the root has no ancestors
 	root.Fut.Det = fm
-	r.unlockShared()
+	r.sharedMu.Unlock()
 }
 
 // placeBranch places the strands of a spawn/create event in both
@@ -390,7 +345,7 @@ func (r *Reach) PlaceSpawn(lane int, u, child, cont, placeholder *sched.Strand) 
 	if lane < 0 {
 		a := r.lockShared()
 		r.placeBranch(a, u, child, cont, placeholder)
-		r.unlockShared()
+		r.sharedMu.Unlock()
 		return
 	}
 	r.placeBranch(r.laneFor(lane), u, child, cont, placeholder)
@@ -401,7 +356,7 @@ func (r *Reach) PlaceCreate(lane int, u, first, cont, placeholder *sched.Strand,
 	if lane < 0 {
 		a := r.lockShared()
 		r.placeCreate(a, u, first, cont, placeholder, f)
-		r.unlockShared()
+		r.sharedMu.Unlock()
 		return
 	}
 	r.placeCreate(r.laneFor(lane), u, first, cont, placeholder, f)
@@ -421,14 +376,14 @@ func (r *Reach) OnCreate(u, first, cont, placeholder *sched.Strand, f *sched.Fut
 func (r *Reach) OnSync(k, s *sched.Strand, childSinks []*sched.Strand) {
 	a := r.lockShared()
 	r.placeSync(a, k, s, childSinks)
-	r.unlockShared()
+	r.sharedMu.Unlock()
 }
 
 // OnGet implements sched.Tracer (the non-lane fallback path).
 func (r *Reach) OnGet(u, g *sched.Strand, f *sched.FutureTask) {
 	a := r.lockShared()
 	r.placeGet(a, u, g, f)
-	r.unlockShared()
+	r.sharedMu.Unlock()
 }
 
 // OnSpawnLane implements sched.LaneTracer: as OnSpawn, allocating from
@@ -453,12 +408,6 @@ func (r *Reach) OnGetLane(lane int, u, g *sched.Strand, f *sched.FutureTask) {
 }
 
 func (r *Reach) mergeGP(sets *bitset.Arena, a, b *bitset.RunSet) *bitset.RunSet {
-	if r.cfg.AlwaysMerge {
-		if a == nil && b == nil {
-			return nil
-		}
-		return r.newGP(bitset.UnionIn(sets, a, b))
-	}
 	m, allocated := bitset.MergeSharedIn(sets, a, b)
 	if allocated {
 		r.newGP(m)
@@ -575,10 +524,7 @@ func (r *Reach) RegisterStats(reg *obsv.Registry) {
 			for _, a := range r.lanes {
 				total += a.labels.WasteBytes()
 			}
-			if r.shared != nil {
-				total += r.shared.labels.WasteBytes()
-			}
-			return total
+			return total + r.shared.labels.WasteBytes()
 		})
 	}
 	reg.RegisterFunc("core.arena_bytes", r.ArenaBytes)

@@ -210,18 +210,6 @@ func TestGPMergeBound(t *testing.T) {
 	}
 }
 
-// TestAlwaysMergeAblationStillCorrect: the ablation variant (no
-// subsumption sharing) must stay correct while allocating more.
-func TestAlwaysMergeAblationStillCorrect(t *testing.T) {
-	p := progen.New(progen.Config{Seed: 7, MaxDepth: 4, MaxOps: 8})
-	r := core.NewReachAlwaysMerge()
-	rec := dag.NewRecorder()
-	if _, err := sched.Run(sched.Options{Serial: true, Tracer: sched.MultiTracer{r, rec}}, p.Main()); err != nil {
-		t.Fatal(err)
-	}
-	crossValidate(t, "always-merge", r, rec)
-}
-
 func TestCountersAndMemory(t *testing.T) {
 	r, _ := runWithReach(t, 0, true, func(t *sched.Task) {
 		h := t.Create(func(*sched.Task) any { return nil })

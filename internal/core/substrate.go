@@ -27,8 +27,8 @@ const (
 	// strands shallower than Config.HybridDepth also carry a packed
 	// flat copy of their label, and queries where both sides have one
 	// compare the flats — no pointer chase, the fastest path at the
-	// depths where BENCH_pr7's crossover showed flat labels winning.
-	// Deep strands fall back to the cord compare.
+	// depths where the EXPERIMENTS ABL10 crossover showed flat labels
+	// winning. Deep strands fall back to the cord compare.
 	SubstrateHybrid
 )
 
@@ -57,7 +57,7 @@ func ParseSubstrate(name string) (Substrate, error) {
 }
 
 // DefaultHybridDepth is the flat/cord switchover depth when
-// Config.HybridDepth is unset. The ABL10 crossover (BENCH_pr7.json)
+// Config.HybridDepth is unset. The EXPERIMENTS ABL10 crossover
 // had flat labels beating the OM pair up to roughly 25 fork levels and
 // losing past ~1000; 64 keeps every label that still fits a word or
 // two on the chase-free flat path while bounding the redundant copy a
@@ -103,12 +103,8 @@ type omPair struct {
 	engL, hebL *om.List
 }
 
-func newOMPair(globalLock bool) *omPair {
-	newList := om.NewList
-	if globalLock {
-		newList = om.NewListGlobalLock
-	}
-	return &omPair{engL: newList(), hebL: newList()}
+func newOMPair() *omPair {
+	return &omPair{engL: om.NewList(), hebL: om.NewList()}
 }
 
 func (p *omPair) placeRoot(a *laneAlloc, rn *node) {

@@ -75,14 +75,6 @@ func TestDePaRandomProgramsParallel(t *testing.T) {
 	}
 }
 
-// TestDePaNoArena exercises the heap-fallback label path (the -noarena
-// ablation crossed with -reach=depa).
-func TestDePaNoArena(t *testing.T) {
-	p := progen.New(progen.Config{Seed: 3, MaxDepth: 4, MaxOps: 7})
-	r, rec := runWithReachCfg(t, core.Config{Reach: core.SubstrateDePa, NoArena: true}, 0, true, p.Main())
-	crossValidate(t, "depa-noarena", r, rec)
-}
-
 // TestSubstratesAgree pins verdict equality between the two substrates
 // directly (both also agree with the oracle above, but this catches a
 // matched pair of errors): every ordered strand pair, same program,
@@ -152,16 +144,6 @@ func TestHybridRandomProgramsParallel(t *testing.T) {
 		r, rec := runWithReachCfg(t, hybridCfg(), 4, false, p.Main())
 		crossValidate(t, fmt.Sprintf("hybrid-par-seed%d", seed), r, rec)
 	}
-}
-
-// TestHybridNoArena exercises the heap-fallback path for both label
-// representations at once.
-func TestHybridNoArena(t *testing.T) {
-	p := progen.New(progen.Config{Seed: 3, MaxDepth: 4, MaxOps: 7})
-	cfg := hybridCfg()
-	cfg.NoArena = true
-	r, rec := runWithReachCfg(t, cfg, 0, true, p.Main())
-	crossValidate(t, "hybrid-noarena", r, rec)
 }
 
 // TestHybridAgreesWithBoth pins verdict equality of the hybrid against

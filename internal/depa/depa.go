@@ -333,7 +333,7 @@ func LeftOfFlat(a, b *Flat) (left bool, cmpWords int) {
 // internal/core's per-worker lanes can hand out DePa labels with a
 // pointer bump and recycle them wholesale. An arena is single-owner:
 // not safe for concurrent use. A nil *Arena is valid and falls back to
-// the heap (the -noarena ablation and callers without lane state).
+// the heap (callers without lane state).
 type Arena struct {
 	curL   *labelSlab
 	nextL  int

@@ -5,12 +5,26 @@ import (
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
+	"sforder/internal/engine"
 	"sforder/internal/harness"
 	"sforder/internal/obsv"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
 	"sforder/internal/workload"
 )
+
+// runRacyCfg is runRacy with an explicit core.Config: the racy set of a
+// serial run of p on that substrate.
+func runRacyCfg(t *testing.T, p *progen.Program, ccfg core.Config, opts detect.Options) []uint64 {
+	t.Helper()
+	reach := core.New(ccfg)
+	opts.Reach = reach
+	hist := detect.NewHistory(opts)
+	if _, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Checker: hist}, p.Main()); err != nil {
+		t.Fatal(err)
+	}
+	return hist.RacyAddrs()
+}
 
 // reachCfgs are the substrate configurations the ABL10/ABL11 fuzzes
 // sweep: the OM pair, pure DePa cords, and the hybrid with a threshold
@@ -43,8 +57,7 @@ func TestReachSubstrateMatchesOracleFuzz(t *testing.T) {
 
 // TestReachSubstrateParallelAgreement runs random programs on the
 // parallel engine (4 workers, lane arenas active) under all three
-// substrates — with and without arenas — and compares the racy set to
-// the serial oracle. Repeats catch schedule-dependent misbehavior;
+// substrates and compares the racy set to the serial oracle. Repeats catch schedule-dependent misbehavior;
 // under -race this doubles as the label-publication race check.
 func TestReachSubstrateParallelAgreement(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
@@ -52,9 +65,7 @@ func TestReachSubstrateParallelAgreement(t *testing.T) {
 		want := runOracle(t, p)
 		for _, ccfg := range []core.Config{
 			{Reach: core.SubstrateDePa},
-			{Reach: core.SubstrateDePa, NoArena: true},
 			{Reach: core.SubstrateHybrid, HybridDepth: 6},
-			{Reach: core.SubstrateHybrid, HybridDepth: 6, NoArena: true},
 			{Reach: core.SubstrateOM},
 		} {
 			for rep := 0; rep < 2; rep++ {
@@ -83,19 +94,14 @@ func TestReachSubstrateAdversarialSpine(t *testing.T) {
 	run := func(sub core.Substrate) map[string]int64 {
 		t.Helper()
 		reg := obsv.NewRegistry()
-		res, err := harness.Run(workload.Spine(depth, 2), harness.Config{
-			Detector: harness.SFOrder,
-			Mode:     harness.Full,
-			Workers:  4,
-			FastPath: true,
-			Reach:    sub,
-			Registry: reg,
-		})
+		res, err := harness.Run(workload.Spine(depth, 2), harness.Config{Mode: harness.Full, Config: engine.Config{
+			Workers: 4, Reach: sub, Stats: reg,
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Races != 0 {
-			t.Fatalf("spine is race-free, %v reported %d races", sub, res.Races)
+		if res.RaceCount != 0 {
+			t.Fatalf("spine is race-free, %v reported %d races", sub, res.RaceCount)
 		}
 		return res.Stats
 	}
@@ -140,19 +146,14 @@ func TestCordSpineEfficiency(t *testing.T) {
 	const depth = 1500
 	for _, sub := range []core.Substrate{core.SubstrateDePa, core.SubstrateHybrid} {
 		reg := obsv.NewRegistry()
-		res, err := harness.Run(workload.Spine(depth, 2), harness.Config{
-			Detector: harness.SFOrder,
-			Mode:     harness.Full,
-			Workers:  4,
-			FastPath: true,
-			Reach:    sub,
-			Registry: reg,
-		})
+		res, err := harness.Run(workload.Spine(depth, 2), harness.Config{Mode: harness.Full, Config: engine.Config{
+			Workers: 4, Reach: sub, Stats: reg,
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Races != 0 {
-			t.Fatalf("spine is race-free, %v reported %d races", sub, res.Races)
+		if res.RaceCount != 0 {
+			t.Fatalf("spine is race-free, %v reported %d races", sub, res.RaceCount)
 		}
 		s := res.Stats
 		if mem := s["depa.label_mem_bytes"]; mem == 0 || mem > 100_582 {

@@ -3,6 +3,7 @@ package harness_test
 import (
 	"testing"
 
+	"sforder/internal/engine"
 	"sforder/internal/harness"
 	"sforder/internal/obsv"
 	"sforder/internal/workload"
@@ -16,15 +17,14 @@ func TestFastPathLockReduction(t *testing.T) {
 	for _, bench := range []*workload.Benchmark{workload.MM(32, 8), workload.HW(2, 8, 128)} {
 		locks := map[bool]int64{}
 		for _, fast := range []bool{false, true} {
-			res, err := harness.Run(bench, harness.Config{
-				Detector: harness.SFOrder, Mode: harness.Full, Serial: true,
-				FastPath: fast, Registry: obsv.NewRegistry(),
-			})
+			res, err := harness.Run(bench, harness.Config{Mode: harness.Full, Config: engine.Config{
+				Serial: true, LockedHistory: !fast, Stats: obsv.NewRegistry(),
+			}})
 			if err != nil {
 				t.Fatalf("%s fastpath=%v: %v", bench.Name, fast, err)
 			}
-			if res.Races != 0 {
-				t.Fatalf("%s fastpath=%v: benchmark must be race-free, got %d races", bench.Name, fast, res.Races)
+			if res.RaceCount != 0 {
+				t.Fatalf("%s fastpath=%v: benchmark must be race-free, got %d races", bench.Name, fast, res.RaceCount)
 			}
 			locks[fast] = res.Stats["hist.lock_acquires"]
 		}
@@ -42,17 +42,39 @@ func TestFastPathLockReduction(t *testing.T) {
 // benchmarks, with fastpath counters flowing through the registry.
 func TestFastPathParallelAgreesWithSerial(t *testing.T) {
 	bench := workload.MM(32, 8)
-	res, err := harness.Run(bench, harness.Config{
-		Detector: harness.SFOrder, Mode: harness.Full, Workers: 4,
-		FastPath: true, Registry: obsv.NewRegistry(),
+	res, err := harness.Run(bench, harness.Config{Mode: harness.Full, Config: engine.Config{
+		Workers: 4, Stats: obsv.NewRegistry(),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RaceCount != 0 {
+		t.Fatalf("mm must be race-free, got %d races", res.RaceCount)
+	}
+	if res.Stats["hist.batch_flushes"] == 0 {
+		t.Error("hist.batch_flushes missing from the registry snapshot")
+	}
+}
+
+// TestZeroConfigIsTheShippingHistory is the harness twin of the public
+// API's test of the same name: a Config that names nothing but the mode
+// (and the registry the counters are read from) runs the strand-buffered
+// history, so on hw every page-lock acquisition is one batch flush and
+// there are far fewer of them than accesses. Fig3/4/5 build their cells
+// from such literals; this is what makes them measure what ships.
+func TestZeroConfigIsTheShippingHistory(t *testing.T) {
+	res, err := harness.Run(workload.HW(2, 8, 128), harness.Config{
+		Mode: harness.Full, Config: engine.Config{Stats: obsv.NewRegistry()},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Races != 0 {
-		t.Fatalf("mm must be race-free, got %d races", res.Races)
+	locks, flushes := res.Stats["hist.lock_acquires"], res.Stats["hist.batch_flushes"]
+	accesses := res.Stats["sched.reads"] + res.Stats["sched.writes"]
+	if flushes == 0 || locks != flushes {
+		t.Errorf("zero Config: %d page-lock acquisitions, %d batch flushes: want one per flush", locks, flushes)
 	}
-	if res.Stats["hist.batch_flushes"] == 0 {
-		t.Error("hist.batch_flushes missing from the registry snapshot")
+	if locks*5 > accesses {
+		t.Errorf("zero Config: %d page-lock acquisitions for %d accesses: the history is not strand-buffered", locks, accesses)
 	}
 }

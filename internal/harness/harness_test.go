@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sforder/internal/detect"
+	"sforder/internal/engine"
 	"sforder/internal/harness"
 	"sforder/internal/workload"
 )
@@ -17,22 +18,23 @@ func testBenches() []*workload.Benchmark {
 func TestRunAllDetectorModes(t *testing.T) {
 	b := workload.MM(16, 8)
 	cases := []harness.Config{
-		{Mode: harness.Base, Serial: true},
-		{Mode: harness.Base, Workers: 2},
-		{Detector: harness.SFOrder, Mode: harness.Reach, Serial: true},
-		{Detector: harness.SFOrder, Mode: harness.Full, Workers: 2},
-		{Detector: harness.SFOrder, Mode: harness.Full, Serial: true, Policy: detect.ReadersLR},
-		{Detector: harness.FOrder, Mode: harness.Reach, Workers: 2},
-		{Detector: harness.FOrder, Mode: harness.Full, Serial: true},
-		{Detector: harness.MultiBags, Mode: harness.Reach, Serial: true},
-		{Detector: harness.MultiBags, Mode: harness.Full, Serial: true},
+		{Mode: harness.Base, Config: engine.Config{Serial: true}},
+		{Mode: harness.Base, Config: engine.Config{Workers: 2}},
+		{Mode: harness.Reach, Config: engine.Config{Serial: true}},
+		{Mode: harness.Full, Config: engine.Config{Workers: 2}},
+		{Mode: harness.Full, Config: engine.Config{Workers: 2, LockedHistory: true}},
+		{Mode: harness.Full, Config: engine.Config{Serial: true, Policy: detect.ReadersLR}},
+		{Mode: harness.Reach, Config: engine.Config{Detector: engine.FOrder, Workers: 2}},
+		{Mode: harness.Full, Config: engine.Config{Detector: engine.FOrder, Serial: true}},
+		{Mode: harness.Reach, Config: engine.Config{Detector: engine.MultiBags, Serial: true}},
+		{Mode: harness.Full, Config: engine.Config{Detector: engine.MultiBags, Serial: true}},
 	}
 	for _, cfg := range cases {
 		res, err := harness.Run(b, cfg)
 		if err != nil {
 			t.Fatalf("%v/%v: %v", cfg.Detector, cfg.Mode, err)
 		}
-		if res.Races != 0 {
+		if res.RaceCount != 0 {
 			t.Errorf("%v/%v: unexpected races", cfg.Detector, cfg.Mode)
 		}
 		if cfg.Mode != harness.Base && res.ReachMem <= 0 {
@@ -46,7 +48,7 @@ func TestRunAllDetectorModes(t *testing.T) {
 
 func TestMultiBagsRejectsParallel(t *testing.T) {
 	_, err := harness.Run(workload.MM(16, 8), harness.Config{
-		Detector: harness.MultiBags, Mode: harness.Full, Workers: 2,
+		Mode: harness.Full, Config: engine.Config{Detector: engine.MultiBags, Workers: 2},
 	})
 	if err == nil {
 		t.Fatal("MultiBags must reject parallel execution")
@@ -55,7 +57,7 @@ func TestMultiBagsRejectsParallel(t *testing.T) {
 
 func TestLRPolicyRequiresSFOrder(t *testing.T) {
 	_, err := harness.Run(workload.MM(16, 8), harness.Config{
-		Detector: harness.FOrder, Mode: harness.Full, Serial: true, Policy: detect.ReadersLR,
+		Mode: harness.Full, Config: engine.Config{Detector: engine.FOrder, Serial: true, Policy: detect.ReadersLR},
 	})
 	if err == nil {
 		t.Fatal("ReadersLR with F-Order must be rejected")
@@ -63,7 +65,7 @@ func TestLRPolicyRequiresSFOrder(t *testing.T) {
 }
 
 func TestFig3(t *testing.T) {
-	rows, err := harness.Fig3(testBenches())
+	rows, err := harness.Fig3(testBenches(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestFig3(t *testing.T) {
 }
 
 func TestFig4(t *testing.T) {
-	rows, err := harness.Fig4(testBenches()[:1], 2, 1)
+	rows, err := harness.Fig4(testBenches()[:1], 2, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestFig5SFOrderSmallerOnFutureHeavy(t *testing.T) {
 }
 
 func TestAblationReaderPolicy(t *testing.T) {
-	rows, err := harness.AblationReaderPolicy(testBenches()[:1], 1)
+	rows, err := harness.AblationReaderPolicy(testBenches()[:1], 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestAblationReaderPolicy(t *testing.T) {
 }
 
 func TestRunBestPicksMinimum(t *testing.T) {
-	res, err := harness.RunBest(workload.MM(16, 8), harness.Config{Mode: harness.Base, Serial: true}, 3)
+	res, err := harness.RunBest(workload.MM(16, 8), harness.Config{Mode: harness.Base, Config: engine.Config{Serial: true}}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +165,6 @@ func TestRunBestPicksMinimum(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	if harness.SFOrder.String() != "SF-Order" || harness.MultiBags.String() != "MultiBags" {
-		t.Error("detector strings")
-	}
 	if harness.Base.String() != "base" || harness.Full.String() != "full" {
 		t.Error("mode strings")
 	}

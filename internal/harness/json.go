@@ -3,6 +3,8 @@ package harness
 import (
 	"encoding/json"
 	"io"
+
+	"sforder/internal/engine"
 )
 
 // Report bundles every regenerated artifact for machine consumption
@@ -48,9 +50,9 @@ func (r Fig4Row) MarshalJSON() ([]byte, error) {
 		Cells   []cellOut `json:"cells"`
 	}{Bench: r.Bench, Workers: r.Workers, BaseT1: r.BaseT1, BaseTP: r.BaseTP}
 	for _, mode := range []Mode{Reach, Full} {
-		for _, det := range []Detector{MultiBags, FOrder, SFOrder} {
+		for _, det := range []engine.Detector{engine.MultiBags, engine.FOrder, engine.SFOrder} {
 			for _, tp := range []bool{false, true} {
-				if det == MultiBags && tp {
+				if det == engine.MultiBags && tp {
 					continue
 				}
 				k := key(det, mode, tp)

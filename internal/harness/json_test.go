@@ -11,7 +11,7 @@ import (
 )
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rows, err := harness.Fig3([]*workload.Benchmark{workload.MM(16, 8)})
+	rows, err := harness.Fig3([]*workload.Benchmark{workload.MM(16, 8)}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestFig4RowJSONCells(t *testing.T) {
-	rows, err := harness.Fig4([]*workload.Benchmark{workload.MM(16, 8)}, 2, 1)
+	rows, err := harness.Fig4([]*workload.Benchmark{workload.MM(16, 8)}, 2, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"sforder/internal/detect"
+	"sforder/internal/engine"
 	"sforder/internal/obsv"
 	"sforder/internal/workload"
 )
@@ -25,16 +26,14 @@ type Fig3Row struct {
 // a stats registry attached gathers all columns at once — every column
 // is read from the registry snapshot rather than from per-component
 // getters, so the table and the -stats/-http surfaces can never
-// disagree.
-func Fig3(benches []*workload.Benchmark) ([]Fig3Row, error) {
+// disagree. locked selects the paper-faithful locked history in place of
+// the shipping one (it moves the queries column only).
+func Fig3(benches []*workload.Benchmark, locked bool) ([]Fig3Row, error) {
 	var rows []Fig3Row
 	for _, b := range benches {
-		res, err := Run(b, Config{
-			Detector: SFOrder,
-			Mode:     Full,
-			Serial:   true,
-			Registry: obsv.NewRegistry(),
-		})
+		res, err := Run(b, Config{Mode: Full, Config: engine.Config{
+			Serial: true, LockedHistory: locked, Stats: obsv.NewRegistry(),
+		}})
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +99,7 @@ type Fig4Row struct {
 	ByConfig map[string]Fig4Cell // keys like "MultiBags/reach/T1", "SF-Order/full/TP"
 }
 
-func key(d Detector, m Mode, tp bool) string {
+func key(d engine.Detector, m Mode, tp bool) string {
 	suffix := "T1"
 	if tp {
 		suffix = "TP"
@@ -111,54 +110,53 @@ func key(d Detector, m Mode, tp bool) string {
 // Fig4 measures the full grid for the given benchmarks. repeats selects
 // best-of-n timing. MultiBags runs only at T1 (it is sequential, which
 // is the point of the comparison); the parallel detectors run at one
-// worker and at workers workers.
-func Fig4(benches []*workload.Benchmark, workers, repeats int) ([]Fig4Row, error) {
+// worker and at workers workers. The history is the shipping one, or
+// with locked the paper's lock-per-access history its shape checks are
+// made against.
+func Fig4(benches []*workload.Benchmark, workers, repeats int, locked bool) ([]Fig4Row, error) {
 	var rows []Fig4Row
 	for _, b := range benches {
 		row := Fig4Row{Bench: b.Name, Workers: workers, ByConfig: map[string]Fig4Cell{}}
+		// seconds is the best-of-repeats wall of one cell on w workers;
+		// w == 0 selects the serial executor.
+		seconds := func(det engine.Detector, mode Mode, w int) (float64, error) {
+			r, err := RunBest(b, Config{Mode: mode, Config: engine.Config{
+				Detector: det, Workers: w, Serial: w == 0, LockedHistory: locked,
+			}}, repeats)
+			if err != nil {
+				return 0, err
+			}
+			return r.Elapsed.Seconds(), nil
+		}
 
-		baseT1, err := RunBest(b, Config{Mode: Base, Serial: true}, repeats)
+		var err error
+		if row.BaseT1, err = seconds(engine.NoDetector, Base, 0); err != nil {
+			return nil, err
+		}
+		baseTP, err := seconds(engine.NoDetector, Base, workers)
 		if err != nil {
 			return nil, err
 		}
-		row.BaseT1 = baseT1.Elapsed.Seconds()
-		baseTP, err := RunBest(b, Config{Mode: Base, Workers: workers}, repeats)
-		if err != nil {
-			return nil, err
-		}
-		row.BaseTP = Fig4Cell{
-			Seconds: baseTP.Elapsed.Seconds(),
-			Scale:   row.BaseT1 / baseTP.Elapsed.Seconds(),
-		}
+		row.BaseTP = Fig4Cell{Seconds: baseTP, Scale: row.BaseT1 / baseTP}
 
 		for _, mode := range []Mode{Reach, Full} {
 			// MultiBags: serial executor only.
-			mb, err := RunBest(b, Config{Detector: MultiBags, Mode: mode, Serial: true}, repeats)
+			mb, err := seconds(engine.MultiBags, mode, 0)
 			if err != nil {
 				return nil, err
 			}
-			row.ByConfig[key(MultiBags, mode, false)] = Fig4Cell{
-				Seconds:  mb.Elapsed.Seconds(),
-				Overhead: mb.Elapsed.Seconds() / row.BaseT1,
-			}
-			for _, det := range []Detector{FOrder, SFOrder} {
-				t1, err := RunBest(b, Config{Detector: det, Mode: mode, Workers: 1}, repeats)
+			row.ByConfig[key(engine.MultiBags, mode, false)] = Fig4Cell{Seconds: mb, Overhead: mb / row.BaseT1}
+			for _, det := range []engine.Detector{engine.FOrder, engine.SFOrder} {
+				t1, err := seconds(det, mode, 1)
 				if err != nil {
 					return nil, err
 				}
-				row.ByConfig[key(det, mode, false)] = Fig4Cell{
-					Seconds:  t1.Elapsed.Seconds(),
-					Overhead: t1.Elapsed.Seconds() / row.BaseT1,
-				}
-				tp, err := RunBest(b, Config{Detector: det, Mode: mode, Workers: workers}, repeats)
+				row.ByConfig[key(det, mode, false)] = Fig4Cell{Seconds: t1, Overhead: t1 / row.BaseT1}
+				tp, err := seconds(det, mode, workers)
 				if err != nil {
 					return nil, err
 				}
-				row.ByConfig[key(det, mode, true)] = Fig4Cell{
-					Seconds:  tp.Elapsed.Seconds(),
-					Overhead: tp.Elapsed.Seconds() / row.BaseTP.Seconds,
-					Scale:    t1.Elapsed.Seconds() / tp.Elapsed.Seconds(),
-				}
+				row.ByConfig[key(det, mode, true)] = Fig4Cell{Seconds: tp, Overhead: tp / baseTP, Scale: t1 / tp}
 			}
 		}
 		rows = append(rows, row)
@@ -183,11 +181,11 @@ func PrintFig4(w io.Writer, rows []Fig4Row) {
 			if i == 0 {
 				name = r.Bench
 			}
-			mb := r.ByConfig[key(MultiBags, mode, false)]
-			f1 := r.ByConfig[key(FOrder, mode, false)]
-			s1 := r.ByConfig[key(SFOrder, mode, false)]
-			fp := r.ByConfig[key(FOrder, mode, true)]
-			sp := r.ByConfig[key(SFOrder, mode, true)]
+			mb := r.ByConfig[key(engine.MultiBags, mode, false)]
+			f1 := r.ByConfig[key(engine.FOrder, mode, false)]
+			s1 := r.ByConfig[key(engine.SFOrder, mode, false)]
+			fp := r.ByConfig[key(engine.FOrder, mode, true)]
+			sp := r.ByConfig[key(engine.SFOrder, mode, true)]
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%.3f (%.2fx)\t%.3f (%.2fx)\t%.3f (%.2fx)\t%.3f [%.2fx]\t%.3f [%.2fx]\n",
 				name, b1, bp, mode,
 				mb.Seconds, mb.Overhead,
@@ -215,16 +213,17 @@ type Fig5Row struct {
 func Fig5(benches []*workload.Benchmark) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, b := range benches {
-		fo, err := Run(b, Config{Detector: FOrder, Mode: Reach, Serial: true, Registry: obsv.NewRegistry()})
-		if err != nil {
-			return nil, err
+		var mem [2]int64 // F-Order, SF-Order
+		for i, det := range []engine.Detector{engine.FOrder, engine.SFOrder} {
+			res, err := Run(b, Config{Mode: Reach, Config: engine.Config{
+				Detector: det, Serial: true, Stats: obsv.NewRegistry(),
+			}})
+			if err != nil {
+				return nil, err
+			}
+			mem[i] = res.Stats["reach.mem_bytes"]
 		}
-		sf, err := Run(b, Config{Detector: SFOrder, Mode: Reach, Serial: true, Registry: obsv.NewRegistry()})
-		if err != nil {
-			return nil, err
-		}
-		foMem := fo.Stats["reach.mem_bytes"]
-		sfMem := sf.Stats["reach.mem_bytes"]
+		foMem, sfMem := mem[0], mem[1]
 		const mb = 1 << 20
 		row := Fig5Row{
 			Bench:     b.Name,
@@ -261,17 +260,20 @@ type AblationRow struct {
 }
 
 // AblationReaderPolicy measures ABL1 from DESIGN.md.
-func AblationReaderPolicy(benches []*workload.Benchmark, repeats int) ([]AblationRow, error) {
+func AblationReaderPolicy(benches []*workload.Benchmark, repeats int, locked bool) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, b := range benches {
-		all, err := RunBest(b, Config{Detector: SFOrder, Mode: Full, Serial: true, Policy: detect.ReadersAll}, repeats)
-		if err != nil {
-			return nil, err
+		var res [2]*Result // ReadersAll, ReadersLR
+		for i, policy := range []detect.ReaderPolicy{detect.ReadersAll, detect.ReadersLR} {
+			var err error
+			res[i], err = RunBest(b, Config{Mode: Full, Config: engine.Config{
+				Serial: true, Policy: policy, LockedHistory: locked,
+			}}, repeats)
+			if err != nil {
+				return nil, err
+			}
 		}
-		lr, err := RunBest(b, Config{Detector: SFOrder, Mode: Full, Serial: true, Policy: detect.ReadersLR}, repeats)
-		if err != nil {
-			return nil, err
-		}
+		all, lr := res[0], res[1]
 		const mb = 1 << 20
 		rows = append(rows, AblationRow{
 			Bench:      b.Name,

@@ -21,8 +21,8 @@ var itemChunkPool = sync.Pool{New: func() any { return new(itemChunk) }}
 // lane arenas of internal/core so the reach hot path allocates dag
 // positions with a pointer bump instead of a heap allocation. An arena
 // is single-owner: not safe for concurrent use. A nil *ItemArena is
-// valid and falls back to the heap, which is what the -noarena ablation
-// and callers without lane state use.
+// valid and falls back to the heap, which is what callers without lane
+// state use.
 type ItemArena struct {
 	cur    *itemChunk
 	next   int

@@ -32,8 +32,7 @@ package sched
 // state is already taken is simply discarded and the dequeue retried.
 // Dequeued-but-stale slots keep their job pointer until the slot is
 // reused, pinning at most one ring of finished jobs — bounded by the
-// ring size, unlike the old mutex deque whose stolen-from slice head
-// grew without bound.
+// ring size.
 
 import (
 	"sync/atomic"

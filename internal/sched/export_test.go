@@ -2,8 +2,10 @@ package sched
 
 // Test-only exports for whitebox tests of the scheduler internals.
 
-func newTestWorkers(lockDeque bool) (*worker, *worker) {
-	e := &engine{abortCh: make(chan struct{}), lockDeque: lockDeque}
+// NewTestWorkerPair returns two workers of a throwaway engine, for
+// exercising push/pop/steal mechanics directly.
+func NewTestWorkerPair() (*worker, *worker) {
+	e := &engine{abortCh: make(chan struct{})}
 	w1 := &worker{eng: e, id: 0, lastVictim: -1, parkSig: make(chan struct{}, 1)}
 	w2 := &worker{eng: e, id: 1, lastVictim: -1, parkSig: make(chan struct{}, 1)}
 	w1.cl.init()
@@ -12,37 +14,23 @@ func newTestWorkers(lockDeque bool) (*worker, *worker) {
 	return w1, w2
 }
 
-// NewTestWorkerPair returns two workers of a throwaway engine using the
-// default lock-free Chase–Lev deques, for exercising push/pop/steal
-// mechanics directly.
-func NewTestWorkerPair() (*worker, *worker) { return newTestWorkers(false) }
-
-// NewTestWorkerPairLocked is NewTestWorkerPair with the mutex-deque
-// ablation selected, so deque tests cover both representations.
-func NewTestWorkerPairLocked() (*worker, *worker) { return newTestWorkers(true) }
-
 // NewTestJob returns a claimable no-op job.
 func NewTestJob() *job { return &job{} }
 
 // PushJob exposes worker.push.
 func (w *worker) PushJob(j *job) { w.push(j) }
 
-// PopJob exposes worker.pop.
-func (w *worker) PopJob() *job { return w.pop() }
+// PopJob pops from the worker's own deque.
+func (w *worker) PopJob() *job { return w.cl.pop() }
 
-// StealJobFrom exposes worker.stealFrom.
-func (w *worker) StealJobFrom(v *worker) *job { return w.stealFrom(v) }
+// StealJobFrom steals from v's deque.
+func (w *worker) StealJobFrom(v *worker) *job { return v.cl.steal() }
 
 // Take exposes job.take.
 func (j *job) Take() bool { return j.take() }
 
 // DequeLen reports the current deque length.
-func (w *worker) DequeLen() int {
-	if w.eng.lockDeque {
-		return int(w.slen.Load())
-	}
-	return int(w.cl.size())
-}
+func (w *worker) DequeLen() int { return int(w.cl.size()) }
 
-// DequeBytes exposes worker.dequeBytes.
-func (w *worker) DequeBytes() int64 { return w.dequeBytes() }
+// DequeBytes is the deque's backing-store footprint.
+func (w *worker) DequeBytes() int64 { return w.cl.memBytes() }

@@ -40,7 +40,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"sforder/internal/obsv"
 )
@@ -232,12 +231,6 @@ type Options struct {
 	// characterization runs). Off by default so baseline timing runs pay
 	// no per-access atomic cost.
 	CountAccesses bool
-	// LockDeque selects the historical mutex-guarded deque instead of
-	// the lock-free Chase–Lev deque, for ablation (ABL9): every
-	// push/pop/steal then takes the worker's lock, counted by the
-	// sched.lock_acquires gauge. The idle park/wake protocol is
-	// unchanged — only the deque representation differs.
-	LockDeque bool
 	// CheckStructure enables the on-the-fly structured-futures checker:
 	// every Create and Get additionally verifies the SF restrictions
 	// (paper §2) in O(1) per operation — single-touch with full
@@ -296,14 +289,13 @@ type engine struct {
 	checker    AccessChecker
 	closer     StrandCloser      // non-nil when the checker wants strand-close hooks
 	check      bool              // Options.CheckStructure, hoisted for the hot paths
-	lockDeque  bool              // Options.LockDeque, hoisted for the hot paths
 	trace      *obsv.TraceWriter // Options.Trace, consulted for steal instants
 
 	strandID atomic.Uint64
 	futureID atomic.Int64
 
 	cStrands, cFutures, cSpawns, cSyncs, cGets, cReads, cWrites, cSteals atomic.Uint64
-	cStealFails, cParks, cWakes, cDequeGrows, cLockAcquires              atomic.Uint64
+	cStealFails, cParks, cWakes, cDequeGrows                             atomic.Uint64
 
 	workers     []*worker
 	pending     atomic.Int64 // unfinished jobs
@@ -319,13 +311,12 @@ type engine struct {
 // serial mode panics propagate to the caller.
 func Run(opts Options, main func(*Task)) (Counts, error) {
 	e := &engine{
-		opts:      opts,
-		tracer:    opts.Tracer,
-		checker:   opts.Checker,
-		check:     opts.CheckStructure,
-		lockDeque: opts.LockDeque,
-		trace:     opts.Trace,
-		abortCh:   make(chan struct{}),
+		opts:    opts,
+		tracer:  opts.Tracer,
+		checker: opts.Checker,
+		check:   opts.CheckStructure,
+		trace:   opts.Trace,
+		abortCh: make(chan struct{}),
 	}
 	if c, ok := opts.Checker.(StrandCloser); ok {
 		e.closer = c
@@ -412,7 +403,7 @@ func Run(opts Options, main func(*Task)) (Counts, error) {
 		opts.Stats.RegisterFunc("sched.deque_bytes", func() int64 {
 			var b int64
 			for _, wk := range e.workers {
-				b += wk.dequeBytes()
+				b += wk.cl.memBytes()
 			}
 			return b
 		})
@@ -467,7 +458,6 @@ func (e *engine) registerStats(r *obsv.Registry) {
 	gauge("sched.parks", &e.cParks)
 	gauge("sched.wakes", &e.cWakes)
 	gauge("sched.deque_grows", &e.cDequeGrows)
-	gauge("sched.lock_acquires", &e.cLockAcquires)
 }
 
 func (e *engine) newStrand(f *FutureTask) *Strand {
@@ -594,10 +584,8 @@ type job struct {
 
 func (j *job) take() bool { return j.state.CompareAndSwap(0, 1) }
 
-// worker executes jobs from its own deque, stealing when empty. The
-// deque is a lock-free Chase–Lev ring (deque.go) by default; the
-// Options.LockDeque ablation swaps in the historical mutex-guarded
-// slice, with every acquisition counted on sched.lock_acquires.
+// worker executes jobs from its own deque — a lock-free Chase–Lev ring
+// (deque.go) — stealing when empty.
 type worker struct {
 	eng *engine
 	id  int
@@ -607,14 +595,7 @@ type worker struct {
 	// against is probed first next time (worker-local, no sync needed).
 	lastVictim int
 
-	cl chaseLev // the lock-free deque (default)
-
-	// The Options.LockDeque ablation deque. slen/scap mirror len/cap
-	// under the lock so the pre-park work scan and the deque_bytes
-	// gauge can read them without acquiring it.
-	mu         sync.Mutex
-	slice      []*job // bottom (newest) = end of slice
-	slen, scap atomic.Int64
+	cl chaseLev
 
 	// Idle-protocol state; see park/wakeOne for the token discipline.
 	parked  atomic.Bool
@@ -624,93 +605,12 @@ type worker struct {
 // push appends j to this worker's deque and wakes at most one parked
 // worker. Everything the pusher did before the push — in particular
 // the closeStrand flush at the spawn/create site — happens-before any
-// pop or steal that obtains j (atomic publication in the Chase–Lev
-// case, the mutex in the ablation case).
+// pop or steal that obtains j (the deque's atomic publication).
 func (w *worker) push(j *job) {
-	e := w.eng
-	if e.lockDeque {
-		e.cLockAcquires.Add(1)
-		w.mu.Lock()
-		w.slice = append(w.slice, j)
-		w.slen.Store(int64(len(w.slice)))
-		w.scap.Store(int64(cap(w.slice)))
-		w.mu.Unlock()
-	} else if w.cl.push(j) {
-		e.cDequeGrows.Add(1)
+	if w.cl.push(j) {
+		w.eng.cDequeGrows.Add(1)
 	}
-	e.wakeOne()
-}
-
-// pop removes the newest pending job from the bottom of the deque,
-// discarding jobs already taken elsewhere (inline drains, get claims).
-func (w *worker) pop() *job {
-	e := w.eng
-	if !e.lockDeque {
-		return w.cl.pop()
-	}
-	e.cLockAcquires.Add(1)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.slice) > 0 {
-		j := w.slice[len(w.slice)-1]
-		w.slice = w.slice[:len(w.slice)-1]
-		w.slen.Store(int64(len(w.slice)))
-		if j.state.Load() == 0 {
-			return j
-		}
-	}
-	return nil
-}
-
-// stealFrom removes the oldest pending job from the top of v's deque.
-func (w *worker) stealFrom(v *worker) *job {
-	e := w.eng
-	if !e.lockDeque {
-		return v.cl.steal()
-	}
-	e.cLockAcquires.Add(1)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for len(v.slice) > 0 {
-		j := v.slice[0]
-		v.slice = v.slice[1:]
-		v.slen.Store(int64(len(v.slice)))
-		v.scap.Store(int64(cap(v.slice)))
-		if j.state.Load() == 0 {
-			return j
-		}
-	}
-	return nil
-}
-
-// hasWork reports whether this worker's deque looks non-empty. Racy by
-// design: it feeds the pre-park scan, where staleness costs one more
-// probe round, never correctness.
-func (w *worker) hasWork() bool {
-	if w.eng.lockDeque {
-		return w.slen.Load() > 0
-	}
-	return w.cl.size() > 0
-}
-
-// dequeBytes is the deque's backing-store footprint for the
-// sched.deque_bytes gauge (ring capacity, or the mirrored slice cap in
-// the ablation mode).
-func (w *worker) dequeBytes() int64 {
-	if w.eng.lockDeque {
-		return w.scap.Load() * int64(unsafe.Sizeof((*job)(nil)))
-	}
-	return w.cl.memBytes()
-}
-
-// trim drops the dead entries inline claims leave at the bottom of
-// this worker's deque; called after every inline run (see runInline).
-// The mutex ablation keeps the historical accumulate-until-popped
-// behavior — its memory growth is part of what ABL9 measures.
-func (w *worker) trim() {
-	if !w.eng.lockDeque {
-		w.cl.trim()
-	}
+	w.eng.wakeOne()
 }
 
 // trySteal attempts one steal from v, updating affinity and counters on
@@ -719,7 +619,7 @@ func (w *worker) trySteal(v *worker) *job {
 	if v == w {
 		return nil
 	}
-	j := w.stealFrom(v)
+	j := v.cl.steal()
 	if j == nil {
 		return nil
 	}
@@ -737,7 +637,7 @@ func (w *worker) trySteal(v *worker) *job {
 // still does, and its deque top is warm in this worker's cache), then
 // the remaining workers from a random offset.
 func (w *worker) findWork() *job {
-	if j := w.pop(); j != nil {
+	if j := w.cl.pop(); j != nil {
 		return j
 	}
 	n := len(w.eng.workers)
@@ -853,7 +753,7 @@ func (w *worker) cancelPark() {
 // workAvailable scans every deque for visible work (pre-park check).
 func (e *engine) workAvailable() bool {
 	for _, v := range e.workers {
-		if v.hasWork() {
+		if v.cl.size() > 0 {
 			return true
 		}
 	}
@@ -939,7 +839,7 @@ func (e *engine) runInline(j *job, w *worker) {
 	}()
 	e.runBody(j.task, w)
 	if w != nil {
-		w.trim()
+		w.cl.trim()
 	}
 }
 

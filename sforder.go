@@ -42,13 +42,11 @@ import (
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
-	"sforder/internal/forder"
-	"sforder/internal/multibags"
+	"sforder/internal/engine"
 	"sforder/internal/obsv"
 	"sforder/internal/replay"
 	"sforder/internal/sched"
 	"sforder/internal/trace"
-	"sforder/internal/wsp"
 )
 
 // Task is the execution context of one function instance; user code
@@ -71,75 +69,47 @@ const (
 )
 
 // Detector selects the race-detection algorithm.
-type Detector int
+type Detector = engine.Detector
 
 const (
 	// SFOrder is the paper's parallel detector for structured futures:
 	// constant-time reachability queries, O((T1+k²)/P + T∞ lg k)
 	// running time for k futures.
-	SFOrder Detector = iota
+	SFOrder = engine.SFOrder
 	// FOrder is the parallel detector for general (unrestricted)
 	// futures — higher overhead, no structured-future assumptions.
-	FOrder
+	FOrder = engine.FOrder
 	// MultiBags is the sequential detector for structured futures —
 	// the lowest one-core overhead, but it forces serial execution.
-	MultiBags
+	MultiBags = engine.MultiBags
 	// WSPOrder is the asymptotically optimal detector for pure
 	// fork-join programs (WSP-Order, SPAA'16) — the algorithm SF-Order
 	// builds on. It panics on the first Create/Get: programs with
 	// futures need SFOrder or FOrder.
-	WSPOrder
+	WSPOrder = engine.WSPOrder
 	// NoDetector executes the program without any instrumentation.
-	NoDetector
+	NoDetector = engine.NoDetector
 )
-
-func (d Detector) String() string {
-	switch d {
-	case SFOrder:
-		return "SF-Order"
-	case FOrder:
-		return "F-Order"
-	case MultiBags:
-		return "MultiBags"
-	case WSPOrder:
-		return "WSP-Order"
-	case NoDetector:
-		return "none"
-	default:
-		return fmt.Sprintf("Detector(%d)", int(d))
-	}
-}
 
 // ReachBackend selects the reachability substrate of the SFOrder
 // detector (the -reach flag of cmd/sforder). Other detectors ignore it.
-type ReachBackend int
+type ReachBackend = core.Substrate
 
 const (
 	// ReachOM (default) is the paper's English/Hebrew order-maintenance
 	// list pair: O(1) amortized labels, maintenance lock at splits and
 	// renumberings.
-	ReachOM ReachBackend = iota
+	ReachOM = core.SubstrateOM
 	// ReachDePa uses immutable DePa-style fork-path labels stored as
 	// prefix-sharing cords: no relabeling and no maintenance lock,
 	// O(strands) total label memory, and order comparisons that skip
 	// the shared prefix by pointer equality (ABL10/ABL11).
-	ReachDePa
+	ReachDePa = core.SubstrateDePa
 	// ReachHybrid is ReachDePa plus packed flat label copies below a
 	// depth threshold, compared directly on shallow-vs-shallow queries
 	// (ABL11).
-	ReachHybrid
+	ReachHybrid = core.SubstrateHybrid
 )
-
-func (b ReachBackend) String() string {
-	switch b {
-	case ReachDePa:
-		return "depa"
-	case ReachHybrid:
-		return "hybrid"
-	default:
-		return "om"
-	}
-}
 
 // ReaderPolicy selects how many previous readers the access history
 // keeps per location.
@@ -251,134 +221,48 @@ type Result struct {
 // precisely the ones worth keeping. In Serial mode panics propagate to
 // the caller instead.
 func Run(cfg Config, main func(*Task)) (*Result, error) {
-	type reachComponent interface {
-		sched.Tracer
-		detect.Reachability
-		MemBytes() int
-		Queries() uint64
+	ecfg := engine.Config{
+		Detector:         cfg.Detector,
+		Reach:            cfg.Reach,
+		Workers:          cfg.Workers,
+		Serial:           cfg.Serial,
+		ReachabilityOnly: cfg.ReachabilityOnly,
+		Policy:           cfg.Policy,
+		MaxRaces:         cfg.MaxRaces,
+		LockedHistory:    cfg.LockedHistory,
+		DedupByAddr:      cfg.DedupByAddr,
+		CheckStructure:   cfg.CheckStructure,
+		Record:           cfg.Record,
 	}
-	var reach reachComponent
-	var leftOf func(a, b *sched.Strand) bool
-	switch cfg.Detector {
-	case SFOrder:
-		ccfg := core.Config{}
-		switch cfg.Reach {
-		case ReachDePa:
-			ccfg.Reach = core.SubstrateDePa
-		case ReachHybrid:
-			ccfg.Reach = core.SubstrateHybrid
-		}
-		sf := core.New(ccfg)
-		// The Result holds only values — counts, Race records, a stats
-		// snapshot — so the arena slabs go back to their pools on every
-		// return path, after it is assembled.
-		defer sf.Release()
-		reach, leftOf = sf, sf.LeftOf
-	case FOrder:
-		reach = forder.NewReach()
-	case MultiBags:
-		reach = multibags.NewReach()
-		cfg.Serial = true
-	case WSPOrder:
-		w := wsp.NewReach()
-		reach, leftOf = w, w.LeftOf
-	case NoDetector:
-	default:
-		return nil, fmt.Errorf("sforder: unknown detector %v", cfg.Detector)
-	}
-	if cfg.Policy == ReadersLR && cfg.Detector != SFOrder && cfg.Detector != WSPOrder {
-		return nil, fmt.Errorf("sforder: ReadersLR is only sound for the SFOrder and WSPOrder detectors")
-	}
-
-	opts := sched.Options{Serial: cfg.Serial, Workers: cfg.Workers, CheckStructure: cfg.CheckStructure}
-	var reg *obsv.Registry
 	if cfg.Stats {
-		reg = obsv.NewRegistry()
-		opts.Stats = reg
+		ecfg.Stats = obsv.NewRegistry()
 	}
-	var tw *obsv.TraceWriter
 	if cfg.Trace != nil {
-		tw = obsv.NewTraceWriter(cfg.Trace)
-		opts.Trace = tw
+		ecfg.Trace = obsv.NewTraceWriter(cfg.Trace)
 	}
-	var rec *trace.Recorder
-	if cfg.Record != nil {
-		rec = trace.NewRecorder(cfg.Record)
-		opts.Aux = rec
-		if reg != nil {
-			rec.RegisterStats(reg)
-		}
+	r, err := engine.Run(ecfg, main)
+	if err != nil {
+		err = fmt.Errorf("sforder: %w", err)
 	}
-	var hist *detect.History
-	if reach != nil {
-		opts.Tracer = reach
-		if reg != nil {
-			if rs, ok := reach.(interface{ RegisterStats(*obsv.Registry) }); ok {
-				rs.RegisterStats(reg)
-			}
-		}
-		if !cfg.ReachabilityOnly {
-			hopts := detect.Options{
-				Reach:       reach,
-				Policy:      cfg.Policy,
-				LeftOf:      leftOf,
-				MaxRaces:    cfg.MaxRaces,
-				DedupByAddr: cfg.DedupByAddr,
-				FastPath:    !cfg.LockedHistory,
-			}
-			if rec != nil {
-				// The history taps the recorder with the deduplicated
-				// access stream it applies — the capture carries exactly
-				// what online detection saw.
-				hopts.Tap = rec
-			}
-			hist = detect.NewHistory(hopts)
-			if reg != nil {
-				hist.RegisterStats(reg)
-			}
-			opts.Checker = hist
-		}
-	}
-	if rec != nil && hist == nil {
-		// No access history to tap: the recorder observes the raw access
-		// stream itself (with its own per-strand dedup), so NoDetector
-		// and ReachabilityOnly runs still produce a complete capture.
-		opts.Checker = rec
-	}
-
-	start := time.Now()
-	counts, err := sched.Run(opts, main)
-	if tw != nil {
-		if cerr := tw.Close(); cerr != nil && err == nil {
+	if ecfg.Trace != nil {
+		if cerr := ecfg.Trace.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("sforder: trace: %w", cerr)
 		}
 	}
-	if rec != nil {
-		if cerr := rec.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("sforder: record: %w", cerr)
-		}
+	if r == nil {
+		return nil, err
 	}
-	// Build the result even when the program failed: counts, races, and
-	// stats accumulated before the abort are valid data, and dropping
-	// them would lose every race the crashing program already exposed.
-	res := &Result{
-		Elapsed: time.Since(start),
-		Strands: counts.Strands,
-		Futures: counts.Futures,
-	}
-	if reach != nil {
-		res.Queries = reach.Queries()
-		res.ReachMemBytes = reach.MemBytes()
-	}
-	if hist != nil {
-		res.Races = hist.Races()
-		res.RaceCount = hist.RaceCount()
-		res.HistoryMemBytes = hist.MemBytes()
-	}
-	if reg != nil {
-		res.Stats = reg.Snapshot()
-	}
-	return res, err
+	return &Result{
+		Races:           r.Races,
+		RaceCount:       r.RaceCount,
+		Elapsed:         r.Elapsed,
+		Queries:         r.Queries,
+		Strands:         r.Counts.Strands,
+		Futures:         r.Counts.Futures,
+		ReachMemBytes:   r.ReachMem,
+		HistoryMemBytes: r.HistMem,
+		Stats:           r.Stats,
+	}, err
 }
 
 // ReplayConfig configures Replay.
@@ -429,13 +313,8 @@ func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 		Workers:        cfg.Workers,
 		RebuildWorkers: cfg.RebuildWorkers,
 		MaxRaces:       cfg.MaxRaces,
+		Reach:          cfg.Reach,
 		DedupByAddr:    cfg.DedupByAddr,
-	}
-	switch cfg.Reach {
-	case ReachDePa:
-		opts.Reach = core.SubstrateDePa
-	case ReachHybrid:
-		opts.Reach = core.SubstrateHybrid
 	}
 	if cfg.Streaming {
 		res, err := replay.RunStream(r, opts)

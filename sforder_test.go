@@ -241,6 +241,13 @@ func TestDetectorStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", d, d.String(), s)
 		}
 	}
+	// Detector and ReachBackend are aliases of internal types; the public
+	// names, constants and spellings are the API.
+	var _ sforder.Detector = sforder.WSPOrder
+	var _ sforder.ReachBackend = sforder.ReachOM
+	if sforder.ReachHybrid.String() != "hybrid" || sforder.ReachDePa.String() != "depa" || sforder.ReachOM.String() != "om" {
+		t.Errorf("ReachBackend strings: %q %q %q", sforder.ReachOM, sforder.ReachDePa, sforder.ReachHybrid)
+	}
 }
 
 // TestReplayRoundTrip records a racy run through the public API and
@@ -290,36 +297,43 @@ func TestReplayRoundTrip(t *testing.T) {
 }
 
 // TestRunReleasesArenaSlabs: Run hands the reachability arenas' slabs
-// back to their pools when it returns, so a second Run of the same
-// program draws them from there instead of the heap. With the pools
-// emptied first and the collector off in between, the second run must
-// allocate less than the first by most of the slab bytes the first held.
+// back to their pools when it returns — also when the program panicked
+// on the way — so a second Run of the same program draws them from there
+// instead of the heap. With the pools emptied first and the collector
+// off in between, the second run must allocate less than the first by
+// most of the slab bytes the first held.
 func TestRunReleasesArenaSlabs(t *testing.T) {
-	prog := func(t *sforder.Task) {
-		for i := 0; i < 20000; i++ {
-			t.Spawn(func(c *sforder.Task) { c.Write(uint64(i)) })
+	for _, crash := range []bool{false, true} {
+		prog := func(t *sforder.Task) {
+			for i := 0; i < 20000; i++ {
+				t.Spawn(func(c *sforder.Task) { c.Write(uint64(i)) })
+			}
+			t.Sync()
+			if crash {
+				panic("kaboom")
+			}
 		}
-		t.Sync()
-	}
-	run := func() (allocated, slabs uint64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := sforder.Run(sforder.Config{Workers: 1, Stats: true}, prog)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		run := func() (allocated, slabs uint64) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := sforder.Run(sforder.Config{Workers: 1, Stats: true}, prog)
+			runtime.ReadMemStats(&after)
+			if crash != (err != nil) || res == nil {
+				t.Fatalf("crash=%v: result %v, error %v", crash, res, err)
+			}
+			return after.TotalAlloc - before.TotalAlloc, uint64(res.Stats["core.arena_bytes"])
 		}
-		return after.TotalAlloc - before.TotalAlloc, uint64(res.Stats["core.arena_bytes"])
-	}
-	runtime.GC()
-	runtime.GC() // twice: the first only moves a sync.Pool's contents to its victim cache
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	first, slabs := run()
-	second, _ := run()
-	if slabs == 0 {
-		t.Fatal("the run held no arena slabs; the test measures nothing")
-	}
-	if second+slabs/2 > first {
-		t.Errorf("second run allocated %d bytes, first %d holding %d of slabs: slabs were not reused", second, first, slabs)
+		runtime.GC()
+		runtime.GC() // twice: the first only moves a sync.Pool's contents to its victim cache
+		restore := debug.SetGCPercent(-1)
+		first, slabs := run()
+		second, _ := run()
+		debug.SetGCPercent(restore)
+		if slabs == 0 {
+			t.Fatalf("crash=%v: the run held no arena slabs; the test measures nothing", crash)
+		}
+		if second+slabs/2 > first {
+			t.Errorf("crash=%v: second run allocated %d bytes, first %d holding %d of slabs: slabs were not reused", crash, second, first, slabs)
+		}
 	}
 }
