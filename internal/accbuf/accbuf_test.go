@@ -1,11 +1,18 @@
-package detect
+package accbuf
 
 import (
 	"maps"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
+
+// batchCap is the pending count at which internal/detect flushes early.
+const batchCap = 1024
+
+// pageBatchBytes is all a touched page costs its strand.
+const pageBatchBytes = int(unsafe.Sizeof(pageBatch{}))
 
 type bufEntry struct {
 	addr uint64
@@ -18,8 +25,7 @@ type bufEntry struct {
 func drainInto(t *testing.T, b *StrandBuffer, got map[bufEntry]bool) (order []uint64) {
 	b.Drain(func(page uint64, reads, writes *SlotSet) {
 		order = append(order, page)
-		addrs, kinds := appendSet(nil, nil, page, reads, AccessRead)
-		addrs, kinds = appendSet(addrs, kinds, page, writes, AccessWrite)
+		addrs, kinds := b.Expand(page, reads, writes)
 		for i, a := range addrs {
 			if e := (bufEntry{a, kinds[i]}); got[e] {
 				t.Fatalf("%v of %#x drained twice", e.kind, e.addr)
@@ -60,7 +66,7 @@ func TestStrandBufferMatchesReference(t *testing.T) {
 		var wantOrder []uint64      // pages with pending entries, first-touch order
 		drains := 0
 		for i := 0; i < tc.accesses; i++ {
-			addr := nums[rng.Intn(len(nums))]<<pageBits | uint64(rng.Intn(pageSize))
+			addr := nums[rng.Intn(len(nums))]<<PageBits | uint64(rng.Intn(1<<PageBits))
 			kind := AccessKind(rng.Intn(2))
 			m := seen[addr]
 			keep := m&(1<<AccessWrite) == 0 && (kind == AccessWrite || m == 0)
@@ -69,7 +75,7 @@ func TestStrandBufferMatchesReference(t *testing.T) {
 			}
 			if keep {
 				seen[addr] = m | 1<<kind
-				page := addr >> pageBits
+				page := addr >> PageBits
 				want[bufEntry{addr, kind}] = true
 				if !slices.Contains(wantOrder, page) {
 					wantOrder = append(wantOrder, page)
@@ -91,12 +97,12 @@ func TestStrandBufferMatchesReference(t *testing.T) {
 		if drains < 4 {
 			t.Fatalf("%s: only %d drains; the sequence must cross batchCap several times", tc.name, drains)
 		}
-		if pool := b.Reset(); pool != (tc.pages <= poolMaxPages) {
-			t.Errorf("%s: Reset reported pool=%v after %d pages, the bound is %d", tc.name, pool, tc.pages, poolMaxPages)
+		if pool := b.reset(); pool != (tc.pages <= poolMaxPages) {
+			t.Errorf("%s: reset reported pool=%v after %d pages, the bound is %d", tc.name, pool, tc.pages, poolMaxPages)
 		}
 		// A reset buffer has forgotten the strand.
-		if !b.Add(nums[0]<<pageBits, AccessRead) || b.Pending() != 1 {
-			t.Errorf("%s: first access after Reset was not kept", tc.name)
+		if !b.Add(nums[0]<<PageBits, AccessRead) || b.Pending() != 1 {
+			t.Errorf("%s: first access after reset was not kept", tc.name)
 		}
 	}
 }
@@ -116,15 +122,15 @@ func TestStrandBufferFootprint(t *testing.T) {
 		// crossing batchCap twice.
 		for p := uint64(0); p < 40; p++ {
 			for a := uint64(0); a < 64; a++ {
-				b.Add((p%3<<16|p)<<pageBits|a, AccessKind(a&1))
-				b.Add((p%3<<16|p)<<pageBits|a, AccessRead)
+				b.Add((p%3<<16|p)<<PageBits|a, AccessKind(a&1))
+				b.Add((p%3<<16|p)<<PageBits|a, AccessRead)
 			}
 			if b.Pending() >= batchCap {
 				b.Drain(func(uint64, *SlotSet, *SlotSet) {})
 			}
 		}
 		b.Drain(func(uint64, *SlotSet, *SlotSet) {})
-		if !b.Reset() {
+		if !b.reset() {
 			t.Fatal("a 40-page strand was not worth pooling")
 		}
 	}
@@ -136,13 +142,98 @@ func TestStrandBufferFootprint(t *testing.T) {
 	// One address on each of 100k pages: the batches, the spill map's
 	// buckets and the page lists must all go, not wait in a pool.
 	for p := uint64(0); p < 100_000; p++ {
-		b.Add(p<<pageBits, AccessWrite)
+		b.Add(p<<PageBits, AccessWrite)
 	}
-	if b.Reset() {
+	if b.reset() {
 		t.Fatal("a 100k-page strand reported its buffer as worth pooling")
 	}
 	if b.spill != nil || cap(b.pages) != 0 || cap(b.dirty) != 0 || cap(b.free) != 0 {
 		t.Errorf("after an oversized strand the buffer still holds spill=%d pages=%d dirty=%d free=%d",
 			len(b.spill), cap(b.pages), cap(b.dirty), cap(b.free))
+	}
+}
+
+// TestFrontHoldsAMatrixLeaf pins the front's associativity on the access
+// stream it was sized for: the leaves of workload.MM(128, 16), a strand
+// each, multiplying 16×16 tiles of three 128×128 matrices laid out one
+// after the other — 24 pages a leaf, A's and B's alternating in the inner
+// loop. An access that finds its page in neither way goes through
+// frontMiss, and pages that keep pushing each other out go through the
+// spill map every time; across all 512 leaves there must be at most two
+// misses per page first touched (direct-mapped, the same 64 slots took
+// 8.3).
+func TestFrontHoldsAMatrixLeaf(t *testing.T) {
+	const n, tile = 128, 16
+	var b StrandBuffer
+	misses, pages := 0, 0
+	add := func(matrix, r, c int, kind AccessKind) {
+		addr := uint64(matrix*n*n + r*n + c)
+		num := addr >> PageBits
+		if i := frontSlot(num); (b.front[i] == nil || b.front[i].num != num) && (b.front[i^1] == nil || b.front[i^1].num != num) {
+			misses++ // Add will go through frontMiss
+		}
+		b.Add(addr, kind)
+	}
+	for ti := 0; ti < n; ti += tile {
+		for tj := 0; tj < n; tj += tile {
+			for tk := 0; tk < n; tk += tile {
+				for i := 0; i < tile; i++ {
+					for j := 0; j < tile; j++ {
+						for k := 0; k < tile; k++ {
+							add(0, ti+i, tk+k, AccessRead)
+							add(1, tk+k, tj+j, AccessRead)
+						}
+						add(2, ti+i, tj+j, AccessRead)
+						add(2, ti+i, tj+j, AccessWrite)
+					}
+				}
+				pages += len(b.pages)
+				b.reset()
+			}
+		}
+	}
+	t.Logf("%d front misses over %d first-touched pages (%.2f a page)", misses, pages, float64(misses)/float64(pages))
+	if pages != 512*24 {
+		t.Fatalf("the leaves touched %d pages, want 512 × 24", pages)
+	}
+	if misses > 2*pages {
+		t.Errorf("%d front misses for %d pages: more than two a page", misses, pages)
+	}
+}
+
+// TestExpandScratchGoesWithTheStrand: the lists Expand returns are the
+// buffer's own — a strand's second drain reuses the first one's — and a
+// buffer goes back to the pool without them, so a run that taps nothing
+// never holds scratch a tapped run grew.
+func TestExpandScratchGoesWithTheStrand(t *testing.T) {
+	var b StrandBuffer
+	if b.addrs != nil || b.kinds != nil {
+		t.Fatal("a fresh buffer has scratch")
+	}
+	expand := func() {
+		for a := uint64(0); a < 300; a++ {
+			b.Add(a, AccessKind(a&1))
+		}
+		b.Drain(func(page uint64, reads, writes *SlotSet) {
+			addrs, kinds := b.Expand(page, reads, writes)
+			if len(addrs) != len(kinds) || len(addrs) == 0 {
+				t.Fatalf("Expand returned %d addresses and %d kinds", len(addrs), len(kinds))
+			}
+			for i, a := range addrs {
+				if a>>PageBits != page || kinds[i] != AccessKind(a&1) || i > 0 && kinds[i] < kinds[i-1] {
+					t.Fatalf("entry %d of page %d is %v %#x", i, page, kinds[i], a)
+				}
+			}
+		})
+	}
+	expand()
+	if b.addrs == nil {
+		t.Fatal("Expand kept no scratch")
+	}
+	if !b.reset() {
+		t.Fatal("a two-page strand was not worth pooling")
+	}
+	if b.addrs != nil || b.kinds != nil {
+		t.Error("reset kept the scratch")
 	}
 }

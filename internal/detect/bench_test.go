@@ -174,46 +174,38 @@ func splitFills() []fill {
 
 // flushCycle returns a function that runs one strand-close flush per fill,
 // in order, and the number of entries one call applies. The buffers are
-// filled once; a flush drains them and the cycle puts their pending sets
-// back and their pages on the dirty list again, so a call does no
-// buffering work and allocates no strand.
+// filled and drained once; a call applies what they handed out again, page
+// by page as flush does, so it does no buffering work and allocates no
+// strand.
 func flushCycle(fills []fill) (cycle func(), entries int) {
 	h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
-	type filled struct {
-		s       *sched.Strand
-		ss      *strandState
-		pending [][2]SlotSet // per page, in the buffer's page order
-		n       int
+	type drained struct {
+		s     *sched.Strand
+		num   uint64
+		pages [2]SlotSet // reads, writes
 	}
-	var fs []filled
+	var ds []drained
 	for i, fl := range fills {
 		s := newStrand(uint64(i))
 		for _, a := range fl.addrs {
-			h.fastAccess(s, a, fl.kind)
+			h.access(s, a, fl.kind)
 		}
-		f := filled{s: s, ss: stateOf(s), n: len(fl.addrs)}
-		for _, pb := range f.ss.buf.pages {
-			f.pending = append(f.pending, pb.pending)
-		}
-		fs = append(fs, f)
-		entries += f.n
+		s.Buf.Drain(func(num uint64, reads, writes *SlotSet) {
+			ds = append(ds, drained{s, num, [2]SlotSet{*reads, *writes}})
+		})
+		entries += len(fl.addrs)
 	}
 	return func() {
-		for _, f := range fs {
-			b := &f.ss.buf
-			for i, pb := range b.pages {
-				pb.pending, pb.queued = f.pending[i], true
-			}
-			b.dirty, b.pending = append(b.dirty, b.pages...), f.n
-			h.flush(f.s, f.ss)
+		for i := range ds {
+			d := &ds[i]
+			h.ApplyPage(d.s, d.num, &d.pages[AccessRead], &d.pages[AccessWrite])
 		}
 	}, entries
 }
 
 // TestFlushSteadyStateAllocs: once the states exist and the reader slices
 // have grown, applying a batch allocates nothing — no snapshot, no table
-// entry, no closure — whether it updates states in place or splits and
-// merges them.
+// entry — whether it updates states in place or splits and merges them.
 func TestFlushSteadyStateAllocs(t *testing.T) {
 	for _, fills := range [][]fill{denseFills(), tileFills(), splitFills()} {
 		cycle, entries := flushCycle(fills)
@@ -223,5 +215,43 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
 			t.Errorf("steady-state flush: %.1f allocations per %d entries, want 0", allocs, entries)
 		}
+	}
+}
+
+// countingTap counts the entries it is handed and checks the lists agree.
+type countingTap struct{ entries, writes int }
+
+func (c *countingTap) TapAccesses(s *sched.Strand, addrs []uint64, kinds []AccessKind) {
+	c.entries += len(addrs)
+	for _, k := range kinds[:len(addrs)] {
+		c.writes += int(k)
+	}
+}
+
+// TestLockedTapAllocatesNothingPerAccess: the locked history hands every
+// access to the tap as lists of one, and the lists are the scratch of the
+// strand's buffer — taken at the strand's first access, given back at its
+// close — not two allocations an access.
+func TestLockedTapAllocatesNothingPerAccess(t *testing.T) {
+	tap := &countingTap{}
+	h := NewHistory(Options{Reach: serialReach{}, Tap: tap})
+	s := newStrand(1)
+	h.Write(s, 40) // the buffer and its scratch, the page and its state
+	h.Read(s, 40)
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.Read(s, 40)
+		h.Write(s, 41)
+	}); allocs != 0 {
+		t.Errorf("a tapped access on the locked path allocates %.1f times, want 0", allocs/2)
+	}
+	if tap.entries != 2+2*101 || tap.writes != 1+101 {
+		t.Errorf("the tap saw %d entries, %d of them writes; the strand made %d and %d", tap.entries, tap.writes, 2+2*101, 1+101)
+	}
+	if s.Buf == nil {
+		t.Fatal("the locked history taps through no buffer")
+	}
+	h.StrandClose(s)
+	if s.Buf != nil {
+		t.Error("StrandClose left the scratch buffer on the strand")
 	}
 }

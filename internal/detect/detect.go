@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sforder/internal/accbuf"
 	"sforder/internal/obsv"
 	"sforder/internal/sched"
 )
@@ -61,20 +62,18 @@ func (p ReaderPolicy) String() string {
 	}
 }
 
-// AccessKind tags the two sides of a reported race.
-type AccessKind uint8
-
-const (
-	AccessRead AccessKind = iota
-	AccessWrite
+// AccessKind tags the two sides of a reported race; SlotSet and PageBits
+// describe a shadow page to ApplyPage's callers. They live in accbuf.
+type (
+	AccessKind = accbuf.AccessKind
+	SlotSet    = accbuf.SlotSet
 )
 
-func (k AccessKind) String() string {
-	if k == AccessRead {
-		return "read"
-	}
-	return "write"
-}
+const (
+	AccessRead  = accbuf.AccessRead
+	AccessWrite = accbuf.AccessWrite
+	PageBits    = accbuf.PageBits
+)
 
 // Race describes one determinacy race: two logically parallel accesses
 // to the same location, at least one a write.
@@ -239,41 +238,28 @@ func (h *History) report(addr uint64, prev *sched.Strand, prevKind AccessKind, c
 	h.raceMu.Unlock()
 }
 
-// Read implements sched.AccessChecker: check against the last writer,
-// then record the reader per the configured policy. With FastPath the
-// access goes through the strand's buffer instead of taking the page's
-// lock here (fastpath.go).
-func (h *History) Read(s *sched.Strand, addr uint64) {
-	if h.opts.FastPath {
-		h.fastAccess(s, addr, AccessRead)
-		return
-	}
-	h.applyOne(s, addr, AccessRead)
-}
+// Read implements sched.AccessChecker: check against the last writer, then
+// record the reader per the configured policy. With FastPath the access
+// goes through the strand's buffer, not the page's lock (fastpath.go).
+func (h *History) Read(s *sched.Strand, addr uint64) { h.access(s, addr, AccessRead) }
 
 // Write implements sched.AccessChecker: check against the last writer
 // and all retained readers, then make s the last writer and clear the
 // readers (they are subsumed: any later access racing a cleared reader
-// also races this write or was already reported — §3.6). With FastPath
-// the access goes through the strand's buffer (fastpath.go).
-func (h *History) Write(s *sched.Strand, addr uint64) {
-	if h.opts.FastPath {
-		h.fastAccess(s, addr, AccessWrite)
-		return
-	}
-	h.applyOne(s, addr, AccessWrite)
-}
+// also races this write or was already reported — §3.6).
+func (h *History) Write(s *sched.Strand, addr uint64) { h.access(s, addr, AccessWrite) }
 
 // applyOne is the locked slow path: one access, one page-lock
 // acquisition, and the flush's kernel over a set of one slot.
 func (h *History) applyOne(s *sched.Strand, addr uint64, kind AccessKind) {
-	if h.opts.Tap != nil {
-		// Through a buffer of one, allocated only when tapping, keeping
-		// the batched TapAccesses signature.
-		h.opts.Tap.TapAccesses(s, []uint64{addr}, []AccessKind{kind})
-	}
 	var sets [2]SlotSet
 	sets[kind&1][addr&pageMask>>6] = 1 << (addr & 63)
+	if h.opts.Tap != nil {
+		// The batched signature over a set of one, through the scratch of
+		// a strand buffer that is there for nothing else on this path.
+		addrs, kinds := s.Buffer().Expand(addr>>pageBits, &sets[AccessRead], &sets[AccessWrite])
+		h.opts.Tap.TapAccesses(s, addrs, kinds)
+	}
 	h.ApplyPage(s, addr>>pageBits, &sets[AccessRead], &sets[AccessWrite])
 }
 

@@ -27,6 +27,11 @@ type refLoc struct {
 // batching of checks. It buffers a strand's accesses — with the fast path
 // under the same subsumption rule as StrandBuffer, stated on a map — and
 // applies them in program order when told to.
+type bufEntry struct {
+	addr uint64
+	kind AccessKind
+}
+
 type refHistory struct {
 	reach  Reachability
 	policy ReaderPolicy
@@ -247,7 +252,7 @@ func TestSharedStatesMatchPerSlotReference(t *testing.T) {
 					ref.access(s, addr, kind)
 					// The locked path applies at once; the fast path when
 					// the buffer has just emptied itself at batchCap.
-					if !fast || stateOf(s).buf.Pending() == 0 {
+					if !fast || s.Buf.Pending() == 0 {
 						ref.flush(s)
 						flushes++
 						if fast || rng.Intn(1024) == 0 {

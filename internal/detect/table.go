@@ -42,19 +42,11 @@ type table struct {
 }
 
 const (
-	dirBits   = 12 // 4096 directory slots
-	pageBits  = 8  // 256 locations per page
-	pageSize  = 1 << pageBits
-	pageMask  = pageSize - 1
-	pageWords = pageSize / 64
+	dirBits  = 12       // 4096 directory slots
+	pageBits = PageBits // 256 locations per page
+	pageSize = 1 << pageBits
+	pageMask = pageSize - 1
 )
-
-// PageBits is the number of address bits a shadow page spans.
-const PageBits = pageBits
-
-// SlotSet is a set of slots of one shadow page: bit b of word w stands for
-// the address page<<PageBits | w<<6 | b.
-type SlotSet = [pageWords]uint64
 
 type page struct {
 	mu   sync.Mutex

@@ -127,6 +127,14 @@ type reachComponent interface {
 // crashing program already exposed are the ones worth keeping. In Serial
 // mode panics propagate to the caller.
 func Run(cfg Config, main func(*sched.Task)) (*Result, error) {
+	return run(cfg, main, nil)
+}
+
+// run is Run with the access checker it assembled passed through
+// interpose, when non-nil, before the scheduler gets it: the tests' way to
+// put a wrapper between the engine and the history, as the benchmark's
+// timing wrappers do.
+func run(cfg Config, main func(*sched.Task), interpose func(sched.AccessChecker) sched.AccessChecker) (*Result, error) {
 	if cfg.Detector < SFOrder || cfg.Detector > NoDetector {
 		return nil, fmt.Errorf("unknown detector %v", cfg.Detector)
 	}
@@ -202,6 +210,9 @@ func Run(cfg Config, main func(*sched.Task)) (*Result, error) {
 		// stream itself (with its own per-strand dedup), so NoDetector
 		// and ReachabilityOnly runs still produce a complete capture.
 		opts.Checker = rec
+	}
+	if interpose != nil && opts.Checker != nil {
+		opts.Checker = interpose(opts.Checker)
 	}
 
 	start := time.Now()

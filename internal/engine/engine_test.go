@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"sforder/internal/dag"
 	"sforder/internal/detect"
 	"sforder/internal/engine"
+	"sforder/internal/obsv"
 	"sforder/internal/oracle"
 	"sforder/internal/progen"
 	"sforder/internal/replay"
@@ -20,13 +22,16 @@ import (
 	"sforder/internal/trace"
 )
 
-// program is one input of the lattice: main builds a fresh body per run
-// and want is the dag oracle's racy-address set.
+// program is one input of the lattice: main builds a fresh body per run,
+// want is the dag oracle's racy-address set, and reads, writes and repeats
+// are the oracle log's access counts (oracle.Logger.Counts).
 type program struct {
 	name     string
 	forkJoin bool // no futures: the only programs WSP-Order accepts
 	main     func() func(*sched.Task)
 	want     []uint64
+
+	reads, writes, repeats int
 }
 
 // forkJoinPrograms are hand-written futures-free programs (progen has no
@@ -102,6 +107,7 @@ func corpus(t *testing.T) []*program {
 			t.Fatalf("%s: oracle run: %v", p.name, err)
 		}
 		p.want = log.RacyAddrs(rec)
+		p.reads, p.writes, p.repeats = log.Counts()
 		if len(p.want) > 0 {
 			racy++
 		}
@@ -112,14 +118,48 @@ func corpus(t *testing.T) []*program {
 	return ps
 }
 
+// interposed is a pass-through wrapper around the engine's checker: the
+// engine sees Read, Write and StrandClose and nothing else of what it
+// wraps, so every access takes the interface path.
+type interposed struct {
+	sched.AccessChecker
+	sched.StrandCloser
+}
+
+// accessPath is how an access gets from Task.Read to the checker: tested
+// inline against the strand's buffer first (what a plain run does when the
+// checker allows it), always through the interface (a wrapper interposed),
+// or through the counted path (a stats registry attached).
+type accessPath struct {
+	name string
+	run  func(engine.Config, func(*sched.Task)) (*engine.Result, error)
+}
+
+var accessPaths = []accessPath{
+	{"inline", engine.Run},
+	{"interposed", func(cfg engine.Config, main func(*sched.Task)) (*engine.Result, error) {
+		return engine.RunInterposed(cfg, main, func(c sched.AccessChecker) sched.AccessChecker {
+			return interposed{c, c.(sched.StrandCloser)}
+		})
+	}},
+	{"counting", func(cfg engine.Config, main func(*sched.Task)) (*engine.Result, error) {
+		cfg.Stats = obsv.NewRegistry()
+		return engine.Run(cfg, main)
+	}},
+}
+
 // TestLatticeAgainstOracle is the standing conformance table: every legal
-// cell of detector × substrate × executor × reader policy × history path
-// runs the whole corpus, and its racy-address set must equal the dag
-// oracle's — online, online while recording, and offline through the
-// barriered and the streamed replay of that recording. The paper's
+// cell of detector × substrate × executor × reader policy × history path ×
+// access path runs the whole corpus, and its racy-address set must equal
+// the dag oracle's — online, online while recording, and offline through
+// the barriered and the streamed replay of that recording. The paper's
 // evaluation is differential (SF-Order, F-Order and MultiBags report the
 // same races on structured futures), so the detectors are rows of one
-// table.
+// table. The access paths of one cell see the same accesses: the counting
+// path's sched.reads, sched.writes and hist.fastpath_hits are the oracle
+// log's counts, and under SF-Order on one worker, where a run is
+// deterministic, the three agree on RaceCount and write the same capture
+// byte for byte.
 func TestLatticeAgainstOracle(t *testing.T) {
 	type row struct {
 		det      engine.Detector
@@ -158,13 +198,28 @@ func TestLatticeAgainstOracle(t *testing.T) {
 						Detector: r.det, Reach: r.reach, Serial: ex.serial, Workers: ex.workers,
 						Policy: policy, LockedHistory: locked,
 					}
+					paths := accessPaths
+					if locked {
+						paths = paths[:1] // no strand buffer, one path
+					}
+					deterministic := r.det == engine.SFOrder && ex.workers <= 1
 					name := fmt.Sprintf("%v-%v/%s/%v/locked=%v", r.det, r.reach, ex.name, policy, locked)
 					t.Run(name, func(t *testing.T) {
 						for _, p := range programs {
 							if r.forkJoin && !p.forkJoin {
 								continue
 							}
-							checkCell(t, cfg, p)
+							var first cell
+							for i, path := range paths {
+								c := checkCell(t, path, cfg, p)
+								if i == 0 {
+									first = c
+								} else if deterministic && (c.races != first.races || !bytes.Equal(c.capture, first.capture)) {
+									t.Errorf("%s: %s path: RaceCount %v and a %d-byte capture, %s path: %v and %d bytes (equal: %v)",
+										p.name, path.name, c.races, len(c.capture), paths[0].name, first.races, len(first.capture),
+										bytes.Equal(c.capture, first.capture))
+								}
+							}
 						}
 					})
 				}
@@ -173,44 +228,69 @@ func TestLatticeAgainstOracle(t *testing.T) {
 	}
 }
 
-// checkCell runs p under cfg twice — plain, and with the recorder tapped
-// in — and replays the capture both ways; all four verdicts must be the
-// oracle's.
-func checkCell(t *testing.T, cfg engine.Config, p *program) {
+// cell is what the access paths of one lattice cell are compared on: the
+// RaceCount of the plain and of the recording run, and the capture.
+type cell struct {
+	races   [2]uint64
+	capture []byte
+}
+
+// checkCell runs p under cfg on one access path twice — plain, and with
+// the recorder tapped in — and replays the capture both ways; all four
+// verdicts must be the oracle's, and the counts of a run with stats the
+// oracle log's.
+func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program) cell {
 	t.Helper()
-	check := func(path string, got []uint64) {
+	check := func(run string, got []uint64) {
 		t.Helper()
 		if !slices.Equal(got, p.want) {
-			t.Errorf("%s, %s: racy %v, oracle %v", p.name, path, got, p.want)
+			t.Errorf("%s, %s path, %s: racy %v, oracle %v", p.name, path.name, run, got, p.want)
 		}
 	}
-	res, err := engine.Run(cfg, p.main())
+	checkCounts := func(run string, stats map[string]int64) {
+		t.Helper()
+		if stats == nil {
+			return
+		}
+		for name, n := range map[string]int{"sched.reads": p.reads, "sched.writes": p.writes, "hist.fastpath_hits": p.repeats} {
+			if stats[name] != int64(n) {
+				t.Errorf("%s, %s path, %s: %s = %d, the oracle log says %d", p.name, path.name, run, name, stats[name], n)
+			}
+		}
+	}
+	var c cell
+	res, err := path.run(cfg, p.main())
 	if err != nil {
-		t.Fatalf("%s: %v", p.name, err)
+		t.Fatalf("%s, %s path: %v", p.name, path.name, err)
 	}
 	check("online", res.RacyAddrs)
+	checkCounts("online", res.Stats)
+	c.races[0] = res.RaceCount
 
 	var buf bytes.Buffer
 	cfg.Record = &buf
-	if res, err = engine.Run(cfg, p.main()); err != nil {
-		t.Fatalf("%s: recording: %v", p.name, err)
+	if res, err = path.run(cfg, p.main()); err != nil {
+		t.Fatalf("%s, %s path: recording: %v", p.name, path.name, err)
 	}
 	check("online, recording", res.RacyAddrs)
+	checkCounts("online, recording", res.Stats)
+	c.races[1], c.capture = res.RaceCount, buf.Bytes()
 
 	ropts := replay.Options{Workers: 2, Reach: cfg.Reach}
-	c, err := trace.Load(bytes.NewReader(buf.Bytes()))
+	cp, err := trace.Load(bytes.NewReader(c.capture))
 	if err != nil {
-		t.Fatalf("%s: load: %v", p.name, err)
+		t.Fatalf("%s, %s path: load: %v", p.name, path.name, err)
 	}
-	rr, err := replay.Run(c, ropts)
+	rr, err := replay.Run(cp, ropts)
 	if err != nil {
-		t.Fatalf("%s: replay: %v", p.name, err)
+		t.Fatalf("%s, %s path: replay: %v", p.name, path.name, err)
 	}
 	check("replay", rr.RacyAddrs)
-	if rr, err = replay.RunStream(bytes.NewReader(buf.Bytes()), ropts); err != nil {
-		t.Fatalf("%s: streamed replay: %v", p.name, err)
+	if rr, err = replay.RunStream(bytes.NewReader(c.capture), ropts); err != nil {
+		t.Fatalf("%s, %s path: streamed replay: %v", p.name, path.name, err)
 	}
 	check("streamed replay", rr.RacyAddrs)
+	return c
 }
 
 // TestRejectedConfigs: configuration errors come back before anything
@@ -254,14 +334,26 @@ func TestDetectorStrings(t *testing.T) {
 // TestPanickingMainKeepsItsRaces: a program that races and then panics on
 // a 4-worker engine returns the error together with a Result holding the
 // race, under every detector that runs in parallel (MultiBags runs on the
-// serial executor, where a panic propagates to the caller), and no worker
-// goroutine outlives the run.
+// serial executor, where a panic propagates to the caller), no worker
+// goroutine outlives the run, and no strand — the one that panicked with
+// accesses buffered, its sibling, the parent blocked in the sync — is left
+// holding a buffer that went back to the pool.
 func TestPanickingMainKeepsItsRaces(t *testing.T) {
+	var mu sync.Mutex
+	var strands []*sched.Strand
+	write := func(t *sched.Task, addr uint64) {
+		t.Write(addr)
+		mu.Lock()
+		strands = append(strands, t.Strand())
+		mu.Unlock()
+	}
 	main := func(t *sched.Task) {
-		t.Spawn(func(c *sched.Task) { c.Write(3) })
-		t.Write(3)
+		t.Spawn(func(c *sched.Task) { write(c, 3) })
+		write(t, 3)
 		t.Sync() // both writes are in the history past this point
-		t.Spawn(func(*sched.Task) { panic("kaboom") })
+		t.Spawn(func(c *sched.Task) { write(c, 6) })
+		t.Spawn(func(c *sched.Task) { write(c, 5); panic("kaboom") })
+		write(t, 7)
 		t.Sync()
 	}
 	before := runtime.NumGoroutine()
@@ -287,6 +379,12 @@ func TestPanickingMainKeepsItsRaces(t *testing.T) {
 		if res.Counts.Strands == 0 {
 			t.Errorf("%v/%v: partial result has no counts", cfg.Detector, cfg.Reach)
 		}
+		for _, s := range strands {
+			if s.Buf != nil {
+				t.Errorf("%v/%v: strand %v still holds its buffer after the abort", cfg.Detector, cfg.Reach, s)
+			}
+		}
+		strands = strands[:0]
 	}
 	// A worker's deferred Done runs an instant before its goroutine is
 	// gone, so allow the count a moment to settle.

@@ -86,3 +86,28 @@ func (o *Logger) Accesses() int {
 	}
 	return n
 }
+
+// Counts returns how many reads and writes were logged, and how many of
+// them were repeats — accesses an earlier one of the same strand subsumes:
+// a read after the strand's read or write of the address, a write after
+// its write. A detector's strand buffer absorbs exactly the repeats.
+func (o *Logger) Counts() (reads, writes, repeats int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, accs := range o.byA {
+		wrote := map[*sched.Strand]bool{} // present: the strand touched the address
+		for _, a := range accs {
+			if a.write {
+				writes++
+			} else {
+				reads++
+			}
+			w, touched := wrote[a.s]
+			if w || touched && !a.write {
+				repeats++
+			}
+			wrote[a.s] = w || a.write
+		}
+	}
+	return reads, writes, repeats
+}

@@ -124,7 +124,7 @@ func startShards(reach *core.Reach, opts Options) *pipeline {
 
 // dispatch routes an access block of an introduced strand to the shard
 // owning its page, visiting each entry once. A genuine block is one page
-// of one strand (detect.StrandBuffer drains by page); one that changes
+// of one strand (accbuf.StrandBuffer drains by page); one that changes
 // page is cut there, each run going to its own page's shard in block
 // order. A send blocks while the shard's queue is full: the backpressure.
 func (pl *pipeline) dispatch(st *store, b *trace.AccessBlock) (err error) {

@@ -41,19 +41,24 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sforder/internal/accbuf"
 	"sforder/internal/obsv"
 )
 
 // Strand is one node of the computation dag. The engine allocates
-// strands; detectors hang their per-node state off Det and the dag
-// recorder off Rec. A Strand's identity is its pointer; ID is a dense
-// ordinal for logging and hashing.
+// strands; detectors hang their per-node state off Det, the dag recorder
+// off Rec, and an access checker that buffers the strand's accesses keeps
+// the buffer on Buf from the first one to the strand's close. A Strand's
+// identity is its pointer; ID is a dense ordinal for logging and hashing.
 type Strand struct {
 	ID  uint64
-	Fut *FutureTask // future task (SP sub-dag) owning this strand
-	Det any         // detector payload (owned by the configured Tracer)
-	Rec any         // recorder payload (owned by the dag recorder)
-	Aux any         // auxiliary payload (owned by AccessChecker wrappers)
+	Fut *FutureTask          // future task (SP sub-dag) owning this strand
+	Det any                  // detector payload (owned by the configured Tracer)
+	Rec any                  // recorder payload (owned by the dag recorder)
+	Buf *accbuf.StrandBuffer // access buffer (owned by the AccessChecker; nil once closed)
+	// Keeps a Strand at 72 bytes: in the 64-byte size class dag-futures'
+	// reach_overhead_t1 reads 5-7% worse (EXPERIMENTS, ABL7 PR 23).
+	_ uint64
 
 	label atomic.Pointer[string] // optional user label, see Task.Label
 }
@@ -64,6 +69,15 @@ func (s *Strand) Label() string {
 		return *p
 	}
 	return ""
+}
+
+// Buffer returns the strand's access buffer, pooled from the first call
+// until the caller takes it off the strand and releases it (StrandClose).
+func (s *Strand) Buffer() *accbuf.StrandBuffer {
+	if s.Buf == nil {
+		s.Buf = accbuf.Get()
+	}
+	return s.Buf
 }
 
 func (s *Strand) setLabel(l string) {
@@ -172,6 +186,16 @@ type AccessChecker interface {
 // and parallel engines both honor it.
 type StrandCloser interface {
 	StrandClose(s *Strand)
+}
+
+// CoveredSkipper is optionally implemented by an AccessChecker that keeps
+// each strand's accesses in Strand.Buf and does nothing for one the buffer
+// already covers. If Options.Checker itself implements it (a wrapper does
+// not, and so sees every access) and SkipCovered reports true when Run
+// starts, Task.Read and Write return on a covered access without calling
+// the checker — unless the run counts accesses (CountAccesses, or Stats).
+type CoveredSkipper interface {
+	SkipCovered() bool
 }
 
 // MultiTracer fans events out to several tracers in order.
@@ -289,6 +313,7 @@ type engine struct {
 	checker    AccessChecker
 	closer     StrandCloser      // non-nil when the checker wants strand-close hooks
 	check      bool              // Options.CheckStructure, hoisted for the hot paths
+	skip       bool              // accesses Strand.Buf covers end in Task.Read/Write (CoveredSkipper)
 	trace      *obsv.TraceWriter // Options.Trace, consulted for steal instants
 
 	strandID atomic.Uint64
@@ -363,6 +388,9 @@ func Run(opts Options, main func(*Task)) (Counts, error) {
 		// one implies counting accesses.
 		e.opts.CountAccesses = true
 		e.registerStats(opts.Stats)
+	}
+	if c, ok := opts.Checker.(CoveredSkipper); ok {
+		e.skip = c.SkipCovered() && !e.opts.CountAccesses
 	}
 	rootFut := e.newFuture(nil)
 	rootStrand := e.newStrand(rootFut)

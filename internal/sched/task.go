@@ -1,5 +1,7 @@
 package sched
 
+import "sforder/internal/accbuf"
+
 // Task is the execution context of one function instance (the root body,
 // a spawned child, or a future task body). User code receives a *Task
 // and expresses parallelism through its methods. A Task must only be
@@ -297,25 +299,31 @@ func (t *Task) implicitSync() *Strand {
 }
 
 // Read records an instrumented read of the shadow address addr by the
-// current strand.
+// current strand. When the checker lets the engine skip covered accesses
+// (CoveredSkipper), one that the strand's buffer already covers ends here.
 func (t *Task) Read(addr uint64) {
 	e := t.eng
 	if e.opts.CountAccesses {
 		e.cReads.Add(1)
 	}
 	if e.checker != nil {
+		if e.skip && t.cur.Buf != nil && t.cur.Buf.Covered(addr, accbuf.AccessRead) {
+			return
+		}
 		e.checker.Read(t.cur, addr)
 	}
 }
 
-// Write records an instrumented write of the shadow address addr by the
-// current strand.
+// Write is Read for an instrumented write.
 func (t *Task) Write(addr uint64) {
 	e := t.eng
 	if e.opts.CountAccesses {
 		e.cWrites.Add(1)
 	}
 	if e.checker != nil {
+		if e.skip && t.cur.Buf != nil && t.cur.Buf.Covered(addr, accbuf.AccessWrite) {
+			return
+		}
 		e.checker.Write(t.cur, addr)
 	}
 }

@@ -11,7 +11,7 @@
 //   - Access events — per-strand, per-shadow-page blocks of (addr, kind)
 //     pairs, tapped from the detector's batched flush
 //     (detect.Options.Tap) or drained from the recorder's own strand
-//     buffer: either way what detect.StrandBuffer kept, a page's reads in
+//     buffer: either way what accbuf.StrandBuffer kept, a page's reads in
 //     slot order and then its writes, so recording costs one bit per
 //     entry no earlier access of the strand subsumes until the strand
 //     closes, and one varint then.
@@ -144,7 +144,7 @@ type Capture struct {
 // and detect.AccessTap (attach via detect.Options.Tap). For runs
 // without an access history it also implements sched.AccessChecker +
 // sched.StrandCloser directly, buffering each strand through the
-// detector's own detect.StrandBuffer, so a program can be recorded
+// detector's own accbuf.StrandBuffer, so a program can be recorded
 // without paying for detection.
 //
 // All methods are safe for concurrent use; Close must be called once,
@@ -321,37 +321,26 @@ func (r *Recorder) writeSetsLocked(strand, page uint64, reads, writes *detect.Sl
 	r.emit()
 }
 
-// bufPool recycles the standalone checker mode's per-strand buffers,
-// hung off Strand.Aux (free in that mode: no History owns it).
-var bufPool = sync.Pool{New: func() any { return new(detect.StrandBuffer) }}
-
 // Read implements sched.AccessChecker for detection-free recording: the
-// access goes through the same strand buffer the access history's fast
-// path uses, so a capture holds what a detecting run's would — one entry
-// per (strand, location, kind) that no earlier access of the strand
-// subsumes — emitted at strand close.
-func (r *Recorder) Read(s *sched.Strand, addr uint64) { r.record(s, addr, detect.AccessRead) }
+// access goes into the strand's buffer (no History owns it in this mode),
+// so a capture holds what a detecting run's would — one entry per (strand,
+// location, kind) that no earlier access of the strand subsumes.
+func (r *Recorder) Read(s *sched.Strand, addr uint64) { s.Buffer().Add(addr, detect.AccessRead) }
 
 // Write implements sched.AccessChecker; see Read.
-func (r *Recorder) Write(s *sched.Strand, addr uint64) { r.record(s, addr, detect.AccessWrite) }
+func (r *Recorder) Write(s *sched.Strand, addr uint64) { s.Buffer().Add(addr, detect.AccessWrite) }
 
-func (r *Recorder) record(s *sched.Strand, addr uint64, kind detect.AccessKind) {
-	b, ok := s.Aux.(*detect.StrandBuffer)
-	if !ok {
-		b = bufPool.Get().(*detect.StrandBuffer)
-		s.Aux = b
-	}
-	b.Add(addr, kind)
-}
+// SkipCovered implements sched.CoveredSkipper: Add drops a covered access.
+func (r *Recorder) SkipCovered() bool { return true }
 
 // StrandClose implements sched.StrandCloser for the standalone checker
 // mode: the strand's buffered accesses become one block per shadow page.
 func (r *Recorder) StrandClose(s *sched.Strand) {
-	b, ok := s.Aux.(*detect.StrandBuffer)
-	if !ok {
+	b := s.Buf
+	if b == nil {
 		return
 	}
-	s.Aux = nil
+	s.Buf = nil
 	if b.Pending() > 0 {
 		r.mu.Lock()
 		b.Drain(func(page uint64, reads, writes *detect.SlotSet) {
@@ -359,9 +348,7 @@ func (r *Recorder) StrandClose(s *sched.Strand) {
 		})
 		r.mu.Unlock()
 	}
-	if b.Reset() {
-		bufPool.Put(b)
-	}
+	b.Release()
 }
 
 // Close writes the trailer and flushes. The capture is invalid without
@@ -417,10 +404,11 @@ func (r *Recorder) RegisterStats(reg *obsv.Registry) {
 }
 
 var (
-	_ sched.Tracer        = (*Recorder)(nil)
-	_ sched.AccessChecker = (*Recorder)(nil)
-	_ sched.StrandCloser  = (*Recorder)(nil)
-	_ detect.AccessTap    = (*Recorder)(nil)
+	_ sched.Tracer         = (*Recorder)(nil)
+	_ sched.AccessChecker  = (*Recorder)(nil)
+	_ sched.StrandCloser   = (*Recorder)(nil)
+	_ sched.CoveredSkipper = (*Recorder)(nil)
+	_ detect.AccessTap     = (*Recorder)(nil)
 )
 
 // countingReader tracks consumed bytes under a bufio.Reader.
