@@ -6,8 +6,7 @@
 //	BenchmarkAblationReaderPolicy — ABL1: ReadersAll vs ReadersLR histories
 //	BenchmarkAblationBitmapVsHash — ABL3: SF-Order bitmaps vs F-Order tables, reach only
 //	BenchmarkAblationFastPath     — ABL7: lock-avoiding access history on vs off
-//	BenchmarkAblationReach        — ABL10: English/Hebrew OM pair vs DePa fork-path labels
-//	BenchmarkAblationHybrid       — ABL11: prefix-sharing cords vs OM vs hybrid, worker scaling
+//	BenchmarkAblationReach        — ABL10/11: English/Hebrew OM pair vs DePa fork-path cords
 //	BenchmarkReplayScaling        — ABL12: offline replay of recorded captures, shard scaling
 //
 // The Figure 4 timing grid is not here: its cells are the bench/
@@ -22,7 +21,10 @@ package sforder_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"sforder"
 
@@ -225,76 +227,73 @@ func BenchmarkAblationFastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReach (ABL10): the pluggable reachability substrate
-// — the English/Hebrew OM pair against DePa fork-path labels — on three
-// paper benchmarks plus the adversarial spawn spine, reach and full
-// mode at 4 workers. om-lock-acquires is the acceptance quantity: the
-// DePa substrate must report 0 (it has no maintenance lock to take),
-// while on the spine the OM substrate pays bucket splits and top-level
-// renumberings under that lock. depa-label-bytes shows the dual cost:
-// DePa labels grow one component per spawn level, so the spine maximizes
-// label memory and compare depth while the flat benchmarks barely
-// notice.
-func BenchmarkAblationReach(b *testing.B) {
-	benches := []*workload.Benchmark{
-		workload.MM(64, 16),
-		workload.HW(4, 16, 256),
-		workload.Sort(20_000, 512),
-		workload.Spine(1500, 2),
+// benchmarkPrograms are the programs of the four BENCHMARK.json workloads
+// at benchmark size — bench/ is a module of its own, so its list
+// (bench/adapter.go, `workloads`) is repeated here: the nine fixed
+// programs, and racy-small's 256 generated ones as a single cell.
+func benchmarkPrograms() [][]*workload.Benchmark {
+	var progs [][]*workload.Benchmark
+	for _, b := range []*workload.Benchmark{
+		workload.MM(128, 16), workload.SW(512, 32),
+		workload.Sort(100000, 2048), workload.HW(6, 32, 1024), workload.Ferret(64, 1024), workload.KSweep(1024, 4000),
+		workload.Spine(5000, 2), workload.Chain(20000, 2), workload.Pipeline(1000, 16, 8),
+	} {
+		progs = append(progs, []*workload.Benchmark{b})
 	}
-	for _, bench := range benches {
-		bench := bench
-		for _, mode := range []harness.Mode{harness.Reach, harness.Full} {
-			mode := mode
-			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa, core.SubstrateHybrid} {
-				sub := sub
-				b.Run(fmt.Sprintf("%s/%s/%s", bench.Name, mode, sub), func(b *testing.B) {
-					res := measure(b, bench, harness.Config{Mode: mode, Config: engine.Config{
-						Workers: 4, Reach: sub, Stats: obsv.NewRegistry(),
-					}})
-					b.ReportMetric(float64(res.ReachMem), "reach-bytes")
-					b.ReportMetric(float64(res.Stats["om.lock_acquires"]), "om-lock-acquires")
-					b.ReportMetric(float64(res.Stats["om.english.renumbers"]+res.Stats["om.hebrew.renumbers"]), "om-renumbers")
-					b.ReportMetric(float64(res.Stats["depa.label_mem_bytes"]), "depa-label-bytes")
-					b.ReportMetric(float64(res.Stats["depa.compare_words"]), "depa-compare-words")
-				})
-			}
-		}
+	racy := make([]*workload.Benchmark, 256)
+	for i := range racy {
+		pg := progen.New(progen.Config{Seed: 1 + int64(i), MaxDepth: 6, MaxOps: 8, Addrs: 32})
+		racy[i] = &workload.Benchmark{Name: "racy-small", Make: func() *workload.Run {
+			return &workload.Run{Main: pg.Main(), Verify: func() error { return nil }}
+		}}
 	}
+	return append(progs, racy)
 }
 
-// BenchmarkAblationHybrid (ABL11): the prefix-sharing cord labels and
-// the depth-adaptive hybrid against the OM pair, full mode, across a
-// worker-count scaling axis (1/2/4/8). The workload set adds pipeline —
-// the Herlihy & Liu long-future-chain shape — whose labels run deeper
-// than any paper benchmark's; depa-label-bytes is O(strands) under
-// cords where the PR 7 flat labels paid O(strands × depth) words, and
-// depa-compare-words stays within a word or two of one compare per
-// query on the spine thanks to the LCA skip. The hybrid column shows
-// the flat fast path's overhead is bounded by the threshold: its extra
-// bytes over depa are the ≤ DefaultHybridDepth shallow flat copies.
-func BenchmarkAblationHybrid(b *testing.B) {
-	benches := []*workload.Benchmark{
-		workload.MM(64, 16),
-		workload.HW(4, 16, 256),
-		workload.Sort(20_000, 512),
-		workload.Spine(1500, 2),
-		workload.Pipeline(200, 8, 4),
+// BenchmarkAblationReach (ABL10/ABL11, closed): the English/Hebrew OM
+// pair against DePa fork-path cords on the benchmark's own programs, in
+// the benchmark's cells — reach and full at one worker, full at P — with
+// the zero engine.Config but Reach. It reports the median wall of the
+// iterations (ns/op is a mean) and the reach memory. A run that follows
+// an OM run in one process inherits its heap and reads ~10% slow, so the
+// EXPERIMENTS table takes each substrate from a process of its own:
+//
+//	go test -c -o sf.test . && for s in om depa; do
+//	  ./sf.test -test.run '^$' -test.bench "AblationReach/.*/.*/$s\$" -test.benchtime 10x; done
+func BenchmarkAblationReach(b *testing.B) {
+	cells := []struct {
+		name    string
+		mode    harness.Mode
+		workers int
+	}{
+		{"reach_t1", harness.Reach, 1},
+		{"full_t1", harness.Full, 1},
+		{"full_tp", harness.Full, harness.DefaultWorkers()},
 	}
-	for _, bench := range benches {
-		bench := bench
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa, core.SubstrateHybrid} {
-				sub := sub
-				b.Run(fmt.Sprintf("%s/w%d/%s", bench.Name, workers, sub), func(b *testing.B) {
-					res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{
-						Workers: workers, Reach: sub, Stats: obsv.NewRegistry(),
-					}})
-					b.ReportMetric(float64(res.ReachMem), "reach-bytes")
-					b.ReportMetric(float64(res.Stats["depa.label_mem_bytes"]), "depa-label-bytes")
-					b.ReportMetric(float64(res.Stats["depa.compare_words"]), "depa-compare-words")
-					b.ReportMetric(float64(res.Stats["depa.flat_compares"]), "depa-flat-compares")
+	for _, runs := range benchmarkPrograms() {
+		for _, cell := range cells {
+			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa} {
+				b.Run(fmt.Sprintf("%s/%s/%s", runs[0].Name, cell.name, sub), func(b *testing.B) {
+					cfg := harness.Config{Mode: cell.mode, Config: engine.Config{Workers: cell.workers, Reach: sub}}
+					walls := make([]time.Duration, b.N)
+					var mem int
+					for i := range walls {
+						mem = 0
+						for j, bench := range runs {
+							if j%32 == 0 {
+								runtime.GC() // as the benchmark does before a timed run
+							}
+							res, err := harness.Run(bench, cfg)
+							if err != nil {
+								b.Fatal(err)
+							}
+							walls[i] += res.Elapsed
+							mem += res.ReachMem
+						}
+					}
+					sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+					b.ReportMetric(float64(walls[len(walls)/2])/1e6, "median-ms")
+					b.ReportMetric(float64(mem)/1e6, "reach-MB")
 				})
 			}
 		}

@@ -50,7 +50,7 @@ func main() {
 		httpAddr      = flag.String("http", "", "serve /stats, /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
 		dedup         = flag.Bool("dedup", false, "with -bench: report at most one race record per address")
 		fastpath      = flag.Bool("fastpath", true, "use the lock-avoiding access history in full mode (what ships); -fastpath=false is the paper's locked history (sforder.Config.LockedHistory, ABL7)")
-		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists), depa (prefix-sharing fork-path cords, ABL10/11), or hybrid (depth-adaptive flat+cord, ABL11)")
+		reachSub      = flag.String("reach", "om", "with -bench: SF-Order reachability substrate: om (English/Hebrew lists) or depa (prefix-sharing fork-path cords, ABL10/11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
 		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: rebuild the dag and re-run detection offline, sharded by shadow page")

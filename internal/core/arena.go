@@ -1,104 +1,23 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-	"unsafe"
-
 	"sforder/internal/bitset"
 	"sforder/internal/depa"
 	"sforder/internal/om"
+	"sforder/internal/slab"
 )
 
 // Slab arenas for the reach hot path. Every spawn/create/get allocates
-// per-strand node records, OM items, and (for a create/get/merge whose
-// set is not a single run) residue-window words; drawing them from
-// per-lane slabs turns those heap allocations into pointer bumps and
-// lets a finished Run recycle the memory wholesale through sync.Pool
-// instead of leaving it to the GC.
-
-const (
-	nodeChunkLen = 256 // 256 × 24 B = 6 KiB per slab
-	metaChunkLen = 64  // futures are ~1000× rarer than strands
-)
-
-type nodeChunk struct{ nodes [nodeChunkLen]node }
-type metaChunk struct{ metas [metaChunkLen]futMeta }
+// per-strand node records, OM items or labels, and (for a
+// create/get/merge whose set is not a single run) residue-window words;
+// drawing them from per-lane slabs turns those heap allocations into
+// pointer bumps and lets a finished Run recycle the memory wholesale
+// through sync.Pool instead of leaving it to the GC.
 
 var (
-	nodeChunkPool = sync.Pool{New: func() any { return new(nodeChunk) }}
-	metaChunkPool = sync.Pool{New: func() any { return new(metaChunk) }}
+	nodePool = slab.NewPool[node](256)   // 256 × 24 B = 6 KiB per slab
+	metaPool = slab.NewPool[futMeta](64) // futures are ~1000× rarer than strands
 )
-
-// nodeSlab bump-allocates node records from pooled chunks. A nil
-// *nodeSlab falls back to the heap. Single-owner; byte counters are
-// atomic so stats gauges can scrape mid-run.
-type nodeSlab struct {
-	cur    *nodeChunk
-	next   int
-	chunks []*nodeChunk
-	bytes  atomic.Int64
-}
-
-func (s *nodeSlab) get() *node {
-	if s == nil {
-		return &node{}
-	}
-	if s.cur == nil || s.next == nodeChunkLen {
-		s.cur = nodeChunkPool.Get().(*nodeChunk)
-		s.chunks = append(s.chunks, s.cur)
-		s.next = 0
-		s.bytes.Add(int64(unsafe.Sizeof(nodeChunk{})))
-	}
-	n := &s.cur.nodes[s.next]
-	s.next++
-	*n = node{}
-	return n
-}
-
-func (s *nodeSlab) release() {
-	for i, c := range s.chunks {
-		s.chunks[i] = nil
-		nodeChunkPool.Put(c)
-	}
-	s.chunks = s.chunks[:0]
-	s.cur, s.next = nil, 0
-	s.bytes.Store(0)
-}
-
-// metaSlab is nodeSlab for futMeta records.
-type metaSlab struct {
-	cur    *metaChunk
-	next   int
-	chunks []*metaChunk
-	bytes  atomic.Int64
-}
-
-func (s *metaSlab) get() *futMeta {
-	if s == nil {
-		return &futMeta{}
-	}
-	if s.cur == nil || s.next == metaChunkLen {
-		s.cur = metaChunkPool.Get().(*metaChunk)
-		s.chunks = append(s.chunks, s.cur)
-		s.next = 0
-		s.bytes.Add(int64(unsafe.Sizeof(metaChunk{})))
-	}
-	m := &s.cur.metas[s.next]
-	s.next++
-	*m = futMeta{}
-	return m
-}
-
-func (s *metaSlab) release() {
-	for i, c := range s.chunks {
-		s.chunks[i] = nil
-		metaChunkPool.Put(c)
-	}
-	s.chunks = s.chunks[:0]
-	s.cur, s.next = nil, 0
-	s.bytes.Store(0)
-}
 
 // laneAlloc is one lane's allocation state: arenas for OM items, node
 // and future records, and set-window words. The engine guarantees a lane is
@@ -108,28 +27,47 @@ func (s *metaSlab) release() {
 type laneAlloc struct {
 	items  om.ItemArena // OM substrate: dag position items
 	labels depa.Arena   // DePa substrate: fork-path labels
-	nodes  nodeSlab
-	metas  metaSlab
+	nodes  slab.Arena[node]
+	metas  slab.Arena[futMeta]
 	sets   bitset.Arena
+}
+
+// newNode and newMeta return zeroed records from the lane's slabs; a nil
+// lane (out-of-lane callers, the offline rebuild) allocates from the heap,
+// as the arenas themselves do for nil receivers.
+func (a *laneAlloc) newNode() *node {
+	if a == nil {
+		return &node{}
+	}
+	n := a.nodes.Get(nodePool)
+	*n = node{}
+	return n
+}
+
+func (a *laneAlloc) newMeta() *futMeta {
+	if a == nil {
+		return &futMeta{}
+	}
+	m := a.metas.Get(metaPool)
+	*m = futMeta{}
+	return m
 }
 
 func (a *laneAlloc) bytes() int64 {
 	return a.items.Bytes() + a.labels.Bytes() +
-		a.nodes.bytes.Load() + a.metas.bytes.Load() + a.sets.Bytes()
+		a.nodes.Bytes() + a.metas.Bytes() + a.sets.Bytes()
 }
 
 func (a *laneAlloc) release() {
 	a.items.Release()
 	a.labels.Release()
-	a.nodes.release()
-	a.metas.release()
+	a.nodes.Release()
+	a.metas.Release()
 	a.sets.Release()
 }
 
 // itemsOf, labelsOf and setsOf resolve a lane's substrate and set-window
-// arenas; all are nil-safe (out-of-lane callers and the offline rebuild
-// pass a nil lane, and the arenas themselves treat nil receivers as heap
-// fallback).
+// arenas; all are nil-safe.
 func itemsOf(a *laneAlloc) *om.ItemArena {
 	if a == nil {
 		return nil

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"sforder/internal/depa"
 	"sforder/internal/sched"
 )
@@ -12,8 +10,8 @@ import (
 // precomputed fork-path label table (depa.BuildTable) instead of being
 // placed one tracer event at a time. It exists for offline replay,
 // where the whole strand forest is known up front and label
-// construction parallelizes — only the label-substrate family supports
-// it (a fork-path label is a pure function of the strand's recorded
+// construction parallelizes — only the label substrate supports it
+// (a fork-path label is a pure function of the strand's recorded
 // path; an order-maintenance list is one mutable structure that must
 // be built in event order).
 //
@@ -31,22 +29,19 @@ type Offline struct {
 	metas []futMeta
 }
 
-// NewOffline returns an Offline rebuild sized for the given strand and
-// future counts. cfg.Reach must be SubstrateDePa or SubstrateHybrid.
-func NewOffline(cfg Config, strands, futures int) (*Offline, error) {
-	if cfg.Reach != SubstrateDePa && cfg.Reach != SubstrateHybrid {
-		return nil, fmt.Errorf("core: offline rebuild requires a precomputable label substrate, not %v", cfg.Reach)
-	}
+// NewOffline returns an Offline rebuild on SubstrateDePa sized for the
+// given strand and future counts.
+func NewOffline(strands, futures int) *Offline {
 	// Node and meta records come from the two dense slices below and
 	// every set builder is handed a nil arena, so the lane arenas sit
 	// idle.
-	r := New(cfg)
+	sub := &depaSub{}
 	return &Offline{
-		r:     r,
-		sub:   r.sub.(*depaSub),
+		r:     &Reach{sub: sub},
+		sub:   sub,
 		nodes: make([]node, strands),
 		metas: make([]futMeta, futures),
-	}, nil
+	}
 }
 
 // Reach returns the underlying reachability component. Valid for
@@ -54,11 +49,11 @@ func NewOffline(cfg Config, strands, futures int) (*Offline, error) {
 func (o *Offline) Reach() *Reach { return o.r }
 
 // Bind assigns strand s the i-th node record, positioned by its
-// precomputed cord label (and optional flat copy). Safe for concurrent
-// use on distinct i; the label must be immutable (a table entry).
-func (o *Offline) Bind(i int, s *sched.Strand, l *depa.Label, f *depa.Flat) {
+// precomputed cord label. Safe for concurrent use on distinct i; the
+// label must be immutable (a table entry).
+func (o *Offline) Bind(i int, s *sched.Strand, l *depa.Label) {
 	n := &o.nodes[i]
-	n.setDepa(l, f)
+	n.setDepa(l)
 	s.Det = n
 }
 
@@ -68,7 +63,7 @@ func (o *Offline) Bind(i int, s *sched.Strand, l *depa.Label, f *depa.Flat) {
 // online run over the same forest would have reported.
 func (o *Offline) AccountTable(t *depa.Table) {
 	o.r.strands.Add(uint64(t.Len()))
-	o.sub.accountTable(int64(t.Len()), int64(t.Chunks()), int64(t.MemBytes()), int64(t.MaxDepth()))
+	o.sub.account(int64(t.Len()), int64(t.Chunks()), int64(t.MemBytes()), int64(t.MaxDepth()))
 }
 
 // BindRootFuture binds the implicit root future (no ancestors).
@@ -103,19 +98,4 @@ func (o *Offline) SyncGP(k, s *sched.Strand, childSinks []*sched.Strand) {
 // came from the table — and counts no extra strand.
 func (o *Offline) GetGP(u, g *sched.Strand, f *sched.FutureTask) {
 	nodeOf(g).gp = o.r.getGP(nil, nodeOf(u).gp, nodeOf(f.Last()).gp, f)
-}
-
-// accountTable bulk-feeds the substrate counters for an offline-built
-// label table; the per-label account() bookkeeping already happened in
-// aggregate inside depa.BuildTable's arrays.
-func (d *depaSub) accountTable(labels, chunks, mem, maxDepth int64) {
-	d.labels.Add(labels)
-	d.chunks.Add(chunks)
-	d.labelMem.Add(mem)
-	for {
-		cur := d.maxDepth.Load()
-		if maxDepth <= cur || d.maxDepth.CompareAndSwap(cur, maxDepth) {
-			return
-		}
-	}
 }

@@ -54,10 +54,10 @@ import (
 // substrate position, a union so the record stays at 24 bytes for
 // every backend (a size test pins it): under SubstrateOM they are the
 // English and Hebrew om.Item pointers; under SubstrateDePa p0 is the
-// cord fork-path label and p1 is nil; under SubstrateHybrid p1 holds
-// the packed flat copy for strands below the depth threshold. Only the
-// substrate that wrote a node ever reads its position, so the union
-// needs no tag.
+// cord fork-path label and p1 is nil (until PR 24, 2026-10-03, a third
+// substrate kept a packed flat copy of shallow labels there:
+// EXPERIMENTS ABL10/ABL11). Only the substrate that wrote a node ever
+// reads its position, so the union needs no tag.
 type node struct {
 	p0, p1 unsafe.Pointer
 	gp     *bitset.RunSet // future IDs F with last(F) ⇝NSP here (shared)
@@ -68,10 +68,7 @@ func (n *node) setOM(eng, heb *om.Item) {
 	n.p0, n.p1 = unsafe.Pointer(eng), unsafe.Pointer(heb)
 }
 func (n *node) depaLabel() *depa.Label { return (*depa.Label)(n.p0) }
-func (n *node) depaFlat() *depa.Flat   { return (*depa.Flat)(n.p1) }
-func (n *node) setDepa(l *depa.Label, f *depa.Flat) {
-	n.p0, n.p1 = unsafe.Pointer(l), unsafe.Pointer(f)
-}
+func (n *node) setDepa(l *depa.Label)  { n.p0 = unsafe.Pointer(l) }
 
 // futMeta is the SF-Order per-future state.
 type futMeta struct {
@@ -86,14 +83,8 @@ type futMeta struct {
 // configuration: the English/Hebrew OM pair.
 type Config struct {
 	// Reach selects the reachability substrate: the English/Hebrew OM
-	// list pair (default), DePa fork-path cords (ABL10), or the
-	// depth-adaptive hybrid (ABL11).
+	// list pair (default) or DePa fork-path cords (ABL10/ABL11).
 	Reach Substrate
-	// HybridDepth is the SubstrateHybrid switchover: strands below this
-	// fork depth carry a packed flat label beside the cord and compare
-	// flat-to-flat. Zero means DefaultHybridDepth. Ignored by the other
-	// substrates.
-	HybridDepth int
 }
 
 // Reach is the SF-Order reachability component. It implements
@@ -126,22 +117,16 @@ type Reach struct {
 }
 
 // New returns an empty SF-Order reachability component configured by
-// cfg, ready to be passed as the Tracer of a sched.Run.
+// cfg, ready to be passed as the Tracer of a sched.Run. A cfg.Reach that
+// does not Validate is a caller bug and panics.
 func New(cfg Config) *Reach {
-	var sub Reachability
 	switch cfg.Reach {
+	case SubstrateOM:
+		return &Reach{sub: newOMPair()}
 	case SubstrateDePa:
-		sub = newDepaSub(0)
-	case SubstrateHybrid:
-		hd := cfg.HybridDepth
-		if hd <= 0 {
-			hd = DefaultHybridDepth
-		}
-		sub = newDepaSub(hd)
-	default:
-		sub = newOMPair()
+		return &Reach{sub: &depaSub{}}
 	}
-	return &Reach{sub: sub}
+	panic(cfg.Reach.Validate())
 }
 
 // NewReach returns an empty SF-Order reachability component with the
@@ -253,12 +238,10 @@ func (r *Reach) getGP(sets *bitset.Arena, gpU, gpLast *bitset.RunSet, f *sched.F
 func (r *Reach) OnRoot(root *sched.Strand) {
 	r.strands.Add(1)
 	a := r.lockShared()
-	rn := a.nodes.get()
+	rn := a.newNode()
 	r.sub.placeRoot(a, rn)
 	root.Det = rn
-	fm := a.metas.get()
-	fm.cp = nil // the root has no ancestors
-	root.Fut.Det = fm
+	root.Fut.Det = a.newMeta() // cp stays nil: the root has no ancestors
 	r.sharedMu.Unlock()
 }
 
@@ -276,15 +259,11 @@ func (r *Reach) placeBranch(a *laneAlloc, u, child, cont, placeholder *sched.Str
 		n = 3
 	}
 	r.strands.Add(uint64(n))
-	var nodes *nodeSlab
-	if a != nil {
-		nodes = &a.nodes
-	}
-	cn := nodes.get()
-	kn := nodes.get()
+	cn := a.newNode()
+	kn := a.newNode()
 	var pn *node
 	if placeholder != nil {
-		pn = nodes.get()
+		pn = a.newNode()
 	}
 	r.sub.placeBranch(a, un, cn, kn, pn)
 	cn.gp, kn.gp = un.gp, un.gp
@@ -299,11 +278,7 @@ func (r *Reach) placeBranch(a *laneAlloc, u, child, cont, placeholder *sched.Str
 // spawn in PSP(D), and cp(G) = cp(F) ∪ {F} for the new future.
 func (r *Reach) placeCreate(a *laneAlloc, u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
 	r.placeBranch(a, u, first, cont, placeholder)
-	var metas *metaSlab
-	if a != nil {
-		metas = &a.metas
-	}
-	fm := metas.get()
+	fm := a.newMeta()
 	fm.cp = r.childCP(setsOf(a), f.Parent)
 	f.Det = fm
 }
@@ -326,50 +301,24 @@ func (r *Reach) placeSync(a *laneAlloc, k, s *sched.Strand, childSinks []*sched.
 func (r *Reach) placeGet(a *laneAlloc, u, g *sched.Strand, f *sched.FutureTask) {
 	un := nodeOf(u)
 	r.strands.Add(1)
-	var nodes *nodeSlab
-	if a != nil {
-		nodes = &a.nodes
-	}
-	gn := nodes.get()
+	gn := a.newNode()
 	r.sub.placeSerial(a, un, gn)
 	gn.gp = r.getGP(setsOf(a), un.gp, nodeOf(f.Last()).gp, f)
 	g.Det = gn
 }
 
-// PlaceSpawn performs the combined spawn placement — both OM batch
-// inserts and the node records — drawing memory from the given worker
-// lane's arenas. A negative lane selects the mutex-guarded shared
-// fallback arena; the engine's lane dispatch (sched.LaneTracer) calls
-// the non-negative form.
-func (r *Reach) PlaceSpawn(lane int, u, child, cont, placeholder *sched.Strand) {
-	if lane < 0 {
-		a := r.lockShared()
-		r.placeBranch(a, u, child, cont, placeholder)
-		r.sharedMu.Unlock()
-		return
-	}
-	r.placeBranch(r.laneFor(lane), u, child, cont, placeholder)
-}
-
-// PlaceCreate is PlaceSpawn for create events (cp bookkeeping included).
-func (r *Reach) PlaceCreate(lane int, u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
-	if lane < 0 {
-		a := r.lockShared()
-		r.placeCreate(a, u, first, cont, placeholder, f)
-		r.sharedMu.Unlock()
-		return
-	}
-	r.placeCreate(r.laneFor(lane), u, first, cont, placeholder, f)
-}
-
 // OnSpawn implements sched.Tracer (the non-lane fallback path).
 func (r *Reach) OnSpawn(u, child, cont, placeholder *sched.Strand) {
-	r.PlaceSpawn(-1, u, child, cont, placeholder)
+	a := r.lockShared()
+	r.placeBranch(a, u, child, cont, placeholder)
+	r.sharedMu.Unlock()
 }
 
 // OnCreate implements sched.Tracer (the non-lane fallback path).
 func (r *Reach) OnCreate(u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
-	r.PlaceCreate(-1, u, first, cont, placeholder, f)
+	a := r.lockShared()
+	r.placeCreate(a, u, first, cont, placeholder, f)
+	r.sharedMu.Unlock()
 }
 
 // OnSync implements sched.Tracer (the non-lane fallback path).
@@ -513,20 +462,6 @@ func (r *Reach) RegisterStats(reg *obsv.Registry) {
 	reg.RegisterFunc("reach.set_residue_bytes", func() int64 { return r.setMem.Load() })
 	reg.RegisterFunc("reach.mem_bytes", func() int64 { return int64(r.MemBytes()) })
 	r.sub.registerStats(reg)
-	if _, ok := r.sub.(*depaSub); ok {
-		// Satellite of the label arenas: bytes stranded at word-slab
-		// tails when a flat label's slice didn't fit the remainder. Only
-		// the Reach sees all the lanes, so the gauge lives here.
-		reg.RegisterFunc("depa.slab_waste_bytes", func() int64 {
-			r.sharedMu.Lock()
-			defer r.sharedMu.Unlock()
-			var total int64
-			for _, a := range r.lanes {
-				total += a.labels.WasteBytes()
-			}
-			return total + r.shared.labels.WasteBytes()
-		})
-	}
 	reg.RegisterFunc("core.arena_bytes", r.ArenaBytes)
 }
 

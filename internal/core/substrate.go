@@ -23,46 +23,39 @@ const (
 	// is O(strands) and comparisons skip the shared prefix by pointer
 	// equality, examining O(1) words at any depth.
 	SubstrateDePa
-	// SubstrateHybrid is DePa with a depth-adaptive twist (ABL11):
-	// strands shallower than Config.HybridDepth also carry a packed
-	// flat copy of their label, and queries where both sides have one
-	// compare the flats — no pointer chase, the fastest path at the
-	// depths where the EXPERIMENTS ABL10 crossover showed flat labels
-	// winning. Deep strands fall back to the cord compare.
-	SubstrateHybrid
 )
 
 // String returns the -reach flag spelling of the substrate.
 func (s Substrate) String() string {
 	switch s {
+	case SubstrateOM:
+		return "om"
 	case SubstrateDePa:
 		return "depa"
-	case SubstrateHybrid:
-		return "hybrid"
 	}
-	return "om"
+	return fmt.Sprintf("Substrate(%d)", int(s))
 }
 
-// ParseSubstrate parses a -reach flag value ("om", "depa", or "hybrid").
+// Validate returns an error unless s names a substrate; New panics on one
+// that does not, so the run entry points check it as a configuration
+// error first.
+func (s Substrate) Validate() error {
+	if s != SubstrateOM && s != SubstrateDePa {
+		return fmt.Errorf("unknown reachability substrate %v (want om or depa)", s)
+	}
+	return nil
+}
+
+// ParseSubstrate parses a -reach flag value ("om" or "depa").
 func ParseSubstrate(name string) (Substrate, error) {
 	switch name {
 	case "om", "":
 		return SubstrateOM, nil
 	case "depa":
 		return SubstrateDePa, nil
-	case "hybrid":
-		return SubstrateHybrid, nil
 	}
-	return SubstrateOM, fmt.Errorf("unknown reachability substrate %q (want om, depa, or hybrid)", name)
+	return SubstrateOM, fmt.Errorf("unknown reachability substrate %q (want om or depa)", name)
 }
-
-// DefaultHybridDepth is the flat/cord switchover depth when
-// Config.HybridDepth is unset. The EXPERIMENTS ABL10 crossover
-// had flat labels beating the OM pair up to roughly 25 fork levels and
-// losing past ~1000; 64 keeps every label that still fits a word or
-// two on the chase-free flat path while bounding the redundant copy a
-// shallow strand carries to two words.
-const DefaultHybridDepth = 64
 
 // Reachability is the substrate interface: the part of SF-Order that
 // maintains the two PSP(D) total orders and answers order queries. The
@@ -187,55 +180,36 @@ func (p *omPair) registerStats(reg *obsv.Registry) {
 // resolve from a single label comparison, so there is nothing to
 // split, renumber, or exhaust.
 //
-// The label is a prefix-sharing cord (node.depaLabel, always present):
-// Extend copies one word and the frozen chain is shared with the
-// parent, so label memory is O(strands) and depa.Rel answers from O(1)
-// words via the pointer-equality prefix skip. With hybridDepth > 0
-// (SubstrateHybrid) strands whose parent is shallower than the
-// threshold additionally carry a packed flat copy (node.depaFlat), and
-// queries compare flats whenever both sides have one — the chase-free
-// path for the shallow labels that dominate wide, flat programs. The
-// cord chain is maintained for *every* strand, flat or not: the
-// pointer-skip in depa.Rel is only O(1) because chunk sharing is
-// structural, and that holds only if deep labels descend from their
-// ancestors' actual chunk nodes, never from a rebuilt copy.
+// The label is a prefix-sharing cord (node.depaLabel): Extend copies one
+// word and the frozen chain is shared with the parent, so label memory
+// is O(strands) and depa.Rel answers from O(1) words via the
+// pointer-equality prefix skip — which is only O(1) because chunk
+// sharing is structural: deep labels descend from their ancestors'
+// actual chunk nodes, never from a rebuilt copy.
 type depaSub struct {
-	hybridDepth int // keep a flat while parent depth < this; 0 = never
+	labels   atomic.Int64 // labels assigned
+	labelMem atomic.Int64 // bytes: cord headers + frozen chunks
+	maxDepth atomic.Int64 // deepest fork path seen
+	chunks   atomic.Int64 // chunk nodes frozen (shared words)
 
-	labels   atomic.Int64  // labels assigned
-	labelMem atomic.Int64  // bytes: cord headers + frozen chunks + flats
-	maxDepth atomic.Int64  // deepest fork path seen
-	chunks   atomic.Int64  // chunk nodes frozen (shared words)
+	// counted is set by registerStats, before the run: only then do
+	// queries pay for the two shared counters below (replay's shards and
+	// every online worker would otherwise write one cache line per
+	// compare).
+	counted  bool
 	cmps     atomic.Uint64 // compares (psp + leftOf)
 	cmpWords atomic.Uint64 // words examined across all compares
-	flatCmps atomic.Uint64 // compares served by the flat fast path
 }
 
-func newDepaSub(hybridDepth int) *depaSub {
-	return &depaSub{hybridDepth: hybridDepth}
-}
-
-// account records one new strand label: the cord header, the chunk
-// node if this Extend froze one (parent and child then disagree on
-// FullWords — counting it here, exactly once, is what keeps shared
-// words out of the per-label figure), and the flat copy if one was
-// made. parent is nil for the root.
-func (d *depaSub) account(parent, l *depa.Label, f *depa.Flat) {
-	d.labels.Add(1)
-	mem := int64(l.MemBytes())
-	pw := 0
-	if parent != nil {
-		pw = parent.FullWords()
-	}
-	if l.FullWords() != pw {
-		mem += int64(depa.ChunkBytes)
-		d.chunks.Add(1)
-	}
-	if f != nil {
-		mem += int64(f.MemBytes())
+// account records new labels on the gauges — how many, the chunk nodes
+// frozen for them, their bytes, and the deepest: one label per online
+// Extend, a whole table at once offline.
+func (d *depaSub) account(labels, chunks, mem, depth int64) {
+	d.labels.Add(labels)
+	if chunks != 0 {
+		d.chunks.Add(chunks)
 	}
 	d.labelMem.Add(mem)
-	depth := int64(l.Depth())
 	for {
 		cur := d.maxDepth.Load()
 		if depth <= cur || d.maxDepth.CompareAndSwap(cur, depth) {
@@ -244,38 +218,29 @@ func (d *depaSub) account(parent, l *depa.Label, f *depa.Flat) {
 	}
 }
 
-// extend grows one strand's representation pair: the cord always, the
-// flat only while the parent still has one below the threshold — once
-// a path crosses hybridDepth its flats stop forever (descendants only
-// get deeper), so the redundant copy is bounded by threshold words.
-func (d *depaSub) extend(la *depa.Arena, ul *depa.Label, uf *depa.Flat, c uint8) (*depa.Label, *depa.Flat) {
+// extend appends component c to the label ul. The new strand's label is
+// its cord header plus the chunk node if this Extend froze one (parent
+// and child then disagree on FullWords — counting it here, exactly
+// once, is what keeps shared words out of the per-label figure).
+func (d *depaSub) extend(la *depa.Arena, ul *depa.Label, c uint8) *depa.Label {
 	l := ul.Extend(la, c)
-	var f *depa.Flat
-	if uf != nil && uf.Depth() < d.hybridDepth {
-		f = uf.Extend(la, c)
-	}
-	d.account(ul, l, f)
-	return l, f
+	chunks := int64(l.FullWords() - ul.FullWords())
+	d.account(1, chunks, int64(l.MemBytes())+chunks*int64(depa.ChunkBytes), int64(l.Depth()))
+	return l
 }
 
 func (d *depaSub) placeRoot(a *laneAlloc, rn *node) {
-	la := labelsOf(a)
-	l := depa.NewLabel(la)
-	var f *depa.Flat
-	if d.hybridDepth > 0 {
-		f = depa.NewFlat(la)
-	}
-	d.account(nil, l, f)
-	rn.setDepa(l, f)
+	l := depa.NewLabel(labelsOf(a))
+	d.account(1, 0, int64(l.MemBytes()), 0)
+	rn.setDepa(l)
 }
 
 func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
-	la := labelsOf(a)
-	ul, uf := un.depaLabel(), un.depaFlat()
-	cn.setDepa(d.extend(la, ul, uf, depa.Child))
-	kn.setDepa(d.extend(la, ul, uf, depa.Cont))
+	la, ul := labelsOf(a), un.depaLabel()
+	cn.setDepa(d.extend(la, ul, depa.Child))
+	kn.setDepa(d.extend(la, ul, depa.Cont))
 	if pn != nil {
-		pn.setDepa(d.extend(la, ul, uf, depa.Sync))
+		pn.setDepa(d.extend(la, ul, depa.Sync))
 	}
 }
 
@@ -283,45 +248,28 @@ func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
 // un in both orders, because un anchors no other placement (each
 // strand forks at most once) so no other label extends un's.
 func (d *depaSub) placeSerial(a *laneAlloc, un, gn *node) {
-	gn.setDepa(d.extend(labelsOf(a), un.depaLabel(), un.depaFlat(), depa.Child))
+	gn.setDepa(d.extend(labelsOf(a), un.depaLabel(), depa.Child))
 }
 
-// rel dispatches one order query: the flat fast path when both strands
-// are shallow enough to carry packed copies, the cord compare (with
-// its LCA skip) otherwise. Comparing a flat against a cord is never
-// needed — the cords are always there.
-func (d *depaSub) rel(u, v *node) (eng, heb bool) {
-	var w int
-	if uf, vf := u.depaFlat(), v.depaFlat(); uf != nil && vf != nil {
-		eng, heb, w = depa.RelFlat(uf, vf)
-		d.flatCmps.Add(1)
-	} else {
-		eng, heb, w = depa.Rel(u.depaLabel(), v.depaLabel())
+// count records one compare of w words on the depa.compares gauges.
+func (d *depaSub) count(w int) {
+	if d.counted {
+		d.cmps.Add(1)
+		d.cmpWords.Add(uint64(w))
 	}
-	d.cmps.Add(1)
-	d.cmpWords.Add(uint64(w))
-	return eng, heb
 }
 
 func (d *depaSub) psp(u, v *node) bool {
-	eng, heb := d.rel(u, v)
+	eng, heb, w := depa.Rel(u.depaLabel(), v.depaLabel())
+	d.count(w)
 	return eng && heb
 }
 
-// leftOf answers the English-order query alone through the dedicated
-// depa.LeftOf entry points: the same LCA-skip walk (or flat compare) as
-// rel, minus the Hebrew remap. Counted on the same compare gauges.
+// leftOf answers the English-order query alone: the same LCA-skip walk
+// as psp, minus the Hebrew remap.
 func (d *depaSub) leftOf(u, v *node) bool {
-	var left bool
-	var w int
-	if uf, vf := u.depaFlat(), v.depaFlat(); uf != nil && vf != nil {
-		left, w = depa.LeftOfFlat(uf, vf)
-		d.flatCmps.Add(1)
-	} else {
-		left, w = depa.LeftOf(u.depaLabel(), v.depaLabel())
-	}
-	d.cmps.Add(1)
-	d.cmpWords.Add(uint64(w))
+	left, w := depa.LeftOf(u.depaLabel(), v.depaLabel())
+	d.count(w)
 	return left
 }
 
@@ -332,13 +280,13 @@ func (d *depaSub) memBytes() int { return int(d.labelMem.Load()) }
 // Stats lookup of om.lock_acquires reads zero — which is exactly the
 // ABL10 claim the tests pin.
 func (d *depaSub) registerStats(reg *obsv.Registry) {
+	d.counted = true
 	reg.RegisterFunc("depa.labels", func() int64 { return d.labels.Load() })
 	reg.RegisterFunc("depa.label_mem_bytes", func() int64 { return d.labelMem.Load() })
 	reg.RegisterFunc("depa.max_depth", func() int64 { return d.maxDepth.Load() })
 	reg.RegisterFunc("depa.chunks", func() int64 { return d.chunks.Load() })
 	reg.RegisterFunc("depa.compares", func() int64 { return int64(d.cmps.Load()) })
 	reg.RegisterFunc("depa.compare_words", func() int64 { return int64(d.cmpWords.Load()) })
-	reg.RegisterFunc("depa.flat_compares", func() int64 { return int64(d.flatCmps.Load()) })
 }
 
 var (

@@ -15,38 +15,27 @@
 // One comparison therefore answers both u ⊏E v and u ⊏H v, i.e. a
 // whole psp query.
 //
-// Labels come in two representations:
+// A Label is a prefix-sharing cord: a pointer to an immutable chain of
+// frozen full words — one chunk node per 32 components, shared
+// structurally with every ancestor — plus one private, partially filled
+// tail word. Extend copies only the tail (and freezes it into a new
+// chunk when it fills), so building n strands costs O(n) words total
+// instead of the O(n × depth) a flat copy pays, and Rel skips the whole
+// common prefix by chunk pointer equality: because chunks below the fork
+// point of two strands are the *same* nodes, the first chunk pair that
+// is not pointer-equal is exactly the word containing the first
+// divergent component, and every comparison inspects one word.
 //
-//   - Label is a prefix-sharing cord, the default. A label is a pointer
-//     to an immutable chain of frozen full words — one chunk node per 32
-//     components, shared structurally with every ancestor — plus one
-//     private, partially filled tail word. Extend copies only the tail
-//     (and freezes it into a new chunk when it fills), so building n
-//     strands costs O(n) words total instead of the O(n × depth) a flat
-//     copy pays, and Rel skips the whole common prefix by chunk pointer
-//     equality: because chunks below the fork point of two strands are
-//     the *same* nodes, the first chunk pair that is not pointer-equal
-//     is exactly the word containing the first divergent component, and
-//     every comparison inspects one word.
-//
-//   - Flat is the packed inline array: every word of the path in one
-//     contiguous slice, copied whole on Extend. Comparisons walk words
-//     from the front with no pointer chase, which is fastest while
-//     labels are a word or two; the copy makes it O(depth²) total work
-//     on deep spines. The hybrid substrate (internal/core) keeps a Flat
-//     alongside the cord for strands at or below a depth threshold and
-//     compares flats whenever both sides have one.
-//
-// The payoff over OM is structural either way: labels are assigned once
+// The payoff over OM is structural: labels are assigned once
 // and never touched again, so there are no bucket splits, no
 // renumberings, no maintenance lock, and no label space to exhaust.
 package depa
 
 import (
 	"math/bits"
-	"sync"
-	"sync/atomic"
 	"unsafe"
+
+	"sforder/internal/slab"
 )
 
 // Fork-path components, 2 bits each. Zero is reserved as padding so a
@@ -240,267 +229,59 @@ func LeftOf(a, b *Label) (left bool, cmpWords int) {
 }
 
 // ---------------------------------------------------------------------
-// Flat labels: the packed inline representation.
-
-// Flat is a fork path packed big-endian into one contiguous slice,
-// copied whole on Extend. No pointer chase on compare, O(depth) copy
-// per strand — the representation the hybrid substrate keeps for
-// shallow strands. Immutable after Extend returns.
-type Flat struct {
-	words []uint64
-	n     uint32 // number of components
-}
-
-// Depth returns the number of components (the strand's fork depth).
-func (f *Flat) Depth() int { return int(f.n) }
-
-// Words returns the packed length in 64-bit words.
-func (f *Flat) Words() int { return len(f.words) }
-
-// MemBytes returns the label's footprint: header plus packed words
-// (nothing is shared between flats).
-func (f *Flat) MemBytes() int {
-	return int(unsafe.Sizeof(Flat{})) + 8*len(f.words)
-}
-
-// NewFlat returns the empty flat root label.
-func NewFlat(a *Arena) *Flat { return a.flat() }
-
-// Extend returns a new flat label appending component c to f; f's words
-// are copied in full.
-func (f *Flat) Extend(a *Arena, c uint8) *Flat {
-	n := f.n
-	nw := int(n/compsPerWord) + 1
-	out := a.flat()
-	w := a.wordSlice(nw)
-	copy(w, f.words)
-	if rem := n % compsPerWord; rem == 0 {
-		w[nw-1] = uint64(c) << 62
-	} else {
-		w[nw-1] |= uint64(c) << (62 - 2*rem)
-	}
-	out.words = w
-	out.n = n + 1
-	return out
-}
-
-// RelFlat is Rel over flat labels: a front-to-back word compare with no
-// prefix skipping (flats share no structure). cmpWords is the number of
-// words examined.
-func RelFlat(a, b *Flat) (eng, heb bool, cmpWords int) {
-	wa, wb := a.words, b.words
-	min := len(wa)
-	if len(wb) < min {
-		min = len(wb)
-	}
-	for i := 0; i < min; i++ {
-		if x := wa[i] ^ wb[i]; x != 0 {
-			sh := 62 - uint(bits.LeadingZeros64(x))&^1
-			ca := wa[i] >> sh & 3
-			cb := wb[i] >> sh & 3
-			return ca < cb, hebOrd[ca] < hebOrd[cb], i + 1
-		}
-	}
-	// All shared words equal. Components are never zero, so a strictly
-	// longer word slice extends the shorter label (which necessarily
-	// filled its last word): the shorter is a proper ancestor and comes
-	// first in both orders.
-	return len(wa) < len(wb), len(wa) < len(wb), min
-}
-
-// LeftOfFlat is LeftOf over flat labels: a front-to-back word compare
-// with no prefix skipping, deciding the English order only.
-func LeftOfFlat(a, b *Flat) (left bool, cmpWords int) {
-	wa, wb := a.words, b.words
-	min := len(wa)
-	if len(wb) < min {
-		min = len(wb)
-	}
-	for i := 0; i < min; i++ {
-		if x := wa[i] ^ wb[i]; x != 0 {
-			sh := 62 - uint(bits.LeadingZeros64(x))&^1
-			return wa[i]>>sh&3 < wb[i]>>sh&3, i + 1
-		}
-	}
-	return len(wa) < len(wb), min
-}
-
-// ---------------------------------------------------------------------
 // Arena.
 
-// Arena is a slab (bump) allocator for cord labels, their frozen chunk
-// nodes, flat labels, and flat word slices, mirroring om.ItemArena so
-// internal/core's per-worker lanes can hand out DePa labels with a
-// pointer bump and recycle them wholesale. An arena is single-owner:
-// not safe for concurrent use. A nil *Arena is valid and falls back to
-// the heap (callers without lane state).
+// Arena allocates cord labels and their frozen chunk nodes from slabs, so
+// internal/core's per-worker lanes hand out DePa labels with a pointer
+// bump and recycle them wholesale. Single-owner: not safe for concurrent
+// use. A nil *Arena is valid and falls back to the heap (callers without
+// lane state).
 type Arena struct {
-	curL   *labelSlab
-	nextL  int
-	lslabs []*labelSlab
-	curC   *chunkSlab
-	nextC  int
-	cslabs []*chunkSlab
-	curF   *flatSlab
-	nextF  int
-	fslabs []*flatSlab
-	curW   *wordSlab
-	nextW  int
-	wslabs []*wordSlab
-	bytes  atomic.Int64 // bytes held: slabs plus oversized heap words
-	waste  atomic.Int64 // bytes stranded at slab tails by unfit requests
+	labels slab.Arena[Label]
+	chunks slab.Arena[chunk]
 }
 
-const (
-	labelSlabLen = 256  // 256 × 16 B = 4 KiB of cord labels per slab
-	chunkSlabLen = 256  // 256 × 24 B = 6 KiB of frozen chunk nodes
-	flatSlabLen  = 256  // 256 × 32 B = 8 KiB of flat headers per slab
-	wordSlabLen  = 2048 // 16 KiB of packed flat words per slab
-)
-
-type labelSlab struct{ labels [labelSlabLen]Label }
-type chunkSlab struct{ chunks [chunkSlabLen]chunk }
-type flatSlab struct{ flats [flatSlabLen]Flat }
-type wordSlab struct{ words [wordSlabLen]uint64 }
-
 var (
-	labelSlabPool = sync.Pool{New: func() any { return new(labelSlab) }}
-	chunkSlabPool = sync.Pool{New: func() any { return new(chunkSlab) }}
-	flatSlabPool  = sync.Pool{New: func() any { return new(flatSlab) }}
-	wordSlabPool  = sync.Pool{New: func() any { return new(wordSlab) }}
+	labelPool = slab.NewPool[Label](256) // 256 × 16 B = 4 KiB of cord labels per slab
+	chunkPool = slab.NewPool[chunk](256) // 256 × 24 B = 6 KiB of frozen chunk nodes
 )
 
 func (a *Arena) label() *Label {
 	if a == nil {
 		return &Label{}
 	}
-	if a.curL == nil || a.nextL == labelSlabLen {
-		a.curL = labelSlabPool.Get().(*labelSlab)
-		a.lslabs = append(a.lslabs, a.curL)
-		a.nextL = 0
-		a.bytes.Add(int64(unsafe.Sizeof(labelSlab{})))
-	}
-	l := &a.curL.labels[a.nextL]
-	a.nextL++
+	l := a.labels.Get(labelPool)
 	*l = Label{}
 	return l
 }
 
-// chunk allocates one frozen-word node. Every field is assigned, so
-// recycled slabs need no zeroing.
 func (a *Arena) chunk(prev *chunk, word uint64, idx uint32) *chunk {
+	var c *chunk
 	if a == nil {
-		return &chunk{prev: prev, word: word, idx: idx}
+		c = new(chunk)
+	} else {
+		c = a.chunks.Get(chunkPool)
 	}
-	if a.curC == nil || a.nextC == chunkSlabLen {
-		a.curC = chunkSlabPool.Get().(*chunkSlab)
-		a.cslabs = append(a.cslabs, a.curC)
-		a.nextC = 0
-		a.bytes.Add(int64(unsafe.Sizeof(chunkSlab{})))
-	}
-	c := &a.curC.chunks[a.nextC]
-	a.nextC++
 	c.prev, c.word, c.idx = prev, word, idx
 	return c
 }
 
-func (a *Arena) flat() *Flat {
-	if a == nil {
-		return &Flat{}
-	}
-	if a.curF == nil || a.nextF == flatSlabLen {
-		a.curF = flatSlabPool.Get().(*flatSlab)
-		a.fslabs = append(a.fslabs, a.curF)
-		a.nextF = 0
-		a.bytes.Add(int64(unsafe.Sizeof(flatSlab{})))
-	}
-	f := &a.curF.flats[a.nextF]
-	a.nextF++
-	*f = Flat{}
-	return f
-}
-
-// wordSlice carves n words off the current slab. The caller assigns
-// every word, so recycled slabs need no zeroing. Oversized requests
-// (flat labels deeper than 32×wordSlabLen components) fall back to the
-// heap rather than growing the slab geometry — those bytes are still
-// counted, so the memory gauges do not under-report on very deep
-// labels. Words stranded at the tail of a slab that could not fit a
-// request accumulate on the waste counter.
-func (a *Arena) wordSlice(n int) []uint64 {
-	if a == nil {
-		return make([]uint64, n)
-	}
-	if n > wordSlabLen {
-		a.bytes.Add(int64(8 * n))
-		return make([]uint64, n)
-	}
-	if a.curW == nil || a.nextW+n > wordSlabLen {
-		if a.curW != nil && a.nextW < wordSlabLen {
-			a.waste.Add(int64(8 * (wordSlabLen - a.nextW)))
-		}
-		a.curW = wordSlabPool.Get().(*wordSlab)
-		a.wslabs = append(a.wslabs, a.curW)
-		a.nextW = 0
-		a.bytes.Add(int64(unsafe.Sizeof(wordSlab{})))
-	}
-	s := a.curW.words[a.nextW : a.nextW+n : a.nextW+n]
-	a.nextW += n
-	return s
-}
-
-// Bytes reports the bytes currently held by the arena: slabs plus any
-// oversized heap-fallback word slices handed out since the last
-// Release.
+// Bytes reports the slab bytes currently held by the arena.
 func (a *Arena) Bytes() int64 {
 	if a == nil {
 		return 0
 	}
-	return a.bytes.Load()
-}
-
-// WasteBytes reports the bytes stranded at slab tails when a word
-// request did not fit the current slab's remainder (depa.slab_waste_bytes).
-func (a *Arena) WasteBytes() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.waste.Load()
+	return a.labels.Bytes() + a.chunks.Bytes()
 }
 
 // Release returns every slab to the shared pools for reuse by a later
-// run. The caller must guarantee no Label, chunk chain, or Flat
-// allocated from this arena is referenced afterwards: a recycled slab
-// will be handed out again. Oversized heap-fallback slices are simply
-// dropped to the GC.
+// run. The caller must guarantee no Label or chunk chain allocated from
+// this arena is referenced afterwards: a recycled slab will be handed
+// out again.
 func (a *Arena) Release() {
 	if a == nil {
 		return
 	}
-	for i, s := range a.lslabs {
-		a.lslabs[i] = nil
-		labelSlabPool.Put(s)
-	}
-	a.lslabs = a.lslabs[:0]
-	for i, s := range a.cslabs {
-		a.cslabs[i] = nil
-		chunkSlabPool.Put(s)
-	}
-	a.cslabs = a.cslabs[:0]
-	for i, s := range a.fslabs {
-		a.fslabs[i] = nil
-		flatSlabPool.Put(s)
-	}
-	a.fslabs = a.fslabs[:0]
-	for i, s := range a.wslabs {
-		a.wslabs[i] = nil
-		wordSlabPool.Put(s)
-	}
-	a.wslabs = a.wslabs[:0]
-	a.curL, a.nextL = nil, 0
-	a.curC, a.nextC = nil, 0
-	a.curF, a.nextF = nil, 0
-	a.curW, a.nextW = nil, 0
-	a.bytes.Store(0)
-	a.waste.Store(0)
+	a.labels.Release()
+	a.chunks.Release()
 }

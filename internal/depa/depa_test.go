@@ -44,15 +44,6 @@ func build(a *depa.Arena, path []uint8) *depa.Label {
 	return l
 }
 
-// buildFlat materializes the same path in the packed representation.
-func buildFlat(a *depa.Arena, path []uint8) *depa.Flat {
-	f := depa.NewFlat(a)
-	for _, c := range path {
-		f = f.Extend(a, c)
-	}
-	return f
-}
-
 // fuzzPair draws a random label pair biased toward shared prefixes and
 // word-boundary lengths so the packed edge cases (diff in a later
 // word, full last word, proper prefix) all get exercised.
@@ -111,35 +102,6 @@ func TestRelMatchesReferenceFuzz(t *testing.T) {
 		}
 		if la.Depth() != len(pa) || lb.Depth() != len(pb) {
 			t.Fatalf("trial %d: Depth mismatch", trial)
-		}
-	}
-}
-
-// TestRelFlatMatchesReferenceFuzz runs the same reference fuzz over the
-// packed representation, and cross-checks it against the cord verdicts:
-// the hybrid substrate treats the two as interchangeable.
-func TestRelFlatMatchesReferenceFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var arena depa.Arena
-	defer arena.Release()
-	for trial := 0; trial < 2000; trial++ {
-		pre, ta, tb := fuzzPair(rng)
-		pa, pb := cat(pre, ta), cat(pre, tb)
-		fa, fb := buildFlat(&arena, pa), buildFlat(&arena, pb)
-
-		wantEng := refLess(pa, pb, engOrd)
-		wantHeb := refLess(pa, pb, hebOrd)
-		eng, heb, _ := depa.RelFlat(fa, fb)
-		if eng != wantEng || heb != wantHeb {
-			t.Fatalf("trial %d: RelFlat(%v, %v) = (%v, %v), want (%v, %v)",
-				trial, pa, pb, eng, heb, wantEng, wantHeb)
-		}
-		if fa.Depth() != len(pa) || fb.Depth() != len(pb) {
-			t.Fatalf("trial %d: Flat Depth mismatch", trial)
-		}
-		ceng, cheb, _ := depa.Rel(build(&arena, pa), build(&arena, pb))
-		if ceng != eng || cheb != heb {
-			t.Fatalf("trial %d: cord and flat verdicts disagree", trial)
 		}
 	}
 }
@@ -262,77 +224,12 @@ func TestDeepCordLabels(t *testing.T) {
 	}
 }
 
-// TestDeepFlatHeapFallback drives a flat label past wordSlabLen words
-// (the oversized wordSlice heap fallback) and checks the satellite
-// fix: those heap bytes must be visible in Arena.Bytes.
-func TestDeepFlatHeapFallback(t *testing.T) {
-	var a depa.Arena
-	defer a.Release()
-	f := depa.NewFlat(&a)
-	const depth = 70000 // > 32 × wordSlabLen components, forces heap words
-	for i := 0; i < depth; i++ {
-		f = f.Extend(&a, depa.Cont)
-	}
-	if f.Depth() != depth {
-		t.Fatalf("depth = %d, want %d", f.Depth(), depth)
-	}
-	if f.Words() != (depth+31)/32 {
-		t.Fatalf("words = %d, want %d", f.Words(), (depth+31)/32)
-	}
-	// The final label alone is 2188 heap words; Bytes must include at
-	// least that on top of the slab bytes a fresh arena would report.
-	if got, want := a.Bytes(), int64(8*f.Words()); got < want {
-		t.Fatalf("oversized heap words unaccounted: Bytes=%d, want >= %d", got, want)
-	}
-	parent := buildFlat(&a, []uint8{depa.Cont})
-	if eng, heb, _ := depa.RelFlat(parent, f); !eng || !heb {
-		t.Fatal("shallow ancestor must precede deep flat label")
-	}
-	sib := parent.Extend(&a, depa.Child)
-	if eng, heb, _ := depa.RelFlat(sib, f); !eng || heb {
-		t.Fatal("deep cont-path strand must be English-after/Hebrew-before the child")
-	}
-}
-
-// TestSlabWasteGauge positions the word-slab cursor 8 words shy of the
-// end, then asks for an 11-word slice: the arena must roll to a fresh
-// slab and report exactly the stranded 8 words on WasteBytes.
-func TestSlabWasteGauge(t *testing.T) {
-	var a depa.Arena
-	defer a.Release()
-	const slab = 2048
-	// A flat built to depth 320 consumes sum ceil(k/32) for k=1..320
-	// = 32·(1+…+10) = 1760 words and ends holding 10.
-	f := depa.NewFlat(&a)
-	for f.Depth() < 320 {
-		f = f.Extend(&a, depa.Cont)
-	}
-	// 280 one-word extends of fresh roots bring the cursor to 2040.
-	for i := 0; i < 280; i++ {
-		depa.NewFlat(&a).Extend(&a, depa.Child)
-	}
-	if a.WasteBytes() != 0 {
-		t.Fatalf("premature waste: %d", a.WasteBytes())
-	}
-	// Extending f needs 11 contiguous words; only 8 remain.
-	f.Extend(&a, depa.Child)
-	if got := a.WasteBytes(); got != 8*8 {
-		t.Fatalf("slab rollover waste = %d bytes, want 64", got)
-	}
-	a.Release()
-	if a.WasteBytes() != 0 {
-		t.Fatal("Release must zero the waste gauge")
-	}
-}
-
 func TestArenaRecycle(t *testing.T) {
 	var a depa.Arena
-	l := build(&a, []uint8{depa.Child, depa.Sync})
-	f := buildFlat(&a, []uint8{depa.Child, depa.Sync})
+	build(&a, []uint8{depa.Child, depa.Sync})
 	if a.Bytes() == 0 {
 		t.Fatal("arena reported zero bytes after allocations")
 	}
-	_, _ = l, f
 	a.Release()
 	if a.Bytes() != 0 {
 		t.Fatal("Release must zero the byte count")
@@ -358,12 +255,8 @@ func TestNilArenaHeapFallback(t *testing.T) {
 	if l.Depth() != 40 || l.FullWords() != 1 {
 		t.Fatal("nil-arena cord labels must work")
 	}
-	f := buildFlat(nil, p)
-	if f.Depth() != 40 {
-		t.Fatal("nil-arena flat labels must work")
-	}
-	if (*depa.Arena)(nil).Bytes() != 0 || (*depa.Arena)(nil).WasteBytes() != 0 {
-		t.Fatal("nil arena gauges")
+	if (*depa.Arena)(nil).Bytes() != 0 {
+		t.Fatal("nil arena gauge")
 	}
 	(*depa.Arena)(nil).Release()
 }
@@ -383,9 +276,5 @@ func TestMemBytes(t *testing.T) {
 	}
 	if deep.MemBytes() != depa.LabelBytes {
 		t.Fatal("cord MemBytes must count only the header — chunks are shared")
-	}
-	f := buildFlat(&a, []uint8{depa.Child})
-	if f.MemBytes() <= 8 {
-		t.Fatal("flat MemBytes must include the packed words")
 	}
 }

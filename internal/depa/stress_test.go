@@ -70,7 +70,7 @@ func TestConcurrentRelDuringExtends(t *testing.T) {
 }
 
 // TestReleaseRecycleChunks cycles build → concurrent readers → Release
-// so later rounds run on recycled label, chunk, and word slabs. Under
+// so later rounds run on recycled label and chunk slabs. Under
 // -race this checks the pool hand-off publishes the reused memory.
 func TestReleaseRecycleChunks(t *testing.T) {
 	for round := 0; round < 8; round++ {

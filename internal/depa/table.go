@@ -7,8 +7,8 @@
 // structure events fix every path up front, so the whole label set can
 // be computed in bulk: one serial O(1)-per-strand index pass derives
 // each strand's tail word, frozen-chunk anchor, and depth from its
-// parent's, and then any number of workers materialize the Label,
-// chunk, and Flat records over disjoint index ranges. The fill is
+// parent's, and then any number of workers materialize the Label and
+// chunk records over disjoint index ranges. The fill is
 // embarrassingly parallel even on a pure chain (every cross-reference
 // is by array index, and taking an element's address needs no
 // ordering), which is what makes the replay rebuild scale where the
@@ -23,7 +23,6 @@ package depa
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 )
 
 // TableConfig configures BuildTable.
@@ -31,25 +30,17 @@ type TableConfig struct {
 	// Workers is the number of concurrent fill workers; values below 2
 	// fill serially.
 	Workers int
-	// FlatDepth, when positive, additionally builds packed Flat copies
-	// for every strand at depth <= FlatDepth — the invariant the hybrid
-	// substrate maintains online (a strand has a flat iff its parent had
-	// one below the threshold, which closes to exactly depth <= FlatDepth).
-	FlatDepth int
 }
 
 // Table is a read-only fork-path label set built by BuildTable: one
-// Label per strand (indexed as the input arrays were), the shared
-// frozen chunks, and optional Flat copies. Immutable after BuildTable
-// returns; any number of goroutines may query concurrently.
+// Label per strand (indexed as the input arrays were) and the shared
+// frozen chunks. Immutable after BuildTable returns; any number of
+// goroutines may query concurrently.
 type Table struct {
-	labels    []Label
-	chunks    []chunk
-	flats     []Flat
-	hasFlat   []bool
-	maxDepth  int
-	flatWords int
-	segWork   []int64 // fill work units (labels + chunks) per worker segment
+	labels   []Label
+	chunks   []chunk
+	maxDepth int
+	segWork  []int64 // fill work units (labels + chunks) per worker segment
 }
 
 // BuildTable computes the labels of a strand forest given, for each
@@ -116,28 +107,9 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 		maxDepth: int(maxDepth),
 	}
 
-	// Flat sizing: ceil(depth/32) packed words per eligible strand,
-	// carved out of one shared backing slice by prefix offsets.
-	var flatOff []int32
-	var flatBack []uint64
-	if cfg.FlatDepth > 0 {
-		t.flats = make([]Flat, n)
-		t.hasFlat = make([]bool, n)
-		flatOff = make([]int32, n+1)
-		for i := 0; i < n; i++ {
-			flatOff[i+1] = flatOff[i]
-			if int(depth[i]) <= cfg.FlatDepth {
-				t.hasFlat[i] = true
-				flatOff[i+1] += (depth[i] + compsPerWord - 1) / compsPerWord
-			}
-		}
-		flatBack = make([]uint64, flatOff[n])
-		t.flatWords = len(flatBack)
-	}
-
-	// Fill pass: materialize labels[i], the chunk strand i froze (each
-	// chunk has exactly one owner, so writes are disjoint), and the flat
-	// copy. Every cross-reference is &t.chunks[j] — an address, valid
+	// Fill pass: materialize labels[i] and the chunk strand i froze (each
+	// chunk has exactly one owner, so writes are disjoint). Every
+	// cross-reference is &t.chunks[j] — an address, valid
 	// before the element is filled — so contiguous index ranges are
 	// fully independent whatever the forest's shape.
 	fill := func(lo, hi int) int64 {
@@ -157,17 +129,6 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 			}
 			t.labels[i] = Label{frozen: fz, tail: tail[i]}
 			work++
-			if t.hasFlat != nil && t.hasFlat[i] {
-				dst := flatBack[flatOff[i]:flatOff[i+1]]
-				full := int(depth[i]) / compsPerWord
-				for k, c := full-1, anchor[i]; k >= 0; k, c = k-1, chPrev[c] {
-					dst[k] = chWord[c]
-				}
-				if depth[i]%compsPerWord != 0 {
-					dst[len(dst)-1] = tail[i]
-				}
-				t.flats[i] = Flat{words: dst, n: uint32(depth[i])}
-			}
 		}
 		return work
 	}
@@ -201,15 +162,6 @@ func (t *Table) Len() int { return len(t.labels) }
 // Label returns strand i's cord label.
 func (t *Table) Label(i int) *Label { return &t.labels[i] }
 
-// Flat returns strand i's packed copy, or nil when the table was built
-// without flats or the strand is deeper than FlatDepth.
-func (t *Table) Flat(i int) *Flat {
-	if t.hasFlat == nil || !t.hasFlat[i] {
-		return nil
-	}
-	return &t.flats[i]
-}
-
 // Chunks returns the number of frozen chunk nodes in the table.
 func (t *Table) Chunks() int { return len(t.chunks) }
 
@@ -223,16 +175,7 @@ func (t *Table) SegmentWork() []int64 { return t.segWork }
 
 // MemBytes returns the table's label footprint, item for item what the
 // online substrate would have accounted for the same forest: one label
-// header per strand, one chunk node per freeze, and each flat's header
-// plus packed words.
+// header per strand and one chunk node per freeze.
 func (t *Table) MemBytes() int {
-	mem := len(t.labels)*LabelBytes + len(t.chunks)*ChunkBytes + 8*t.flatWords
-	if t.hasFlat != nil {
-		for _, h := range t.hasFlat {
-			if h {
-				mem += int(unsafe.Sizeof(Flat{}))
-			}
-		}
-	}
-	return mem
+	return len(t.labels)*LabelBytes + len(t.chunks)*ChunkBytes
 }

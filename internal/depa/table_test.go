@@ -37,25 +37,16 @@ func randForest(n int, seed int64) forest {
 
 // extendReference builds the same forest's labels the online way: one
 // Extend per strand, heap-allocated.
-func extendReference(f forest, flatDepth int) ([]*Label, []*Flat) {
-	n := len(f.parent)
-	labels := make([]*Label, n)
-	flats := make([]*Flat, n)
-	for i := 0; i < n; i++ {
-		p := f.parent[i]
+func extendReference(f forest) []*Label {
+	labels := make([]*Label, len(f.parent))
+	for i, p := range f.parent {
 		if p < 0 {
 			labels[i] = NewLabel(nil)
-			if flatDepth > 0 {
-				flats[i] = NewFlat(nil)
-			}
-			continue
-		}
-		labels[i] = labels[p].Extend(nil, f.comp[i])
-		if pf := flats[p]; pf != nil && pf.Depth() < flatDepth {
-			flats[i] = pf.Extend(nil, f.comp[i])
+		} else {
+			labels[i] = labels[p].Extend(nil, f.comp[i])
 		}
 	}
-	return labels, flats
+	return labels
 }
 
 // chainWords flattens a cord's frozen chain, root word first.
@@ -93,7 +84,7 @@ func TestBuildTableMatchesExtend(t *testing.T) {
 		"singleton": {parent: []int32{-1}, comp: []uint8{0}},
 	}
 	for name, f := range forests {
-		ref, _ := extendReference(f, 0)
+		ref := extendReference(f)
 		for _, workers := range []int{1, 4} {
 			tab, err := BuildTable(f.parent, f.comp, TableConfig{Workers: workers})
 			if err != nil {
@@ -126,54 +117,15 @@ func TestBuildTableMatchesExtend(t *testing.T) {
 	}
 }
 
-// TestBuildTableFlats: with a FlatDepth, the table carries packed
-// copies for exactly the strands the hybrid substrate would give one
-// (depth <= threshold), with identical words.
-func TestBuildTableFlats(t *testing.T) {
-	const flatDepth = 6
-	f := randForest(400, 3)
-	_, refFlats := extendReference(f, flatDepth)
-	tab, err := BuildTable(f.parent, f.comp, TableConfig{Workers: 4, FlatDepth: flatDepth})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range refFlats {
-		got := tab.Flat(i)
-		if (got == nil) != (want == nil) {
-			t.Fatalf("flat %d: presence %v, want %v (depth %d)",
-				i, got != nil, want != nil, tab.Label(i).Depth())
-		}
-		if got == nil {
-			continue
-		}
-		if got.Depth() != want.Depth() || !sameWords(got.words, want.words) {
-			t.Fatalf("flat %d: %d/%v, want %d/%v", i, got.Depth(), got.words, want.Depth(), want.words)
-		}
-		eng, heb, _ := RelFlat(got, tab.Flat(0))
-		we, wh, _ := RelFlat(want, refFlats[0])
-		if eng != we || heb != wh {
-			t.Fatalf("flat %d: RelFlat disagrees with reference", i)
-		}
-	}
-}
-
 // TestBuildTableMemAccounting: MemBytes is what the online substrate
-// accounts for the same forest — headers, one ChunkBytes per freeze,
-// flat payloads.
+// accounts for the same forest — headers and one ChunkBytes per freeze.
 func TestBuildTableMemAccounting(t *testing.T) {
 	f := chainForest(130)
-	tab, err := BuildTable(f.parent, f.comp, TableConfig{Workers: 2, FlatDepth: 40})
+	tab, err := BuildTable(f.parent, f.comp, TableConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, refFlats := extendReference(f, 40)
-	want := 130 * LabelBytes
-	want += tab.Chunks() * ChunkBytes
-	for _, fl := range refFlats {
-		if fl != nil {
-			want += fl.MemBytes()
-		}
-	}
+	want := 130*LabelBytes + tab.Chunks()*ChunkBytes
 	if got := tab.MemBytes(); got != want {
 		t.Fatalf("MemBytes %d, want %d", got, want)
 	}

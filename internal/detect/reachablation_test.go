@@ -27,21 +27,18 @@ func runRacyCfg(t *testing.T, p *progen.Program, ccfg core.Config, opts detect.O
 }
 
 // reachCfgs are the substrate configurations the ABL10/ABL11 fuzzes
-// sweep: the OM pair, pure DePa cords, and the hybrid with a threshold
-// small enough that progen programs cross the flat/cord boundary
-// mid-run (at the default 64 they would stay all-flat).
+// sweep: the OM pair and DePa cords.
 func reachCfgs() []core.Config {
 	return []core.Config{
 		{Reach: core.SubstrateOM},
 		{Reach: core.SubstrateDePa},
-		{Reach: core.SubstrateHybrid, HybridDepth: 6},
 	}
 }
 
 // TestReachSubstrateMatchesOracleFuzz is the ABL10/ABL11 fuzz: on
-// random programs, the racy-location set under the DePa and hybrid
-// label substrates must be identical to both the OM substrate's and
-// the exhaustive dag oracle's (serial engine).
+// random programs, the racy-location set under the DePa label
+// substrate must be identical to both the OM substrate's and the
+// exhaustive dag oracle's (serial engine).
 func TestReachSubstrateMatchesOracleFuzz(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 5})
@@ -56,7 +53,7 @@ func TestReachSubstrateMatchesOracleFuzz(t *testing.T) {
 }
 
 // TestReachSubstrateParallelAgreement runs random programs on the
-// parallel engine (4 workers, lane arenas active) under all three
+// parallel engine (4 workers, lane arenas active) under both
 // substrates and compares the racy set to the serial oracle. Repeats catch schedule-dependent misbehavior;
 // under -race this doubles as the label-publication race check.
 func TestReachSubstrateParallelAgreement(t *testing.T) {
@@ -65,7 +62,6 @@ func TestReachSubstrateParallelAgreement(t *testing.T) {
 		want := runOracle(t, p)
 		for _, ccfg := range []core.Config{
 			{Reach: core.SubstrateDePa},
-			{Reach: core.SubstrateHybrid, HybridDepth: 6},
 			{Reach: core.SubstrateOM},
 		} {
 			for rep := 0; rep < 2; rep++ {
@@ -117,20 +113,19 @@ func TestReachSubstrateAdversarialSpine(t *testing.T) {
 		t.Error("OM maintenance work must take the maintenance lock")
 	}
 
-	for _, sub := range []core.Substrate{core.SubstrateDePa, core.SubstrateHybrid} {
-		depa := run(sub)
-		if got := depa["om.lock_acquires"]; got != 0 {
-			t.Errorf("%v substrate took %d maintenance-lock acquisitions, want 0", sub, got)
-		}
-		if got := depa["om.english.splits"] + depa["om.hebrew.splits"]; got != 0 {
-			t.Errorf("%v substrate reported %d OM splits, want 0", sub, got)
-		}
-		if depa["depa.labels"] == 0 || depa["depa.label_mem_bytes"] == 0 {
-			t.Errorf("%v substrate must account its labels", sub)
-		}
-		if maxd := depa["depa.max_depth"]; maxd < depth {
-			t.Errorf("%v depa.max_depth = %d, want >= spine depth %d", sub, maxd, depth)
-		}
+	const sub = core.SubstrateDePa
+	depa := run(sub)
+	if got := depa["om.lock_acquires"]; got != 0 {
+		t.Errorf("%v substrate took %d maintenance-lock acquisitions, want 0", sub, got)
+	}
+	if got := depa["om.english.splits"] + depa["om.hebrew.splits"]; got != 0 {
+		t.Errorf("%v substrate reported %d OM splits, want 0", sub, got)
+	}
+	if depa["depa.labels"] == 0 || depa["depa.label_mem_bytes"] == 0 {
+		t.Errorf("%v substrate must account its labels", sub)
+	}
+	if maxd := depa["depa.max_depth"]; maxd < depth {
+		t.Errorf("%v depa.max_depth = %d, want >= spine depth %d", sub, maxd, depth)
 	}
 }
 
@@ -144,48 +139,45 @@ func TestReachSubstrateAdversarialSpine(t *testing.T) {
 // schedule jitter, not for an O(depth) regression.
 func TestCordSpineEfficiency(t *testing.T) {
 	const depth = 1500
-	for _, sub := range []core.Substrate{core.SubstrateDePa, core.SubstrateHybrid} {
-		reg := obsv.NewRegistry()
-		res, err := harness.Run(workload.Spine(depth, 2), harness.Config{Mode: harness.Full, Config: engine.Config{
-			Workers: 4, Reach: sub, Stats: reg,
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.RaceCount != 0 {
-			t.Fatalf("spine is race-free, %v reported %d races", sub, res.RaceCount)
-		}
-		s := res.Stats
-		if mem := s["depa.label_mem_bytes"]; mem == 0 || mem > 100_582 {
-			t.Errorf("%v: label_mem_bytes = %d, want (0, 100582] (10x under PR 7's 1005824)", sub, mem)
-		}
-		cmps, words := s["depa.compares"], s["depa.compare_words"]
-		if cmps == 0 {
-			t.Fatalf("%v: spine produced no label compares", sub)
-		}
-		// mean = words/cmps ≤ 2.39, checked in integers.
-		if words*100 > cmps*239 {
-			t.Errorf("%v: mean compare words = %d/%d ≈ %.2f, want <= 2.39 (10x under PR 7's ~23.9)",
-				sub, words, cmps, float64(words)/float64(cmps))
-		}
-		if s["depa.chunks"] == 0 {
-			t.Errorf("%v: depth-1500 spine must freeze chunk nodes", sub)
-		}
+	const sub = core.SubstrateDePa
+	reg := obsv.NewRegistry()
+	res, err := harness.Run(workload.Spine(depth, 2), harness.Config{Mode: harness.Full, Config: engine.Config{
+		Workers: 4, Reach: sub, Stats: reg,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RaceCount != 0 {
+		t.Fatalf("spine is race-free, %v reported %d races", sub, res.RaceCount)
+	}
+	s := res.Stats
+	if mem := s["depa.label_mem_bytes"]; mem == 0 || mem > 100_582 {
+		t.Errorf("%v: label_mem_bytes = %d, want (0, 100582] (10x under PR 7's 1005824)", sub, mem)
+	}
+	cmps, words := s["depa.compares"], s["depa.compare_words"]
+	if cmps == 0 {
+		t.Fatalf("%v: spine produced no label compares", sub)
+	}
+	// mean = words/cmps ≤ 2.39, checked in integers.
+	if words*100 > cmps*239 {
+		t.Errorf("%v: mean compare words = %d/%d ≈ %.2f, want <= 2.39 (10x under PR 7's ~23.9)",
+			sub, words, cmps, float64(words)/float64(cmps))
+	}
+	if s["depa.chunks"] == 0 {
+		t.Errorf("%v: depth-1500 spine must freeze chunk nodes", sub)
 	}
 }
 
-// TestHybridDeepChainRace plants two races in a 300-stage future chain
-// — one between shallow strands (flat-path compares under the default
-// threshold), one 150 stages deep (cord-path compares, after the
-// chain's flats have stopped) — and demands all three substrates
-// report exactly the planted addresses, serially and at 4 workers.
-// This is the threshold-crossing case the progen fuzz can't reach at
-// the default HybridDepth.
-func TestHybridDeepChainRace(t *testing.T) {
+// TestDeepChainRace plants two races in a 300-stage future chain — one
+// between shallow strands, whose cord labels are a tail word and no
+// chunk, one 150 stages deep, past the first frozen chunk — and demands
+// both substrates report exactly the planted addresses, serially and at
+// 4 workers. This is the depth the progen fuzz can't reach.
+func TestDeepChainRace(t *testing.T) {
 	const (
 		stages    = 300
-		shallowAt = 2   // well below DefaultHybridDepth
-		deepAt    = 150 // well past it
+		shallowAt = 2   // labels still fit the tail word
+		deepAt    = 150 // labels carry frozen chunks
 		addrA     = 7   // raced by the shallow stage
 		addrB     = 8   // raced by the deep stage
 	)
@@ -219,7 +211,6 @@ func TestHybridDeepChainRace(t *testing.T) {
 	for _, ccfg := range []core.Config{
 		{Reach: core.SubstrateOM},
 		{Reach: core.SubstrateDePa},
-		{Reach: core.SubstrateHybrid}, // default threshold: the real crossover
 	} {
 		for _, workers := range []int{0, 4} {
 			reach := core.New(ccfg)

@@ -138,6 +138,9 @@ func run(cfg Config, main func(*sched.Task), interpose func(sched.AccessChecker)
 	if cfg.Detector < SFOrder || cfg.Detector > NoDetector {
 		return nil, fmt.Errorf("unknown detector %v", cfg.Detector)
 	}
+	if err := cfg.Reach.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Policy == detect.ReadersLR && (cfg.Detector == FOrder || cfg.Detector == MultiBags) {
 		return nil, fmt.Errorf("ReadersLR is only sound for the SFOrder and WSPOrder detectors, not %v", cfg.Detector)
 	}

@@ -171,7 +171,6 @@ func TestLatticeAgainstOracle(t *testing.T) {
 	rows := []row{
 		{det: engine.SFOrder, reach: core.SubstrateOM, lr: true},
 		{det: engine.SFOrder, reach: core.SubstrateDePa, lr: true},
-		{det: engine.SFOrder, reach: core.SubstrateHybrid, lr: true},
 		{det: engine.FOrder},
 		{det: engine.MultiBags, serial: true},
 		{det: engine.WSPOrder, lr: true, forkJoin: true},
@@ -320,6 +319,50 @@ func TestRejectedConfigs(t *testing.T) {
 	}
 }
 
+// TestUnknownSubstrateRejected: a Reach that names no substrate — 2 was
+// one until PR 24, and a caller may have stored the number — is a
+// configuration error at every entry point that assembles a core.Reach,
+// not a silent run on the OM lists.
+func TestUnknownSubstrateRejected(t *testing.T) {
+	var capture bytes.Buffer
+	if _, err := engine.Run(engine.Config{Serial: true, Record: &capture}, func(t *sched.Task) { t.Write(1) }); err != nil {
+		t.Fatal(err)
+	}
+	c, err := trace.Load(bytes.NewReader(capture.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []core.Substrate{2, -1} {
+		ran := false
+		entries := map[string]func() (noResult bool, err error){
+			"engine.Run": func() (bool, error) {
+				res, err := engine.Run(engine.Config{Reach: bad, Serial: true}, func(*sched.Task) { ran = true })
+				return res == nil, err
+			},
+			"replay.Run": func() (bool, error) {
+				res, err := replay.Run(c, replay.Options{Reach: bad, RebuildWorkers: 4})
+				return res == nil, err
+			},
+			"replay.RunStream": func() (bool, error) {
+				res, err := replay.RunStream(bytes.NewReader(capture.Bytes()), replay.Options{Reach: bad})
+				return res == nil, err
+			},
+		}
+		for name, run := range entries {
+			noResult, err := run()
+			if err == nil || !strings.Contains(err.Error(), "want om or depa") {
+				t.Errorf("%s with Reach %v: error %v, want the om/depa message", name, bad, err)
+			}
+			if !noResult {
+				t.Errorf("%s with Reach %v returned a Result beside the error", name, bad)
+			}
+		}
+		if ran {
+			t.Errorf("Reach %v ran the program", bad)
+		}
+	}
+}
+
 func TestDetectorStrings(t *testing.T) {
 	for d, want := range map[engine.Detector]string{
 		engine.SFOrder: "SF-Order", engine.FOrder: "F-Order", engine.MultiBags: "MultiBags",
@@ -359,8 +402,7 @@ func TestPanickingMainKeepsItsRaces(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, cfg := range []engine.Config{
 		{Detector: engine.SFOrder},
-		{Detector: engine.SFOrder, Reach: core.SubstrateDePa},
-		{Detector: engine.SFOrder, Reach: core.SubstrateHybrid, LockedHistory: true},
+		{Detector: engine.SFOrder, Reach: core.SubstrateDePa, LockedHistory: true},
 		{Detector: engine.FOrder},
 		{Detector: engine.WSPOrder, Policy: detect.ReadersLR},
 	} {

@@ -227,7 +227,7 @@ func (l *List) InsertFirstArena(a *ItemArena) *Item {
 	b.label.Store(l.bound / 2)
 	l.head, l.tail = b, b
 	l.buckets.Store(1)
-	it := a.get()
+	it := a.Get(itemPool)
 	it.label.Store(itemSpan)
 	it.bucket.Store(b)
 	it.slot = 0
@@ -263,7 +263,7 @@ func (l *List) InsertAfterNArena(x *Item, a *ItemArena, out []*Item) {
 		panic("om: InsertAfterN with n <= 0")
 	}
 	for i := range out {
-		out[i] = a.get()
+		out[i] = a.Get(itemPool)
 	}
 	if !l.global {
 		for {

@@ -1,7 +1,6 @@
 package replay
 
 import (
-	"cmp"
 	"fmt"
 	"sync"
 
@@ -175,7 +174,7 @@ func applyEvent(st *store, r sched.Tracer, ev *trace.Event) (err error) {
 // The resulting Reach answers PrecedesUncounted identically to the
 // event-order rebuild (DESIGN.md §4, label determinism). It holds no arena
 // slabs (core.Offline), so there is nothing to release.
-func rebuildParallel(c *trace.Capture, opts Options, res *Result) (*store, *core.Reach, error) {
+func rebuildParallel(c *trace.Capture, res *Result) (*store, *core.Reach, error) {
 	workers := res.RebuildWorkers
 	idx, err := c.Index()
 	if err != nil {
@@ -191,19 +190,12 @@ func rebuildParallel(c *trace.Capture, opts Options, res *Result) (*store, *core
 	for j, role := range idx.Role {
 		comp[j] = roleComp[role]
 	}
-	flatDepth := 0
-	if opts.Reach == core.SubstrateHybrid {
-		flatDepth = cmp.Or(max(opts.HybridDepth, 0), core.DefaultHybridDepth)
-	}
-	table, err := depa.BuildTable(idx.Parent, comp, depa.TableConfig{Workers: workers, FlatDepth: flatDepth})
+	table, err := depa.BuildTable(idx.Parent, comp, depa.TableConfig{Workers: workers})
 	if err != nil {
 		return nil, nil, err
 	}
 
-	off, err := core.NewOffline(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth}, n, c.Futures)
-	if err != nil {
-		return nil, nil, err
-	}
+	off := core.NewOffline(n, c.Futures)
 
 	// Future identities (cheap, serial): objects first so parent links
 	// can point anywhere, links from the validated index. The index has
@@ -233,7 +225,7 @@ func rebuildParallel(c *trace.Capture, opts Options, res *Result) (*store, *core
 				id := idx.Order[j]
 				s := &sched.Strand{ID: id, Fut: futs[idx.Fut[j]]}
 				strands[id] = s
-				off.Bind(j, s, table.Label(j), table.Flat(j))
+				off.Bind(j, s, table.Label(j))
 			}
 		}(lo, hi)
 	}

@@ -12,12 +12,10 @@ import (
 
 // labelSubstrates are the substrates the parallel rebuild supports.
 var labelSubstrates = []struct {
-	name  string
-	sub   core.Substrate
-	depth int
+	name string
+	sub  core.Substrate
 }{
-	{"depa", core.SubstrateDePa, 0},
-	{"hybrid6", core.SubstrateHybrid, 6},
+	{"depa", core.SubstrateDePa},
 }
 
 // sameRaces compares the merged detailed reports field by field.
@@ -56,7 +54,7 @@ func TestParallelRebuildMatchesSerialFuzz(t *testing.T) {
 		}
 		for _, sub := range labelSubstrates {
 			serial, err := replay.Run(c, replay.Options{
-				Workers: 2, Reach: sub.sub, HybridDepth: sub.depth,
+				Workers: 2, Reach: sub.sub,
 			})
 			if err != nil {
 				t.Fatalf("seed %d %s serial: %v", seed, sub.name, err)
@@ -66,7 +64,7 @@ func TestParallelRebuildMatchesSerialFuzz(t *testing.T) {
 			}
 			for _, rw := range []int{1, 4, 8} {
 				res, err := replay.Run(c, replay.Options{
-					Workers: 2, RebuildWorkers: rw, Reach: sub.sub, HybridDepth: sub.depth,
+					Workers: 2, RebuildWorkers: rw, Reach: sub.sub,
 				})
 				if err != nil {
 					t.Fatalf("seed %d %s/rw%d: %v", seed, sub.name, rw, err)

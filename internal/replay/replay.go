@@ -7,8 +7,7 @@
 //
 //  1. Rebuild. The capture's structure events are fed, in file order,
 //     through the pluggable reachability substrate (internal/core — OM
-//     lists, DePa cords, or the hybrid) exactly as the online tracer
-//     would have been. File order is a happens-before-consistent
+//     lists or DePa cords) exactly as the online tracer would have been. File order is a happens-before-consistent
 //     linearization of the run (see internal/trace), so every Tracer
 //     precondition holds. With Options.RebuildWorkers > 1 and a label
 //     substrate, the rebuild itself parallelizes: a serial index pass
@@ -49,19 +48,16 @@ type Options struct {
 	Workers int
 	// RebuildWorkers is the number of rebuild workers constructing the
 	// reachability labels (values below 2 mean the serial event-order
-	// rebuild). With more than one worker and a label substrate
-	// (SubstrateDePa or SubstrateHybrid), the rebuild switches to the
-	// precomputed-table path: a serial index pass over the structure
+	// rebuild). With more than one worker and the label substrate
+	// (SubstrateDePa), the rebuild switches to the precomputed-table path: a serial index pass over the structure
 	// events, then parallel label construction over independent
 	// segments (depa.BuildTable, core.Offline). The OM substrate has no
 	// precomputable labels and always rebuilds serially.
 	RebuildWorkers int
 	// Reach selects the reachability substrate the dag is rebuilt on.
 	// SubstrateDePa is the natural offline choice (frozen immutable
-	// labels, lock-free queries); all three work.
+	// labels, lock-free queries); both work.
 	Reach core.Substrate
-	// HybridDepth is the SubstrateHybrid switchover depth (0 = default).
-	HybridDepth int
 	// MaxRaces caps retained detailed race records (0 = 256), applied
 	// after the deterministic merge.
 	MaxRaces int
@@ -133,6 +129,9 @@ type Result struct {
 // rebuild over the loaded structure events, then the pipeline over the
 // loaded access blocks.
 func Run(c *trace.Capture, opts Options) (*Result, error) {
+	if err := opts.Reach.Validate(); err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Strands: c.Strands, Futures: uint64(c.Futures),
 		Events: uint64(len(c.Events)), Entries: c.Entries, RebuildWorkers: 1,
@@ -146,11 +145,11 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 	// The precomputed-table path needs a label substrate: an OM list is
 	// one mutable structure that must be built in event order, so OM
 	// rebuilds in event order regardless of RebuildWorkers.
-	if opts.RebuildWorkers > 1 && (opts.Reach == core.SubstrateDePa || opts.Reach == core.SubstrateHybrid) {
+	if opts.RebuildWorkers > 1 && opts.Reach == core.SubstrateDePa {
 		res.RebuildWorkers, res.RebuildParallel = opts.RebuildWorkers, true
-		st, reach, err = rebuildParallel(c, opts, res)
+		st, reach, err = rebuildParallel(c, res)
 	} else {
-		reach, st = core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth}), &store{}
+		reach, st = core.New(core.Config{Reach: opts.Reach}), &store{}
 		// The Result holds only values, so the arena slabs go back to
 		// their pools on every return path, after it is assembled.
 		defer reach.Release()
@@ -203,11 +202,14 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 // needs the whole structure stream first — that is the barriered
 // path's trade).
 func RunStream(r io.Reader, opts Options) (*Result, error) {
+	if err := opts.Reach.Validate(); err != nil {
+		return nil, err
+	}
 	dec, err := trace.OpenStream(r)
 	if err != nil {
 		return nil, err
 	}
-	reach := core.New(core.Config{Reach: opts.Reach, HybridDepth: opts.HybridDepth})
+	reach := core.New(core.Config{Reach: opts.Reach})
 	defer reach.Release() // as in Run
 
 	// The loader: decode in order, apply structure events inline, route

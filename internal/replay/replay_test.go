@@ -20,16 +20,13 @@ import (
 	"sforder/internal/workload"
 )
 
-// substrates is the ABL12 sweep: all three reachability substrates, the
-// hybrid with a threshold low enough that progen programs cross it.
+// substrates is the ABL12 sweep: both reachability substrates.
 var substrates = []struct {
-	name  string
-	sub   core.Substrate
-	depth int
+	name string
+	sub  core.Substrate
 }{
-	{"om", core.SubstrateOM, 0},
-	{"depa", core.SubstrateDePa, 0},
-	{"hybrid6", core.SubstrateHybrid, 6},
+	{"om", core.SubstrateOM},
+	{"depa", core.SubstrateDePa},
 }
 
 // record runs main under full online SF-Order detection (fast path on,
@@ -118,7 +115,7 @@ func TestReplayMatchesOnlineAndOracleFuzz(t *testing.T) {
 		for _, sub := range substrates {
 			for _, workers := range []int{1, 4} {
 				res, err := replay.Run(c, replay.Options{
-					Workers: workers, Reach: sub.sub, HybridDepth: sub.depth,
+					Workers: workers, Reach: sub.sub,
 				})
 				if err != nil {
 					t.Fatalf("seed %d %s/%dw: %v", seed, sub.name, workers, err)
@@ -369,7 +366,7 @@ func TestReplayConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			sub := substrates[i%len(substrates)]
 			res, err := replay.Run(c, replay.Options{
-				Workers: 8, Reach: sub.sub, HybridDepth: sub.depth,
+				Workers: 8, Reach: sub.sub,
 			})
 			if err != nil {
 				t.Errorf("run %d: %v", i, err)

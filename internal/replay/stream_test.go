@@ -106,13 +106,13 @@ func TestStreamReplayMatchesBarriered(t *testing.T) {
 		for _, sub := range substrates {
 			for _, workers := range []int{1, 4} {
 				barriered, err := replay.Run(c, replay.Options{
-					Workers: workers, Reach: sub.sub, HybridDepth: sub.depth,
+					Workers: workers, Reach: sub.sub,
 				})
 				if err != nil {
 					t.Fatalf("seed %d %s/%dw: %v", seed, sub.name, workers, err)
 				}
 				res, err := replay.RunStream(bytes.NewReader(raw), replay.Options{
-					Workers: workers, Reach: sub.sub, HybridDepth: sub.depth,
+					Workers: workers, Reach: sub.sub,
 				})
 				if err != nil {
 					t.Fatalf("seed %d %s/%dw stream: %v", seed, sub.name, workers, err)
@@ -222,7 +222,7 @@ func TestStreamRejectsCorrupt(t *testing.T) {
 // TestStreamConcurrentPublication is the -race stress of the pipeline's
 // core hazard: the loader publishing labels and bitmaps (including OM
 // list inserts with relabelings) while eight shards concurrently query
-// them — across all three substrates, on parallel-recorded captures,
+// them — across both substrates, on parallel-recorded captures,
 // with several streams in flight at once.
 func TestStreamConcurrentPublication(t *testing.T) {
 	p := progen.New(progen.Config{Seed: 13, MaxDepth: 5, MaxOps: 9, Addrs: 8})
@@ -235,7 +235,7 @@ func TestStreamConcurrentPublication(t *testing.T) {
 			defer wg.Done()
 			sub := substrates[i%len(substrates)]
 			res, err := replay.RunStream(bytes.NewReader(raw), replay.Options{
-				Workers: 8, Reach: sub.sub, HybridDepth: sub.depth,
+				Workers: 8, Reach: sub.sub,
 			})
 			if err != nil {
 				t.Errorf("stream %d: %v", i, err)

@@ -105,10 +105,6 @@ const (
 	// O(strands) total label memory, and order comparisons that skip
 	// the shared prefix by pointer equality (ABL10/ABL11).
 	ReachDePa = core.SubstrateDePa
-	// ReachHybrid is ReachDePa plus packed flat label copies below a
-	// depth threshold, compared directly on shallow-vs-shallow queries
-	// (ABL11).
-	ReachHybrid = core.SubstrateHybrid
 )
 
 // ReaderPolicy selects how many previous readers the access history
@@ -177,8 +173,7 @@ type Config struct {
 	// Run's error in parallel mode and panic in Serial mode.
 	CheckStructure bool
 	// Reach selects the SFOrder reachability substrate: the OM list
-	// pair (default), DePa fork-path cords, or the depth-adaptive
-	// flat/cord hybrid.
+	// pair (default) or DePa fork-path cords.
 	Reach ReachBackend
 	// Record, when non-nil, captures the run — every dag structure
 	// event plus the deduplicated access stream — to it in the sftrace
@@ -275,8 +270,8 @@ type ReplayConfig struct {
 	// RebuildWorkers parallelizes the dag rebuild itself when above 1:
 	// the strand forest is partitioned into independent segments and
 	// the immutable fork-path labels are constructed concurrently (no
-	// order-maintenance list, no locks). Label substrates only
-	// (ReachDePa/ReachHybrid); the OM backend rebuilds serially.
+	// order-maintenance list, no locks). ReachDePa only; the OM backend
+	// rebuilds serially.
 	// Ignored under Streaming, where the rebuild is the pipeline's
 	// producer stage.
 	RebuildWorkers int
@@ -288,8 +283,8 @@ type ReplayConfig struct {
 	// the barriered replay.
 	Streaming bool
 	// Reach selects the reachability substrate the dag is rebuilt on.
-	// ReachDePa and ReachHybrid are natural offline choices (immutable
-	// labels, lock-free queries); the default OM pair also works.
+	// ReachDePa is the natural offline choice (immutable labels,
+	// lock-free queries); the default OM pair also works.
 	Reach ReachBackend
 	// MaxRaces caps retained detailed race records (0 = 256), applied
 	// after the deterministic cross-shard merge.

@@ -245,8 +245,8 @@ func TestDetectorStrings(t *testing.T) {
 	// names, constants and spellings are the API.
 	var _ sforder.Detector = sforder.WSPOrder
 	var _ sforder.ReachBackend = sforder.ReachOM
-	if sforder.ReachHybrid.String() != "hybrid" || sforder.ReachDePa.String() != "depa" || sforder.ReachOM.String() != "om" {
-		t.Errorf("ReachBackend strings: %q %q %q", sforder.ReachOM, sforder.ReachDePa, sforder.ReachHybrid)
+	if sforder.ReachDePa.String() != "depa" || sforder.ReachOM.String() != "om" {
+		t.Errorf("ReachBackend strings: %q %q", sforder.ReachOM, sforder.ReachDePa)
 	}
 }
 
@@ -275,7 +275,6 @@ func TestReplayRoundTrip(t *testing.T) {
 	for _, cfg := range []sforder.ReplayConfig{
 		{Workers: 2, Reach: sforder.ReachDePa},
 		{Workers: 2, RebuildWorkers: 4, Reach: sforder.ReachDePa},
-		{Workers: 2, RebuildWorkers: 4, Reach: sforder.ReachHybrid},
 		{Workers: 2, Streaming: true, Reach: sforder.ReachDePa},
 		{Workers: 2, Streaming: true}, // default OM backend streams too
 	} {
