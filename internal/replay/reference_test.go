@@ -60,9 +60,28 @@ func (ref *reference) apply(reach *core.Reach, s *sched.Strand, addr uint64, kin
 	l.lastWriter = s
 }
 
+// entry is one tapped access, as the detector handed it to the recorder.
+type entry struct {
+	strand, addr uint64
+	kind         detect.AccessKind
+}
+
+// logTap taps the recorder and keeps every entry it passes on, in order.
+type logTap struct {
+	rec *trace.Recorder
+	log []entry
+}
+
+func (l *logTap) TapAccesses(s *sched.Strand, addrs []uint64, kinds []detect.AccessKind) {
+	for i, addr := range addrs {
+		l.log = append(l.log, entry{s.ID, addr, kinds[i]})
+	}
+	l.rec.TapAccesses(s, addrs, kinds)
+}
+
 // runReference rebuilds c's dag in event order and runs the reference over
-// its entries in file order.
-func runReference(t *testing.T, c *trace.Capture) (racy []uint64, count uint64) {
+// the tapped entries in tap order.
+func runReference(t *testing.T, c *trace.Capture, log []entry) (racy []uint64, count uint64) {
 	t.Helper()
 	reach, st := core.NewReach(), &store{}
 	defer reach.Release()
@@ -72,10 +91,8 @@ func runReference(t *testing.T, c *trace.Capture) (racy []uint64, count uint64) 
 		}
 	}
 	ref := &reference{locs: map[uint64]*refLoc{}, racy: map[uint64]bool{}}
-	for _, b := range c.Blocks {
-		for j, addr := range b.Addrs {
-			ref.apply(reach, st.need(b.Strand), addr, b.Kinds[j])
-		}
+	for _, e := range log {
+		ref.apply(reach, st.need(e.strand), e.addr, e.kind)
 	}
 	for a := range ref.racy {
 		racy = append(racy, a)
@@ -86,19 +103,19 @@ func runReference(t *testing.T, c *trace.Capture) (racy []uint64, count uint64) 
 
 // forkJoin crafts a capture of one fork-join region — root strand 0 spawns
 // child 1 beside continuation 2, and 3 is the strand after their sync —
-// with the access blocks the callback taps in between: 0 precedes all, 1
-// and 2 are parallel, 3 follows all.
-func forkJoin(t *testing.T, tap func(block func(strand uint64, entries ...uint64))) []byte {
+// with the access lists the callback taps in between: 0 precedes all, 1
+// and 2 are parallel, 3 follows all. It returns the entries tapped too.
+func forkJoin(t *testing.T, tap func(block func(strand uint64, entries ...uint64))) ([]byte, []entry) {
 	t.Helper()
 	var buf bytes.Buffer
-	rec := trace.NewRecorder(&buf)
+	lt := &logTap{rec: trace.NewRecorder(&buf)}
 	f0 := &sched.FutureTask{ID: 0}
 	s := make([]*sched.Strand, 4)
 	for i := range s {
 		s[i] = &sched.Strand{ID: uint64(i), Fut: f0}
 	}
-	rec.OnRoot(s[0])
-	rec.OnSpawn(s[0], s[1], s[2], s[3])
+	lt.rec.OnRoot(s[0])
+	lt.rec.OnSpawn(s[0], s[1], s[2], s[3])
 	// An entry is its address shifted left once, with the low bit set for
 	// a write: r(a), w(a) below.
 	tap(func(strand uint64, entries ...uint64) {
@@ -107,14 +124,14 @@ func forkJoin(t *testing.T, tap func(block func(strand uint64, entries ...uint64
 		for i, e := range entries {
 			addrs[i], kinds[i] = e>>1, detect.AccessKind(e&1)
 		}
-		rec.TapAccesses(s[strand], addrs, kinds)
+		lt.TapAccesses(s[strand], addrs, kinds)
 	})
-	rec.OnReturn(s[1])
-	rec.OnSync(s[2], s[3], []*sched.Strand{s[1]})
-	if err := rec.Close(); err != nil {
+	lt.rec.OnReturn(s[1])
+	lt.rec.OnSync(s[2], s[3], []*sched.Strand{s[1]})
+	if err := lt.rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), lt.log
 }
 
 // r and w are a read and a write of addr as forkJoin's block takes them.
@@ -122,73 +139,86 @@ func r(addr uint64) uint64 { return addr << 1 }
 func w(addr uint64) uint64 { return addr<<1 | 1 }
 
 // lockedCapture records a generated program under the locked history
-// (FastPath off) with the recorder as its tap: one entry per block, every
+// (FastPath off) with the recorder as its tap: one entry per tap, every
 // repeat of a strand kept.
-func lockedCapture(t *testing.T, seed int64) []byte {
+func lockedCapture(t *testing.T, seed int64) ([]byte, []entry) {
 	t.Helper()
 	var buf bytes.Buffer
-	rec := trace.NewRecorder(&buf)
+	lt := &logTap{rec: trace.NewRecorder(&buf)}
 	reach := core.NewReach()
 	defer reach.Release()
-	hist := detect.NewHistory(detect.Options{Reach: reach, Tap: rec})
+	hist := detect.NewHistory(detect.Options{Reach: reach, Tap: lt})
 	p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 9, Addrs: 600, MaxRun: 40})
-	if _, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Aux: rec, Checker: hist}, p.Main()); err != nil {
+	if _, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Aux: lt.rec, Checker: hist}, p.Main()); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Close(); err != nil {
+	if err := lt.rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), lt.log
 }
 
-// TestCraftedCapturesMatchReference feeds replay the captures no strand
-// buffer would write — blocks that straddle pages, list a write before a
-// read of the same address, repeat an entry, carry one entry each — and a
-// racing pair on two pages that different shards own. Barriered and
-// streamed, at every shard count, the racy set and the race count must be
-// the per-address reference's: the dispatcher's page cuts and the shard's
-// slot cuts keep exact per-address file order.
+// TestCraftedCapturesMatchReference is the check on the recorder's fold:
+// it taps the lists no strand buffer would hand over — lists that straddle
+// pages, list a write before a read of the same address, repeat an entry,
+// carry one entry each — and a racing pair on two pages that different
+// shards own. Barriered and streamed, at every shard count, the replay's
+// racy set and race count must be the per-address reference's over the
+// entries in tap order: the recorder's page and slot cuts keep exact
+// per-address order.
 func TestCraftedCapturesMatchReference(t *testing.T) {
 	const pg = 1 << detect.PageBits
-	if ShardOf(1, 2) == ShardOf(pg+1, 2) {
+	if ShardOf(0, 2) == ShardOf(1, 2) {
 		t.Fatal("pages 0 and 1 share a shard; pick another pair")
 	}
-	captures := map[string][]byte{
-		"straddles two pages": forkJoin(t, func(block func(uint64, ...uint64)) {
+	type tapped struct {
+		raw []byte
+		log []entry
+	}
+	captures := map[string]tapped{}
+	for name, tap := range map[string]func(func(uint64, ...uint64)){
+		"straddles two pages": func(block func(uint64, ...uint64)) {
 			block(0, w(pg-1), w(pg))
 			block(1, w(pg-2), w(pg-1), w(pg), r(pg+1), r(2*pg), w(3))
 			block(2, r(pg-1), w(pg+1), r(pg), w(2*pg), w(pg-2))
 			block(3, r(pg-1), w(pg))
-		}),
-		"write listed before read": forkJoin(t, func(block func(uint64, ...uint64)) {
+		},
+		"write listed before read": func(block func(uint64, ...uint64)) {
 			block(2, w(10))
 			block(1, w(10), r(10)) // one race; read first, the read would race too
-		}),
-		"repeated read": forkJoin(t, func(block func(uint64, ...uint64)) {
+		},
+		"repeated read": func(block func(uint64, ...uint64)) {
 			block(2, w(20))
 			block(1, r(20), r(20)) // two races; as a set of slots, one
-		}),
-		"repeats and reversals mixed": forkJoin(t, func(block func(uint64, ...uint64)) {
+		},
+		"repeats and reversals mixed": func(block func(uint64, ...uint64)) {
 			block(2, w(20), w(21), r(22), w(23))
 			block(1, r(20), r(20), w(21), w(21), r(21), r(21), w(22), r(22), w(22), w(23), r(23), w(23))
 			block(2, r(20), w(20), w(20), r(23), r(23))
 			block(3, w(20), r(20), r(21), w(22))
-		}),
-		"pair on two shards": forkJoin(t, func(block func(uint64, ...uint64)) {
+		},
+		"pair on two shards": func(block func(uint64, ...uint64)) {
 			block(1, w(1), r(pg+1))
 			block(2, r(1), w(pg+1))
-		}),
-		"no accesses": forkJoin(t, func(func(uint64, ...uint64)) {}),
+		},
+		"no accesses": func(func(uint64, ...uint64)) {},
+	} {
+		raw, log := forkJoin(t, tap)
+		captures[name] = tapped{raw, log}
 	}
 	for seed := int64(1); seed < 5; seed++ {
-		captures[fmt.Sprint("one entry per block, seed ", seed)] = lockedCapture(t, seed)
+		raw, log := lockedCapture(t, seed)
+		captures[fmt.Sprint("one entry per tap, seed ", seed)] = tapped{raw, log}
 	}
-	for name, raw := range captures {
-		c, err := trace.Load(bytes.NewReader(raw))
+	for name, tc := range captures {
+		c, err := trace.Load(bytes.NewReader(tc.raw))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		wantRacy, wantCount := runReference(t, c)
+		if c.Entries != uint64(len(tc.log)) {
+			t.Fatalf("%s: %d entries tapped, the capture holds %d", name, len(tc.log), c.Entries)
+		}
+		wantRacy, wantCount := runReference(t, c, tc.log)
 		if wantCount == 0 && name != "no accesses" {
 			t.Fatalf("%s: the reference finds no race; the capture tests nothing", name)
 		}
@@ -199,7 +229,7 @@ func TestCraftedCapturesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%dw: %v", name, workers, err)
 				}
-				streamed, err := RunStream(bytes.NewReader(raw), opts)
+				streamed, err := RunStream(bytes.NewReader(tc.raw), opts)
 				if err != nil {
 					t.Fatalf("%s/%dw streamed: %v", name, workers, err)
 				}

@@ -19,21 +19,23 @@
 //     labels any number of workers can query lock-free.
 //
 //  2. Sharded detection. Access blocks are routed by shadow page across P
-//     shards, each entry visited once. A shard is the online detector's
-//     own access history (detect.History) over the pages it owns and no
-//     others, applied through the call the online flush makes
-//     (History.ApplyPage), so there is one per-location kernel and the
-//     two cannot drift; it shares nothing with the other shards but the
-//     read-only reachability structures. Per-location detection is what
-//     the online detector guarantees (a race is reported on a location
-//     iff one exists there); a location lives in one page and a page in
-//     one shard, so sharding changes no verdict (DESIGN.md §4). Races
-//     merge deterministically at the end.
+//     shards, each block visited once. A block is one page's read and
+//     write sets, and a shard is the online detector's own access history
+//     (detect.History) over the pages it owns and no others, handed each
+//     block through the call the online flush makes (History.ApplyPage),
+//     so there is one per-location kernel and the two cannot drift; it
+//     shares nothing with the other shards but the read-only
+//     reachability structures. Per-location detection is what the online
+//     detector guarantees (a race is reported on a location iff one
+//     exists there); a location lives in one page and a page in one
+//     shard, so sharding changes no verdict (DESIGN.md §4). Races merge
+//     deterministically at the end.
 package replay
 
 import (
 	"io"
 	"time"
+	"unsafe"
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
@@ -115,11 +117,11 @@ type Result struct {
 	RebuildLabels     uint64
 	RebuildWork       uint64
 	RebuildMaxSegment uint64
-	// Streamed reports the pipelined path (RunStream);
-	// StreamPeakBlocks/StreamPeakBytes are the high-water marks of the
-	// bounded ready-queue between the loader and the detection shards —
-	// bounded by StreamQueueCap+Workers+1 blocks regardless of capture
-	// length.
+	// Streamed reports the pipelined path (RunStream); StreamPeakBlocks is
+	// the high-water mark of the bounded ready-queue between the loader and
+	// the detection shards — bounded by StreamQueueCap+Workers+1 blocks
+	// regardless of capture length — and StreamPeakBytes what those blocks
+	// occupy, a fixed size each.
 	Streamed         bool
 	StreamPeakBlocks int64
 	StreamPeakBytes  int64
@@ -243,7 +245,7 @@ func RunStream(r io.Reader, opts Options) (*Result, error) {
 	res.Strands, res.Futures = dec.Strands(), uint64(dec.Futures())
 	res.Events, res.Entries = dec.Events(), dec.Entries()
 	res.Detect = time.Since(start)
-	res.StreamPeakBlocks, res.StreamPeakBytes = pl.peakBlocks, pl.peakBytes
+	res.StreamPeakBlocks, res.StreamPeakBytes = pl.peakBlocks, pl.peakBlocks*int64(unsafe.Sizeof(job{}))
 	pl.finish(res, int64(dec.Blocks()), dec.Bytes())
 	return res, nil
 }

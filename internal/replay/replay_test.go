@@ -174,15 +174,16 @@ func TestReplayStandaloneRecorder(t *testing.T) {
 func TestShardBoundaryRace(t *testing.T) {
 	const p = 4
 	// Pick two addresses owned by different shards of a 4-way replay.
+	shard := func(addr uint64) int { return replay.ShardOf(addr>>detect.PageBits, p) }
 	a1 := uint64(1)
 	a2 := uint64(0)
-	for addr := uint64(2); addr < 1000; addr++ {
-		if replay.ShardOf(addr, p) != replay.ShardOf(a1, p) {
+	for addr := uint64(2); addr < 1<<16; addr++ {
+		if shard(addr) != shard(a1) {
 			a2 = addr
 			break
 		}
 	}
-	if replay.ShardOf(a1, p) == replay.ShardOf(a2, p) {
+	if shard(a1) == shard(a2) {
 		t.Fatalf("no shard-crossing address pair found")
 	}
 	main := func(task *sched.Task) {

@@ -25,25 +25,21 @@ import (
 // bounding a streamed replay's resident capture whatever its length.
 const StreamQueueCap = 64
 
-// ShardOf returns the detection shard owning addr among p shards: the
-// page directory's Fibonacci hash of addr's shadow page, modulo p. A
+// ShardOf returns the detection shard owning shadow page page among p
+// shards: the page directory's Fibonacci hash of the page, modulo p. A
 // location lives in one page and a page in one shard, so one history sees
 // every access to a location, in file order. Exported so tests can
 // construct racing pairs that straddle a shard boundary.
-func ShardOf(addr uint64, p int) int {
-	return int((addr >> detect.PageBits) * 0x9e3779b97f4a7c15 >> 32 % uint64(p))
+func ShardOf(page uint64, p int) int {
+	return int(page * 0x9e3779b97f4a7c15 >> 32 % uint64(p))
 }
 
-// job is a run of one access block's entries that lie on one shadow page,
-// on its way to the shard owning the page.
+// job is an access block on its way to the shard owning its page, with its
+// strand resolved.
 type job struct {
-	s     *sched.Strand
-	addrs []uint64
-	kinds []detect.AccessKind
+	s   *sched.Strand
+	blk trace.AccessBlock
 }
-
-// bytes is what the job counts for among the resident capture.
-func (j job) bytes() int64 { return int64(len(j.addrs))*9 + 64 }
 
 // shard is one detection shard: an access history (the online detector's,
 // detect.History) over the shadow pages ShardOf assigns it and no others,
@@ -64,28 +60,6 @@ func (sh *shard) Precedes(u, v *sched.Strand) bool {
 	return sh.reach.PrecedesUncounted(u, v)
 }
 
-// apply folds a job's entries into the sets of slots read and written and
-// hands them to the kernel, as the strand buffer behind a genuine block
-// did. The sets keep no order within a slot beyond "read, then written",
-// so an entry that needs one — a second read or write of a slot, a read of
-// a slot already written — first applies what has gathered: an arbitrary
-// capture keeps exact per-address file order, a genuine one never cuts.
-func (sh *shard) apply(j job) {
-	var sets [2]detect.SlotSet
-	page := j.addrs[0] >> detect.PageBits
-	for i, addr := range j.addrs {
-		k := j.kinds[i] & 1
-		w, bit := addr&(1<<detect.PageBits-1)>>6, uint64(1)<<(addr&63)
-		if (sets[k][w]|sets[detect.AccessWrite][w])&bit != 0 {
-			sh.hist.ApplyPage(j.s, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
-			sets = [2]detect.SlotSet{}
-		}
-		sets[k][w] |= bit
-	}
-	sh.hist.ApplyPage(j.s, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
-	sh.entries += uint64(len(j.addrs))
-}
-
 // pipeline is the detection stage both replay paths share: the shards and
 // the dispatcher routing access blocks to them by shadow page.
 type pipeline struct {
@@ -93,10 +67,10 @@ type pipeline struct {
 	reach  *core.Reach
 	opts   Options
 	wg     sync.WaitGroup
-	// Jobs dispatched and not yet applied, and their high-water marks,
-	// which only the dispatching goroutine touches.
-	inBlocks, inBytes     atomic.Int64
-	peakBlocks, peakBytes int64
+	// Jobs dispatched and not yet applied, and their high-water mark, which
+	// only the dispatching goroutine touches.
+	inBlocks   atomic.Int64
+	peakBlocks int64
 }
 
 // startShards starts opts.Workers detection shards querying reach. The
@@ -113,34 +87,23 @@ func startShards(reach *core.Reach, opts Options) *pipeline {
 		go func() {
 			defer pl.wg.Done()
 			for j := range sh.in {
-				sh.apply(j)
+				sh.hist.ApplyPage(j.s, j.blk.Page, &j.blk.Reads, &j.blk.Writes)
+				sh.entries += uint64(j.blk.Entries())
 				pl.inBlocks.Add(-1)
-				pl.inBytes.Add(-j.bytes())
 			}
 		}()
 	}
 	return pl
 }
 
-// dispatch routes an access block of an introduced strand to the shard
-// owning its page, visiting each entry once. A genuine block is one page
-// of one strand (accbuf.StrandBuffer drains by page); one that changes
-// page is cut there, each run going to its own page's shard in block
-// order. A send blocks while the shard's queue is full: the backpressure.
+// dispatch routes an access block of an introduced strand, whole, to the
+// shard owning its page. A send blocks while the shard's queue is full: the
+// backpressure.
 func (pl *pipeline) dispatch(st *store, b *trace.AccessBlock) (err error) {
 	defer st.caught(&err)
-	s, addrs, kinds := st.need(b.Strand), b.Addrs, b.Kinds
-	for len(addrs) > 0 {
-		page, n := addrs[0]>>detect.PageBits, 1
-		for n < len(addrs) && addrs[n]>>detect.PageBits == page {
-			n++
-		}
-		j := job{s: s, addrs: addrs[:n], kinds: kinds[:n]}
-		pl.peakBlocks = max(pl.peakBlocks, pl.inBlocks.Add(1))
-		pl.peakBytes = max(pl.peakBytes, pl.inBytes.Add(j.bytes()))
-		pl.shards[ShardOf(addrs[0], len(pl.shards))].in <- j
-		addrs, kinds = addrs[n:], kinds[n:]
-	}
+	j := job{s: st.need(b.Strand), blk: *b}
+	pl.peakBlocks = max(pl.peakBlocks, pl.inBlocks.Add(1))
+	pl.shards[ShardOf(b.Page, len(pl.shards))].in <- j
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"sforder/internal/detect"
 )
@@ -15,20 +16,21 @@ import (
 // Capture) and the producer side of streaming replay, which starts
 // detection while the file is still being read.
 //
-// A Stream validates as it goes: header, version, op bytes, and — the
-// property streaming consumers depend on — that every access block
-// names a strand some earlier structure event declared. The recorder's
-// single-mutex serialization guarantees that ordering in any genuine
-// capture (the tap fires between a strand's introduction and its
-// strand-ending event), so a violation means corruption, caught before
+// A Stream validates as it goes: header, version, page size, op bytes,
+// block shape, and — the property streaming consumers depend on — that
+// every access block names a strand some earlier structure event declared.
+// The recorder's single-mutex serialization guarantees that ordering in
+// any genuine capture (the tap fires between a strand's introduction and
+// its strand-ending event), so a violation means corruption, caught before
 // the block's strand id can size any consumer state. The trailer is
-// verified at end of stream; a capture cut short yields an error, never
-// a silent prefix.
+// verified at end of stream; a capture cut short yields an error, never a
+// silent prefix.
 type Stream struct {
 	br  *bufio.Reader
 	cr  *countingReader
 	err error
 	end bool
+	blk AccessBlock // the block Next last returned
 
 	events  uint64
 	blocks  uint64
@@ -63,6 +65,14 @@ func OpenStream(r io.Reader) (*Stream, error) {
 		return nil, fmt.Errorf("trace: load: format version %d, want %d (stale or foreign capture; re-record it)",
 			version, Version)
 	}
+	pageBits, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("trace: load: page size: %w", err)
+	}
+	if pageBits != detect.PageBits {
+		return nil, fmt.Errorf("trace: load: %d-bit shadow pages, this build has %d (foreign capture; re-record it)",
+			pageBits, detect.PageBits)
+	}
 	return &Stream{br: br, cr: cr}, nil
 }
 
@@ -89,10 +99,16 @@ func (s *Stream) noteFut(id uint64) int {
 	return int(id)
 }
 
+// corrupt kills the Stream with a malformation error.
+func (s *Stream) corrupt(format string, args ...any) (*Event, *AccessBlock, error) {
+	s.err = fmt.Errorf("trace: load: "+format+" (corrupt capture)", args...)
+	return nil, nil, s.err
+}
+
 // Next returns the next item of the capture: exactly one of ev and blk
-// is non-nil. After the trailer has been read and verified, Next
-// returns io.EOF. Any malformation is a non-EOF error, and the Stream
-// is dead afterwards.
+// is non-nil. blk is valid until the next call. After the trailer has
+// been read and verified, Next returns io.EOF. Any malformation is a
+// non-EOF error, and the Stream is dead afterwards.
 func (s *Stream) Next() (ev *Event, blk *AccessBlock, err error) {
 	if s.end {
 		return nil, nil, io.EOF
@@ -135,36 +151,44 @@ func (s *Stream) Next() (ev *Event, blk *AccessBlock, err error) {
 	case OpGet:
 		ev = &Event{Op: op, U: s.noteStrand(s.uv()), A: s.noteStrand(s.uv()), Fut: s.noteFut(s.uv())}
 	case opAccess:
-		b := &AccessBlock{Strand: s.uv()}
+		b := &s.blk
+		*b = AccessBlock{Strand: s.uv(), Page: s.uv()}
+		var mask byte
+		if s.err == nil {
+			mask, s.err = s.br.ReadByte()
+		}
 		// Validate against the strand count the structure events have
-		// declared so far — not the access stream's own claim — before
-		// the id reaches any allocation or table sizing. The recorder
-		// orders every block after its strand's introduction, so a
-		// forward reference can only be corruption.
-		if s.err == nil && b.Strand >= s.strands {
-			s.err = fmt.Errorf("trace: load: access block names strand %d before any structure event declares it (corrupt capture)", b.Strand)
-			return nil, nil, s.err
-		}
-		n := s.uv()
-		if s.err == nil {
-			nb := (n + 7) / 8
-			bits := make([]byte, 0, min(nb, 1<<16))
-			for i := uint64(0); i < nb && s.err == nil; i++ {
-				var kb byte
-				kb, s.err = s.br.ReadByte()
-				bits = append(bits, kb)
+		// declared so far — not the access stream's own claim — before the
+		// id reaches any table sizing. The recorder orders every block
+		// after its strand's introduction, so a forward reference can only
+		// be corruption.
+		switch {
+		case s.err != nil: // truncated; reported below
+		case b.Strand >= s.strands:
+			return s.corrupt("access block names strand %d before any structure event declares it", b.Strand)
+		case b.Page >= 1<<(64-detect.PageBits):
+			return s.corrupt("access block names page %#x past the address space", b.Page)
+		case mask == 0:
+			return s.corrupt("empty access block of strand %d", b.Strand)
+		default:
+			n := 8 * bits.OnesCount8(mask)
+			var p []byte
+			if p, s.err = s.br.Peek(n); s.err != nil {
+				break
 			}
-			for i := uint64(0); i < n && s.err == nil; i++ {
-				b.Addrs = append(b.Addrs, s.uv())
-				k := detect.AccessRead
-				if bits[i/8]&(1<<(i%8)) != 0 {
-					k = detect.AccessWrite
+			sets := [2]*detect.SlotSet{&b.Reads, &b.Writes}
+			for i := range 2 * words {
+				if mask>>i&1 == 0 {
+					continue
 				}
-				b.Kinds = append(b.Kinds, k)
+				word := binary.LittleEndian.Uint64(p)
+				if p = p[8:]; word == 0 {
+					return s.corrupt("access block of strand %d has a zero word its mask names", b.Strand)
+				}
+				sets[i/words][i%words] = word
 			}
-		}
-		if s.err == nil {
-			s.entries += uint64(len(b.Addrs))
+			s.br.Discard(n) // Peek returned the n bytes
+			s.entries += uint64(b.Entries())
 			s.blocks++
 			return nil, b, nil
 		}
@@ -175,17 +199,14 @@ func (s *Stream) Next() (ev *Event, blk *AccessBlock, err error) {
 			return nil, nil, s.err
 		}
 		if wantStruct != s.events || wantEntries != s.entries {
-			s.err = fmt.Errorf("trace: load: trailer mismatch: %d/%d events, %d/%d access entries (corrupt capture)",
+			return s.corrupt("trailer mismatch: %d/%d events, %d/%d access entries",
 				s.events, wantStruct, s.entries, wantEntries)
-			return nil, nil, s.err
 		}
 		s.bytes = s.cr.n - int64(s.br.Buffered())
 		s.end = true
 		return nil, nil, io.EOF
 	default:
-		s.err = fmt.Errorf("trace: load: unknown op %d at event %d (corrupt capture)",
-			opByte, s.events+s.blocks)
-		return nil, nil, s.err
+		return s.corrupt("unknown op %d at event %d", opByte, s.events+s.blocks)
 	}
 	if s.err != nil {
 		s.err = fmt.Errorf("trace: load: truncated capture: %w", s.err)

@@ -55,14 +55,8 @@ func TestStreamMatchesLoad(t *testing.T) {
 			}
 		}
 		for i := range blocks {
-			a, b := blocks[i], c.Blocks[i]
-			if a.Strand != b.Strand || len(a.Addrs) != len(b.Addrs) {
+			if blocks[i] != c.Blocks[i] {
 				t.Fatalf("seed %d: block %d differs", seed, i)
-			}
-			for j := range a.Addrs {
-				if a.Addrs[j] != b.Addrs[j] || a.Kinds[j] != b.Kinds[j] {
-					t.Fatalf("seed %d: block %d entry %d differs", seed, i, j)
-				}
 			}
 		}
 		if st.Strands() != c.Strands || st.Futures() != c.Futures ||

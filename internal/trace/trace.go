@@ -8,13 +8,13 @@
 //     observes (root/spawn/create/sync/return/put/get), with strand and
 //     future IDs instead of pointers. Replay feeds these through a
 //     reachability substrate to rebuild the SF-dag's precedence oracle.
-//   - Access events — per-strand, per-shadow-page blocks of (addr, kind)
-//     pairs, tapped from the detector's batched flush
-//     (detect.Options.Tap) or drained from the recorder's own strand
-//     buffer: either way what accbuf.StrandBuffer kept, a page's reads in
-//     slot order and then its writes, so recording costs one bit per
-//     entry no earlier access of the strand subsumes until the strand
-//     closes, and one varint then.
+//   - Access events — per-strand, per-shadow-page blocks: the set of the
+//     page's slots the strand read and the set it wrote, as
+//     accbuf.StrandBuffer drains them, either from the recorder's own
+//     strand buffer or folded back from the detector's batched flush
+//     (detect.Options.Tap). Recording costs one bit per entry no earlier
+//     access of the strand subsumes until the strand closes, and the
+//     page's non-zero bitmap words then.
 //
 // The recorder serializes all events through one mutex, so the file
 // order is a valid happens-before-consistent linearization of the run:
@@ -26,19 +26,28 @@
 //
 // # Wire format
 //
-// Everything after the fixed header is unsigned varints (encoding/binary
-// Uvarint). The header is:
+// Integers are unsigned varints (encoding/binary Uvarint) unless said
+// otherwise. The header is:
 //
 //	offset 0: 8-byte magic "sftrace\n"
 //	offset 8: 4-byte byte-order marker 04 03 02 01 (0x01020304 little-
-//	          endian) — fixed-width fields, if ever added, are little-
-//	          endian, and a byte-swapped capture fails loudly here
-//	then:     uvarint format version (currently 1)
+//	          endian) — the fixed-width words of an access block are
+//	          little-endian, and a byte-swapped capture fails loudly here
+//	then:     uvarint format version (currently 2)
+//	then:     uvarint PageBits, the shadow-page size the slot sets cover
 //
-// Events follow, each one op byte then op-specific uvarint fields; see
-// the op constants. The stream must end with opEnd carrying the
-// structure-event and access-entry counts, so a truncated capture is
-// detected instead of silently decoding a prefix.
+// Events follow, each one op byte then op-specific fields; see the op
+// constants. An access block is
+//
+//	uvarint strand, uvarint page, mask byte, words
+//
+// where bit w of the mask says word w of the read set is non-zero, bit
+// 4+w the same of the write set, and each non-zero word follows as 8
+// little-endian bytes, reads first. The mask alone gives the block's
+// length, so a reader can skip a block undecoded. The stream must end with
+// opEnd carrying the structure-event and access-entry counts (an entry is
+// one set bit), so a truncated capture is detected instead of silently
+// decoding a prefix.
 package trace
 
 import (
@@ -57,7 +66,15 @@ import (
 // Version is the sftrace format version. Load rejects any other value,
 // so a stale capture written by an incompatible build fails loudly.
 // Bump it whenever the wire layout or its semantics change.
-const Version = 1
+const Version = 2
+
+// words is the number of bitmap words in a slot set. The mask byte has a
+// bit for each word of both sets; the constant below stops the build if
+// the page size outgrows it.
+const (
+	words       = len(detect.SlotSet{})
+	_     uint8 = 1<<(2*words) - 1
+)
 
 var (
 	magic    = [8]byte{'s', 'f', 't', 'r', 'a', 'c', 'e', '\n'}
@@ -75,7 +92,7 @@ const (
 	OpReturn           // U = sink
 	OpPut              // U = sink, Fut
 	OpGet              // U, A = get strand, Fut
-	opAccess           // strand, n, kind bits, n addrs — decoded to AccessBlock
+	opAccess           // strand, page, mask, words — decoded to AccessBlock
 	opEnd              // struct-event count, access-entry count
 )
 
@@ -117,14 +134,23 @@ type Event struct {
 	Sinks       []uint64
 }
 
-// AccessBlock is one strand's tapped accesses: Addrs[i] was touched with
-// Kinds[i]; an address both read and written has its read first. A strand
-// contributes one block per shadow page it touched (more after an early
-// flush).
+// AccessBlock is one strand's accesses to one shadow page: the slots it
+// read and the slots it wrote, a slot in both read first — what
+// History.ApplyPage takes. A strand contributes one block per page it
+// touched (more after an early flush, or where a tapped list needs order;
+// see TapAccesses). A block is never empty.
 type AccessBlock struct {
-	Strand uint64
-	Addrs  []uint64
-	Kinds  []detect.AccessKind
+	Strand, Page  uint64
+	Reads, Writes detect.SlotSet
+}
+
+// Entries returns the number of accesses in b, one per slot in each set.
+func (b *AccessBlock) Entries() int {
+	n := 0
+	for w := range words {
+		n += bits.OnesCount64(b.Reads[w]) + bits.OnesCount64(b.Writes[w])
+	}
+	return n
 }
 
 // Capture is a fully decoded sftrace file. Events and Blocks each
@@ -157,7 +183,6 @@ type Recorder struct {
 	closed bool
 
 	structEvents  uint64
-	accessBlocks  uint64
 	accessEntries uint64
 	bytes         uint64
 }
@@ -168,6 +193,7 @@ func NewRecorder(w io.Writer) *Recorder {
 	r.buf = append(r.buf, magic[:]...)
 	r.buf = append(r.buf, byteMark[:]...)
 	r.buf = binary.AppendUvarint(r.buf, Version)
+	r.buf = binary.AppendUvarint(r.buf, detect.PageBits)
 	r.emit()
 	return r
 }
@@ -254,70 +280,52 @@ func (r *Recorder) OnGet(u, g *sched.Strand, f *sched.FutureTask) {
 	r.structEvent(OpGet, u.ID, g.ID, uint64(f.ID))
 }
 
-// TapAccesses implements detect.AccessTap: one access block per flushed
-// batch unit. The kind stream is packed one bit per entry (write = 1).
+// TapAccesses implements detect.AccessTap by folding the lists back into
+// the page sets the history's strand buffer drained them from, so a
+// genuine tap is one block. The sets keep no order within a slot beyond
+// "read, then written", so an entry that needs one — a second read or
+// write of a slot, any access to a slot already written — starts a new
+// block, as does a change of page: an arbitrary list keeps its exact
+// per-address order.
 func (r *Recorder) TapAccesses(s *sched.Strand, addrs []uint64, kinds []detect.AccessKind) {
 	if len(addrs) == 0 {
 		return
 	}
+	var sets [2]detect.SlotSet
+	page := addrs[0] >> detect.PageBits
 	r.mu.Lock()
-	r.writeBlockLocked(s.ID, addrs, kinds)
+	for i, addr := range addrs {
+		k := kinds[i] & 1
+		w, bit := addr&(1<<detect.PageBits-1)>>6, uint64(1)<<(addr&63)
+		if addr>>detect.PageBits != page || (sets[k][w]|sets[detect.AccessWrite][w])&bit != 0 {
+			r.writeSetsLocked(s.ID, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
+			sets, page = [2]detect.SlotSet{}, addr>>detect.PageBits
+		}
+		sets[k][w] |= bit
+	}
+	r.writeSetsLocked(s.ID, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
 	r.mu.Unlock()
 }
 
-func (r *Recorder) writeBlockLocked(strand uint64, addrs []uint64, kinds []detect.AccessKind) {
-	r.buf = append(r.buf, byte(opAccess))
-	r.buf = binary.AppendUvarint(r.buf, strand)
-	r.buf = binary.AppendUvarint(r.buf, uint64(len(addrs)))
-	var bits, n uint8
-	for _, k := range kinds {
-		if k == detect.AccessWrite {
-			bits |= 1 << n
-		}
-		if n++; n == 8 {
-			r.buf = append(r.buf, bits)
-			bits, n = 0, 0
-		}
-	}
-	if n > 0 {
-		r.buf = append(r.buf, bits)
-	}
-	for _, a := range addrs {
-		r.buf = binary.AppendUvarint(r.buf, a)
-	}
-	r.accessBlocks++
-	r.accessEntries += uint64(len(addrs))
-	r.emit()
-}
-
-// writeSetsLocked writes the block of one drained page of a strand buffer
-// straight from its slot sets: the reads in slot order, then the writes,
-// so the kind bits are a run of zeros and a run of ones.
+// writeSetsLocked writes one page's block straight from its slot sets,
+// which are not both empty: the mask, then the non-zero words.
 func (r *Recorder) writeSetsLocked(strand, page uint64, reads, writes *detect.SlotSet) {
-	nr, nw := 0, 0
-	for w := range reads {
-		nr += bits.OnesCount64(reads[w])
-		nw += bits.OnesCount64(writes[w])
-	}
 	r.buf = append(r.buf, byte(opAccess))
 	r.buf = binary.AppendUvarint(r.buf, strand)
-	r.buf = binary.AppendUvarint(r.buf, uint64(nr+nw))
-	for i := 0; i < nr+nw; i += 8 {
-		ones := byte(0xff << max(nr-i, 0)) // of entries i..i+7, those from nr on
-		if rest := nr + nw - i; rest < 8 {
-			ones &= 1<<rest - 1
-		}
-		r.buf = append(r.buf, ones)
-	}
-	for _, set := range [2]*detect.SlotSet{reads, writes} {
+	r.buf = binary.AppendUvarint(r.buf, page)
+	at, mask, n := len(r.buf), byte(0), 0
+	r.buf = append(r.buf, 0)
+	for i, set := range [2]*detect.SlotSet{reads, writes} {
 		for w, word := range set {
-			for ; word != 0; word &= word - 1 {
-				r.buf = binary.AppendUvarint(r.buf, page<<detect.PageBits|uint64(w<<6|bits.TrailingZeros64(word)))
+			if word != 0 {
+				mask |= 1 << (i*words + w)
+				n += bits.OnesCount64(word)
+				r.buf = binary.LittleEndian.AppendUint64(r.buf, word)
 			}
 		}
 	}
-	r.accessBlocks++
-	r.accessEntries += uint64(nr + nw)
+	r.buf[at] = mask
+	r.accessEntries += uint64(n)
 	r.emit()
 }
 
@@ -334,7 +342,8 @@ func (r *Recorder) Write(s *sched.Strand, addr uint64) { s.Buffer().Add(addr, de
 func (r *Recorder) SkipCovered() bool { return true }
 
 // StrandClose implements sched.StrandCloser for the standalone checker
-// mode: the strand's buffered accesses become one block per shadow page.
+// mode: the strand's buffered accesses become one block per shadow page,
+// written from the drained sets as they are.
 func (r *Recorder) StrandClose(s *sched.Strand) {
 	b := s.Buf
 	if b == nil {
@@ -424,9 +433,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // Load decodes a capture. Any malformation — wrong magic, byte order,
-// or version, a truncated stream, counts that do not match the trailer,
-// an access block naming a strand no structure event declared — is an
-// error; Load never returns a partially decoded capture. Strands and
+// version or page size, a truncated stream, counts that do not match the
+// trailer, an access block that is empty, names a page past the address
+// space or a strand no structure event declared — is an error; Load never
+// returns a partially decoded capture. Strands and
 // Futures are sized by the structure events alone: the access stream
 // cannot inflate them (see Stream).
 func Load(r io.Reader) (*Capture, error) {

@@ -2,12 +2,16 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"sforder/internal/accbuf"
 	"sforder/internal/core"
 	"sforder/internal/detect"
 	"sforder/internal/obsv"
@@ -104,8 +108,8 @@ func TestCaptureRoundTrip(t *testing.T) {
 		}
 		for _, b := range c.Blocks {
 			need(b.Strand)
-			if len(b.Addrs) != len(b.Kinds) {
-				t.Fatalf("seed %d: ragged access block", seed)
+			if b.Entries() == 0 {
+				t.Fatalf("seed %d: empty access block", seed)
 			}
 		}
 		if c.Entries == 0 && counts.Reads+counts.Writes > 0 {
@@ -145,10 +149,8 @@ func TestRecorderDedup(t *testing.T) {
 	}
 	var writes int
 	for _, b := range c.Blocks {
-		for _, k := range b.Kinds {
-			if k == detect.AccessWrite {
-				writes++
-			}
+		for _, w := range b.Writes {
+			writes += bits.OnesCount64(w)
 		}
 	}
 	if writes != 1 {
@@ -158,10 +160,9 @@ func TestRecorderDedup(t *testing.T) {
 
 // TestStandaloneBlocksMatchTappedOnes: the standalone recorder writes a
 // strand's block straight from the buffer's slot sets, the history's tap
-// through the (addrs, kinds) slices — the same entries either way, a
-// page's reads in slot order and then its writes, whatever the counts do
-// to the packed kind bits (no reads, no writes, a byte boundary inside the
-// reads, inside the writes, between them).
+// folds the (addrs, kinds) lists back into them — the same blocks either
+// way, whatever the counts do to the mask (no reads, no writes, words of
+// one kind only, both kinds in one word).
 func TestStandaloneBlocksMatchTappedOnes(t *testing.T) {
 	for _, n := range [][2]uint64{{0, 1}, {1, 0}, {3, 2}, {8, 8}, {5, 11}, {16, 1}, {9, 23}, {200, 256}} {
 		main := func(task *sched.Task) {
@@ -196,22 +197,72 @@ func TestStandaloneBlocksMatchTappedOnes(t *testing.T) {
 			}
 			blocks[i] = c.Blocks
 		}
-		if !reflect.DeepEqual(blocks[0], blocks[1]) {
+		if !slices.Equal(blocks[0], blocks[1]) {
 			t.Fatalf("%d reads, %d writes: standalone blocks %v, tapped blocks %v", n[0], n[1], blocks[0], blocks[1])
 		}
-		for _, b := range blocks[0] {
-			var writes bool
-			for i, k := range b.Kinds {
-				if k == detect.AccessWrite {
-					writes = true
-				} else if writes {
-					t.Fatalf("%d reads, %d writes: a read after a write in block %v", n[0], n[1], b)
-				}
-				if i > 0 && b.Kinds[i-1] == k && b.Addrs[i-1] >= b.Addrs[i] {
-					t.Fatalf("%d reads, %d writes: block %v not in slot order", n[0], n[1], b)
-				}
-			}
+	}
+}
+
+// TestGenuineTapIsOneBlock: a list the history taps is one drained page,
+// which the recorder writes as exactly one block holding the page's sets —
+// whatever mix of reads, writes and read-then-written slots the page has.
+func TestGenuineTapIsOneBlock(t *testing.T) {
+	var buf bytes.Buffer
+	rec := trace.NewRecorder(&buf)
+	f0 := &sched.FutureTask{ID: 0}
+	s := &sched.Strand{ID: 0, Fut: f0}
+	rec.OnRoot(s)
+	b := accbuf.Get()
+	for a := uint64(0); a < 3000; a += 7 {
+		b.Add(a, detect.AccessKind(a/7%3&1))
+		b.Add(a/2, detect.AccessWrite) // some of them read first
+	}
+	var want []trace.AccessBlock
+	b.Drain(func(page uint64, reads, writes *detect.SlotSet) {
+		want = append(want, trace.AccessBlock{Strand: s.ID, Page: page, Reads: *reads, Writes: *writes})
+		addrs, kinds := b.Expand(page, reads, writes)
+		rec.TapAccesses(s, addrs, kinds)
+	})
+	b.Release()
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := trace.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 10 || !slices.Equal(c.Blocks, want) {
+		t.Fatalf("%d taps wrote %d blocks; want one per tap, equal to the drained sets", len(want), len(c.Blocks))
+	}
+}
+
+// TestStreamBlocksAllocateNothing: decoding an access block allocates
+// nothing — the Stream hands out its own block, and the words are read in
+// place from the reader's buffer.
+func TestStreamBlocksAllocateNothing(t *testing.T) {
+	var buf bytes.Buffer
+	rec := trace.NewRecorder(&buf)
+	s := &sched.Strand{ID: 0, Fut: &sched.FutureTask{}}
+	rec.OnRoot(s)
+	for a := uint64(0); a < 200; a++ {
+		rec.TapAccesses(s, []uint64{a << detect.PageBits, a<<detect.PageBits | 255}, []detect.AccessKind{detect.AccessRead, detect.AccessWrite})
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := trace.OpenStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev, _, err := st.Next(); err != nil || ev == nil {
+		t.Fatalf("first item: %v, %v; want the root event", ev, err)
+	}
+	if n := testing.AllocsPerRun(150, func() {
+		if _, blk, err := st.Next(); err != nil || blk == nil {
+			t.Fatalf("block: %v, %v", blk, err)
 		}
+	}); n != 0 {
+		t.Fatalf("%v allocations a block, want 0", n)
 	}
 }
 
@@ -300,7 +351,35 @@ func TestTapRecording(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsGarbage: malformed headers and bodies all error.
+// hostile returns hand-made captures, each well-formed but for the one
+// defect its name gives, and the well-formed capture they are cut from: a
+// root, one access block of strand 0 on page 5, the trailer.
+func hostile() (valid []byte, cases map[string][]byte) {
+	// The two ops past the structure events: access block and trailer.
+	const opAccess, opEnd = byte(trace.OpGet) + 1, byte(trace.OpGet) + 2
+	capture := func(pageBits byte, strand, page uint64, mask byte, words []uint64, entries uint64) []byte {
+		out := append([]byte("sftrace\n\x04\x03\x02\x01"), trace.Version, pageBits, byte(trace.OpRoot), 0, opAccess)
+		out = binary.AppendUvarint(out, strand)
+		out = append(binary.AppendUvarint(out, page), mask)
+		for _, w := range words {
+			out = binary.LittleEndian.AppendUint64(out, w)
+		}
+		return binary.AppendUvarint(append(out, opEnd, 1), entries)
+	}
+	const pb = detect.PageBits
+	return capture(pb, 0, 5, 0x41, []uint64{3, 1}, 3), map[string][]byte{
+		"mask 0":                 capture(pb, 0, 5, 0, nil, 0),
+		"zero word":              capture(pb, 0, 5, 0x41, []uint64{3, 0}, 2),
+		"page past the space":    capture(pb, 0, 1<<(64-pb), 0x41, []uint64{3, 1}, 3),
+		"foreign page size":      capture(pb+1, 0, 5, 0x41, []uint64{3, 1}, 3),
+		"undeclared strand":      capture(pb, 1, 5, 0x41, []uint64{3, 1}, 3),
+		"trailer entry count":    capture(pb, 0, 5, 0x41, []uint64{3, 1}, 2),
+		"truncated access block": capture(pb, 0, 5, 0x41, []uint64{3}, 2),
+	}
+}
+
+// TestLoadRejectsGarbage: malformed headers and bodies all error, the
+// hand-made hostile blocks among them.
 func TestLoadRejectsGarbage(t *testing.T) {
 	raw, _ := record(t, 1)
 	flip := func(i int, b byte) []byte {
@@ -308,22 +387,27 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		out[i] = b
 		return out
 	}
-	cases := map[string][]byte{
-		"empty":        {},
-		"not a trace":  []byte("definitely not an sftrace file"),
-		"bad magic":    flip(0, 'X'),
-		"bad bom":      flip(8, 0xFF),
-		"bad version":  flip(12, 99),
-		"unknown op":   flip(13, 0xEE),
-		"short header": raw[:10],
-	}
+	valid, cases := hostile()
+	cases["empty"] = []byte{}
+	cases["not a trace"] = []byte("definitely not an sftrace file")
+	cases["bad magic"] = flip(0, 'X')
+	cases["bad bom"] = flip(8, 0xFF)
+	cases["bad version"] = flip(12, 99)
+	cases["version 1"] = flip(12, 1)
+	cases["unknown op"] = flip(14, 0xEE)
+	cases["short header"] = raw[:10]
 	for name, data := range cases {
 		if _, err := trace.Load(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := trace.Load(strings.NewReader(string(raw))); err != nil {
-		t.Fatalf("pristine capture rejected: %v", err)
+	for _, data := range [][]byte{raw, valid} {
+		if _, err := trace.Load(bytes.NewReader(data)); err != nil {
+			t.Fatalf("pristine capture rejected: %v", err)
+		}
+	}
+	if _, err := trace.Load(bytes.NewReader(cases["version 1"])); err == nil || !strings.Contains(err.Error(), "re-record it") {
+		t.Fatalf("a version 1 capture: %v; want the re-record message", err)
 	}
 }
 
@@ -366,6 +450,55 @@ func FuzzCaptureRoundTrip(f *testing.F) {
 		if c2.Strands != counts.Strands || uint64(c2.Futures) != counts.Futures {
 			t.Fatalf("capture decodes %d strands/%d futures, engine made %d/%d",
 				c2.Strands, c2.Futures, counts.Strands, counts.Futures)
+		}
+		entries := uint64(0)
+		for _, b := range c2.Blocks {
+			entries += uint64(b.Entries())
+		}
+		if entries != c2.Entries || int64(len(raw)) != c2.Bytes {
+			t.Fatalf("blocks hold %d entries of %d, %d bytes of %d decoded", entries, c2.Entries, c2.Bytes, len(raw))
+		}
+	})
+}
+
+// FuzzOpenStream: arbitrary bytes never panic the incremental decoder, and
+// a Stream that reaches io.EOF agrees with Load on every event, block and
+// total; one that fails, Load rejects too.
+func FuzzOpenStream(f *testing.F) {
+	raw, _ := record(f, 0)
+	f.Add(raw)
+	valid, cases := hostile()
+	f.Add(valid)
+	for _, data := range cases {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, loadErr := trace.Load(bytes.NewReader(data))
+		st, err := trace.OpenStream(bytes.NewReader(data))
+		var events []trace.Event
+		var blocks []trace.AccessBlock
+		for err == nil {
+			var ev *trace.Event
+			var blk *trace.AccessBlock
+			if ev, blk, err = st.Next(); ev != nil {
+				events = append(events, *ev)
+			} else if blk != nil {
+				blocks = append(blocks, *blk)
+			}
+		}
+		if err != io.EOF {
+			if loadErr == nil {
+				t.Fatalf("stream failed (%v), Load accepted", err)
+			}
+			return
+		}
+		if loadErr != nil {
+			t.Fatalf("stream reached the end, Load failed: %v", loadErr)
+		}
+		if !reflect.DeepEqual(events, c.Events) || !slices.Equal(blocks, c.Blocks) ||
+			st.Entries() != c.Entries || st.Strands() != c.Strands || st.Bytes() != c.Bytes {
+			t.Fatalf("stream and Load disagree: %d/%d events, %d/%d blocks, %d/%d entries",
+				len(events), len(c.Events), len(blocks), len(c.Blocks), st.Entries(), c.Entries)
 		}
 	})
 }
