@@ -122,6 +122,8 @@ func (b *StrandBuffer) Covered(addr uint64, kind AccessKind) bool {
 // Add notes one access and reports whether it was kept: false means an
 // earlier access of the same strand subsumes it and nothing was stored.
 func (b *StrandBuffer) Add(addr uint64, kind AccessKind) bool {
+	// batch, by hand: the compiler will not inline it, and a kept access
+	// would pay the call.
 	num := addr >> PageBits
 	i := frontSlot(num)
 	pb := b.front[i]
@@ -145,6 +147,62 @@ func (b *StrandBuffer) Add(addr uint64, kind AccessKind) bool {
 	}
 	b.pending++
 	return true
+}
+
+// AddRange notes accesses of one kind to the n addresses addr, addr+1, …
+// (wrapping past the top of the address space as the addresses would) and
+// returns how many it kept. The buffer ends exactly as n calls of Add in
+// address order leave it — the same bitmaps, pending count and drain —
+// but a page costs one lookup and a word of slots one test-and-set: the
+// slots a word gains are the range's mask less what covered already holds.
+func (b *StrandBuffer) AddRange(addr uint64, n int, kind AccessKind) (kept int) {
+	for n > 0 {
+		pb := b.batch(addr >> PageBits)
+		lo := addr & pageMask
+		hi := min(lo+uint64(n), 1<<PageBits) // the range's slots on this page: [lo, hi)
+		added := 0
+		for w := lo >> 6; w<<6 < hi; w++ {
+			mask := ^uint64(0)
+			if w == lo>>6 {
+				mask <<= lo & 63
+			}
+			if end := hi - w<<6; end < 64 {
+				mask &= 1<<end - 1
+			}
+			fresh := mask &^ pb.covered[kind&1][w]
+			if fresh == 0 {
+				continue
+			}
+			pb.covered[AccessRead][w] |= fresh
+			if kind == AccessWrite {
+				pb.covered[AccessWrite][w] |= fresh
+			}
+			pb.pending[kind&1][w] |= fresh
+			added += bits.OnesCount64(fresh)
+		}
+		if added > 0 && !pb.queued {
+			pb.queued = true
+			b.dirty = append(b.dirty, pb)
+		}
+		b.pending += added
+		kept += added
+		addr += hi - lo
+		n -= int(hi - lo)
+	}
+	return kept
+}
+
+// batch returns page num's batch, from the front or else through
+// frontMiss.
+func (b *StrandBuffer) batch(num uint64) *pageBatch {
+	i := frontSlot(num)
+	pb := b.front[i]
+	if pb == nil || pb.num != num {
+		if pb = b.front[i^1]; pb == nil || pb.num != num {
+			pb = b.frontMiss(num)
+		}
+	}
+	return pb
 }
 
 // frontMiss finds page num's batch in the spill map, or creates it on the

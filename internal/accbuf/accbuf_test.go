@@ -107,6 +107,118 @@ func TestStrandBufferMatchesReference(t *testing.T) {
 	}
 }
 
+// rangeOp is one step of an AddRange check: n accesses of kind from addr
+// on (n = 1 through Add, when single), or a drain.
+type rangeOp struct {
+	addr   uint64
+	n      int
+	kind   AccessKind
+	single bool
+	drain  bool
+}
+
+// drainPages returns what a drain of b hands out, page by page in order.
+func drainPages(b *StrandBuffer) (pages []uint64, sets [][2]SlotSet) {
+	b.Drain(func(page uint64, reads, writes *SlotSet) {
+		pages = append(pages, page)
+		sets = append(sets, [2]SlotSet{*reads, *writes})
+	})
+	return pages, sets
+}
+
+// checkAddRange runs ops on two buffers, the ranges through AddRange on
+// one and as that many Adds on the other, and fails unless they agree
+// after every op on the kept count and Pending, and at every drain (and
+// a last one) on the pages in order and their sets.
+func checkAddRange(t *testing.T, ops []rangeOp) {
+	t.Helper()
+	var got, ref StrandBuffer
+	drain := func(i int) {
+		t.Helper()
+		gp, gs := drainPages(&got)
+		rp, rs := drainPages(&ref)
+		if !slices.Equal(gp, rp) || !slices.Equal(gs, rs) {
+			t.Fatalf("op %d: drained pages %v, Add's drain has %v (sets equal: %v)", i, gp, rp, slices.Equal(gs, rs))
+		}
+	}
+	for i, op := range ops {
+		if op.drain {
+			drain(i)
+			continue
+		}
+		var kept, want int
+		if op.single {
+			kept = b2i(got.Add(op.addr, op.kind))
+		} else {
+			kept = got.AddRange(op.addr, op.n, op.kind)
+		}
+		for k := 0; k < op.n; k++ {
+			want += b2i(ref.Add(op.addr+uint64(k), op.kind))
+		}
+		if kept != want || got.Pending() != ref.Pending() {
+			t.Fatalf("op %d (%v of %d from %#x): kept %d, pending %d; Add kept %d, pending %d",
+				i, op.kind, op.n, op.addr, kept, got.Pending(), want, ref.Pending())
+		}
+	}
+	drain(len(ops))
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestAddRangeMatchesAdd: a range is its n single accesses, at the edges
+// of a word and a page and across them.
+func TestAddRangeMatchesAdd(t *testing.T) {
+	const page = 1 << PageBits
+	for _, tc := range []struct {
+		name string
+		ops  []rangeOp
+	}{
+		{"empty", []rangeOp{{addr: 5 * page, n: 0}, {addr: 5*page + 3, n: 1, single: true}, {addr: 5 * page, n: 0, kind: AccessWrite}}},
+		{"ends at a page end", []rangeOp{{addr: 7*page + 100, n: page - 100}, {addr: 7*page + 200, n: page - 200, kind: AccessWrite}}},
+		{"starts at bit 63", []rangeOp{{addr: 2*page + 63, n: 2}, {addr: 2*page + 64 + 63, n: 70, kind: AccessWrite}, {addr: 2*page + 63, n: 130}}},
+		{"crosses two page boundaries", []rangeOp{{addr: 9*page + 250, n: page + 10}, {addr: 9*page + 10, n: 3 * page, kind: AccessWrite}}},
+		{"read, write, read again", []rangeOp{
+			{addr: 40, n: 100}, {addr: 60, n: 100, kind: AccessWrite}, {drain: true},
+			{addr: 0, n: 300}, {addr: 0, n: 300, kind: AccessWrite}, {addr: 150, n: 1, kind: AccessWrite, single: true},
+		}},
+		{"wraps past the top", []rangeOp{{addr: ^uint64(0) - 9, n: 20}, {addr: 0, n: 15, kind: AccessWrite}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkAddRange(t, tc.ops) })
+	}
+}
+
+// FuzzAddRange: any mix of ranges (up to three pages, at any address),
+// single accesses and drains leaves AddRange's buffer equal to Add's.
+// Each op is four bytes: kind, single and drain bits, an offset into four
+// pages from base, and a length.
+func FuzzAddRange(f *testing.F) {
+	f.Add(uint64(0), []byte{0, 0, 0, 0})
+	f.Add(uint64(1<<PageBits-7), []byte{0, 3, 0, 200, 1, 250, 4, 255, 4, 0, 0, 0, 2, 63, 0, 1})
+	f.Add(^uint64(0)-300, []byte{1, 255, 3, 255, 0, 10, 0, 5, 8, 0, 0, 0, 0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, base uint64, data []byte) {
+		var ops []rangeOp
+		for ; len(data) >= 4; data = data[4:] {
+			off := uint64(data[1]) | uint64(data[2]&3)<<8
+			ops = append(ops, rangeOp{
+				addr:   base + off,
+				n:      (int(data[3]) | int(data[2]>>2)<<8) % (3<<PageBits + 1),
+				kind:   AccessKind(data[0] & 1),
+				single: data[0]&2 != 0,
+				drain:  data[0]&12 == 12,
+			})
+			if ops[len(ops)-1].single {
+				ops[len(ops)-1].n = 1
+			}
+		}
+		checkAddRange(t, ops)
+	})
+}
+
 // TestStrandBufferFootprint pins what a strand's buffer holds on to: a
 // touched page costs its batch (four bitmaps and a number) and nothing per
 // entry; a strand like the last one reuses all of it; and a strand that

@@ -63,6 +63,34 @@ func (h *History) access(s *sched.Strand, addr uint64, kind AccessKind) {
 	}
 }
 
+// AccessRange implements sched.RangeChecker: n accesses of one kind, to
+// addr and the n-1 addresses after it, as n calls of Read or Write. The
+// locked path makes those calls' applyOne; the fast path hands the
+// buffer the range a page at a time and flushes once batchCap entries are
+// pending, so a range overshoots batchCap by less than a page.
+func (h *History) AccessRange(s *sched.Strand, addr uint64, n int, kind AccessKind) {
+	if !h.opts.FastPath {
+		for ; n > 0; n-- {
+			h.applyOne(s, addr, kind)
+			addr++
+		}
+		return
+	}
+	b := s.Buffer()
+	for n > 0 {
+		m := min(n, int(1<<pageBits-addr&pageMask)) // the range's addresses on addr's page
+		kept := b.AddRange(addr, m, kind)
+		if h.countLocks && kept < m {
+			h.fastHits.Add(uint64(m - kept))
+		}
+		if b.Pending() >= batchCap {
+			h.flush(s, b)
+		}
+		addr += uint64(m)
+		n -= m
+	}
+}
+
 // flush applies every pending entry of s's buffer to the history, one
 // lock acquisition per page (ApplyPage).
 func (h *History) flush(s *sched.Strand, b *accbuf.StrandBuffer) {
@@ -101,3 +129,4 @@ func (h *History) BatchFlushes() uint64 { return h.batchFlushes.Load() }
 
 var _ sched.StrandCloser = (*History)(nil)
 var _ sched.CoveredSkipper = (*History)(nil)
+var _ sched.RangeChecker = (*History)(nil)

@@ -2,6 +2,7 @@ package detect_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -397,6 +398,56 @@ func TestFastPathEarlyFlush(t *testing.T) {
 	}
 	if h.LockAcquires() >= distinct {
 		t.Fatalf("lock acquires %d not amortized below %d accesses", h.LockAcquires(), distinct)
+	}
+}
+
+// flushSizes is a tap recording how many entries each flush applies. A
+// drain zeroes the buffer's pending count after its last page, so each
+// page of a flush sees the flush's size; the pages' entries add up to it.
+type flushSizes struct {
+	sizes []int
+	left  int // entries of the current flush not tapped yet
+}
+
+func (f *flushSizes) TapAccesses(s *sched.Strand, addrs []uint64, _ []detect.AccessKind) {
+	if f.left == 0 {
+		f.left = s.Buf.Pending()
+		f.sizes = append(f.sizes, f.left)
+	}
+	f.left -= len(addrs)
+}
+
+// TestFastPathRangeFlushBound: a range is taken a page at a time, so a
+// strand's early flush comes at the first page end past batchCap — never
+// more than a page's slots over it — and the range's covered part counts
+// as fast-path hits, one an address.
+func TestFastPathRangeFlushBound(t *testing.T) {
+	const batchCap, page = 1024, 1 << detect.PageBits
+	tap := &flushSizes{}
+	h := detect.NewHistory(detect.Options{Reach: &stubReach{prec: map[[2]uint64]bool{}}, FastPath: true, Tap: tap})
+	h.RegisterStats(obsv.NewRegistry())
+	s := fakeStrands(1)[0]
+	h.AccessRange(s, 100, 5000, detect.AccessWrite)
+	early := slices.Clone(tap.sizes)
+	h.AccessRange(s, 0, 5100, detect.AccessWrite) // all but 0..99 covered
+	if hits := h.FastPathHits(); hits != 5000 {
+		t.Errorf("%d fast-path hits, want the 5000 covered addresses", hits)
+	}
+	h.StrandClose(s)
+	if len(early) < 4 {
+		t.Fatalf("a 5000-address range flushed %d times", len(early))
+	}
+	for i, n := range early {
+		if n < batchCap || n >= batchCap+page {
+			t.Errorf("early flush %d applied %d entries, want [%d, %d)", i, n, batchCap, batchCap+page)
+		}
+	}
+	total := 0
+	for _, n := range tap.sizes {
+		total += n
+	}
+	if total != 5100 || tap.left != 0 {
+		t.Errorf("the flushes applied %d entries, want 5100", total)
 	}
 }
 

@@ -3,6 +3,8 @@ package engine_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strings"
@@ -23,15 +25,52 @@ import (
 )
 
 // program is one input of the lattice: main builds a fresh body per run,
-// want is the dag oracle's racy-address set, and reads, writes and repeats
-// are the oracle log's access counts (oracle.Logger.Counts).
+// ranges, if set, the same program with its runs of addresses made as
+// range calls (Task.ReadRange/WriteRange), want is the dag oracle's
+// racy-address set, and reads, writes and repeats are the oracle log's
+// access counts (oracle.Logger.Counts), the same for both spellings.
 type program struct {
 	name     string
 	forkJoin bool // no futures: the only programs WSP-Order accepts
 	main     func() func(*sched.Task)
+	ranges   func() func(*sched.Task)
 	want     []uint64
 
 	reads, writes, repeats int
+}
+
+// rows is a fork-join program of row accesses: four children each write a
+// 300-address row, 200 apart, so neighbours overlap by 100 addresses, and
+// read the 50 addresses after their row, which the next child writes; the
+// rows straddle shadow pages. With ranges set every row is one range call.
+func rows(ranges bool) func(*sched.Task) {
+	access := func(t *sched.Task, lo uint64, n int, write bool) {
+		switch {
+		case ranges && write:
+			t.WriteRange(lo, n)
+		case ranges:
+			t.ReadRange(lo, n)
+		default:
+			for a := lo; a < lo+uint64(n); a++ {
+				if write {
+					t.Write(a)
+				} else {
+					t.Read(a)
+				}
+			}
+		}
+	}
+	return func(t *sched.Task) {
+		for i := uint64(0); i < 4; i++ {
+			t.Spawn(func(c *sched.Task) {
+				access(c, 200*i, 300, true)
+				access(c, 200*i+300, 50, false)
+			})
+		}
+		t.Sync()
+		access(t, 0, 1200, false) // ordered after every child
+		access(t, 0, 1200, true)
+	}
 }
 
 // forkJoinPrograms are hand-written futures-free programs (progen has no
@@ -73,13 +112,16 @@ func forkJoinPrograms() []*program {
 			t.Sync()
 			t.Write(300) // ordered after them
 		}),
+		{name: "rows", forkJoin: true, main: func() func(*sched.Task) { return rows(false) },
+			ranges: func() func(*sched.Task) { return rows(true) }},
 	}
 }
 
 // corpus is the one set of programs every cell runs: generated
 // structured-future programs (single accesses over a few addresses, and
 // runs straddling shadow pages) plus the fork-join programs, each with
-// its oracle verdict.
+// its oracle verdict, and the programs with runs with their range
+// spelling.
 func corpus(t *testing.T) []*program {
 	t.Helper()
 	var ps []*program
@@ -98,7 +140,11 @@ func corpus(t *testing.T) []*program {
 	} {
 		pc.Seed = int64(len(ps))
 		pg := progen.New(pc)
-		ps = append(ps, &program{name: fmt.Sprintf("progen-%d", pc.Seed), main: pg.Main})
+		p := &program{name: fmt.Sprintf("progen-%d", pc.Seed), main: pg.Main}
+		if pc.MaxRun > 1 {
+			p.ranges = pg.MainRanges
+		}
+		ps = append(ps, p)
 	}
 	ps = append(ps, forkJoinPrograms()...)
 	for _, p := range ps {
@@ -110,6 +156,19 @@ func corpus(t *testing.T) []*program {
 		p.reads, p.writes, p.repeats = log.Counts()
 		if len(p.want) > 0 {
 			racy++
+		}
+		if p.ranges == nil {
+			continue
+		}
+		// The oracle takes no ranges: it sees the range spelling's accesses
+		// one by one, and they must be main's.
+		rec, log = dag.NewRecorder(), oracle.NewLogger()
+		if _, err := sched.Run(sched.Options{Serial: true, Tracer: rec, Checker: log}, p.ranges()); err != nil {
+			t.Fatalf("%s: oracle run of the ranges: %v", p.name, err)
+		}
+		reads, writes, repeats := log.Counts()
+		if want := log.RacyAddrs(rec); !slices.Equal(want, p.want) || reads != p.reads || writes != p.writes || repeats != p.repeats {
+			t.Fatalf("%s: the oracle's verdict on the ranges differs from main's", p.name)
 		}
 	}
 	if racy < 3 || racy > len(ps)-3 {
@@ -159,7 +218,11 @@ var accessPaths = []accessPath{
 // path's sched.reads, sched.writes and hist.fastpath_hits are the oracle
 // log's counts, and under SF-Order on one worker, where a run is
 // deterministic, the three agree on RaceCount and write the same capture
-// byte for byte.
+// byte for byte. A program with runs also runs in its range spelling, on
+// every path (the interposed one breaks the ranges up): a range is its
+// single accesses, so the same counts and RaceCount, and a capture that
+// decodes to the same (strand, address, kind) set — not the same bytes,
+// since a range reaches the early-flush bound at a page, not an access.
 func TestLatticeAgainstOracle(t *testing.T) {
 	type row struct {
 		det      engine.Detector
@@ -208,15 +271,26 @@ func TestLatticeAgainstOracle(t *testing.T) {
 							if r.forkJoin && !p.forkJoin {
 								continue
 							}
+							spellings := []spelling{{"per-address", p.main}}
+							if p.ranges != nil {
+								spellings = append(spellings, spelling{"ranges", p.ranges})
+							}
 							var first cell
-							for i, path := range paths {
-								c := checkCell(t, path, cfg, p)
-								if i == 0 {
-									first = c
-								} else if deterministic && (c.races != first.races || !bytes.Equal(c.capture, first.capture)) {
-									t.Errorf("%s: %s path: RaceCount %v and a %d-byte capture, %s path: %v and %d bytes (equal: %v)",
-										p.name, path.name, c.races, len(c.capture), paths[0].name, first.races, len(first.capture),
-										bytes.Equal(c.capture, first.capture))
+							for si, sp := range spellings {
+								for i, path := range paths {
+									c := checkCell(t, path, cfg, p, sp)
+									switch {
+									case si == 0 && i == 0:
+										first = c
+									case !deterministic:
+									case c.races != first.races || si == 0 && !bytes.Equal(c.capture, first.capture):
+										t.Errorf("%s, %s: %s path: RaceCount %v and a %d-byte capture, %s path: %v and %d bytes (equal: %v)",
+											p.name, sp.name, path.name, c.races, len(c.capture), paths[0].name, first.races, len(first.capture),
+											bytes.Equal(c.capture, first.capture))
+									case !maps.Equal(c.accesses, first.accesses):
+										t.Errorf("%s, %s: %s path: the capture holds %d accesses, the per-address spelling's %d, not the same set",
+											p.name, sp.name, path.name, len(c.accesses), len(first.accesses))
+									}
 								}
 							}
 						}
@@ -227,23 +301,38 @@ func TestLatticeAgainstOracle(t *testing.T) {
 	}
 }
 
-// cell is what the access paths of one lattice cell are compared on: the
-// RaceCount of the plain and of the recording run, and the capture.
-type cell struct {
-	races   [2]uint64
-	capture []byte
+// spelling is one way of writing a program's accesses: its main.
+type spelling struct {
+	name string
+	main func() func(*sched.Task)
 }
 
-// checkCell runs p under cfg on one access path twice — plain, and with
-// the recorder tapped in — and replays the capture both ways; all four
-// verdicts must be the oracle's, and the counts of a run with stats the
-// oracle log's.
-func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program) cell {
+// access is one decoded capture entry.
+type access struct {
+	strand, addr uint64
+	kind         detect.AccessKind
+}
+
+// cell is what the access paths and spellings of one lattice cell are
+// compared on: the RaceCount of the plain and of the recording run, the
+// capture, and the set of accesses it decodes to.
+type cell struct {
+	races    [2]uint64
+	capture  []byte
+	accesses map[access]bool
+}
+
+// checkCell runs p, spelled sp, under cfg on one access path twice —
+// plain, and with the recorder tapped in — and replays the capture both
+// ways; all four verdicts must be the oracle's, and the counts of a run
+// with stats the oracle log's.
+func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program, sp spelling) cell {
 	t.Helper()
+	where := fmt.Sprintf("%s, %s, %s path", p.name, sp.name, path.name)
 	check := func(run string, got []uint64) {
 		t.Helper()
 		if !slices.Equal(got, p.want) {
-			t.Errorf("%s, %s path, %s: racy %v, oracle %v", p.name, path.name, run, got, p.want)
+			t.Errorf("%s, %s: racy %v, oracle %v", where, run, got, p.want)
 		}
 	}
 	checkCounts := func(run string, stats map[string]int64) {
@@ -253,14 +342,14 @@ func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program) cel
 		}
 		for name, n := range map[string]int{"sched.reads": p.reads, "sched.writes": p.writes, "hist.fastpath_hits": p.repeats} {
 			if stats[name] != int64(n) {
-				t.Errorf("%s, %s path, %s: %s = %d, the oracle log says %d", p.name, path.name, run, name, stats[name], n)
+				t.Errorf("%s, %s: %s = %d, the oracle log says %d", where, run, name, stats[name], n)
 			}
 		}
 	}
 	var c cell
-	res, err := path.run(cfg, p.main())
+	res, err := path.run(cfg, sp.main())
 	if err != nil {
-		t.Fatalf("%s, %s path: %v", p.name, path.name, err)
+		t.Fatalf("%s: %v", where, err)
 	}
 	check("online", res.RacyAddrs)
 	checkCounts("online", res.Stats)
@@ -268,8 +357,8 @@ func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program) cel
 
 	var buf bytes.Buffer
 	cfg.Record = &buf
-	if res, err = path.run(cfg, p.main()); err != nil {
-		t.Fatalf("%s, %s path: recording: %v", p.name, path.name, err)
+	if res, err = path.run(cfg, sp.main()); err != nil {
+		t.Fatalf("%s: recording: %v", where, err)
 	}
 	check("online, recording", res.RacyAddrs)
 	checkCounts("online, recording", res.Stats)
@@ -278,15 +367,26 @@ func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program) cel
 	ropts := replay.Options{Workers: 2, Reach: cfg.Reach}
 	cp, err := trace.Load(bytes.NewReader(c.capture))
 	if err != nil {
-		t.Fatalf("%s, %s path: load: %v", p.name, path.name, err)
+		t.Fatalf("%s: load: %v", where, err)
+	}
+	c.accesses = map[access]bool{}
+	for _, b := range cp.Blocks {
+		for kind, set := range [2]*detect.SlotSet{&b.Reads, &b.Writes} {
+			for w, word := range set {
+				for ; word != 0; word &= word - 1 {
+					addr := b.Page<<detect.PageBits | uint64(w<<6|bits.TrailingZeros64(word))
+					c.accesses[access{b.Strand, addr, detect.AccessKind(kind)}] = true
+				}
+			}
+		}
 	}
 	rr, err := replay.Run(cp, ropts)
 	if err != nil {
-		t.Fatalf("%s, %s path: replay: %v", p.name, path.name, err)
+		t.Fatalf("%s: replay: %v", where, err)
 	}
 	check("replay", rr.RacyAddrs)
 	if rr, err = replay.RunStream(bytes.NewReader(c.capture), ropts); err != nil {
-		t.Fatalf("%s, %s path: streamed replay: %v", p.name, path.name, err)
+		t.Fatalf("%s: streamed replay: %v", where, err)
 	}
 	check("streamed replay", rr.RacyAddrs)
 	return c

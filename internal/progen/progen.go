@@ -168,20 +168,36 @@ func (p *Program) Slots() int { return p.slots }
 // Main returns the program's entry point for sched.Run. The returned
 // function may be executed many times; each execution allocates its own
 // handle table.
-func (p *Program) Main() func(*sched.Task) {
+func (p *Program) Main() func(*sched.Task) { return p.main(false) }
+
+// MainRanges is Main with every run of consecutive addresses that is only
+// read or only written (Config.MaxRun) made as one Task.ReadRange or
+// WriteRange call. A range is its single accesses, so the two spellings
+// make the same accesses in the same order and must get the same verdict.
+func (p *Program) MainRanges() func(*sched.Task) { return p.main(true) }
+
+func (p *Program) main(ranges bool) func(*sched.Task) {
 	return func(t *sched.Task) {
 		handles := make([]*sched.Future, p.slots)
-		runBlock(t, p.root, handles)
+		runBlock(t, p.root, handles, ranges)
 	}
 }
 
 // runBlock interprets one body. The handle table is shared by pointer:
 // slot s is written by the creating strand strictly before any getter's
 // branch point, so the accesses are ordered by the dag itself.
-func runBlock(t *sched.Task, b *block, handles []*sched.Future) {
+func runBlock(t *sched.Task, b *block, handles []*sched.Future, ranges bool) {
 	for _, o := range b.ops {
 		switch o.kind {
 		case opRead, opWrite:
+			if ranges && o.step == 1 && !o.update {
+				if o.kind == opWrite {
+					t.WriteRange(o.addr, int(o.n)+1)
+				} else {
+					t.ReadRange(o.addr, int(o.n)+1)
+				}
+				continue
+			}
 			for k := uint64(0); k <= o.n; k++ {
 				a := o.addr + k*o.step
 				if o.kind == opWrite {
@@ -197,11 +213,11 @@ func runBlock(t *sched.Task, b *block, handles []*sched.Future) {
 			t.Sync()
 		case opSpawn:
 			body := o.body
-			t.Spawn(func(c *sched.Task) { runBlock(c, body, handles) })
+			t.Spawn(func(c *sched.Task) { runBlock(c, body, handles, ranges) })
 		case opCreate:
 			body := o.body
 			handles[o.slot] = t.Create(func(c *sched.Task) any {
-				runBlock(c, body, handles)
+				runBlock(c, body, handles, ranges)
 				return nil
 			})
 		case opGet:

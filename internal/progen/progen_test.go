@@ -1,9 +1,11 @@
 package progen_test
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"sforder/internal/accbuf"
 	"sforder/internal/dag"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
@@ -131,5 +133,65 @@ func TestRunsStayInsideTheAddressSpace(t *testing.T) {
 	}
 	if runsTotal < 10*plainTotal {
 		t.Fatalf("%d accesses with runs of up to 100, %d without", runsTotal, plainTotal)
+	}
+}
+
+// accessLog lists the accesses it gets in order, writes tagged in the top
+// bit, and, as withRanges, counts the ranges it is handed.
+type accessLog struct {
+	log                    []uint64
+	rangeCalls, rangeAddrs int
+}
+
+func (l *accessLog) Read(_ *sched.Strand, addr uint64)  { l.log = append(l.log, addr) }
+func (l *accessLog) Write(_ *sched.Strand, addr uint64) { l.log = append(l.log, addr|1<<63) }
+
+// withRanges is an accessLog that takes ranges, as single accesses.
+type withRanges struct{ *accessLog }
+
+func (l withRanges) AccessRange(s *sched.Strand, addr uint64, n int, kind accbuf.AccessKind) {
+	l.rangeCalls++
+	l.rangeAddrs += n
+	for k := range uint64(n) {
+		if kind == accbuf.AccessWrite {
+			l.Write(s, addr+k)
+		} else {
+			l.Read(s, addr+k)
+		}
+	}
+}
+
+// TestMainRangesIsMain: MainRanges makes Main's accesses in Main's order,
+// whether the checker takes its ranges or the engine breaks them up; only
+// a program with runs spells any as ranges.
+func TestMainRangesIsMain(t *testing.T) {
+	calls, addrs := 0, 0
+	for seed := int64(0); seed < 20; seed++ {
+		for _, cfg := range []progen.Config{
+			{Seed: seed, Addrs: 700, MaxRun: 48},
+			{Seed: seed, Addrs: 16},
+		} {
+			p := progen.New(cfg)
+			run := func(main func(*sched.Task), c sched.AccessChecker) {
+				if _, err := sched.Run(sched.Options{Serial: true, Checker: c}, main); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			var plain, broken, whole accessLog
+			run(p.Main(), &plain)
+			run(p.MainRanges(), &broken)
+			run(p.MainRanges(), withRanges{&whole})
+			if !slices.Equal(broken.log, plain.log) || !slices.Equal(whole.log, plain.log) {
+				t.Fatalf("seed %d, %+v: MainRanges made %d and %d accesses (broken up, whole), Main %d",
+					seed, cfg, len(broken.log), len(whole.log), len(plain.log))
+			}
+			if cfg.MaxRun == 0 && whole.rangeCalls != 0 {
+				t.Fatalf("seed %d: %d ranges in a program without runs", seed, whole.rangeCalls)
+			}
+			calls, addrs = calls+whole.rangeCalls, addrs+whole.rangeAddrs
+		}
+	}
+	if calls < 100 || addrs < 10*calls {
+		t.Errorf("20 programs with runs spelled %d ranges of %d addresses", calls, addrs)
 	}
 }

@@ -26,6 +26,14 @@ func (everything) Precedes(u, v *sched.Strand) bool { return true }
 //	interposed-hit    a covered access under a wrapper (wrapped, as the
 //	                  benchmark's timing wrappers): the interface path
 //	counted-hit       a covered access in a run that counts accesses
+//
+// and of Task.ReadRange, one op per range, reported per address (ns/addr):
+//
+//	range-kept-64     64 addresses the buffer keeps, a strand turnover
+//	                  every 960 addresses included, as first-touch
+//	range-covered-64  64 addresses the buffer covers
+//	range-3-page      512 kept addresses over three pages (a half, a
+//	                  whole and a half), a strand each
 func BenchmarkTaskAccess(b *testing.B) {
 	const footprint = 1000 // addresses a strand touches, under detect's early-flush threshold
 	history := func() *detect.History {
@@ -94,4 +102,35 @@ func BenchmarkTaskAccess(b *testing.B) {
 	h := history()
 	b.Run("interposed-hit", hits(sched.Options{Checker: wrapped{h, h}}))
 	b.Run("counted-hit", hits(sched.Options{Checker: history(), CountAccesses: true}))
+
+	// ranges times ReadRange(lo, n) for lo = start, start+n, … up to
+	// start+span, then over again — on a new strand each time when kept.
+	ranges := func(start uint64, n, span int, kept bool) func(*testing.B) {
+		return func(b *testing.B) {
+			_, err := sched.Run(sched.Options{Serial: true, Checker: history()}, func(t *sched.Task) {
+				if !kept {
+					t.ReadRange(start, span)
+				}
+				b.ResetTimer()
+				for i, off := 0, 0; i < b.N; i++ {
+					t.ReadRange(start+uint64(off), n)
+					if off += n; off == span {
+						off = 0
+						if kept {
+							t.Spawn(func(*sched.Task) {})
+							t.Sync()
+						}
+					}
+				}
+				b.StopTimer()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/addr")
+		}
+	}
+	b.Run("range-kept-64", ranges(0, 64, 960, true))
+	b.Run("range-covered-64", ranges(0, 64, 960, false))
+	b.Run("range-3-page", ranges(1<<detect.PageBits/2, 2<<detect.PageBits, 2<<detect.PageBits, true))
 }

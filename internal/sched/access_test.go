@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -13,13 +14,18 @@ import (
 // engine skip the covered ones when skip is set, and counts the calls it
 // gets.
 type buffering struct {
-	skip  bool
-	calls atomic.Int64
+	skip          bool
+	calls, ranges atomic.Int64
 }
 
 func (c *buffering) Read(s *sched.Strand, addr uint64)  { c.add(s, addr, accbuf.AccessRead) }
 func (c *buffering) Write(s *sched.Strand, addr uint64) { c.add(s, addr, accbuf.AccessWrite) }
 func (c *buffering) SkipCovered() bool                  { return c.skip }
+
+func (c *buffering) AccessRange(s *sched.Strand, addr uint64, n int, kind accbuf.AccessKind) {
+	c.ranges.Add(1)
+	s.Buffer().AddRange(addr, n, kind)
+}
 
 func (c *buffering) add(s *sched.Strand, addr uint64, kind accbuf.AccessKind) {
 	c.calls.Add(1)
@@ -88,6 +94,61 @@ func TestOnlyCoveredAccessesAreSkipped(t *testing.T) {
 					tc.name, serial, counts.Reads, counts.Writes, 3*addrs*rounds, 2*addrs*rounds)
 			}
 		}
+	}
+}
+
+// logging is a checker that takes no ranges: it lists the accesses it
+// gets, in order (one worker only).
+type logging struct{ addrs []uint64 }
+
+func (c *logging) Read(s *sched.Strand, addr uint64)  { c.addrs = append(c.addrs, addr) }
+func (c *logging) Write(s *sched.Strand, addr uint64) { c.addrs = append(c.addrs, addr|1<<63) }
+
+// TestRangesReachTheChecker: a range goes to a RangeChecker in one call
+// and to any other checker — a wrapper included — as one Read or Write
+// per address, in address order; counted, it is its n accesses either
+// way, and an empty or negative range is nothing at all.
+func TestRangesReachTheChecker(t *testing.T) {
+	main := func(t *sched.Task) {
+		t.ReadRange(100, 300) // two shadow pages
+		t.WriteRange(250, 10)
+		t.ReadRange(7, 0)
+		t.WriteRange(7, -3)
+	}
+	var want []uint64
+	for a := uint64(100); a < 400; a++ {
+		want = append(want, a)
+	}
+	for a := uint64(250); a < 260; a++ {
+		want = append(want, a|1<<63)
+	}
+	c, log := &buffering{}, &logging{}
+	for _, tc := range []struct {
+		name          string
+		checker       sched.AccessChecker
+		calls, ranges int64
+	}{
+		{"range checker", c, 0, 2},
+		{"wrapped", wrapped{c, c}, 310, 0},
+		{"no ranges", log, 0, 0},
+		{"no checker", nil, 0, 0},
+	} {
+		c.calls.Store(0)
+		c.ranges.Store(0)
+		counts, err := sched.Run(sched.Options{Serial: true, Checker: tc.checker, CountAccesses: true}, main)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.calls.Load() != tc.calls || c.ranges.Load() != tc.ranges {
+			t.Errorf("%s: %d single calls and %d range calls, want %d and %d",
+				tc.name, c.calls.Load(), c.ranges.Load(), tc.calls, tc.ranges)
+		}
+		if counts.Reads != 300 || counts.Writes != 10 {
+			t.Errorf("%s: counted %d reads and %d writes, want 300 and 10", tc.name, counts.Reads, counts.Writes)
+		}
+	}
+	if !slices.Equal(log.addrs, want) {
+		t.Errorf("the checker without ranges got %d accesses, want the %d of the ranges in address order", len(log.addrs), len(want))
 	}
 }
 

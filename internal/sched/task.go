@@ -327,3 +327,40 @@ func (t *Task) Write(addr uint64) {
 		e.checker.Write(t.cur, addr)
 	}
 }
+
+// ReadRange records instrumented reads of the n shadow addresses addr,
+// addr+1, …, addr+n-1 by the current strand: the same as n calls of Read
+// in that order, in one call when the checker takes ranges (RangeChecker).
+func (t *Task) ReadRange(addr uint64, n int) { t.accessRange(addr, n, accbuf.AccessRead) }
+
+// WriteRange is ReadRange for instrumented writes.
+func (t *Task) WriteRange(addr uint64, n int) { t.accessRange(addr, n, accbuf.AccessWrite) }
+
+func (t *Task) accessRange(addr uint64, n int, kind accbuf.AccessKind) {
+	if n <= 0 {
+		return
+	}
+	e := t.eng
+	if e.opts.CountAccesses {
+		if kind == accbuf.AccessRead {
+			e.cReads.Add(uint64(n))
+		} else {
+			e.cWrites.Add(uint64(n))
+		}
+	}
+	switch {
+	case e.checker == nil:
+	case e.accessRange != nil:
+		e.accessRange(t.cur, addr, n, kind)
+	case kind == accbuf.AccessRead:
+		for ; n > 0; n-- {
+			e.checker.Read(t.cur, addr)
+			addr++
+		}
+	default:
+		for ; n > 0; n-- {
+			e.checker.Write(t.cur, addr)
+			addr++
+		}
+	}
+}

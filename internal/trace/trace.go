@@ -338,6 +338,11 @@ func (r *Recorder) Read(s *sched.Strand, addr uint64) { s.Buffer().Add(addr, det
 // Write implements sched.AccessChecker; see Read.
 func (r *Recorder) Write(s *sched.Strand, addr uint64) { s.Buffer().Add(addr, detect.AccessWrite) }
 
+// AccessRange implements sched.RangeChecker; see Read.
+func (r *Recorder) AccessRange(s *sched.Strand, addr uint64, n int, kind detect.AccessKind) {
+	s.Buffer().AddRange(addr, n, kind)
+}
+
 // SkipCovered implements sched.CoveredSkipper: Add drops a covered access.
 func (r *Recorder) SkipCovered() bool { return true }
 
@@ -417,6 +422,7 @@ var (
 	_ sched.AccessChecker  = (*Recorder)(nil)
 	_ sched.StrandCloser   = (*Recorder)(nil)
 	_ sched.CoveredSkipper = (*Recorder)(nil)
+	_ sched.RangeChecker   = (*Recorder)(nil)
 	_ detect.AccessTap     = (*Recorder)(nil)
 )
 

@@ -94,32 +94,34 @@ func (s *ferretState) main(t *sched.Task) {
 
 func (s *ferretState) segment(t *sched.Task, qi int) {
 	off := qi * s.dim
+	t.ReadRange(s.addrInput(off), s.dim)
+	t.WriteRange(s.addrSeg(off), s.dim)
 	for i := 0; i < s.dim; i++ {
-		t.Read(s.addrInput(off + i))
-		t.Write(s.addrSeg(off + i))
 		s.seg[off+i] = s.input[off+i] / 3
 	}
 }
 
+// extract reads seg[i] and seg[i-1] for each i: the row, and the row but
+// its last element again, 2·dim−1 reads.
 func (s *ferretState) extract(t *sched.Task, qi int) {
 	off := qi * s.dim
+	t.ReadRange(s.addrSeg(off), s.dim)
+	t.ReadRange(s.addrSeg(off), s.dim-1)
+	t.WriteRange(s.addrFeat(off), s.dim)
 	for i := 0; i < s.dim; i++ {
-		t.Read(s.addrSeg(off + i))
 		prev := int32(0)
 		if i > 0 {
-			t.Read(s.addrSeg(off + i - 1))
 			prev = s.seg[off+i-1]
 		}
-		t.Write(s.addrFeat(off + i))
 		s.feat[off+i] = s.seg[off+i] - prev
 	}
 }
 
 func (s *ferretState) index(t *sched.Task, qi int) {
 	off := qi * s.dim
+	t.ReadRange(s.addrFeat(off), s.dim)
+	t.WriteRange(s.addrCand(off), s.dim)
 	for i := 0; i < s.dim; i++ {
-		t.Read(s.addrFeat(off + i))
-		t.Write(s.addrCand(off + i))
 		v := s.feat[off+i]
 		if v < 0 {
 			v = -v
@@ -131,8 +133,8 @@ func (s *ferretState) index(t *sched.Task, qi int) {
 func (s *ferretState) rankStage(t *sched.Task, qi int) {
 	off := qi * s.dim
 	var best int32
+	t.ReadRange(s.addrCand(off), s.dim)
 	for i := 0; i < s.dim; i++ {
-		t.Read(s.addrCand(off + i))
 		if s.cand[off+i] > best {
 			best = s.cand[off+i]
 		}

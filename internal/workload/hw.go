@@ -73,8 +73,8 @@ func (s *hwState) main(t *sched.Task) {
 	npts := s.batches * s.pointsPerBatch
 	for f := 0; f < s.frames; f++ {
 		// "Acquire" the frame serially (writes the image buffer).
+		t.WriteRange(s.addrImg(0), len(s.img))
 		for i := range s.img {
-			t.Write(s.addrImg(i))
 			s.img[i] = pixel(f, i)
 		}
 		// Track all batches in parallel, one future per batch.
@@ -108,8 +108,8 @@ func (s *hwState) track(t *sched.Task, p int) {
 		base = 0
 	}
 	bestOff, bestVal := 0, int32(-1)
+	t.ReadRange(s.addrImg(base), s.window)
 	for o := 0; o < s.window; o++ {
-		t.Read(s.addrImg(base + o))
 		if v := s.img[base+o]; v > bestVal {
 			bestVal = v
 			bestOff = o

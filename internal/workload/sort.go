@@ -66,11 +66,9 @@ func (s *sortState) mergesort(t *sched.Task, lo, hi int, toTmp bool) {
 	if n <= s.b {
 		s.baseSort(t, lo, hi)
 		if toTmp {
-			for i := lo; i < hi; i++ {
-				t.Read(s.addr(i, false))
-				t.Write(s.addr(i, true))
-				s.tmp[i] = s.data[i]
-			}
+			t.ReadRange(s.addr(lo, false), n)
+			t.WriteRange(s.addr(lo, true), n)
+			copy(s.tmp[lo:hi], s.data[lo:hi])
 		}
 		return
 	}
@@ -90,10 +88,8 @@ func (s *sortState) mergesort(t *sched.Task, lo, hi int, toTmp bool) {
 func (s *sortState) baseSort(t *sched.Task, lo, hi int) {
 	seg := s.data[lo:hi]
 	sort.Slice(seg, func(i, j int) bool { return seg[i] < seg[j] })
-	for i := lo; i < hi; i++ {
-		t.Read(s.addr(i, false))
-		t.Write(s.addr(i, false))
-	}
+	t.ReadRange(s.addr(lo, false), hi-lo)
+	t.WriteRange(s.addr(lo, false), hi-lo)
 }
 
 // merge merges src[lo1,hi1) and src[lo2,hi2) into dst starting at out,
@@ -126,6 +122,10 @@ func (s *sortState) merge(t *sched.Task, lo1, hi1, lo2, hi2, out int, srcTmp, ds
 	t.Get(h)
 }
 
+// serialMerge merges src[lo1,hi1) and src[lo2,hi2) into dst from out on.
+// The main loop annotates element by element: which elements it reads
+// again depends on the data. Each tail is a copy, one range of reads and
+// one of writes.
 func (s *sortState) serialMerge(t *sched.Task, lo1, hi1, lo2, hi2, out int, srcTmp, dstTmp bool) {
 	src, dst := s.buf(srcTmp), s.buf(dstTmp)
 	i, j, o := lo1, lo2, out
@@ -143,18 +143,13 @@ func (s *sortState) serialMerge(t *sched.Task, lo1, hi1, lo2, hi2, out int, srcT
 		}
 		o++
 	}
-	for ; i < hi1; i++ {
-		t.Read(s.addr(i, srcTmp))
-		t.Write(s.addr(o, dstTmp))
-		dst[o] = src[i]
-		o++
+	tail := func(lo, hi int) {
+		t.ReadRange(s.addr(lo, srcTmp), hi-lo)
+		t.WriteRange(s.addr(o, dstTmp), hi-lo)
+		o += copy(dst[o:], src[lo:hi])
 	}
-	for ; j < hi2; j++ {
-		t.Read(s.addr(j, srcTmp))
-		t.Write(s.addr(o, dstTmp))
-		dst[o] = src[j]
-		o++
-	}
+	tail(i, hi1)
+	tail(j, hi2)
 }
 
 func (s *sortState) verify() error {

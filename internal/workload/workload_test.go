@@ -5,6 +5,7 @@ import (
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
+	"sforder/internal/obsv"
 	"sforder/internal/sched"
 	"sforder/internal/workload"
 )
@@ -115,6 +116,48 @@ func TestCharacteristicsStable(t *testing.T) {
 				t.Errorf("benchmark has no instrumented accesses: %+v", c1)
 			}
 		})
+	}
+}
+
+// TestAccessCountsPinned pins every benchmark's access multiset at test
+// scale: the Figure 3 read and write counts, and how many of the accesses
+// the shipping history's strand buffers absorb. A kernel may change how
+// it spells its accesses — element by element or as ranges — but a
+// rewrite that changes which accesses it makes fails here.
+func TestAccessCountsPinned(t *testing.T) {
+	want := map[string]struct{ reads, writes, hits int64 }{
+		"mm":       {69632, 4096, 57344},
+		"sort":     {8972, 5000, 3826},
+		"sw":       {24576, 4096, 19440},
+		"hw":       {6272, 6240, 882},
+		"ferret":   {2560, 1544, 504},
+		"spine":    {60, 123, 61},
+		"pipeline": {104, 104, 0},
+		"ksweep":   {492, 28, 384},
+	}
+	for _, b := range append(workload.All(workload.ScaleTest), workload.Extras(workload.ScaleTest)...) {
+		w, ok := want[b.Name]
+		if !ok {
+			t.Errorf("%s: no pinned counts", b.Name)
+			continue
+		}
+		c, err := sched.Run(sched.Options{Serial: true, CountAccesses: true}, b.Make().Main)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(c.Reads) != w.reads || int64(c.Writes) != w.writes {
+			t.Errorf("%s: %d reads and %d writes, pinned %d and %d", b.Name, c.Reads, c.Writes, w.reads, w.writes)
+		}
+		reach := core.NewReach()
+		hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
+		stats := obsv.NewRegistry()
+		hist.RegisterStats(stats)
+		if _, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Checker: hist}, b.Make().Main); err != nil {
+			t.Fatal(err)
+		}
+		if hits := stats.Snapshot()["hist.fastpath_hits"]; hits != w.hits {
+			t.Errorf("%s: the strand buffers absorbed %d accesses, pinned %d", b.Name, hits, w.hits)
+		}
 	}
 }
 

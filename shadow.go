@@ -17,6 +17,7 @@ import (
 //	...
 //	xs.Set(t, i, 42)       // annotates the write and stores
 //	v := xs.Get(t, i)      // annotates the read and loads
+//	xs.GetRange(t, buf, i) // one annotation for len(buf) reads, then copies
 type Array[T any] struct {
 	base uint64
 	data []T
@@ -42,24 +43,49 @@ func (a *Array[T]) Len() int { return len(a.data) }
 // with raw Task.Read/Task.Write annotations.
 func (a *Array[T]) Addr(i int) uint64 { return a.base + uint64(i) }
 
+// Every accessor indexes the slice before it annotates: an index out of
+// range panics having annotated nothing, instead of first recording an
+// access to the shadow address of the next array's element.
+
 // Get reads element i on behalf of t's current strand.
 func (a *Array[T]) Get(t *Task, i int) T {
+	v := a.data[i]
 	t.Read(a.Addr(i))
-	return a.data[i]
+	return v
 }
 
 // Set writes element i on behalf of t's current strand.
 func (a *Array[T]) Set(t *Task, i int, v T) {
+	p := &a.data[i]
 	t.Write(a.Addr(i))
-	a.data[i] = v
+	*p = v
 }
 
 // Update applies f to element i (a read-modify-write: both accesses are
 // annotated).
 func (a *Array[T]) Update(t *Task, i int, f func(T) T) {
+	p := &a.data[i]
 	t.Read(a.Addr(i))
 	t.Write(a.Addr(i))
-	a.data[i] = f(a.data[i])
+	*p = f(*p)
+}
+
+// GetRange copies elements lo, lo+1, … into dst on behalf of t's current
+// strand, with one range annotation (Task.ReadRange) that is the len(dst)
+// reads Get would annotate.
+func (a *Array[T]) GetRange(t *Task, dst []T, lo int) {
+	src := a.data[lo : lo+len(dst)]
+	t.ReadRange(a.Addr(lo), len(dst))
+	copy(dst, src)
+}
+
+// SetRange copies src into elements lo, lo+1, … on behalf of t's current
+// strand, with one range annotation (Task.WriteRange) that is the len(src)
+// writes Set would annotate.
+func (a *Array[T]) SetRange(t *Task, lo int, src []T) {
+	dst := a.data[lo : lo+len(src)]
+	t.WriteRange(a.Addr(lo), len(src))
+	copy(dst, src)
 }
 
 // Raw returns the backing slice without instrumentation — for

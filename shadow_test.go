@@ -61,6 +61,81 @@ func TestArrayDetectsRace(t *testing.T) {
 	}
 }
 
+// TestArrayRanges: GetRange and SetRange copy what Get and Set would, and
+// annotate the same accesses — a range of writes in a future races with
+// the continuation's range of reads on exactly their overlap, across a
+// shadow page boundary.
+func TestArrayRanges(t *testing.T) {
+	xs := sforder.NewArray[int](600)
+	src := make([]int, 300)
+	for i := range src {
+		src[i] = i + 1
+	}
+	got := make([]int, 200)
+	res, err := sforder.Run(sforder.Config{Serial: true}, func(t *sforder.Task) {
+		h := t.Create(func(c *sforder.Task) any {
+			xs.SetRange(c, 100, src) // elements 100..399
+			return nil
+		})
+		xs.GetRange(t, got, 350) // elements 350..549: 50 of them overlap
+		t.Get(h)
+		xs.GetRange(t, got, 200) // ordered after the future by the get
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != src[100+i] {
+			t.Fatalf("GetRange element %d = %d, want %d", 200+i, v, src[100+i])
+		}
+	}
+	if res.RaceCount != 50 {
+		t.Errorf("%d races, want one on each of the 50 overlapping elements", res.RaceCount)
+	}
+	for _, r := range res.Races {
+		if r.Addr < xs.Addr(350) || r.Addr >= xs.Addr(400) {
+			t.Errorf("race on %#x, outside the overlap [%#x, %#x)", r.Addr, xs.Addr(350), xs.Addr(400))
+		}
+	}
+}
+
+// TestArrayOutOfRangeAnnotatesNothing: an accessor given an index past
+// the end panics without annotating anything, so it cannot report a race
+// on the next array's shadow addresses. The panic is recovered inside the
+// program, so the run goes on with whatever the accessor recorded.
+func TestArrayOutOfRangeAnnotatesNothing(t *testing.T) {
+	for name, bad := range map[string]func(*sforder.Task, *sforder.Array[int]){
+		"Get":      func(t *sforder.Task, a *sforder.Array[int]) { a.Get(t, a.Len()) },
+		"Set":      func(t *sforder.Task, a *sforder.Array[int]) { a.Set(t, a.Len(), 1) },
+		"Update":   func(t *sforder.Task, a *sforder.Array[int]) { a.Update(t, a.Len(), func(v int) int { return v }) },
+		"GetRange": func(t *sforder.Task, a *sforder.Array[int]) { a.GetRange(t, make([]int, 2), a.Len()-1) },
+		"SetRange": func(t *sforder.Task, a *sforder.Array[int]) { a.SetRange(t, a.Len()-1, make([]int, 2)) },
+	} {
+		a, next := sforder.NewArray[int](4), sforder.NewArray[int](4)
+		if next.Addr(0) != a.Addr(a.Len()) {
+			t.Fatalf("the arrays are not adjacent: %#x, %#x", a.Addr(a.Len()), next.Addr(0))
+		}
+		panicked := false
+		res, err := sforder.Run(sforder.Config{Workers: 1}, func(t *sforder.Task) {
+			t.Spawn(func(c *sforder.Task) { next.Set(c, 0, 7) })
+			func() {
+				defer func() { panicked = recover() != nil }()
+				bad(t, a)
+			}()
+			t.Sync()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !panicked {
+			t.Errorf("%s past the end did not panic", name)
+		}
+		if res.RaceCount != 0 {
+			t.Errorf("%s past the end reported %v", name, res.Races)
+		}
+	}
+}
+
 func TestNewArrayNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
