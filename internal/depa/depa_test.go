@@ -1,6 +1,7 @@
 package depa_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -104,6 +105,89 @@ func TestRelMatchesReferenceFuzz(t *testing.T) {
 			t.Fatalf("trial %d: Depth mismatch", trial)
 		}
 	}
+}
+
+// relCase decodes FuzzRel's input to a shared prefix and two tails, each
+// shorter than 100 components, so up to three full words and a tail. The
+// second tail starts with the first same components of the first, so
+// the labels can agree past a word boundary; every other component is
+// drawn two bits at a time from comps, and is Cont once comps run out.
+func relCase(npre, na, nb, same uint8, comps []byte) (pre, ta, tb []uint8) {
+	next := 0
+	draw := func(n uint8) []uint8 {
+		out := make([]uint8, n%100)
+		for i := range out {
+			out[i] = depa.Cont
+			if next/4 < len(comps) {
+				out[i] = []uint8{depa.Child, depa.Cont, depa.Sync}[(comps[next/4]>>(2*(next%4))&3)%3]
+			}
+			next++
+		}
+		return out
+	}
+	pre, ta, tb = draw(npre), draw(na), draw(nb)
+	copy(tb, ta[:min(int(same), len(ta))])
+	return pre, ta, tb
+}
+
+// FuzzRel holds Rel and LeftOf to the reference compare over the flat
+// component slices, on labels that share their prefix's chunks (grown
+// from one prefix label, as the substrate grows them) and on labels built
+// independently, where no chunk is shared and the walk must compare
+// content-equal words. Lengths cross the 32-component chunk boundary.
+func FuzzRel(f *testing.F) {
+	// The packed edge cases TestRelMatchesReferenceFuzz draws at random.
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct {
+		pre, a, b, same uint8
+		comps           []byte // drawn at random when nil
+	}{
+		{0, 0, 0, 0, nil},     // root against root
+		{32, 0, 1, 0, nil},    // a proper prefix ending on a word boundary
+		{0, 32, 64, 32, nil},  // a full word against the same word and one more
+		{31, 1, 1, 0, nil},    // one full word each, equal up to its last component
+		{5, 40, 40, 35, nil},  // differing in a later word than the first
+		{0, 40, 5, 0, nil},    // a chain's first word against a label that is all tail
+		{63, 1, 33, 1, nil},   // a tail against the deeper chain's boundary word
+		{64, 32, 31, 31, nil}, // a full word against the tail that is its prefix
+		{33, 99, 99, 98, nil}, // the deepest divergence the decoding allows
+		// Differing in the first of three words and the other way round in
+		// the second: the components repeat Cont, Child, Child, Cont, so
+		// the second tail is the first shifted by two.
+		{3, 70, 70, 10, bytes.Repeat([]byte{0x41}, 36)},
+	} {
+		comps := c.comps
+		if comps == nil {
+			comps = make([]byte, 80)
+			rng.Read(comps)
+		}
+		f.Add(c.pre, c.a, c.b, c.same, comps)
+	}
+	f.Fuzz(func(t *testing.T, npre, na, nb, same uint8, comps []byte) {
+		pre, ta, tb := relCase(npre, na, nb, same, comps)
+		paths := [2][]uint8{cat(pre, ta), cat(pre, tb)}
+		var arena depa.Arena
+		defer arena.Release()
+		lpre := build(&arena, pre)
+		for _, ls := range []struct {
+			how    string
+			labels [2]*depa.Label
+		}{
+			{"shared", [2]*depa.Label{extendFrom(&arena, lpre, ta), extendFrom(&arena, lpre, tb)}},
+			{"unshared", [2]*depa.Label{build(&arena, paths[0]), build(&arena, paths[1])}},
+		} {
+			for _, i := range []int{0, 1} { // both orders
+				x, y := paths[i], paths[1-i]
+				wantEng, wantHeb := refLess(x, y, engOrd), refLess(x, y, hebOrd)
+				if eng, heb, _ := depa.Rel(ls.labels[i], ls.labels[1-i]); eng != wantEng || heb != wantHeb {
+					t.Fatalf("%s: Rel(%v, %v) = (%v, %v), want (%v, %v)", ls.how, x, y, eng, heb, wantEng, wantHeb)
+				}
+				if left, _ := depa.LeftOf(ls.labels[i], ls.labels[1-i]); left != wantEng {
+					t.Fatalf("%s: LeftOf(%v, %v) = %v, want %v", ls.how, x, y, left, wantEng)
+				}
+			}
+		}
+	})
 }
 
 // TestRelUnsharedChains compares labels built by independent Extend

@@ -19,6 +19,8 @@ import (
 //	flush-split    the same with readers of overlapping sub-ranges and a merging writer
 //	locked         one access on the locked path (FastPath off)
 //
+// BenchmarkNewHistory prices a history's creation, one op per history.
+//
 // Every strand precedes every other (serialReach), so no op pays for a
 // race report.
 
@@ -109,6 +111,34 @@ func BenchmarkHistory(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkNewHistory is the history's share of a run's fixed cost, the
+// whole of it on a small program: empty is NewHistory alone, one-page a
+// new history that one strand writes 32 addresses of one page into and
+// closes.
+func BenchmarkNewHistory(b *testing.B) {
+	b.Run("empty", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = NewHistory(Options{Reach: serialReach{}, FastPath: true})
+		}
+	})
+	b.Run("one-page", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
+			s := newStrand(1)
+			for a := uint64(0); a < 32; a++ {
+				h.Write(s, a)
+			}
+			h.StrandClose(s)
+			sink = h
+		}
+	})
+}
+
+// sink keeps a benchmark's history from being optimised away.
+var sink *History
 
 // fill is one strand's accesses in a flush row: every address, one kind.
 type fill struct {

@@ -29,8 +29,23 @@ func TestAccountingSizes(t *testing.T) {
 	if want := int(2 * ptr); pairBytes != want {
 		t.Errorf("lrPair is %d bytes, its fields add up to %d", pairBytes, want)
 	}
-	if got, want := int(unsafe.Sizeof(table{})), int((1<<dirBits)*ptr); got != want {
-		t.Errorf("table is %d bytes, its directory adds up to %d", got, want)
+	// The table is its top array; the chain heads live in the blocks.
+	if want := int((1 << topBits) * ptr); topBytes != want {
+		t.Errorf("table is %d bytes, its top array adds up to %d", topBytes, want)
+	}
+	if want := int((1 << blockBits) * ptr); blockBytes != want {
+		t.Errorf("a directory block is %d bytes, its chain heads add up to %d", blockBytes, want)
+	}
+}
+
+// TestHistoryIsASmallObject: NewHistory runs once per engine.Run and once
+// per replay shard, so a History must stay an allocation of Go's
+// small-object path. With the directory embedded in it, it was 33,000
+// bytes, above the 32 KiB small-object limit: every run took the
+// large-object path and zeroed 32 KiB it mostly never used.
+func TestHistoryIsASmallObject(t *testing.T) {
+	if size := unsafe.Sizeof(History{}); size > 1024 {
+		t.Errorf("History is %d bytes, want at most 1024", size)
 	}
 }
 
@@ -85,13 +100,16 @@ func nothingShared(h *History, locations int) []*sched.Strand {
 
 var memPatterns = []memPattern{
 	// A page of 256 slots is one state: 312 for the page with its index
-	// map, 448 for a state table of 8, one reader; and 2 for the directory.
-	// (Per-slot records cost 66 / 122 / 1144 on these three rows.)
+	// map, 448 for a state table of 8, one reader; and at most 2 for the
+	// directory. (Per-slot records cost 66 / 122 / 1144 on these three
+	// rows.)
 	{"dense stride 1", 1 << 14, writeThenRead(1), 5},
 	// 32 locations to a page, still one state.
 	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), 26},
-	// The directory's 32 KiB over 32 locations, as in racy-small.
-	{"one 32-address page", 32, writeThenRead(1), 1048},
+	// As in racy-small: the top array and the one directory block the page
+	// hashes into (512 B each), the page, its state table and one reader,
+	// over 32 locations. (With the whole 32 KiB directory: 1048.)
+	{"one 32-address page", 32, writeThenRead(1), 64},
 	// A state (56), a reader (8) and an index byte per slot, 2 for the page
 	// header and the directory: per-slot records cost 66 here. The state
 	// table must end at the 256 entries it can use, not where append's

@@ -13,18 +13,26 @@ import (
 
 // table is the access history's shadow memory, the paper's layout (§4): a
 // two-level table that acts like a direct-mapped cache. The first level
-// is a fixed-size directory indexed by a hash of the page number; the
-// second level is a page of location slots indexed directly by the
-// address's low bits. Each page carries one lock, so a lock covers a
-// contiguous subset of the history — the paper's fine-grained-locking
-// granularity, and the unit the batched fast path flushes at. Directory
-// collisions chain pages (the paper can evict like a real cache; a race
-// detector that must not miss races cannot, so we chain).
+// is a directory indexed by a hash of the page number; the second level
+// is a page of location slots indexed directly by the address's low bits.
+// Each page carries one lock, so a lock covers a contiguous subset of the
+// history — the paper's fine-grained-locking granularity, and the unit the
+// batched fast path flushes at. Directory collisions chain pages (the
+// paper can evict like a real cache; a race detector that must not miss
+// races cannot, so we chain).
+//
+// The directory is sparse: the hash's top bits pick one of 64 top slots,
+// each pointing at a block of chain heads that is allocated the first
+// time a page hashes into it, so a run pays for the directory it touches
+// — 1 KiB for a program on one page, the whole 32 KiB only once pages
+// land in every block. A block is published by CAS (a loser adopts the
+// winner's) and is never freed or moved, which is why the directory
+// needs no resize: the hash and its chains are the same at any size.
 //
 // Directory slots are atomic pointers with CAS insertion at the chain
 // head, so page lookup — once per flushed batch, or per access on the
 // locked path — is lock-free; only a losing CAS (two workers creating the
-// same page at once) retries.
+// same page or block at once) retries.
 // A page's num and next fields are immutable once the page is published,
 // so chain walks need no synchronization beyond the slot load.
 //
@@ -38,14 +46,20 @@ import (
 // updated in place only when every slot pointing at it takes the update,
 // and copied first otherwise (DESIGN.md §4).
 type table struct {
-	dir [1 << dirBits]atomic.Pointer[page]
+	top [1 << topBits]atomic.Pointer[dirBlock]
 }
 
+// dirBlock is one block of the directory: the chain heads of the pages
+// whose hash starts with its top slot's bits.
+type dirBlock [1 << blockBits]atomic.Pointer[page]
+
 const (
-	dirBits  = 12       // 4096 directory slots
-	pageBits = PageBits // 256 locations per page
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
+	dirBits   = 12                // 4096 chain heads
+	topBits   = 6                 // 64 top slots
+	blockBits = dirBits - topBits // 64 chain heads a block
+	pageBits  = PageBits          // 256 locations per page
+	pageSize  = 1 << pageBits
+	pageMask  = pageSize - 1
 )
 
 type page struct {
@@ -82,6 +96,8 @@ type lrPair struct {
 // a live state owns a slot — so an index fits idx's byte.
 const noState = 0xffff
 
+// dirSlot is page pageNum's chain head: its top bits pick the directory
+// block, the rest the head within it.
 func dirSlot(pageNum uint64) int {
 	return int((pageNum * 0x9e3779b97f4a7c15) >> (64 - dirBits))
 }
@@ -96,12 +112,17 @@ func (p *page) find(num uint64) *page {
 	return nil
 }
 
-// pageFor finds or creates the page numbered num, lock-free: walk the
-// chain, and if the page is missing CAS a new one in at the head. A lost
-// CAS means another worker changed the head — rewalk (the page may now
-// exist) and retry.
+// pageFor finds or creates the page numbered num, lock-free: find its
+// directory block (creating it if need be), walk the chain, and if the
+// page is missing CAS a new one in at the head. A lost CAS means another
+// worker changed the head — rewalk (the page may now exist) and retry.
 func (t *table) pageFor(num uint64) *page {
-	sp := &t.dir[dirSlot(num)]
+	h := dirSlot(num)
+	b := t.top[h>>blockBits].Load()
+	if b == nil {
+		b = t.newBlock(h >> blockBits)
+	}
+	sp := &b[h&(1<<blockBits-1)]
 	for {
 		head := sp.Load()
 		if p := head.find(num); p != nil {
@@ -113,6 +134,16 @@ func (t *table) pageFor(num uint64) *page {
 			return np
 		}
 	}
+}
+
+// newBlock publishes an empty directory block in top slot i, or adopts
+// the one another worker published first.
+func (t *table) newBlock(i int) *dirBlock {
+	b := new(dirBlock)
+	if t.top[i].CompareAndSwap(nil, b) {
+		return b
+	}
+	return t.top[i].Load()
 }
 
 // newState returns the index of an empty state with no slots yet, a dead
@@ -214,33 +245,47 @@ func (p *page) move(set *SlotSet, head uint16) {
 	}
 }
 
+// forEachBlock visits every allocated directory block.
+func (t *table) forEachBlock(fn func(*dirBlock)) {
+	for i := range t.top {
+		if b := t.top[i].Load(); b != nil {
+			fn(b)
+		}
+	}
+}
+
 // forEachPage visits every page under its lock; used by the accounting
 // methods, not the hot path.
 func (t *table) forEachPage(fn func(*page)) {
-	for i := range t.dir {
-		for p := t.dir[i].Load(); p != nil; p = p.next {
-			p.mu.Lock()
-			fn(p)
-			p.mu.Unlock()
+	t.forEachBlock(func(b *dirBlock) {
+		for i := range b {
+			for p := b[i].Load(); p != nil; p = p.next {
+				p.mu.Lock()
+				fn(p)
+				p.mu.Unlock()
+			}
 		}
-	}
+	})
 }
 
 // The accounting sizes are the real struct sizes, so MemBytes cannot
 // drift as the structs evolve (sizes_test.go pins the expected values).
 const (
+	topBytes   = int(unsafe.Sizeof(table{}))
+	blockBytes = int(unsafe.Sizeof(dirBlock{}))
 	pageBytes  = int(unsafe.Sizeof(page{}))
 	stateBytes = int(unsafe.Sizeof(state{}))
 	pairBytes  = int(unsafe.Sizeof(lrPair{}))
 	ptrBytes   = int(unsafe.Sizeof(uintptr(0)))
 )
 
-// memBytes is the table's heap footprint: the directory, every page with
-// its index map, its state table at capacity, and the reader slices of
-// live and dead states at capacity, plus the LR pairs (their map's buckets
-// are not modelled).
+// memBytes is the table's heap footprint: the top array, every allocated
+// directory block, every page with its index map, its state table at
+// capacity, and the reader slices of live and dead states at capacity,
+// plus the LR pairs (their map's buckets are not modelled).
 func (t *table) memBytes() int {
-	total := int(unsafe.Sizeof(*t))
+	total := topBytes
+	t.forEachBlock(func(*dirBlock) { total += blockBytes })
 	t.forEachPage(func(p *page) {
 		total += pageBytes + stateBytes*cap(p.states)
 		for i := range p.states {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sforder/internal/detect"
 	"sforder/internal/sched"
@@ -125,5 +126,76 @@ func TestTableConcurrentPageCreation(t *testing.T) {
 	}
 	if want := uint64(pages * goroutines); h.RaceCount() != want {
 		t.Fatalf("RaceCount = %d, want %d (one per address)", h.RaceCount(), want)
+	}
+}
+
+// TestTableConcurrentBlockCreation hammers the directory's on-demand
+// blocks: on a fresh history, goroutines first-touch pages in every block
+// at once, each in its own order but all starting on the same page, so
+// they race to publish the same blocks and chain heads. No page may be
+// lost — a writer afterwards finds one race per address — and every block
+// must be counted once, however many goroutines tried to create it.
+func TestTableConcurrentBlockCreation(t *testing.T) {
+	const goroutines = 8
+	const perBlock = 4
+	// perBlock pages in every block; 256 of them, so that an odd
+	// multiplier permutes their indices.
+	var pages []uint64
+	inBlock := make([]int, detect.DirBlocks)
+	for p := uint64(0); len(pages) < perBlock*detect.DirBlocks; p++ {
+		if b := detect.DirBlockOf(p); inBlock[b] < perBlock {
+			inBlock[b]++
+			pages = append(pages, p)
+		}
+	}
+	ptr := int(unsafe.Sizeof(uintptr(0)))
+	// A page read on eight slots by eight parallel strands holds nine
+	// states (a table of 16) and eight one-reader slices.
+	pageModel := detect.PageBytes + 16*detect.StateBytes + goroutines*ptr
+	fut := &sched.FutureTask{ID: 0}
+	for round := 0; round < 10; round++ {
+		h := newParallelHistory()
+		if h.MemBytes() != detect.TopBytes {
+			t.Fatalf("an empty history counts %d bytes, want its top array's %d", h.MemBytes(), detect.TopBytes)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(id uint64) {
+				defer wg.Done()
+				s := &sched.Strand{ID: 1 + id, Fut: fut}
+				<-start
+				for i := range pages {
+					h.Read(s, pages[i*int(2*id+1)%len(pages)]<<8|id) // distinct slot per goroutine: no races
+				}
+			}(uint64(g))
+		}
+		close(start)
+		wg.Wait()
+		if h.RaceCount() != 0 {
+			t.Fatalf("round %d: distinct addresses reported racy: %d", round, h.RaceCount())
+		}
+		w := &sched.Strand{ID: 0, Fut: fut}
+		for _, p := range pages {
+			for id := uint64(0); id < goroutines; id++ {
+				h.Write(w, p<<8|id)
+			}
+		}
+		if want := uint64(len(pages) * goroutines); h.RaceCount() != want {
+			t.Fatalf("round %d: RaceCount = %d, want %d (one per address)", round, h.RaceCount(), want)
+		}
+		want := detect.TopBytes + detect.DirBlocks*detect.BlockBytes + len(pages)*pageModel
+		if got := h.MemBytes(); got != want {
+			t.Fatalf("round %d: MemBytes = %d, want %d: the top array, %d blocks and %d pages",
+				round, got, want, detect.DirBlocks, len(pages))
+		}
+	}
+
+	// One page, one block: a written page holds two states of a table of 8.
+	h := newParallelHistory()
+	h.Write(&sched.Strand{ID: 0, Fut: fut}, 5)
+	if got, want := h.MemBytes(), detect.TopBytes+detect.BlockBytes+detect.PageBytes+8*detect.StateBytes; got != want {
+		t.Errorf("a history on one page counts %d bytes, want %d: the top array, one block, the page and its states", got, want)
 	}
 }

@@ -223,6 +223,8 @@ var accessPaths = []accessPath{
 // single accesses, so the same counts and RaceCount, and a capture that
 // decodes to the same (strand, address, kind) set — not the same bytes,
 // since a range reaches the early-flush bound at a page, not an access.
+// And every cell ends with as many goroutines as it started with: no
+// worker, loader or shard outlives its run or replay.
 func TestLatticeAgainstOracle(t *testing.T) {
 	type row struct {
 		det      engine.Detector
@@ -267,6 +269,7 @@ func TestLatticeAgainstOracle(t *testing.T) {
 					deterministic := r.det == engine.SFOrder && ex.workers <= 1
 					name := fmt.Sprintf("%v-%v/%s/%v/locked=%v", r.det, r.reach, ex.name, policy, locked)
 					t.Run(name, func(t *testing.T) {
+						defer checkGoroutines(t, runtime.NumGoroutine(), "the cell's runs and replays")
 						for _, p := range programs {
 							if r.forkJoin && !p.forkJoin {
 								continue
@@ -528,13 +531,19 @@ func TestPanickingMainKeepsItsRaces(t *testing.T) {
 		}
 		strands = strands[:0]
 	}
-	// A worker's deferred Done runs an instant before its goroutine is
-	// gone, so allow the count a moment to settle.
+	checkGoroutines(t, before, "the runs")
+}
+
+// checkGoroutines fails t unless the goroutine count is back at before
+// within two seconds. A worker's deferred Done runs an instant before its
+// goroutine is gone, so the count is given a moment to settle.
+func checkGoroutines(t *testing.T, before int, what string) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines before the runs, %d after: workers leaked", before, after)
+		t.Errorf("%d goroutines before %s, %d after: goroutines leaked", before, what, after)
 	}
 }
