@@ -1,8 +1,9 @@
-// Command sfgen generates random structured-future programs, executes
-// them under a chosen detector, validates the recorded dag against the
-// structured-future restrictions, and cross-checks the detector's racy
-// locations against the exhaustive oracle — a standalone fuzzing tool
-// for the detector stack.
+// Command sfgen generates random structured-future programs, records
+// each one's dag in a serial run, validates it against the
+// structured-future restrictions, and cross-checks the racy locations
+// the chosen detector reports — assembled by engine.Run in its shipping
+// configuration — against the exhaustive oracle: a standalone fuzzing
+// tool for the detector stack.
 //
 //	sfgen -seeds 100                    # fuzz 100 random programs
 //	sfgen -seed 7 -dot                  # print one program's dag as DOT
@@ -13,12 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
-	"sforder/internal/core"
 	"sforder/internal/dag"
-	"sforder/internal/detect"
-	"sforder/internal/forder"
-	"sforder/internal/multibags"
+	"sforder/internal/engine"
 	"sforder/internal/oracle"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
@@ -43,10 +42,19 @@ func main() {
 		validateSaved(*load)
 		return
 	}
+	d, ok := map[string]engine.Detector{
+		"sforder":   engine.SFOrder,
+		"forder":    engine.FOrder,
+		"multibags": engine.MultiBags,
+	}[*detector]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "sfgen: unknown detector %q\n", *detector)
+		os.Exit(2)
+	}
 
 	bad := 0
 	for s := *seed; s < *seed+int64(*seeds); s++ {
-		if !fuzzOne(s, *depth, *ops, *addrs, *detector, *dot, *save, *verbose) {
+		if !fuzzOne(s, *depth, *ops, *addrs, d, *dot, *save, *verbose) {
 			bad++
 		}
 	}
@@ -55,24 +63,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("sfgen: %d seeds ok\n", *seeds)
-}
-
-type reachComponent interface {
-	sched.Tracer
-	detect.Reachability
-}
-
-type multiChecker []sched.AccessChecker
-
-func (m multiChecker) Read(s *sched.Strand, addr uint64) {
-	for _, c := range m {
-		c.Read(s, addr)
-	}
-}
-func (m multiChecker) Write(s *sched.Strand, addr uint64) {
-	for _, c := range m {
-		c.Write(s, addr)
-	}
 }
 
 // validateSaved loads a dag saved with -save, revalidates the SF
@@ -98,32 +88,15 @@ func validateSaved(path string) {
 		path, g.NumNodes(), g.NumFutures()-1, work, span)
 }
 
-func fuzzOne(seed int64, depth, ops, addrs int, detector string, dot bool, save string, verbose bool) bool {
+func fuzzOne(seed int64, depth, ops, addrs int, d engine.Detector, dot bool, save string, verbose bool) bool {
 	p := progen.New(progen.Config{Seed: seed, MaxDepth: depth, MaxOps: ops, Addrs: addrs})
 
-	var reach reachComponent
-	switch detector {
-	case "sforder":
-		reach = core.NewReach()
-	case "forder":
-		reach = forder.NewReach()
-	case "multibags":
-		reach = multibags.NewReach()
-	default:
-		fmt.Fprintf(os.Stderr, "sfgen: unknown detector %q\n", detector)
-		os.Exit(2)
-	}
-
-	hist := detect.NewHistory(detect.Options{Reach: reach})
+	// The oracle's verdict comes from a serial run that records the dag
+	// and logs every access.
 	rec := dag.NewRecorder()
 	log := oracle.NewLogger()
-	_, err := sched.Run(sched.Options{
-		Serial:  true,
-		Tracer:  sched.MultiTracer{reach, rec},
-		Checker: multiChecker{hist, log},
-	}, p.Main())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seed %d: run failed: %v\n", seed, err)
+	if _, err := sched.Run(sched.Options{Serial: true, Tracer: rec, Checker: log}, p.Main()); err != nil {
+		fmt.Fprintf(os.Stderr, "seed %d: oracle run failed: %v\n", seed, err)
 		return false
 	}
 
@@ -150,23 +123,18 @@ func fuzzOne(seed int64, depth, ops, addrs int, detector string, dot bool, save 
 		}
 	}
 
-	got, want := hist.RacyAddrs(), log.RacyAddrs(rec)
-	ok := len(got) == len(want)
-	if ok {
-		for i := range got {
-			if got[i] != want[i] {
-				ok = false
-				break
-			}
-		}
+	res, err := engine.Run(engine.Config{Detector: d}, p.Main())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seed %d: %v run failed: %v\n", seed, d, err)
+		return false
 	}
-	if !ok {
+	if got, want := res.RacyAddrs, log.RacyAddrs(rec); !slices.Equal(got, want) {
 		fmt.Fprintf(os.Stderr, "seed %d: detector %v != oracle %v\n", seed, got, want)
 		return false
 	}
 	if verbose {
 		fmt.Printf("seed %-6d futures=%-4d nodes=%-5d accesses=%-6d racyAddrs=%v\n",
-			seed, rec.G.NumFutures()-1, rec.G.NumNodes(), log.Accesses(), want)
+			seed, rec.G.NumFutures()-1, rec.G.NumNodes(), log.Accesses(), res.RacyAddrs)
 	}
 	return true
 }

@@ -78,7 +78,7 @@ func (c *mtChecker) expr(e ast.Expr, s mtState) mtState {
 		return s
 	}
 	s = s.clone()
-	inspectShallow(e, func(n ast.Node) bool {
+	InspectShallow(e, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

@@ -31,10 +31,10 @@ import (
 
 func checkUnannotatedSharing(p *Package, f *ast.File, report reporter) {
 	for _, fs := range functionsOf(f) {
-		if hasAnnotations(p.Info, fs.body) {
+		if HasAnnotations(p.Info, fs.body) {
 			continue
 		}
-		inspectShallow(fs.body, func(n ast.Node) bool {
+		InspectShallow(fs.body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -49,9 +49,11 @@ func checkUnannotatedSharing(p *Package, f *ast.File, report reporter) {
 	}
 }
 
-// hasAnnotations reports whether any Task.Read/Task.Write call occurs
-// anywhere under n, nested function literals included.
-func hasAnnotations(info *types.Info, n ast.Node) bool {
+// HasAnnotations reports whether any Task.Read/Task.Write call occurs
+// anywhere under n, nested function literals included. SF003, SF005 and
+// sfinstr all leave such a function alone: its author is annotating by
+// hand.
+func HasAnnotations(info *types.Info, n ast.Node) bool {
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {
 		if found {
@@ -72,7 +74,7 @@ func hasAnnotations(info *types.Info, n ast.Node) bool {
 // outside fn.
 func checkClosureSharing(p *Package, fs funcScope, fn *ast.FuncLit, report reporter) {
 	param := TaskParamOf(p.Info, fn)
-	if param != nil && taskParamEscapes(p.Info, fn, param) {
+	if param != nil && TaskEscapes(p.Info, fn.Body, param) {
 		return
 	}
 	seen := map[*types.Var]bool{}
@@ -106,18 +108,18 @@ func checkClosureSharing(p *Package, fs funcScope, fn *ast.FuncLit, report repor
 	})
 }
 
-// taskParamEscapes reports whether the closure's Task parameter is used
-// anywhere other than as the receiver of a classified API call (or the
+// TaskEscapes reports whether the Task parameter param is used anywhere
+// in body other than as the receiver of a classified API call (or the
 // task argument of GetTyped) — e.g. passed to a helper function, which
-// may annotate on the closure's behalf.
-func taskParamEscapes(info *types.Info, fn *ast.FuncLit, param *types.Var) bool {
+// may annotate on the body's behalf.
+func TaskEscapes(info *types.Info, body ast.Node, param *types.Var) bool {
 	uses, allowed := 0, 0
 	countRecv := func(e ast.Expr) {
 		if id, ok := ast.Unparen(e).(*ast.Ident); ok && info.Uses[id] == param {
 			allowed++
 		}
 	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == param {
 			uses++
 		}

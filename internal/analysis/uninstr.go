@@ -30,10 +30,7 @@ func checkUninstrumentable(p *Package, f *ast.File, report reporter) {
 		if param == nil {
 			continue // no Task in scope: sfinstr does not rewrite here
 		}
-		if hasAnnotations(p.Info, fs.body) {
-			continue
-		}
-		if taskEscapesIn(p.Info, fs.body, param) {
+		if HasAnnotations(p.Info, fs.body) || TaskEscapes(p.Info, fs.body, param) {
 			continue
 		}
 		scanUninstrumentable(p, loc, fs.body, report)
@@ -60,34 +57,6 @@ func scopeTaskParam(p *Package, fs funcScope) *types.Var {
 	return nil
 }
 
-// taskEscapesIn generalizes the SF003 exemption to any body: the Task
-// parameter used other than as the receiver of a classified API call
-// may annotate interprocedurally.
-func taskEscapesIn(info *types.Info, body ast.Node, param *types.Var) bool {
-	uses, allowed := 0, 0
-	countRecv := func(e ast.Expr) {
-		if id, ok := ast.Unparen(e).(*ast.Ident); ok && info.Uses[id] == param {
-			allowed++
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == param {
-			uses++
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sc, ok := ClassifyCall(info, call); ok {
-				if sc.Recv != nil {
-					countRecv(sc.Recv)
-				} else if len(call.Args) > 0 {
-					countRecv(call.Args[0]) // GetTyped(t, h)
-				}
-			}
-		}
-		return true
-	})
-	return uses > allowed
-}
-
 // scanUninstrumentable flags unattributable shared memory ops in one
 // scope (nested literals excluded — they are scopes of their own).
 func scanUninstrumentable(p *Package, loc *Locality, body ast.Node, report reporter) {
@@ -109,7 +78,7 @@ func scanUninstrumentable(p *Package, loc *Locality, body ast.Node, report repor
 		flagged = append(flagged, n)
 		report(n.Pos(), "SF005", format, args...)
 	}
-	inspectShallow(body, func(n ast.Node) bool {
+	InspectShallow(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
 			if IsReflectMutation(p.Info, x) {

@@ -168,9 +168,9 @@ func functionsOf(f *ast.File) []funcScope {
 	return out
 }
 
-// inspectShallow walks the subtree rooted at n but does not descend
+// InspectShallow walks the subtree rooted at n but does not descend
 // into function literals (their bodies are separate analysis scopes).
-func inspectShallow(n ast.Node, visit func(ast.Node) bool) {
+func InspectShallow(n ast.Node, visit func(ast.Node) bool) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok && m != n {
 			return false

@@ -54,10 +54,9 @@ import (
 // substrate position, a union so the record stays at 24 bytes for
 // every backend (a size test pins it): under SubstrateOM they are the
 // English and Hebrew om.Item pointers; under SubstrateDePa p0 is the
-// cord fork-path label and p1 is nil (until PR 24, 2026-10-03, a third
-// substrate kept a packed flat copy of shallow labels there:
-// EXPERIMENTS ABL10/ABL11). Only the substrate that wrote a node ever
-// reads its position, so the union needs no tag.
+// cord fork-path label and p1 is nil (EXPERIMENTS ABL10/ABL11 has the
+// substrate that once kept a second label there). Only the substrate
+// that wrote a node ever reads its position, so the union needs no tag.
 type node struct {
 	p0, p1 unsafe.Pointer
 	gp     *bitset.RunSet // future IDs F with last(F) ⇝NSP here (shared)

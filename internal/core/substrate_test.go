@@ -40,8 +40,8 @@ func TestParseSubstrate(t *testing.T) {
 		{"om", core.SubstrateOM, false},
 		{"", core.SubstrateOM, false},
 		{"depa", core.SubstrateDePa, false},
-		// The third -reach value until PR 24, in two halves so that a
-		// grep for the deleted substrate over the sources stays empty.
+		// The deleted third -reach value (EXPERIMENTS ABL10/ABL11), in
+		// two halves so that a grep for it over the sources stays empty.
 		{"hy" + "brid", core.SubstrateOM, true},
 		{"interval", core.SubstrateOM, true},
 	} {

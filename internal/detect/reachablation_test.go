@@ -129,8 +129,8 @@ func TestReachSubstrateAdversarialSpine(t *testing.T) {
 	}
 }
 
-// TestCordSpineEfficiency pins the PR 8 acceptance numbers on the
-// spine at depth 1500, full mode: the PR 7 flat representation put
+// TestCordSpineEfficiency pins the cords' numbers on the spine at depth
+// 1500, full mode (EXPERIMENTS ABL10/ABL11): the flat representation put
 // 1,005,824 bytes into labels and averaged ~24 compare words per
 // query; the prefix-sharing cords must cut both by at least 10x
 // (≤ 100,582 bytes, mean ≤ 2.39 words). The cord arithmetic says
@@ -152,7 +152,7 @@ func TestCordSpineEfficiency(t *testing.T) {
 	}
 	s := res.Stats
 	if mem := s["depa.label_mem_bytes"]; mem == 0 || mem > 100_582 {
-		t.Errorf("%v: label_mem_bytes = %d, want (0, 100582] (10x under PR 7's 1005824)", sub, mem)
+		t.Errorf("%v: label_mem_bytes = %d, want (0, 100582] (10x under the flat labels' 1005824)", sub, mem)
 	}
 	cmps, words := s["depa.compares"], s["depa.compare_words"]
 	if cmps == 0 {
@@ -160,7 +160,7 @@ func TestCordSpineEfficiency(t *testing.T) {
 	}
 	// mean = words/cmps ≤ 2.39, checked in integers.
 	if words*100 > cmps*239 {
-		t.Errorf("%v: mean compare words = %d/%d ≈ %.2f, want <= 2.39 (10x under PR 7's ~23.9)",
+		t.Errorf("%v: mean compare words = %d/%d ≈ %.2f, want <= 2.39 (10x under the flat labels' ~23.9)",
 			sub, words, cmps, float64(words)/float64(cmps))
 	}
 	if s["depa.chunks"] == 0 {

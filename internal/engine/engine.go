@@ -3,9 +3,9 @@
 // MultiBags, WSP-Order, or none) is paired with an access history and a
 // scheduler run, with the recorder, the stats registry and the timeline
 // attached where asked. The public API (package sforder), the evaluation
-// harness and cmd/sforder all run through Run; the zero Config is the
-// shipping configuration — SF-Order on the OM substrate, the lock-avoiding
-// history, ReadersAll.
+// harness, cmd/sforder and cmd/sfgen all run through Run; the zero Config
+// is the shipping configuration — SF-Order on the OM substrate, the
+// lock-avoiding history, ReadersAll.
 package engine
 
 import (

@@ -423,7 +423,7 @@ func TestRejectedConfigs(t *testing.T) {
 }
 
 // TestUnknownSubstrateRejected: a Reach that names no substrate — 2 was
-// one until PR 24, and a caller may have stored the number — is a
+// one (EXPERIMENTS ABL10/ABL11), and a caller may have stored it — is a
 // configuration error at every entry point that assembles a core.Reach,
 // not a silent run on the OM lists.
 func TestUnknownSubstrateRejected(t *testing.T) {

@@ -240,27 +240,6 @@ func (r *fileRewriter) markerIn(lo, hi token.Pos) bool {
 	return false
 }
 
-// handAnnotated reports whether body (nested literals included) already
-// carries Task.Read/Task.Write calls. Mirroring SF003/SF005: the author
-// is annotating by hand, and mixing machine annotations into a
-// hand-annotated protocol would double-count some accesses and imply
-// coverage of others.
-func (r *fileRewriter) handAnnotated(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sc, ok := analysis.ClassifyCall(r.pkg.Info, call); ok && (sc.Kind == analysis.CallRead || sc.Kind == analysis.CallWrite) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // litRole classifies how a function literal relates to the enclosing
 // task scope.
 type litRole int
@@ -278,7 +257,9 @@ func (r *fileRewriter) rewriteFunc(body *ast.BlockStmt, sc scope) {
 	if r.markerIn(body.Pos(), body.End()) {
 		return // previously instrumented; idempotent no-op
 	}
-	if sc.task != "" && r.handAnnotated(body) {
+	// Mixing machine annotations into a hand-annotated protocol would
+	// double-count some accesses and imply coverage of others.
+	if sc.task != "" && analysis.HasAnnotations(r.pkg.Info, body) {
 		r.skip(body.Pos(), "", "function already carries hand annotations; left untouched")
 		return
 	}
@@ -660,7 +641,7 @@ func (r *fileRewriter) stmtAccesses(s ast.Stmt) (reads, writes []ast.Expr) {
 func (r *fileRewriter) simple(s ast.Stmt, sc scope, anchor token.Pos, canBefore bool, afterPos token.Pos, afterInline bool) {
 	// Parity with SF005: reflect-based mutations have no address to
 	// take, in rewrite mode as in analysis mode.
-	shallowInspect(s, func(n ast.Node) bool {
+	analysis.InspectShallow(s, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok && analysis.IsReflectMutation(r.pkg.Info, call) {
 			r.skip(call.Pos(), r.exprText(call), "reflect-based memory operation; not attributable")
 		}
@@ -893,7 +874,7 @@ func (r *fileRewriter) emit(n ast.Node, sc scope, pl place, readEs, writeEs []as
 // (Get/Create/Spawn/Sync) under n, shallowly, in source order.
 func (r *fileRewriter) advancingCalls(n ast.Node) []*ast.CallExpr {
 	var out []*ast.CallExpr
-	shallowInspect(n, func(m ast.Node) bool {
+	analysis.InspectShallow(n, func(m ast.Node) bool {
 		if call, ok := m.(*ast.CallExpr); ok {
 			if c, ok := analysis.ClassifyCall(r.pkg.Info, call); ok && c.Kind.Advances() {
 				out = append(out, call)
@@ -1074,15 +1055,4 @@ func exprType(info *types.Info, e ast.Expr) types.Type {
 		return tv.Type
 	}
 	return nil
-}
-
-// shallowInspect walks the subtree rooted at n without descending into
-// function literals (their bodies are separate scopes).
-func shallowInspect(n ast.Node, visit func(ast.Node) bool) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok && m != n {
-			return false
-		}
-		return visit(m)
-	})
 }

@@ -517,8 +517,8 @@ func (l *List) assignTopLabel(nb *bucket) {
 // renumbering across the whole label space; when even that cannot open
 // gaps — every label in [0, bound) is packed — it escalates by widening
 // the bound to the hard ceiling and spreading across the widened space
-// instead of giving up. (Until PR 7 this last case was a
-// `panic("om: label space exhausted")`.) The caller holds l.maint and
+// instead of giving up (this last case used to panic; EXPERIMENTS
+// ABL10/ABL11 has the history). The caller holds l.maint and
 // has already entered the seqlock write section, so concurrent Precedes
 // readers re-validate against the rewritten labels exactly as for any
 // other renumbering.

@@ -7,6 +7,7 @@ import (
 
 	"sforder/internal/accbuf"
 	"sforder/internal/dag"
+	"sforder/internal/obsv"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
 )
@@ -31,11 +32,11 @@ func TestProgramsAreStructured(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	p := progen.New(progen.Config{Seed: 5, MaxDepth: 4, MaxOps: 8})
 	main := p.Main()
-	c1, err := sched.Run(sched.Options{Serial: true, CountAccesses: true}, main)
+	c1, err := sched.Run(sched.Options{Serial: true, Stats: obsv.NewRegistry()}, main)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := sched.Run(sched.Options{Serial: true, CountAccesses: true}, main)
+	c2, err := sched.Run(sched.Options{Serial: true, Stats: obsv.NewRegistry()}, main)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestScheduleIndependentShape(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8})
-		cs, err := sched.Run(sched.Options{Serial: true, CountAccesses: true}, p.Main())
+		cs, err := sched.Run(sched.Options{Serial: true, Stats: obsv.NewRegistry()}, p.Main())
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, err := sched.Run(sched.Options{Workers: 4, CountAccesses: true}, p.Main())
+		cp, err := sched.Run(sched.Options{Workers: 4, Stats: obsv.NewRegistry()}, p.Main())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sforder/internal/detect"
+	"sforder/internal/obsv"
 	"sforder/internal/sched"
 )
 
@@ -101,7 +102,7 @@ func BenchmarkTaskAccess(b *testing.B) {
 	})
 	h := history()
 	b.Run("interposed-hit", hits(sched.Options{Checker: wrapped{h, h}}))
-	b.Run("counted-hit", hits(sched.Options{Checker: history(), CountAccesses: true}))
+	b.Run("counted-hit", hits(sched.Options{Checker: history(), Stats: obsv.NewRegistry()}))
 
 	// ranges times ReadRange(lo, n) for lo = start, start+n, … up to
 	// start+span, then over again — on a new strand each time when kept.

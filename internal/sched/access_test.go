@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sforder/internal/accbuf"
+	"sforder/internal/obsv"
 	"sforder/internal/sched"
 )
 
@@ -75,7 +76,7 @@ func TestOnlyCoveredAccessesAreSkipped(t *testing.T) {
 	}{
 		{"skipping", func(c *buffering) sched.Options { return sched.Options{Checker: c} }, true, kept},
 		{"checker says no", func(c *buffering) sched.Options { return sched.Options{Checker: c} }, false, all},
-		{"counting", func(c *buffering) sched.Options { return sched.Options{Checker: c, CountAccesses: true} }, true, all},
+		{"counting", func(c *buffering) sched.Options { return sched.Options{Checker: c, Stats: obsv.NewRegistry()} }, true, all},
 		{"wrapped", func(c *buffering) sched.Options { return sched.Options{Checker: wrapped{c, c}} }, true, all},
 	} {
 		for _, serial := range []bool{true, false} {
@@ -89,7 +90,7 @@ func TestOnlyCoveredAccessesAreSkipped(t *testing.T) {
 			if got := c.calls.Load(); got != tc.calls {
 				t.Errorf("%s, serial=%v: the checker got %d of %d accesses, want %d", tc.name, serial, got, all, tc.calls)
 			}
-			if opts.CountAccesses && (counts.Reads != 3*addrs*rounds || counts.Writes != 2*addrs*rounds) {
+			if opts.Stats != nil && (counts.Reads != 3*addrs*rounds || counts.Writes != 2*addrs*rounds) {
 				t.Errorf("%s, serial=%v: counted %d reads and %d writes, the program makes %d and %d",
 					tc.name, serial, counts.Reads, counts.Writes, 3*addrs*rounds, 2*addrs*rounds)
 			}
@@ -135,7 +136,7 @@ func TestRangesReachTheChecker(t *testing.T) {
 	} {
 		c.calls.Store(0)
 		c.ranges.Store(0)
-		counts, err := sched.Run(sched.Options{Serial: true, Checker: tc.checker, CountAccesses: true}, main)
+		counts, err := sched.Run(sched.Options{Serial: true, Checker: tc.checker, Stats: obsv.NewRegistry()}, main)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ type Strand struct {
 	Rec any                  // recorder payload (owned by the dag recorder)
 	Buf *accbuf.StrandBuffer // access buffer (owned by the AccessChecker; nil once closed)
 	// Keeps a Strand at 72 bytes: in the 64-byte size class dag-futures'
-	// reach_overhead_t1 reads 5-7% worse (EXPERIMENTS, ABL7 PR 23).
+	// reach_overhead_t1 reads 5-7% worse (EXPERIMENTS ABL7).
 	_ uint64
 
 	label atomic.Pointer[string] // optional user label, see Task.Label
@@ -193,7 +193,7 @@ type StrandCloser interface {
 // already covers. If Options.Checker itself implements it (a wrapper does
 // not, and so sees every access) and SkipCovered reports true when Run
 // starts, Task.Read and Write return on a covered access without calling
-// the checker — unless the run counts accesses (CountAccesses, or Stats).
+// the checker — unless the run counts accesses (Options.Stats).
 type CoveredSkipper interface {
 	SkipCovered() bool
 }
@@ -262,10 +262,6 @@ type Options struct {
 	// Checker receives instrumented memory accesses; nil disables them
 	// (the "base" and "reach" configurations).
 	Checker AccessChecker
-	// CountAccesses enables the read/write counters (Figure 3
-	// characterization runs). Off by default so baseline timing runs pay
-	// no per-access atomic cost.
-	CountAccesses bool
 	// CheckStructure enables the on-the-fly structured-futures checker:
 	// every Create and Get additionally verifies the SF restrictions
 	// (paper §2) in O(1) per operation — single-touch with full
@@ -285,7 +281,9 @@ type Options struct {
 	Aux Tracer
 	// Stats, when non-nil, receives the engine's execution counters as
 	// live gauges under sched.* names at the start of Run; the registry
-	// may be snapshotted while the run is in flight. Nil costs nothing.
+	// may be snapshotted while the run is in flight. It also turns on the
+	// read/write counters (sched.reads/sched.writes, Figure 3), so a nil
+	// registry leaves baseline timing runs free of per-access atomics.
 	Stats *obsv.Registry
 	// Trace, when non-nil, receives the strand timeline in Chrome
 	// trace-event form: a B/E pair bracketing each strand's lifetime
@@ -324,6 +322,7 @@ type engine struct {
 	checker    AccessChecker
 	closer     StrandCloser      // non-nil when the checker wants strand-close hooks
 	check      bool              // Options.CheckStructure, hoisted for the hot paths
+	count      bool              // Options.Stats != nil: Task.Read/Write count accesses
 	skip       bool              // accesses Strand.Buf covers end in Task.Read/Write (CoveredSkipper)
 	trace      *obsv.TraceWriter // Options.Trace, consulted for steal instants
 
@@ -359,6 +358,7 @@ func Run(opts Options, main func(*Task)) (Counts, error) {
 		tracer:  opts.Tracer,
 		checker: opts.Checker,
 		check:   opts.CheckStructure,
+		count:   opts.Stats != nil,
 		trace:   opts.Trace,
 		abortCh: make(chan struct{}),
 	}
@@ -406,13 +406,10 @@ func Run(opts Options, main func(*Task)) (Counts, error) {
 		}
 	}
 	if opts.Stats != nil {
-		// The registry publishes sched.reads/sched.writes, so attaching
-		// one implies counting accesses.
-		e.opts.CountAccesses = true
 		e.registerStats(opts.Stats)
 	}
 	if c, ok := opts.Checker.(CoveredSkipper); ok {
-		e.skip = c.SkipCovered() && !e.opts.CountAccesses
+		e.skip = c.SkipCovered() && !e.count
 	}
 	rootFut := e.newFuture(nil)
 	rootStrand := e.newStrand(rootFut)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sforder/internal/dag"
+	"sforder/internal/obsv"
 	"sforder/internal/sched"
 )
 
@@ -199,7 +200,7 @@ func TestDeepGetChain(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	counts, err := sched.Run(sched.Options{Serial: true, CountAccesses: true}, func(t *sched.Task) {
+	counts, err := sched.Run(sched.Options{Serial: true, Stats: obsv.NewRegistry()}, func(t *sched.Task) {
 		t.Spawn(func(c *sched.Task) { c.Write(1) })
 		t.Sync()
 		h := t.Create(func(c *sched.Task) any { c.Read(1); c.Read(2); return nil })
@@ -214,10 +215,10 @@ func TestCounts(t *testing.T) {
 	if counts.Reads != 2 || counts.Writes != 1 {
 		t.Errorf("access counts = %+v", counts)
 	}
-	// Without CountAccesses the read/write counters stay zero.
+	// Without a stats registry the read/write counters stay zero.
 	counts, _ = sched.Run(sched.Options{Serial: true}, func(t *sched.Task) { t.Read(1) })
 	if counts.Reads != 0 {
-		t.Error("CountAccesses=false must not count reads")
+		t.Error("a run without Stats must not count reads")
 	}
 }
 

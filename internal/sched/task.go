@@ -303,7 +303,7 @@ func (t *Task) implicitSync() *Strand {
 // (CoveredSkipper), one that the strand's buffer already covers ends here.
 func (t *Task) Read(addr uint64) {
 	e := t.eng
-	if e.opts.CountAccesses {
+	if e.count {
 		e.cReads.Add(1)
 	}
 	if e.checker != nil {
@@ -317,7 +317,7 @@ func (t *Task) Read(addr uint64) {
 // Write is Read for an instrumented write.
 func (t *Task) Write(addr uint64) {
 	e := t.eng
-	if e.opts.CountAccesses {
+	if e.count {
 		e.cWrites.Add(1)
 	}
 	if e.checker != nil {
@@ -341,7 +341,7 @@ func (t *Task) accessRange(addr uint64, n int, kind accbuf.AccessKind) {
 		return
 	}
 	e := t.eng
-	if e.opts.CountAccesses {
+	if e.count {
 		if kind == accbuf.AccessRead {
 			e.cReads.Add(uint64(n))
 		} else {

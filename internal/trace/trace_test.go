@@ -113,7 +113,7 @@ func TestCaptureRoundTrip(t *testing.T) {
 			}
 		}
 		if c.Entries == 0 && counts.Reads+counts.Writes > 0 {
-			// Engine access counters are off without CountAccesses, so
+			// Engine access counters are off without a stats registry, so
 			// only assert when they were counted. (They are not here;
 			// keep the branch for documentation.)
 			t.Fatalf("seed %d: accesses ran but none captured", seed)

@@ -93,11 +93,11 @@ func TestCharacteristicsStable(t *testing.T) {
 	for _, b := range append(workload.All(workload.ScaleTest), workload.Extras(workload.ScaleTest)...) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			c1, err := sched.Run(sched.Options{Serial: true, CountAccesses: true}, b.Make().Main)
+			c1, err := sched.Run(sched.Options{Serial: true, Stats: obsv.NewRegistry()}, b.Make().Main)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c2, err := sched.Run(sched.Options{Workers: 4, CountAccesses: true}, b.Make().Main)
+			c2, err := sched.Run(sched.Options{Workers: 4, Stats: obsv.NewRegistry()}, b.Make().Main)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestAccessCountsPinned(t *testing.T) {
 			t.Errorf("%s: no pinned counts", b.Name)
 			continue
 		}
-		c, err := sched.Run(sched.Options{Serial: true, CountAccesses: true}, b.Make().Main)
+		c, err := sched.Run(sched.Options{Serial: true, Stats: obsv.NewRegistry()}, b.Make().Main)
 		if err != nil {
 			t.Fatal(err)
 		}
