@@ -17,6 +17,7 @@ import (
 //	flush-run      the same over tile rows, a strand's slots all of one state
 //	flush-scatter  the same with a state per slot, what sharing can at worst cost
 //	flush-split    the same with readers of overlapping sub-ranges and a merging writer
+//	flush-sparse   the same with a strand's three slots on three pages, what racy-small flushes
 //	locked         one access on the locked path (FastPath off)
 //
 // BenchmarkNewHistory prices a history's creation, one op per history.
@@ -91,6 +92,7 @@ func BenchmarkHistory(b *testing.B) {
 		{"flush-run", tileFills()},
 		{"flush-scatter", scatterFills()},
 		{"flush-split", splitFills()},
+		{"flush-sparse", sparseFills()},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			cycle, entries := flushCycle(row.fills)
@@ -202,6 +204,20 @@ func splitFills() []fill {
 	}
 }
 
+// sparseFills is flush-sparse: 96 strands, two reading and the third
+// writing, each touching three slots a third of benchAddrs apart, so every
+// page application is of one slot, as on small generated programs.
+func sparseFills() (fs []fill) {
+	for k := uint64(0); k < 96; k++ {
+		kind := AccessRead
+		if k%3 == 2 {
+			kind = AccessWrite
+		}
+		fs = append(fs, fill{kind, span(k*7, benchAddrs, benchAddrs/3)})
+	}
+	return fs
+}
+
 // flushCycle returns a function that runs one strand-close flush per fill,
 // in order, and the number of entries one call applies. The buffers are
 // filled and drained once; a call applies what they handed out again, page
@@ -237,7 +253,7 @@ func flushCycle(fills []fill) (cycle func(), entries int) {
 // have grown, applying a batch allocates nothing — no snapshot, no table
 // entry — whether it updates states in place or splits and merges them.
 func TestFlushSteadyStateAllocs(t *testing.T) {
-	for _, fills := range [][]fill{denseFills(), tileFills(), splitFills()} {
+	for _, fills := range [][]fill{denseFills(), tileFills(), splitFills(), sparseFills()} {
 		cycle, entries := flushCycle(fills)
 		for warm := 0; warm < 4; warm++ {
 			cycle()

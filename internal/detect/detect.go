@@ -389,11 +389,7 @@ func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
 	st := &p.states[to]
 	st.writer, st.reader, st.readers, st.pairs, st.n = s, nil, st.readers[:0], nil, total
 	if moved {
-		for w, word := range set {
-			for ; word != 0; word &= word - 1 {
-				p.idx[w<<6|bits.TrailingZeros64(word)] = uint8(to)
-			}
-		}
+		p.point(set, to)
 	}
 	if h.countLocks {
 		h.groupOps.Add(groups)
@@ -428,7 +424,7 @@ func (h *History) checkWrite(p *page, set *SlotSet, i uint16, s *sched.Strand) {
 func (h *History) reportGroup(p *page, set *SlotSet, i uint16, prev *sched.Strand, prevKind AccessKind, cur *sched.Strand, curKind AccessKind) {
 	for w, word := range set {
 		for ; word != 0; word &= word - 1 {
-			if slot := w<<6 | bits.TrailingZeros64(word); uint16(p.idx[slot]) == i {
+			if slot := w<<6 | bits.TrailingZeros64(word); p.stateOf(slot) == i {
 				h.report(p.num<<pageBits|uint64(slot), prev, prevKind, cur, curKind)
 			}
 		}

@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -181,8 +182,8 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 			}
 		}
 		owned := map[uint16]int{}
-		for slot, b := range p.idx {
-			i := uint16(b)
+		for slot := range pageSize {
+			i := p.stateOf(slot)
 			if !live[i] {
 				t.Fatalf("%s: page %#x slot %d points at dead state %d", step, p.num, slot, i)
 			}
@@ -312,4 +313,133 @@ func TestSharedStatesMatchPerSlotReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWordHelpers checks the kernel's word arithmetic exhaustively: the
+// byte mask of every byte of slots, and which slots of an idx word one
+// mask says point at one state.
+func TestWordHelpers(t *testing.T) {
+	x := uint64(0x0707_0003_0700_0307) // slots 0..7 of a word: states 7 3 0 7 3 0 7 7
+	for m := uint64(0); m < 256; m++ {
+		var want uint64
+		for b := range 8 {
+			if m>>b&1 != 0 {
+				want |= 0xff << (8 * b)
+			}
+		}
+		if got := byteMask[m]; got != want {
+			t.Fatalf("byteMask[%#x] = %#x, want %#x", m, got, want)
+		}
+		if m == 0 {
+			continue
+		}
+		first := x >> (8 * bits.TrailingZeros64(m)) & 0xff
+		wantOK := bits.OnesCount64(m) > 1 // a lone slot is walked, not compared
+		for b := range 8 {
+			if m>>b&1 != 0 && x>>(8*b)&0xff != first {
+				wantOK = false
+			}
+		}
+		if i, ok := uniform(x, m); ok != wantOK || ok && i != first {
+			t.Fatalf("uniform(%#x, %#x) = %d, %v; want %d, %v", x, m, i, ok, first, wantOK)
+		}
+	}
+	var p page
+	p.idx[3] = x
+	for b, want := range []uint16{7, 3, 0, 7, 3, 0, 7, 7} {
+		if got := p.stateOf(3*8 + b); got != want {
+			t.Errorf("stateOf(%d) = %d, want %d", 3*8+b, got, want)
+		}
+	}
+}
+
+// FuzzApplyPage holds the page kernel — group, split, move and point, which
+// take a page's slots eight and 64 at a time — against the per-slot
+// reference on sets of every shape: whole words, runs that start and end
+// inside a byte, strides that put two or three states in one byte, and raw
+// bit patterns. Each input is a sequence of ApplyPage calls by six strands
+// of three futures on two pages, under both reader policies and an
+// arbitrary fixed order; every page and location is compared after every
+// call.
+func FuzzApplyPage(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 255, 0, 9, 1, 0, 255, 1, 2, 1, 0, 255, 0})
+	f.Add([]byte{3, 2, 5, 2, 40, 0, 10, 1, 3, 0, 1, 60, 130, 2, 17, 3, 90, 0, 0, 1, 0, 255, 1})
+	f.Add([]byte{7, 3, 0x0f, 0xf0, 0xff, 0, 0x55, 0xaa, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 255, 0, 12, 2, 0, 1, 200, 1, 0, 255, 0})
+	f.Add([]byte{1, 1, 4, 7, 1, 0, 2, 1, 8, 33, 0, 1, 1, 20, 50, 0, 3, 1, 6, 3, 30, 2, 9, 0, 1, 0, 255, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 512 {
+			return
+		}
+		rel := fixedRelation{uint64(data[0])}
+		futs := []*sched.FutureTask{{ID: 0}, {ID: 1}, {ID: 2}}
+		strands := make([]*sched.Strand, 6)
+		for i := range strands {
+			strands[i] = &sched.Strand{ID: uint64(i), Fut: futs[i%len(futs)]}
+		}
+		for _, policy := range []ReaderPolicy{ReadersAll, ReadersLR} {
+			opts := Options{Reach: rel, Policy: policy, LeftOf: rel.LeftOf}
+			h, ref := NewHistory(opts), newRefHistory(opts)
+			for rest := data[1:]; len(rest) > 0; {
+				op := rest[0]
+				var reads, writes SlotSet
+				reads, rest = decodeSlotSet(rest[1:])
+				writes, rest = decodeSlotSet(rest)
+				s, num := strands[int(op&7)%len(strands)], uint64(op>>3&1)
+				h.ApplyPage(s, num, &reads, &writes)
+				for kind, set := range [2]*SlotSet{&reads, &writes} {
+					for slot := range pageSize {
+						if set[slot>>6]>>(slot&63)&1 != 0 {
+							ref.access(s, num<<pageBits|uint64(slot), AccessKind(kind))
+						}
+					}
+				}
+				ref.flush(s)
+				checkPages(t, h, ref, policy.String())
+			}
+		}
+	})
+}
+
+// decodeSlotSet reads one set off data: a form byte and its operands. A
+// form is empty, a run (start, length), a stride (start, step 1–8, count)
+// or raw words (32 bytes); a short input ends the set where it runs out.
+func decodeSlotSet(data []byte) (set SlotSet, rest []byte) {
+	next := func() (int, bool) {
+		if len(data) == 0 {
+			return 0, false
+		}
+		b := int(data[0])
+		data = data[1:]
+		return b, true
+	}
+	add := func(slot int) { set[slot>>6] |= 1 << (slot & 63) }
+	form, ok := next()
+	if !ok {
+		return set, data
+	}
+	switch form % 4 {
+	case 1:
+		lo, _ := next()
+		n, _ := next()
+		for slot := lo; slot <= min(lo+n, pageSize-1); slot++ {
+			add(slot)
+		}
+	case 2:
+		lo, _ := next()
+		step, _ := next()
+		n, _ := next()
+		for slot := lo; n >= 0 && slot < pageSize; slot, n = slot+1+step%8, n-1 {
+			add(slot)
+		}
+	case 3:
+		for slot := 0; slot < pageSize; slot += 8 {
+			b, ok := next()
+			if !ok {
+				break
+			}
+			set[slot>>6] |= uint64(b) << (slot & 63)
+		}
+	}
+	return set, data
 }

@@ -66,10 +66,11 @@ type page struct {
 	mu   sync.Mutex
 	num  uint64 // addr >> pageBits
 	next *page  // directory-collision chain; immutable after publication
-	// Guarded by mu: idx maps a slot to its state, and the slots of a
-	// fresh page all point at states[0], the history of an untouched
-	// location. free heads the list of dead states, chained by link.
-	idx    [pageSize]uint8
+	// Guarded by mu: idx maps a slot to its state, a byte a slot and
+	// eight to a word (stateOf), and the slots of a fresh page all point
+	// at states[0], the history of an untouched location. free heads the
+	// list of dead states, chained by link.
+	idx    [pageSize / 8]uint64
 	states []state
 	free   uint16
 }
@@ -174,43 +175,130 @@ func (p *page) release(i uint16) {
 	p.free = i
 }
 
+// The slot indexes are read and written a word at a time: idx packs eight
+// slots' state indexes into a word, byte b of idx[k] naming slot 8k+b's
+// state, so a byte of a SlotSet word (eight slots) meets one word of idx
+// and a whole SlotSet word (64 slots) eight.
+const ones = 0x0101010101010101 // times a byte: that byte in every byte of a word
+
+// stateOf returns the index of the state slot points at.
+func (p *page) stateOf(slot int) uint16 {
+	return uint16(uint8(p.idx[slot>>3] >> (slot & 7 * 8)))
+}
+
+// byteMask[m] widens the eight bits of m to the eight bytes of a word:
+// byte b is 0xff if bit b of m is set and 0 if it is clear.
+var byteMask = func() (t [256]uint64) {
+	for m := range t {
+		for b := range 8 {
+			if m>>b&1 != 0 {
+				t[m] |= 0xff << (8 * b)
+			}
+		}
+	}
+	return t
+}()
+
+// nextByte splits the lowest non-zero byte off word, a non-zero SlotSet
+// word: its position k, its bits m — slots 8k to 8k+7 of the word's 64,
+// the ones idx word 8w+k indexes — and the rest of the word.
+func nextByte(word uint64) (k int, m, rest uint64) {
+	k = bits.TrailingZeros64(word) >> 3
+	sh := k * 8 & 63
+	return k, word >> sh & 0xff, word &^ (0xff << sh)
+}
+
+// uniform reports whether the slots of m's bits in idx word x, two or
+// more, all point at one state, and which. A lone slot, the common byte of
+// a sparse set, takes the per-slot walk instead: it has nothing to share.
+func uniform(x, m uint64) (i uint64, ok bool) {
+	if m&(m-1) == 0 {
+		return 0, false
+	}
+	i = x >> (bits.TrailingZeros64(m) * 8 & 63) & 0xff
+	return i, (x^i*ones)&byteMask[m] == 0
+}
+
+// grouping is group's cursor: the chain built so far, and the state of the
+// run of slots being counted, which is added to its state's hit count when
+// the run ends. Neighbouring slots mostly share their state, so a run is
+// counted in a register and a state touched once per run.
+type grouping struct {
+	head, tail, cur, run uint16
+}
+
+// add counts n more slots of p's state i. The cursor is a value, so that
+// it stays in registers.
+func (g grouping) add(p *page, i, n uint16) grouping {
+	if i != g.cur {
+		g = g.end(p)
+		g.cur, g.run = i, 0
+	}
+	g.run += n
+	return g
+}
+
+// end adds the run to its state, chaining the state if the run is its
+// first.
+func (g grouping) end(p *page) grouping {
+	if g.run == 0 {
+		return g
+	}
+	st := &p.states[g.cur]
+	if st.hit == 0 {
+		st.link = noState
+		if g.tail == noState {
+			g.head = g.cur
+		} else {
+			p.states[g.tail].link = g.cur
+		}
+		g.tail = g.cur
+	}
+	st.hit += g.run
+	return g
+}
+
 // group counts, for every state, the slots of set pointing at it (hit) and
 // chains the states it found through link, in order of their first slot.
 // It returns the head of the chain. The caller holds p.mu and zeroes the
-// hit counts again.
+// hit counts again. A set word whose 64 slots all point at one state is
+// one step, and so is a byte of it whose slots do.
 func (p *page) group(set *SlotSet) (head uint16) {
-	head, tail := uint16(noState), uint16(noState)
-	// Neighbouring slots mostly share their state: count a run of one
-	// index in a register, and touch the state when the index changes.
-	cur, run := uint16(noState), uint16(0)
-	commit := func() {
-		st := &p.states[cur]
-		if st.hit == 0 {
-			st.link = noState
-			if tail == noState {
-				head = cur
-			} else {
-				p.states[tail].link = cur
-			}
-			tail = cur
-		}
-		st.hit += run
-	}
+	g := grouping{head: noState, tail: noState, cur: noState}
 	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			if i := uint16(p.idx[(w<<6|bits.TrailingZeros64(word))&pageMask]); i != cur {
-				if run > 0 {
-					commit()
-				}
-				cur, run = i, 0
+		if word == ^uint64(0) {
+			if i, ok := p.uniform64(w); ok {
+				g = g.add(p, uint16(i), 64)
+				continue
 			}
-			run++
+		}
+		for word != 0 {
+			k, m, rest := nextByte(word)
+			word = rest
+			x := p.idx[w*8+k]
+			if i, ok := uniform(x, m); ok {
+				g = g.add(p, uint16(i), uint16(bits.OnesCount64(m)))
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				g = g.add(p, uint16(x>>(bits.TrailingZeros64(m)*8&63)&0xff), 1)
+			}
 		}
 	}
-	if run > 0 {
-		commit()
+	return g.end(p).head
+}
+
+// uniform64 reports whether the 64 slots of SlotSet word w all point at
+// one state, and which.
+func (p *page) uniform64(w int) (i uint64, ok bool) {
+	ws := (*[8]uint64)(p.idx[w*8:])
+	x := ws[0]
+	i = x & 0xff
+	diff := x ^ i*ones
+	for _, y := range ws[1:] {
+		diff |= y ^ x
 	}
-	return head
+	return i, diff == 0
 }
 
 // split moves hit of state i's slots to a copy of it, which it returns;
@@ -230,18 +318,49 @@ func (p *page) split(i, hit uint16) uint16 {
 }
 
 // move repoints every slot of set whose state was split at the copy, and
-// clears the marks on the chain from head.
+// clears the marks on the chain from head. The eight slots of a byte of
+// set that point at one state move with one masked store.
 func (p *page) move(set *SlotSet, head uint16) {
 	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			slot := w<<6 | bits.TrailingZeros64(word)
-			if to := p.states[p.idx[slot]].to; to != noState {
-				p.idx[slot] = uint8(to)
+		for word != 0 {
+			k, m, rest := nextByte(word)
+			word = rest
+			x := &p.idx[w*8+k]
+			if i, ok := uniform(*x, m); ok {
+				if to := p.states[i].to; to != noState {
+					bm := byteMask[m]
+					*x = *x&^bm | uint64(to)*ones&bm
+				}
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				sh := bits.TrailingZeros64(m) * 8 & 63
+				if to := p.states[*x>>sh&0xff].to; to != noState {
+					*x = *x&^(0xff<<sh) | uint64(to)<<sh
+				}
 			}
 		}
 	}
 	for i := head; i != noState; i = p.states[i].link {
 		p.states[i].to = noState
+	}
+}
+
+// point repoints every slot of set at state to: a whole set word is eight
+// stores, a byte of it one masked store.
+func (p *page) point(set *SlotSet, to uint16) {
+	b := uint64(to) * ones
+	for w, word := range set {
+		if word == ^uint64(0) {
+			*(*[8]uint64)(p.idx[w*8:]) = [8]uint64{b, b, b, b, b, b, b, b}
+			continue
+		}
+		for word != 0 {
+			k, m, rest := nextByte(word)
+			word = rest
+			bm := byteMask[m]
+			p.idx[w*8+k] = p.idx[w*8+k]&^bm | b&bm
+		}
 	}
 }
 
