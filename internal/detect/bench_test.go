@@ -19,11 +19,14 @@ import (
 //	flush-split    the same with readers of overlapping sub-ranges and a merging writer
 //	flush-sparse   the same with a strand's three slots on three pages, what racy-small flushes
 //	locked         one access on the locked path (FastPath off)
+//	report         one flushed entry racing at an address not yet racy, its record retained
+//	report-capped  one flushed entry racing once the cap is full, so only counted
 //
 // BenchmarkNewHistory prices a history's creation, one op per history.
 //
-// Every strand precedes every other (serialReach), so no op pays for a
-// race report.
+// Every strand precedes every other (serialReach), so no op but the
+// report rows' pays for a race report; there no two strands are ordered
+// (parallelReach).
 
 // benchAddrs is a strand's footprint in the batched rows: under batchCap,
 // so the only flush is the one at strand close, and four pages' worth.
@@ -112,7 +115,59 @@ func BenchmarkHistory(b *testing.B) {
 			p.run(AccessRead, AccessRead, AccessRead, AccessWrite)
 		}
 	})
+	b.Run("report", func(b *testing.B) {
+		// A batch of histories whose one page a first strand wrote whole,
+		// made untimed; then eight parallel strands each write a fresh
+		// quarter-word of it, every slot a race at an address not yet
+		// racy, the 256 records exactly the default cap.
+		hs := make([]*History, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(hs) * pageSize {
+			b.StopTimer()
+			for k := range hs {
+				hs[k] = NewHistory(Options{Reach: parallelReach{}})
+				hs[k].ApplyPage(newStrand(0), 0, &SlotSet{}, &reportSets[0])
+			}
+			b.StartTimer()
+			for _, h := range hs {
+				for j := range reportSets[1:] {
+					h.ApplyPage(newStrand(uint64(1+j)), 0, &SlotSet{}, &reportSets[1+j])
+				}
+			}
+		}
+	})
+	b.Run("report-capped", func(b *testing.B) {
+		// The same writes, strand after strand on one history whose cap
+		// is full: every entry races with the last writer of its slots.
+		h := NewHistory(Options{Reach: parallelReach{}})
+		h.ApplyPage(newStrand(0), 0, &SlotSet{}, &reportSets[0])
+		strands := make([]*sched.Strand, 8*len(reportSets[1:]))
+		for j := range strands {
+			strands[j] = newStrand(uint64(1 + j))
+		}
+		for j, s := range strands[:len(reportSets[1:])] {
+			h.ApplyPage(s, 0, &SlotSet{}, &reportSets[1+j])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(strands) * pageSize / 8 {
+			for j, s := range strands {
+				h.ApplyPage(s, 0, &SlotSet{}, &reportSets[1+j%8])
+			}
+		}
+	})
 }
+
+// reportSets are the report rows' write sets: a whole page, then its eight
+// quarter-words of 32 slots.
+var reportSets = func() (sets [9]SlotSet) {
+	sets[0] = SlotSet{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	for j := range 8 {
+		sets[1+j][j/2] = 0xffffffff << (j % 2 * 32)
+	}
+	return sets
+}()
 
 // BenchmarkNewHistory is the history's share of a run's fixed cost, the
 // whole of it on a small program: empty is NewHistory alone, one-page a

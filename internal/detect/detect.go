@@ -24,7 +24,7 @@ package detect
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -180,11 +180,10 @@ type History struct {
 	stateSplits  atomic.Uint64
 
 	raceCount atomic.Uint64
+	racyCount atomic.Int64 // distinct racy addresses: the bits of every page's racy set
 	raceMu    sync.Mutex
-	races     []Race
-	retained  atomic.Int64 // len(races), readable without raceMu
-	racySet   sync.Map     // addr → true; stored under raceMu, loaded lock-free
-	racyCount atomic.Int64 // number of distinct racy addresses
+	chunks    []*[chunkRaces]Race // the retained records in report order, appended under raceMu
+	retained  atomic.Int64        // records in chunks; stored under raceMu, loaded without it
 }
 
 // NewHistory returns an empty access history.
@@ -199,43 +198,6 @@ func NewHistory(opts Options) *History {
 		opts.MaxRaces = 256
 	}
 	return &History{opts: opts}
-}
-
-func (h *History) report(addr uint64, prev *sched.Strand, prevKind AccessKind, cur *sched.Strand, curKind AccessKind) {
-	h.raceCount.Add(1)
-	// Lock-free early return when this report cannot change anything:
-	// the address is already known racy and either dedup suppresses the
-	// record or the detailed-record cap is full. Keeps the hot path of
-	// systematically racy programs off raceMu entirely.
-	if _, known := h.racySet.Load(addr); known {
-		if h.opts.DedupByAddr || int(h.retained.Load()) >= h.opts.MaxRaces {
-			return
-		}
-	}
-	h.raceMu.Lock()
-	if _, loaded := h.racySet.LoadOrStore(addr, true); loaded {
-		if h.opts.DedupByAddr {
-			h.raceMu.Unlock()
-			return
-		}
-	} else {
-		h.racyCount.Add(1)
-	}
-	if len(h.races) < h.opts.MaxRaces {
-		h.races = append(h.races, Race{
-			Addr:       addr,
-			PrevStrand: prev.ID,
-			CurStrand:  cur.ID,
-			PrevFuture: prev.Fut.ID,
-			CurFuture:  cur.Fut.ID,
-			Prev:       prevKind,
-			Cur:        curKind,
-			PrevLabel:  prev.Label(),
-			CurLabel:   cur.Label(),
-		})
-		h.retained.Store(int64(len(h.races)))
-	}
-	h.raceMu.Unlock()
 }
 
 // Read implements sched.AccessChecker: check against the last writer, then
@@ -420,40 +382,89 @@ func (h *History) checkWrite(p *page, set *SlotSet, i uint16, s *sched.Strand) {
 
 // reportGroup reports the race between prev's recorded access and cur's
 // on every slot of set that points at state i: a verdict is per state, a
-// race is per address. Only the report path pays for the loop.
+// race is per address. The caller holds the page lock, which guards the
+// racy set, so a group is an atomic add to each count and a masked OR a
+// word; only records still to be retained — under the cap, and under
+// DedupByAddr at newly racy slots only — take raceMu.
 func (h *History) reportGroup(p *page, set *SlotSet, i uint16, prev *sched.Strand, prevKind AccessKind, cur *sched.Strand, curKind AccessKind) {
+	if p.racy == nil {
+		p.racy = new(SlotSet)
+	}
+	var keep SlotSet
+	n, fresh := 0, 0
 	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			if slot := w<<6 | bits.TrailingZeros64(word); p.stateOf(slot) == i {
-				h.report(p.num<<pageBits|uint64(slot), prev, prevKind, cur, curKind)
-			}
+		hit := p.hits(w, word, i)
+		newly := hit &^ p.racy[w]
+		p.racy[w] |= hit
+		n += bits.OnesCount64(hit)
+		fresh += bits.OnesCount64(newly)
+		keep[w] = hit
+		if h.opts.DedupByAddr {
+			keep[w] = newly
 		}
 	}
+	h.raceCount.Add(uint64(n))
+	if fresh > 0 {
+		h.racyCount.Add(int64(fresh))
+	}
+	if keep != (SlotSet{}) && int(h.retained.Load()) < h.opts.MaxRaces {
+		h.retain(p.num, &keep, Race{PrevStrand: prev.ID, CurStrand: cur.ID, PrevFuture: prev.Fut.ID, CurFuture: cur.Fut.ID,
+			Prev: prevKind, Cur: curKind, PrevLabel: prev.Label(), CurLabel: cur.Label()})
+	}
+}
+
+// chunkRaces is the size of a chunk of retained records: the list grows a
+// chunk at a time and never copies a record.
+const chunkRaces = 32
+
+// retain appends race r at each slot of keep on page num, in slot order,
+// until MaxRaces records are retained.
+func (h *History) retain(num uint64, keep *SlotSet, r Race) {
+	h.raceMu.Lock()
+	n := int(h.retained.Load())
+	for w, word := range keep {
+		for ; word != 0 && n < h.opts.MaxRaces; word &= word - 1 {
+			if n%chunkRaces == 0 {
+				h.chunks = append(h.chunks, new([chunkRaces]Race))
+			}
+			r.Addr = num<<pageBits | uint64(w<<6|bits.TrailingZeros64(word))
+			h.chunks[n/chunkRaces][n%chunkRaces] = r
+			n++
+		}
+	}
+	h.retained.Store(int64(n))
+	h.raceMu.Unlock()
 }
 
 // RaceCount returns the total number of races reported (including ones
 // past the detailed-record cap).
 func (h *History) RaceCount() uint64 { return h.raceCount.Load() }
 
-// Races returns the retained detailed race records.
+// Races returns the retained detailed race records, in report order.
 func (h *History) Races() []Race {
-	out := make([]Race, 0, int(h.retained.Load()))
 	h.raceMu.Lock()
-	out = append(out, h.races...)
-	h.raceMu.Unlock()
+	defer h.raceMu.Unlock()
+	n := int(h.retained.Load())
+	out := make([]Race, 0, n)
+	for _, c := range h.chunks {
+		out = append(out, c[:min(chunkRaces, n-len(out))]...)
+	}
 	return out
 }
 
 // RacyAddrs returns the sorted set of addresses on which at least one
 // race was reported — the location-level ground truth the tests compare
-// against the oracle. Reads the lock-free racy set; no raceMu needed.
+// against the oracle, read off the pages' racy sets under their locks.
 func (h *History) RacyAddrs() []uint64 {
 	out := make([]uint64, 0, int(h.racyCount.Load()))
-	h.racySet.Range(func(k, _ any) bool {
-		out = append(out, k.(uint64))
-		return true
+	h.tbl.forEachPage(func(p *page) {
+		for w := 0; p.racy != nil && w < len(p.racy); w++ {
+			for word := p.racy[w]; word != 0; word &= word - 1 {
+				out = append(out, p.num<<pageBits|uint64(w<<6|bits.TrailingZeros64(word)))
+			}
+		}
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -7,6 +7,7 @@ const (
 	TopBytes   = topBytes
 	BlockBytes = blockBytes
 	PageBytes  = pageBytes
+	RacyBytes  = racyBytes
 	StateBytes = stateBytes
 )
 

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math/bits"
@@ -15,7 +16,8 @@ import (
 // the same history point at one state, and Algorithm 1 runs once per state
 // a flush touches. These tests hold the abbreviation against the thing it
 // abbreviates — a map from address to that address's own record, updated
-// one access at a time exactly as the paper states the algorithm.
+// one access at a time exactly as the paper states the algorithm, and
+// reporting each race with the same record.
 
 // refLoc is one location's history in the per-slot reference.
 type refLoc struct {
@@ -37,10 +39,15 @@ type refHistory struct {
 	reach  Reachability
 	policy ReaderPolicy
 	leftOf func(a, b *sched.Strand) bool
-	dedup  bool
+	dedup  bool // the strand buffer's subsumption rule (FastPath)
 	locs   map[uint64]*refLoc
 	races  uint64
 	racy   map[uint64]bool
+	// How often each race was reported, and what the history should
+	// retain of them: at most maxRaces records, one per address if byAddr.
+	reports  map[Race]int
+	maxRaces int
+	byAddr   bool
 	// Per strand: the kinds already kept per address, and the kept
 	// accesses not yet applied.
 	seen    map[*sched.Strand]map[uint64]uint8
@@ -50,6 +57,7 @@ type refHistory struct {
 func newRefHistory(opts Options) *refHistory {
 	return &refHistory{
 		reach: opts.Reach, policy: opts.Policy, leftOf: opts.LeftOf, dedup: opts.FastPath,
+		reports: map[Race]int{}, maxRaces: cmp.Or(opts.MaxRaces, 256), byAddr: opts.DedupByAddr,
 		locs: map[uint64]*refLoc{}, racy: map[uint64]bool{},
 		seen: map[*sched.Strand]map[uint64]uint8{}, pending: map[*sched.Strand][]bufEntry{},
 	}
@@ -67,9 +75,11 @@ func (r *refHistory) access(s *sched.Strand, addr uint64, kind AccessKind) {
 	r.pending[s] = append(r.pending[s], bufEntry{addr, kind})
 }
 
-func (r *refHistory) report(addr uint64) {
+func (r *refHistory) report(addr uint64, prev *sched.Strand, prevKind AccessKind, cur *sched.Strand, curKind AccessKind) {
 	r.races++
 	r.racy[addr] = true
+	r.reports[Race{Addr: addr, PrevStrand: prev.ID, CurStrand: cur.ID,
+		PrevFuture: prev.Fut.ID, CurFuture: cur.Fut.ID, Prev: prevKind, Cur: curKind}]++
 }
 
 // flush applies s's pending accesses, one location at a time.
@@ -81,7 +91,7 @@ func (r *refHistory) flush(s *sched.Strand) {
 			r.locs[e.addr] = l
 		}
 		if w := l.writer; w != nil && w != s && !r.reach.Precedes(w, s) {
-			r.report(e.addr)
+			r.report(e.addr, w, AccessWrite, s, e.kind)
 		}
 		if e.kind == AccessRead {
 			if l.reader == s {
@@ -97,15 +107,15 @@ func (r *refHistory) flush(s *sched.Strand) {
 		}
 		for _, rd := range l.readers {
 			if rd != s && !r.reach.Precedes(rd, s) {
-				r.report(e.addr)
+				r.report(e.addr, rd, AccessRead, s, AccessWrite)
 			}
 		}
 		for _, p := range l.pairs {
 			if p.l != s && !r.reach.Precedes(p.l, s) {
-				r.report(e.addr)
+				r.report(e.addr, p.l, AccessRead, s, AccessWrite)
 			}
 			if p.r != p.l && p.r != s && !r.reach.Precedes(p.r, s) {
-				r.report(e.addr)
+				r.report(e.addr, p.r, AccessRead, s, AccessWrite)
 			}
 		}
 		*l = refLoc{writer: s}
@@ -157,7 +167,8 @@ func (f fixedRelation) Precedes(u, v *sched.Strand) bool {
 func (f fixedRelation) LeftOf(a, b *sched.Strand) bool { return f.mix(a.ID, b.ID, 2)%2 == 0 }
 
 // checkPages verifies every page's bookkeeping and compares each
-// location's history with the reference's.
+// location's history, the race count, the racy set and the retained
+// records with the reference's.
 func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 	t.Helper()
 	touched := 0
@@ -220,6 +231,36 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 	if got := h.RacyAddrs(); !slices.Equal(got, want) {
 		t.Fatalf("%s: racy addresses %v, the per-slot reference %v", step, got, want)
 	}
+	checkRetained(t, h.Races(), ref, step)
+}
+
+// checkRetained compares the history's retained records with the
+// reference's reports. The history reports a state's slots together and
+// the reference slot by slot, so the orders differ: while every report is
+// retained the two are one multiset; once the cap or DedupByAddr leaves
+// some out, the history keeps as many as the rules allow, each one of the
+// reference's reports, and under DedupByAddr one an address.
+func checkRetained(t *testing.T, got []Race, ref *refHistory, step string) {
+	t.Helper()
+	retainable := int(ref.races)
+	if ref.byAddr {
+		retainable = len(ref.racy)
+	}
+	if len(got) != min(ref.maxRaces, retainable) {
+		t.Fatalf("%s: %d records retained, want %d: cap %d, %d reports on %d addresses, by address %v",
+			step, len(got), min(ref.maxRaces, retainable), ref.maxRaces, ref.races, len(ref.racy), ref.byAddr)
+	}
+	kept := map[Race]int{}
+	addrs := map[uint64]bool{}
+	for _, r := range got {
+		if kept[r]++; kept[r] > ref.reports[r] {
+			t.Fatalf("%s: retained %v %d times, the per-slot reference reported it %d", step, r, kept[r], ref.reports[r])
+		}
+		if ref.byAddr && addrs[r.Addr] {
+			t.Fatalf("%s: two records on %#x under DedupByAddr", step, r.Addr)
+		}
+		addrs[r.Addr] = true
+	}
 }
 
 // TestSharedStatesMatchPerSlotReference drives a History and the per-slot
@@ -228,8 +269,10 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 // page boundary, scattered single slots and read-then-write of one slot,
 // long enough to flush early — under a fixed arbitrary order, both reader
 // policies, on the fast and on the locked path, and compares the race
-// count, the racy set and every location's (writer, readers) after every
-// flush.
+// count, the racy set, the retained records and every location's (writer,
+// readers) after every flush. The cap on retained records is 37, past a
+// chunk and reached in every run, and odd seeds retain one record an
+// address.
 func TestSharedStatesMatchPerSlotReference(t *testing.T) {
 	const space = 5 * pageSize // addresses, from 40 below a page boundary up
 	for _, policy := range []ReaderPolicy{ReadersAll, ReadersLR} {
@@ -237,7 +280,8 @@ func TestSharedStatesMatchPerSlotReference(t *testing.T) {
 			for seed := int64(0); seed < 5; seed++ {
 				name := fmt.Sprintf("%v fast=%v seed %d", policy, fast, seed)
 				rel := fixedRelation{uint64(seed)}
-				opts := Options{Reach: rel, Policy: policy, LeftOf: rel.LeftOf, FastPath: fast}
+				opts := Options{Reach: rel, Policy: policy, LeftOf: rel.LeftOf, FastPath: fast,
+					MaxRaces: 37, DedupByAddr: seed%2 == 1}
 				h, ref := NewHistory(opts), newRefHistory(opts)
 				rng := rand.New(rand.NewSource(seed))
 				futs := []*sched.FutureTask{{ID: 0}, {ID: 1}, {ID: 2}}
@@ -307,8 +351,8 @@ func TestSharedStatesMatchPerSlotReference(t *testing.T) {
 					ref.close(s)
 					checkPages(t, h, ref, name)
 				}
-				if flushes < 40 || h.RaceCount() == 0 {
-					t.Fatalf("%s: %d flushes, %d races: the run exercises too little", name, flushes, h.RaceCount())
+				if flushes < 40 || len(ref.racy) <= opts.MaxRaces {
+					t.Fatalf("%s: %d flushes, races on %d addresses: the run exercises too little", name, flushes, len(ref.racy))
 				}
 			}
 		}
@@ -316,10 +360,24 @@ func TestSharedStatesMatchPerSlotReference(t *testing.T) {
 }
 
 // TestWordHelpers checks the kernel's word arithmetic exhaustively: the
-// byte mask of every byte of slots, and which slots of an idx word one
-// mask says point at one state.
+// byte mask of every byte of slots, which slots of an idx word one mask
+// says point at one state, and which bytes of a word equal a state index.
 func TestWordHelpers(t *testing.T) {
 	x := uint64(0x0707_0003_0700_0307) // slots 0..7 of a word: states 7 3 0 7 3 0 7 7
+	rng := rand.New(rand.NewSource(1))
+	for _, y := range []uint64{x, 0, ^uint64(0), 0x0101_0101_0101_0101, 0x8080_7f7f_0001_ff00, rng.Uint64(), rng.Uint64()} {
+		for i := uint64(0); i < 256; i++ {
+			var want uint64
+			for b := range 8 {
+				if y>>(8*b)&0xff == i {
+					want |= 1 << b
+				}
+			}
+			if got := sameBytes(y, i); got != want {
+				t.Fatalf("sameBytes(%#x, %d) = %#x, want %#x", y, i, got, want)
+			}
+		}
+	}
 	for m := uint64(0); m < 256; m++ {
 		var want uint64
 		for b := range 8 {
@@ -351,6 +409,15 @@ func TestWordHelpers(t *testing.T) {
 			t.Errorf("stateOf(%d) = %d, want %d", 3*8+b, got, want)
 		}
 	}
+	// idx word 3 is byte 3 of SlotSet word 0: slots 24..31.
+	for _, tc := range []struct {
+		word, hit uint64
+		i         uint16
+	}{{^uint64(0), 0xc9 << 24, 7}, {^uint64(0), 0x12 << 24, 3}, {0xf0 << 24, 0xc0 << 24, 7}, {1<<24 | 1, 1 << 24, 7}, {0xff, 0xff, 0}} {
+		if got := p.hits(0, tc.word, tc.i); got != tc.hit {
+			t.Errorf("hits(0, %#x, %d) = %#x, want %#x", tc.word, tc.i, got, tc.hit)
+		}
+	}
 }
 
 // FuzzApplyPage holds the page kernel — group, split, move and point, which
@@ -359,14 +426,21 @@ func TestWordHelpers(t *testing.T) {
 // inside a byte, strides that put two or three states in one byte, and raw
 // bit patterns. Each input is a sequence of ApplyPage calls by six strands
 // of three futures on two pages, under both reader policies and an
-// arbitrary fixed order; every page and location is compared after every
-// call.
+// arbitrary fixed order; every page, location and retained record is
+// compared after every call. The cap on retained records is 37, so a long
+// input crosses a chunk boundary and reaches it; a first byte of 128 or
+// more retains one record an address.
 func FuzzApplyPage(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 255, 0, 9, 1, 0, 255, 1, 2, 1, 0, 255, 0})
 	f.Add([]byte{3, 2, 5, 2, 40, 0, 10, 1, 3, 0, 1, 60, 130, 2, 17, 3, 90, 0, 0, 1, 0, 255, 1})
 	f.Add([]byte{7, 3, 0x0f, 0xf0, 0xff, 0, 0x55, 0xaa, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 		0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 255, 0, 12, 2, 0, 1, 200, 1, 0, 255, 0})
 	f.Add([]byte{1, 1, 4, 7, 1, 0, 2, 1, 8, 33, 0, 1, 1, 20, 50, 0, 3, 1, 6, 3, 30, 2, 9, 0, 1, 0, 255, 1})
+	// Six strands writing the whole of page 0 in turn, three of them
+	// reading a run first: 880 races on 256 addresses at seed 3, and 860
+	// at 168, which retains one record an address.
+	f.Add([]byte{3, 0, 0, 1, 0, 255, 1, 1, 0, 40, 1, 0, 255, 2, 2, 0, 2, 50, 1, 0, 255, 3, 0, 1, 0, 255, 4, 3, 0, 1, 0, 255, 5, 0, 1, 0, 255})
+	f.Add([]byte{168, 0, 0, 1, 0, 255, 1, 1, 0, 40, 1, 0, 255, 2, 2, 0, 2, 50, 1, 0, 255, 3, 0, 1, 0, 255, 4, 3, 0, 1, 0, 255, 5, 0, 1, 0, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
@@ -378,7 +452,7 @@ func FuzzApplyPage(f *testing.F) {
 			strands[i] = &sched.Strand{ID: uint64(i), Fut: futs[i%len(futs)]}
 		}
 		for _, policy := range []ReaderPolicy{ReadersAll, ReadersLR} {
-			opts := Options{Reach: rel, Policy: policy, LeftOf: rel.LeftOf}
+			opts := Options{Reach: rel, Policy: policy, LeftOf: rel.LeftOf, MaxRaces: 37, DedupByAddr: data[0] >= 128}
 			h, ref := NewHistory(opts), newRefHistory(opts)
 			for rest := data[1:]; len(rest) > 0; {
 				op := rest[0]

@@ -21,10 +21,14 @@ func TestAccountingSizes(t *testing.T) {
 		t.Errorf("state is %d bytes, its fields add up to %d", stateBytes, want)
 	}
 	// page: mu, num, next, a one-byte state index per slot, the state
-	// table's slice header and the free list's head in a word of its own —
-	// no state held inline.
-	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + unsafe.Sizeof([]state(nil)) + 8); pageBytes != want {
+	// table's slice header, the racy set's pointer and the free list's
+	// head in a word of its own — no state held inline. 320 bytes, the
+	// size class the 312 without the racy pointer already took.
+	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + unsafe.Sizeof([]state(nil)) + ptr + 8); pageBytes != want {
 		t.Errorf("page is %d bytes, its fields add up to %d", pageBytes, want)
+	}
+	if want := pageSize / 8; racyBytes != want {
+		t.Errorf("a racy set is %d bytes, a bit a slot adds up to %d", racyBytes, want)
 	}
 	if want := int(2 * ptr); pairBytes != want {
 		t.Errorf("lrPair is %d bytes, its fields add up to %d", pairBytes, want)
@@ -99,7 +103,7 @@ func nothingShared(h *History, locations int) []*sched.Strand {
 }
 
 var memPatterns = []memPattern{
-	// A page of 256 slots is one state: 312 for the page with its index
+	// A page of 256 slots is one state: 320 for the page with its index
 	// map, 448 for a state table of 8, one reader; and at most 2 for the
 	// directory. (Per-slot records cost 66 / 122 / 1144 on these three
 	// rows.)

@@ -68,10 +68,12 @@ type page struct {
 	next *page  // directory-collision chain; immutable after publication
 	// Guarded by mu: idx maps a slot to its state, a byte a slot and
 	// eight to a word (stateOf), and the slots of a fresh page all point
-	// at states[0], the history of an untouched location. free heads the
-	// list of dead states, chained by link.
+	// at states[0], the history of an untouched location. racy is the set
+	// of racy slots, made at the first report. free heads the list of
+	// dead states, chained by link.
 	idx    [pageSize / 8]uint64
 	states []state
+	racy   *SlotSet
 	free   uint16
 }
 
@@ -198,6 +200,27 @@ var byteMask = func() (t [256]uint64) {
 	}
 	return t
 }()
+
+// sameBytes returns the bytes of x equal to i, bit b for byte b. Byte b of
+// d is zero where x is i; adding 0x7f to its low seven bits sets its top
+// bit unless it is, carrying into no other byte; the multiply gathers them.
+func sameBytes(x, i uint64) uint64 {
+	const low7 = 0x7f7f7f7f7f7f7f7f
+	d := x ^ i*ones
+	z := ^(d&low7 + low7 | d) &^ low7
+	return (z >> 7) * 0x0102040810204080 >> 56
+}
+
+// hits returns the slots of SlotSet word w, whose set bits are word, that
+// point at state i: a byte of them, eight slots, at a time.
+func (p *page) hits(w int, word uint64, i uint16) (hit uint64) {
+	for word != 0 {
+		k, m, rest := nextByte(word)
+		word = rest
+		hit |= (m & sameBytes(p.idx[w*8+k], uint64(i))) << (k * 8 & 63)
+	}
+	return hit
+}
 
 // nextByte splits the lowest non-zero byte off word, a non-zero SlotSet
 // word: its position k, its bits m — slots 8k to 8k+7 of the word's 64,
@@ -393,20 +416,24 @@ const (
 	topBytes   = int(unsafe.Sizeof(table{}))
 	blockBytes = int(unsafe.Sizeof(dirBlock{}))
 	pageBytes  = int(unsafe.Sizeof(page{}))
+	racyBytes  = int(unsafe.Sizeof(SlotSet{}))
 	stateBytes = int(unsafe.Sizeof(state{}))
 	pairBytes  = int(unsafe.Sizeof(lrPair{}))
 	ptrBytes   = int(unsafe.Sizeof(uintptr(0)))
 )
 
 // memBytes is the table's heap footprint: the top array, every allocated
-// directory block, every page with its index map, its state table at
-// capacity, and the reader slices of live and dead states at capacity,
-// plus the LR pairs (their map's buckets are not modelled).
+// directory block, every page with its index map, racy set and state
+// table at capacity, and the reader slices of live and dead states at
+// capacity, plus the LR pairs (their map's buckets are not modelled).
 func (t *table) memBytes() int {
 	total := topBytes
 	t.forEachBlock(func(*dirBlock) { total += blockBytes })
 	t.forEachPage(func(p *page) {
 		total += pageBytes + stateBytes*cap(p.states)
+		if p.racy != nil {
+			total += racyBytes
+		}
 		for i := range p.states {
 			total += ptrBytes*cap(p.states[i].readers) + pairBytes*len(p.states[i].pairs)
 		}

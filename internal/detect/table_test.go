@@ -150,8 +150,9 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 	}
 	ptr := int(unsafe.Sizeof(uintptr(0)))
 	// A page read on eight slots by eight parallel strands holds nine
-	// states (a table of 16) and eight one-reader slices.
-	pageModel := detect.PageBytes + 16*detect.StateBytes + goroutines*ptr
+	// states (a table of 16) and eight one-reader slices, and the write
+	// that races on every one of the slots gives it a racy set.
+	pageModel := detect.PageBytes + 16*detect.StateBytes + goroutines*ptr + detect.RacyBytes
 	fut := &sched.FutureTask{ID: 0}
 	for round := 0; round < 10; round++ {
 		h := newParallelHistory()
