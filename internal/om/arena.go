@@ -7,8 +7,8 @@ import "sforder/internal/slab"
 // with a pointer bump instead of a heap allocation. Single-owner; a nil
 // *ItemArena falls back to the heap, which is what callers without lane
 // state use. An item's fields are set by the insert that places it — it
-// is never published before its label, bucket, and slot are stored — so
-// recycled items need no zeroing.
+// is never published before its label, bucket, and next link are
+// stored — so recycled items need no zeroing.
 type ItemArena = slab.Arena[Item]
 
 // itemPool's chunks hold 512 items at 24 bytes each, a 12 KiB slab: big

@@ -58,8 +58,7 @@ import (
 
 const (
 	// bucketCap is the maximum number of items per bottom-level bucket
-	// before it splits. Bucket item slices are allocated at this capacity
-	// up front so in-bucket inserts never pay append growth copies.
+	// before it splits.
 	bucketCap = 64
 	// itemSpan is the spacing used when a bucket's items are relabeled
 	// evenly. bucketCap*itemSpan must not overflow uint64.
@@ -82,18 +81,17 @@ const (
 type Item struct {
 	bucket atomic.Pointer[bucket]
 	label  atomic.Uint64
-	slot   int32 // index within bucket.items; accessed under bucket.mu
+	next   *Item // next item in the same bucket; accessed under bucket.mu
 }
 
+// A bucket's items are a singly linked run, ordered by label, so an
+// insert links its run after the anchor without moving any other item.
 type bucket struct {
 	label      atomic.Uint64
 	prev, next *bucket // top-level links; accessed under List.maint
 	mu         sync.Mutex
-	items      []*Item // ordered by label; accessed under mu (cap bucketCap)
-}
-
-func newBucket() *bucket {
-	return &bucket{items: make([]*Item, 0, bucketCap)}
+	head       *Item // first item; accessed under mu
+	n          int   // number of items; accessed under mu
 }
 
 // List is an order-maintenance list. The zero value is not usable; create
@@ -202,11 +200,11 @@ var (
 )
 
 // MemBytes estimates the heap footprint of the list (items + buckets) in
-// bytes, for the Figure 5 memory-accounting harness. Every bucket's item
-// slice is allocated at cap bucketCap, so the estimate is exact and
-// derived from atomics alone — safe to scrape mid-run.
+// bytes, for the Figure 5 memory-accounting harness. Buckets hold no
+// item storage of their own, so the estimate is exact and derived from
+// atomics alone — safe to scrape mid-run.
 func (l *List) MemBytes() int {
-	return int(l.buckets.Load())*(bucketSize+8*bucketCap) + itemSize*int(l.size.Load())
+	return int(l.buckets.Load())*bucketSize + itemSize*int(l.size.Load())
 }
 
 // InsertFirst inserts an item at the head of an empty list and returns
@@ -223,15 +221,13 @@ func (l *List) InsertFirstArena(a *ItemArena) *Item {
 	if l.size.Load() != 0 {
 		panic("om: InsertFirst on non-empty list")
 	}
-	b := newBucket()
+	b := &bucket{}
 	b.label.Store(l.bound / 2)
 	l.head, l.tail = b, b
 	l.buckets.Store(1)
 	it := a.Get(itemPool)
-	it.label.Store(itemSpan)
-	it.bucket.Store(b)
-	it.slot = 0
-	b.items = append(b.items, it)
+	it.place(b, itemSpan, nil)
+	b.head, b.n = it, 1
 	l.size.Store(1)
 	return it
 }
@@ -319,16 +315,14 @@ func (l *List) tryInsertRun(x *Item, out []*Item) runResult {
 		l.contended.Add(1)
 		return runRetry
 	}
-	m := len(b.items)
-	if m+n > bucketCap {
+	if b.n+n > bucketCap {
 		b.mu.Unlock()
 		return runEscalate
 	}
-	idx := int(x.slot)
 	lo := x.label.Load()
 	hi := uint64(0) // exclusive sentinel meaning "top of label space"
-	if idx+1 < m {
-		hi = b.items[idx+1].label.Load()
+	if x.next != nil {
+		hi = x.next.label.Load()
 	}
 	// Pick n evenly spaced labels strictly inside (lo, hi).
 	var step uint64
@@ -347,21 +341,15 @@ func (l *List) tryInsertRun(x *Item, out []*Item) runResult {
 		}
 		step = gap / uint64(n+1)
 	}
-	// Shift the tail once, then place the run. cap(b.items) is bucketCap,
-	// so extending the slice never reallocates.
-	b.items = b.items[:m+n]
-	copy(b.items[idx+1+n:], b.items[idx+1:m])
-	for i := idx + 1 + n; i < m+n; i++ {
-		b.items[i].slot = int32(i)
-	}
-	lab := lo
-	for i, it := range out {
+	// Link the run between x and x.next; no other item moves.
+	lab, prev := lo, x
+	for _, it := range out {
 		lab += step
-		it.label.Store(lab)
-		it.slot = int32(idx + 1 + i)
-		it.bucket.Store(b)
-		b.items[idx+1+i] = it
+		it.place(b, lab, prev.next)
+		prev.next = it
+		prev = it
 	}
+	b.n += n
 	b.mu.Unlock()
 	return runDone
 }
@@ -372,43 +360,42 @@ func (l *List) tryInsertRun(x *Item, out []*Item) runResult {
 func (l *List) placeAfterMaint(x, it *Item) {
 	b := x.bucket.Load()
 	b.mu.Lock()
-	idx := int(x.slot)
-	if len(b.items) >= bucketCap {
-		b, idx = l.split(b, idx)
+	if b.n >= bucketCap {
+		b = l.split(b, x)
 	}
-	lo := x.label.Load()
-	hi := uint64(0)
-	if idx+1 < len(b.items) {
-		hi = b.items[idx+1].label.Load()
-	}
-	lab, ok := mid(lo, hi)
+	lab, ok := midAfter(x)
 	if !ok {
 		l.relabelBucket(b)
-		lo = x.label.Load()
-		hi = 0
-		if idx+1 < len(b.items) {
-			hi = b.items[idx+1].label.Load()
-		}
-		lab, ok = mid(lo, hi)
-		if !ok {
+		if lab, ok = midAfter(x); !ok {
 			panic("om: no label room after bucket relabel")
 		}
 	}
-	it.label.Store(lab)
-	it.bucket.Store(b)
-	m := len(b.items)
-	b.items = b.items[:m+1]
-	copy(b.items[idx+2:], b.items[idx+1:m])
-	b.items[idx+1] = it
-	for i := idx + 1; i <= m; i++ {
-		b.items[i].slot = int32(i)
-	}
+	it.place(b, lab, x.next)
+	x.next = it
+	b.n++
 	b.mu.Unlock()
 }
 
-// mid returns a label strictly between lo and hi (hi==0 means the top of
-// the label space). ok is false when no integer fits.
-func mid(lo, hi uint64) (uint64, bool) {
+// place sets a fresh item's bucket, label and successor with plain
+// stores, where an atomic store would cost an XCHG each (a third of an
+// insert). Nothing reads the item before the bucket lock that links it is
+// released and the caller publishes it, so every later atomic load is
+// ordered after these stores. It relies on atomic.Uint64 and
+// atomic.Pointer holding just their value, which TestAccountingSizes pins.
+func (it *Item) place(b *bucket, lab uint64, next *Item) {
+	*(**bucket)(unsafe.Pointer(&it.bucket)) = b
+	*(*uint64)(unsafe.Pointer(&it.label)) = lab
+	it.next = next
+}
+
+// midAfter returns a label strictly between x and its successor in x's
+// bucket (the top of the label space when x is last). ok is false when
+// no integer fits. Caller holds x's bucket lock.
+func midAfter(x *Item) (uint64, bool) {
+	lo, hi := x.label.Load(), uint64(0)
+	if x.next != nil {
+		hi = x.next.label.Load()
+	}
 	if hi == 0 {
 		// Leave headroom by stepping a full span when possible.
 		if lo <= ^uint64(0)-itemSpan {
@@ -424,15 +411,15 @@ func mid(lo, hi uint64) (uint64, bool) {
 
 // split divides bucket b in two, keeping the first half in b and moving
 // the rest to a fresh bucket placed immediately after b in the top-level
-// order. Caller holds l.maint and b.mu, and addresses position idx in b;
-// split returns the bucket now holding that position, with its lock held
-// (the other half's lock released). The label rewrite — including the
-// item→bucket moves — happens inside the seqlock write section, exactly
-// as in the global-lock design, so concurrent Precedes reads retry
-// rather than observe a half-moved item.
-func (l *List) split(b *bucket, idx int) (*bucket, int) {
+// order. Caller holds l.maint and b.mu, and x is an item of b; split
+// returns the bucket now holding x, with its lock held (the other
+// half's lock released). The label rewrite — including the item→bucket
+// moves — happens inside the seqlock write section, exactly as in the
+// global-lock design, so concurrent Precedes reads retry rather than
+// observe a half-moved item.
+func (l *List) split(b *bucket, x *Item) *bucket {
 	l.splits.Add(1)
-	nb := newBucket()
+	nb := &bucket{}
 	nb.mu.Lock()
 	nb.prev, nb.next = b, b.next
 	if b.next != nil {
@@ -444,27 +431,30 @@ func (l *List) split(b *bucket, idx int) (*bucket, int) {
 	l.buckets.Add(1)
 
 	l.beginWrite()
-	half := len(b.items) / 2
-	nb.items = nb.items[:len(b.items)-half]
-	copy(nb.items, b.items[half:])
-	for i := half; i < len(b.items); i++ {
-		b.items[i] = nil // release the moved items' old slots
+	half := b.n / 2
+	cut, inB := b.head, b.head == x
+	for i := 1; i < half; i++ {
+		cut = cut.next
+		inB = inB || cut == x
 	}
-	b.items = b.items[:half]
+	nb.head, cut.next = cut.next, nil
+	nb.n, b.n = b.n-half, half
 	l.assignTopLabel(nb)
-	relabelItems(b)
-	relabelItems(nb)
-	for _, it := range nb.items {
+	for it := nb.head; it != nil; it = it.next {
 		it.bucket.Store(nb)
 	}
+	// Only the half holding x takes the insert, so only its labels are
+	// respread; the other half's still increase, which is all a bucket
+	// needs.
+	hot, cold := nb, b
+	if inB {
+		hot, cold = b, nb
+	}
+	relabelItems(hot)
 	l.endWrite()
 
-	if idx >= half {
-		b.mu.Unlock()
-		return nb, idx - half
-	}
-	nb.mu.Unlock()
-	return b, idx
+	cold.mu.Unlock()
+	return hot
 }
 
 // relabelBucket rewrites all item labels in b with even spacing. Caller
@@ -477,9 +467,10 @@ func (l *List) relabelBucket(b *bucket) {
 }
 
 func relabelItems(b *bucket) {
-	for i, it := range b.items {
-		it.label.Store(uint64(i+1) * itemSpan)
-		it.slot = int32(i)
+	lab := uint64(0)
+	for it := b.head; it != nil; it = it.next {
+		lab += itemSpan
+		it.label.Store(lab)
 	}
 }
 
@@ -512,19 +503,23 @@ func (l *List) assignTopLabel(nb *bucket) {
 
 // renumberAround implements prefix-range renumbering (the classic list
 // labeling rebalance): find the smallest power-of-two label range around
-// pivot whose occupancy is at most half its capacity, then spread the
-// buckets in that range evenly across it. Falls back to a global
-// renumbering across the whole label space; when even that cannot open
-// gaps — every label in [0, bound) is packed — it escalates by widening
-// the bound to the hard ceiling and spreading across the widened space
-// instead of giving up (this last case used to panic; EXPERIMENTS
-// ABL10/ABL11 has the history). The caller holds l.maint and
-// has already entered the seqlock write section, so concurrent Precedes
-// readers re-validate against the rewritten labels exactly as for any
-// other renumbering.
+// pivot that its buckets occupy sparsely enough, then spread them evenly
+// across it. A range 2^j wide is accepted only if the spread leaves gaps
+// of at least 2^(10+j/3): the density threshold falls by 2^(1/3) a level
+// as in the classic analysis, so a renumbering leaves each sub-range
+// well under its own threshold, and its hot spot takes at least ten
+// halving splits before the next one. Falls back to a global renumbering
+// across the whole label space; when even that cannot open gaps — every
+// label in [0, bound) is packed — it escalates by widening the bound to
+// the hard ceiling and spreading across the widened space instead of
+// giving up (this last case used to panic; EXPERIMENTS ABL10/ABL11 has
+// the history). The caller holds l.maint and has already entered the
+// seqlock write section, so concurrent Precedes readers re-validate
+// against the rewritten labels exactly as for any other renumbering.
 func (l *List) renumberAround(pivot *bucket) {
 	l.renumbers.Add(1)
 	p := pivot.label.Load()
+	first, last, count := pivot, pivot, 1
 	for j := uint(2); j < 63; j++ {
 		width := uint64(1) << j
 		lo := p &^ (width - 1)
@@ -532,29 +527,28 @@ func (l *List) renumberAround(pivot *bucket) {
 		if hi > l.bound {
 			break
 		}
-		// Collect the contiguous run of buckets whose labels lie in
-		// [lo, hi). Labels are monotone along the bucket chain.
-		first := pivot
+		// Grow the contiguous run of buckets whose labels lie in
+		// [lo, hi). Labels are monotone along the bucket chain, and the
+		// ranges nest, so each level extends the previous level's run.
 		for first.prev != nil && first.prev.label.Load() >= lo {
 			first = first.prev
-		}
-		count := 0
-		for b := first; b != nil && b.label.Load() < hi; b = b.next {
 			count++
 		}
-		if uint64(count)+1 <= width/2 {
-			// Enough room: spread evenly with gap width/(count+1).
-			gap := width / uint64(count+1)
-			if gap >= 2 {
-				lab := lo + gap
-				for b := first; b != nil && count > 0; b = b.next {
-					b.label.Store(lab)
-					lab += gap
-					count--
-				}
-				return
-			}
+		for last.next != nil && last.next.label.Load() < hi {
+			last = last.next
+			count++
 		}
+		gap := width / uint64(count+1)
+		if gap < 1<<(10+j/3) {
+			continue
+		}
+		lab := lo + gap
+		for b := first; count > 0; b = b.next {
+			b.label.Store(lab)
+			lab += gap
+			count--
+		}
+		return
 	}
 	// Global renumber: spread every bucket across [gap, l.bound).
 	n := 0
@@ -641,14 +635,16 @@ func (l *List) Order() []*Item {
 	out := make([]*Item, 0, l.size.Load())
 	for b := l.head; b != nil; b = b.next {
 		b.mu.Lock()
-		out = append(out, b.items...)
+		for it := b.head; it != nil; it = it.next {
+			out = append(out, it)
+		}
 		b.mu.Unlock()
 	}
 	return out
 }
 
 // checkInvariants validates internal consistency (monotone labels, item
-// bucket pointers and slots, size accounting). Exposed through an
+// bucket pointers, bucket counts, size accounting). Exposed through an
 // exported wrapper in export_test.go for white-box tests; call on a
 // quiescent list.
 func (l *List) checkInvariants() error {
@@ -666,26 +662,25 @@ func (l *List) checkInvariants() error {
 			}
 			prevTop = b.label.Load()
 			firstBucket = false
-			if cap(b.items) != bucketCap {
-				return fmt.Errorf("om: bucket items cap %d, want %d", cap(b.items), bucketCap)
-			}
-			if len(b.items) == 0 && l.size.Load() > 0 && l.head != l.tail {
+			if b.head == nil && l.size.Load() > 0 && l.head != l.tail {
 				return fmt.Errorf("om: empty bucket in multi-bucket list")
 			}
+			m := 0
 			var prevItem uint64
-			for i, it := range b.items {
+			for it := b.head; it != nil; it = it.next {
 				if it.bucket.Load() != b {
 					return fmt.Errorf("om: item bucket pointer stale")
 				}
-				if int(it.slot) != i {
-					return fmt.Errorf("om: item slot %d at index %d", it.slot, i)
-				}
-				if i > 0 && it.label.Load() <= prevItem {
+				if m > 0 && it.label.Load() <= prevItem {
 					return fmt.Errorf("om: item labels not increasing (%d after %d)", it.label.Load(), prevItem)
 				}
 				prevItem = it.label.Load()
-				n++
+				m++
 			}
+			if m != b.n || m > bucketCap {
+				return fmt.Errorf("om: bucket holds %d items, count %d (cap %d)", m, b.n, bucketCap)
+			}
+			n += m
 			if b.next == nil && b != l.tail {
 				return fmt.Errorf("om: tail pointer stale")
 			}

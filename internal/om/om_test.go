@@ -336,3 +336,94 @@ func BenchmarkPrecedes(b *testing.B) {
 		_ = l.Precedes(items[i%len(items)], items[(i*7+1)%len(items)])
 	}
 }
+
+// frontier places runs of 2 and 3 items alternately, the batches
+// omPair.placeBranch inserts for a spawn without and with a sync
+// placeholder. The English pattern anchors each run after the newest
+// item; the Hebrew pattern anchors it after the first item of the newest
+// run, which the run's older items follow.
+type frontier struct {
+	l      *List
+	a      ItemArena
+	buf    [3]*Item
+	anchor *Item
+	hebrew bool
+	runs   int
+}
+
+func newFrontier(hebrew bool) *frontier {
+	f := &frontier{l: NewList(), hebrew: hebrew}
+	f.anchor = f.l.InsertFirstArena(&f.a)
+	return f
+}
+
+func (f *frontier) place() {
+	out := f.buf[:2+f.runs%2]
+	f.l.InsertAfterNArena(f.anchor, &f.a, out)
+	f.runs++
+	if f.hebrew {
+		f.anchor = out[0]
+	} else {
+		f.anchor = out[len(out)-1]
+	}
+}
+
+// TestRenumbersAmortized pins the top-level renumber threshold: on both
+// frontier patterns a renumbering must leave room for many splits, so
+// that renumbers stay at most one per eight splits. A half-density
+// threshold, which left gaps of 2, renumbered after 28% (English) and
+// 48% (Hebrew) of the splits.
+func TestRenumbersAmortized(t *testing.T) {
+	for _, hebrew := range []bool{false, true} {
+		f := newFrontier(hebrew)
+		for f.l.Len() < 60000 {
+			f.place()
+		}
+		if err := f.l.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		splits, _, renumbers := f.l.Stats()
+		if splits == 0 {
+			t.Fatalf("hebrew=%v: no splits in %d items", hebrew, f.l.Len())
+		}
+		if 8*renumbers > splits {
+			t.Errorf("hebrew=%v: %d renumbers for %d splits, want at most 1/8", hebrew, renumbers, splits)
+		}
+	}
+}
+
+// BenchmarkInsert prices one placed run (2 or 3 items, InsertAfterNArena
+// from a lane arena) on the two frontier patterns and at uniformly random
+// existing anchors. A list is rebuilt, off the clock, every 60k items.
+func BenchmarkInsert(b *testing.B) {
+	const listItems = 60000
+	for _, row := range []string{"english-frontier", "hebrew-frontier", "random-anchor"} {
+		b.Run(row, func(b *testing.B) {
+			b.ReportAllocs()
+			var f *frontier
+			var items []*Item
+			rng := uint64(1)
+			for i := 0; i < b.N; i++ {
+				if f == nil || f.l.Len() >= listItems {
+					b.StopTimer()
+					if f != nil {
+						f.a.Release()
+					}
+					f = newFrontier(row == "hebrew-frontier")
+					items = append(items[:0], f.anchor)
+					b.StartTimer()
+				}
+				if row != "random-anchor" {
+					f.place()
+					continue
+				}
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				out := f.buf[:2+i%2]
+				f.l.InsertAfterNArena(items[rng%uint64(len(items))], &f.a, out)
+				items = append(items, out...)
+			}
+		})
+	}
+}

@@ -17,7 +17,7 @@ import (
 // contend only on splits — while concurrent readers hammer Precedes
 // across split/renumber. Afterwards the total order must agree with a
 // sequential replay of the same per-goroutine insert scripts, and the
-// list invariants (labels, slots, size) must hold. Run under -race in
+// list invariants (labels, bucket counts, size) must hold. Run under -race in
 // CI.
 func TestParallelDisjointInserts(t *testing.T) {
 	const (
@@ -158,8 +158,8 @@ func TestParallelDisjointInserts(t *testing.T) {
 // from one shared root region and then build private subtrees, checking
 // afterwards that the concurrent list's total order restricted to each
 // goroutine's items equals the order of a serial replay of that
-// goroutine's script. This catches lost updates in the in-bucket shift
-// (slots/labels) that the pure invariant check could miss.
+// goroutine's script. This catches lost updates in the in-bucket links
+// (next pointers/labels) that the pure invariant check could miss.
 func TestParallelInsertOrderMatchesReplay(t *testing.T) {
 	const (
 		goroutines = 6

@@ -1,6 +1,7 @@
 package om
 
 import (
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -22,12 +23,18 @@ func TestAccountingSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("expected values below are for 64-bit platforms")
 	}
-	// Item: bucket pointer (8) + label (8) + slot (4, padded to 8).
+	// Item: bucket pointer (8) + label (8) + next pointer (8). The
+	// atomics being exactly their value is also what Item.place's plain
+	// stores rely on.
+	if unsafe.Sizeof(atomic.Pointer[bucket]{}) != 8 || unsafe.Sizeof(atomic.Uint64{}) != 8 {
+		t.Errorf("atomic.Pointer is %d bytes and atomic.Uint64 %d, want 8 each",
+			unsafe.Sizeof(atomic.Pointer[bucket]{}), unsafe.Sizeof(atomic.Uint64{}))
+	}
 	if itemSize != 24 {
 		t.Errorf("Item grew: %d bytes, expected 24", itemSize)
 	}
-	// bucket: label (8) + prev/next (16) + mutex (8) + slice header (24).
-	if bucketSize != 56 {
-		t.Errorf("bucket grew: %d bytes, expected 56", bucketSize)
+	// bucket: label (8) + prev/next (16) + mutex (8) + head (8) + count (8).
+	if bucketSize != 48 {
+		t.Errorf("bucket grew: %d bytes, expected 48", bucketSize)
 	}
 }
