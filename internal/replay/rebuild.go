@@ -12,8 +12,12 @@ import (
 
 // idSlack is how far a strand or future id may run ahead of what the events
 // applied so far can have introduced (three strands and one future each).
-// A recording worker draws a branch's ids before it takes the recorder's
-// mutex, so genuine ids lead file order by at most three per recording
+// A recording worker draws a branch's ids before its event reaches the
+// file: a spawn's or create's at most three ids early, since those events
+// are written at once, and a get's one strand while the get waits in its
+// lane's buffer — but that get's future has its create and put in the file
+// already, and their six ids of budget cover the create's three and the
+// get's one. So genuine ids lead file order by at most three per recording
 // worker; anything further out is corruption.
 const idSlack = 1 << 16
 

@@ -7,12 +7,15 @@
 //
 //  1. Rebuild. The capture's structure events are fed, in file order,
 //     through the pluggable reachability substrate (internal/core — OM
-//     lists or DePa cords) exactly as the online tracer would have been. File order is a happens-before-consistent
-//     linearization of the run (see internal/trace), so every Tracer
-//     precondition holds. With Options.RebuildWorkers > 1 and a label
-//     substrate, the rebuild itself parallelizes: a serial index pass
-//     (trace.PathIndex) partitions the strand forest, then P workers
-//     construct the immutable fork-path labels concurrently over
+//     lists or DePa cords) exactly as the online tracer would have been.
+//     File order is a happens-before-consistent linearization of the run
+//     — each recording worker's events in call order, a worker's share
+//     written before any hand-off lets another worker see its work (see
+//     internal/trace) — so every Tracer precondition holds. With
+//     Options.RebuildWorkers > 1 and a label substrate, the rebuild
+//     itself parallelizes: a serial index pass (trace.PathIndex)
+//     partitions the strand forest, then P workers construct the
+//     immutable fork-path labels concurrently over
 //     independent segments (depa.BuildTable) with no OM list and no
 //     locks — only the gp/cp bitmap passes stay serial. Either way,
 //     after the rebuild the reachability state is read-only — frozen
@@ -188,7 +191,8 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 // length).
 //
 // Soundness is the same order argument as the barriered path, carried
-// by the queues: file order is an HB-consistent linearization, the
+// by the queues: file order is an HB-consistent linearization (the
+// recorder writes a worker's lane before each hand-off), the
 // loader applies every structure event before forwarding any later
 // block, and a channel send happens-before its receive — so by the time
 // a shard queries Precedes(u, v) for a block's strand, every label and

@@ -130,8 +130,9 @@ func TestReplayMatchesOnlineAndOracleFuzz(t *testing.T) {
 }
 
 // TestReplayParallelRecording: captures taken under the parallel engine
-// (4 workers racing to the recorder mutex) replay to the oracle verdict
-// too — the linearization argument does not depend on serial execution.
+// (4 workers appending to their own recorder lanes, each written to the
+// file at its hand-offs) replay to the oracle verdict too — the
+// linearization argument does not depend on serial execution.
 func TestReplayParallelRecording(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 6})

@@ -14,6 +14,7 @@ type laneRecorder struct {
 	lanes      int
 	laneEvents map[int]int // lane → events routed through *Lane methods
 	plainSpawn int         // events that arrived through the plain methods
+	stampMiss  int         // lane events whose running strand carried another lane
 }
 
 func newLaneRecorder() *laneRecorder {
@@ -22,18 +23,23 @@ func newLaneRecorder() *laneRecorder {
 
 func (r *laneRecorder) SetLanes(n int) { r.lanes = n }
 
-func (r *laneRecorder) lane(l int) {
+// lane counts an event on lane l whose running strand u ends there and
+// whose next strand next continues there.
+func (r *laneRecorder) lane(l int, u, next *sched.Strand) {
 	r.mu.Lock()
 	r.laneEvents[l]++
+	if u.Lane() != l || next.Lane() != l {
+		r.stampMiss++
+	}
 	r.mu.Unlock()
 }
 
-func (r *laneRecorder) OnSpawnLane(l int, u, c, k, p *sched.Strand) { r.lane(l) }
+func (r *laneRecorder) OnSpawnLane(l int, u, c, k, p *sched.Strand) { r.lane(l, u, k) }
 func (r *laneRecorder) OnCreateLane(l int, u, f, k, p *sched.Strand, ft *sched.FutureTask) {
-	r.lane(l)
+	r.lane(l, u, k)
 }
-func (r *laneRecorder) OnSyncLane(l int, k, s *sched.Strand, sinks []*sched.Strand) { r.lane(l) }
-func (r *laneRecorder) OnGetLane(l int, u, g *sched.Strand, f *sched.FutureTask)    { r.lane(l) }
+func (r *laneRecorder) OnSyncLane(l int, k, s *sched.Strand, sinks []*sched.Strand) { r.lane(l, k, s) }
+func (r *laneRecorder) OnGetLane(l int, u, g *sched.Strand, f *sched.FutureTask)    { r.lane(l, u, g) }
 
 func (r *laneRecorder) OnRoot(*sched.Strand) {}
 func (r *laneRecorder) OnSpawn(u, c, k, p *sched.Strand) {
@@ -70,6 +76,9 @@ func TestLaneTracerRouting(t *testing.T) {
 	}
 	if rec.plainSpawn != 0 {
 		t.Errorf("%d spawns leaked through the plain method", rec.plainSpawn)
+	}
+	if rec.stampMiss != 0 {
+		t.Errorf("%d events on a lane other than their strands' Lane()", rec.stampMiss)
 	}
 	total := 0
 	for lane, n := range rec.laneEvents {
@@ -112,5 +121,25 @@ func TestLaneTracerInsideMultiTracerFallsBack(t *testing.T) {
 	}
 	if rec.plainSpawn == 0 {
 		t.Error("no plain spawn events recorded")
+	}
+}
+
+// TestSetLanesReachesAux: an Options.Aux tracer with SetLanes learns the
+// lane count, inside a MultiTracer too, while its events keep arriving
+// through the plain methods.
+func TestSetLanesReachesAux(t *testing.T) {
+	direct, inner := newLaneRecorder(), newLaneRecorder()
+	for _, aux := range []sched.Tracer{direct, sched.MultiTracer{inner}} {
+		if _, err := sched.Run(sched.Options{Workers: 3, Aux: aux}, laneWorkload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range []*laneRecorder{direct, inner} {
+		if rec.lanes != 3 {
+			t.Errorf("SetLanes got %d, want 3", rec.lanes)
+		}
+		if len(rec.laneEvents) != 0 || rec.plainSpawn == 0 {
+			t.Errorf("aux events: %v through lanes, %d plain spawns", rec.laneEvents, rec.plainSpawn)
+		}
 	}
 }

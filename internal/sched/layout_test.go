@@ -17,3 +17,15 @@ func TestEngineSize(t *testing.T) {
 		t.Errorf("the engine is %d bytes, want 384", n)
 	}
 }
+
+// TestStrandSize pins a Strand at 72 bytes: in the 64-byte size class
+// dag-futures' reach_overhead_t1 read 5-7% worse (EXPERIMENTS ABL7). The
+// lane field now fills the word that used to be padding to get there.
+func TestStrandSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(Strand{}); n != 72 {
+		t.Errorf("a Strand is %d bytes, want 72", n)
+	}
+}

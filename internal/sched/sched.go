@@ -56,9 +56,9 @@ type Strand struct {
 	Det any                  // detector payload (owned by the configured Tracer)
 	Rec any                  // recorder payload (owned by the dag recorder)
 	Buf *accbuf.StrandBuffer // access buffer (owned by the AccessChecker; nil once closed)
-	// Keeps a Strand at 72 bytes: in the 64-byte size class dag-futures'
-	// reach_overhead_t1 reads 5-7% worse (EXPERIMENTS ABL7).
-	_ uint64
+	// lane (see Lane) also keeps a Strand at 72 bytes: in the 64-byte size
+	// class dag-futures' reach_overhead_t1 reads 5-7% worse (EXPERIMENTS ABL7).
+	lane int
 
 	label atomic.Pointer[string] // optional user label, see Task.Label
 }
@@ -70,6 +70,10 @@ func (s *Strand) Label() string {
 	}
 	return ""
 }
+
+// Lane returns the lane of the worker running the strand, stamped as it
+// starts (0 when serial or not run by the engine); it never changes.
+func (s *Strand) Lane() int { return s.lane }
 
 // Buffer returns the strand's access buffer, pooled from the first call
 // until the caller takes it off the strand and releases it (StrandClose).
@@ -212,6 +216,15 @@ type RangeChecker interface {
 // MultiTracer fans events out to several tracers in order.
 type MultiTracer []Tracer
 
+// SetLanes hands n to each member with a SetLanes method (Options.Aux).
+func (m MultiTracer) SetLanes(n int) {
+	for _, t := range m {
+		if l, ok := t.(interface{ SetLanes(int) }); ok {
+			l.SetLanes(n)
+		}
+	}
+}
+
 func (m MultiTracer) OnRoot(root *Strand) {
 	for _, t := range m {
 		t.OnRoot(root)
@@ -277,7 +290,8 @@ type Options struct {
 	// the primary Tracer, always through the plain (non-lane) methods —
 	// the hook trace recorders attach to without disturbing the primary
 	// tracer's LaneTracer routing. Like the Chrome trace adapter it is
-	// fed after the lane-aware tracer at each event site.
+	// fed after the lane-aware tracer at each event site. Aux (or its
+	// members) with a SetLanes method gets the lane count before OnRoot.
 	Aux Tracer
 	// Stats, when non-nil, receives the engine's execution counters as
 	// live gauges under sched.* names at the start of Run; the registry
@@ -374,13 +388,16 @@ func Run(opts Options, main func(*Task)) (Counts, error) {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
+	lanes := w
+	if opts.Serial {
+		lanes = 1
+	}
 	if lt, ok := opts.Tracer.(LaneTracer); ok {
 		e.laneTracer = lt
-		lanes := w
-		if opts.Serial {
-			lanes = 1
-		}
 		lt.SetLanes(lanes)
+	}
+	if l, ok := opts.Aux.(interface{ SetLanes(int) }); ok {
+		l.SetLanes(lanes)
 	}
 	// Auxiliary tracers (Options.Aux, the Chrome trace adapter) ride
 	// alongside the primary tracer: appended to the plain chain, and —
@@ -895,6 +912,7 @@ func (e *engine) runInline(j *job, w *worker) {
 // return-join for spawned children).
 func (e *engine) runBody(t *Task, w *worker) {
 	t.worker = w
+	t.cur.lane = t.laneID()
 	if t.bodyV != nil {
 		t.retval = t.bodyV(t)
 	} else if t.body != nil {

@@ -87,7 +87,8 @@ func (t *Task) Spawn(fn func(*Task)) {
 	child := e.newStrand(t.fut)
 	cont := e.newStrand(t.fut)
 	cont.setLabel(t.label)
-	e.emitSpawn(t.laneID(), u, child, cont, placeholder)
+	cont.lane = t.laneID()
+	e.emitSpawn(cont.lane, u, child, cont, placeholder)
 	j := &job{task: &Task{
 		eng:         e,
 		fut:         t.fut,
@@ -146,8 +147,9 @@ func (t *Task) closeRegion(b *syncBlock) {
 	k := t.cur
 	s := b.placeholder
 	s.setLabel(t.label)
+	s.lane = t.laneID()
 	e.cSyncs.Add(1)
-	e.emitSync(t.laneID(), k, s, b.childSinks)
+	e.emitSync(s.lane, k, s, b.childSinks)
 	t.frame.block = nil
 	t.cur = s
 	if e.check {
@@ -217,7 +219,8 @@ func (t *Task) Create(fn func(*Task) any) *Future {
 	first := e.newStrand(ft)
 	cont := e.newStrand(t.fut)
 	cont.setLabel(t.label)
-	e.emitCreate(t.laneID(), u, first, cont, placeholder, ft)
+	cont.lane = t.laneID()
+	e.emitCreate(cont.lane, u, first, cont, placeholder, ft)
 	j := &job{task: &Task{
 		eng:          e,
 		fut:          ft,
@@ -282,7 +285,8 @@ func (t *Task) Get(f *Future) any {
 	u := t.cur
 	g := e.newStrand(t.fut)
 	g.setLabel(t.label)
-	e.emitGet(t.laneID(), u, g, ft)
+	g.lane = t.laneID()
+	e.emitGet(g.lane, u, g, ft)
 	t.cur = g
 	return ft.value
 }

@@ -19,10 +19,10 @@ import (
 // A Stream validates as it goes: header, version, page size, op bytes,
 // block shape, and — the property streaming consumers depend on — that
 // every access block names a strand some earlier structure event declared.
-// The recorder's single-mutex serialization guarantees that ordering in
-// any genuine capture (the tap fires between a strand's introduction and
-// its strand-ending event), so a violation means corruption, caught before
-// the block's strand id can size any consumer state. The trailer is
+// The recorder's lane order and hand-off flushes guarantee that ordering
+// in any genuine capture (the tap fires between a strand's introduction
+// and its strand-ending event), so a violation means corruption, caught
+// before the block's strand id can size any consumer state. The trailer is
 // verified at end of stream; a capture cut short yields an error, never a
 // silent prefix.
 type Stream struct {

@@ -16,13 +16,17 @@
 //     access of the strand subsumes until the strand closes, and the
 //     page's non-zero bitmap words then.
 //
-// The recorder serializes all events through one mutex, so the file
-// order is a valid happens-before-consistent linearization of the run:
-// the event introducing a strand precedes every event naming it, a
-// strand's access blocks precede the event ending it (the tap fires
-// inside sched's StrandClose hook, which runs before the strand-ending
-// tracer event), and a future's put precedes its gets. Replay relies on
-// exactly these properties and nothing stronger.
+// The recorder buffers each sched lane (worker) and writes a lane to the
+// file only at a hand-off — root, spawn, create, return or put, after
+// which another worker can see the lane's work — past a size threshold, or
+// at Close. The file order is a valid happens-before-consistent
+// linearization of the run: a lane keeps call order, so a strand's
+// introduction precedes its lane's events naming it, and its access blocks
+// precede the event ending it (the tap fires inside sched's StrandClose
+// hook, before that event); and an event names another lane's strand or
+// future — a job's strands, a sync's sinks, a get's future — only after
+// the hand-off that wrote that lane. Replay relies on exactly these
+// properties and nothing stronger.
 //
 // # Wire format
 //
@@ -165,63 +169,93 @@ type Capture struct {
 	Bytes   int64         // encoded size consumed
 }
 
+const laneFlush = 64 << 10 // a lane this large goes to the file without a hand-off
+
+// lane is one sched lane's unwritten bytes, in call order, and the events
+// and entries they hold; padded so two lanes never share a cache line.
+type lane struct {
+	buf             []byte
+	events, entries uint64
+	_               [24]byte
+}
+
 // Recorder writes a capture. It implements sched.Tracer (attach via
-// sched.Options.Aux so the primary tracer's lane routing is untouched)
-// and detect.AccessTap (attach via detect.Options.Tap). For runs
-// without an access history it also implements sched.AccessChecker +
-// sched.StrandCloser directly, buffering each strand through the
-// detector's own accbuf.StrandBuffer, so a program can be recorded
-// without paying for detection.
+// sched.Options.Aux, so the primary tracer's lane routing is untouched and
+// sched sizes the recorder's lanes) and detect.AccessTap (attach via
+// detect.Options.Tap). For runs without an access history it also
+// implements sched.AccessChecker + sched.StrandCloser directly, buffering
+// each strand through the detector's own accbuf.StrandBuffer, so a program
+// can be recorded without paying for detection.
 //
-// All methods are safe for concurrent use; Close must be called once,
-// after the run, to write the trailer and flush.
+// Each call appends to the lane running the strand it names, with no lock.
+// Calls from one lane never overlap, which sched guarantees. A recorder
+// that sched never sized has one lane, and direct callers serialize their
+// calls. Close must be called once, after the run, to write the trailer.
 type Recorder struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
-	buf    []byte
+	lanes  []lane
 	err    error
 	closed bool
 
-	structEvents  uint64
+	structEvents  uint64 // counts and bytes that have reached the file
 	accessEntries uint64
 	bytes         uint64
 }
 
 // NewRecorder starts a capture on w, writing the header immediately.
 func NewRecorder(w io.Writer) *Recorder {
-	r := &Recorder{w: bufio.NewWriterSize(w, 1<<16)}
-	r.buf = append(r.buf, magic[:]...)
-	r.buf = append(r.buf, byteMark[:]...)
-	r.buf = binary.AppendUvarint(r.buf, Version)
-	r.buf = binary.AppendUvarint(r.buf, detect.PageBits)
-	r.emit()
+	r := &Recorder{w: bufio.NewWriterSize(w, 1<<16), lanes: make([]lane, 1)}
+	l := &r.lanes[0]
+	l.buf = append(l.buf, magic[:]...)
+	l.buf = append(l.buf, byteMark[:]...)
+	l.buf = binary.AppendUvarint(l.buf, Version)
+	l.buf = binary.AppendUvarint(l.buf, detect.PageBits)
+	r.flushLocked(l)
 	return r
 }
 
-// emit writes and resets r.buf; the caller holds r.mu (or, for the
-// constructor, exclusive access).
-func (r *Recorder) emit() {
-	if r.err != nil || r.closed {
-		r.buf = r.buf[:0]
-		return
+// SetLanes sizes the recorder to sched's lane count; sched calls it
+// before OnRoot when the recorder is Options.Aux.
+func (r *Recorder) SetLanes(n int) {
+	for len(r.lanes) < n {
+		r.lanes = append(r.lanes, lane{})
 	}
-	n, err := r.w.Write(r.buf)
-	r.bytes += uint64(n)
-	if err != nil {
-		r.err = err
-	}
-	r.buf = r.buf[:0]
 }
 
-func (r *Recorder) structEvent(op Op, fields ...uint64) {
-	r.mu.Lock()
-	r.buf = append(r.buf, byte(op))
-	for _, f := range fields {
-		r.buf = binary.AppendUvarint(r.buf, f)
+// lane returns the buffer of the lane running s.
+func (r *Recorder) lane(s *sched.Strand) *lane { return &r.lanes[s.Lane()] }
+
+// flush writes l to the file at a hand-off (hand) or past laneFlush.
+func (r *Recorder) flush(l *lane, hand bool) {
+	if hand || len(l.buf) > laneFlush {
+		r.mu.Lock()
+		r.flushLocked(l)
+		r.mu.Unlock()
 	}
-	r.structEvents++
-	r.emit()
-	r.mu.Unlock()
+}
+
+// flushLocked writes and resets l; the caller holds r.mu (or, for the
+// constructor, exclusive access).
+func (r *Recorder) flushLocked(l *lane) {
+	r.structEvents += l.events
+	r.accessEntries += l.entries
+	if r.err == nil && !r.closed {
+		n, err := r.w.Write(l.buf)
+		r.bytes += uint64(n)
+		r.err = err
+	}
+	*l = lane{buf: l.buf[:0]}
+}
+
+// structEvent appends one structure event to l and flushes it when hand.
+func (r *Recorder) structEvent(l *lane, hand bool, op Op, fields ...uint64) {
+	l.buf = append(l.buf, byte(op))
+	for _, f := range fields {
+		l.buf = binary.AppendUvarint(l.buf, f)
+	}
+	l.events++
+	r.flush(l, hand)
 }
 
 func phField(placeholder *sched.Strand) uint64 {
@@ -233,12 +267,12 @@ func phField(placeholder *sched.Strand) uint64 {
 
 // OnRoot implements sched.Tracer.
 func (r *Recorder) OnRoot(root *sched.Strand) {
-	r.structEvent(OpRoot, root.ID)
+	r.structEvent(r.lane(root), true, OpRoot, root.ID)
 }
 
 // OnSpawn implements sched.Tracer.
 func (r *Recorder) OnSpawn(u, child, cont, placeholder *sched.Strand) {
-	r.structEvent(OpSpawn, u.ID, child.ID, cont.ID, phField(placeholder))
+	r.structEvent(r.lane(u), true, OpSpawn, u.ID, child.ID, cont.ID, phField(placeholder))
 }
 
 // OnCreate implements sched.Tracer.
@@ -247,37 +281,36 @@ func (r *Recorder) OnCreate(u, first, cont, placeholder *sched.Strand, f *sched.
 	if f.Parent != nil {
 		parent = uint64(f.Parent.ID)
 	}
-	r.structEvent(OpCreate, u.ID, first.ID, cont.ID, phField(placeholder), uint64(f.ID), parent)
+	r.structEvent(r.lane(u), true, OpCreate, u.ID, first.ID, cont.ID, phField(placeholder), uint64(f.ID), parent)
 }
 
 // OnSync implements sched.Tracer.
 func (r *Recorder) OnSync(k, s *sched.Strand, childSinks []*sched.Strand) {
-	r.mu.Lock()
-	r.buf = append(r.buf, byte(OpSync))
-	r.buf = binary.AppendUvarint(r.buf, k.ID)
-	r.buf = binary.AppendUvarint(r.buf, s.ID)
-	r.buf = binary.AppendUvarint(r.buf, uint64(len(childSinks)))
+	l := r.lane(k)
+	l.buf = append(l.buf, byte(OpSync))
+	l.buf = binary.AppendUvarint(l.buf, k.ID)
+	l.buf = binary.AppendUvarint(l.buf, s.ID)
+	l.buf = binary.AppendUvarint(l.buf, uint64(len(childSinks)))
 	for _, c := range childSinks {
-		r.buf = binary.AppendUvarint(r.buf, c.ID)
+		l.buf = binary.AppendUvarint(l.buf, c.ID)
 	}
-	r.structEvents++
-	r.emit()
-	r.mu.Unlock()
+	l.events++
+	r.flush(l, false)
 }
 
 // OnReturn implements sched.Tracer.
 func (r *Recorder) OnReturn(sink *sched.Strand) {
-	r.structEvent(OpReturn, sink.ID)
+	r.structEvent(r.lane(sink), true, OpReturn, sink.ID)
 }
 
 // OnPut implements sched.Tracer.
 func (r *Recorder) OnPut(sink *sched.Strand, f *sched.FutureTask) {
-	r.structEvent(OpPut, sink.ID, uint64(f.ID))
+	r.structEvent(r.lane(sink), true, OpPut, sink.ID, uint64(f.ID))
 }
 
 // OnGet implements sched.Tracer.
 func (r *Recorder) OnGet(u, g *sched.Strand, f *sched.FutureTask) {
-	r.structEvent(OpGet, u.ID, g.ID, uint64(f.ID))
+	r.structEvent(r.lane(u), false, OpGet, u.ID, g.ID, uint64(f.ID))
 }
 
 // TapAccesses implements detect.AccessTap by folding the lists back into
@@ -293,40 +326,39 @@ func (r *Recorder) TapAccesses(s *sched.Strand, addrs []uint64, kinds []detect.A
 	}
 	var sets [2]detect.SlotSet
 	page := addrs[0] >> detect.PageBits
-	r.mu.Lock()
+	l := r.lane(s)
 	for i, addr := range addrs {
 		k := kinds[i] & 1
 		w, bit := addr&(1<<detect.PageBits-1)>>6, uint64(1)<<(addr&63)
 		if addr>>detect.PageBits != page || (sets[k][w]|sets[detect.AccessWrite][w])&bit != 0 {
-			r.writeSetsLocked(s.ID, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
+			l.writeSets(s.ID, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
 			sets, page = [2]detect.SlotSet{}, addr>>detect.PageBits
 		}
 		sets[k][w] |= bit
 	}
-	r.writeSetsLocked(s.ID, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
-	r.mu.Unlock()
+	l.writeSets(s.ID, page, &sets[detect.AccessRead], &sets[detect.AccessWrite])
+	r.flush(l, false)
 }
 
-// writeSetsLocked writes one page's block straight from its slot sets,
-// which are not both empty: the mask, then the non-zero words.
-func (r *Recorder) writeSetsLocked(strand, page uint64, reads, writes *detect.SlotSet) {
-	r.buf = append(r.buf, byte(opAccess))
-	r.buf = binary.AppendUvarint(r.buf, strand)
-	r.buf = binary.AppendUvarint(r.buf, page)
-	at, mask, n := len(r.buf), byte(0), 0
-	r.buf = append(r.buf, 0)
+// writeSets appends one page's block straight from its slot sets, which
+// are not both empty: the mask, then the non-zero words.
+func (l *lane) writeSets(strand, page uint64, reads, writes *detect.SlotSet) {
+	l.buf = append(l.buf, byte(opAccess))
+	l.buf = binary.AppendUvarint(l.buf, strand)
+	l.buf = binary.AppendUvarint(l.buf, page)
+	at, mask, n := len(l.buf), byte(0), 0
+	l.buf = append(l.buf, 0)
 	for i, set := range [2]*detect.SlotSet{reads, writes} {
 		for w, word := range set {
 			if word != 0 {
 				mask |= 1 << (i*words + w)
 				n += bits.OnesCount64(word)
-				r.buf = binary.LittleEndian.AppendUint64(r.buf, word)
+				l.buf = binary.LittleEndian.AppendUint64(l.buf, word)
 			}
 		}
 	}
-	r.buf[at] = mask
-	r.accessEntries += uint64(n)
-	r.emit()
+	l.buf[at] = mask
+	l.entries += uint64(n)
 }
 
 // Read implements sched.AccessChecker for detection-free recording: the
@@ -356,27 +388,32 @@ func (r *Recorder) StrandClose(s *sched.Strand) {
 	}
 	s.Buf = nil
 	if b.Pending() > 0 {
-		r.mu.Lock()
+		l := r.lane(s)
 		b.Drain(func(page uint64, reads, writes *detect.SlotSet) {
-			r.writeSetsLocked(s.ID, page, reads, writes)
+			l.writeSets(s.ID, page, reads, writes)
 		})
-		r.mu.Unlock()
+		r.flush(l, false)
 	}
 	b.Release()
 }
 
-// Close writes the trailer and flushes. The capture is invalid without
-// it; Load rejects trailer-less files as truncated.
+// Close writes the lanes, in any order (a lane's tail names only what it
+// or the file introduced), then the trailer, and flushes. The capture is
+// invalid without it; Load rejects trailer-less files as truncated.
 func (r *Recorder) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return r.err
 	}
-	r.buf = append(r.buf, byte(opEnd))
-	r.buf = binary.AppendUvarint(r.buf, r.structEvents)
-	r.buf = binary.AppendUvarint(r.buf, r.accessEntries)
-	r.emit()
+	for i := range r.lanes {
+		r.flushLocked(&r.lanes[i])
+	}
+	l := &r.lanes[0]
+	l.buf = append(l.buf, byte(opEnd))
+	l.buf = binary.AppendUvarint(l.buf, r.structEvents)
+	l.buf = binary.AppendUvarint(l.buf, r.accessEntries)
+	r.flushLocked(l)
 	if err := r.w.Flush(); err != nil && r.err == nil {
 		r.err = err
 	}
@@ -391,14 +428,15 @@ func (r *Recorder) Err() error {
 	return r.err
 }
 
-// Bytes returns how many bytes have been emitted so far.
+// Bytes returns how many bytes have reached the file so far.
 func (r *Recorder) Bytes() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.bytes
 }
 
-// RegisterStats publishes the recorder counters (record.*) on reg.
+// RegisterStats publishes the recorder counters (record.*) on reg. They
+// count what has reached the file, and are complete after Close.
 func (r *Recorder) RegisterStats(reg *obsv.Registry) {
 	reg.RegisterFunc("record.struct_events", func() int64 {
 		r.mu.Lock()
