@@ -8,9 +8,14 @@
 //	sfgen -seeds 100                    # fuzz 100 random programs
 //	sfgen -seed 7 -dot                  # print one program's dag as DOT
 //	sfgen -seed 7 -detector forder -v   # detail one run
+//	sfgen -seed 7 -save s7.sft          # keep the detector run's capture
+//	sfgen -load s7.sft                  # replay a capture against the oracle
+//
+// -load takes any capture within the oracle's caps, also sforder -record's.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +25,9 @@ import (
 	"sforder/internal/engine"
 	"sforder/internal/oracle"
 	"sforder/internal/progen"
+	"sforder/internal/replay"
 	"sforder/internal/sched"
+	"sforder/internal/trace"
 )
 
 func main() {
@@ -32,15 +39,19 @@ func main() {
 		addrs    = flag.Int("addrs", 8, "shadow address space size")
 		detector = flag.String("detector", "sforder", "sforder, forder, multibags")
 		dot      = flag.Bool("dot", false, "print the recorded dag as Graphviz DOT")
-		save     = flag.String("save", "", "write the recorded dag as JSON to this file")
-		load     = flag.String("load", "", "validate a previously saved dag file and exit")
+		save     = flag.String("save", "", "write the seed's sftrace capture to this file (one seed only)")
+		load     = flag.String("load", "", "check a capture's replay against the oracle and exit")
 		verbose  = flag.Bool("v", false, "per-seed detail")
 	)
 	flag.Parse()
 
 	if *load != "" {
-		validateSaved(*load)
+		checkSaved(*load)
 		return
+	}
+	if *save != "" && *seeds > 1 {
+		fmt.Fprintln(os.Stderr, "sfgen: -save keeps one seed's capture; it takes no -seeds above 1")
+		os.Exit(2)
 	}
 	d, ok := map[string]engine.Detector{
 		"sforder":   engine.SFOrder,
@@ -65,27 +76,39 @@ func main() {
 	fmt.Printf("sfgen: %d seeds ok\n", *seeds)
 }
 
-// validateSaved loads a dag saved with -save, revalidates the SF
-// restrictions, and prints its shape.
-func validateSaved(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sfgen: %v\n", err)
+// checkSaved loads a capture, prints its dag's shape, and fails unless
+// barriered and streamed replay both equal the oracle over the capture.
+func checkSaved(path string) {
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "sfgen: %s: "+format+"\n", append([]any{path}, args...)...)
 		os.Exit(1)
 	}
-	defer f.Close()
-	g, err := dag.Decode(f)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sfgen: %v\n", err)
-		os.Exit(1)
+		fail("%v", err)
 	}
-	if err := g.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "sfgen: saved dag INVALID: %v\n", err)
-		os.Exit(1)
+	c, err := trace.Load(bytes.NewReader(raw))
+	if err != nil {
+		fail("%v", err)
+	}
+	want, g, err := replay.Oracle(c)
+	if err != nil {
+		fail("%v", err)
+	}
+	barriered, err := replay.Run(c, replay.Options{})
+	if err != nil {
+		fail("replay: %v", err)
+	}
+	streamed, err := replay.RunStream(bytes.NewReader(raw), replay.Options{})
+	if err != nil {
+		fail("streamed replay: %v", err)
+	}
+	if !slices.Equal(barriered.RacyAddrs, want) || !slices.Equal(streamed.RacyAddrs, want) {
+		fail("replay %v, streamed %v != oracle %v", barriered.RacyAddrs, streamed.RacyAddrs, want)
 	}
 	work, span := g.WorkSpan()
-	fmt.Printf("sfgen: %s ok — %d nodes, %d futures, work %d, span %d\n",
-		path, g.NumNodes(), g.NumFutures()-1, work, span)
+	fmt.Printf("sfgen: %s ok — %d nodes, %d futures, work %d, span %d, %d entries, %d racy addresses\n",
+		path, g.NumNodes(), g.NumFutures()-1, work, span, c.Entries, len(want))
 }
 
 func fuzzOne(seed int64, depth, ops, addrs int, d engine.Detector, dot bool, save string, verbose bool) bool {
@@ -107,23 +130,22 @@ func fuzzOne(seed int64, depth, ops, addrs int, d engine.Detector, dot bool, sav
 	if dot {
 		fmt.Print(rec.G.DOT())
 	}
+	cfg := engine.Config{Detector: d}
+	var f *os.File
 	if save != "" {
-		f, err := os.Create(save)
-		if err != nil {
+		var err error
+		if f, err = os.Create(save); err != nil {
 			fmt.Fprintf(os.Stderr, "sfgen: %v\n", err)
 			return false
 		}
-		err = rec.G.Encode(f)
+		cfg.Record = f
+	}
+	res, err := engine.Run(cfg, p.Main())
+	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sfgen: save: %v\n", err)
-			return false
-		}
 	}
-
-	res, err := engine.Run(engine.Config{Detector: d}, p.Main())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "seed %d: %v run failed: %v\n", seed, d, err)
 		return false

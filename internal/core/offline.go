@@ -15,11 +15,12 @@ import (
 // path; an order-maintenance list is one mutable structure that must
 // be built in event order).
 //
-// Usage: allocate with NewOffline, Bind every strand to its table
-// label (safe concurrently for distinct indices — each Bind touches
-// only its own pre-allocated node record), account the table once with
-// AccountTable, then drive the serial gp/cp passes (BindRootFuture,
-// BindFuture, InheritGP, SyncGP, GetGP) in capture file order. The
+// Usage: allocate with NewOffline, account the table once with
+// AccountTable, and Bind each strand to its table label (safe
+// concurrently for distinct indices — each Bind touches only its own
+// pre-allocated node record) before the serial gp/cp passes
+// (BindRootFuture, BindFuture, InheritGP, SyncGP, GetGP), run in capture
+// file order, touch it. The
 // resulting Reach answers Precedes/PrecedesUncounted/LeftOf exactly as
 // if the events had been traced online.
 type Offline struct {

@@ -327,8 +327,8 @@ type cell struct {
 
 // checkCell runs p, spelled sp, under cfg on one access path twice —
 // plain, and with the recorder tapped in — and replays the capture both
-// ways; all four verdicts must be the oracle's, and the counts of a run
-// with stats the oracle log's.
+// ways; all four verdicts, and the oracle's over the capture, must be the
+// program's oracle's, and the counts of a run with stats the oracle log's.
 func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program, sp spelling) cell {
 	t.Helper()
 	where := fmt.Sprintf("%s, %s, %s path", p.name, sp.name, path.name)
@@ -383,6 +383,11 @@ func checkCell(t *testing.T, path accessPath, cfg engine.Config, p *program, sp 
 			}
 		}
 	}
+	racy, _, err := replay.Oracle(cp)
+	if err != nil {
+		t.Fatalf("%s: oracle over the capture: %v", where, err)
+	}
+	check("oracle over the capture", racy)
 	rr, err := replay.Run(cp, ropts)
 	if err != nil {
 		t.Fatalf("%s: replay: %v", where, err)

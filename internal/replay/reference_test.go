@@ -83,16 +83,16 @@ func (l *logTap) TapAccesses(s *sched.Strand, addrs []uint64, kinds []detect.Acc
 // the tapped entries in tap order.
 func runReference(t *testing.T, c *trace.Capture, log []entry) (racy []uint64, count uint64) {
 	t.Helper()
-	reach, st := core.NewReach(), &store{}
+	reach, rb := core.NewReach(), &trace.Rebuild{}
 	defer reach.Release()
 	for i := range c.Events {
-		if err := applyEvent(st, reach, &c.Events[i]); err != nil {
+		if err := rb.Apply(reach, &c.Events[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ref := &reference{locs: map[uint64]*refLoc{}, racy: map[uint64]bool{}}
 	for _, e := range log {
-		ref.apply(reach, st.need(e.strand), e.addr, e.kind)
+		ref.apply(reach, rb.Strand(e.strand), e.addr, e.kind)
 	}
 	for a := range ref.racy {
 		racy = append(racy, a)
@@ -103,8 +103,9 @@ func runReference(t *testing.T, c *trace.Capture, log []entry) (racy []uint64, c
 
 // forkJoin crafts a capture of one fork-join region — root strand 0 spawns
 // child 1 beside continuation 2, and 3 is the strand after their sync —
-// with the access lists the callback taps in between: 0 precedes all, 1
-// and 2 are parallel, 3 follows all. It returns the entries tapped too.
+// with the access lists the callback taps, each where its strand is live:
+// 0 precedes all, 1 and 2 are parallel, 3 follows all. The callback names
+// the strands in that order. It returns the entries tapped too.
 func forkJoin(t *testing.T, tap func(block func(strand uint64, entries ...uint64))) ([]byte, []entry) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -115,10 +116,22 @@ func forkJoin(t *testing.T, tap func(block func(strand uint64, entries ...uint64
 		s[i] = &sched.Strand{ID: uint64(i), Fut: f0}
 	}
 	lt.rec.OnRoot(s[0])
-	lt.rec.OnSpawn(s[0], s[1], s[2], s[3])
+	// The events between the phases: 0 runs, then 1 and 2, then 3.
+	phase := 0
+	advance := func(to int) {
+		for ; phase < to; phase++ {
+			if phase == 0 {
+				lt.rec.OnSpawn(s[0], s[1], s[2], s[3])
+			} else {
+				lt.rec.OnReturn(s[1])
+				lt.rec.OnSync(s[2], s[3], []*sched.Strand{s[1]})
+			}
+		}
+	}
 	// An entry is its address shifted left once, with the low bit set for
 	// a write: r(a), w(a) below.
 	tap(func(strand uint64, entries ...uint64) {
+		advance([]int{0, 1, 1, 2}[strand])
 		addrs := make([]uint64, len(entries))
 		kinds := make([]detect.AccessKind, len(entries))
 		for i, e := range entries {
@@ -126,8 +139,7 @@ func forkJoin(t *testing.T, tap func(block func(strand uint64, entries ...uint64
 		}
 		lt.TapAccesses(s[strand], addrs, kinds)
 	})
-	lt.rec.OnReturn(s[1])
-	lt.rec.OnSync(s[2], s[3], []*sched.Strand{s[1]})
+	advance(2)
 	if err := lt.rec.Close(); err != nil {
 		t.Fatal(err)
 	}

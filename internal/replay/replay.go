@@ -11,13 +11,16 @@
 //     File order is a happens-before-consistent linearization of the run
 //     — each recording worker's events in call order, a worker's share
 //     written before any hand-off lets another worker see its work (see
-//     internal/trace) — so every Tracer precondition holds. With
+//     internal/trace) — so every Tracer precondition holds; every path
+//     applies them through trace.Rebuild, which rejects a capture the
+//     engine cannot have recorded. With
 //     Options.RebuildWorkers > 1 and a label substrate, the rebuild
 //     itself parallelizes: a serial index pass (trace.PathIndex)
 //     partitions the strand forest, then P workers construct the
 //     immutable fork-path labels concurrently over
 //     independent segments (depa.BuildTable) with no OM list and no
-//     locks — only the gp/cp bitmap passes stay serial. Either way,
+//     locks — only the label binding and gp/cp bitmap pass stays
+//     serial. Either way,
 //     after the rebuild the reachability state is read-only — frozen
 //     labels any number of workers can query lock-free.
 //
@@ -43,6 +46,7 @@ import (
 	"sforder/internal/core"
 	"sforder/internal/detect"
 	"sforder/internal/obsv"
+	"sforder/internal/sched"
 	"sforder/internal/trace"
 )
 
@@ -144,7 +148,7 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 	rebuildStart := time.Now()
 	var (
 		reach *core.Reach
-		st    *store
+		tr    sched.Tracer
 		err   error
 	)
 	// The precomputed-table path needs a label substrate: an OM list is
@@ -152,15 +156,20 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 	// rebuilds in event order regardless of RebuildWorkers.
 	if opts.RebuildWorkers > 1 && opts.Reach == core.SubstrateDePa {
 		res.RebuildWorkers, res.RebuildParallel = opts.RebuildWorkers, true
-		st, reach, err = rebuildParallel(c, res)
+		var tt *tableTracer
+		if tt, err = newTableTracer(c, res); err == nil {
+			reach, tr = tt.off.Reach(), tt
+		}
 	} else {
-		reach, st = core.New(core.Config{Reach: opts.Reach}), &store{}
+		reach = core.New(core.Config{Reach: opts.Reach})
 		// The Result holds only values, so the arena slabs go back to
 		// their pools on every return path, after it is assembled.
 		defer reach.Release()
-		for i := 0; i < len(c.Events) && err == nil; i++ {
-			err = applyEvent(st, reach, &c.Events[i])
-		}
+		tr = reach
+	}
+	rb := &trace.Rebuild{Reach: reach}
+	if err == nil {
+		err = rb.Run(c, tr, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -169,13 +178,11 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 
 	detectStart := time.Now()
 	pl := startShards(reach, opts)
-	for i := 0; i < len(c.Blocks) && err == nil; i++ {
-		err = pl.dispatch(st, &c.Blocks[i])
+	for i := range c.Blocks {
+		// The rebuild has checked every block's strand.
+		pl.dispatch(rb.Strand(c.Blocks[i].Strand), &c.Blocks[i])
 	}
 	pl.wait()
-	if err != nil {
-		return nil, err
-	}
 	res.Detect = time.Since(detectStart)
 	pl.finish(res, int64(len(c.Blocks)), c.Bytes)
 	return res, nil
@@ -224,7 +231,7 @@ func RunStream(r io.Reader, opts Options) (*Result, error) {
 	// capture.
 	start := time.Now()
 	pl := startShards(reach, opts)
-	st := &store{}
+	rb := &trace.Rebuild{Reach: reach}
 	res := &Result{RebuildWorkers: 1, Streamed: true}
 	for err == nil {
 		var ev *trace.Event
@@ -234,16 +241,20 @@ func RunStream(r io.Reader, opts Options) (*Result, error) {
 		}
 		if ev != nil {
 			t0 := time.Now()
-			err = applyEvent(st, reach, ev)
+			err = rb.Apply(reach, ev)
 			res.Rebuild += time.Since(t0)
 		} else {
-			// The Stream already bounds block strand ids by the declared
-			// count; dispatch additionally requires an introduction.
-			err = pl.dispatch(st, blk)
+			var s *sched.Strand
+			if s, err = rb.Block(blk); err == nil {
+				pl.dispatch(s, blk)
+			}
 		}
 	}
 	pl.wait()
 	if err != io.EOF {
+		return nil, err
+	}
+	if err = rb.Done(); err != nil {
 		return nil, err
 	}
 	res.Strands, res.Futures = dec.Strands(), uint64(dec.Futures())

@@ -96,15 +96,12 @@ func startShards(reach *core.Reach, opts Options) *pipeline {
 	return pl
 }
 
-// dispatch routes an access block of an introduced strand, whole, to the
-// shard owning its page. A send blocks while the shard's queue is full: the
+// dispatch routes an access block of strand s, whole, to the shard owning
+// its page. A send blocks while the shard's queue is full: the
 // backpressure.
-func (pl *pipeline) dispatch(st *store, b *trace.AccessBlock) (err error) {
-	defer st.caught(&err)
-	j := job{s: st.need(b.Strand), blk: *b}
+func (pl *pipeline) dispatch(s *sched.Strand, b *trace.AccessBlock) {
 	pl.peakBlocks = max(pl.peakBlocks, pl.inBlocks.Add(1))
-	pl.shards[ShardOf(b.Page, len(pl.shards))].in <- j
-	return nil
+	pl.shards[ShardOf(b.Page, len(pl.shards))].in <- job{s: s, blk: *b}
 }
 
 // wait closes the queues and returns once every shard has drained its own.

@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"math"
+
+	"sforder/internal/sched"
 )
 
 // Role classifies how a strand entered the dag — which branch component
@@ -27,7 +29,7 @@ const (
 )
 
 // PathIndex is a capture's segment index: every strand's fork path —
-// label parent, branch role, owning future — extracted from the
+// label parent and branch role — extracted from the
 // structure events in one serial validating pass and laid out in
 // introduction order, so parents always precede children and
 // contiguous index ranges are independent units of label-construction
@@ -48,162 +50,64 @@ type PathIndex struct {
 	Parent []int32
 	// Role holds each strand's branch role.
 	Role []Role
-	// Fut holds each strand's owning future ID.
-	Fut []int32
-	// Pos maps a strand ID to its introduction position, -1 when the
-	// capture never introduces the ID (IDs may be sparse).
+	// Pos maps a strand ID to its introduction position (a capture
+	// Rebuild accepts leaves no ID out).
 	Pos []int32
-	// FutParent maps a future ID to its parent future's ID, -1 for the
-	// root future.
-	FutParent []int32
 }
 
-// Index builds the capture's PathIndex, validating the structural
-// invariants the rebuild depends on along the way: a single leading
+// Index builds the capture's PathIndex in one Rebuild pass, which holds
+// the capture to everything the rebuild depends on — a single leading
 // root, every referenced strand and future introduced first, no double
-// introductions, sync strands pre-placed at their region's first
-// branch, and puts preceding gets. It performs no reachability work —
-// the index is the input to parallel label construction, an error here
-// is a corrupt capture.
+// introductions, sync strands pre-placed at their region's first branch,
+// puts preceding gets — and to the rest of the strand life cycle, except
+// the get's handle check, which needs reachability. It performs no
+// reachability work: the index is the input to parallel label
+// construction, and an error here is a corrupt capture.
 func (c *Capture) Index() (*PathIndex, error) {
-	// Dense-ID sanity first (same bound the serial rebuild applies): a
-	// structurally consistent capture introduces at most 3 strands and
-	// 1 future per event, so the decoded maxima cannot be trusted
-	// beyond that before sizing anything.
-	if c.Strands > 3*uint64(len(c.Events))+1 || uint64(c.Futures) > uint64(len(c.Events))+1 {
-		return nil, fmt.Errorf("trace: index: capture names %d strands/%d futures across %d events (corrupt capture)",
-			c.Strands, c.Futures, len(c.Events))
+	idx := &PathIndex{}
+	if err := (&Rebuild{}).Run(c, indexer{idx}, nil); err != nil {
+		return nil, err
 	}
-	if c.Strands > math.MaxInt32 {
-		return nil, fmt.Errorf("trace: index: %d strands exceed the index limit", c.Strands)
-	}
-
-	idx := &PathIndex{
-		Pos:       make([]int32, c.Strands),
-		FutParent: make([]int32, c.Futures),
-	}
-	for i := range idx.Pos {
-		idx.Pos[i] = -1
-	}
-	futSeen := make([]bool, c.Futures)
-	futPut := make([]bool, c.Futures)
-	for i := range idx.FutParent {
-		idx.FutParent[i] = -1
-	}
-
-	need := func(i int, id uint64) (int32, error) {
-		if id >= uint64(len(idx.Pos)) || idx.Pos[id] < 0 {
-			return 0, fmt.Errorf("trace: index: event %d: strand %d referenced before introduction", i, id)
-		}
-		return idx.Pos[id], nil
-	}
-	intro := func(i int, id uint64, parent int32, role Role, fut int32) error {
-		if id >= uint64(len(idx.Pos)) {
-			return fmt.Errorf("trace: index: event %d: strand %d out of range", i, id)
-		}
-		if idx.Pos[id] >= 0 {
-			return fmt.Errorf("trace: index: event %d: strand %d introduced twice", i, id)
-		}
-		idx.Pos[id] = int32(len(idx.Order))
-		idx.Order = append(idx.Order, id)
-		idx.Parent = append(idx.Parent, parent)
-		idx.Role = append(idx.Role, role)
-		idx.Fut = append(idx.Fut, fut)
-		return nil
-	}
-	needFut := func(i, id int) error {
-		if id < 0 || id >= len(futSeen) || !futSeen[id] {
-			return fmt.Errorf("trace: index: event %d: future %d referenced before creation", i, id)
-		}
-		return nil
-	}
-
-	for i, ev := range c.Events {
-		switch ev.Op {
-		case OpRoot:
-			if i != 0 || len(idx.Order) != 0 {
-				return nil, fmt.Errorf("trace: index: event %d: misplaced root", i)
-			}
-			futSeen[0] = true
-			if err := intro(i, ev.U, -1, RoleRoot, 0); err != nil {
-				return nil, err
-			}
-		case OpSpawn, OpCreate:
-			u, err := need(i, ev.U)
-			if err != nil {
-				return nil, err
-			}
-			childFut := idx.Fut[u]
-			if ev.Op == OpCreate {
-				if err := needFut(i, ev.FutParent); err != nil {
-					return nil, err
-				}
-				if ev.Fut < 0 || ev.Fut >= len(futSeen) || futSeen[ev.Fut] {
-					return nil, fmt.Errorf("trace: index: event %d: future %d out of range or created twice", i, ev.Fut)
-				}
-				futSeen[ev.Fut] = true
-				idx.FutParent[ev.Fut] = int32(ev.FutParent)
-				childFut = int32(ev.Fut)
-			}
-			if err := intro(i, ev.A, u, RoleChild, childFut); err != nil {
-				return nil, err
-			}
-			if err := intro(i, ev.B, u, RoleCont, idx.Fut[u]); err != nil {
-				return nil, err
-			}
-			if ev.Placeholder > 0 {
-				if err := intro(i, ev.Placeholder-1, u, RoleSync, idx.Fut[u]); err != nil {
-					return nil, err
-				}
-			}
-		case OpSync:
-			if _, err := need(i, ev.U); err != nil {
-				return nil, err
-			}
-			// The sync strand is the placeholder eagerly introduced at
-			// the region's first branch; the scheduler emits no sync
-			// for branch-free regions, so an unintroduced sync strand
-			// is corruption, not a late introduction.
-			if _, err := need(i, ev.A); err != nil {
-				return nil, fmt.Errorf("trace: index: event %d: sync strand %d was never placed at a branch", i, ev.A)
-			}
-			for _, id := range ev.Sinks {
-				if _, err := need(i, id); err != nil {
-					return nil, err
-				}
-			}
-		case OpReturn:
-			if _, err := need(i, ev.U); err != nil {
-				return nil, err
-			}
-		case OpPut:
-			if _, err := need(i, ev.U); err != nil {
-				return nil, err
-			}
-			if err := needFut(i, ev.Fut); err != nil {
-				return nil, err
-			}
-			futPut[ev.Fut] = true
-		case OpGet:
-			u, err := need(i, ev.U)
-			if err != nil {
-				return nil, err
-			}
-			if err := needFut(i, ev.Fut); err != nil {
-				return nil, err
-			}
-			if !futPut[ev.Fut] {
-				return nil, fmt.Errorf("trace: index: event %d: get of future %d before its put", i, ev.Fut)
-			}
-			if err := intro(i, ev.A, u, RoleGet, idx.Fut[u]); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("trace: index: event %d: unexpected op %v", i, ev.Op)
-		}
-	}
-	if len(c.Events) > 0 && len(idx.Order) == 0 {
-		return nil, fmt.Errorf("trace: index: capture has events but introduces no strands")
+	if len(idx.Order) > math.MaxInt32 {
+		return nil, fmt.Errorf("trace: index: %d strands exceed the index limit", len(idx.Order))
 	}
 	return idx, nil
 }
+
+// indexer is the tracer Index runs: it lays each strand out at its
+// introduction, after its label parent.
+type indexer struct{ *PathIndex }
+
+func (x indexer) add(s, parent *sched.Strand, role Role) {
+	p := int32(-1)
+	if parent != nil {
+		p = x.Pos[parent.ID]
+	}
+	for uint64(len(x.Pos)) <= s.ID {
+		x.Pos = append(x.Pos, -1)
+	}
+	x.Pos[s.ID] = int32(len(x.Order))
+	x.Order = append(x.Order, s.ID)
+	x.Parent = append(x.Parent, p)
+	x.Role = append(x.Role, role)
+}
+
+func (x indexer) OnRoot(root *sched.Strand) { x.add(root, nil, RoleRoot) }
+
+func (x indexer) OnSpawn(u, child, cont, placeholder *sched.Strand) {
+	x.add(child, u, RoleChild)
+	x.add(cont, u, RoleCont)
+	if placeholder != nil {
+		x.add(placeholder, u, RoleSync)
+	}
+}
+
+func (x indexer) OnCreate(u, first, cont, ph *sched.Strand, _ *sched.FutureTask) {
+	x.OnSpawn(u, first, cont, ph)
+}
+
+func (x indexer) OnGet(u, g *sched.Strand, f *sched.FutureTask) { x.add(g, u, RoleGet) }
+
+func (indexer) OnSync(k, s *sched.Strand, childSinks []*sched.Strand) {}
+func (indexer) OnReturn(sink *sched.Strand)                           {}
+func (indexer) OnPut(sink *sched.Strand, f *sched.FutureTask)         {}

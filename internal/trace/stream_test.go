@@ -138,7 +138,7 @@ func TestLoadBlockAfterIntroduction(t *testing.T) {
 
 // TestIndexRoundTrip: the path index of a genuine capture covers every
 // strand, is topologically ordered, and agrees with the events on
-// parentage and futures.
+// parentage.
 func TestIndexRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		raw, counts := record(t, seed)
@@ -162,20 +162,9 @@ func TestIndexRoundTrip(t *testing.T) {
 			} else if p < 0 && idx.Role[j] != trace.RoleRoot {
 				t.Fatalf("seed %d: non-root strand at %d has no parent", seed, j)
 			}
-			if f := idx.Fut[j]; f < 0 || int(f) >= c.Futures {
-				t.Fatalf("seed %d: strand at %d has future %d of %d", seed, j, f, c.Futures)
-			}
 		}
 		if idx.Role[0] != trace.RoleRoot {
 			t.Fatalf("seed %d: first introduction is %v, want root", seed, idx.Role[0])
-		}
-		for fid, parent := range idx.FutParent {
-			if fid == 0 && parent != -1 {
-				t.Fatalf("seed %d: root future has parent %d", seed, parent)
-			}
-			if fid > 0 && (parent < 0 || int(parent) >= c.Futures) {
-				t.Fatalf("seed %d: future %d has parent %d of %d", seed, fid, parent, c.Futures)
-			}
 		}
 	}
 }

@@ -158,11 +158,12 @@ func (b *AccessBlock) Entries() int {
 }
 
 // Capture is a fully decoded sftrace file. Events and Blocks each
-// preserve file order; how the two interleaved in the file is not kept
-// (replay does not need it).
+// preserve file order, and BlockAt keeps how the two interleaved: replay
+// checks each block against the strand states at its place in the file.
 type Capture struct {
 	Events  []Event       // structure events, file order
 	Blocks  []AccessBlock // access blocks, file order
+	BlockAt []int         // per block, how many structure events precede it
 	Strands uint64        // 1 + the largest strand ID named anywhere
 	Futures int           // 1 + the largest future ID named anywhere
 	Entries uint64        // total access entries across Blocks
@@ -505,6 +506,7 @@ func Load(r io.Reader) (*Capture, error) {
 			c.Events = append(c.Events, *ev)
 		} else {
 			c.Blocks = append(c.Blocks, *blk)
+			c.BlockAt = append(c.BlockAt, len(c.Events))
 		}
 	}
 }
