@@ -26,7 +26,7 @@ import (
 type Offline struct {
 	r     *Reach
 	sub   *depaSub
-	nodes []node
+	nodes []depaNode
 	metas []futMeta
 }
 
@@ -40,7 +40,7 @@ func NewOffline(strands, futures int) *Offline {
 	return &Offline{
 		r:     &Reach{sub: sub},
 		sub:   sub,
-		nodes: make([]node, strands),
+		nodes: make([]depaNode, strands),
 		metas: make([]futMeta, futures),
 	}
 }
@@ -54,8 +54,8 @@ func (o *Offline) Reach() *Reach { return o.r }
 // label must be immutable (a table entry).
 func (o *Offline) Bind(i int, s *sched.Strand, l *depa.Label) {
 	n := &o.nodes[i]
-	n.setDepa(l)
-	s.Det = n
+	n.label = l
+	s.Det = &n.node
 }
 
 // AccountTable records a bulk-built label table on the substrate's

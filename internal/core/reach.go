@@ -41,33 +41,22 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"sforder/internal/bitset"
-	"sforder/internal/depa"
 	"sforder/internal/obsv"
-	"sforder/internal/om"
 	"sforder/internal/sched"
 )
 
-// node is the SF-Order per-strand state. The first two words are the
-// substrate position, a union so the record stays at 24 bytes for
-// every backend (a size test pins it): under SubstrateOM they are the
-// English and Hebrew om.Item pointers; under SubstrateDePa p0 is the
-// cord fork-path label and p1 is nil (EXPERIMENTS ABL10/ABL11 has the
-// substrate that once kept a second label there). Only the substrate
-// that wrote a node ever reads its position, so the union needs no tag.
+// node is the substrate-independent header of the SF-Order per-strand
+// record; it is all Reach reads. Each substrate allocates the whole
+// record, its position inline after the header (omNode: the English and
+// Hebrew om.Items; depaNode: the cord fork-path label), and converts a
+// *node back to it — the header is the record's first field, so both
+// share an address. One record a strand, one slab allocation, and
+// MemBytes counts it once by its size (a size test pins all three).
 type node struct {
-	p0, p1 unsafe.Pointer
-	gp     *bitset.RunSet // future IDs F with last(F) ⇝NSP here (shared)
+	gp *bitset.RunSet // future IDs F with last(F) ⇝NSP here (shared)
 }
-
-func (n *node) omPos() (eng, heb *om.Item) { return (*om.Item)(n.p0), (*om.Item)(n.p1) }
-func (n *node) setOM(eng, heb *om.Item) {
-	n.p0, n.p1 = unsafe.Pointer(eng), unsafe.Pointer(heb)
-}
-func (n *node) depaLabel() *depa.Label { return (*depa.Label)(n.p0) }
-func (n *node) setDepa(l *depa.Label)  { n.p0 = unsafe.Pointer(l) }
 
 // futMeta is the SF-Order per-future state.
 type futMeta struct {
@@ -237,7 +226,7 @@ func (r *Reach) getGP(sets *bitset.Arena, gpU, gpLast *bitset.RunSet, f *sched.F
 func (r *Reach) OnRoot(root *sched.Strand) {
 	r.strands.Add(1)
 	a := r.lockShared()
-	rn := a.newNode()
+	rn := r.sub.newNode(a)
 	r.sub.placeRoot(a, rn)
 	root.Det = rn
 	root.Fut.Det = a.newMeta() // cp stays nil: the root has no ancestors
@@ -258,11 +247,11 @@ func (r *Reach) placeBranch(a *laneAlloc, u, child, cont, placeholder *sched.Str
 		n = 3
 	}
 	r.strands.Add(uint64(n))
-	cn := a.newNode()
-	kn := a.newNode()
+	cn := r.sub.newNode(a)
+	kn := r.sub.newNode(a)
 	var pn *node
 	if placeholder != nil {
-		pn = a.newNode()
+		pn = r.sub.newNode(a)
 	}
 	r.sub.placeBranch(a, un, cn, kn, pn)
 	cn.gp, kn.gp = un.gp, un.gp
@@ -300,7 +289,7 @@ func (r *Reach) placeSync(a *laneAlloc, k, s *sched.Strand, childSinks []*sched.
 func (r *Reach) placeGet(a *laneAlloc, u, g *sched.Strand, f *sched.FutureTask) {
 	un := nodeOf(u)
 	r.strands.Add(1)
-	gn := a.newNode()
+	gn := r.sub.newNode(a)
 	r.sub.placeSerial(a, un, gn)
 	gn.gp = r.getGP(setsOf(a), un.gp, nodeOf(f.Last()).gp, f)
 	g.Det = gn
@@ -430,18 +419,14 @@ func (r *Reach) Queries() uint64 { return r.queries.Load() }
 // §3.4 argument bounds this by O(k).
 func (r *Reach) GPMerges() uint64 { return r.gpMerges.Load() }
 
-// nodeSize is the real per-strand record size, derived rather than
-// hard-coded so the Figure 5 numbers cannot drift as the struct evolves
-// (a test pins it to the expected value).
-var nodeSize = int(unsafe.Sizeof(node{}))
-
 // MemBytes estimates the memory footprint of the reachability component:
-// the substrate (OM lists or fork-path labels), the per-strand node
-// records, and the payload of all gp/cp sets (Figure 5). The 24-byte set
-// headers are left out, as the flat bitmap's slice headers always were.
+// the substrate's own structures (OM list buckets or fork-path labels),
+// one substrate record per strand (its position inline), and the payload
+// of all gp/cp sets (Figure 5). The 24-byte set headers are left out, as
+// the flat bitmap's slice headers always were.
 func (r *Reach) MemBytes() int {
 	return r.sub.memBytes() +
-		int(r.strands.Load())*nodeSize + int(r.setMem.Load())
+		int(r.strands.Load())*r.sub.nodeSize() + int(r.setMem.Load())
 }
 
 // RegisterStats publishes the SF-Order counters (reach.*), the

@@ -10,32 +10,96 @@ import (
 
 	"sforder/internal/bitset"
 	"sforder/internal/dag"
+	"sforder/internal/depa"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
 	"sforder/internal/workload"
 )
 
-// TestAccountingSizes pins the per-strand record size to the real
-// struct layout. The old constant (nodeSize=40) had drifted; the size
-// is now unsafe.Sizeof-derived and this test pins the expected 64-bit
-// value so growth fails loudly. The gp/cp set header is pinned with it:
-// MemBytes counts a set's window and leaves its header out, so the
-// header may not outgrow the flat bitmap's 24-byte slice header.
+// TestAccountingSizes pins the per-strand records to the real struct
+// layouts. The old constant (nodeSize=40) had drifted; the sizes are
+// unsafe.Sizeof-derived and this test pins the expected 64-bit values so
+// growth fails loudly: the 8-byte header, the OM record (header plus two
+// 24-byte om.Items) and the DePa record (header plus the label pointer).
+// The gp/cp set header is pinned with them: MemBytes counts a set's
+// window and leaves its header out, so the header may not outgrow the
+// flat bitmap's 24-byte slice header.
 func TestAccountingSizes(t *testing.T) {
-	if nodeSize != int(unsafe.Sizeof(node{})) {
-		t.Errorf("nodeSize %d != sizeof(node) %d", nodeSize, unsafe.Sizeof(node{}))
+	if omNodeSize != int(unsafe.Sizeof(omNode{})) || depaNodeSize != int(unsafe.Sizeof(depaNode{})) {
+		t.Errorf("record sizes %d/%d != sizeof(omNode) %d / sizeof(depaNode) %d",
+			omNodeSize, depaNodeSize, unsafe.Sizeof(omNode{}), unsafe.Sizeof(depaNode{}))
 	}
 	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("expected value below is for 64-bit platforms")
+		t.Skip("expected values below are for 64-bit platforms")
 	}
-	if nodeSize != 24 {
-		t.Errorf("node grew: %d bytes, expected 24", nodeSize)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"node", unsafe.Sizeof(node{}), 8},
+		{"omNode", unsafe.Sizeof(omNode{}), 56},
+		{"depaNode", unsafe.Sizeof(depaNode{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s grew: %d bytes, expected %d", c.name, c.got, c.want)
+		}
 	}
 	if bitset.RunSetHeaderBytes > 24 {
 		t.Errorf("set header grew: %d bytes, expected ≤ 24", bitset.RunSetHeaderBytes)
 	}
 	if got := unsafe.Sizeof(futMeta{}); got > 16 {
 		t.Errorf("futMeta grew: %d bytes, expected ≤ 16 (cp and the shared child cp)", got)
+	}
+}
+
+// TestMemBytesTracksArenas holds MemBytes against what the lanes really
+// allocated. The counted record bytes are strands × record size, and
+// every counted byte that lives in a slab (records, DePa labels, set
+// windows; OM buckets are heap) is in ArenaBytes, which exceeds them by
+// no more than the uncounted future records plus one part-filled chunk
+// per pool per lane (the workers' and the shared one).
+func TestMemBytesTracksArenas(t *testing.T) {
+	// A chunk holds 256 strand records or 64 future records here, and
+	// 256 cord labels or 256 frozen chunks in internal/depa. These
+	// programs' sets are all single runs, so no window page is drawn.
+	metaSize := int64(unsafe.Sizeof(futMeta{}))
+	labelChunks := int64(256*unsafe.Sizeof(depa.Label{})) + int64(256*depa.ChunkBytes)
+	for _, sub := range []Substrate{SubstrateOM, SubstrateDePa} {
+		for _, b := range []*workload.Benchmark{
+			workload.Spine(5000, 2), workload.Chain(20000, 2), workload.Pipeline(1000, 16, 8),
+		} {
+			for _, workers := range []int{1, 2} {
+				r := New(Config{Reach: sub})
+				run := b.Make()
+				counts, err := sched.Run(sched.Options{Workers: workers, Tracer: r}, run.Main)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := run.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				strands, size := int64(counts.Strands), int64(r.sub.nodeSize())
+				sets := r.setMem.Load()
+				if records := int64(r.MemBytes()) - int64(r.sub.memBytes()) - sets; records != strands*size {
+					t.Errorf("%v %s %d workers: %d record bytes counted, want %d strands × %d B",
+						sub, b.Name, workers, records, strands, size)
+				}
+				slabbed, chunks := strands*size+sets, 256*size+64*metaSize
+				if sub == SubstrateDePa {
+					slabbed += int64(r.sub.memBytes())
+					chunks += labelChunks
+				}
+				lanes := int64(workers + 1)
+				arena, limit := r.ArenaBytes(), slabbed+int64(counts.Futures)*metaSize+lanes*chunks
+				t.Logf("%v %s %d workers: %d strands, %d futures: counted %d B in slabs, arenas %d B",
+					sub, b.Name, workers, strands, counts.Futures, slabbed, arena)
+				if arena < slabbed || arena > limit {
+					t.Errorf("%v %s %d workers: arenas hold %d B, want [%d, %d]",
+						sub, b.Name, workers, arena, slabbed, limit)
+				}
+				r.Release()
+			}
+		}
 	}
 }
 

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"sforder/internal/depa"
 	"sforder/internal/obsv"
 	"sforder/internal/om"
+	"sforder/internal/slab"
 )
 
 // Substrate selects the reachability label substrate behind Reach.
@@ -63,9 +65,13 @@ func ParseSubstrate(name string) (Substrate, error) {
 // independent and stays in Reach. Methods are unexported — the two
 // implementations, the OM pair and the DePa labeler, live in this
 // package because they allocate from the lane arenas; the placement
-// methods write the substrate's position fields of the (pre-zeroed)
-// node records they are handed.
+// methods write the position of the (zeroed) records newNode returned.
 type Reachability interface {
+	// newNode returns a zeroed strand record of the substrate's own
+	// type, from lane a's slab (the heap for a nil lane), as its header.
+	newNode(a *laneAlloc) *node
+	// nodeSize is that record's size in bytes.
+	nodeSize() int
 	// placeRoot positions the root strand's node: first in both orders.
 	placeRoot(a *laneAlloc, rn *node)
 	// placeBranch positions a spawn/create: immediately after un, the
@@ -80,8 +86,8 @@ type Reachability interface {
 	psp(u, v *node) bool
 	// leftOf reports u before v in the English order only.
 	leftOf(u, v *node) bool
-	// memBytes is the substrate's own footprint (lists or labels),
-	// excluding the node records tracked by Reach.
+	// memBytes is the substrate's own footprint (list buckets or
+	// labels), excluding the strand records Reach counts.
 	memBytes() int
 	// registerStats publishes the substrate's counters on reg.
 	registerStats(reg *obsv.Registry)
@@ -90,19 +96,49 @@ type Reachability interface {
 // ---------------------------------------------------------------------
 // OM backend: the English/Hebrew order-maintenance list pair.
 
-// omPair is the paper's substrate. Node positions are the p0/p1 item
-// pointers (node.omPos); inserts draw items from the lane's ItemArena.
+// omPair is the paper's substrate. A strand's record is an omNode: its
+// English and Hebrew items live inside it, and the inserts link them in.
 type omPair struct {
 	engL, hebL *om.List
 }
+
+// omNode is the OM substrate's strand record: the node header, then the
+// strand's positions in the two lists. Other workers read the items
+// through the lists' Precedes seqlock while the owner writes gp; they
+// are distinct words.
+type omNode struct {
+	node
+	eng, heb om.Item
+}
+
+var (
+	// 256 × 56 B = 14 KiB per slab.
+	omNodePool = slab.NewPool[omNode](256)
+	omNodeSize = int(unsafe.Sizeof(omNode{}))
+)
+
+// omOf returns the record whose header is n.
+func omOf(n *node) *omNode { return (*omNode)(unsafe.Pointer(n)) }
 
 func newOMPair() *omPair {
 	return &omPair{engL: om.NewList(), hebL: om.NewList()}
 }
 
+func (p *omPair) newNode(a *laneAlloc) *node {
+	if a == nil {
+		return &new(omNode).node
+	}
+	n := a.omNodes.Get(omNodePool)
+	*n = omNode{}
+	return &n.node
+}
+
+func (p *omPair) nodeSize() int { return omNodeSize }
+
 func (p *omPair) placeRoot(a *laneAlloc, rn *node) {
-	items := itemsOf(a)
-	rn.setOM(p.engL.InsertFirstArena(items), p.hebL.InsertFirstArena(items))
+	r := omOf(rn)
+	p.engL.InsertFirst(&r.eng)
+	p.hebL.InsertFirst(&r.heb)
 }
 
 // placeBranch runs the two batch inserts back to back with nothing
@@ -110,44 +146,34 @@ func (p *omPair) placeRoot(a *laneAlloc, rn *node) {
 // comment), and no lock spans both lists — English and Hebrew
 // positions are independent.
 func (p *omPair) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
-	n := 2
-	if pn != nil {
-		n = 3
-	}
-	items := itemsOf(a)
-	var engBuf, hebBuf [3]*om.Item
-	eng, heb := engBuf[:n], hebBuf[:n]
-	ue, uh := un.omPos()
-	p.engL.InsertAfterNArena(ue, items, eng)
-	p.hebL.InsertAfterNArena(uh, items, heb)
+	u, c, k := omOf(un), omOf(cn), omOf(kn)
 	// English order u, child, cont[, placeholder]; Hebrew order
 	// u, cont, child[, placeholder].
-	cn.setOM(eng[0], heb[1])
-	kn.setOM(eng[1], heb[0])
+	eng := [3]*om.Item{&c.eng, &k.eng}
+	heb := [3]*om.Item{&k.heb, &c.heb}
+	n := 2
 	if pn != nil {
-		pn.setOM(eng[2], heb[2])
+		pl := omOf(pn)
+		eng[2], heb[2], n = &pl.eng, &pl.heb, 3
 	}
+	p.engL.InsertAfterN(&u.eng, eng[:n])
+	p.hebL.InsertAfterN(&u.heb, heb[:n])
 }
 
 func (p *omPair) placeSerial(a *laneAlloc, un, gn *node) {
-	items := itemsOf(a)
-	var engBuf, hebBuf [1]*om.Item
-	ue, uh := un.omPos()
-	p.engL.InsertAfterNArena(ue, items, engBuf[:])
-	p.hebL.InsertAfterNArena(uh, items, hebBuf[:])
-	gn.setOM(engBuf[0], hebBuf[0])
+	u, g := omOf(un), omOf(gn)
+	eng, heb := [1]*om.Item{&g.eng}, [1]*om.Item{&g.heb}
+	p.engL.InsertAfterN(&u.eng, eng[:])
+	p.hebL.InsertAfterN(&u.heb, heb[:])
 }
 
-func (p *omPair) psp(u, v *node) bool {
-	ue, uh := u.omPos()
-	ve, vh := v.omPos()
-	return p.engL.Precedes(ue, ve) && p.hebL.Precedes(uh, vh)
+func (p *omPair) psp(un, vn *node) bool {
+	u, v := omOf(un), omOf(vn)
+	return p.engL.Precedes(&u.eng, &v.eng) && p.hebL.Precedes(&u.heb, &v.heb)
 }
 
 func (p *omPair) leftOf(u, v *node) bool {
-	ue, _ := u.omPos()
-	ve, _ := v.omPos()
-	return p.engL.Precedes(ue, ve)
+	return p.engL.Precedes(&omOf(u).eng, &omOf(v).eng)
 }
 
 func (p *omPair) memBytes() int {
@@ -180,7 +206,7 @@ func (p *omPair) registerStats(reg *obsv.Registry) {
 // resolve from a single label comparison, so there is nothing to
 // split, renumber, or exhaust.
 //
-// The label is a prefix-sharing cord (node.depaLabel): Extend copies one
+// The label is a prefix-sharing cord (depaNode.label): Extend copies one
 // word and the frozen chain is shared with the parent, so label memory
 // is O(strands) and depa.Rel answers from O(1) words via the
 // pointer-equality prefix skip — which is only O(1) because chunk
@@ -200,6 +226,36 @@ type depaSub struct {
 	cmps     atomic.Uint64 // compares (psp + leftOf)
 	cmpWords atomic.Uint64 // words examined across all compares
 }
+
+// depaNode is the DePa substrate's strand record: the node header, then
+// the strand's cord label.
+type depaNode struct {
+	node
+	label *depa.Label
+}
+
+var (
+	// 256 × 16 B = 4 KiB per slab.
+	depaNodePool = slab.NewPool[depaNode](256)
+	depaNodeSize = int(unsafe.Sizeof(depaNode{}))
+)
+
+// labelOf returns the cord label of the record whose header is n.
+func labelOf(n *node) *depa.Label { return (*depaNode)(unsafe.Pointer(n)).label }
+
+// setLabel positions the record whose header is n.
+func setLabel(n *node, l *depa.Label) { (*depaNode)(unsafe.Pointer(n)).label = l }
+
+func (d *depaSub) newNode(a *laneAlloc) *node {
+	if a == nil {
+		return &new(depaNode).node
+	}
+	n := a.depaNodes.Get(depaNodePool)
+	*n = depaNode{}
+	return &n.node
+}
+
+func (d *depaSub) nodeSize() int { return depaNodeSize }
 
 // account records new labels on the gauges — how many, the chunk nodes
 // frozen for them, their bytes, and the deepest: one label per online
@@ -232,15 +288,15 @@ func (d *depaSub) extend(la *depa.Arena, ul *depa.Label, c uint8) *depa.Label {
 func (d *depaSub) placeRoot(a *laneAlloc, rn *node) {
 	l := depa.NewLabel(labelsOf(a))
 	d.account(1, 0, int64(l.MemBytes()), 0)
-	rn.setDepa(l)
+	setLabel(rn, l)
 }
 
 func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
-	la, ul := labelsOf(a), un.depaLabel()
-	cn.setDepa(d.extend(la, ul, depa.Child))
-	kn.setDepa(d.extend(la, ul, depa.Cont))
+	la, ul := labelsOf(a), labelOf(un)
+	setLabel(cn, d.extend(la, ul, depa.Child))
+	setLabel(kn, d.extend(la, ul, depa.Cont))
 	if pn != nil {
-		pn.setDepa(d.extend(la, ul, depa.Sync))
+		setLabel(pn, d.extend(la, ul, depa.Sync))
 	}
 }
 
@@ -248,7 +304,7 @@ func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
 // un in both orders, because un anchors no other placement (each
 // strand forks at most once) so no other label extends un's.
 func (d *depaSub) placeSerial(a *laneAlloc, un, gn *node) {
-	gn.setDepa(d.extend(labelsOf(a), un.depaLabel(), depa.Child))
+	setLabel(gn, d.extend(labelsOf(a), labelOf(un), depa.Child))
 }
 
 // count records one compare of w words on the depa.compares gauges.
@@ -260,7 +316,7 @@ func (d *depaSub) count(w int) {
 }
 
 func (d *depaSub) psp(u, v *node) bool {
-	eng, heb, w := depa.Rel(u.depaLabel(), v.depaLabel())
+	eng, heb, w := depa.Rel(labelOf(u), labelOf(v))
 	d.count(w)
 	return eng && heb
 }
@@ -268,7 +324,7 @@ func (d *depaSub) psp(u, v *node) bool {
 // leftOf answers the English-order query alone: the same LCA-skip walk
 // as psp, minus the Hebrew remap.
 func (d *depaSub) leftOf(u, v *node) bool {
-	left, w := depa.LeftOf(u.depaLabel(), v.depaLabel())
+	left, w := depa.LeftOf(labelOf(u), labelOf(v))
 	d.count(w)
 	return left
 }

@@ -47,8 +47,8 @@ type opset map[int][]int32
 
 // node is the F-Order per-strand state.
 type node struct {
-	eng, heb *om.Item // position in the owning task's OM lists
-	ops      opset    // shared copy-on-write
+	eng, heb om.Item // position in the owning task's OM lists
+	ops      opset   // shared copy-on-write
 }
 
 // futMeta is the F-Order per-future-task state.
@@ -104,7 +104,15 @@ func (r *Reach) newTaskMeta(f *sched.FutureTask) *futMeta {
 func (r *Reach) OnRoot(root *sched.Strand) {
 	m := r.newTaskMeta(root.Fut)
 	r.strands.Add(1)
-	root.Det = &node{eng: m.engL.InsertFirst(), heb: m.hebL.InsertFirst()}
+	root.Det = m.firstNode()
+}
+
+// firstNode returns a node placed first in m's (empty) lists.
+func (m *futMeta) firstNode() *node {
+	n := &node{}
+	m.engL.InsertFirst(&n.eng)
+	m.hebL.InsertFirst(&n.heb)
+	return n
 }
 
 // placeBranch mirrors the WSP-Order placement inside one task's lists.
@@ -112,29 +120,25 @@ func (r *Reach) OnRoot(root *sched.Strand) {
 // placeholder in the creating task's lists).
 func (r *Reach) placeBranch(m *futMeta, u, child, cont, placeholder *sched.Strand) {
 	un := nodeOf(u)
-	n := 1
-	if child != nil {
-		n++
-	}
-	if placeholder != nil {
-		n++
-	}
-	r.strands.Add(uint64(n))
-	eng := m.engL.InsertAfterN(un.eng, n)
-	heb := m.hebL.InsertAfterN(un.heb, n)
-	i := 0
+	kn := &node{ops: un.ops}
+	var eng, heb []*om.Item
 	if child != nil {
 		// English: child before continuation; Hebrew: after.
-		child.Det = &node{eng: eng[0], heb: heb[1], ops: un.ops}
-		cont.Det = &node{eng: eng[1], heb: heb[0], ops: un.ops}
-		i = 2
+		cn := &node{ops: un.ops}
+		eng, heb = []*om.Item{&cn.eng, &kn.eng}, []*om.Item{&kn.heb, &cn.heb}
+		child.Det = cn
 	} else {
-		cont.Det = &node{eng: eng[0], heb: heb[0], ops: un.ops}
-		i = 1
+		eng, heb = []*om.Item{&kn.eng}, []*om.Item{&kn.heb}
 	}
 	if placeholder != nil {
-		placeholder.Det = &node{eng: eng[i], heb: heb[i]}
+		pn := &node{}
+		eng, heb = append(eng, &pn.eng), append(heb, &pn.heb)
+		placeholder.Det = pn
 	}
+	r.strands.Add(uint64(len(eng)))
+	m.engL.InsertAfterN(&un.eng, eng)
+	m.hebL.InsertAfterN(&un.heb, heb)
+	cont.Det = kn
 }
 
 // OnSpawn implements sched.Tracer.
@@ -151,7 +155,7 @@ func (r *Reach) OnCreate(u, first, cont, placeholder *sched.Strand, f *sched.Fut
 
 	m := r.newTaskMeta(f)
 	r.strands.Add(1)
-	fn := &node{eng: m.engL.InsertFirst(), heb: m.hebL.InsertFirst()}
+	fn := m.firstNode()
 	pos := creator.appendOp(u)
 	fn.ops = r.extend(nodeOf(u).ops, u.Fut.ID, pos, creator)
 	first.Det = fn
@@ -181,7 +185,9 @@ func (r *Reach) OnGet(u, g *sched.Strand, f *sched.FutureTask) {
 	m := metaOf(u.Fut)
 	un := nodeOf(u)
 	r.strands.Add(1)
-	gn := &node{eng: m.engL.InsertAfter(un.eng), heb: m.hebL.InsertAfter(un.heb)}
+	gn := &node{}
+	m.engL.InsertAfterN(&un.eng, []*om.Item{&gn.eng})
+	m.hebL.InsertAfterN(&un.heb, []*om.Item{&gn.heb})
 	last := f.Last()
 	gotten := metaOf(f)
 	pos := gotten.appendOp(last)
@@ -292,7 +298,7 @@ func (r *Reach) spPrecedesOp(m *futMeta, u, x *sched.Strand) bool {
 		return true
 	}
 	un, xn := nodeOf(u), nodeOf(x)
-	return m.engL.Precedes(un.eng, xn.eng) && m.hebL.Precedes(un.heb, xn.heb)
+	return m.engL.Precedes(&un.eng, &xn.eng) && m.hebL.Precedes(&un.heb, &xn.heb)
 }
 
 // Precedes implements detect.Reachability for general futures.
@@ -304,7 +310,7 @@ func (r *Reach) Precedes(u, v *sched.Strand) bool {
 	if u.Fut == v.Fut {
 		m := metaOf(u.Fut)
 		un, vn := nodeOf(u), nodeOf(v)
-		if m.engL.Precedes(un.eng, vn.eng) && m.hebL.Precedes(un.heb, vn.heb) {
+		if m.engL.Precedes(&un.eng, &vn.eng) && m.hebL.Precedes(&un.heb, &vn.heb) {
 			return true
 		}
 		// General futures admit same-task paths that detour through
@@ -344,7 +350,8 @@ func (r *Reach) lists() []*om.List {
 }
 
 // MemBytes estimates the reachability component's footprint: every
-// per-task OM list pair, the per-strand node records, and all allocated
+// per-task OM list pair's buckets, the per-strand node records (their
+// list items inline), and all allocated
 // hash tables (Figure 5's F-Order column).
 func (r *Reach) MemBytes() int {
 	total := int(r.strands.Load())*nodeSize + int(r.tblMem.Load())

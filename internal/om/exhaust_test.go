@@ -30,11 +30,11 @@ func TestExhaustionEscalatesInsteadOfPanicking(t *testing.T) {
 			// 20k same-anchor inserts genuinely reach the old panic path.
 			l.SetLabelSpaceForTest(1<<9, 1<<40)
 
-			anchor := l.InsertFirst()
+			anchor := l.NewFirst()
 			const n = 20000
 			items := make([]*om.Item, n)
 			for i := range items {
-				items[i] = l.InsertAfter(anchor)
+				items[i] = l.NewAfter(anchor)
 			}
 
 			if got := l.Escalations(); got < 1 {
@@ -89,11 +89,11 @@ func TestExhaustionEscalationConcurrentReaders(t *testing.T) {
 	l := om.NewList()
 	l.SetLabelSpaceForTest(1<<9, 1<<40)
 
-	anchor := l.InsertFirst()
+	anchor := l.NewFirst()
 	const pre = 256
 	fixed := make([]*om.Item, pre)
 	for i := range fixed {
-		fixed[i] = l.InsertAfter(anchor)
+		fixed[i] = l.NewAfter(anchor)
 	}
 
 	var stop atomic.Bool
@@ -129,7 +129,7 @@ func TestExhaustionEscalationConcurrentReaders(t *testing.T) {
 
 	const n = 20000
 	for i := 0; i < n; i++ {
-		l.InsertAfter(anchor)
+		l.NewAfter(anchor)
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -150,9 +150,9 @@ func TestExhaustionEscalationConcurrentReaders(t *testing.T) {
 // bound only packs past half occupancy at ~2^61 buckets.
 func TestProductionBoundsDoNotEscalate(t *testing.T) {
 	l := om.NewList()
-	anchor := l.InsertFirst()
+	anchor := l.NewFirst()
 	for i := 0; i < 50000; i++ {
-		l.InsertAfter(anchor)
+		l.NewAfter(anchor)
 	}
 	if got := l.Escalations(); got != 0 {
 		t.Fatalf("escalations = %d under production bounds, want 0", got)

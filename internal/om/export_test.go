@@ -14,3 +14,23 @@ func (l *List) SetLabelSpaceForTest(soft, hard uint64) {
 	l.hardBound = hard
 	l.bound = soft
 }
+
+// NewFirst, NewAfter and NewAfterN place fresh heap items — the tests'
+// own records — where the production caller embeds its items in its
+// strand records.
+func (l *List) NewFirst() *Item {
+	it := new(Item)
+	l.InsertFirst(it)
+	return it
+}
+
+func (l *List) NewAfter(x *Item) *Item { return l.NewAfterN(x, 1)[0] }
+
+func (l *List) NewAfterN(x *Item, n int) []*Item {
+	items := make([]*Item, n)
+	for i := range items {
+		items[i] = new(Item)
+	}
+	l.InsertAfterN(x, items)
+	return items
+}

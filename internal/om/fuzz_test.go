@@ -13,7 +13,7 @@ import (
 // 2^40, and local-range renumbers under the widened bound all fire.
 // Every later byte pair is one operation:
 //
-//	op&3       run length: InsertAfter (3) or InsertAfterN with n = op&3+1
+//	op&3       run length: op&3+1, except 1 for op&3 = 3
 //	op>>2&3    anchor: arg-th existing item, the newest item, the first
 //	           item of the newest run, or the list's first item
 //	op>>4      repeats of the same operation, 1..16
@@ -38,7 +38,7 @@ func newListOps(cfg byte) *listOps {
 	}
 	l.SetLabelSpaceForTest(1<<(4+cfg>>1%8), 1<<40)
 	o := &listOps{l: l}
-	first := l.InsertFirst()
+	first := l.NewFirst()
 	o.ref.insertAfter(nil, first)
 	o.newest = []*Item{first}
 	return o
@@ -61,12 +61,11 @@ func (o *listOps) anchor(mode, arg byte) *Item {
 func (o *listOps) apply(op, arg byte) error {
 	for rep := 0; rep <= int(op>>4) && len(o.ref.items) < maxFuzzItems; rep++ {
 		x := o.anchor(op>>2&3, arg+byte(rep))
-		var run []*Item
-		if n := int(op&3) + 1; n == 4 {
-			run = []*Item{o.l.InsertAfter(x)}
-		} else {
-			run = o.l.InsertAfterN(x, n)
+		n := int(op&3) + 1
+		if n == 4 {
+			n = 1
 		}
+		run := o.l.NewAfterN(x, n)
 		prev := x
 		for _, it := range run {
 			o.ref.insertAfter(prev, it)
@@ -133,7 +132,7 @@ var listSeeds = [][]byte{
 	append([]byte{0}, bytes.Repeat([]byte{0xf6, 0}, 48)...),
 }
 
-// FuzzList drives InsertAfter and InsertAfterN at arbitrary existing
+// FuzzList drives InsertAfterN runs of fresh items at arbitrary existing
 // anchors under a shrunken label space and checks every operation
 // against the reference slice model.
 func FuzzList(f *testing.F) {

@@ -75,9 +75,11 @@ const (
 	topSpaceMax = uint64(1) << 63
 )
 
-// Item is a position in a List. Items are created by the List insert
-// methods and compared with Precedes. An Item is immutable from the
-// caller's perspective; its label fields are managed by the list.
+// Item is a position in a List. The caller owns the record — typically
+// a field of its per-strand record, so a position costs no allocation of
+// its own — and hands it to one insert into one list; the insert sets
+// every field, so a recycled Item needs no zeroing. After that the
+// fields are the list's, and Precedes compares placed items.
 type Item struct {
 	bucket atomic.Pointer[bucket]
 	label  atomic.Uint64
@@ -191,30 +193,24 @@ func (l *List) RegisterStats(r *obsv.Registry, prefix string) {
 	r.RegisterFunc(prefix+".insert_contended", l.InsertContended)
 }
 
-// itemSize and bucketSize are the real struct sizes, derived rather than
-// hard-coded so the Figure 5 numbers cannot drift as the structs evolve
-// (a test pins them to the expected values).
-var (
-	itemSize   = int(unsafe.Sizeof(Item{}))
-	bucketSize = int(unsafe.Sizeof(bucket{}))
-)
+// bucketSize is the real struct size, derived rather than hard-coded so
+// the Figure 5 numbers cannot drift as the struct evolves (a test pins
+// it to the expected value).
+var bucketSize = int(unsafe.Sizeof(bucket{}))
 
-// MemBytes estimates the heap footprint of the list (items + buckets) in
-// bytes, for the Figure 5 memory-accounting harness. Buckets hold no
-// item storage of their own, so the estimate is exact and derived from
-// atomics alone — safe to scrape mid-run.
+// MemBytes is the heap footprint the list owns: its buckets, for the
+// Figure 5 memory-accounting harness. Items are the caller's records and
+// are counted with them. Buckets hold no item storage of their own, so
+// the figure is exact and derived from an atomic alone — safe to scrape
+// mid-run.
 func (l *List) MemBytes() int {
-	return int(l.buckets.Load())*bucketSize + itemSize*int(l.size.Load())
+	return int(l.buckets.Load()) * bucketSize
 }
 
-// InsertFirst inserts an item at the head of an empty list and returns
-// it. It panics if the list is non-empty: all subsequent positions must be
-// created relative to existing ones so the total order is well defined.
-func (l *List) InsertFirst() *Item { return l.InsertFirstArena(nil) }
-
-// InsertFirstArena is InsertFirst with the Item drawn from a (nil means
-// the heap).
-func (l *List) InsertFirstArena(a *ItemArena) *Item {
+// InsertFirst places it at the head of an empty list. It panics if the
+// list is non-empty: all subsequent positions must be created relative
+// to existing ones so the total order is well defined.
+func (l *List) InsertFirst(it *Item) {
 	l.maintLocks.Add(1)
 	l.maint.Lock()
 	defer l.maint.Unlock()
@@ -225,45 +221,25 @@ func (l *List) InsertFirstArena(a *ItemArena) *Item {
 	b.label.Store(l.bound / 2)
 	l.head, l.tail = b, b
 	l.buckets.Store(1)
-	it := a.Get(itemPool)
 	it.place(b, itemSpan, nil)
 	b.head, b.n = it, 1
 	l.size.Store(1)
-	return it
 }
 
-// InsertAfter inserts a new item immediately after x and returns it.
-func (l *List) InsertAfter(x *Item) *Item {
-	return l.InsertAfterN(x, 1)[0]
-}
-
-// InsertAfterN atomically inserts n new items immediately after x, in the
-// order returned (result[0] directly follows x). The batch form exists
-// because a spawn event must place the child strand, the continuation
-// strand, and possibly the sync placeholder in one step, with no other
-// insert landing between them (see the package comment for the exact
-// adjacency guarantee under concurrency).
-func (l *List) InsertAfterN(x *Item, n int) []*Item {
-	out := make([]*Item, n)
-	l.InsertAfterNArena(x, nil, out)
-	return out
-}
-
-// InsertAfterNArena is InsertAfterN with the new Items drawn from arena a
-// (nil means the heap) and returned through out, whose length is the
-// batch size. The caller-provided slice lets the hot path run without
-// allocating the result.
-func (l *List) InsertAfterNArena(x *Item, a *ItemArena, out []*Item) {
-	n := len(out)
+// InsertAfterN atomically places items immediately after x, in slice
+// order (items[0] directly follows x). The batch form exists because a
+// spawn event must place the child strand, the continuation strand, and
+// possibly the sync placeholder in one step, with no other insert
+// landing between them (see the package comment for the exact adjacency
+// guarantee under concurrency). The slice is not retained.
+func (l *List) InsertAfterN(x *Item, items []*Item) {
+	n := len(items)
 	if n <= 0 {
 		panic("om: InsertAfterN with n <= 0")
 	}
-	for i := range out {
-		out[i] = a.Get(itemPool)
-	}
 	if !l.global {
 		for {
-			r := l.tryInsertRun(x, out)
+			r := l.tryInsertRun(x, items)
 			if r == runDone {
 				l.size.Add(int64(n))
 				return
@@ -278,9 +254,9 @@ func (l *List) InsertAfterNArena(x *Item, a *ItemArena, out []*Item) {
 	l.maintLocks.Add(1)
 	l.maint.Lock()
 	prev := x
-	for i := range out {
-		l.placeAfterMaint(prev, out[i])
-		prev = out[i]
+	for _, it := range items {
+		l.placeAfterMaint(prev, it)
+		prev = it
 	}
 	l.maint.Unlock()
 	l.size.Add(int64(n))
@@ -305,8 +281,8 @@ const (
 // does not bump the seqlock: a concurrent Precedes reads either a fully
 // published new item (bucket and label stored before the item becomes
 // reachable from the caller) or none of it.
-func (l *List) tryInsertRun(x *Item, out []*Item) runResult {
-	n := len(out)
+func (l *List) tryInsertRun(x *Item, items []*Item) runResult {
+	n := len(items)
 	b := x.bucket.Load()
 	l.bucketLocks.Add(1)
 	b.mu.Lock()
@@ -343,7 +319,7 @@ func (l *List) tryInsertRun(x *Item, out []*Item) runResult {
 	}
 	// Link the run between x and x.next; no other item moves.
 	lab, prev := lo, x
-	for _, it := range out {
+	for _, it := range items {
 		lab += step
 		it.place(b, lab, prev.next)
 		prev.next = it
@@ -354,7 +330,7 @@ func (l *List) tryInsertRun(x *Item, out []*Item) runResult {
 	return runDone
 }
 
-// placeAfterMaint inserts the pre-allocated item it directly after x,
+// placeAfterMaint inserts the caller's item it directly after x,
 // splitting or relabeling x's bucket as needed. Caller holds l.maint,
 // which keeps x's bucket assignment stable and serializes maintenance.
 func (l *List) placeAfterMaint(x, it *Item) {

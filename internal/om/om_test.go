@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"sforder/internal/slab"
 )
 
 // refList is a reference implementation: a plain slice kept in order.
@@ -43,14 +45,14 @@ func (r *refList) precedes(a, b *Item) bool {
 
 func TestInsertFirstAndSingle(t *testing.T) {
 	l := NewList()
-	a := l.InsertFirst()
+	a := l.NewFirst()
 	if l.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", l.Len())
 	}
 	if l.Precedes(a, a) {
 		t.Error("item precedes itself")
 	}
-	b := l.InsertAfter(a)
+	b := l.NewAfter(a)
 	if !l.Precedes(a, b) {
 		t.Error("a should precede b")
 	}
@@ -64,19 +66,19 @@ func TestInsertFirstAndSingle(t *testing.T) {
 
 func TestInsertFirstPanicsOnNonEmpty(t *testing.T) {
 	l := NewList()
-	l.InsertFirst()
+	l.NewFirst()
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on second InsertFirst")
 		}
 	}()
-	l.InsertFirst()
+	l.NewFirst()
 }
 
 func TestInsertAfterNOrder(t *testing.T) {
 	l := NewList()
-	a := l.InsertFirst()
-	batch := l.InsertAfterN(a, 3)
+	a := l.NewFirst()
+	batch := l.NewAfterN(a, 3)
 	want := []*Item{a, batch[0], batch[1], batch[2]}
 	got := l.Order()
 	if len(got) != len(want) {
@@ -98,13 +100,13 @@ func TestInsertAfterNOrder(t *testing.T) {
 
 func TestInsertAfterNPanicsOnZero(t *testing.T) {
 	l := NewList()
-	a := l.InsertFirst()
+	a := l.NewFirst()
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for n=0")
 		}
 	}()
-	l.InsertAfterN(a, 0)
+	l.InsertAfterN(a, nil)
 }
 
 // TestRandomAgainstReference inserts thousands of items at random
@@ -115,11 +117,11 @@ func TestRandomAgainstReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		l := NewList()
 		ref := &refList{}
-		first := l.InsertFirst()
+		first := l.NewFirst()
 		ref.insertAfter(nil, first)
 		for i := 0; i < 3000; i++ {
 			x := ref.items[rng.Intn(len(ref.items))]
-			it := l.InsertAfter(x)
+			it := l.NewAfter(x)
 			ref.insertAfter(x, it)
 		}
 		if err := l.CheckInvariants(); err != nil {
@@ -147,10 +149,10 @@ func TestRandomAgainstReference(t *testing.T) {
 // pattern, which stresses top-of-label-space handling.
 func TestAppendHeavy(t *testing.T) {
 	l := NewList()
-	cur := l.InsertFirst()
+	cur := l.NewFirst()
 	items := []*Item{cur}
 	for i := 0; i < 20000; i++ {
-		cur = l.InsertAfter(cur)
+		cur = l.NewAfter(cur)
 		items = append(items, cur)
 	}
 	if err := l.CheckInvariants(); err != nil {
@@ -169,10 +171,10 @@ func TestAppendHeavy(t *testing.T) {
 // relabels and splits near the front.
 func TestInsertAlwaysAfterFirst(t *testing.T) {
 	l := NewList()
-	head := l.InsertFirst()
+	head := l.NewFirst()
 	var items []*Item
 	for i := 0; i < 20000; i++ {
-		items = append(items, l.InsertAfter(head))
+		items = append(items, l.NewAfter(head))
 	}
 	if err := l.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -194,8 +196,8 @@ func TestInsertAlwaysAfterFirst(t *testing.T) {
 
 func TestCompare(t *testing.T) {
 	l := NewList()
-	a := l.InsertFirst()
-	b := l.InsertAfter(a)
+	a := l.NewFirst()
+	b := l.NewAfter(a)
 	if l.Compare(a, b) != -1 || l.Compare(b, a) != 1 || l.Compare(a, a) != 0 {
 		t.Error("Compare results inconsistent")
 	}
@@ -203,9 +205,9 @@ func TestCompare(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	l := NewList()
-	cur := l.InsertFirst()
+	cur := l.NewFirst()
 	for i := 0; i < 10000; i++ {
-		cur = l.InsertAfter(cur)
+		cur = l.NewAfter(cur)
 	}
 	splits, _, _ := l.Stats()
 	if splits == 0 {
@@ -222,10 +224,10 @@ func TestStatsCounters(t *testing.T) {
 // already-placed item pairs.
 func TestConcurrentQueries(t *testing.T) {
 	l := NewList()
-	cur := l.InsertFirst()
+	cur := l.NewFirst()
 	frozen := []*Item{cur}
 	for i := 0; i < 512; i++ {
-		cur = l.InsertAfter(cur)
+		cur = l.NewAfter(cur)
 		frozen = append(frozen, cur)
 	}
 	var wg sync.WaitGroup
@@ -258,7 +260,7 @@ func TestConcurrentQueries(t *testing.T) {
 	// while queries run.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 20000; i++ {
-		l.InsertAfter(frozen[rng.Intn(len(frozen))])
+		l.NewAfter(frozen[rng.Intn(len(frozen))])
 	}
 	close(stop)
 	wg.Wait()
@@ -280,10 +282,10 @@ func TestQuickTransitivity(t *testing.T) {
 			ops = ops[:300]
 		}
 		l := NewList()
-		items := []*Item{l.InsertFirst()}
+		items := []*Item{l.NewFirst()}
 		for _, op := range ops {
 			x := items[int(op)%len(items)]
-			items = append(items, l.InsertAfter(x))
+			items = append(items, l.NewAfter(x))
 		}
 		n := len(items)
 		if n > 24 {
@@ -316,19 +318,19 @@ func TestQuickTransitivity(t *testing.T) {
 
 func BenchmarkInsertAfterSequential(b *testing.B) {
 	l := NewList()
-	cur := l.InsertFirst()
+	cur := l.NewFirst()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur = l.InsertAfter(cur)
+		cur = l.NewAfter(cur)
 	}
 }
 
 func BenchmarkPrecedes(b *testing.B) {
 	l := NewList()
-	cur := l.InsertFirst()
+	cur := l.NewFirst()
 	items := []*Item{cur}
 	for i := 0; i < 4096; i++ {
-		cur = l.InsertAfter(cur)
+		cur = l.NewAfter(cur)
 		items = append(items, cur)
 	}
 	b.ResetTimer()
@@ -342,24 +344,38 @@ func BenchmarkPrecedes(b *testing.B) {
 // placeholder. The English pattern anchors each run after the newest
 // item; the Hebrew pattern anchors it after the first item of the newest
 // run, which the run's older items follow.
+// Items come from a slab, as the reachability substrate's strand records
+// do.
 type frontier struct {
 	l      *List
-	a      ItemArena
+	a      slab.Arena[Item]
 	buf    [3]*Item
 	anchor *Item
 	hebrew bool
 	runs   int
 }
 
+var itemSlabs = slab.NewPool[Item](512)
+
 func newFrontier(hebrew bool) *frontier {
 	f := &frontier{l: NewList(), hebrew: hebrew}
-	f.anchor = f.l.InsertFirstArena(&f.a)
+	f.anchor = f.a.Get(itemSlabs)
+	f.l.InsertFirst(f.anchor)
 	return f
 }
 
+// run fills the first n slots of buf with fresh items and returns them.
+func (f *frontier) run(n int) []*Item {
+	out := f.buf[:n]
+	for i := range out {
+		out[i] = f.a.Get(itemSlabs)
+	}
+	return out
+}
+
 func (f *frontier) place() {
-	out := f.buf[:2+f.runs%2]
-	f.l.InsertAfterNArena(f.anchor, &f.a, out)
+	out := f.run(2 + f.runs%2)
+	f.l.InsertAfterN(f.anchor, out)
 	f.runs++
 	if f.hebrew {
 		f.anchor = out[0]
@@ -392,8 +408,8 @@ func TestRenumbersAmortized(t *testing.T) {
 	}
 }
 
-// BenchmarkInsert prices one placed run (2 or 3 items, InsertAfterNArena
-// from a lane arena) on the two frontier patterns and at uniformly random
+// BenchmarkInsert prices one placed run (2 or 3 items from a slab,
+// InsertAfterN) on the two frontier patterns and at uniformly random
 // existing anchors. A list is rebuilt, off the clock, every 60k items.
 func BenchmarkInsert(b *testing.B) {
 	const listItems = 60000
@@ -420,8 +436,8 @@ func BenchmarkInsert(b *testing.B) {
 				rng ^= rng << 13
 				rng ^= rng >> 7
 				rng ^= rng << 17
-				out := f.buf[:2+i%2]
-				f.l.InsertAfterNArena(items[rng%uint64(len(items))], &f.a, out)
+				out := f.run(2 + i%2)
+				f.l.InsertAfterN(items[rng%uint64(len(items))], out)
 				items = append(items, out...)
 			}
 		})

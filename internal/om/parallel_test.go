@@ -25,14 +25,14 @@ func TestParallelDisjointInserts(t *testing.T) {
 		rounds     = 400
 	)
 	l := om.NewList()
-	root := l.InsertFirst()
+	root := l.NewFirst()
 
 	// Seed one anchor chain head per goroutine, serially, so the replay
 	// below can reproduce the seeding deterministically.
 	anchors := make([]*om.Item, goroutines)
 	prev := root
 	for g := range anchors {
-		anchors[g] = l.InsertAfter(prev)
+		anchors[g] = l.NewAfter(prev)
 		prev = anchors[g]
 	}
 
@@ -80,7 +80,7 @@ func TestParallelDisjointInserts(t *testing.T) {
 			defer writers.Done()
 			cur := anchors[g]
 			for i := 0; i < rounds; i++ {
-				batch := l.InsertAfterN(cur, 1+i%3)
+				batch := l.NewAfterN(cur, 1+i%3)
 				cur = batch[len(batch)-1]
 				published[g].Store(cur)
 			}
@@ -103,11 +103,11 @@ func TestParallelDisjointInserts(t *testing.T) {
 	// concurrent list must order each chain identically to the replay
 	// (chains interleave in bucket space but each is totally ordered).
 	replay := om.NewList()
-	rroot := replay.InsertFirst()
+	rroot := replay.NewFirst()
 	rAnchors := make([]*om.Item, goroutines)
 	rprev := rroot
 	for g := range rAnchors {
-		rAnchors[g] = replay.InsertAfter(rprev)
+		rAnchors[g] = replay.NewAfter(rprev)
 		rprev = rAnchors[g]
 	}
 	rChains := make([][]*om.Item, goroutines)
@@ -115,7 +115,7 @@ func TestParallelDisjointInserts(t *testing.T) {
 		cur := rAnchors[g]
 		rChains[g] = []*om.Item{cur}
 		for i := 0; i < rounds; i++ {
-			batch := replay.InsertAfterN(cur, 1+i%3)
+			batch := replay.NewAfterN(cur, 1+i%3)
 			rChains[g] = append(rChains[g], batch...)
 			cur = batch[len(batch)-1]
 		}
@@ -166,11 +166,11 @@ func TestParallelInsertOrderMatchesReplay(t *testing.T) {
 		perG       = 300
 	)
 	l := om.NewList()
-	root := l.InsertFirst()
+	root := l.NewFirst()
 	bases := make([]*om.Item, goroutines)
 	p := root
 	for g := range bases {
-		bases[g] = l.InsertAfter(p)
+		bases[g] = l.NewAfter(p)
 		p = bases[g]
 	}
 
@@ -186,7 +186,7 @@ func TestParallelInsertOrderMatchesReplay(t *testing.T) {
 			own := []*om.Item{bases[g]}
 			for i := 0; i < perG; i++ {
 				anchor := own[rng.Intn(len(own))]
-				own = append(own, l.InsertAfter(anchor))
+				own = append(own, l.NewAfter(anchor))
 			}
 			items[g] = own
 		}(g)
@@ -203,15 +203,15 @@ func TestParallelInsertOrderMatchesReplay(t *testing.T) {
 
 	for g := 0; g < goroutines; g++ {
 		replay := om.NewList()
-		rprev := replay.InsertFirst()
+		rprev := replay.NewFirst()
 		for i := 0; i < g+1; i++ { // mirror the base seeding depth
-			rprev = replay.InsertAfter(rprev)
+			rprev = replay.NewAfter(rprev)
 		}
 		rng := rand.New(rand.NewSource(int64(100 + g)))
 		rOwn := []*om.Item{rprev}
 		for i := 0; i < perG; i++ {
 			anchor := rOwn[rng.Intn(len(rOwn))]
-			rOwn = append(rOwn, replay.InsertAfter(anchor))
+			rOwn = append(rOwn, replay.NewAfter(anchor))
 		}
 		// Same script, same seed: the concurrent subtree must have the
 		// same internal order as the serial replay's.
@@ -237,14 +237,14 @@ func TestGlobalLockModeEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			fine := om.NewList()
 			global := om.NewListGlobalLock()
-			fi := []*om.Item{fine.InsertFirst()}
-			gi := []*om.Item{global.InsertFirst()}
+			fi := []*om.Item{fine.NewFirst()}
+			gi := []*om.Item{global.NewFirst()}
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 500; i++ {
 				k := rng.Intn(len(fi))
 				n := 1 + rng.Intn(3)
-				fb := fine.InsertAfterN(fi[k], n)
-				gb := global.InsertAfterN(gi[k], n)
+				fb := fine.NewAfterN(fi[k], n)
+				gb := global.NewAfterN(gi[k], n)
 				fi = append(fi, fb...)
 				gi = append(gi, gb...)
 			}
@@ -273,28 +273,32 @@ func TestGlobalLockModeEquivalence(t *testing.T) {
 	}
 }
 
-// TestArenaInsertAndRecycle exercises the arena insert entry points and
-// Release: items come from slabs, the list stays consistent, and a
-// released arena serves a fresh list correctly.
+// TestArenaInsertAndRecycle places items from one backing array, then
+// places the same items — still holding the last list's bucket, label
+// and link — into a fresh list, as a lane's slab recycles strand records
+// across runs: an insert sets every field of a caller-owned item, so
+// recycling needs no zeroing.
 func TestArenaInsertAndRecycle(t *testing.T) {
-	a := &om.ItemArena{}
+	store := make([]om.Item, 600)
 	for round := 0; round < 3; round++ {
 		l := om.NewList()
-		it := l.InsertFirstArena(a)
-		for i := 0; i < 300; i++ {
-			out := make([]*om.Item, 1+i%3)
-			l.InsertAfterNArena(it, a, out)
-			it = out[len(out)-1]
+		l.InsertFirst(&store[0])
+		next := 1
+		for i := 0; next+3 <= len(store); i++ {
+			run := make([]*om.Item, 1+i%3)
+			for j := range run {
+				run[j] = &store[next]
+				next++
+			}
+			// Every round anchors its runs differently, so a recycled
+			// item's stale link points somewhere the new list does not.
+			l.InsertAfterN(&store[(next-len(run)-1)*round/2], run)
 		}
 		if err := l.CheckInvariants(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if a.Bytes() == 0 {
-			t.Fatalf("round %d: arena reported no slab bytes", round)
-		}
-		a.Release()
-		if a.Bytes() != 0 {
-			t.Fatalf("round %d: arena bytes nonzero after Release", round)
+		if got := l.Len(); got != next {
+			t.Fatalf("round %d: Len = %d, want %d", round, got, next)
 		}
 	}
 }

@@ -29,13 +29,13 @@ func TestConcurrentPrecedesUnderInsertStorm(t *testing.T) {
 		readers         = 4
 	)
 	l := om.NewList()
-	root := l.InsertFirst()
+	root := l.NewFirst()
 
 	chains := make([][]*om.Item, writers)
 	published := make([]atomic.Int64, writers)
 	for w := range chains {
 		chains[w] = make([]*om.Item, insertsPerChain)
-		chains[w][0] = l.InsertAfter(root)
+		chains[w][0] = l.NewAfter(root)
 		published[w].Store(1)
 	}
 
@@ -47,7 +47,7 @@ func TestConcurrentPrecedesUnderInsertStorm(t *testing.T) {
 			defer writerWG.Done()
 			chain := chains[w]
 			for i := 1; i < insertsPerChain; i++ {
-				chain[i] = l.InsertAfter(chain[i-1])
+				chain[i] = l.NewAfter(chain[i-1])
 				// Release-store: readers that observe the new length
 				// also observe the chain slot written above.
 				published[w].Store(int64(i + 1))

@@ -1,6 +1,6 @@
-// Package slab is the reach layer's fixed-record bump allocator: OM
-// items, node and future records, cord labels and their frozen chunks
-// all come from it, so a spawn/create/get allocates with a pointer bump
+// Package slab is the reach layer's fixed-record bump allocator: strand
+// records (their OM items inline), future records, cord labels and their
+// frozen chunks all come from it, so a spawn/create/get allocates with a pointer bump
 // and a finished run hands its memory back wholesale through a
 // sync.Pool instead of leaving it to the GC. (bitset.Arena, the one
 // variable-length allocator, is its own type.)

@@ -11,7 +11,7 @@ type rec struct {
 }
 
 // TestArena is the one allocator's contract, which its five users (OM
-// items, node and future records, cord labels and chunks) rely on: the
+// and DePa strand records, future records, cord labels and chunks) rely on: the
 // records handed out are distinct within and across chunks, Bytes is
 // chunks × records × size, a released chunk is handed out again, and a
 // nil receiver allocates from the heap.

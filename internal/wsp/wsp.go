@@ -25,9 +25,10 @@ import (
 	"sforder/internal/sched"
 )
 
-// node is the per-strand state: just the two list positions.
+// node is the per-strand state: just the two list positions, held
+// inline.
 type node struct {
-	eng, heb *om.Item
+	eng, heb om.Item
 }
 
 // Reach is the WSP-Order reachability component for fork-join programs.
@@ -48,25 +49,28 @@ func nodeOf(s *sched.Strand) *node { return s.Det.(*node) }
 // OnRoot implements sched.Tracer.
 func (r *Reach) OnRoot(root *sched.Strand) {
 	r.strands.Add(1)
-	root.Det = &node{eng: r.engL.InsertFirst(), heb: r.hebL.InsertFirst()}
+	rn := &node{}
+	r.engL.InsertFirst(&rn.eng)
+	r.hebL.InsertFirst(&rn.heb)
+	root.Det = rn
 }
 
 // OnSpawn implements sched.Tracer: English order u, child, cont
 // [, placeholder]; Hebrew order u, cont, child[, placeholder].
 func (r *Reach) OnSpawn(u, child, cont, placeholder *sched.Strand) {
-	un := nodeOf(u)
-	n := 2
+	un, cn, kn := nodeOf(u), &node{}, &node{}
+	eng := []*om.Item{&cn.eng, &kn.eng}
+	heb := []*om.Item{&kn.heb, &cn.heb}
 	if placeholder != nil {
-		n = 3
+		pn := &node{}
+		eng, heb = append(eng, &pn.eng), append(heb, &pn.heb)
+		placeholder.Det = pn
 	}
-	r.strands.Add(uint64(n))
-	eng := r.engL.InsertAfterN(un.eng, n)
-	heb := r.hebL.InsertAfterN(un.heb, n)
-	child.Det = &node{eng: eng[0], heb: heb[1]}
-	cont.Det = &node{eng: eng[1], heb: heb[0]}
-	if placeholder != nil {
-		placeholder.Det = &node{eng: eng[2], heb: heb[2]}
-	}
+	r.strands.Add(uint64(len(eng)))
+	r.engL.InsertAfterN(&un.eng, eng)
+	r.hebL.InsertAfterN(&un.heb, heb)
+	child.Det = cn
+	cont.Det = kn
 }
 
 // OnSync implements sched.Tracer (the join strand was pre-placed).
@@ -98,14 +102,14 @@ func (r *Reach) Precedes(u, v *sched.Strand) bool {
 		return true
 	}
 	un, vn := nodeOf(u), nodeOf(v)
-	return r.engL.Precedes(un.eng, vn.eng) && r.hebL.Precedes(un.heb, vn.heb)
+	return r.engL.Precedes(&un.eng, &vn.eng) && r.hebL.Precedes(&un.heb, &vn.heb)
 }
 
 // LeftOf reports whether a is earlier in the English order, for the
 // leftmost/rightmost reader policy (which for pure fork-join needs just
 // one pair per location — Mellor-Crummey's classic bound).
 func (r *Reach) LeftOf(a, b *sched.Strand) bool {
-	return r.engL.Precedes(nodeOf(a).eng, nodeOf(b).eng)
+	return r.engL.Precedes(&nodeOf(a).eng, &nodeOf(b).eng)
 }
 
 // Queries returns the number of Precedes calls served.
@@ -115,7 +119,8 @@ func (r *Reach) Queries() uint64 { return r.queries.Load() }
 // estimate stays honest as the struct evolves.
 var nodeSize = int(unsafe.Sizeof(node{}))
 
-// MemBytes estimates the component's footprint.
+// MemBytes estimates the component's footprint: the lists' buckets and
+// one node per strand, items included.
 func (r *Reach) MemBytes() int {
 	return r.engL.MemBytes() + r.hebL.MemBytes() + int(r.strands.Load())*nodeSize
 }
