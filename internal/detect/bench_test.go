@@ -28,8 +28,9 @@ import (
 // report rows' pays for a race report; there no two strands are ordered
 // (parallelReach).
 
-// benchAddrs is a strand's footprint in the batched rows: under batchCap,
-// so the only flush is the one at strand close, and four pages' worth.
+// benchAddrs is a strand's footprint in the batched rows: under sched's
+// early-drain threshold (1024 entries), so the only flush is the one at
+// strand close, and four pages' worth.
 const benchAddrs = 1000
 
 // passes runs strand passes over the same benchAddrs dense addresses: a
@@ -59,13 +60,14 @@ func BenchmarkHistory(b *testing.B) {
 	b.Run("read-hit", func(b *testing.B) {
 		h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
 		s := newStrand(1)
-		for a := uint64(0); a < 2*batchCap; a++ {
-			h.Read(s, a) // sets the bit; the two early flushes keep it
+		const span = 2048 // twice sched's 1024-entry early-drain threshold
+		for a := uint64(0); a < span; a++ {
+			h.Read(s, a) // sets the bit; the two early drains keep it
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h.Read(s, uint64(i)&(2*batchCap-1))
+			h.Read(s, uint64(i)&(span-1))
 		}
 	})
 	b.Run("read-batched", func(b *testing.B) {

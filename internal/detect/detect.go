@@ -126,7 +126,7 @@ type Options struct {
 	DedupByAddr bool
 	// Tap, when non-nil, additionally receives every access the history
 	// applies — the record hook for offline replay (internal/trace). With
-	// FastPath the tap fires once per flushed page batch, so recording
+	// FastPath the tap fires once per drained page batch, so recording
 	// costs one call per page a strand touched, not one per access;
 	// without it the tap fires per access from the locked slow path. The
 	// entries handed to the tap are exactly the ones the history applies,
@@ -138,10 +138,10 @@ type Options struct {
 	// an exact strand-local dedup absorbing a strand's repeats, and
 	// per-strand batches applied one lock acquisition per shadow page at
 	// strand close. Detection at location granularity is unchanged
-	// (DESIGN.md §4 has the soundness argument). Requires the scheduler's
-	// StrandCloser hook: accesses are deferred until the engine closes the
-	// strand, so a History used without an engine must call StrandClose
-	// itself.
+	// (DESIGN.md §4 has the soundness argument). Accesses are deferred
+	// until the strand closes — sched drains its buffer, or calls
+	// StrandClose — so a History used without an engine must call
+	// StrandClose itself.
 	FastPath bool
 }
 
@@ -149,7 +149,7 @@ type Options struct {
 // addrs[i] was touched by strand s with kinds[i]. Called with the same
 // per-strand ordering guarantees as the history update itself — every
 // tapped access of a strand happens before the tracer event ending that
-// strand (the flush runs inside sched's StrandClose hook). The tap must
+// strand (the drain runs inside sched's strand close). The tap must
 // not retain the slices past the call.
 type AccessTap interface {
 	TapAccesses(s *sched.Strand, addrs []uint64, kinds []AccessKind)
@@ -202,7 +202,8 @@ func NewHistory(opts Options) *History {
 
 // Read implements sched.AccessChecker: check against the last writer, then
 // record the reader per the configured policy. With FastPath the access
-// goes through the strand's buffer, not the page's lock (fastpath.go).
+// goes through the strand's buffer (sched.Keep), not the page's lock
+// (fastpath.go).
 func (h *History) Read(s *sched.Strand, addr uint64) { h.access(s, addr, AccessRead) }
 
 // Write implements sched.AccessChecker: check against the last writer
@@ -212,16 +213,10 @@ func (h *History) Read(s *sched.Strand, addr uint64) { h.access(s, addr, AccessR
 func (h *History) Write(s *sched.Strand, addr uint64) { h.access(s, addr, AccessWrite) }
 
 // applyOne is the locked slow path: one access, one page-lock
-// acquisition, and the flush's kernel over a set of one slot.
+// acquisition, and the drain's kernel over a set of one slot.
 func (h *History) applyOne(s *sched.Strand, addr uint64, kind AccessKind) {
 	var sets [2]SlotSet
 	sets[kind&1][addr&pageMask>>6] = 1 << (addr & 63)
-	if h.opts.Tap != nil {
-		// The batched signature over a set of one, through the scratch of
-		// a strand buffer that is there for nothing else on this path.
-		addrs, kinds := s.Buffer().Expand(addr>>pageBits, &sets[AccessRead], &sets[AccessWrite])
-		h.opts.Tap.TapAccesses(s, addrs, kinds)
-	}
 	h.ApplyPage(s, addr>>pageBits, &sets[AccessRead], &sets[AccessWrite])
 }
 
@@ -230,10 +225,19 @@ func (h *History) applyOne(s *sched.Strand, addr uint64, kind AccessKind) {
 // the slots in writes — a slot in both was read and then written (the
 // strand buffer absorbs a read after a write), and must check in that
 // order. It is the one entry to the per-location kernel: the locked path
-// calls it with one slot, the fast path's flush once per page a strand
-// touched, an offline replay shard (internal/replay) once per recorded
-// block, on a history of its own.
+// calls it with one slot, sched's drain of a strand buffer once per page
+// (sched.PageSink), an offline replay shard (internal/replay) once per
+// recorded block, on a history of its own. It taps what it applies first.
 func (h *History) ApplyPage(s *sched.Strand, num uint64, reads, writes *SlotSet) {
+	if h.opts.Tap != nil {
+		// The lists take the scratch of s's buffer: the one being drained,
+		// or on the locked path one the open strand has for nothing else.
+		addrs, kinds := s.Buffer().Expand(num, reads, writes)
+		h.opts.Tap.TapAccesses(s, addrs, kinds)
+	}
+	if h.countLocks && h.opts.FastPath {
+		h.batchFlushes.Add(1)
+	}
 	p := h.lockPage(num)
 	if *reads != (SlotSet{}) {
 		h.applyReads(p, s, reads)

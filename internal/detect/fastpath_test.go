@@ -417,37 +417,50 @@ func (f *flushSizes) TapAccesses(s *sched.Strand, addrs []uint64, _ []detect.Acc
 	f.left -= len(addrs)
 }
 
-// TestFastPathRangeFlushBound: a range is taken a page at a time, so a
-// strand's early flush comes at the first page end past batchCap — never
-// more than a page's slots over it — and the range's covered part counts
-// as fast-path hits, one an address.
+// TestFastPathRangeFlushBound: sched takes a range a page at a time, so a
+// strand's early drain comes at the first page end past batchCap — never
+// more than a page's slots over it — and keeps only the range's new part.
+// With stats the history's gate is off and sched hands it the range an
+// address at a time: the drains come at batchCap exactly, and the range's
+// covered part counts as fast-path hits, one an address.
 func TestFastPathRangeFlushBound(t *testing.T) {
 	const batchCap, page = 1024, 1 << detect.PageBits
-	tap := &flushSizes{}
-	h := detect.NewHistory(detect.Options{Reach: &stubReach{prec: map[[2]uint64]bool{}}, FastPath: true, Tap: tap})
-	h.RegisterStats(obsv.NewRegistry())
-	s := fakeStrands(1)[0]
-	h.AccessRange(s, 100, 5000, detect.AccessWrite)
-	early := slices.Clone(tap.sizes)
-	h.AccessRange(s, 0, 5100, detect.AccessWrite) // all but 0..99 covered
-	if hits := h.FastPathHits(); hits != 5000 {
-		t.Errorf("%d fast-path hits, want the 5000 covered addresses", hits)
-	}
-	h.StrandClose(s)
-	if len(early) < 4 {
-		t.Fatalf("a 5000-address range flushed %d times", len(early))
-	}
-	for i, n := range early {
-		if n < batchCap || n >= batchCap+page {
-			t.Errorf("early flush %d applied %d entries, want [%d, %d)", i, n, batchCap, batchCap+page)
+	for _, counted := range []bool{false, true} {
+		tap := &flushSizes{}
+		h := detect.NewHistory(detect.Options{Reach: &stubReach{prec: map[[2]uint64]bool{}}, FastPath: true, Tap: tap})
+		opts := sched.Options{Serial: true, Checker: h}
+		if counted {
+			opts.Stats = obsv.NewRegistry()
+			h.RegisterStats(opts.Stats)
 		}
-	}
-	total := 0
-	for _, n := range tap.sizes {
-		total += n
-	}
-	if total != 5100 || tap.left != 0 {
-		t.Errorf("the flushes applied %d entries, want 5100", total)
+		var early []int
+		_, err := sched.Run(opts, func(t *sched.Task) {
+			t.WriteRange(100, 5000)
+			early = slices.Clone(tap.sizes)
+			t.WriteRange(0, 5100) // all but 0..99 covered
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := h.FastPathHits(); counted && hits != 5000 {
+			t.Errorf("counted: %d fast-path hits, want the 5000 covered addresses", hits)
+		}
+		if len(early) < 4 {
+			t.Fatalf("counted=%v: a 5000-address range flushed %d times", counted, len(early))
+		}
+		for i, n := range early {
+			if n < batchCap || n >= batchCap+page || counted && n != batchCap {
+				t.Errorf("counted=%v: early flush %d applied %d entries, want [%d, %d), or %d counted",
+					counted, i, n, batchCap, batchCap+page, batchCap)
+			}
+		}
+		total := 0
+		for _, n := range tap.sizes {
+			total += n
+		}
+		if total != 5100 || tap.left != 0 {
+			t.Errorf("counted=%v: the flushes applied %d entries, want 5100", counted, total)
+		}
 	}
 }
 

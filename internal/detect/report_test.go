@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"sforder/internal/sched"
 )
 
 // hammerPlan is what TestReportHammer's strands do: three phases, each a
@@ -140,7 +142,7 @@ func TestReportHammer(t *testing.T) {
 									for i+n < len(addrs) && addrs[i+n] == addrs[i]+uint64(n) {
 										n++
 									}
-									h.AccessRange(s, addrs[i], n, plan.kinds[ph])
+									sched.KeepRange(s, addrs[i], n, plan.kinds[ph], h.ApplyPage)
 									i += n
 								}
 								h.StrandClose(s)

@@ -209,9 +209,9 @@ func run(cfg Config, main func(*sched.Task), interpose func(sched.AccessChecker)
 		}
 	}
 	if rec != nil && hist == nil {
-		// No access history to tap: the recorder observes the raw access
-		// stream itself (with its own per-strand dedup), so NoDetector
-		// and ReachabilityOnly runs still produce a complete capture.
+		// No access history to tap: the recorder is the page sink, so sched
+		// buffers the accesses for it by the history's rule, and NoDetector
+		// and ReachabilityOnly runs write the capture a detecting run does.
 		opts.Checker = rec
 	}
 	if interpose != nil && opts.Checker != nil {

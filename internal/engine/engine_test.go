@@ -218,11 +218,14 @@ var accessPaths = []accessPath{
 // path's sched.reads, sched.writes and hist.fastpath_hits are the oracle
 // log's counts, and under SF-Order on one worker, where a run is
 // deterministic, the three agree on RaceCount and write the same capture
-// byte for byte. A program with runs also runs in its range spelling, on
-// every path (the interposed one breaks the ranges up): a range is its
-// single accesses, so the same counts and RaceCount, and a capture that
-// decodes to the same (strand, address, kind) set — not the same bytes,
-// since a range reaches the early-flush bound at a page, not an access.
+// byte for byte — with a buffered history on one worker, the bytes each
+// spelling of the program writes with no history at all, recorded once
+// under NoDetector and once under ReachabilityOnly. A program with runs
+// also runs in its range spelling, on every path (the interposed one
+// breaks the ranges up): a range is its single accesses, so the same
+// counts and RaceCount, and a capture that decodes to the same (strand,
+// address, kind) set — not the same bytes, since a range reaches the
+// early-drain bound at a page, not an access.
 // And every cell ends with as many goroutines as it started with: no
 // worker, loader or shard outlives its run or replay.
 func TestLatticeAgainstOracle(t *testing.T) {
@@ -247,6 +250,24 @@ func TestLatticeAgainstOracle(t *testing.T) {
 	}
 	execs := []exec{{"serial", true, 0}, {"w1", false, 1}, {"w4", false, 4}}
 	programs := corpus(t)
+	// undetected[p][si] are p's captures in spelling si, recorded once at
+	// one worker with no access history: under NoDetector and under
+	// ReachabilityOnly.
+	undetected := map[*program][][2][]byte{}
+	for _, p := range programs {
+		for _, sp := range spellings(p) {
+			var caps [2][]byte
+			for i, cfg := range []engine.Config{{Detector: engine.NoDetector}, {ReachabilityOnly: true}} {
+				var buf bytes.Buffer
+				cfg.Workers, cfg.Record = 1, &buf
+				if _, err := engine.Run(cfg, sp.main()); err != nil {
+					t.Fatalf("%s, %s: recording without a history: %v", p.name, sp.name, err)
+				}
+				caps[i] = buf.Bytes()
+			}
+			undetected[p] = append(undetected[p], caps)
+		}
+	}
 
 	for _, r := range rows {
 		for _, ex := range execs {
@@ -267,6 +288,9 @@ func TestLatticeAgainstOracle(t *testing.T) {
 						paths = paths[:1] // no strand buffer, one path
 					}
 					deterministic := r.det == engine.SFOrder && ex.workers <= 1
+					// One SF-Order worker with a buffered history drains the
+					// strand buffers where a run without a history does.
+					sameAsUndetected := r.det == engine.SFOrder && ex.workers == 1 && !locked
 					name := fmt.Sprintf("%v-%v/%s/%v/locked=%v", r.det, r.reach, ex.name, policy, locked)
 					t.Run(name, func(t *testing.T) {
 						defer checkGoroutines(t, runtime.NumGoroutine(), "the cell's runs and replays")
@@ -274,14 +298,18 @@ func TestLatticeAgainstOracle(t *testing.T) {
 							if r.forkJoin && !p.forkJoin {
 								continue
 							}
-							spellings := []spelling{{"per-address", p.main}}
-							if p.ranges != nil {
-								spellings = append(spellings, spelling{"ranges", p.ranges})
-							}
 							var first cell
-							for si, sp := range spellings {
+							for si, sp := range spellings(p) {
 								for i, path := range paths {
 									c := checkCell(t, path, cfg, p, sp)
+									if i == 0 && sameAsUndetected {
+										for k, run := range []string{"NoDetector", "ReachabilityOnly"} {
+											if u := undetected[p][si][k]; !bytes.Equal(c.capture, u) {
+												t.Errorf("%s, %s: the %d-byte capture differs from %s's %d bytes",
+													p.name, sp.name, len(c.capture), run, len(u))
+											}
+										}
+									}
 									switch {
 									case si == 0 && i == 0:
 										first = c
@@ -308,6 +336,16 @@ func TestLatticeAgainstOracle(t *testing.T) {
 type spelling struct {
 	name string
 	main func() func(*sched.Task)
+}
+
+// spellings returns p's per-address spelling, and its range spelling if
+// it has one.
+func spellings(p *program) []spelling {
+	sps := []spelling{{"per-address", p.main}}
+	if p.ranges != nil {
+		sps = append(sps, spelling{"ranges", p.ranges})
+	}
+	return sps
 }
 
 // access is one decoded capture entry.

@@ -1,11 +1,13 @@
 package sched_test
 
 import (
+	"io"
 	"testing"
 
 	"sforder/internal/detect"
 	"sforder/internal/obsv"
 	"sforder/internal/sched"
+	"sforder/internal/trace"
 )
 
 // everything says every strand precedes every other, so no row pays for a
@@ -21,6 +23,9 @@ func (everything) Precedes(u, v *sched.Strand) bool { return true }
 //	hit               an access the strand's buffer covers, tested inline
 //	first-touch       an access the buffer keeps, its share of the flush
 //	                  and of a strand turnover every 1000 included
+//	recorder-first-touch
+//	                  the same with the trace recorder as the page sink
+//	                  (recording without detection): a block a page
 //	front-collision   covered accesses to 96 pages taking turns in the
 //	                  buffer's 64 front slots: inline miss, checker call,
 //	                  spill map
@@ -36,7 +41,7 @@ func (everything) Precedes(u, v *sched.Strand) bool { return true }
 //	range-3-page      512 kept addresses over three pages (a half, a
 //	                  whole and a half), a strand each
 func BenchmarkTaskAccess(b *testing.B) {
-	const footprint = 1000 // addresses a strand touches, under detect's early-flush threshold
+	const footprint = 1000 // addresses a strand touches, under the early-drain threshold
 	history := func() *detect.History {
 		return detect.NewHistory(detect.Options{Reach: everything{}, FastPath: true})
 	}
@@ -64,23 +69,27 @@ func BenchmarkTaskAccess(b *testing.B) {
 	}
 	b.Run("no-checker", hits(sched.Options{}))
 	b.Run("hit", hits(sched.Options{Checker: history()}))
-	b.Run("first-touch", func(b *testing.B) {
-		_, err := sched.Run(sched.Options{Serial: true, Checker: history()}, func(t *sched.Task) {
-			b.ResetTimer()
-			for i, a := 0, uint64(0); i < b.N; i++ {
-				t.Read(a)
-				if a++; a == footprint {
-					a = 0
-					t.Spawn(func(*sched.Task) {}) // the strand ends: flush, and a new buffer
-					t.Sync()
+	firstTouch := func(checker sched.AccessChecker) func(*testing.B) {
+		return func(b *testing.B) {
+			_, err := sched.Run(sched.Options{Serial: true, Checker: checker}, func(t *sched.Task) {
+				b.ResetTimer()
+				for i, a := 0, uint64(0); i < b.N; i++ {
+					t.Read(a)
+					if a++; a == footprint {
+						a = 0
+						t.Spawn(func(*sched.Task) {}) // the strand ends: flush, and a new buffer
+						t.Sync()
+					}
 				}
+				b.StopTimer()
+			})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
-	})
+	}
+	b.Run("first-touch", firstTouch(history()))
+	b.Run("recorder-first-touch", firstTouch(trace.NewRecorder(io.Discard)))
 	b.Run("front-collision", func(b *testing.B) {
 		const pages = 96
 		_, err := sched.Run(sched.Options{Serial: true, Checker: history()}, func(t *sched.Task) {

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -10,37 +11,39 @@ import (
 	"sforder/internal/sched"
 )
 
-// buffering is a checker of the history's shape: it keeps each strand's
-// accesses in the strand's buffer from the first one to the close, lets the
-// engine skip the covered ones when skip is set, and counts the calls it
-// gets.
+// buffering is a page sink of the history's shape: its Read and Write keep
+// the access by sched's rule, its gate is skip, and it counts the calls it
+// gets and the pages and entries drained to it.
 type buffering struct {
-	skip          bool
-	calls, ranges atomic.Int64
+	skip                  bool
+	calls, pages, entries atomic.Int64
 }
 
-func (c *buffering) Read(s *sched.Strand, addr uint64)  { c.add(s, addr, accbuf.AccessRead) }
-func (c *buffering) Write(s *sched.Strand, addr uint64) { c.add(s, addr, accbuf.AccessWrite) }
-func (c *buffering) SkipCovered() bool                  { return c.skip }
-
-func (c *buffering) AccessRange(s *sched.Strand, addr uint64, n int, kind accbuf.AccessKind) {
-	c.ranges.Add(1)
-	s.Buffer().AddRange(addr, n, kind)
-}
-
-func (c *buffering) add(s *sched.Strand, addr uint64, kind accbuf.AccessKind) {
+func (c *buffering) Read(s *sched.Strand, addr uint64) {
 	c.calls.Add(1)
-	if s.Buf == nil {
-		s.Buf = accbuf.Get()
-	}
-	s.Buf.Add(addr, kind)
+	sched.Keep(s, addr, accbuf.AccessRead, c.ApplyPage)
 }
 
-func (c *buffering) StrandClose(s *sched.Strand) {
-	if b := s.Buf; b != nil {
-		s.Buf = nil
-		b.Release()
+func (c *buffering) Write(s *sched.Strand, addr uint64) {
+	c.calls.Add(1)
+	sched.Keep(s, addr, accbuf.AccessWrite, c.ApplyPage)
+}
+
+func (c *buffering) SkipCovered() bool { return c.skip }
+
+func (c *buffering) ApplyPage(s *sched.Strand, page uint64, reads, writes *accbuf.SlotSet) {
+	c.pages.Add(1)
+	for w := range reads {
+		c.entries.Add(int64(bits.OnesCount64(reads[w]) + bits.OnesCount64(writes[w])))
 	}
+}
+
+func (c *buffering) StrandClose(s *sched.Strand) { sched.CloseBuffer(s, c.ApplyPage) }
+
+func (c *buffering) reset() {
+	c.calls.Store(0)
+	c.pages.Store(0)
+	c.entries.Store(0)
 }
 
 // wrapped hides everything but the two hooks of what it wraps.
@@ -49,10 +52,12 @@ type wrapped struct {
 	sched.StrandCloser
 }
 
-// TestOnlyCoveredAccessesAreSkipped: the engine keeps an access from the
-// checker only when the checker itself said it may, the run counts
-// nothing, and the strand's buffer covers the access — a read after the
-// strand's read or write, a write after its write, and never a write
+// TestOnlyCoveredAccessesAreSkipped: sched keeps a sink's accesses itself —
+// no call reaches the sink but the drains — only when the sink itself said
+// it may and the run counts nothing; otherwise every access reaches the
+// sink's Read or Write. Either way the same entries are drained: the
+// buffer keeps an access unless an earlier one covers it — a read after
+// the strand's read or write, a write after its write, and never a write
 // after a mere read.
 func TestOnlyCoveredAccessesAreSkipped(t *testing.T) {
 	const addrs, rounds = 600, 5 // three shadow pages
@@ -74,8 +79,8 @@ func TestOnlyCoveredAccessesAreSkipped(t *testing.T) {
 		skip  bool
 		calls int64
 	}{
-		{"skipping", func(c *buffering) sched.Options { return sched.Options{Checker: c} }, true, kept},
-		{"checker says no", func(c *buffering) sched.Options { return sched.Options{Checker: c} }, false, all},
+		{"skipping", func(c *buffering) sched.Options { return sched.Options{Checker: c} }, true, 0},
+		{"sink says no", func(c *buffering) sched.Options { return sched.Options{Checker: c} }, false, all},
 		{"counting", func(c *buffering) sched.Options { return sched.Options{Checker: c, Stats: obsv.NewRegistry()} }, true, all},
 		{"wrapped", func(c *buffering) sched.Options { return sched.Options{Checker: wrapped{c, c}} }, true, all},
 	} {
@@ -88,7 +93,10 @@ func TestOnlyCoveredAccessesAreSkipped(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := c.calls.Load(); got != tc.calls {
-				t.Errorf("%s, serial=%v: the checker got %d of %d accesses, want %d", tc.name, serial, got, all, tc.calls)
+				t.Errorf("%s, serial=%v: the sink got %d of %d accesses, want %d", tc.name, serial, got, all, tc.calls)
+			}
+			if got := c.entries.Load(); got != kept {
+				t.Errorf("%s, serial=%v: %d entries drained, want the %d kept", tc.name, serial, got, kept)
 			}
 			if opts.Stats != nil && (counts.Reads != 3*addrs*rounds || counts.Writes != 2*addrs*rounds) {
 				t.Errorf("%s, serial=%v: counted %d reads and %d writes, the program makes %d and %d",
@@ -98,17 +106,19 @@ func TestOnlyCoveredAccessesAreSkipped(t *testing.T) {
 	}
 }
 
-// logging is a checker that takes no ranges: it lists the accesses it
-// gets, in order (one worker only).
+// logging is a checker that is no sink: it lists the accesses it gets, in
+// order (one worker only).
 type logging struct{ addrs []uint64 }
 
 func (c *logging) Read(s *sched.Strand, addr uint64)  { c.addrs = append(c.addrs, addr) }
 func (c *logging) Write(s *sched.Strand, addr uint64) { c.addrs = append(c.addrs, addr|1<<63) }
 
-// TestRangesReachTheChecker: a range goes to a RangeChecker in one call
-// and to any other checker — a wrapper included — as one Read or Write
-// per address, in address order; counted, it is its n accesses either
-// way, and an empty or negative range is nothing at all.
+// TestRangesReachTheChecker: a range goes into a sink's buffer a page at a
+// time with no call, and to any other checker — a wrapper, or a sink whose
+// gate a counting run shuts, included — as one Read or Write per address,
+// in address order; the sink is drained the same pages and entries either
+// way. Counted, a range is its n accesses, and an empty or negative range
+// is nothing at all.
 func TestRangesReachTheChecker(t *testing.T) {
 	main := func(t *sched.Task) {
 		t.ReadRange(100, 300) // two shadow pages
@@ -123,33 +133,40 @@ func TestRangesReachTheChecker(t *testing.T) {
 	for a := uint64(250); a < 260; a++ {
 		want = append(want, a|1<<63)
 	}
-	c, log := &buffering{}, &logging{}
+	c := &buffering{skip: true}
 	for _, tc := range []struct {
 		name          string
 		checker       sched.AccessChecker
-		calls, ranges int64
+		counted, sink bool // a run with stats; c is (behind) the checker
+		calls         int64
 	}{
-		{"range checker", c, 0, 2},
-		{"wrapped", wrapped{c, c}, 310, 0},
-		{"no ranges", log, 0, 0},
-		{"no checker", nil, 0, 0},
+		{"page sink", c, false, true, 0},
+		{"page sink, counted", c, true, true, 310},
+		{"wrapped", wrapped{c, c}, false, true, 310},
+		{"not a sink", &logging{}, true, false, 0},
+		{"no checker", nil, true, false, 0},
 	} {
-		c.calls.Store(0)
-		c.ranges.Store(0)
-		counts, err := sched.Run(sched.Options{Serial: true, Checker: tc.checker, Stats: obsv.NewRegistry()}, main)
+		c.reset()
+		opts := sched.Options{Serial: true, Checker: tc.checker}
+		if tc.counted {
+			opts.Stats = obsv.NewRegistry()
+		}
+		counts, err := sched.Run(opts, main)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.calls.Load() != tc.calls || c.ranges.Load() != tc.ranges {
-			t.Errorf("%s: %d single calls and %d range calls, want %d and %d",
-				tc.name, c.calls.Load(), c.ranges.Load(), tc.calls, tc.ranges)
+		if c.calls.Load() != tc.calls {
+			t.Errorf("%s: %d single calls, want %d", tc.name, c.calls.Load(), tc.calls)
 		}
-		if counts.Reads != 300 || counts.Writes != 10 {
+		if tc.sink && (c.pages.Load() != 2 || c.entries.Load() != 310) {
+			t.Errorf("%s: %d pages and %d entries drained, want 2 and 310", tc.name, c.pages.Load(), c.entries.Load())
+		}
+		if tc.counted && (counts.Reads != 300 || counts.Writes != 10) {
 			t.Errorf("%s: counted %d reads and %d writes, want 300 and 10", tc.name, counts.Reads, counts.Writes)
 		}
-	}
-	if !slices.Equal(log.addrs, want) {
-		t.Errorf("the checker without ranges got %d accesses, want the %d of the ranges in address order", len(log.addrs), len(want))
+		if log, ok := tc.checker.(*logging); ok && !slices.Equal(log.addrs, want) {
+			t.Errorf("the checker that is no sink got %d accesses, want the %d of the ranges in address order", len(log.addrs), len(want))
+		}
 	}
 }
 
@@ -157,21 +174,19 @@ func TestRangesReachTheChecker(t *testing.T) {
 // did, so the strands a spawn, a sync, a create and a get begin — child,
 // continuation, join strand, future body, get strand — must start with
 // none, and their first access to an address the strand before them
-// covered must reach the checker.
+// covered must be kept.
 func TestNewStrandStartsWithNoBuffer(t *testing.T) {
 	for _, serial := range []bool{true, false} {
 		c := &buffering{skip: true}
 		// begins checks the strand tk is on now: no buffer yet, and a write
-		// of 7 — which every strand before it has made — is not skipped.
+		// of 7 — which every strand before it has made — is kept.
 		begins := func(tk *sched.Task, what string) {
 			if tk.Strand().Buf != nil {
 				t.Errorf("serial=%v: the %s began with a buffer", serial, what)
 			}
-			before := c.calls.Load()
 			tk.Write(7)
-			// On the parallel engine other workers call the checker too.
-			if serial && c.calls.Load() != before+1 {
-				t.Errorf("serial=%v: the %s's first write of 7 did not reach the checker", serial, what)
+			if b := tk.Strand().Buf; b == nil || b.Pending() != 1 {
+				t.Errorf("serial=%v: the %s's first write of 7 was not kept", serial, what)
 			}
 		}
 		_, err := sched.Run(sched.Options{Serial: serial, Workers: 4, Checker: c}, func(tk *sched.Task) {
@@ -187,6 +202,9 @@ func TestNewStrandStartsWithNoBuffer(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if c.entries.Load() != 7 {
+			t.Errorf("serial=%v: %d entries drained, want the seven strands' writes", serial, c.entries.Load())
 		}
 	}
 }

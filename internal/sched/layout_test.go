@@ -8,7 +8,7 @@ import (
 // TestEngineSize pins the engine at 384 bytes, all of its allocation size
 // class, whose objects start on cache-line boundaries. A 16-byte field
 // more made it 392 bytes, and dag-futures' full_overhead_tp and
-// record_overhead_tp read 7% worse; see the accessRange field.
+// record_overhead_tp read 7% worse; see the apply field.
 func TestEngineSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit platforms")

@@ -303,18 +303,19 @@ func (t *Task) implicitSync() *Strand {
 }
 
 // Read records an instrumented read of the shadow address addr by the
-// current strand. When the checker lets the engine skip covered accesses
-// (CoveredSkipper), one that the strand's buffer already covers ends here.
+// current strand. When sched buffers the checker's accesses (PageSink),
+// one that the strand's buffer already covers ends here.
 func (t *Task) Read(addr uint64) {
 	e := t.eng
 	if e.count {
 		e.cReads.Add(1)
 	}
 	if e.checker != nil {
-		if e.skip && t.cur.Buf != nil && t.cur.Buf.Covered(addr, accbuf.AccessRead) {
-			return
+		if e.apply == nil {
+			e.checker.Read(t.cur, addr)
+		} else if b := t.cur.Buf; b == nil || !b.Covered(addr, accbuf.AccessRead) {
+			Keep(t.cur, addr, accbuf.AccessRead, e.apply)
 		}
-		e.checker.Read(t.cur, addr)
 	}
 }
 
@@ -325,16 +326,18 @@ func (t *Task) Write(addr uint64) {
 		e.cWrites.Add(1)
 	}
 	if e.checker != nil {
-		if e.skip && t.cur.Buf != nil && t.cur.Buf.Covered(addr, accbuf.AccessWrite) {
-			return
+		if e.apply == nil {
+			e.checker.Write(t.cur, addr)
+		} else if b := t.cur.Buf; b == nil || !b.Covered(addr, accbuf.AccessWrite) {
+			Keep(t.cur, addr, accbuf.AccessWrite, e.apply)
 		}
-		e.checker.Write(t.cur, addr)
 	}
 }
 
 // ReadRange records instrumented reads of the n shadow addresses addr,
 // addr+1, …, addr+n-1 by the current strand: the same as n calls of Read
-// in that order, in one call when the checker takes ranges (RangeChecker).
+// in that order, taken a page at a time when sched buffers the checker's
+// accesses (PageSink).
 func (t *Task) ReadRange(addr uint64, n int) { t.accessRange(addr, n, accbuf.AccessRead) }
 
 // WriteRange is ReadRange for instrumented writes.
@@ -354,8 +357,8 @@ func (t *Task) accessRange(addr uint64, n int, kind accbuf.AccessKind) {
 	}
 	switch {
 	case e.checker == nil:
-	case e.accessRange != nil:
-		e.accessRange(t.cur, addr, n, kind)
+	case e.apply != nil:
+		KeepRange(t.cur, addr, n, kind, e.apply)
 	case kind == accbuf.AccessRead:
 		for ; n > 0; n-- {
 			e.checker.Read(t.cur, addr)
@@ -367,4 +370,54 @@ func (t *Task) accessRange(addr uint64, n int, kind accbuf.AccessKind) {
 			addr++
 		}
 	}
+}
+
+// batchCap bounds how many entries a strand's buffer keeps before an early
+// drain, so a long strand cannot defer unboundedly much work to its close.
+const batchCap = 1024
+
+// Keep, KeepRange and CloseBuffer are the strand buffer's one rule, which
+// Task.Read and Write keep for a PageSink, and a sink's own Read, Write
+// and StrandClose may call. Keep puts one access of s into s's buffer,
+// unless an earlier access of s subsumes it, and drains the buffer to
+// apply once batchCap entries are pending; it reports whether it kept it.
+func Keep(s *Strand, addr uint64, kind accbuf.AccessKind, apply func(s *Strand, page uint64, reads, writes *accbuf.SlotSet)) bool {
+	b := s.Buffer()
+	if !b.Add(addr, kind) {
+		return false
+	}
+	if b.Pending() >= batchCap {
+		drain(s, b, apply)
+	}
+	return true
+}
+
+// KeepRange is Keep of addr, addr+1, …, addr+n-1, taken a page at a time:
+// a drain comes at the first page end past batchCap.
+func KeepRange(s *Strand, addr uint64, n int, kind accbuf.AccessKind, apply func(s *Strand, page uint64, reads, writes *accbuf.SlotSet)) {
+	b := s.Buffer()
+	for n > 0 {
+		m := min(n, int(1<<accbuf.PageBits-addr&(1<<accbuf.PageBits-1))) // the range's addresses on addr's page
+		b.AddRange(addr, m, kind)
+		if b.Pending() >= batchCap {
+			drain(s, b, apply)
+		}
+		addr += uint64(m)
+		n -= m
+	}
+}
+
+// CloseBuffer drains s's buffer to apply, then takes it off s and releases
+// it, so a second call does nothing (the engine's close after an
+// abort-time best-effort one). apply may use the buffer, still on s.
+func CloseBuffer(s *Strand, apply func(s *Strand, page uint64, reads, writes *accbuf.SlotSet)) {
+	if b := s.Buf; b != nil {
+		drain(s, b, apply)
+		s.Buf = nil
+		b.Release()
+	}
+}
+
+func drain(s *Strand, b *accbuf.StrandBuffer, apply func(s *Strand, page uint64, reads, writes *accbuf.SlotSet)) {
+	b.Drain(func(page uint64, reads, writes *accbuf.SlotSet) { apply(s, page, reads, writes) })
 }

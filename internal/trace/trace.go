@@ -9,12 +9,13 @@
 //     future IDs instead of pointers. Replay feeds these through a
 //     reachability substrate to rebuild the SF-dag's precedence oracle.
 //   - Access events — per-strand, per-shadow-page blocks: the set of the
-//     page's slots the strand read and the set it wrote, as
-//     accbuf.StrandBuffer drains them, either from the recorder's own
-//     strand buffer or folded back from the detector's batched flush
-//     (detect.Options.Tap). Recording costs one bit per entry no earlier
-//     access of the strand subsumes until the strand closes, and the
-//     page's non-zero bitmap words then.
+//     page's slots the strand read and the set it wrote, as sched drains
+//     the strand's buffer, to the recorder itself (sched.PageSink) or to
+//     the history, which taps them (detect.Options.Tap) — at the same
+//     points either way, so a one-worker capture of a run is the same
+//     bytes whatever detector is attached. Recording costs one bit per
+//     kept entry until the buffer drains, and the page's non-zero bitmap
+//     words then.
 //
 // The recorder buffers each sched lane (worker) and writes a lane to the
 // file only at a hand-off — root, spawn, create, return or put, after
@@ -22,8 +23,8 @@
 // at Close. The file order is a valid happens-before-consistent
 // linearization of the run: a lane keeps call order, so a strand's
 // introduction precedes its lane's events naming it, and its access blocks
-// precede the event ending it (the tap fires inside sched's StrandClose
-// hook, before that event); and an event names another lane's strand or
+// precede the event ending it (the buffer drains inside sched's strand
+// close, before that event); and an event names another lane's strand or
 // future — a job's strands, a sync's sinks, a get's future — only after
 // the hand-off that wrote that lane. Replay relies on exactly these
 // properties and nothing stronger.
@@ -141,7 +142,7 @@ type Event struct {
 // AccessBlock is one strand's accesses to one shadow page: the slots it
 // read and the slots it wrote, a slot in both read first — what
 // History.ApplyPage takes. A strand contributes one block per page it
-// touched (more after an early flush, or where a tapped list needs order;
+// touched (more after an early drain, or where a tapped list needs order;
 // see TapAccesses). A block is never empty.
 type AccessBlock struct {
 	Strand, Page  uint64
@@ -183,10 +184,10 @@ type lane struct {
 // Recorder writes a capture. It implements sched.Tracer (attach via
 // sched.Options.Aux, so the primary tracer's lane routing is untouched and
 // sched sizes the recorder's lanes) and detect.AccessTap (attach via
-// detect.Options.Tap). For runs without an access history it also
-// implements sched.AccessChecker + sched.StrandCloser directly, buffering
-// each strand through the detector's own accbuf.StrandBuffer, so a program
-// can be recorded without paying for detection.
+// detect.Options.Tap). For runs without an access history it is also a
+// sched.PageSink, so sched buffers each strand's accesses by the rule it
+// keeps for the history and a program can be recorded without paying for
+// detection.
 //
 // Each call appends to the lane running the strand it names, with no lock.
 // Calls from one lane never overlap, which sched guarantees. A recorder
@@ -362,41 +363,31 @@ func (l *lane) writeSets(strand, page uint64, reads, writes *detect.SlotSet) {
 	l.entries += uint64(n)
 }
 
-// Read implements sched.AccessChecker for detection-free recording: the
-// access goes into the strand's buffer (no History owns it in this mode),
-// so a capture holds what a detecting run's would — one entry per (strand,
-// location, kind) that no earlier access of the strand subsumes.
-func (r *Recorder) Read(s *sched.Strand, addr uint64) { s.Buffer().Add(addr, detect.AccessRead) }
+// Read implements sched.AccessChecker for recording without detection, by
+// sched's buffer rule (sched.Keep): the capture is a detecting run's.
+func (r *Recorder) Read(s *sched.Strand, addr uint64) {
+	sched.Keep(s, addr, detect.AccessRead, r.ApplyPage)
+}
 
 // Write implements sched.AccessChecker; see Read.
-func (r *Recorder) Write(s *sched.Strand, addr uint64) { s.Buffer().Add(addr, detect.AccessWrite) }
-
-// AccessRange implements sched.RangeChecker; see Read.
-func (r *Recorder) AccessRange(s *sched.Strand, addr uint64, n int, kind detect.AccessKind) {
-	s.Buffer().AddRange(addr, n, kind)
+func (r *Recorder) Write(s *sched.Strand, addr uint64) {
+	sched.Keep(s, addr, detect.AccessWrite, r.ApplyPage)
 }
 
-// SkipCovered implements sched.CoveredSkipper: Add drops a covered access.
+// SkipCovered is the sched.PageSink gate, always open: sched keeps the
+// recorder's accesses itself.
 func (r *Recorder) SkipCovered() bool { return true }
 
-// StrandClose implements sched.StrandCloser for the standalone checker
-// mode: the strand's buffered accesses become one block per shadow page,
-// written from the drained sets as they are.
-func (r *Recorder) StrandClose(s *sched.Strand) {
-	b := s.Buf
-	if b == nil {
-		return
-	}
-	s.Buf = nil
-	if b.Pending() > 0 {
-		l := r.lane(s)
-		b.Drain(func(page uint64, reads, writes *detect.SlotSet) {
-			l.writeSets(s.ID, page, reads, writes)
-		})
-		r.flush(l, false)
-	}
-	b.Release()
+// ApplyPage implements sched.PageSink: one drained page of s is one block.
+func (r *Recorder) ApplyPage(s *sched.Strand, page uint64, reads, writes *detect.SlotSet) {
+	l := r.lane(s)
+	l.writeSets(s.ID, page, reads, writes)
+	r.flush(l, false)
 }
+
+// StrandClose implements sched.StrandCloser: the strand's buffer drains,
+// a block a page (sched.CloseBuffer).
+func (r *Recorder) StrandClose(s *sched.Strand) { sched.CloseBuffer(s, r.ApplyPage) }
 
 // Close writes the lanes, in any order (a lane's tail names only what it
 // or the file introduced), then the trailer, and flushes. The capture is
@@ -457,12 +448,10 @@ func (r *Recorder) RegisterStats(reg *obsv.Registry) {
 }
 
 var (
-	_ sched.Tracer         = (*Recorder)(nil)
-	_ sched.AccessChecker  = (*Recorder)(nil)
-	_ sched.StrandCloser   = (*Recorder)(nil)
-	_ sched.CoveredSkipper = (*Recorder)(nil)
-	_ sched.RangeChecker   = (*Recorder)(nil)
-	_ detect.AccessTap     = (*Recorder)(nil)
+	_ sched.Tracer       = (*Recorder)(nil)
+	_ sched.PageSink     = (*Recorder)(nil)
+	_ sched.StrandCloser = (*Recorder)(nil)
+	_ detect.AccessTap   = (*Recorder)(nil)
 )
 
 // countingReader tracks consumed bytes under a bufio.Reader.
