@@ -8,7 +8,8 @@ import (
 	"unsafe"
 )
 
-// batchCap is the pending count at which internal/detect flushes early.
+// batchCap is the pending count at which sched.Keep and KeepRange drain
+// early (sched's batchCap).
 const batchCap = 1024
 
 // pageBatchBytes is all a touched page costs its strand.

@@ -150,6 +150,11 @@ func (p *Program) run(rng *rand.Rand, o op) op {
 	return o
 }
 
+// isRange reports whether MainRanges makes access o as one ReadRange or
+// WriteRange call: a run of consecutive addresses only read or only
+// written.
+func (o op) isRange() bool { return o.step == 1 && !o.update }
+
 // split randomly moves a subset of avail into a child's transfer set.
 func split(rng *rand.Rand, avail []int) (keep, transfer []int) {
 	for _, s := range avail {
@@ -190,7 +195,7 @@ func runBlock(t *sched.Task, b *block, handles []*sched.Future, ranges bool) {
 	for _, o := range b.ops {
 		switch o.kind {
 		case opRead, opWrite:
-			if ranges && o.step == 1 && !o.update {
+			if ranges && o.isRange() {
 				if o.kind == opWrite {
 					t.WriteRange(o.addr, int(o.n)+1)
 				} else {
