@@ -267,6 +267,10 @@ func (h *History) lockPage(num uint64) *page {
 func (h *History) applyReads(p *page, s *sched.Strand, set *SlotSet) {
 	head := p.group(set)
 	var groups, splits uint64
+	room := 1 // a copy's room for s: a reader, or under ReadersLR a pair
+	if h.opts.Policy == ReadersLR {
+		room = 2
+	}
 	for i := head; i != noState; groups++ {
 		st := &p.states[i]
 		hit, next := st.hit, st.link
@@ -279,7 +283,7 @@ func (h *History) applyReads(p *page, s *sched.Strand, set *SlotSet) {
 		// updateLR of the same strand decides as the first did).
 		if st.reader != s {
 			if hit < st.n {
-				st = &p.states[p.split(i, hit)]
+				st = &p.states[p.split(i, hit, room)]
 				splits++
 			}
 			switch h.opts.Policy {
@@ -305,22 +309,24 @@ func (h *History) applyReads(p *page, s *sched.Strand, set *SlotSet) {
 // the state's locations, with the classic replacement rules
 // (Mellor-Crummey): a serially later reader subsumes the stored one; among
 // parallel readers, keep the leftmost (respectively rightmost) in English
-// order.
+// order. The pairs are flat in st.readers, leftmost first; a future's is
+// found by a scan, and a future with none gets (s, s).
 func (h *History) updateLR(st *state, s *sched.Strand) {
-	p, ok := st.pairs[s.Fut.ID]
-	if !ok {
-		p = lrPair{l: s, r: s}
+	rs := st.readers
+	k := 0
+	for k < len(rs) && rs[k].Fut.ID != s.Fut.ID {
+		k += 2
 	}
-	if p.l != s && (h.opts.Reach.Precedes(p.l, s) || h.opts.LeftOf(s, p.l)) {
-		p.l = s
+	if k == len(rs) {
+		st.readers = append(rs, s, s)
+		return
 	}
-	if p.r != s && (h.opts.Reach.Precedes(p.r, s) || h.opts.LeftOf(p.r, s)) {
-		p.r = s
+	if l := rs[k]; l != s && (h.opts.Reach.Precedes(l, s) || h.opts.LeftOf(s, l)) {
+		rs[k] = s
 	}
-	if st.pairs == nil {
-		st.pairs = map[int]lrPair{}
+	if r := rs[k+1]; r != s && (h.opts.Reach.Precedes(r, s) || h.opts.LeftOf(r, s)) {
+		rs[k+1] = s
 	}
-	st.pairs[s.Fut.ID] = p
 }
 
 // applyWrites performs s's writes of the slots in set on p, whose lock
@@ -353,7 +359,7 @@ func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
 		to = p.newState()
 	}
 	st := &p.states[to]
-	st.writer, st.reader, st.readers, st.pairs, st.n = s, nil, st.readers[:0], nil, total
+	st.writer, st.reader, st.readers, st.n = s, nil, st.readers[:0], total
 	if moved {
 		p.point(set, to)
 	}
@@ -363,23 +369,20 @@ func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
 }
 
 // checkWrite checks a write by s against state i of p: the last writer
-// and every retained reader.
+// and every retained reader — under ReadersLR each pair's two, or its one
+// when a single strand is both.
 func (h *History) checkWrite(p *page, set *SlotSet, i uint16, s *sched.Strand) {
 	st := &p.states[i]
 	if w := st.writer; w != nil && w != s && !h.opts.Reach.Precedes(w, s) {
 		h.reportGroup(p, set, i, w, AccessWrite, s, AccessWrite)
 	}
-	for _, rd := range st.readers {
+	lr := h.opts.Policy == ReadersLR
+	for k, rd := range st.readers {
+		if lr && k&1 == 1 && rd == st.readers[k-1] {
+			continue
+		}
 		if rd != s && !h.opts.Reach.Precedes(rd, s) {
 			h.reportGroup(p, set, i, rd, AccessRead, s, AccessWrite)
-		}
-	}
-	for _, pr := range st.pairs {
-		if pr.l != s && !h.opts.Reach.Precedes(pr.l, s) {
-			h.reportGroup(p, set, i, pr.l, AccessRead, s, AccessWrite)
-		}
-		if pr.r != pr.l && pr.r != s && !h.opts.Reach.Precedes(pr.r, s) {
-			h.reportGroup(p, set, i, pr.r, AccessRead, s, AccessWrite)
 		}
 	}
 }
@@ -476,7 +479,9 @@ func (h *History) RacyAddrs() []uint64 {
 // zero unless RegisterStats enabled the counter before the run.
 func (h *History) LockAcquires() uint64 { return h.lockAcquires.Load() }
 
-// MemBytes estimates the history's heap footprint.
+// MemBytes estimates the history's heap footprint: the shadow table's,
+// with every retained reader of either policy counted at its list's
+// capacity (table.memBytes).
 func (h *History) MemBytes() int { return h.tbl.memBytes() }
 
 // RegisterStats publishes the history counters (hist.*) on r and enables
@@ -501,7 +506,7 @@ func (h *History) MaxReaders() int {
 	most := 0
 	h.tbl.forEachPage(func(p *page) {
 		for i := range p.states { // a dead state retains none
-			most = max(most, len(p.states[i].readers)+2*len(p.states[i].pairs))
+			most = max(most, len(p.states[i].readers))
 		}
 	})
 	return most

@@ -19,11 +19,18 @@ import (
 // one access at a time exactly as the paper states the algorithm, and
 // reporting each race with the same record.
 
-// refLoc is one location's history in the per-slot reference.
+// refLoc is one location's history in the per-slot reference. Under
+// ReadersLR it keeps its pairs in a map by future ID, not in the flat
+// list a state keeps them in.
 type refLoc struct {
 	writer, reader *sched.Strand
 	readers        []*sched.Strand
-	pairs          map[int]lrPair
+	pairs          map[int]refPair
+}
+
+// refPair is the reference's leftmost and rightmost reader of one future.
+type refPair struct {
+	l, r *sched.Strand
 }
 
 // refHistory is the reference: Algorithm 1 per access, no sharing, no
@@ -125,11 +132,11 @@ func (r *refHistory) flush(s *sched.Strand) {
 
 func (r *refHistory) updateLR(l *refLoc, s *sched.Strand) {
 	if l.pairs == nil {
-		l.pairs = map[int]lrPair{}
+		l.pairs = map[int]refPair{}
 	}
 	p, ok := l.pairs[s.Fut.ID]
 	if !ok {
-		l.pairs[s.Fut.ID] = lrPair{l: s, r: s}
+		l.pairs[s.Fut.ID] = refPair{l: s, r: s}
 		return
 	}
 	if p.l != s && (r.reach.Precedes(p.l, s) || r.leftOf(s, p.l)) {
@@ -188,7 +195,7 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 			t.Fatalf("%s: page %#x: the live states own %d slots of %d", step, p.num, slots, pageSize)
 		}
 		for i := p.free; i != noState; i = p.states[i].link {
-			if st := &p.states[i]; st.n != 0 || live[i] || st.writer != nil || len(st.readers) != 0 || st.pairs != nil {
+			if st := &p.states[i]; st.n != 0 || live[i] || st.writer != nil || len(st.readers) != 0 {
 				t.Fatalf("%s: page %#x: state %d on the free list is not dead: %+v", step, p.num, i, *st)
 			}
 		}
@@ -206,9 +213,13 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 			} else {
 				touched++
 			}
-			if st.writer != l.writer || st.reader != l.reader || !slices.Equal(st.readers, l.readers) || !maps.Equal(st.pairs, l.pairs) {
-				t.Fatalf("%s: %#x: history has writer %v reader %v readers %v pairs %v, the per-slot reference %v %v %v %v",
-					step, addr, st.writer, st.reader, st.readers, st.pairs, l.writer, l.reader, l.readers, l.pairs)
+			readers, pairs := st.readers, map[int]refPair(nil)
+			if ref.policy == ReadersLR {
+				readers, pairs = nil, lrPairs(t, st.readers, step, addr)
+			}
+			if st.writer != l.writer || st.reader != l.reader || !slices.Equal(readers, l.readers) || !maps.Equal(pairs, l.pairs) {
+				t.Fatalf("%s: %#x: history has writer %v reader %v readers %v, the per-slot reference %v %v %v %v",
+					step, addr, st.writer, st.reader, st.readers, l.writer, l.reader, l.readers, l.pairs)
 			}
 		}
 		for i, n := range owned {
@@ -232,6 +243,27 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 		t.Fatalf("%s: racy addresses %v, the per-slot reference %v", step, got, want)
 	}
 	checkRetained(t, h.Races(), ref, step)
+}
+
+// lrPairs converts a state's flat ReadersLR list to the reference's map,
+// failing unless it is whole pairs, both of one future, one a future.
+func lrPairs(t *testing.T, flat []*sched.Strand, step string, addr uint64) map[int]refPair {
+	t.Helper()
+	if len(flat)%2 != 0 {
+		t.Fatalf("%s: %#x: an odd ReadersLR list %v", step, addr, flat)
+	}
+	var pairs map[int]refPair
+	for k := 0; k < len(flat); k += 2 {
+		l, r := flat[k], flat[k+1]
+		if _, dup := pairs[l.Fut.ID]; dup || l.Fut.ID != r.Fut.ID {
+			t.Fatalf("%s: %#x: ReadersLR list %v: pair %d is not the one pair of its future", step, addr, flat, k/2)
+		}
+		if pairs == nil {
+			pairs = map[int]refPair{}
+		}
+		pairs[l.Fut.ID] = refPair{l: l, r: r}
+	}
+	return pairs
 }
 
 // checkRetained compares the history's retained records with the
@@ -441,6 +473,12 @@ func FuzzApplyPage(f *testing.F) {
 	// at 168, which retains one record an address.
 	f.Add([]byte{3, 0, 0, 1, 0, 255, 1, 1, 0, 40, 1, 0, 255, 2, 2, 0, 2, 50, 1, 0, 255, 3, 0, 1, 0, 255, 4, 3, 0, 1, 0, 255, 5, 0, 1, 0, 255})
 	f.Add([]byte{168, 0, 0, 1, 0, 255, 1, 1, 0, 40, 1, 0, 255, 2, 2, 0, 2, 50, 1, 0, 255, 3, 0, 1, 0, 255, 4, 3, 0, 1, 0, 255, 5, 0, 1, 0, 255})
+	// Copy-on-split of ReadersLR's flat pair list: strands of futures 0, 1
+	// and 2 read slots 0–63, one state with three pairs; a second strand
+	// of future 0 reads 10–29, a copy whose first pair changes while the
+	// rest keeps the old one; a strand of future 1 writes 0–40, over both;
+	// a strand of future 2 reads the page.
+	f.Add([]byte{5, 0, 1, 0, 63, 0, 1, 1, 0, 63, 0, 2, 1, 0, 63, 0, 3, 1, 10, 19, 0, 4, 0, 1, 0, 40, 5, 1, 0, 255, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return

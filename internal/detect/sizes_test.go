@@ -15,10 +15,10 @@ import (
 // benchmark's detector_mem_mb) silently.
 func TestAccountingSizes(t *testing.T) {
 	const ptr = unsafe.Sizeof(uintptr(0))
-	// state: writer, reader, the readers slice header, the pairs map, and
-	// one word of four 16-bit counts and links.
-	if want := int(2*ptr + unsafe.Sizeof([]uintptr(nil)) + ptr + 8); stateBytes != want {
-		t.Errorf("state is %d bytes, its fields add up to %d", stateBytes, want)
+	// state: writer, reader, the readers slice header (ReadersLR's pairs
+	// too), and one word of four 16-bit counts and links: 48 bytes.
+	if want := int(2*ptr + unsafe.Sizeof([]uintptr(nil)) + 8); stateBytes != want || ptr == 8 && stateBytes != 48 {
+		t.Errorf("state is %d bytes, its fields add up to %d; 48 on 64-bit platforms", stateBytes, want)
 	}
 	// page: mu, num, next, a one-byte state index per slot, the state
 	// table's slice header, the racy set's pointer and the free list's
@@ -29,9 +29,6 @@ func TestAccountingSizes(t *testing.T) {
 	}
 	if want := pageSize / 8; racyBytes != want {
 		t.Errorf("a racy set is %d bytes, a bit a slot adds up to %d", racyBytes, want)
-	}
-	if want := int(2 * ptr); pairBytes != want {
-		t.Errorf("lrPair is %d bytes, its fields add up to %d", pairBytes, want)
 	}
 	// The table is its top array; the chain heads live in the blocks.
 	if want := int((1 << topBits) * ptr); topBytes != want {
@@ -61,6 +58,7 @@ type memPattern struct {
 	locations int
 	fill      func(h *History, locations int) []*sched.Strand
 	limit     int // MemBytes per location
+	policy    ReaderPolicy
 }
 
 // writeThenRead writes every stride-th address from one strand and then
@@ -82,43 +80,57 @@ func writeThenRead(stride uint64) func(h *History, locations int) []*sched.Stran
 
 // nothingShared is the worst case of the shared-state layout: every slot
 // of every page was last written by a different strand, so no two slots
-// of a page share a state; one strand then reads everything, a reader
-// slice per state.
-func nothingShared(h *History, locations int) []*sched.Strand {
-	ss := make([]*sched.Strand, pageSize+1)
-	for i := range ss {
-		ss[i] = newStrand(uint64(i))
-	}
-	for slot, w := range ss[:pageSize] {
-		for a := uint64(slot); a < uint64(locations); a += pageSize {
-			h.Write(w, a)
+// of a page share a state; then one strand of each of futures futures
+// reads everything, a reader list per state.
+func nothingShared(futures int) func(h *History, locations int) []*sched.Strand {
+	return func(h *History, locations int) []*sched.Strand {
+		ss := make([]*sched.Strand, pageSize+futures)
+		for i := range ss {
+			ss[i] = newStrand(uint64(i))
 		}
-		h.StrandClose(w)
+		for slot, w := range ss[:pageSize] {
+			for a := uint64(slot); a < uint64(locations); a += pageSize {
+				h.Write(w, a)
+			}
+			h.StrandClose(w)
+		}
+		for f, r := range ss[pageSize:] {
+			r.Fut = &sched.FutureTask{ID: 1 + f}
+			for a := uint64(0); a < uint64(locations); a++ {
+				h.Read(r, a)
+			}
+			h.StrandClose(r)
+		}
+		return ss
 	}
-	for a := uint64(0); a < uint64(locations); a++ {
-		h.Read(ss[pageSize], a)
-	}
-	h.StrandClose(ss[pageSize])
-	return ss
 }
 
 var memPatterns = []memPattern{
 	// A page of 256 slots is one state: 320 for the page with its index
-	// map, 448 for a state table of 8, one reader; and at most 2 for the
+	// map, 96 for a state table of 2, one reader; and at most 2 for the
 	// directory. (Per-slot records cost 66 / 122 / 1144 on these three
 	// rows.)
-	{"dense stride 1", 1 << 14, writeThenRead(1), 5},
+	{"dense stride 1", 1 << 14, writeThenRead(1), 3, ReadersAll},
 	// 32 locations to a page, still one state.
-	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), 26},
+	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), 15, ReadersAll},
 	// As in racy-small: the top array and the one directory block the page
 	// hashes into (512 B each), the page, its state table and one reader,
 	// over 32 locations. (With the whole 32 KiB directory: 1048.)
-	{"one 32-address page", 32, writeThenRead(1), 64},
-	// A state (56), a reader (8) and an index byte per slot, 2 for the page
+	{"one 32-address page", 32, writeThenRead(1), 45, ReadersAll},
+	// A state (48), a reader (8) and an index byte per slot, 2 for the page
 	// header and the directory: per-slot records cost 66 here. The state
 	// table must end at the 256 entries it can use, not where append's
 	// doubling would leave it.
-	{"nothing shared", 1 << 14, nothingShared, 67},
+	{"nothing shared", 1 << 14, nothingShared(1), 59, ReadersAll},
+	// Under ReadersLR the three readers are three futures' pairs: a list of
+	// six strands, at append's capacity of eight, 64 bytes a state.
+	{"nothing shared, three futures (ReadersLR)", 1 << 14, nothingShared(3), 115, ReadersLR},
+}
+
+// newMemHistory is the history a memPattern fills.
+func newMemHistory(tc memPattern) *History {
+	leftOf := func(a, b *sched.Strand) bool { return a.ID < b.ID }
+	return NewHistory(Options{Reach: serialReach{}, Policy: tc.policy, LeftOf: leftOf, FastPath: true})
 }
 
 // TestHistoryMemPerLocation pins MemBytes per populated location for the
@@ -132,7 +144,7 @@ func TestHistoryMemPerLocation(t *testing.T) {
 		t.Skip("the limits below are for 64-bit platforms")
 	}
 	for _, tc := range memPatterns {
-		h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
+		h := newMemHistory(tc)
 		tc.fill(h, tc.locations)
 		if h.RaceCount() != 0 {
 			t.Fatalf("%s: serial strands raced", tc.name)
@@ -163,7 +175,7 @@ func TestMemBytesTracksHeap(t *testing.T) {
 			continue // a few hundred bytes drown in the runtime's own
 		}
 		before := heap()
-		h := NewHistory(Options{Reach: serialReach{}, FastPath: true})
+		h := newMemHistory(tc)
 		strands := tc.fill(h, tc.locations)
 		grew := int(heap() - before)
 		for _, s := range strands {

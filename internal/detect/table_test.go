@@ -150,9 +150,10 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 	}
 	ptr := int(unsafe.Sizeof(uintptr(0)))
 	// A page read on eight slots by eight parallel strands holds nine
-	// states (a table of 16) and eight one-reader slices, and the write
-	// that races on every one of the slots gives it a racy set.
-	pageModel := detect.PageBytes + 16*detect.StateBytes + goroutines*ptr + detect.RacyBytes
+	// states (a table of 12, grown 2, 3, 4, 6, 8, 12) and eight one-reader
+	// slices, and the write that races on every one of the slots gives it
+	// a racy set.
+	pageModel := detect.PageBytes + 12*detect.StateBytes + goroutines*ptr + detect.RacyBytes
 	fut := &sched.FutureTask{ID: 0}
 	for round := 0; round < 10; round++ {
 		h := newParallelHistory()
@@ -193,10 +194,10 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 		}
 	}
 
-	// One page, one block: a written page holds two states of a table of 8.
+	// One page, one block: a written page holds two states, a table of 2.
 	h := newParallelHistory()
 	h.Write(&sched.Strand{ID: 0, Fut: fut}, 5)
-	if got, want := h.MemBytes(), detect.TopBytes+detect.BlockBytes+detect.PageBytes+8*detect.StateBytes; got != want {
+	if got, want := h.MemBytes(), detect.TopBytes+detect.BlockBytes+detect.PageBytes+2*detect.StateBytes; got != want {
 		t.Errorf("a history on one page counts %d bytes, want %d: the top array, one block, the page and its states", got, want)
 	}
 }

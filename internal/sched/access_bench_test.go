@@ -29,6 +29,13 @@ func (everything) Precedes(u, v *sched.Strand) bool { return true }
 //	front-collision   covered accesses to 96 pages taking turns in the
 //	                  buffer's 64 front slots: inline miss, checker call,
 //	                  spill map
+//	mm-leaf-no-checker
+//	                  one leaf of workload.MM(128, 16) in its own order, a
+//	                  strand each: 8,704 accesses over 24 pages, A's and
+//	                  B's alternating
+//	mm-leaf           the same with the history: 1,024 accesses of a leaf
+//	                  kept, the rest covered — the covered path in
+//	                  context, where hit walks one page at a time
 //	interposed-hit    a covered access under a wrapper (wrapped, as the
 //	                  benchmark's timing wrappers): the interface path
 //	counted-hit       a covered access in a run that counts accesses
@@ -109,6 +116,32 @@ func BenchmarkTaskAccess(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+	mmLeaf := func(checker sched.AccessChecker) func(*testing.B) {
+		return func(b *testing.B) {
+			order := leafOrder()
+			_, err := sched.Run(sched.Options{Serial: true, Checker: checker}, func(t *sched.Task) {
+				b.ResetTimer()
+				for i, k := 0, 0; i < b.N; i++ {
+					if a := order[k]; a&leafWrite != 0 {
+						t.Write(a &^ leafWrite)
+					} else {
+						t.Read(a)
+					}
+					if k++; k == len(order) {
+						k = 0
+						t.Spawn(func(*sched.Task) {}) // the leaf's strand ends
+						t.Sync()
+					}
+				}
+				b.StopTimer()
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("mm-leaf-no-checker", mmLeaf(nil))
+	b.Run("mm-leaf", mmLeaf(history()))
 	h := history()
 	b.Run("interposed-hit", hits(sched.Options{Checker: wrapped{h, h}}))
 	b.Run("counted-hit", hits(sched.Options{Checker: history(), Stats: obsv.NewRegistry()}))
@@ -143,4 +176,25 @@ func BenchmarkTaskAccess(b *testing.B) {
 	b.Run("range-kept-64", ranges(0, 64, 960, true))
 	b.Run("range-covered-64", ranges(0, 64, 960, false))
 	b.Run("range-3-page", ranges(1<<detect.PageBits/2, 2<<detect.PageBits, 2<<detect.PageBits, true))
+}
+
+// leafWrite marks a write in leafOrder's order.
+const leafWrite = 1 << 63
+
+// leafOrder is the access order of one base case of workload.MM(128, 16)
+// (mmState.base) at the origin: for each cell of C's 16×16 tile, the dot
+// product's reads of A's row and B's column in turn, then C's read and
+// write. A row of 128 is half a page, so each tile lies on 8 pages.
+func leafOrder() (order []uint64) {
+	const n, leaf = 128, 16
+	for i := range leaf {
+		for j := range leaf {
+			for k := range leaf {
+				order = append(order, uint64(i*n+k), uint64(n*n+k*n+j))
+			}
+			c := uint64(2*n*n + i*n + j)
+			order = append(order, c, c|leafWrite)
+		}
+	}
+	return order
 }
