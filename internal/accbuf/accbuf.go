@@ -58,11 +58,11 @@ type StrandBuffer struct {
 	// of two ways: a page is in the slot frontSlot names or in slot^1. A
 	// third page of a set pushes one out to spill, so a strand whose pages
 	// collide at most in pairs never touches the map.
-	front   [frontSize]*pageBatch
-	spill   map[uint64]*pageBatch
-	pages   []*pageBatch // every page the strand touched, first-touch order
-	dirty   []*pageBatch // the pages with pending entries, first-touch order
-	free    []*pageBatch // reset batches
+	front   [frontSize]*PageBatch
+	spill   map[uint64]*PageBatch
+	pages   []*PageBatch // every page the strand touched, first-touch order
+	dirty   []*PageBatch // the pages with pending entries, first-touch order
+	free    []*PageBatch // reset batches
 	pending int          // entries kept since the last Drain
 	// Expand's scratch, dropped with the strand: no tap, no scratch.
 	addrs []uint64
@@ -87,10 +87,10 @@ func frontSlot(num uint64) uint64 {
 	return num * 0x9e3779b97f4a7c15 >> (64 - frontBits)
 }
 
-// pageBatch is a strand's footprint on one shadow page, and all the page
+// PageBatch is a strand's footprint on one shadow page, and all the page
 // costs it (accbuf_test.go pins the size): which accesses there it has made
 // one to subsume, and which it has kept since the last drain.
-type pageBatch struct {
+type PageBatch struct {
 	num uint64 // page number
 	// covered[k] has one bit per slot of the page, set when an access of
 	// kind k to that slot is subsumed: a read sets the slot's bit in
@@ -103,34 +103,36 @@ type pageBatch struct {
 	spilled bool // in the spill map
 }
 
-// Covered reports whether the front knows an earlier access of the strand
-// to subsume this one; Add would then return false. False proves nothing
-// (the page may be in the spill map). sched.Task.Read and Write make this
-// test before they call the checker, so it must stay inlinable (CI checks).
-func (b *StrandBuffer) Covered(addr uint64, kind AccessKind) bool {
+// Lookup is the hit test: it returns page addr's batch if the front holds
+// it, else nil, and whether an earlier access of the strand there subsumes
+// this one — Add would then return false. A nil batch proves nothing (the
+// page may be in the spill map). sched.Task.Read and Write make this test
+// before they call the checker, and keep an access it does not cover with
+// AddTo on the batch it found, so it must stay inlinable (CI checks).
+func (b *StrandBuffer) Lookup(addr uint64, kind AccessKind) (pb *PageBatch, covered bool) {
 	num := addr >> PageBits
 	i := frontSlot(num)
-	pb := b.front[i]
+	pb = b.front[i]
 	if pb == nil || pb.num != num {
 		if pb = b.front[i^1]; pb == nil || pb.num != num {
-			return false
+			return nil, false
 		}
 	}
-	return pb.covered[kind&1][addr&pageMask>>6]>>(addr&63)&1 != 0
+	return pb, pb.covered[kind&1][addr&pageMask>>6]>>(addr&63)&1 != 0
 }
 
 // Add notes one access and reports whether it was kept: false means an
 // earlier access of the same strand subsumes it and nothing was stored.
 func (b *StrandBuffer) Add(addr uint64, kind AccessKind) bool {
-	// batch, by hand: the compiler will not inline it, and a kept access
-	// would pay the call.
-	num := addr >> PageBits
-	i := frontSlot(num)
-	pb := b.front[i]
-	if pb == nil || pb.num != num {
-		if pb = b.front[i^1]; pb == nil || pb.num != num {
-			pb = b.frontMiss(num)
-		}
+	pb, covered := b.Lookup(addr, kind)
+	return !covered && b.AddTo(pb, addr, kind)
+}
+
+// AddTo is Add on the batch Lookup returned for the access, page addr's
+// or nil. It reports whether it kept the access.
+func (b *StrandBuffer) AddTo(pb *PageBatch, addr uint64, kind AccessKind) bool {
+	if pb == nil {
+		pb = b.frontMiss(addr >> PageBits)
 	}
 	w, bit := addr&pageMask>>6, uint64(1)<<(addr&63)
 	if pb.covered[kind&1][w]&bit != 0 {
@@ -194,22 +196,18 @@ func (b *StrandBuffer) AddRange(addr uint64, n int, kind AccessKind) (kept int) 
 
 // batch returns page num's batch, from the front or else through
 // frontMiss.
-func (b *StrandBuffer) batch(num uint64) *pageBatch {
-	i := frontSlot(num)
-	pb := b.front[i]
-	if pb == nil || pb.num != num {
-		if pb = b.front[i^1]; pb == nil || pb.num != num {
-			pb = b.frontMiss(num)
-		}
+func (b *StrandBuffer) batch(num uint64) *PageBatch {
+	if pb, _ := b.Lookup(num<<PageBits, AccessRead); pb != nil {
+		return pb
 	}
-	return pb
+	return b.frontMiss(num)
 }
 
 // frontMiss finds page num's batch in the spill map, or creates it on the
 // strand's first touch of the page, and installs it in a free way of its
 // set, or else in its own slot, whose page moves to the spill map.
-func (b *StrandBuffer) frontMiss(num uint64) *pageBatch {
-	var pb *pageBatch
+func (b *StrandBuffer) frontMiss(num uint64) *PageBatch {
+	var pb *PageBatch
 	if len(b.spill) > 0 {
 		pb = b.spill[num]
 	}
@@ -217,7 +215,7 @@ func (b *StrandBuffer) frontMiss(num uint64) *pageBatch {
 		if n := len(b.free); n > 0 {
 			pb, b.free = b.free[n-1], b.free[:n-1]
 		} else {
-			pb = &pageBatch{}
+			pb = &PageBatch{}
 		}
 		pb.num = num
 		b.pages = append(b.pages, pb)
@@ -228,7 +226,7 @@ func (b *StrandBuffer) frontMiss(num uint64) *pageBatch {
 	}
 	if old := b.front[i]; old != nil && !old.spilled {
 		if b.spill == nil {
-			b.spill = map[uint64]*pageBatch{}
+			b.spill = map[uint64]*PageBatch{}
 		}
 		b.spill[old.num], old.spilled = old, true
 	}
@@ -279,7 +277,7 @@ func (b *StrandBuffer) reset() (pool bool) {
 	for _, pb := range b.pages {
 		i := frontSlot(pb.num)
 		b.front[i], b.front[i^1] = nil, nil // whoever is there is being reset too
-		*pb = pageBatch{}
+		*pb = PageBatch{}
 	}
 	b.free = append(b.free, b.pages...)
 	b.pages, b.dirty, b.pending, b.addrs, b.kinds = b.pages[:0], b.dirty[:0], 0, nil, nil

@@ -13,7 +13,7 @@ import (
 const batchCap = 1024
 
 // pageBatchBytes is all a touched page costs its strand.
-const pageBatchBytes = int(unsafe.Sizeof(pageBatch{}))
+const pageBatchBytes = int(unsafe.Sizeof(PageBatch{}))
 
 type bufEntry struct {
 	addr uint64

@@ -21,6 +21,10 @@ import (
 //	locked         one access on the locked path (FastPath off)
 //	report         one flushed entry racing at an address not yet racy, its record retained
 //	report-capped  one flushed entry racing once the cap is full, so only counted
+//	grow           one page taken from 2 states to 256, one op a page: 254
+//	               strands each write a slot of it, a fresh state each; its
+//	               B/op is the chunks of states the page ends with and
+//	               their pointers, nothing dropped on the way
 //
 // BenchmarkNewHistory prices a history's creation, one op per history.
 //
@@ -156,6 +160,27 @@ func BenchmarkHistory(b *testing.B) {
 		for i := 0; i < b.N; i += len(strands) * pageSize / 8 {
 			for j, s := range strands {
 				h.ApplyPage(s, 0, &SlotSet{}, &reportSets[1+j%8])
+			}
+		}
+	})
+	b.Run("grow", func(b *testing.B) {
+		writers := make([]*sched.Strand, pageSize-2)
+		for k := range writers {
+			writers[k] = newStrand(uint64(k))
+		}
+		var sets [pageSize - 2]SlotSet
+		for k := range sets {
+			sets[k][k>>6] = 1 << (k & 63)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			h := NewHistory(Options{Reach: serialReach{}})
+			h.tbl.pageFor(0) // the page, with its two inline states
+			b.StartTimer()
+			for k, w := range writers {
+				h.ApplyPage(w, 0, &SlotSet{}, &sets[k])
 			}
 		}
 	})

@@ -267,34 +267,47 @@ func (h *History) lockPage(num uint64) *page {
 func (h *History) applyReads(p *page, s *sched.Strand, set *SlotSet) {
 	head := p.group(set)
 	var groups, splits uint64
-	room := 1 // a copy's room for s: a reader, or under ReadersLR a pair
-	if h.opts.Policy == ReadersLR {
-		room = 2
-	}
 	for i := head; i != noState; groups++ {
-		st := &p.states[i]
+		st := p.at(i)
 		hit, next := st.hit, st.link
 		st.hit = 0
 		if w := st.writer; w != nil && w != s && !h.opts.Reach.Precedes(w, s) {
 			h.reportGroup(p, set, i, w, AccessWrite, s, AccessRead)
 		}
-		// Skip a consecutive duplicate reader: a strand reading the same
-		// location repeatedly adds no information (under ReadersLR a second
-		// updateLR of the same strand decides as the first did).
-		if st.reader != s {
+		i = next
+		// A read that would leave the readers as they are records nothing:
+		// under ReadersAll a strand that is already the last reader,
+		// under ReadersLR one its future's pair keeps as it is.
+		switch h.opts.Policy {
+		case ReadersAll:
+			if n := len(st.readers); n > 0 && st.readers[n-1] == s {
+				continue
+			}
 			if hit < st.n {
-				st = &p.states[p.split(i, hit, room)]
+				st = p.split(st, hit, 1) // room for s
 				splits++
 			}
-			switch h.opts.Policy {
-			case ReadersAll:
-				st.readers = append(st.readers, s)
-			case ReadersLR:
-				h.updateLR(st, s)
+			st.readers = append(st.readers, s)
+		case ReadersLR:
+			k, l, r := h.lrStep(st.readers, s)
+			if k < len(st.readers) && !l && !r {
+				continue
 			}
-			st.reader = s
+			if hit < st.n {
+				st = p.split(st, hit, 2) // room for (s, s)
+				splits++
+			}
+			if k == len(st.readers) {
+				st.readers = append(st.readers, s, s)
+				continue
+			}
+			if l {
+				st.readers[k] = s
+			}
+			if r {
+				st.readers[k+1] = s
+			}
 		}
-		i = next
 	}
 	if splits > 0 {
 		p.move(set, head)
@@ -305,28 +318,26 @@ func (h *History) applyReads(p *page, s *sched.Strand, set *SlotSet) {
 	}
 }
 
-// updateLR maintains the leftmost and rightmost reader of s's future for
-// the state's locations, with the classic replacement rules
+// lrStep decides s's read under ReadersLR, the classic replacement rules
 // (Mellor-Crummey): a serially later reader subsumes the stored one; among
 // parallel readers, keep the leftmost (respectively rightmost) in English
-// order. The pairs are flat in st.readers, leftmost first; a future's is
-// found by a scan, and a future with none gets (s, s).
-func (h *History) updateLR(st *state, s *sched.Strand) {
-	rs := st.readers
-	k := 0
+// order. The pairs are flat in rs, leftmost first; k is the index of s's
+// future's pair, found by a scan, or len(rs) if it has none — s then
+// starts (s, s) — and l and r whether s replaces the pair's leftmost and
+// rightmost. A repeat read by s decides as its first did: what that read
+// left in the pair is s, or a strand that neither precedes s nor lies on
+// the far side of it.
+func (h *History) lrStep(rs []*sched.Strand, s *sched.Strand) (k int, l, r bool) {
 	for k < len(rs) && rs[k].Fut.ID != s.Fut.ID {
 		k += 2
 	}
 	if k == len(rs) {
-		st.readers = append(rs, s, s)
-		return
+		return k, false, false
 	}
-	if l := rs[k]; l != s && (h.opts.Reach.Precedes(l, s) || h.opts.LeftOf(s, l)) {
-		rs[k] = s
-	}
-	if r := rs[k+1]; r != s && (h.opts.Reach.Precedes(r, s) || h.opts.LeftOf(r, s)) {
-		rs[k+1] = s
-	}
+	lm, rm := rs[k], rs[k+1]
+	l = lm != s && (h.opts.Reach.Precedes(lm, s) || h.opts.LeftOf(s, lm))
+	r = rm != s && (h.opts.Reach.Precedes(rm, s) || h.opts.LeftOf(rm, s))
+	return k, l, r
 }
 
 // applyWrites performs s's writes of the slots in set on p, whose lock
@@ -340,10 +351,10 @@ func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
 	var total uint16
 	var groups uint64
 	for i := head; i != noState; groups++ {
-		st := &p.states[i]
+		st := p.at(i)
 		hit, next := st.hit, st.link
 		st.hit = 0
-		h.checkWrite(p, set, i, s)
+		h.checkWrite(p, set, i, st, s)
 		total += hit
 		if st.n -= hit; st.n == 0 {
 			if to == noState {
@@ -358,8 +369,8 @@ func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
 	if to == noState {
 		to = p.newState()
 	}
-	st := &p.states[to]
-	st.writer, st.reader, st.readers, st.n = s, nil, st.readers[:0], total
+	st := p.at(to)
+	st.writer, st.readers, st.n = s, st.readers[:0], total
 	if moved {
 		p.point(set, to)
 	}
@@ -368,11 +379,10 @@ func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
 	}
 }
 
-// checkWrite checks a write by s against state i of p: the last writer
-// and every retained reader — under ReadersLR each pair's two, or its one
-// when a single strand is both.
-func (h *History) checkWrite(p *page, set *SlotSet, i uint16, s *sched.Strand) {
-	st := &p.states[i]
+// checkWrite checks a write by s against state i of p, st: the last
+// writer and every retained reader — under ReadersLR each pair's two, or
+// its one when a single strand is both.
+func (h *History) checkWrite(p *page, set *SlotSet, i uint16, st *state, s *sched.Strand) {
 	if w := st.writer; w != nil && w != s && !h.opts.Reach.Precedes(w, s) {
 		h.reportGroup(p, set, i, w, AccessWrite, s, AccessWrite)
 	}
@@ -505,9 +515,9 @@ func (h *History) RegisterStats(r *obsv.Registry) {
 func (h *History) MaxReaders() int {
 	most := 0
 	h.tbl.forEachPage(func(p *page) {
-		for i := range p.states { // a dead state retains none
-			most = max(most, len(p.states[i].readers))
-		}
+		p.forEachState(func(_ uint16, st *state) { // a dead state retains none
+			most = max(most, len(st.readers))
+		})
 	})
 	return most
 }

@@ -181,21 +181,20 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 	touched := 0
 	h.tbl.forEachPage(func(p *page) {
 		slots, live := 0, map[uint16]bool{}
-		for i := range p.states {
-			st := &p.states[i]
+		p.forEachState(func(i uint16, st *state) {
 			if st.hit != 0 || st.to != noState {
 				t.Fatalf("%s: page %#x state %d keeps apply scratch: hit %d to %d", step, p.num, i, st.hit, st.to)
 			}
 			if st.n > 0 {
-				live[uint16(i)] = true
+				live[i] = true
 				slots += int(st.n)
 			}
-		}
+		})
 		if slots != pageSize {
 			t.Fatalf("%s: page %#x: the live states own %d slots of %d", step, p.num, slots, pageSize)
 		}
-		for i := p.free; i != noState; i = p.states[i].link {
-			if st := &p.states[i]; st.n != 0 || live[i] || st.writer != nil || len(st.readers) != 0 {
+		for i := p.free; i != noState; i = p.at(i).link {
+			if st := p.at(i); st.n != 0 || live[i] || st.writer != nil || len(st.readers) != 0 {
 				t.Fatalf("%s: page %#x: state %d on the free list is not dead: %+v", step, p.num, i, *st)
 			}
 		}
@@ -206,25 +205,32 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 				t.Fatalf("%s: page %#x slot %d points at dead state %d", step, p.num, slot, i)
 			}
 			owned[i]++
-			st, addr := &p.states[i], p.num<<pageBits|uint64(slot)
+			st, addr := p.at(i), p.num<<pageBits|uint64(slot)
 			l := ref.locs[addr]
 			if l == nil {
 				l = &refLoc{}
 			} else {
 				touched++
 			}
-			readers, pairs := st.readers, map[int]refPair(nil)
-			if ref.policy == ReadersLR {
+			// Under ReadersAll the most recent reader is the last one kept;
+			// ReadersLR's pairs do not say which one was.
+			readers, pairs, last := st.readers, map[int]refPair(nil), l.reader
+			if ref.policy == ReadersAll {
+				last = nil
+				if n := len(readers); n > 0 {
+					last = readers[n-1]
+				}
+			} else {
 				readers, pairs = nil, lrPairs(t, st.readers, step, addr)
 			}
-			if st.writer != l.writer || st.reader != l.reader || !slices.Equal(readers, l.readers) || !maps.Equal(pairs, l.pairs) {
-				t.Fatalf("%s: %#x: history has writer %v reader %v readers %v, the per-slot reference %v %v %v %v",
-					step, addr, st.writer, st.reader, st.readers, l.writer, l.reader, l.readers, l.pairs)
+			if st.writer != l.writer || last != l.reader || !slices.Equal(readers, l.readers) || !maps.Equal(pairs, l.pairs) {
+				t.Fatalf("%s: %#x: history has writer %v readers %v, the per-slot reference %v %v %v %v",
+					step, addr, st.writer, st.readers, l.writer, l.reader, l.readers, l.pairs)
 			}
 		}
 		for i, n := range owned {
-			if int(p.states[i].n) != n {
-				t.Fatalf("%s: page %#x state %d counts %d slots, %d point at it", step, p.num, i, p.states[i].n, n)
+			if int(p.at(i).n) != n {
+				t.Fatalf("%s: page %#x state %d counts %d slots, %d point at it", step, p.num, i, p.at(i).n, n)
 			}
 		}
 	})
@@ -264,6 +270,85 @@ func lrPairs(t *testing.T, flat []*sched.Strand, step string, addr uint64) map[i
 		pairs[l.Fut.ID] = refPair{l: l, r: r}
 	}
 	return pairs
+}
+
+// TestLRRepeatReadKeepsPairs: a state keeps no most recent reader, so a
+// ReadersLR strand's repeat read of a location decides again — and must
+// leave its future's pair exactly as its first read left it, splitting no
+// state, whether the strand is the pair's leftmost or rightmost reader or
+// lies strictly between them. Three parallel strands of one future, left
+// of each other in ID order, read page 0: the outer two slots 0–63, the
+// middle one 0–31, each then reading more than batchCap addresses
+// elsewhere so that an early drain applies its reads while it is still
+// open; one of them then reads slots 0–31 again. On the locked path the
+// repeat reaches the page, a slot at a time; on the fast path the strand
+// buffer absorbs it, across the drain; applied as a page (ApplyPage, as
+// a replay shard applies a block) it meets a state that slots 32–63 share
+// with 0–31 — as the middle strand's first read did — so a copy it need
+// not make would show.
+func TestLRRepeatReadKeepsPairs(t *testing.T) {
+	fut := &sched.FutureTask{ID: 0}
+	left, mid, right := &sched.Strand{ID: 1, Fut: fut}, &sched.Strand{ID: 2, Fut: fut}, &sched.Strand{ID: 3, Fut: fut}
+	leftOf := func(a, b *sched.Strand) bool { return a.ID < b.ID }
+	for _, repeat := range []*sched.Strand{left, right, mid} {
+		for _, path := range []string{"locked", "fast", "page"} {
+			name := fmt.Sprintf("strand %d, %s", repeat.ID, path)
+			h := NewHistory(Options{Reach: parallelReach{}, Policy: ReadersLR, LeftOf: leftOf, FastPath: path == "fast"})
+			read := func(s *sched.Strand, from, to uint64) {
+				if path == "page" {
+					var set SlotSet
+					for a := from; a < to; a++ {
+						set[a&pageMask>>6] |= 1 << (a & 63)
+					}
+					h.ApplyPage(s, from>>pageBits, &set, &SlotSet{})
+					return
+				}
+				for a := from; a < to; a++ {
+					h.Read(s, a)
+				}
+			}
+			for _, s := range []*sched.Strand{left, right, mid} {
+				to := uint64(64)
+				if s == mid {
+					to = 32
+				}
+				read(s, 0, to)
+				for a := uint64(0); a < 1100; a += pageSize {
+					read(s, 1<<16+a, 1<<16+min(a+pageSize, 1100))
+				}
+				if path == "fast" && s.Buf.Pending() >= 1100 {
+					t.Fatalf("%s: %d reads pending, no early drain", name, s.Buf.Pending())
+				}
+			}
+			p := h.tbl.pageFor(0)
+			// pairs checks slots 0–63 and returns the page's live states.
+			pairs := func(when string) (live int) {
+				t.Helper()
+				p.forEachState(func(_ uint16, st *state) {
+					if st.n > 0 {
+						live++
+					}
+				})
+				for slot := range 64 {
+					if rs := p.at(p.stateOf(slot)).readers; !slices.Equal(rs, []*sched.Strand{left, right}) {
+						t.Fatalf("%s, %s: slot %d keeps the pairs %v, want (1, 3)", name, when, slot, rs)
+					}
+				}
+				return live
+			}
+			before := pairs("after the first reads")
+			if path == "page" && before != 2 {
+				t.Fatalf("%s: page 0 has %d live states after the first reads, want 2: the middle strand's read split one", name, before)
+			}
+			read(repeat, 0, 32)
+			for _, s := range []*sched.Strand{left, right, mid} {
+				h.StrandClose(s)
+			}
+			if after := pairs("after the repeat"); after != before {
+				t.Fatalf("%s: page 0 has %d live states after the repeat, %d before", name, after, before)
+			}
+		}
+	}
 }
 
 // checkRetained compares the history's retained records with the
@@ -479,6 +564,7 @@ func FuzzApplyPage(f *testing.F) {
 	// rest keeps the old one; a strand of future 1 writes 0–40, over both;
 	// a strand of future 2 reads the page.
 	f.Add([]byte{5, 0, 1, 0, 63, 0, 1, 1, 0, 63, 0, 2, 1, 0, 63, 0, 3, 1, 10, 19, 0, 4, 0, 1, 0, 40, 5, 1, 0, 255, 0})
+	f.Add(bitSplits())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
@@ -511,6 +597,30 @@ func FuzzApplyPage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bitSplits is a FuzzApplyPage input whose page outgrows the chunks of 8,
+// 16 and 64 states: strands 0 to 5, then 0 and 1 again, read the slots of
+// page 0 whose index has bit b set, b = 0 to 7, each read splitting every
+// state it does not leave alone in two — 252 states under ReadersAll, 105
+// under ReadersLR — and strand 2 then writes the whole page, which frees
+// all but one.
+func bitSplits() []byte {
+	data := []byte{0}
+	for b := range 8 {
+		data = append(data, byte(b), 3) // strand b%6 on page 0, raw reads
+		for slot := 0; slot < pageSize; slot += 8 {
+			var m byte
+			for k := range 8 {
+				if (slot+k)>>b&1 != 0 {
+					m |= 1 << k
+				}
+			}
+			data = append(data, m)
+		}
+		data = append(data, 0) // no writes
+	}
+	return append(data, 2, 0, 1, 0, 255)
 }
 
 // decodeSlotSet reads one set off data: a form byte and its operands. A

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,16 +16,17 @@ import (
 // benchmark's detector_mem_mb) silently.
 func TestAccountingSizes(t *testing.T) {
 	const ptr = unsafe.Sizeof(uintptr(0))
-	// state: writer, reader, the readers slice header (ReadersLR's pairs
-	// too), and one word of four 16-bit counts and links: 48 bytes.
-	if want := int(2*ptr + unsafe.Sizeof([]uintptr(nil)) + 8); stateBytes != want || ptr == 8 && stateBytes != 48 {
-		t.Errorf("state is %d bytes, its fields add up to %d; 48 on 64-bit platforms", stateBytes, want)
+	// state: writer, the readers slice header (ReadersLR's pairs too),
+	// and one word of four 16-bit counts and links: 40 bytes.
+	if want := int(ptr + unsafe.Sizeof([]uintptr(nil)) + 8); stateBytes != want || ptr == 8 && stateBytes != 40 {
+		t.Errorf("state is %d bytes, its fields add up to %d; 40 on 64-bit platforms", stateBytes, want)
 	}
-	// page: mu, num, next, a one-byte state index per slot, the state
-	// table's slice header, the racy set's pointer and the free list's
-	// head in a word of its own — no state held inline. 320 bytes, the
-	// size class the 312 without the racy pointer already took.
-	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + unsafe.Sizeof([]state(nil)) + ptr + 8); pageBytes != want {
+	// page: mu, num, next, a one-byte state index per slot, the first two
+	// states inline, the chunk pointers' slice header, the racy set's
+	// pointer, and the state count and the free list's head in a word of
+	// their own: 400 bytes, so a page of up to two states is one
+	// allocation.
+	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + 2*unsafe.Sizeof(state{}) + unsafe.Sizeof([]*state(nil)) + ptr + 8); pageBytes != want {
 		t.Errorf("page is %d bytes, its fields add up to %d", pageBytes, want)
 	}
 	if want := pageSize / 8; racyBytes != want {
@@ -106,25 +108,25 @@ func nothingShared(futures int) func(h *History, locations int) []*sched.Strand 
 }
 
 var memPatterns = []memPattern{
-	// A page of 256 slots is one state: 320 for the page with its index
-	// map, 96 for a state table of 2, one reader; and at most 2 for the
+	// A page of 256 slots is one state: 400 for the page with its index
+	// map and its two inline states, one reader; and at most 2 for the
 	// directory. (Per-slot records cost 66 / 122 / 1144 on these three
 	// rows.)
 	{"dense stride 1", 1 << 14, writeThenRead(1), 3, ReadersAll},
 	// 32 locations to a page, still one state.
-	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), 15, ReadersAll},
+	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), 14, ReadersAll},
 	// As in racy-small: the top array and the one directory block the page
-	// hashes into (512 B each), the page, its state table and one reader,
+	// hashes into (512 B each), the page with its states and one reader,
 	// over 32 locations. (With the whole 32 KiB directory: 1048.)
-	{"one 32-address page", 32, writeThenRead(1), 45, ReadersAll},
-	// A state (48), a reader (8) and an index byte per slot, 2 for the page
-	// header and the directory: per-slot records cost 66 here. The state
-	// table must end at the 256 entries it can use, not where append's
-	// doubling would leave it.
-	{"nothing shared", 1 << 14, nothingShared(1), 59, ReadersAll},
+	{"one 32-address page", 32, writeThenRead(1), 44, ReadersAll},
+	// A state (40), a reader (8) and an index byte per slot, 2 for the page
+	// header, its chunk pointers and the directory: per-slot records cost
+	// 66 here. The chunks must end at the 256 states a page can use, not
+	// where append's doubling would leave a table.
+	{"nothing shared", 1 << 14, nothingShared(1), 51, ReadersAll},
 	// Under ReadersLR the three readers are three futures' pairs: a list of
 	// six strands, at append's capacity of eight, 64 bytes a state.
-	{"nothing shared, three futures (ReadersLR)", 1 << 14, nothingShared(3), 115, ReadersLR},
+	{"nothing shared, three futures (ReadersLR)", 1 << 14, nothingShared(3), 107, ReadersLR},
 }
 
 // newMemHistory is the history a memPattern fills.
@@ -137,7 +139,7 @@ func newMemHistory(tc memPattern) *History {
 // address patterns the repository's programs produce, every location
 // written once and then read once by a second strand, and for the pattern
 // in which sharing states saves nothing. A layout that buys dense speed
-// with sparse memory (states inline in the page, say) passes the first row
+// with sparse memory (all 256 states inline in the page, say) passes the first row
 // and fails the next two.
 func TestHistoryMemPerLocation(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
@@ -188,5 +190,52 @@ func TestMemBytesTracksHeap(t *testing.T) {
 		}
 		runtime.KeepAlive(h)
 		runtime.KeepAlive(strands)
+	}
+}
+
+// TestStatesNeverMove grows one page to its 256 states through ApplyPage:
+// strand k writes slots k and k+128, which takes them from the untouched
+// state to a fresh one, and a second strand reads slot k, which splits
+// that state. Once a state is handed out it keeps its address however
+// many chunks come after it, and at every step MemBytes is the half-step
+// capacity (2, 3, 4, 6, 8, 12, …) of 40-byte states, inline or in chunks,
+// with the chunk pointers beside them — no table to copy, no spare but the
+// last chunk's.
+func TestStatesNeverMove(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the sizes below are for 64-bit platforms")
+	}
+	h := NewHistory(Options{Reach: serialReach{}})
+	reader := newStrand(1 << 20)
+	var where []*state
+	capacity := 2
+	for k := range pageSize / 2 {
+		var write, read SlotSet
+		write[k>>6] |= 1 << (k & 63)
+		write[(k+128)>>6] |= 1 << (k & 63)
+		read[k>>6] = 1 << (k & 63)
+		h.ApplyPage(newStrand(uint64(k)), 0, &SlotSet{}, &write)
+		h.ApplyPage(reader, 0, &read, &SlotSet{})
+		p := h.tbl.pageFor(0)
+		for int(p.count) > capacity {
+			capacity += 1 << (bits.Len(uint(capacity)) - 2)
+		}
+		readers := 0
+		p.forEachState(func(i uint16, st *state) {
+			if int(i) == len(where) {
+				where = append(where, st)
+			} else if where[i] != st {
+				t.Fatalf("step %d: state %d moved from %p to %p", k, i, where[i], st)
+			}
+			readers += cap(st.readers)
+		})
+		want := topBytes + blockBytes + pageBytes - 2*40 + capacity*40 + 8*cap(p.more) + 8*readers
+		if got := h.MemBytes(); got != want || p.capacity() != capacity {
+			t.Fatalf("step %d: %d states in room for %d, MemBytes %d; want room for %d, %d bytes",
+				k, p.count, p.capacity(), got, capacity, want)
+		}
+	}
+	if p := h.tbl.pageFor(0); p.count != pageSize || len(p.more) != 14 || h.tbl.liveStates() != pageSize {
+		t.Fatalf("the page holds %d states (%d live) in %d chunks, want %d in 14", p.count, h.tbl.liveStates(), len(p.more), pageSize)
 	}
 }

@@ -67,23 +67,27 @@ type page struct {
 	next *page  // directory-collision chain; immutable after publication
 	// Guarded by mu: idx maps a slot to its state, a byte a slot and
 	// eight to a word (stateOf), and the slots of a fresh page all point
-	// at states[0], the history of an untouched location. racy is the set
-	// of racy slots, made at the first report. free heads the list of
-	// dead states, chained by link.
-	idx    [pageSize / 8]uint64
-	states []state
-	racy   *SlotSet
-	free   uint16
+	// at state 0, the history of an untouched location. The states are
+	// first, inline, then the chunks of more, in order (at); count is how
+	// many newState has handed out. racy is the set of racy slots, made
+	// at the first report. free heads the list of dead states, chained by
+	// link.
+	idx   [pageSize / 8]uint64
+	first [2]state
+	more  []*state
+	racy  *SlotSet
+	count uint16
+	free  uint16
 }
 
 // state is the access-history metadata of every slot of a page pointing at
-// it, 48 bytes. Every field is read and written only under the page lock.
+// it, 40 bytes. Every field is read and written only under the page lock.
 type state struct {
 	writer *sched.Strand // last writer
-	reader *sched.Strand // most recently recorded reader since that write
 	// The retained readers. Under ReadersAll every reader since the
-	// write, in order; under ReadersLR flat (leftmost, rightmost) pairs,
-	// one a future, found by a scan on Fut.ID (History.updateLR).
+	// write, in order, so the most recent one is last; under ReadersLR
+	// flat (leftmost, rightmost) pairs, one a future, found by a scan on
+	// Fut.ID (History.lrStep).
 	readers []*sched.Strand
 	n       uint16 // slots pointing here; 0 = dead, on the free list
 	// Scratch of one apply, zero (noState for to) outside it: how many of
@@ -128,8 +132,8 @@ func (t *table) pageFor(num uint64) *page {
 		if p := head.find(num); p != nil {
 			return p
 		}
-		np := &page{num: num, next: head, free: noState, states: make([]state, 1, 2)}
-		np.states[0] = state{n: pageSize, to: noState}
+		np := &page{num: num, next: head, count: 1, free: noState}
+		np.first = [2]state{{n: pageSize, to: noState}, {to: noState}}
 		if sp.CompareAndSwap(head, np) {
 			return np
 		}
@@ -146,33 +150,63 @@ func (t *table) newBlock(i int) *dirBlock {
 	return t.top[i].Load()
 }
 
+// A page's states never move. The first two are inline in the page; the
+// rest are in chunks of more, of 1, 1, 2, 2, 4, 4, … 64 and 64 states, so
+// that the page holds 2, 3, 4, 6, 8, 12, … 192 and 256 of them: a chunk
+// adds half the largest power of two not above its first index, so at
+// most a third of what a page holds is spare, and the last chunk ends at
+// exactly pageSize. A chunk is kept as its first element's pointer, as
+// bitset.RunSet keeps its window.
+
+// at returns state i of p.
+func (p *page) at(i uint16) *state {
+	if i < 2 {
+		return &p.first[i]
+	}
+	// i is in [2<<b, 4<<b): chunk 2b of more if i < 3<<b, else 2b+1.
+	b := uint(bits.Len16(i)) - 2
+	c := p.more[2*b+uint(i>>b)-2]
+	return (*state)(unsafe.Add(unsafe.Pointer(c), uintptr(i&(1<<b-1))*unsafe.Sizeof(state{})))
+}
+
+// capacity is how many states p holds: two inline and the chunks of more.
+func (p *page) capacity() int {
+	c := len(p.more)
+	return (2 + c&1) << (c / 2)
+}
+
+// forEachState visits every state newState has handed out, live or dead.
+func (p *page) forEachState(fn func(i uint16, st *state)) {
+	for i := range p.count {
+		fn(i, p.at(i))
+	}
+}
+
 // newState returns the index of an empty state with no slots yet, a dead
-// one if there is any. It may move p.states. The caller gives the state
-// slots that other states keep fewer of, so every entry of the table owns
-// a slot when it grows. A table starts at 2 entries (the untouched state
-// and one more) and grows in half steps — 3, 4, 6, 8, 12, … 192, 256: by
-// half the largest power of two in its length — so a grown table is at
-// most a third spare, and it stops at exactly pageSize entries. It is grown
-// here, because append rounds a capacity up to its size class and would
-// end past that.
+// one if there is any, else the next one, adding a chunk to more if p
+// holds no more. The caller gives the state slots that other states keep
+// fewer of, so every state p holds owns a slot when it adds a chunk.
 func (p *page) newState() uint16 {
 	if i := p.free; i != noState {
-		p.free = p.states[i].link
+		p.free = p.at(i).link
 		return i
 	}
-	if n := len(p.states); n == cap(p.states) {
-		grown := make([]state, n, n+1<<(bits.Len(uint(n))-2))
-		copy(grown, p.states)
-		p.states = grown
+	i := p.count
+	if int(i) == p.capacity() {
+		chunk := make([]state, 1<<(len(p.more)/2))
+		for k := range chunk {
+			chunk[k].to = noState
+		}
+		p.more = append(p.more, unsafe.SliceData(chunk))
 	}
-	p.states = append(p.states, state{to: noState})
-	return uint16(len(p.states) - 1)
+	p.count++
+	return i
 }
 
 // release puts state i, which no slot points at any more, on the free
 // list. Its reader slice keeps its capacity for the next owner.
 func (p *page) release(i uint16) {
-	st := &p.states[i]
+	st := p.at(i)
 	*st = state{readers: st.readers[:0], to: noState, link: p.free}
 	p.free = i
 }
@@ -267,13 +301,13 @@ func (g grouping) end(p *page) grouping {
 	if g.run == 0 {
 		return g
 	}
-	st := &p.states[g.cur]
+	st := p.at(g.cur)
 	if st.hit == 0 {
 		st.link = noState
 		if g.tail == noState {
 			g.head = g.cur
 		} else {
-			p.states[g.tail].link = g.cur
+			p.at(g.tail).link = g.cur
 		}
 		g.tail = g.cur
 	}
@@ -324,20 +358,20 @@ func (p *page) uniform64(w int) (i uint64, ok bool) {
 	return i, diff == 0
 }
 
-// split moves hit of state i's slots to a copy of it, which it returns;
+// split moves hit of st's slots to a copy of it, which it returns;
 // the slots' idx entries follow once every state of the apply is done
 // (p.move). The copy's readers have room for room more, the reader about
-// to join. It may move p.states.
-func (p *page) split(i, hit uint16, room int) uint16 {
+// to join.
+func (p *page) split(st *state, hit uint16, room int) *state {
 	j := p.newState()
-	st, cp := &p.states[i], &p.states[j]
+	cp := p.at(j)
 	st.n -= hit
 	st.to = j
-	cp.writer, cp.reader, cp.n = st.writer, st.reader, hit
+	cp.writer, cp.n = st.writer, hit
 	if len(st.readers) > 0 {
 		cp.readers = append(slices.Grow(cp.readers, len(st.readers)+room), st.readers...)
 	}
-	return j
+	return cp
 }
 
 // move repoints every slot of set whose state was split at the copy, and
@@ -350,7 +384,7 @@ func (p *page) move(set *SlotSet, head uint16) {
 			word = rest
 			x := &p.idx[w*8+k]
 			if i, ok := uniform(*x, m); ok {
-				if to := p.states[i].to; to != noState {
+				if to := p.at(uint16(i)).to; to != noState {
 					bm := byteMask[m]
 					*x = *x&^bm | uint64(to)*ones&bm
 				}
@@ -358,14 +392,15 @@ func (p *page) move(set *SlotSet, head uint16) {
 			}
 			for ; m != 0; m &= m - 1 {
 				sh := bits.TrailingZeros64(m) * 8 & 63
-				if to := p.states[*x>>sh&0xff].to; to != noState {
+				if to := p.at(uint16(*x >> sh & 0xff)).to; to != noState {
 					*x = *x&^(0xff<<sh) | uint64(to)<<sh
 				}
 			}
 		}
 	}
-	for i := head; i != noState; i = p.states[i].link {
-		p.states[i].to = noState
+	for i := head; i != noState; {
+		st := p.at(i)
+		st.to, i = noState, st.link
 	}
 }
 
@@ -422,20 +457,19 @@ const (
 )
 
 // memBytes is the table's heap footprint: the top array, every allocated
-// directory block, every page with its index map, racy set and state
-// table at capacity, and the reader lists of live and dead states at
-// capacity — under either policy every retained reader is in them.
+// directory block, every page with its index map, inline states and racy
+// set, its chunks of states and their pointers at capacity, and the reader
+// lists of live and dead states at capacity — under either policy every
+// retained reader is in them.
 func (t *table) memBytes() int {
 	total := topBytes
 	t.forEachBlock(func(*dirBlock) { total += blockBytes })
 	t.forEachPage(func(p *page) {
-		total += pageBytes + stateBytes*cap(p.states)
+		total += pageBytes + stateBytes*(p.capacity()-len(p.first)) + ptrBytes*cap(p.more)
 		if p.racy != nil {
 			total += racyBytes
 		}
-		for i := range p.states {
-			total += ptrBytes * cap(p.states[i].readers)
-		}
+		p.forEachState(func(_ uint16, st *state) { total += ptrBytes * cap(st.readers) })
 	})
 	return total
 }
@@ -443,11 +477,11 @@ func (t *table) memBytes() int {
 // liveStates counts the states slots point at.
 func (t *table) liveStates() (n int) {
 	t.forEachPage(func(p *page) {
-		for i := range p.states {
-			if p.states[i].n > 0 {
+		p.forEachState(func(_ uint16, st *state) {
+			if st.n > 0 {
 				n++
 			}
-		}
+		})
 	})
 	return n
 }

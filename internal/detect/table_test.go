@@ -150,10 +150,11 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 	}
 	ptr := int(unsafe.Sizeof(uintptr(0)))
 	// A page read on eight slots by eight parallel strands holds nine
-	// states (a table of 12, grown 2, 3, 4, 6, 8, 12) and eight one-reader
-	// slices, and the write that races on every one of the slots gives it
-	// a racy set.
-	pageModel := detect.PageBytes + 12*detect.StateBytes + goroutines*ptr + detect.RacyBytes
+	// states: two inline and five chunks of 1, 1, 2, 2 and 4 — room for
+	// 12 — whose pointers take append's capacity of eight. Each of the
+	// eight readers has a one-reader slice, and the write that races on
+	// every one of the slots gives the page a racy set.
+	pageModel := detect.PageBytes + (12-2)*detect.StateBytes + 8*ptr + goroutines*ptr + detect.RacyBytes
 	fut := &sched.FutureTask{ID: 0}
 	for round := 0; round < 10; round++ {
 		h := newParallelHistory()
@@ -194,10 +195,10 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 		}
 	}
 
-	// One page, one block: a written page holds two states, a table of 2.
+	// One page, one block: a written page holds two states, both inline.
 	h := newParallelHistory()
 	h.Write(&sched.Strand{ID: 0, Fut: fut}, 5)
-	if got, want := h.MemBytes(), detect.TopBytes+detect.BlockBytes+detect.PageBytes+2*detect.StateBytes; got != want {
-		t.Errorf("a history on one page counts %d bytes, want %d: the top array, one block, the page and its states", got, want)
+	if got, want := h.MemBytes(), detect.TopBytes+detect.BlockBytes+detect.PageBytes; got != want {
+		t.Errorf("a history on one page counts %d bytes, want %d: the top array, one block and the page with its states", got, want)
 	}
 }

@@ -313,8 +313,10 @@ func (t *Task) Read(addr uint64) {
 	if e.checker != nil {
 		if e.apply == nil {
 			e.checker.Read(t.cur, addr)
-		} else if b := t.cur.Buf; b == nil || !b.Covered(addr, accbuf.AccessRead) {
+		} else if b := t.cur.Buf; b == nil {
 			Keep(t.cur, addr, accbuf.AccessRead, e.apply)
+		} else if pb, covered := b.Lookup(addr, accbuf.AccessRead); !covered {
+			keepTo(t.cur, b, pb, addr, accbuf.AccessRead, e.apply)
 		}
 	}
 }
@@ -328,8 +330,10 @@ func (t *Task) Write(addr uint64) {
 	if e.checker != nil {
 		if e.apply == nil {
 			e.checker.Write(t.cur, addr)
-		} else if b := t.cur.Buf; b == nil || !b.Covered(addr, accbuf.AccessWrite) {
+		} else if b := t.cur.Buf; b == nil {
 			Keep(t.cur, addr, accbuf.AccessWrite, e.apply)
+		} else if pb, covered := b.Lookup(addr, accbuf.AccessWrite); !covered {
+			keepTo(t.cur, b, pb, addr, accbuf.AccessWrite, e.apply)
 		}
 	}
 }
@@ -390,6 +394,14 @@ func Keep(s *Strand, addr uint64, kind accbuf.AccessKind, apply func(s *Strand, 
 		drain(s, b, apply)
 	}
 	return true
+}
+
+// keepTo is Keep past Task.Read's and Write's hit test, on the batch
+// b.Lookup found there, or nil: a kept access looks its page up once.
+func keepTo(s *Strand, b *accbuf.StrandBuffer, pb *accbuf.PageBatch, addr uint64, kind accbuf.AccessKind, apply func(s *Strand, page uint64, reads, writes *accbuf.SlotSet)) {
+	if b.AddTo(pb, addr, kind) && b.Pending() >= batchCap {
+		drain(s, b, apply)
+	}
 }
 
 // KeepRange is Keep of addr, addr+1, …, addr+n-1, taken a page at a time:
