@@ -41,7 +41,7 @@ func main() {
 	nq, d := *q, *dim
 	input := make([]int32, nq*d)
 	for i := range input {
-		input[i] = int32((i*2654435761 + 101) % 1021)
+		input[i] = int32((int64(i)*2654435761 + 101) % 1021)
 	}
 	seg := make([]int32, nq*d)
 	feat := make([]int32, nq*d)

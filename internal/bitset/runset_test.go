@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -72,9 +73,22 @@ func checkSame(t testing.TB, s *RunSet, ref *Set) {
 			}
 		}
 	}
-	if s.Contains(-1) || s.Contains(1<<40) {
-		t.Fatal("out-of-range id reported present")
+	for _, id := range outOfRange() {
+		if s.Contains(id) {
+			t.Fatalf("out-of-range id %d reported present", id)
+		}
 	}
+}
+
+// outOfRange returns ids outside a RunSet's range [0, math.MaxInt32]: the
+// negative ones, and on 64-bit platforms 1<<31, the first past the range,
+// and math.MaxInt. A 32-bit int has no positive id past the range.
+func outOfRange() []int {
+	ids := []int{-1, math.MinInt}
+	if math.MaxInt > math.MaxInt32 {
+		ids = append(ids, math.MaxInt>>32+1, math.MaxInt)
+	}
+	return ids
 }
 
 // runProgram interprets prog as a sequence of 4-byte operations over four
@@ -244,14 +258,19 @@ func TestRunSetChainCopiesNoWords(t *testing.T) {
 	}
 }
 
+// TestRunSetHeaderSize pins a RunSet's header at four 32-bit bounds and
+// its window pointer: 24 bytes on 64-bit platforms, no more than the flat
+// Set's slice header. On 32-bit ones the bounds make it 20 to the slice
+// header's 12.
 func TestRunSetHeaderSize(t *testing.T) {
-	if RunSetHeaderBytes > int(unsafe.Sizeof(Set{})) || RunSetHeaderBytes > 24 {
-		t.Fatalf("RunSet header %d B, flat Set header %d B", RunSetHeaderBytes, unsafe.Sizeof(Set{}))
+	ptr := int(unsafe.Sizeof(uintptr(0)))
+	if want := 16 + ptr; RunSetHeaderBytes != want || ptr == 8 && RunSetHeaderBytes > int(unsafe.Sizeof(Set{})) {
+		t.Fatalf("RunSet header %d B, its fields add up to %d; flat Set header %d B", RunSetHeaderBytes, want, unsafe.Sizeof(Set{}))
 	}
 }
 
 func TestRunSetAddOutOfRangePanics(t *testing.T) {
-	for _, id := range []int{-1, 1 << 31} {
+	for _, id := range outOfRange() {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"sforder/internal/depa"
 )
@@ -345,12 +346,18 @@ func TestNilArenaHeapFallback(t *testing.T) {
 	(*depa.Arena)(nil).Release()
 }
 
+// TestMemBytes pins the accounting sizes to the layouts: a label is its
+// chain pointer and tail word, 16 bytes on 64-bit platforms; a chunk node
+// is its prev pointer, its word and its 32-bit index, padded to a
+// pointer's alignment (a word's on 32-bit platforms), 24 bytes on 64-bit
+// ones.
 func TestMemBytes(t *testing.T) {
-	if depa.LabelBytes != 16 {
-		t.Fatalf("cord label header = %d bytes, want 16", depa.LabelBytes)
+	ptr := int(unsafe.Sizeof(uintptr(0)))
+	if want := ptr + 8; depa.LabelBytes != want || ptr == 8 && depa.LabelBytes != 16 {
+		t.Fatalf("cord label header = %d bytes, want %d (16 on 64-bit)", depa.LabelBytes, want)
 	}
-	if depa.ChunkBytes != 24 {
-		t.Fatalf("chunk node = %d bytes, want 24", depa.ChunkBytes)
+	if want := (ptr + 8 + 4 + ptr - 1) / ptr * ptr; depa.ChunkBytes != want || ptr == 8 && depa.ChunkBytes != 24 {
+		t.Fatalf("chunk node = %d bytes, want %d (24 on 64-bit)", depa.ChunkBytes, want)
 	}
 	var a depa.Arena
 	defer a.Release()

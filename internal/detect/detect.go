@@ -278,34 +278,37 @@ func (h *History) applyReads(p *page, s *sched.Strand, set *SlotSet) {
 		// A read that would leave the readers as they are records nothing:
 		// under ReadersAll a strand that is already the last reader,
 		// under ReadersLR one its future's pair keeps as it is.
+		rs := st.readers()
 		switch h.opts.Policy {
 		case ReadersAll:
-			if n := len(st.readers); n > 0 && st.readers[n-1] == s {
+			if n := len(rs); n > 0 && rs[n-1] == s {
 				continue
 			}
 			if hit < st.n {
 				st = p.split(st, hit, 1) // room for s
+				rs = st.readers()
 				splits++
 			}
-			st.readers = append(st.readers, s)
+			st.setReaders(append(rs, s))
 		case ReadersLR:
-			k, l, r := h.lrStep(st.readers, s)
-			if k < len(st.readers) && !l && !r {
+			k, l, r := h.lrStep(rs, s)
+			if k < len(rs) && !l && !r {
 				continue
 			}
 			if hit < st.n {
 				st = p.split(st, hit, 2) // room for (s, s)
+				rs = st.readers()
 				splits++
 			}
-			if k == len(st.readers) {
-				st.readers = append(st.readers, s, s)
+			if k == len(rs) {
+				st.setReaders(append(rs, s, s))
 				continue
 			}
 			if l {
-				st.readers[k] = s
+				rs[k] = s
 			}
 			if r {
-				st.readers[k+1] = s
+				rs[k+1] = s
 			}
 		}
 	}
@@ -370,7 +373,7 @@ func (h *History) applyWrites(p *page, s *sched.Strand, set *SlotSet) {
 		to = p.newState()
 	}
 	st := p.at(to)
-	st.writer, st.readers, st.n = s, st.readers[:0], total
+	st.writer, st.rn, st.n = s, 0, total
 	if moved {
 		p.point(set, to)
 	}
@@ -387,8 +390,9 @@ func (h *History) checkWrite(p *page, set *SlotSet, i uint16, st *state, s *sche
 		h.reportGroup(p, set, i, w, AccessWrite, s, AccessWrite)
 	}
 	lr := h.opts.Policy == ReadersLR
-	for k, rd := range st.readers {
-		if lr && k&1 == 1 && rd == st.readers[k-1] {
+	rs := st.readers()
+	for k, rd := range rs {
+		if lr && k&1 == 1 && rd == rs[k-1] {
 			continue
 		}
 		if rd != s && !h.opts.Reach.Precedes(rd, s) {
@@ -516,7 +520,7 @@ func (h *History) MaxReaders() int {
 	most := 0
 	h.tbl.forEachPage(func(p *page) {
 		p.forEachState(func(_ uint16, st *state) { // a dead state retains none
-			most = max(most, len(st.readers))
+			most = max(most, int(st.rn))
 		})
 	})
 	return most

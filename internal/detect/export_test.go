@@ -1,14 +1,18 @@
 package detect
 
 // The directory's geometry and the accounting sizes, for the external
-// tests that check MemBytes against them.
+// tests that check MemBytes against them: a block and a page count what
+// the heap gives them.
 const (
 	DirBlocks  = 1 << topBits
 	TopBytes   = topBytes
-	BlockBytes = blockBytes
-	PageBytes  = pageBytes
 	RacyBytes  = racyBytes
 	StateBytes = stateBytes
+)
+
+var (
+	BlockBytes = blockHeap
+	PageBytes  = pageHeap
 )
 
 // DirBlockOf returns the directory block page num hashes into.

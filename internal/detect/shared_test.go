@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sforder/internal/sched"
 )
@@ -173,17 +174,26 @@ func (f fixedRelation) Precedes(u, v *sched.Strand) bool {
 
 func (f fixedRelation) LeftOf(a, b *sched.Strand) bool { return f.mix(a.ID, b.ID, 2)%2 == 0 }
 
-// checkPages verifies every page's bookkeeping and compares each
-// location's history, the race count, the racy set and the retained
-// records with the reference's.
+// checkPages verifies every page's bookkeeping — no two states, live or
+// dead, share any of a reader array — and compares each location's
+// history, the race count, the racy set and the retained records with the
+// reference's.
 func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 	t.Helper()
 	touched := 0
+	var arrays [][2]uintptr // every state's reader array, [first, end)
 	h.tbl.forEachPage(func(p *page) {
 		slots, live := 0, map[uint16]bool{}
 		p.forEachState(func(i uint16, st *state) {
 			if st.hit != 0 || st.to != noState {
 				t.Fatalf("%s: page %#x state %d keeps apply scratch: hit %d to %d", step, p.num, i, st.hit, st.to)
+			}
+			if st.rn > st.rc || (st.rp == nil) != (st.rc == 0) {
+				t.Fatalf("%s: page %#x state %d has %d readers in room for %d at %p", step, p.num, i, st.rn, st.rc, st.rp)
+			}
+			if st.rc > 0 {
+				first := uintptr(unsafe.Pointer(st.rp))
+				arrays = append(arrays, [2]uintptr{first, first + uintptr(st.rc)*unsafe.Sizeof(*st.rp)})
 			}
 			if st.n > 0 {
 				live[i] = true
@@ -194,7 +204,7 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 			t.Fatalf("%s: page %#x: the live states own %d slots of %d", step, p.num, slots, pageSize)
 		}
 		for i := p.free; i != noState; i = p.at(i).link {
-			if st := p.at(i); st.n != 0 || live[i] || st.writer != nil || len(st.readers) != 0 {
+			if st := p.at(i); st.n != 0 || live[i] || st.writer != nil || st.rn != 0 {
 				t.Fatalf("%s: page %#x: state %d on the free list is not dead: %+v", step, p.num, i, *st)
 			}
 		}
@@ -214,18 +224,18 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 			}
 			// Under ReadersAll the most recent reader is the last one kept;
 			// ReadersLR's pairs do not say which one was.
-			readers, pairs, last := st.readers, map[int]refPair(nil), l.reader
+			readers, pairs, last := st.readers(), map[int]refPair(nil), l.reader
 			if ref.policy == ReadersAll {
 				last = nil
 				if n := len(readers); n > 0 {
 					last = readers[n-1]
 				}
 			} else {
-				readers, pairs = nil, lrPairs(t, st.readers, step, addr)
+				readers, pairs = nil, lrPairs(t, st.readers(), step, addr)
 			}
 			if st.writer != l.writer || last != l.reader || !slices.Equal(readers, l.readers) || !maps.Equal(pairs, l.pairs) {
 				t.Fatalf("%s: %#x: history has writer %v readers %v, the per-slot reference %v %v %v %v",
-					step, addr, st.writer, st.readers, l.writer, l.reader, l.readers, l.pairs)
+					step, addr, st.writer, st.readers(), l.writer, l.reader, l.readers, l.pairs)
 			}
 		}
 		for i, n := range owned {
@@ -234,6 +244,12 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 			}
 		}
 	})
+	slices.SortFunc(arrays, func(a, b [2]uintptr) int { return cmp.Compare(a[0], b[0]) })
+	for k := 1; k < len(arrays); k++ {
+		if arrays[k][0] < arrays[k-1][1] {
+			t.Fatalf("%s: two states share the reader array at %#x", step, arrays[k][0])
+		}
+	}
 	if touched != len(ref.locs) {
 		t.Fatalf("%s: the history's pages hold %d of the reference's %d locations", step, touched, len(ref.locs))
 	}
@@ -330,7 +346,7 @@ func TestLRRepeatReadKeepsPairs(t *testing.T) {
 					}
 				})
 				for slot := range 64 {
-					if rs := p.at(p.stateOf(slot)).readers; !slices.Equal(rs, []*sched.Strand{left, right}) {
+					if rs := p.at(p.stateOf(slot)).readers(); !slices.Equal(rs, []*sched.Strand{left, right}) {
 						t.Fatalf("%s, %s: slot %d keeps the pairs %v, want (1, 3)", name, when, slot, rs)
 					}
 				}
@@ -565,6 +581,8 @@ func FuzzApplyPage(f *testing.F) {
 	// a strand of future 2 reads the page.
 	f.Add([]byte{5, 0, 1, 0, 63, 0, 1, 1, 0, 63, 0, 2, 1, 0, 63, 0, 3, 1, 10, 19, 0, 4, 0, 1, 0, 40, 5, 1, 0, 255, 0})
 	f.Add(bitSplits())
+	f.Add(readerGrowth(0))
+	f.Add(readerGrowth(6))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
@@ -623,6 +641,22 @@ func bitSplits() []byte {
 	return append(data, 2, 0, 1, 0, 255)
 }
 
+// readerGrowth is a FuzzApplyPage input whose reader lists grow in place
+// through capacities 1, 2, 4 and 8 under ReadersAll, and 2, 4 and 8 under
+// ReadersLR (a pair of each of three futures), and split while shared at
+// each: strand 0 writes page 0, then strands 1 to 5 each read the whole
+// page, and after read k the next strand reads the first 256>>k slots,
+// which splits the state the whole-page read left.
+func readerGrowth(seed byte) []byte {
+	data := []byte{seed, 0, 0, 1, 0, 255}
+	for k := 1; k <= 5; k++ {
+		last := pageSize>>k - 1
+		data = append(data, byte(k), 1, 0, 255, 0)              // strand k reads the page
+		data = append(data, byte((k+1)%6), 1, 0, byte(last), 0) // the next its first 256>>k slots
+	}
+	return data
+}
+
 // decodeSlotSet reads one set off data: a form byte and its operands. A
 // form is empty, a run (start, length), a stride (start, step 1–8, count)
 // or raw words (32 bytes); a short input ends the set where it runs out.
@@ -664,4 +698,90 @@ func decodeSlotSet(data []byte) (set SlotSet, rest []byte) {
 		}
 	}
 	return set, data
+}
+
+// slotRun returns the set of slots lo to hi-1.
+func slotRun(lo, hi int) *SlotSet {
+	var set SlotSet
+	for slot := lo; slot < hi; slot++ {
+		set[slot>>6] |= 1 << (slot & 63)
+	}
+	return &set
+}
+
+// TestSplitCopyDoesNotAlias: a state's reader list is a pointer, a length
+// and a capacity, and a split's copy must be a list of its own. Strands a,
+// b and c read the whole page, one state with a list of three in room for
+// four; d reads half of it, which splits the state. A write into the
+// copy's list, and an append to the source's in its spare room, each
+// leave the other list as it was.
+func TestSplitCopyDoesNotAlias(t *testing.T) {
+	h := NewHistory(Options{Reach: serialReach{}})
+	a, b, c, d, e, x := newStrand(1), newStrand(2), newStrand(3), newStrand(4), newStrand(5), newStrand(6)
+	for _, s := range []*sched.Strand{a, b, c} {
+		h.ApplyPage(s, 0, slotRun(0, pageSize), &SlotSet{})
+	}
+	h.ApplyPage(d, 0, slotRun(0, pageSize/2), &SlotSet{})
+	p := h.tbl.pageFor(0)
+	cp, src := p.at(p.stateOf(0)), p.at(p.stateOf(pageSize-1))
+	if cp == src || src.rc != 4 {
+		t.Fatalf("d's read left one state or a source in room for %d, want a split of a list in room for 4", src.rc)
+	}
+	check := func(when string, st *state, want ...*sched.Strand) {
+		t.Helper()
+		if got := st.readers(); !slices.Equal(got, want) {
+			t.Fatalf("%s: readers %v, want %v", when, got, want)
+		}
+	}
+	check("after the split, the copy", cp, a, b, c, d)
+	check("after the split, the source", src, a, b, c)
+	cp.readers()[0] = x
+	check("after a write into the copy, the source", src, a, b, c)
+	h.ApplyPage(e, 0, slotRun(pageSize/2, pageSize), &SlotSet{}) // in place: src owns those slots alone
+	if p.at(p.stateOf(pageSize-1)) != src || src.rc != 4 {
+		t.Fatalf("e's read moved the source or grew its list to room for %d", src.rc)
+	}
+	check("after an append to the source, the copy", cp, x, b, c, d)
+	check("after an append to the source, the source", src, a, b, c, e)
+}
+
+// TestWriteAndReleaseKeepReaderArrays: a write empties a state's reader
+// list but keeps its array, both for the state the written slots move to
+// and for one it frees, and the next state handed out — a split's copy,
+// taking the freed one — fills that array instead of allocating.
+func TestWriteAndReleaseKeepReaderArrays(t *testing.T) {
+	h := NewHistory(Options{Reach: serialReach{}})
+	a, b, c, w, e := newStrand(1), newStrand(2), newStrand(3), newStrand(4), newStrand(5)
+	h.ApplyPage(a, 0, slotRun(0, pageSize), &SlotSet{})
+	h.ApplyPage(b, 0, slotRun(0, pageSize/2), &SlotSet{})
+	h.ApplyPage(c, 0, slotRun(0, pageSize/2), &SlotSet{})
+	p := h.tbl.pageFor(0)
+	low, high := p.stateOf(0), p.stateOf(pageSize-1) // [a b c] and [a]
+	lowArray, highArray := p.at(low).rp, p.at(high).rp
+	lowCap, highCap := p.at(low).rc, p.at(high).rc
+	if low == high || p.at(low).rn != 3 || p.at(high).rn != 1 {
+		t.Fatalf("the reads left states %d and %d with %d and %d readers, want two states with 3 and 1",
+			low, high, p.at(low).rn, p.at(high).rn)
+	}
+
+	h.ApplyPage(w, 0, &SlotSet{}, slotRun(0, pageSize))
+	st := p.at(low)
+	if p.stateOf(0) != low || p.stateOf(pageSize-1) != low || st.writer != w || st.rn != 0 || st.rp != lowArray || st.rc != lowCap {
+		t.Fatalf("the write left the page on state %d, writer %v, %d readers in room for %d at %p; want state %d, %v, none in room for %d at %p",
+			p.stateOf(0), st.writer, st.rn, st.rc, st.rp, low, w, lowCap, lowArray)
+	}
+	dead := p.at(high)
+	if p.free != high || dead.n != 0 || dead.writer != nil || dead.rn != 0 || dead.rp != highArray || dead.rc != highCap {
+		t.Fatalf("the write freed state %d: %d slots, writer %v, %d readers in room for %d at %p; want state %d, empty, its array %p in room for %d",
+			p.free, dead.n, dead.writer, dead.rn, dead.rc, dead.rp, high, highArray, highCap)
+	}
+
+	h.ApplyPage(e, 0, slotRun(0, pageSize/2), &SlotSet{})
+	if got := p.stateOf(0); got != high || p.at(got).rp != highArray || !slices.Equal(p.at(got).readers(), []*sched.Strand{e}) {
+		t.Fatalf("e's read split off state %d with readers %v at %p; want the freed state %d with [e] in its array %p",
+			got, p.at(got).readers(), p.at(got).rp, high, highArray)
+	}
+	if st.rp != lowArray || st.rn != 0 {
+		t.Fatalf("the split's source has %d readers at %p, want none at %p", st.rn, st.rp, lowArray)
+	}
 }

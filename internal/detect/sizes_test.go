@@ -3,6 +3,7 @@ package detect
 import (
 	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"unsafe"
@@ -16,18 +17,23 @@ import (
 // benchmark's detector_mem_mb) silently.
 func TestAccountingSizes(t *testing.T) {
 	const ptr = unsafe.Sizeof(uintptr(0))
-	// state: writer, the readers slice header (ReadersLR's pairs too),
-	// and one word of four 16-bit counts and links: 40 bytes.
-	if want := int(ptr + unsafe.Sizeof([]uintptr(nil)) + 8); stateBytes != want || ptr == 8 && stateBytes != 40 {
-		t.Errorf("state is %d bytes, its fields add up to %d; 40 on 64-bit platforms", stateBytes, want)
+	// state: writer, the reader list's first-element pointer and its two
+	// 32-bit bounds (ReadersLR's pairs too), and one word of four 16-bit
+	// counts and links: 32 bytes on 64-bit platforms, 24 on 32-bit ones.
+	if want := int(ptr + ptr + 4 + 4 + 8); stateBytes != want || ptr == 8 && stateBytes != 32 {
+		t.Errorf("state is %d bytes, its fields add up to %d; 32 on 64-bit platforms", stateBytes, want)
 	}
 	// page: mu, num, next, a one-byte state index per slot, the first two
 	// states inline, the chunk pointers' slice header, the racy set's
 	// pointer, and the state count and the free list's head in a word of
-	// their own: 400 bytes, so a page of up to two states is one
-	// allocation.
-	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + 2*unsafe.Sizeof(state{}) + unsafe.Sizeof([]*state(nil)) + ptr + 8); pageBytes != want {
+	// their own, padded to the page's pointer alignment: 384 bytes on
+	// 64-bit platforms, so a page of up to two states is one allocation
+	// that fills its size class.
+	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + 2*unsafe.Sizeof(state{}) + unsafe.Sizeof([]*state(nil)) + ptr + ptr); pageBytes != want {
 		t.Errorf("page is %d bytes, its fields add up to %d", pageBytes, want)
+	}
+	if ptr == 8 && (pageBytes != 384 || pageHeap != pageBytes) {
+		t.Errorf("page is %d bytes in a %d-byte slot, want 384 in 384 on 64-bit platforms", pageBytes, pageHeap)
 	}
 	if want := pageSize / 8; racyBytes != want {
 		t.Errorf("a racy set is %d bytes, a bit a slot adds up to %d", racyBytes, want)
@@ -108,7 +114,7 @@ func nothingShared(futures int) func(h *History, locations int) []*sched.Strand 
 }
 
 var memPatterns = []memPattern{
-	// A page of 256 slots is one state: 400 for the page with its index
+	// A page of 256 slots is one state: 384 for the page with its index
 	// map and its two inline states, one reader; and at most 2 for the
 	// directory. (Per-slot records cost 66 / 122 / 1144 on these three
 	// rows.)
@@ -119,14 +125,16 @@ var memPatterns = []memPattern{
 	// hashes into (512 B each), the page with its states and one reader,
 	// over 32 locations. (With the whole 32 KiB directory: 1048.)
 	{"one 32-address page", 32, writeThenRead(1), 44, ReadersAll},
-	// A state (40), a reader (8) and an index byte per slot, 2 for the page
-	// header, its chunk pointers and the directory: per-slot records cost
-	// 66 here. The chunks must end at the 256 states a page can use, not
-	// where append's doubling would leave a table.
-	{"nothing shared", 1 << 14, nothingShared(1), 51, ReadersAll},
+	// A state (32), a reader (8) and an index byte per slot, 5 for the page
+	// header, its chunks' malloc headers and size-class rounding (a 32-state
+	// chunk takes 1,152 bytes, a 64-state one 2,304), its chunk pointers and
+	// the directory: per-slot records cost 66 here. The chunks must end at
+	// the 256 states a page can use, not where append's doubling would
+	// leave a table.
+	{"nothing shared", 1 << 14, nothingShared(1), 46, ReadersAll},
 	// Under ReadersLR the three readers are three futures' pairs: a list of
 	// six strands, at append's capacity of eight, 64 bytes a state.
-	{"nothing shared, three futures (ReadersLR)", 1 << 14, nothingShared(3), 107, ReadersLR},
+	{"nothing shared, three futures (ReadersLR)", 1 << 14, nothingShared(3), 102, ReadersLR},
 }
 
 // newMemHistory is the history a memPattern fills.
@@ -160,8 +168,8 @@ func TestHistoryMemPerLocation(t *testing.T) {
 }
 
 // TestMemBytesTracksHeap holds the model against the allocator: what
-// MemBytes reports for a populated history is within a quarter of what
-// building it added to the live heap. detector_mem_mb, which the
+// MemBytes reports for a populated history is within 3% of what building
+// it added to the live heap. detector_mem_mb, which the
 // benchmark gates on, is this number — a layout change that lowers it
 // must have freed that heap, not stopped counting it.
 func TestMemBytesTracksHeap(t *testing.T) {
@@ -185,7 +193,7 @@ func TestMemBytesTracksHeap(t *testing.T) {
 		}
 		model := h.MemBytes()
 		t.Logf("%s: MemBytes %d, heap grew %d", tc.name, model, grew)
-		if model < grew*3/4 || model > grew*5/4 {
+		if model < grew*97/100 || model > grew*103/100 {
 			t.Errorf("%s: MemBytes says %d bytes, the heap grew by %d", tc.name, model, grew)
 		}
 		runtime.KeepAlive(h)
@@ -198,9 +206,10 @@ func TestMemBytesTracksHeap(t *testing.T) {
 // state to a fresh one, and a second strand reads slot k, which splits
 // that state. Once a state is handed out it keeps its address however
 // many chunks come after it, and at every step MemBytes is the half-step
-// capacity (2, 3, 4, 6, 8, 12, …) of 40-byte states, inline or in chunks,
-// with the chunk pointers beside them — no table to copy, no spare but the
-// last chunk's.
+// capacity (2, 3, 4, 6, 8, 12, …) of 32-byte states, inline or in chunks,
+// with the chunk pointers beside them and the malloc headers of the chunks
+// past 512 bytes — no table to copy, no spare but the last chunk's and the
+// size classes'.
 func TestStatesNeverMove(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the sizes below are for 64-bit platforms")
@@ -227,9 +236,19 @@ func TestStatesNeverMove(t *testing.T) {
 			} else if where[i] != st {
 				t.Fatalf("step %d: state %d moved from %p to %p", k, i, where[i], st)
 			}
-			readers += cap(st.readers)
+			readers += int(st.rc)
 		})
-		want := topBytes + blockBytes + pageBytes - 2*40 + capacity*40 + 8*cap(p.more) + 8*readers
+		// Past 512 bytes a chunk carries Go's 8-byte malloc header and
+		// takes the next size class: a chunk of 32 states (1,024 bytes),
+		// the one past 64 and the one past 96, takes 1,152, and a chunk of
+		// 64 takes 2,304.
+		headers := 0
+		for _, c := range []struct{ past, extra int }{{64, 128}, {96, 128}, {128, 256}, {192, 256}} {
+			if capacity > c.past {
+				headers += c.extra
+			}
+		}
+		want := topBytes + blockHeap + pageHeap - 2*32 + capacity*32 + headers + 8*cap(p.more) + 8*readers
 		if got := h.MemBytes(); got != want || p.capacity() != capacity {
 			t.Fatalf("step %d: %d states in room for %d, MemBytes %d; want room for %d, %d bytes",
 				k, p.count, p.capacity(), got, capacity, want)
@@ -238,4 +257,38 @@ func TestStatesNeverMove(t *testing.T) {
 	if p := h.tbl.pageFor(0); p.count != pageSize || len(p.more) != 14 || h.tbl.liveStates() != pageSize {
 		t.Fatalf("the page holds %d states (%d live) in %d chunks, want %d in 14", p.count, h.tbl.liveStates(), len(p.more), pageSize)
 	}
+}
+
+// TestChunkHeapSizes holds the chunk sizes MemBytes counts (heapBytes)
+// against the allocator: each chunk size, allocated a few hundred times,
+// adds what heapBytes says to the bytes allocated. On 64-bit platforms
+// chunks of up to 16 states fill their size class exactly, and the two
+// past 512 bytes carry the malloc header into the next one: 1,152 bytes
+// for 32 states and 2,304 for 64.
+func TestChunkHeapSizes(t *testing.T) {
+	const n = 256
+	chunks := make([]*state, n)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection's own allocations would count
+	for states := 1; states <= 64; states *= 2 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range chunks {
+			chunks[i] = unsafe.SliceData(make([]state, states))
+		}
+		runtime.ReadMemStats(&after)
+		size := states * stateBytes
+		got, want := int(after.TotalAlloc-before.TotalAlloc)/n, heapBytes(size)
+		t.Logf("a chunk of %d states, %d bytes, takes %d", states, size, got)
+		if got != want {
+			t.Errorf("a chunk of %d states takes %d bytes of heap, MemBytes counts %d", states, got, want)
+		}
+		pin := size
+		if states >= 32 {
+			pin = map[int]int{32: 1152, 64: 2304}[states]
+		}
+		if unsafe.Sizeof(uintptr(0)) == 8 && want != pin {
+			t.Errorf("a chunk of %d states counts %d bytes, want %d on 64-bit platforms", states, want, pin)
+		}
+	}
+	runtime.KeepAlive(chunks)
 }

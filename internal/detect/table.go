@@ -81,19 +81,31 @@ type page struct {
 }
 
 // state is the access-history metadata of every slot of a page pointing at
-// it, 40 bytes. Every field is read and written only under the page lock.
+// it, 32 bytes, so a chunk of up to 16 states fills its size class. Every
+// field is read and written only under the page lock.
 type state struct {
 	writer *sched.Strand // last writer
-	// The retained readers. Under ReadersAll every reader since the
+	// The retained readers, a list kept as its first element's pointer,
+	// its length and its capacity (readers, setReaders), eight bytes less
+	// than a slice header. Under ReadersAll every reader since the
 	// write, in order, so the most recent one is last; under ReadersLR
 	// flat (leftmost, rightmost) pairs, one a future, found by a scan on
 	// Fut.ID (History.lrStep).
-	readers []*sched.Strand
-	n       uint16 // slots pointing here; 0 = dead, on the free list
+	rp     **sched.Strand
+	rn, rc uint32
+	n      uint16 // slots pointing here; 0 = dead, on the free list
 	// Scratch of one apply, zero (noState for to) outside it: how many of
 	// the slots being applied point here, the next state the apply
 	// touched (or the next dead one), and the copy those slots move to.
 	hit, link, to uint16
+}
+
+// readers returns st's reader list.
+func (st *state) readers() []*sched.Strand { return unsafe.Slice(st.rp, st.rc)[:st.rn] }
+
+// setReaders makes l st's reader list.
+func (st *state) setReaders(l []*sched.Strand) {
+	st.rp, st.rn, st.rc = unsafe.SliceData(l), uint32(len(l)), uint32(cap(l))
 }
 
 // noState ends a list of states. A page has at most pageSize of them —
@@ -204,10 +216,10 @@ func (p *page) newState() uint16 {
 }
 
 // release puts state i, which no slot points at any more, on the free
-// list. Its reader slice keeps its capacity for the next owner.
+// list. Its reader list keeps its backing array for the next owner.
 func (p *page) release(i uint16) {
 	st := p.at(i)
-	*st = state{readers: st.readers[:0], to: noState, link: p.free}
+	*st = state{rp: st.rp, rc: st.rc, to: noState, link: p.free}
 	p.free = i
 }
 
@@ -368,8 +380,8 @@ func (p *page) split(st *state, hit uint16, room int) *state {
 	st.n -= hit
 	st.to = j
 	cp.writer, cp.n = st.writer, hit
-	if len(st.readers) > 0 {
-		cp.readers = append(slices.Grow(cp.readers, len(st.readers)+room), st.readers...)
+	if rs := st.readers(); len(rs) > 0 {
+		cp.setReaders(append(slices.Grow(cp.readers(), len(rs)+room), rs...))
 	}
 	return cp
 }
@@ -456,20 +468,47 @@ const (
 	ptrBytes   = int(unsafe.Sizeof(uintptr(0)))
 )
 
+// heapBytes is what the heap gives an object of size bytes that holds
+// pointers: past 8×ptrBytes pointer words (512 bytes on 64-bit platforms,
+// 128 on 32-bit ones) Go puts an 8-byte malloc header in front of it, and
+// it rounds the sum up to a size class, the capacity append gives as many
+// bytes. sizes_test.go holds the chunks' sizes against the allocator.
+func heapBytes(size int) int {
+	if size > 8*ptrBytes*ptrBytes {
+		size += 8
+	}
+	return cap(slices.Grow([]byte(nil), size))
+}
+
+// What the heap gives a directory block, a page and the first c chunks of
+// a page (moreBytes[c]; a page has at most 2×(pageBits-1) = 14). On 64-bit
+// platforms a block and a page fill their size classes; on 32-bit ones
+// both carry a malloc header.
+var (
+	blockHeap = heapBytes(blockBytes)
+	pageHeap  = heapBytes(pageBytes)
+	moreBytes = func() (t [2*(pageBits-1) + 1]int) {
+		for c := range len(t) - 1 {
+			t[c+1] = t[c] + heapBytes(stateBytes<<(c/2))
+		}
+		return t
+	}()
+)
+
 // memBytes is the table's heap footprint: the top array, every allocated
 // directory block, every page with its index map, inline states and racy
-// set, its chunks of states and their pointers at capacity, and the reader
-// lists of live and dead states at capacity — under either policy every
-// retained reader is in them.
+// set, its chunks of states, all at their heap size, the chunk pointers at
+// capacity, and the reader lists of live and dead states at capacity —
+// under either policy every retained reader is in them.
 func (t *table) memBytes() int {
 	total := topBytes
-	t.forEachBlock(func(*dirBlock) { total += blockBytes })
+	t.forEachBlock(func(*dirBlock) { total += blockHeap })
 	t.forEachPage(func(p *page) {
-		total += pageBytes + stateBytes*(p.capacity()-len(p.first)) + ptrBytes*cap(p.more)
+		total += pageHeap + moreBytes[len(p.more)] + ptrBytes*cap(p.more)
 		if p.racy != nil {
 			total += racyBytes
 		}
-		p.forEachState(func(_ uint16, st *state) { total += ptrBytes * cap(st.readers) })
+		p.forEachState(func(_ uint16, st *state) { total += ptrBytes * int(st.rc) })
 	})
 	return total
 }

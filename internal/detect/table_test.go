@@ -151,10 +151,12 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 	ptr := int(unsafe.Sizeof(uintptr(0)))
 	// A page read on eight slots by eight parallel strands holds nine
 	// states: two inline and five chunks of 1, 1, 2, 2 and 4 — room for
-	// 12 — whose pointers take append's capacity of eight. Each of the
-	// eight readers has a one-reader slice, and the write that races on
-	// every one of the slots gives the page a racy set.
-	pageModel := detect.PageBytes + (12-2)*detect.StateBytes + 8*ptr + goroutines*ptr + detect.RacyBytes
+	// 12, each chunk its size class — whose pointers take append's
+	// capacity of eight. Each of the eight readers has a one-reader list
+	// in append's smallest size class, 8 bytes: one pointer on 64-bit
+	// platforms, two on 32-bit ones. The write that races on every one of
+	// the slots gives the page a racy set.
+	pageModel := detect.PageBytes + (12-2)*detect.StateBytes + 8*ptr + goroutines*max(ptr, 8) + detect.RacyBytes
 	fut := &sched.FutureTask{ID: 0}
 	for round := 0; round < 10; round++ {
 		h := newParallelHistory()

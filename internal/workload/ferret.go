@@ -49,7 +49,7 @@ func newFerretRun(q, dim int) *Run {
 		rank:  make([]int32, q),
 	}
 	for i := range st.input {
-		x := uint32(i*2246822519 + 374761393)
+		x := uint32(i)*2246822519 + 374761393
 		x ^= x >> 15
 		st.input[i] = int32(x % 1021)
 	}

@@ -64,7 +64,7 @@ func (s *hwState) addrPos(p int) uint64 { return uint64(len(s.img) + p) }
 
 // pixel is the deterministic synthetic frame content.
 func pixel(frame, i int) int32 {
-	x := uint32(frame*2654435761) ^ uint32(i*40503)
+	x := uint32(frame)*2654435761 ^ uint32(i*40503)
 	x ^= x >> 13
 	return int32(x % 251)
 }
