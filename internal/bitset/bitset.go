@@ -63,17 +63,6 @@ func (s *Set) Add(id int) {
 	s.words[w] |= 1 << uint(id%wordBits)
 }
 
-// Remove deletes id from the set. Removing an absent id is a no-op.
-func (s *Set) Remove(id int) {
-	if id < 0 {
-		return
-	}
-	w := id / wordBits
-	if w < len(s.words) {
-		s.words[w] &^= 1 << uint(id%wordBits)
-	}
-}
-
 // Contains reports whether id is in the set. Absent and negative IDs
 // report false; a nil receiver is an empty set.
 func (s *Set) Contains(id int) bool {

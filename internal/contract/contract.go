@@ -99,13 +99,3 @@ var (
 func All() []Invariant {
 	return []Invariant{SingleTouch, GetReachability, SPPartition, UniqueEntry, Acyclic, AnnotatedSharing}
 }
-
-// ByID returns the invariant with the given ID, and whether it exists.
-func ByID(id string) (Invariant, bool) {
-	for _, v := range All() {
-		if v.ID == id {
-			return v, true
-		}
-	}
-	return Invariant{}, false
-}

@@ -415,10 +415,6 @@ func (r *Reach) LeftOf(a, b *sched.Strand) bool {
 // Queries returns the number of Precedes calls served.
 func (r *Reach) Queries() uint64 { return r.queries.Load() }
 
-// GPMerges returns how many gp/get merges allocated a fresh set; the
-// §3.4 argument bounds this by O(k).
-func (r *Reach) GPMerges() uint64 { return r.gpMerges.Load() }
-
 // MemBytes estimates the memory footprint of the reachability component:
 // the substrate's own structures (OM list buckets or fork-path labels),
 // one substrate record per strand (its position inline), and the payload

@@ -6,6 +6,7 @@ import (
 
 	"sforder/internal/core"
 	"sforder/internal/dag"
+	"sforder/internal/obsv"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
 )
@@ -204,7 +205,9 @@ func TestGPMergeBound(t *testing.T) {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 5, MaxOps: 10})
 		r, rec := runWithReach(t, 0, true, p.Main())
 		k := rec.G.NumFutures() - 1 // exclude the root
-		if merges := int(r.GPMerges()); merges > 2*k+1 {
+		reg := obsv.NewRegistry()
+		r.RegisterStats(reg)
+		if merges := int(reg.Snapshot()["reach.gp_merges"]); merges > 2*k+1 {
 			t.Errorf("seed %d: %d gp merges for k=%d futures (> 2k+1)", seed, merges, k)
 		}
 	}

@@ -18,37 +18,37 @@ import (
 
 // TestAccountingSizes pins the per-strand records to the real struct
 // layouts. The old constant (nodeSize=40) had drifted; the sizes are
-// unsafe.Sizeof-derived and this test pins the expected 64-bit values so
-// growth fails loudly: the 8-byte header, the OM record (header plus two
-// 24-byte om.Items) and the DePa record (header plus the label pointer).
-// The gp/cp set header is pinned with them: MemBytes counts a set's
-// window and leaves its header out, so the header may not outgrow the
+// unsafe.Sizeof-derived and this test derives the expected values from
+// the pointer size, pinning the 64-bit ones, so growth fails loudly: the
+// header (the gp pointer), the OM record (the header padded to the items'
+// 8-byte alignment plus two 24-byte om.Items: 56 bytes on every platform)
+// and the DePa record (header plus the label pointer). The gp/cp set
+// header is pinned with them: MemBytes counts a set's window and leaves
+// its header out, so on 64-bit platforms the header may not outgrow the
 // flat bitmap's 24-byte slice header.
 func TestAccountingSizes(t *testing.T) {
 	if omNodeSize != int(unsafe.Sizeof(omNode{})) || depaNodeSize != int(unsafe.Sizeof(depaNode{})) {
 		t.Errorf("record sizes %d/%d != sizeof(omNode) %d / sizeof(depaNode) %d",
 			omNodeSize, depaNodeSize, unsafe.Sizeof(omNode{}), unsafe.Sizeof(depaNode{}))
 	}
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("expected values below are for 64-bit platforms")
-	}
+	const ptr = unsafe.Sizeof(uintptr(0))
 	for _, c := range []struct {
-		name      string
-		got, want uintptr
+		name              string
+		got, want, want64 uintptr
 	}{
-		{"node", unsafe.Sizeof(node{}), 8},
-		{"omNode", unsafe.Sizeof(omNode{}), 56},
-		{"depaNode", unsafe.Sizeof(depaNode{}), 16},
+		{"node", unsafe.Sizeof(node{}), ptr, 8},
+		{"omNode", unsafe.Sizeof(omNode{}), max(ptr, 8) + 2*24, 56},
+		{"depaNode", unsafe.Sizeof(depaNode{}), 2 * ptr, 16},
 	} {
-		if c.got != c.want {
-			t.Errorf("%s grew: %d bytes, expected %d", c.name, c.got, c.want)
+		if c.got != c.want || ptr == 8 && c.got != c.want64 {
+			t.Errorf("%s grew: %d bytes, expected %d (%d on 64-bit platforms)", c.name, c.got, c.want, c.want64)
 		}
 	}
-	if bitset.RunSetHeaderBytes > 24 {
-		t.Errorf("set header grew: %d bytes, expected ≤ 24", bitset.RunSetHeaderBytes)
+	if bitset.RunSetHeaderBytes > int(16+ptr) || ptr == 8 && bitset.RunSetHeaderBytes > 24 {
+		t.Errorf("set header grew: %d bytes, expected ≤ %d (24 on 64-bit platforms)", bitset.RunSetHeaderBytes, 16+ptr)
 	}
-	if got := unsafe.Sizeof(futMeta{}); got > 16 {
-		t.Errorf("futMeta grew: %d bytes, expected ≤ 16 (cp and the shared child cp)", got)
+	if got := unsafe.Sizeof(futMeta{}); got > 2*ptr {
+		t.Errorf("futMeta grew: %d bytes, expected ≤ %d (cp and the shared child cp)", got, 2*ptr)
 	}
 }
 

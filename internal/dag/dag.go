@@ -214,28 +214,10 @@ func (g *Graph) Root() *Node {
 	return g.futures[0].First
 }
 
-// edgeFilter selects which edges a traversal may use.
-type edgeFilter func(EdgeKind) bool
-
-func anyEdge(EdgeKind) bool       { return true }
-func spOnly(k EdgeKind) bool      { return k.IsSP() }
-func spAndCreate(k EdgeKind) bool { return k.IsSP() || k == Create }
-
 // Reachable reports whether there is a directed path from u to v (u == v
 // does not count). This is the exhaustive oracle used to validate the
 // constant-time detectors; it runs a BFS and is deliberately simple.
-func (g *Graph) Reachable(u, v *Node) bool { return g.reach(u, v, anyEdge) }
-
-// ReachableSP reports whether some path from u to v uses only SP edges
-// (the ⇝SP relation of the paper).
-func (g *Graph) ReachableSP(u, v *Node) bool { return g.reach(u, v, spOnly) }
-
-// ReachableCreateSP reports whether some path from u to v uses only SP
-// and create edges — the relation the pseudo-SP-dag must capture for
-// ancestor-future queries (paper Lemma 3.5/3.8).
-func (g *Graph) ReachableCreateSP(u, v *Node) bool { return g.reach(u, v, spAndCreate) }
-
-func (g *Graph) reach(u, v *Node, ok edgeFilter) bool {
+func (g *Graph) Reachable(u, v *Node) bool {
 	if u == v {
 		return false
 	}
@@ -245,7 +227,7 @@ func (g *Graph) reach(u, v *Node, ok edgeFilter) bool {
 		cur := queue[0]
 		queue = queue[1:]
 		for _, e := range cur.Out {
-			if !ok(e.Kind) || seen[e.To] {
+			if seen[e.To] {
 				continue
 			}
 			if e.To == v {
@@ -256,18 +238,6 @@ func (g *Graph) reach(u, v *Node, ok edgeFilter) bool {
 		}
 	}
 	return false
-}
-
-// FutureAncestors returns the set of strict ancestor future IDs of f in
-// the create tree (f-ancs of the paper).
-func (g *Graph) FutureAncestors(f int) map[int]bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	anc := map[int]bool{}
-	for p := g.futures[f].Parent; p >= 0; p = g.futures[p].Parent {
-		anc[p] = true
-	}
-	return anc
 }
 
 // WorkSpan returns the work (number of strands) and span (longest

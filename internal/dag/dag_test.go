@@ -40,29 +40,22 @@ func TestValidateAcceptsWellFormed(t *testing.T) {
 func TestReachabilityRelations(t *testing.T) {
 	g, n := buildPaperStyle()
 	cases := []struct {
-		from, to   string
-		any, sp    bool
-		createOnly bool
+		from, to string
+		any      bool
 	}{
-		{"a", "b", true, true, true},
-		{"a", "f1", true, false, true},
-		{"f1", "g", true, false, false}, // only via get edge
-		{"f1", "b", false, false, false},
-		{"b", "f1", false, false, false},
-		{"a", "z", true, true, true},
-		{"p1", "z", true, false, false},
-		{"z", "a", false, false, false},
-		{"a", "a", false, false, false}, // reachability is strict
+		{"a", "b", true},
+		{"a", "f1", true},
+		{"f1", "g", true}, // only via get edge
+		{"f1", "b", false},
+		{"b", "f1", false},
+		{"a", "z", true},
+		{"p1", "z", true},
+		{"z", "a", false},
+		{"a", "a", false}, // reachability is strict
 	}
 	for _, c := range cases {
 		if got := g.Reachable(n[c.from], n[c.to]); got != c.any {
 			t.Errorf("Reachable(%s,%s) = %v, want %v", c.from, c.to, got, c.any)
-		}
-		if got := g.ReachableSP(n[c.from], n[c.to]); got != c.sp {
-			t.Errorf("ReachableSP(%s,%s) = %v, want %v", c.from, c.to, got, c.sp)
-		}
-		if got := g.ReachableCreateSP(n[c.from], n[c.to]); got != c.createOnly {
-			t.Errorf("ReachableCreateSP(%s,%s) = %v, want %v", c.from, c.to, got, c.createOnly)
 		}
 	}
 }
@@ -76,21 +69,6 @@ func TestWorkSpan(t *testing.T) {
 	// Longest path a->f1->p1->g->z = 5.
 	if span != 5 {
 		t.Errorf("span = %d, want 5", span)
-	}
-}
-
-func TestFutureAncestors(t *testing.T) {
-	g := New()
-	g.NewNode(0, "root")
-	f1 := g.NewFuture(0)
-	f2 := g.NewFuture(f1)
-	f3 := g.NewFuture(0)
-	anc := g.FutureAncestors(f2)
-	if !anc[0] || !anc[f1] || anc[f2] || anc[f3] {
-		t.Errorf("FutureAncestors(f2) = %v", anc)
-	}
-	if len(g.FutureAncestors(0)) != 0 {
-		t.Error("root has no ancestors")
 	}
 }
 

@@ -58,13 +58,6 @@ func (h *History) access(s *sched.Strand, addr uint64, kind AccessKind) {
 // nothing.
 func (h *History) StrandClose(s *sched.Strand) { sched.CloseBuffer(s, h.ApplyPage) }
 
-// FastPathHits returns how many accesses the strand buffers absorbed
-// without any history work (zero unless stats were enabled).
-func (h *History) FastPathHits() uint64 { return h.fastHits.Load() }
-
-// BatchFlushes returns how many single-lock batch applications ran.
-func (h *History) BatchFlushes() uint64 { return h.batchFlushes.Load() }
-
 var (
 	_ sched.StrandCloser = (*History)(nil)
 	_ sched.PageSink     = (*History)(nil)

@@ -203,7 +203,8 @@ func TestFastPathOverlappingFlushHammer(t *testing.T) {
 		for rep := 0; rep < 4; rep++ {
 			reach := core.NewReach()
 			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
-			hist.RegisterStats(obsv.NewRegistry())
+			reg := obsv.NewRegistry()
+			hist.RegisterStats(reg)
 			if _, err := sched.Run(sched.Options{Workers: workers, Tracer: reach, Checker: hist}, prog); err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +213,7 @@ func TestFastPathOverlappingFlushHammer(t *testing.T) {
 			}
 			// Each child's second pass over the shared set is absorbed
 			// whole; nothing else repeats.
-			if got, want := hist.FastPathHits(), uint64(children*shared); got != want {
+			if got, want := reg.Snapshot()["hist.fastpath_hits"], int64(children*shared); got != want {
 				t.Fatalf("%d workers, rep %d: %d accesses absorbed, want %d", workers, rep, got, want)
 			}
 		}
@@ -371,21 +372,22 @@ func TestFastPathEarlyFlush(t *testing.T) {
 		Reach:    &stubReach{prec: map[[2]uint64]bool{}},
 		FastPath: true,
 	})
-	h.RegisterStats(obsv.NewRegistry()) // enable the counters
+	reg := obsv.NewRegistry()
+	h.RegisterStats(reg) // enable the counters
 	ss := fakeStrands(2)
 	const distinct = 1500 // > batchCap (1024)
 	for a := uint64(0); a < distinct; a++ {
 		h.Write(ss[0], a)
 	}
-	if h.BatchFlushes() == 0 {
+	if reg.Snapshot()["hist.batch_flushes"] == 0 {
 		t.Fatal("early flush did not fire before strand close")
 	}
 	// The buffer's bitmaps outlive the flush: re-writing an address from
 	// the flushed prefix is absorbed.
-	before := h.FastPathHits()
+	before := reg.Snapshot()["hist.fastpath_hits"]
 	h.Write(ss[0], 0)
-	if h.FastPathHits() != before+1 {
-		t.Fatalf("re-write after flush: fastpath hits %d, want %d", h.FastPathHits(), before+1)
+	if hits := reg.Snapshot()["hist.fastpath_hits"]; hits != before+1 {
+		t.Fatalf("re-write after flush: fastpath hits %d, want %d", hits, before+1)
 	}
 	h.StrandClose(ss[0])
 	// A parallel strand touching every address must race on each.
@@ -442,8 +444,10 @@ func TestFastPathRangeFlushBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hits := h.FastPathHits(); counted && hits != 5000 {
-			t.Errorf("counted: %d fast-path hits, want the 5000 covered addresses", hits)
+		if counted {
+			if hits := opts.Stats.Snapshot()["hist.fastpath_hits"]; hits != 5000 {
+				t.Errorf("counted: %d fast-path hits, want the 5000 covered addresses", hits)
+			}
 		}
 		if len(early) < 4 {
 			t.Fatalf("counted=%v: a 5000-address range flushed %d times", counted, len(early))
@@ -472,7 +476,8 @@ func TestFastPathDedupSubsumption(t *testing.T) {
 		Reach:    &stubReach{prec: map[[2]uint64]bool{}},
 		FastPath: true,
 	})
-	h.RegisterStats(obsv.NewRegistry())
+	reg := obsv.NewRegistry()
+	h.RegisterStats(reg)
 	ss := fakeStrands(2)
 	h.Read(ss[0], 9)
 	h.Read(ss[0], 9)  // dup read
@@ -480,8 +485,8 @@ func TestFastPathDedupSubsumption(t *testing.T) {
 	h.Write(ss[0], 9) // dup write
 	h.Read(ss[0], 9)  // subsumed by the write
 	h.StrandClose(ss[0])
-	if h.FastPathHits() != 3 {
-		t.Fatalf("dedup hits = %d, want 3", h.FastPathHits())
+	if hits := reg.Snapshot()["hist.fastpath_hits"]; hits != 3 {
+		t.Fatalf("dedup hits = %d, want 3", hits)
 	}
 	// ss[1] reads: must race against ss[0]'s WRITE (kind preserved).
 	h.Read(ss[1], 9)

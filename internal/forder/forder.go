@@ -335,9 +335,6 @@ func (r *Reach) Precedes(u, v *sched.Strand) bool {
 // Queries returns the number of Precedes calls served.
 func (r *Reach) Queries() uint64 { return r.queries.Load() }
 
-// TableAllocs returns how many operation tables were allocated.
-func (r *Reach) TableAllocs() uint64 { return r.merges.Load() }
-
 // nodeSize is the real per-strand record size, derived so Figure 5's
 // F-Order column stays honest as the struct evolves.
 var nodeSize = int(unsafe.Sizeof(node{}))

@@ -7,6 +7,7 @@ import (
 	"sforder/internal/dag"
 	"sforder/internal/detect"
 	"sforder/internal/forder"
+	"sforder/internal/obsv"
 	"sforder/internal/oracle"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
@@ -156,7 +157,9 @@ func TestCountersAndMemory(t *testing.T) {
 	if r.MemBytes() <= 0 {
 		t.Error("F-Order must account memory")
 	}
-	if r.TableAllocs() == 0 {
+	reg := obsv.NewRegistry()
+	r.RegisterStats(reg)
+	if reg.Snapshot()["reach.table_allocs"] == 0 {
 		t.Error("create+get must allocate operation tables")
 	}
 }

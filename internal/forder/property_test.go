@@ -6,6 +6,7 @@ import (
 
 	"sforder/internal/dag"
 	"sforder/internal/forder"
+	"sforder/internal/obsv"
 	"sforder/internal/progen"
 	"sforder/internal/sched"
 )
@@ -56,7 +57,9 @@ func TestOpTablesBoundedByFutures(t *testing.T) {
 	if _, err := sched.Run(sched.Options{Serial: true, Tracer: sched.MultiTracer{r, rec}}, p.Main()); err != nil {
 		t.Fatal(err)
 	}
-	if r.TableAllocs() == 0 && rec.G.NumFutures() > 1 {
+	reg := obsv.NewRegistry()
+	r.RegisterStats(reg)
+	if reg.Snapshot()["reach.table_allocs"] == 0 && rec.G.NumFutures() > 1 {
 		t.Error("future-using program allocated no op tables")
 	}
 }

@@ -1,17 +1,16 @@
 // Package obsv is the observability layer of the detector: a stats
-// registry of named counters and gauges that the runtime and detector
+// registry of named read-only sources that the runtime and detector
 // components publish their internals through, a Chrome-trace-format
 // strand tracer for offline timeline inspection, and an HTTP handler
 // exposing both (plus net/http/pprof) for live runs.
 //
 // The paper's entire evaluation (Figures 3–5) reads detector-internal
 // counters: reachability queries, gp merges, OM rebalances, memory
-// accounting. Before this package those counters were scattered across
-// five packages behind bespoke getters; the Registry absorbs them behind
-// one snapshot API. Components keep owning their hot counters (plain
-// atomics, updated exactly as before) and register read-only closures —
-// enabling stats therefore costs the hot paths nothing, and a disabled
-// registry costs one nil check at assembly time.
+// accounting. The Registry is the one API that reads them: components
+// own their hot counters (plain atomics) and register read-only closures
+// through RegisterFunc, with no bespoke getter beside them. Enabling
+// stats therefore costs the hot paths nothing, and a disabled registry
+// costs one nil check at assembly time.
 //
 // Registered names are dotted and stable; see README.md ("Observability")
 // for the full catalog. The conventional prefixes:
@@ -28,57 +27,21 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 )
 
-// Counter is a registry-owned monotonic counter, safe for concurrent
-// use.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Registry is a named collection of int64 metric sources: counters it
-// owns and read-only functions registered by components. Snapshot and
-// the writers may be called at any time, including while a run is in
-// flight — sources must therefore be safe for concurrent reads (the
+// Registry is a named collection of int64 metric sources: read-only
+// functions registered by components. Snapshot and the writers may be
+// called at any time, including while a run is in flight — sources must therefore be safe for concurrent reads (the
 // components' own atomics and mutexes provide this).
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	funcs    map[string]func() int64
+	mu    sync.Mutex
+	funcs map[string]func() int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		funcs:    map[string]func() int64{},
-	}
-}
-
-// Counter returns the registry-owned counter with the given name,
-// creating it on first use. Counter and RegisterFunc names share one
-// namespace; a counter shadows an earlier func of the same name.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-		delete(r.funcs, name)
-	}
-	return c
+	return &Registry{funcs: map[string]func() int64{}}
 }
 
 // RegisterFunc registers fn as the source of name. Re-registering a name
@@ -88,16 +51,12 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.funcs[name] = fn
-	delete(r.counters, name)
 }
 
 // Names returns every registered name in sorted order.
 func (r *Registry) Names() []string {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.funcs))
-	for n := range r.counters {
-		names = append(names, n)
-	}
+	names := make([]string, 0, len(r.funcs))
 	for n := range r.funcs {
 		names = append(names, n)
 	}
@@ -109,10 +68,6 @@ func (r *Registry) Names() []string {
 // Snapshot evaluates every source and returns a name → value map.
 func (r *Registry) Snapshot() map[string]int64 {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		counters[n] = c
-	}
 	funcs := make(map[string]func() int64, len(r.funcs))
 	for n, fn := range r.funcs {
 		funcs[n] = fn
@@ -121,10 +76,7 @@ func (r *Registry) Snapshot() map[string]int64 {
 
 	// Evaluate outside the registry lock: sources may take component
 	// locks of their own (e.g. the OM lists' insert mutex).
-	out := make(map[string]int64, len(counters)+len(funcs))
-	for n, c := range counters {
-		out[n] = c.Load()
-	}
+	out := make(map[string]int64, len(funcs))
 	for n, fn := range funcs {
 		out[n] = fn()
 	}

@@ -7,17 +7,23 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
+// count registers a source over a local atomic, as components publish
+// their own counters, and returns the atomic.
+func count(r *Registry, name string) *atomic.Int64 {
+	c := new(atomic.Int64)
+	r.RegisterFunc(name, c.Load)
+	return c
+}
+
 func TestRegistryCountersAndFuncs(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a.count")
-	c.Inc()
+	c := count(r, "a.count")
+	c.Add(1)
 	c.Add(4)
-	if got := r.Counter("a.count"); got != c {
-		t.Fatalf("Counter returned a different counter on second lookup")
-	}
 	v := int64(7)
 	r.RegisterFunc("b.gauge", func() int64 { return v })
 
@@ -42,9 +48,9 @@ func TestRegistryLastRegistrationWins(t *testing.T) {
 	if got := r.Snapshot()["x"]; got != 2 {
 		t.Fatalf("re-registered func: got %d, want 2", got)
 	}
-	r.Counter("x").Add(5)
+	count(r, "x").Add(5)
 	if got := r.Snapshot()["x"]; got != 5 {
-		t.Fatalf("counter shadowing func: got %d, want 5", got)
+		t.Fatalf("counter replacing func: got %d, want 5", got)
 	}
 	if n := len(r.Snapshot()); n != 1 {
 		t.Fatalf("name registered twice appears %d times in snapshot", n)
@@ -53,8 +59,8 @@ func TestRegistryLastRegistrationWins(t *testing.T) {
 
 func TestRegistryWriteJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z.last").Add(3)
-	r.Counter("a.first").Add(1)
+	count(r, "z.last").Add(3)
+	count(r, "a.first").Add(1)
 	r.RegisterFunc(`weird "name"`, func() int64 { return -2 })
 
 	var buf bytes.Buffer
@@ -77,7 +83,7 @@ func TestRegistryWriteJSON(t *testing.T) {
 
 func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reach.queries").Add(42)
+	count(r, "reach.queries").Add(42)
 	var buf bytes.Buffer
 	if err := r.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -89,26 +95,28 @@ func TestRegistryWriteText(t *testing.T) {
 
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
+	shared := count(r, "shared")
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.Counter("shared").Inc()
+				r.RegisterFunc("shared", shared.Load)
+				shared.Add(1)
 				_ = r.Snapshot()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("shared").Load(); got != 4000 {
+	if got := r.Snapshot()["shared"]; got != 4000 {
 		t.Fatalf("shared counter = %d, want 4000", got)
 	}
 }
 
 func TestHandlerEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hist.races").Add(2)
+	count(r, "hist.races").Add(2)
 	h := Handler(r)
 
 	rec := httptest.NewRecorder()
@@ -143,10 +151,10 @@ func TestHandlerEndpoints(t *testing.T) {
 // must reflect the latest registry.
 func TestHandlerRebuiltForNewRegistry(t *testing.T) {
 	r1 := NewRegistry()
-	r1.Counter("gen").Add(1)
+	count(r1, "gen").Add(1)
 	_ = Handler(r1)
 	r2 := NewRegistry()
-	r2.Counter("gen").Add(2)
+	count(r2, "gen").Add(2)
 	h := Handler(r2)
 
 	rec := httptest.NewRecorder()

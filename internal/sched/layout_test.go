@@ -11,7 +11,7 @@ import (
 // record_overhead_tp read 7% worse; see the apply field.
 func TestEngineSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the pin is for 64-bit platforms")
+		t.Skip("the pin is a size class chosen by measurement on amd64, so it holds on 64-bit platforms only")
 	}
 	if n := unsafe.Sizeof(engine{}); n != 384 {
 		t.Errorf("the engine is %d bytes, want 384", n)
@@ -23,7 +23,7 @@ func TestEngineSize(t *testing.T) {
 // lane field now fills the word that used to be padding to get there.
 func TestStrandSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("the pin is for 64-bit platforms")
+		t.Skip("the pin is a size class chosen by measurement on amd64, so it holds on 64-bit platforms only")
 	}
 	if n := unsafe.Sizeof(Strand{}); n != 72 {
 		t.Errorf("a Strand is %d bytes, want 72", n)

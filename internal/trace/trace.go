@@ -413,13 +413,6 @@ func (r *Recorder) Close() error {
 	return r.err
 }
 
-// Err returns the first write error, if any.
-func (r *Recorder) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
-
 // Bytes returns how many bytes have reached the file so far.
 func (r *Recorder) Bytes() uint64 {
 	r.mu.Lock()

@@ -16,7 +16,6 @@ type Forest struct {
 	parent []int32
 	rank   []int8
 	data   []interface{}
-	finds  int // number of Find calls, for the accounting tests
 }
 
 // MakeSet creates a new singleton set carrying datum and returns its ID.
@@ -33,7 +32,6 @@ func (f *Forest) Len() int { return len(f.parent) }
 
 // Find returns the representative (root) of x's set, compressing the path.
 func (f *Forest) Find(x int) int {
-	f.finds++
 	root := x
 	for int(f.parent[root]) != root {
 		root = int(f.parent[root])
@@ -45,10 +43,6 @@ func (f *Forest) Find(x int) int {
 	}
 	return root
 }
-
-// Finds reports how many Find operations have executed, used by tests to
-// confirm the near-constant amortized behaviour indirectly.
-func (f *Forest) Finds() int { return f.finds }
 
 // Union merges the sets containing a and b and returns the surviving
 // root. The surviving root's datum is kept. Unioning a set with itself is
