@@ -8,6 +8,7 @@
 //	BenchmarkAblationFastPath     — ABL7: lock-avoiding access history on vs off
 //	BenchmarkAblationReach        — ABL10/11: English/Hebrew OM pair vs DePa fork-path cords
 //	BenchmarkReplayScaling        — ABL12: offline replay of recorded captures, shard scaling
+//	BenchmarkReplayRebuild        — ABL13: the replay rebuild, OM vs DePa, barriered vs streamed
 //
 // The Figure 4 timing grid is not here: its cells are the bench/
 // module's full_overhead_* / reach_overhead_t1 metrics and
@@ -396,73 +397,73 @@ func BenchmarkReplayScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayRebuild (ABL13): the replay rebuild itself — the phase
-// the parallel label-table path and the streaming pipeline attack — on
-// mm, sort and ksweep captures at 1/2/4/8 rebuild workers, barriered
-// and streamed. The barriered cells replay a pre-loaded capture with
-// RebuildWorkers=w on the DePa substrate (w=1 is the serial event-order
-// rebuild baseline; w>1 the precomputed-table path) and report the
-// rebuild wall plus the balance counters; the streamed cells replay the
-// raw bytes through the bounded pipeline at w detection shards (the
-// rebuild is the pipeline's producer stage, so RebuildWorkers does not
-// apply) and report the loader's structure share and the in-flight
-// peak. Detection shards stay fixed at 2 in the barriered cells so the
-// sweep isolates rebuild cost.
+// BenchmarkReplayRebuild (ABL13): the replay rebuild on both substrates,
+// each in event order through trace.Rebuild, barriered (replay.Run on a
+// loaded capture) and streamed (replay.RunStream on its bytes), over the
+// dag-futures captures (spine, chain, pipeline), mm, and 64 generated
+// programs, each recorded at one worker. rebuild-ns is Result.Rebuild per
+// op: the whole rebuild barriered, the loader's structure-event share
+// streamed, summed over the 64 programs in the progen cells. Detection runs
+// on 2 shards throughout.
 func BenchmarkReplayRebuild(b *testing.B) {
-	entries := []struct {
-		label string
-		bench *workload.Benchmark
-	}{
-		{"mm", workload.MM(64, 16)},
-		{"sort", workload.Sort(20_000, 512)},
-		{"ksweep", workload.KSweep(256, 2000)},
+	record := func(bench *workload.Benchmark) []byte {
+		raw, err := harness.RecordCapture(bench, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return raw
 	}
-	for _, e := range entries {
-		raw, err := harness.RecordCapture(e.bench, harness.DefaultWorkers())
-		if err != nil {
-			b.Fatal(err)
+	sets := []struct {
+		label string
+		raws  [][]byte
+	}{
+		{"spine", [][]byte{record(workload.Spine(5000, 2))}},
+		{"chain", [][]byte{record(workload.Chain(20000, 2))}},
+		{"pipeline", [][]byte{record(workload.Pipeline(1000, 16, 8))}},
+		{"mm", [][]byte{record(workload.MM(128, 16))}},
+		{"progen", nil},
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		prog := progen.New(progen.Config{Seed: seed, MaxDepth: 6, MaxOps: 8, Addrs: 32}).Main()
+		sets[4].raws = append(sets[4].raws, record(&workload.Benchmark{Name: "progen", Make: func() *workload.Run {
+			return &workload.Run{Main: prog, Verify: func() error { return nil }}
+		}}))
+	}
+	for _, set := range sets {
+		caps := make([]*trace.Capture, len(set.raws))
+		for i, raw := range set.raws {
+			var err error
+			if caps[i], err = trace.Load(bytes.NewReader(raw)); err != nil {
+				b.Fatal(err)
+			}
 		}
-		c, err := trace.Load(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			w := w
-			b.Run(fmt.Sprintf("%s/barrier/rw%d", e.label, w), func(b *testing.B) {
-				var last *replay.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := replay.Run(c, replay.Options{
-						Workers: 2, RebuildWorkers: w, Reach: core.SubstrateDePa,
-					})
-					if err != nil {
-						b.Fatal(err)
+		for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa} {
+			opts := replay.Options{Workers: 2, Reach: sub}
+			for _, stream := range []bool{false, true} {
+				mode := "barrier"
+				if stream {
+					mode = "stream"
+				}
+				b.Run(fmt.Sprintf("%s/%v/%s", set.label, sub, mode), func(b *testing.B) {
+					var rebuild time.Duration
+					for i := 0; i < b.N; i++ {
+						for j, c := range caps {
+							var res *replay.Result
+							var err error
+							if stream {
+								res, err = replay.RunStream(bytes.NewReader(set.raws[j]), opts)
+							} else {
+								res, err = replay.Run(c, opts)
+							}
+							if err != nil {
+								b.Fatal(err)
+							}
+							rebuild += res.Rebuild
+						}
 					}
-					last = res
-				}
-				b.ReportMetric(float64(last.Rebuild.Nanoseconds()), "rebuild-ns")
-				b.ReportMetric(float64(last.Strands), "strands")
-				if last.RebuildParallel {
-					b.ReportMetric(float64(last.RebuildWork), "rebuild-work")
-					b.ReportMetric(float64(last.RebuildMaxSegment), "rebuild-max-segment")
-				}
-			})
-			b.Run(fmt.Sprintf("%s/stream/w%d", e.label, w), func(b *testing.B) {
-				var last *replay.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := replay.RunStream(bytes.NewReader(raw), replay.Options{
-						Workers: w, Reach: core.SubstrateDePa,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(float64(last.Rebuild.Nanoseconds()), "rebuild-ns")
-				b.ReportMetric(float64(last.StreamPeakBlocks), "peak-blocks")
-				b.ReportMetric(float64(last.StreamPeakBytes), "peak-bytes")
-			})
+					b.ReportMetric(float64(rebuild.Nanoseconds())/float64(b.N), "rebuild-ns")
+				})
+			}
 		}
 	}
 }

@@ -55,7 +55,6 @@ func main() {
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
 		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: rebuild the dag and re-run detection offline, sharded by shadow page")
 		replayWorkers = flag.Int("replayworkers", 0, "with -replay: number of parallel detection shards (0 = GOMAXPROCS)")
-		rebuildW      = flag.Int("rebuildworkers", 0, "with -replay: parallel rebuild workers constructing the fork-path labels from the capture's segment index (label substrates only; <2 = serial event-order rebuild; ignored with -stream, which rebuilds in event order)")
 		stream        = flag.Bool("stream", false, "with -replay: stream the capture through a bounded pipeline — detection starts while the file is still being decoded, and resident memory stays constant in trace length")
 	)
 	flag.Parse()
@@ -89,7 +88,7 @@ func main() {
 
 	switch {
 	case *replayIn != "":
-		runReplay(*replayIn, *replayWorkers, *rebuildW, *stream, *reachSub, *dedup, *stats, reg)
+		runReplay(*replayIn, *replayWorkers, *stream, *reachSub, *dedup, *stats, reg)
 	case *table != "":
 		runTable(*table, benches, *workers, *repeats, *scale, *jsonOut, !*fastpath)
 	case *bench != "":
@@ -114,17 +113,16 @@ func main() {
 // access blocks are routed by shadow page across the requested shards (a
 // location lives in one page, a page in one shard) and detected in
 // parallel (ABL12).
-func runReplay(path string, workers, rebuildWorkers int, stream bool, reachName string, dedup, stats bool, reg *obsv.Registry) {
+func runReplay(path string, workers int, stream bool, reachName string, dedup, stats bool, reg *obsv.Registry) {
 	sub, err := core.ParseSubstrate(reachName)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	opts := replay.Options{
-		Workers:        workers,
-		RebuildWorkers: rebuildWorkers,
-		Reach:          sub,
-		DedupByAddr:    dedup,
-		Stats:          reg,
+		Workers:     workers,
+		Reach:       sub,
+		DedupByAddr: dedup,
+		Stats:       reg,
 	}
 	f, err := os.Open(path)
 	check(err)
@@ -157,12 +155,7 @@ func runReplay(path string, workers, rebuildWorkers int, stream bool, reachName 
 	// Per-phase breakdown. Under streaming, rebuild time is the loader's
 	// structure-event share and detect is the full pipeline wall (the
 	// phases overlap); barriered runs report disjoint phases.
-	if res.RebuildParallel {
-		fmt.Printf("  rebuild    %v (workers=%d labels=%d max-segment=%d/%d work units)\n",
-			res.Rebuild, res.RebuildWorkers, res.RebuildLabels, res.RebuildMaxSegment, res.RebuildWork)
-	} else {
-		fmt.Printf("  rebuild    %v (serial)\n", res.Rebuild)
-	}
+	fmt.Printf("  rebuild    %v\n", res.Rebuild)
 	fmt.Printf("  detect     %v\n", res.Detect)
 	fmt.Printf("  merge      %v\n", res.Merge)
 	if res.Streamed {

@@ -30,14 +30,8 @@ type laneAlloc struct {
 	sets      bitset.Arena
 }
 
-// newMeta returns a zeroed record from the lane's slab; a nil lane
-// (out-of-lane callers, the offline rebuild) allocates from the heap, as
-// the arenas themselves do for nil receivers. The substrates' newNode
-// methods do the same for strand records.
+// newMeta returns a zeroed future record from the lane's slab.
 func (a *laneAlloc) newMeta() *futMeta {
-	if a == nil {
-		return &futMeta{}
-	}
 	m := a.metas.Get(metaPool)
 	*m = futMeta{}
 	return m
@@ -54,20 +48,4 @@ func (a *laneAlloc) release() {
 	a.labels.Release()
 	a.metas.Release()
 	a.sets.Release()
-}
-
-// labelsOf and setsOf resolve a lane's label and set-window arenas; both
-// are nil-safe.
-func labelsOf(a *laneAlloc) *depa.Arena {
-	if a == nil {
-		return nil
-	}
-	return &a.labels
-}
-
-func setsOf(a *laneAlloc) *bitset.Arena {
-	if a == nil {
-		return nil
-	}
-	return &a.sets
 }

@@ -131,16 +131,6 @@ func (r *Reach) SetLanes(n int) {
 	}
 }
 
-// laneFor resolves a worker lane to its arena; out-of-range lanes (a
-// tracer driven outside a sched.Run) yield nil, which every arena falls
-// back from to the heap.
-func (r *Reach) laneFor(lane int) *laneAlloc {
-	if lane >= 0 && lane < len(r.lanes) {
-		return r.lanes[lane]
-	}
-	return nil
-}
-
 // lockShared enters the fallback allocation critical section; the caller
 // leaves it by unlocking sharedMu.
 func (r *Reach) lockShared() *laneAlloc {
@@ -267,7 +257,7 @@ func (r *Reach) placeBranch(a *laneAlloc, u, child, cont, placeholder *sched.Str
 func (r *Reach) placeCreate(a *laneAlloc, u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
 	r.placeBranch(a, u, first, cont, placeholder)
 	fm := a.newMeta()
-	fm.cp = r.childCP(setsOf(a), f.Parent)
+	fm.cp = r.childCP(&a.sets, f.Parent)
 	f.Det = fm
 }
 
@@ -275,7 +265,7 @@ func (r *Reach) placeCreate(a *laneAlloc, u, first, cont, placeholder *sched.Str
 // merged gp of its real-dag predecessors — the continuation k and the
 // joined spawned children's sinks.
 func (r *Reach) placeSync(a *laneAlloc, k, s *sched.Strand, childSinks []*sched.Strand) {
-	sets := setsOf(a)
+	sets := &a.sets
 	sn := nodeOf(s)
 	acc := nodeOf(k).gp
 	for _, c := range childSinks {
@@ -291,7 +281,7 @@ func (r *Reach) placeGet(a *laneAlloc, u, g *sched.Strand, f *sched.FutureTask) 
 	r.strands.Add(1)
 	gn := r.sub.newNode(a)
 	r.sub.placeSerial(a, un, gn)
-	gn.gp = r.getGP(setsOf(a), un.gp, nodeOf(f.Last()).gp, f)
+	gn.gp = r.getGP(&a.sets, un.gp, nodeOf(f.Last()).gp, f)
 	g.Det = gn
 }
 
@@ -326,22 +316,22 @@ func (r *Reach) OnGet(u, g *sched.Strand, f *sched.FutureTask) {
 // OnSpawnLane implements sched.LaneTracer: as OnSpawn, allocating from
 // the worker's own arena without locking.
 func (r *Reach) OnSpawnLane(lane int, u, child, cont, placeholder *sched.Strand) {
-	r.placeBranch(r.laneFor(lane), u, child, cont, placeholder)
+	r.placeBranch(r.lanes[lane], u, child, cont, placeholder)
 }
 
 // OnCreateLane implements sched.LaneTracer.
 func (r *Reach) OnCreateLane(lane int, u, first, cont, placeholder *sched.Strand, f *sched.FutureTask) {
-	r.placeCreate(r.laneFor(lane), u, first, cont, placeholder, f)
+	r.placeCreate(r.lanes[lane], u, first, cont, placeholder, f)
 }
 
 // OnSyncLane implements sched.LaneTracer.
 func (r *Reach) OnSyncLane(lane int, k, s *sched.Strand, childSinks []*sched.Strand) {
-	r.placeSync(r.laneFor(lane), k, s, childSinks)
+	r.placeSync(r.lanes[lane], k, s, childSinks)
 }
 
 // OnGetLane implements sched.LaneTracer.
 func (r *Reach) OnGetLane(lane int, u, g *sched.Strand, f *sched.FutureTask) {
-	r.placeGet(r.laneFor(lane), u, g, f)
+	r.placeGet(r.lanes[lane], u, g, f)
 }
 
 func (r *Reach) mergeGP(sets *bitset.Arena, a, b *bitset.RunSet) *bitset.RunSet {

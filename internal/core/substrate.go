@@ -68,7 +68,7 @@ func ParseSubstrate(name string) (Substrate, error) {
 // methods write the position of the (zeroed) records newNode returned.
 type Reachability interface {
 	// newNode returns a zeroed strand record of the substrate's own
-	// type, from lane a's slab (the heap for a nil lane), as its header.
+	// type, from lane a's slab, as its header.
 	newNode(a *laneAlloc) *node
 	// nodeSize is that record's size in bytes.
 	nodeSize() int
@@ -125,9 +125,6 @@ func newOMPair() *omPair {
 }
 
 func (p *omPair) newNode(a *laneAlloc) *node {
-	if a == nil {
-		return &new(omNode).node
-	}
 	n := a.omNodes.Get(omNodePool)
 	*n = omNode{}
 	return &n.node
@@ -247,9 +244,6 @@ func labelOf(n *node) *depa.Label { return (*depaNode)(unsafe.Pointer(n)).label 
 func setLabel(n *node, l *depa.Label) { (*depaNode)(unsafe.Pointer(n)).label = l }
 
 func (d *depaSub) newNode(a *laneAlloc) *node {
-	if a == nil {
-		return &new(depaNode).node
-	}
 	n := a.depaNodes.Get(depaNodePool)
 	*n = depaNode{}
 	return &n.node
@@ -257,11 +251,10 @@ func (d *depaSub) newNode(a *laneAlloc) *node {
 
 func (d *depaSub) nodeSize() int { return depaNodeSize }
 
-// account records new labels on the gauges — how many, the chunk nodes
-// frozen for them, their bytes, and the deepest: one label per online
-// Extend, a whole table at once offline.
-func (d *depaSub) account(labels, chunks, mem, depth int64) {
-	d.labels.Add(labels)
+// account records a new label on the gauges: the chunk nodes frozen for
+// it, their bytes, and its depth.
+func (d *depaSub) account(chunks, mem, depth int64) {
+	d.labels.Add(1)
 	if chunks != 0 {
 		d.chunks.Add(chunks)
 	}
@@ -281,18 +274,18 @@ func (d *depaSub) account(labels, chunks, mem, depth int64) {
 func (d *depaSub) extend(la *depa.Arena, ul *depa.Label, c uint8) *depa.Label {
 	l := ul.Extend(la, c)
 	chunks := int64(l.FullWords() - ul.FullWords())
-	d.account(1, chunks, int64(l.MemBytes())+chunks*int64(depa.ChunkBytes), int64(l.Depth()))
+	d.account(chunks, int64(l.MemBytes())+chunks*int64(depa.ChunkBytes), int64(l.Depth()))
 	return l
 }
 
 func (d *depaSub) placeRoot(a *laneAlloc, rn *node) {
-	l := depa.NewLabel(labelsOf(a))
-	d.account(1, 0, int64(l.MemBytes()), 0)
+	l := depa.NewLabel(&a.labels)
+	d.account(0, int64(l.MemBytes()), 0)
 	setLabel(rn, l)
 }
 
 func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
-	la, ul := labelsOf(a), labelOf(un)
+	la, ul := &a.labels, labelOf(un)
 	setLabel(cn, d.extend(la, ul, depa.Child))
 	setLabel(kn, d.extend(la, ul, depa.Cont))
 	if pn != nil {
@@ -304,7 +297,7 @@ func (d *depaSub) placeBranch(a *laneAlloc, un, cn, kn, pn *node) {
 // un in both orders, because un anchors no other placement (each
 // strand forks at most once) so no other label extends un's.
 func (d *depaSub) placeSerial(a *laneAlloc, un, gn *node) {
-	setLabel(gn, d.extend(labelsOf(a), labelOf(un), depa.Child))
+	setLabel(gn, d.extend(&a.labels, labelOf(un), depa.Child))
 }
 
 // count records one compare of w words on the depa.compares gauges.

@@ -8,11 +8,13 @@
 // be computed in bulk: one serial O(1)-per-strand index pass derives
 // each strand's tail word, frozen-chunk anchor, and depth from its
 // parent's, and then any number of workers materialize the Label and
-// chunk records over disjoint index ranges. The fill is
-// embarrassingly parallel even on a pure chain (every cross-reference
-// is by array index, and taking an element's address needs no
-// ordering), which is what makes the replay rebuild scale where the
-// order-maintenance substrate — one mutable list — cannot.
+// chunk records over disjoint index ranges (every cross-reference is by
+// array index, and taking an element's address needs no ordering).
+//
+// Replay does not use it: binding a table's labels to the strands and
+// running the gp/cp rules is a serial pass that alone costs more than
+// the event-order rebuild (EXPERIMENTS ABL13). BuildTable stays only
+// because the frozen bench/adapter.go times it.
 //
 // The table reproduces the online construction exactly: one chunk node
 // per freeze point, prev-linked to the parent's anchor, so chunk
@@ -34,13 +36,10 @@ type TableConfig struct {
 
 // Table is a read-only fork-path label set built by BuildTable: one
 // Label per strand (indexed as the input arrays were) and the shared
-// frozen chunks. Immutable after BuildTable returns; any number of
-// goroutines may query concurrently.
+// frozen chunks, immutable after BuildTable returns.
 type Table struct {
-	labels   []Label
-	chunks   []chunk
-	maxDepth int
-	segWork  []int64 // fill work units (labels + chunks) per worker segment
+	labels []Label
+	chunks []chunk
 }
 
 // BuildTable computes the labels of a strand forest given, for each
@@ -69,7 +68,6 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 	var chWord []uint64
 	var chPrev []int32
 	var chOwner []int32 // the strand whose extension froze the chunk
-	maxDepth := int32(0)
 	for i := 0; i < n; i++ {
 		p := parent[i]
 		if p < 0 {
@@ -86,9 +84,6 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 		r := uint(depth[p]) % compsPerWord
 		w := tail[p] | uint64(c)<<(62-2*r)
 		depth[i] = depth[p] + 1
-		if depth[i] > maxDepth {
-			maxDepth = depth[i]
-		}
 		if r == compsPerWord-1 {
 			anchor[i] = int32(len(chWord))
 			chWord = append(chWord, w)
@@ -102,9 +97,8 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 	}
 
 	t := &Table{
-		labels:   make([]Label, n),
-		chunks:   make([]chunk, len(chWord)),
-		maxDepth: int(maxDepth),
+		labels: make([]Label, n),
+		chunks: make([]chunk, len(chWord)),
 	}
 
 	// Fill pass: materialize labels[i] and the chunk strand i froze (each
@@ -112,8 +106,7 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 	// cross-reference is &t.chunks[j] — an address, valid
 	// before the element is filled — so contiguous index ranges are
 	// fully independent whatever the forest's shape.
-	fill := func(lo, hi int) int64 {
-		work := int64(0)
+	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var fz *chunk
 			if a := anchor[i]; a >= 0 {
@@ -124,13 +117,10 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 						prev = &t.chunks[pi]
 					}
 					fz.prev, fz.word, fz.idx = prev, chWord[a], uint32(depth[i]/compsPerWord-1)
-					work++
 				}
 			}
 			t.labels[i] = Label{frozen: fz, tail: tail[i]}
-			work++
 		}
-		return work
 	}
 
 	workers := cfg.Workers
@@ -138,44 +128,19 @@ func BuildTable(parent []int32, comp []uint8, cfg TableConfig) (*Table, error) {
 		workers = n
 	}
 	if workers < 2 {
-		t.segWork = []int64{fill(0, n)}
+		fill(0, n)
 		return t, nil
 	}
-	t.segWork = make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			t.segWork[w] = fill(lo, hi)
-		}(w, lo, hi)
+			fill(lo, hi)
+		}()
 	}
 	wg.Wait()
 	return t, nil
-}
-
-// Len returns the number of labels in the table.
-func (t *Table) Len() int { return len(t.labels) }
-
-// Label returns strand i's cord label.
-func (t *Table) Label(i int) *Label { return &t.labels[i] }
-
-// Chunks returns the number of frozen chunk nodes in the table.
-func (t *Table) Chunks() int { return len(t.chunks) }
-
-// MaxDepth returns the deepest fork path in the table.
-func (t *Table) MaxDepth() int { return t.maxDepth }
-
-// SegmentWork returns the fill work units (labels plus frozen chunks
-// materialized) per worker segment — the machine-independent balance
-// evidence that the fill parallelized.
-func (t *Table) SegmentWork() []int64 { return t.segWork }
-
-// MemBytes returns the table's label footprint, item for item what the
-// online substrate would have accounted for the same forest: one label
-// header per strand and one chunk node per freeze.
-func (t *Table) MemBytes() int {
-	return len(t.labels)*LabelBytes + len(t.chunks)*ChunkBytes
 }

@@ -71,10 +71,11 @@ func sameWords(a, b []uint64) bool {
 }
 
 // TestBuildTableMatchesExtend: table-built labels are content-identical
-// to Extend-built ones — depth, tail, every frozen word — and the
-// chunk-sharing structure agrees (Rel examines the same number of
-// words), on chains that cross chunk boundaries and on random forests,
-// at 1 and 4 fill workers.
+// to Extend-built ones — depth, tail, every frozen word — the table
+// freezes as many chunks as the Extend calls did, and the chunk-sharing
+// structure agrees (Rel examines the same number of words), on chains
+// that cross chunk boundaries and on random forests, at 1 and 4 fill
+// workers.
 func TestBuildTableMatchesExtend(t *testing.T) {
 	forests := map[string]forest{
 		"chain130":  chainForest(130),
@@ -85,16 +86,23 @@ func TestBuildTableMatchesExtend(t *testing.T) {
 	}
 	for name, f := range forests {
 		ref := extendReference(f)
+		froze := 0
+		for i, p := range f.parent {
+			if p >= 0 && ref[i].FullWords() != ref[p].FullWords() {
+				froze++
+			}
+		}
 		for _, workers := range []int{1, 4} {
 			tab, err := BuildTable(f.parent, f.comp, TableConfig{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s/%dw: %v", name, workers, err)
 			}
-			if tab.Len() != len(ref) {
-				t.Fatalf("%s/%dw: %d labels, want %d", name, workers, tab.Len(), len(ref))
+			if len(tab.labels) != len(ref) || len(tab.chunks) != froze {
+				t.Fatalf("%s/%dw: %d labels and %d chunks, want %d and %d",
+					name, workers, len(tab.labels), len(tab.chunks), len(ref), froze)
 			}
 			for i, want := range ref {
-				got := tab.Label(i)
+				got := &tab.labels[i]
 				if got.Depth() != want.Depth() || got.tail != want.tail ||
 					!sameWords(chainWords(got), chainWords(want)) {
 					t.Fatalf("%s/%dw: label %d differs: depth %d/%d tail %#x/%#x",
@@ -106,7 +114,7 @@ func TestBuildTableMatchesExtend(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(workers)))
 			for k := 0; k < 500; k++ {
 				i, j := rng.Intn(len(ref)), rng.Intn(len(ref))
-				ge, gh, gw := Rel(tab.Label(i), tab.Label(j))
+				ge, gh, gw := Rel(&tab.labels[i], &tab.labels[j])
 				we, wh, ww := Rel(ref[i], ref[j])
 				if ge != we || gh != wh || gw != ww {
 					t.Fatalf("%s/%dw: Rel(%d,%d) = (%v,%v,%d), want (%v,%v,%d)",
@@ -117,52 +125,20 @@ func TestBuildTableMatchesExtend(t *testing.T) {
 	}
 }
 
-// TestBuildTableMemAccounting: MemBytes is what the online substrate
-// accounts for the same forest — headers and one ChunkBytes per freeze.
+// TestBuildTableMemAccounting: the table allocates what the online
+// substrate accounts for the same forest — one label per strand and one
+// chunk per freeze, every 32 components of depth.
 func TestBuildTableMemAccounting(t *testing.T) {
 	f := chainForest(130)
 	tab, err := BuildTable(f.parent, f.comp, TableConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 130*LabelBytes + tab.Chunks()*ChunkBytes
-	if got := tab.MemBytes(); got != want {
-		t.Fatalf("MemBytes %d, want %d", got, want)
+	if len(tab.labels) != 130 || len(tab.chunks) != 129/32 {
+		t.Fatalf("%d labels and %d chunks, want 130 and %d", len(tab.labels), len(tab.chunks), 129/32)
 	}
-	if tab.Chunks() != 129/32 {
-		t.Fatalf("chunks %d, want %d", tab.Chunks(), 129/32)
-	}
-	if tab.MaxDepth() != 129 {
-		t.Fatalf("maxDepth %d, want 129", tab.MaxDepth())
-	}
-}
-
-// TestBuildTableSegmentBalance: the fill partition is even — at 4
-// workers no segment holds more than half the work, even on a pure
-// chain (the shape that defeats tree-based partitioning).
-func TestBuildTableSegmentBalance(t *testing.T) {
-	for name, f := range map[string]forest{"chain": chainForest(2000), "rand": randForest(2000, 4)} {
-		tab, err := BuildTable(f.parent, f.comp, TableConfig{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg := tab.SegmentWork()
-		if len(seg) != 4 {
-			t.Fatalf("%s: %d segments, want 4", name, len(seg))
-		}
-		var total, max int64
-		for _, w := range seg {
-			total += w
-			if w > max {
-				max = w
-			}
-		}
-		if total != int64(tab.Len()+tab.Chunks()) {
-			t.Fatalf("%s: segment work %d, want %d labels + %d chunks", name, total, tab.Len(), tab.Chunks())
-		}
-		if 2*max > total {
-			t.Fatalf("%s: largest segment %d of %d exceeds half the work", name, max, total)
-		}
+	if d := tab.labels[129].Depth(); d != 129 {
+		t.Fatalf("deepest label at depth %d, want 129", d)
 	}
 }
 

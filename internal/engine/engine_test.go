@@ -486,7 +486,7 @@ func TestUnknownSubstrateRejected(t *testing.T) {
 				return res == nil, err
 			},
 			"replay.Run": func() (bool, error) {
-				res, err := replay.Run(c, replay.Options{Reach: bad, RebuildWorkers: 4})
+				res, err := replay.Run(c, replay.Options{Reach: bad})
 				return res == nil, err
 			},
 			"replay.RunStream": func() (bool, error) {

@@ -28,11 +28,10 @@ func recordProgram(tb testing.TB, seed int64, workers int) []byte {
 }
 
 // againstOracle holds every replay path on a loaded capture, raw its
-// bytes, to the oracle: barriered on the event-order OM rebuild and on the
-// DePa table rebuild at two workers, streamed at one and two shards. On a
-// capture the oracle accepts each must report its racy set; on one it
-// rejects — the trace.Rebuild's life-cycle rule or an invalid SF-dag — each must
-// reject too.
+// bytes, to the oracle: barriered on the OM and on the DePa rebuild,
+// streamed at one and two shards. On a capture the oracle accepts each
+// must report its racy set; on one it rejects — the trace.Rebuild's
+// life-cycle rule or an invalid SF-dag — each must reject too.
 func againstOracle(t *testing.T, c *trace.Capture, raw []byte) {
 	t.Helper()
 	want, _, oracleErr := Oracle(c)
@@ -43,8 +42,8 @@ func againstOracle(t *testing.T, c *trace.Capture, raw []byte) {
 		{"barriered, OM event order", func() (*Result, error) {
 			return Run(c, Options{Workers: 2, Reach: core.SubstrateOM})
 		}},
-		{"barriered, DePa table", func() (*Result, error) {
-			return Run(c, Options{Workers: 2, Reach: core.SubstrateDePa, RebuildWorkers: 2})
+		{"barriered, DePa event order", func() (*Result, error) {
+			return Run(c, Options{Workers: 2, Reach: core.SubstrateDePa})
 		}},
 		{"streamed, 1 shard", func() (*Result, error) {
 			return RunStream(bytes.NewReader(raw), Options{Workers: 1})

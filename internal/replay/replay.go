@@ -13,16 +13,11 @@
 //     written before any hand-off lets another worker see its work (see
 //     internal/trace) — so every Tracer precondition holds; every path
 //     applies them through trace.Rebuild, which rejects a capture the
-//     engine cannot have recorded. With
-//     Options.RebuildWorkers > 1 and a label substrate, the rebuild
-//     itself parallelizes: a serial index pass (trace.PathIndex)
-//     partitions the strand forest, then P workers construct the
-//     immutable fork-path labels concurrently over
-//     independent segments (depa.BuildTable) with no OM list and no
-//     locks — only the label binding and gp/cp bitmap pass stays
-//     serial. Either way,
-//     after the rebuild the reachability state is read-only — frozen
-//     labels any number of workers can query lock-free.
+//     engine cannot have recorded. Run and RunStream rebuild alike and
+//     differ only in dispatch: Run loads the capture and then hands out
+//     its blocks, RunStream hands each block out as it is decoded. After
+//     the rebuild the reachability state is read-only — labels any
+//     number of workers can query lock-free.
 //
 //  2. Sharded detection. Access blocks are routed by shadow page across P
 //     shards, each block visited once. A block is one page's read and
@@ -55,13 +50,9 @@ type Options struct {
 	// Workers is the number of detection shards/workers; 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// RebuildWorkers is the number of rebuild workers constructing the
-	// reachability labels (values below 2 mean the serial event-order
-	// rebuild). With more than one worker and the label substrate
-	// (SubstrateDePa), the rebuild switches to the precomputed-table path: a serial index pass over the structure
-	// events, then parallel label construction over independent
-	// segments (depa.BuildTable, core.Offline). The OM substrate has no
-	// precomputable labels and always rebuilds serially.
+	// RebuildWorkers is accepted and ignored: every replay rebuilds in
+	// event order (EXPERIMENTS ABL13). The field stays only because the
+	// frozen bench/adapter.go sets it.
 	RebuildWorkers int
 	// Reach selects the reachability substrate the dag is rebuilt on.
 	// SubstrateDePa is the natural offline choice (frozen immutable
@@ -108,22 +99,6 @@ type Result struct {
 	Merge   time.Duration
 	// ReachMemBytes estimates the rebuilt reachability footprint.
 	ReachMemBytes int
-	// RebuildWorkers is the rebuild worker count actually used;
-	// RebuildParallel reports whether the precomputed-label-table path
-	// ran (false = serial event-order rebuild).
-	RebuildWorkers  int
-	RebuildParallel bool
-	// RebuildLabels counts the table labels built by the parallel path.
-	// RebuildWork is the total label-fill work (label + chunk units)
-	// and RebuildMaxSegment the largest single worker's share of it:
-	// the parallel label construction's critical path is
-	// RebuildMaxSegment of RebuildWork units, so
-	// RebuildMaxSegment·workers ≈ RebuildWork certifies each worker did
-	// ~1/W of the construction (the wall-clock speedup on real
-	// multi-core hardware).
-	RebuildLabels     uint64
-	RebuildWork       uint64
-	RebuildMaxSegment uint64
 	// Streamed reports the pipelined path (RunStream); StreamPeakBlocks is
 	// the high-water mark of the bounded ready-queue between the loader and
 	// the detection shards — bounded by StreamQueueCap+Workers+1 blocks
@@ -143,35 +118,15 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 	}
 	res := &Result{
 		Strands: c.Strands, Futures: uint64(c.Futures),
-		Events: uint64(len(c.Events)), Entries: c.Entries, RebuildWorkers: 1,
+		Events: uint64(len(c.Events)), Entries: c.Entries,
 	}
 	rebuildStart := time.Now()
-	var (
-		reach *core.Reach
-		tr    sched.Tracer
-		err   error
-	)
-	// The precomputed-table path needs a label substrate: an OM list is
-	// one mutable structure that must be built in event order, so OM
-	// rebuilds in event order regardless of RebuildWorkers.
-	if opts.RebuildWorkers > 1 && opts.Reach == core.SubstrateDePa {
-		res.RebuildWorkers, res.RebuildParallel = opts.RebuildWorkers, true
-		var tt *tableTracer
-		if tt, err = newTableTracer(c, res); err == nil {
-			reach, tr = tt.off.Reach(), tt
-		}
-	} else {
-		reach = core.New(core.Config{Reach: opts.Reach})
-		// The Result holds only values, so the arena slabs go back to
-		// their pools on every return path, after it is assembled.
-		defer reach.Release()
-		tr = reach
-	}
+	reach := core.New(core.Config{Reach: opts.Reach})
+	// The Result holds only values, so the arena slabs go back to their
+	// pools on every return path, after it is assembled.
+	defer reach.Release()
 	rb := &trace.Rebuild{Reach: reach}
-	if err == nil {
-		err = rb.Run(c, tr, nil)
-	}
-	if err != nil {
+	if err := rb.Run(c, reach, nil); err != nil {
 		return nil, err
 	}
 	res.Rebuild = time.Since(rebuildStart)
@@ -209,11 +164,6 @@ func Run(c *trace.Capture, opts Options) (*Result, error) {
 // optimistic reads designed for exactly this concurrency). A page's
 // blocks reach its one shard in file order, so verdicts, and the merged
 // report, are bit-identical to replay.Run on the loaded capture.
-//
-// The rebuild is the pipeline's producer stage, so
-// Options.RebuildWorkers does not apply (a precomputed label table
-// needs the whole structure stream first — that is the barriered
-// path's trade).
 func RunStream(r io.Reader, opts Options) (*Result, error) {
 	if err := opts.Reach.Validate(); err != nil {
 		return nil, err
@@ -232,7 +182,7 @@ func RunStream(r io.Reader, opts Options) (*Result, error) {
 	start := time.Now()
 	pl := startShards(reach, opts)
 	rb := &trace.Rebuild{Reach: reach}
-	res := &Result{RebuildWorkers: 1, Streamed: true}
+	res := &Result{Streamed: true}
 	for err == nil {
 		var ev *trace.Event
 		var blk *trace.AccessBlock
@@ -275,26 +225,21 @@ func registerStats(reg *obsv.Registry, res *Result, blocks, bytes, arena int64) 
 	}
 	flag := map[bool]int64{true: 1}
 	vals := map[string]int64{
-		"replay.events":              int64(res.Events),
-		"replay.entries":             int64(res.Entries),
-		"replay.blocks":              blocks,
-		"replay.shards":              int64(res.Shards),
-		"replay.max_shard_entries":   int64(res.MaxShardEntries),
-		"replay.bytes":               bytes,
-		"replay.wall_ns":             int64(wall),
-		"replay.rebuild_ns":          int64(res.Rebuild),
-		"replay.detect_ns":           int64(res.Detect),
-		"replay.merge_ns":            int64(res.Merge),
-		"replay.queries":             int64(res.Queries),
-		"replay.races":               int64(res.RaceCount),
-		"replay.rebuild_workers":     int64(res.RebuildWorkers),
-		"replay.rebuild_parallel":    flag[res.RebuildParallel],
-		"replay.rebuild_labels":      int64(res.RebuildLabels),
-		"replay.rebuild_work":        int64(res.RebuildWork),
-		"replay.rebuild_max_segment": int64(res.RebuildMaxSegment),
-		"replay.streamed":            flag[res.Streamed],
-		"replay.stream_peak_blocks":  res.StreamPeakBlocks,
-		"replay.stream_peak_bytes":   res.StreamPeakBytes,
+		"replay.events":             int64(res.Events),
+		"replay.entries":            int64(res.Entries),
+		"replay.blocks":             blocks,
+		"replay.shards":             int64(res.Shards),
+		"replay.max_shard_entries":  int64(res.MaxShardEntries),
+		"replay.bytes":              bytes,
+		"replay.wall_ns":            int64(wall),
+		"replay.rebuild_ns":         int64(res.Rebuild),
+		"replay.detect_ns":          int64(res.Detect),
+		"replay.merge_ns":           int64(res.Merge),
+		"replay.queries":            int64(res.Queries),
+		"replay.races":              int64(res.RaceCount),
+		"replay.streamed":           flag[res.Streamed],
+		"replay.stream_peak_blocks": res.StreamPeakBlocks,
+		"replay.stream_peak_bytes":  res.StreamPeakBytes,
 		// The slabs go back to their pools when the replay returns; the
 		// gauge keeps what the rebuilt reachability held.
 		"core.arena_bytes": arena,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -100,29 +101,55 @@ func sameAddrs(a, b []uint64) bool {
 	return true
 }
 
+// sameRaces compares the merged detailed reports field by field.
+func sameRaces(t *testing.T, tag string, a, b *replay.Result) {
+	t.Helper()
+	if a.RaceCount != b.RaceCount || len(a.Races) != len(b.Races) {
+		t.Fatalf("%s: %d races (%d retained) vs %d (%d)",
+			tag, a.RaceCount, len(a.Races), b.RaceCount, len(b.Races))
+	}
+	for i := range a.Races {
+		if a.Races[i] != b.Races[i] {
+			t.Fatalf("%s: race %d differs: %v vs %v", tag, i, a.Races[i], b.Races[i])
+		}
+	}
+	if !sameAddrs(a.RacyAddrs, b.RacyAddrs) {
+		t.Fatalf("%s: racy sets differ: %v vs %v", tag, a.RacyAddrs, b.RacyAddrs)
+	}
+}
+
 // TestReplayMatchesOnlineAndOracleFuzz is the ABL12 verdict-equality
-// fuzz: on random programs, offline replay — over every substrate,
-// serial and with 4 workers — must produce exactly online detection's
-// racy-location set, which must itself equal the exhaustive oracle's.
+// fuzz: on random programs recorded at 1 and 4 workers, offline replay —
+// over every substrate, serial and with 4 workers — must produce exactly
+// online detection's racy-location set, which must itself equal the
+// exhaustive oracle's, and DePa's merged report must equal OM's.
 func TestReplayMatchesOnlineAndOracleFuzz(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 6})
-		c, online := record(t, p.Main(), 1)
 		want := runOracle(t, p.Main())
-		if !sameAddrs(online, want) {
-			t.Fatalf("seed %d: online %v, oracle %v", seed, online, want)
-		}
-		for _, sub := range substrates {
+		for _, recWorkers := range []int{1, 4} {
+			c, online := record(t, p.Main(), recWorkers)
+			if !sameAddrs(online, want) {
+				t.Fatalf("seed %d rec%d: online %v, oracle %v", seed, recWorkers, online, want)
+			}
 			for _, workers := range []int{1, 4} {
-				res, err := replay.Run(c, replay.Options{
-					Workers: workers, Reach: sub.sub,
-				})
-				if err != nil {
-					t.Fatalf("seed %d %s/%dw: %v", seed, sub.name, workers, err)
-				}
-				if !sameAddrs(res.RacyAddrs, want) {
-					t.Fatalf("seed %d %s/%dw: replay %v, oracle %v",
-						seed, sub.name, workers, res.RacyAddrs, want)
+				var om *replay.Result
+				for _, sub := range substrates {
+					res, err := replay.Run(c, replay.Options{
+						Workers: workers, Reach: sub.sub,
+					})
+					if err != nil {
+						t.Fatalf("seed %d rec%d %s/%dw: %v", seed, recWorkers, sub.name, workers, err)
+					}
+					if !sameAddrs(res.RacyAddrs, want) {
+						t.Fatalf("seed %d rec%d %s/%dw: replay %v, oracle %v",
+							seed, recWorkers, sub.name, workers, res.RacyAddrs, want)
+					}
+					if om == nil {
+						om = res
+					} else {
+						sameRaces(t, fmt.Sprintf("seed %d rec%d %s/%dw against om", seed, recWorkers, sub.name, workers), res, om)
+					}
 				}
 			}
 		}
@@ -253,8 +280,9 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestReplayWorkloads pins the acceptance shape: recorded runs of the
-// five paper+extra workloads replay to online detection's race set
-// (empty — the workloads are race-free) with every access accounted for.
+// five paper+extra workloads replay on both substrates to online
+// detection's race set (empty — the workloads are race-free) with every
+// access accounted for, and DePa's merged report equals OM's.
 func TestReplayWorkloads(t *testing.T) {
 	for _, name := range []string{"mm", "sort", "hw", "spine", "pipeline"} {
 		b := workload.ByName(name, workload.ScaleTest)
@@ -269,16 +297,24 @@ func TestReplayWorkloads(t *testing.T) {
 		if c.Entries == 0 {
 			t.Fatalf("%s: no accesses captured", name)
 		}
-		res, err := replay.Run(c, replay.Options{Workers: 4, Reach: core.SubstrateDePa})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !sameAddrs(res.RacyAddrs, online) {
-			t.Fatalf("%s: replay %v, online %v", name, res.RacyAddrs, online)
-		}
-		if res.Entries != c.Entries || res.Strands != c.Strands {
-			t.Fatalf("%s: replay processed %d/%d entries, %d/%d strands",
-				name, res.Entries, c.Entries, res.Strands, c.Strands)
+		var om *replay.Result
+		for _, sub := range substrates {
+			res, err := replay.Run(c, replay.Options{Workers: 4, Reach: sub.sub})
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, sub.name, err)
+			}
+			if !sameAddrs(res.RacyAddrs, online) {
+				t.Fatalf("%s %s: replay %v, online %v", name, sub.name, res.RacyAddrs, online)
+			}
+			if res.Entries != c.Entries || res.Strands != c.Strands {
+				t.Fatalf("%s %s: replay processed %d/%d entries, %d/%d strands",
+					name, sub.name, res.Entries, c.Entries, res.Strands, c.Strands)
+			}
+			if om == nil {
+				om = res
+			} else {
+				sameRaces(t, name+" "+sub.name+" against om", res, om)
+			}
 		}
 	}
 }
@@ -346,9 +382,20 @@ func TestReplayRejectsCorrupt(t *testing.T) {
 			r.OnGet(s(2), s(4), f1)
 		}),
 	}
+	// A sync naming a strand no event placed, edited into a genuine
+	// capture.
+	unplaced := recordStandalone(t, progen.New(progen.Config{Seed: 1, MaxDepth: 3, MaxOps: 6}).Main())
+	if i := slices.IndexFunc(unplaced.Events, func(ev trace.Event) bool { return ev.Op == trace.OpSync }); i >= 0 {
+		unplaced.Events[i].A = unplaced.Strands + 100
+	} else {
+		t.Fatal("capture has no sync event")
+	}
+	cases["sync of unplaced strand"] = unplaced
 	for name, c := range cases {
-		if _, err := replay.Run(c, replay.Options{Workers: 1}); err == nil {
-			t.Errorf("%s: accepted", name)
+		for _, sub := range substrates {
+			if _, err := replay.Run(c, replay.Options{Workers: 1, Reach: sub.sub}); err == nil {
+				t.Errorf("%s %s: accepted", name, sub.name)
+			}
 		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 
 // Role classifies how a strand entered the dag — which branch component
 // its fork-path label appends to its parent's. The mapping to label
-// components is the consumer's business (internal/replay maps
-// RoleChild and RoleGet to depa.Child, RoleCont to depa.Cont, RoleSync
-// to depa.Sync); the index stays substrate-agnostic.
+// components is the consumer's business (RoleChild and RoleGet map to
+// depa.Child, RoleCont to depa.Cont, RoleSync to depa.Sync); the index
+// stays substrate-agnostic.
 type Role uint8
 
 const (
@@ -29,13 +29,13 @@ const (
 )
 
 // PathIndex is a capture's segment index: every strand's fork path —
-// label parent and branch role — extracted from the
-// structure events in one serial validating pass and laid out in
-// introduction order, so parents always precede children and
-// contiguous index ranges are independent units of label-construction
-// work. It is the partitioning pass of the parallel replay rebuild:
-// everything a worker needs to compute a segment's labels without
-// replaying events or touching shared state.
+// label parent and branch role — extracted from the structure events in
+// one serial validating pass and laid out in introduction order, so
+// parents always precede children and contiguous index ranges are
+// independent units of label-construction work (depa.BuildTable).
+// Replay does not use it, since it rebuilds in event order (EXPERIMENTS
+// ABL13); PathIndex and Capture.Index stay only because the frozen
+// bench/adapter.go times them.
 //
 // All per-strand arrays are indexed by introduction position (file
 // order), not strand ID — under parallel recording, IDs are not
@@ -61,8 +61,7 @@ type PathIndex struct {
 // introductions, sync strands pre-placed at their region's first branch,
 // puts preceding gets — and to the rest of the strand life cycle, except
 // the get's handle check, which needs reachability. It performs no
-// reachability work: the index is the input to parallel label
-// construction, and an error here is a corrupt capture.
+// reachability work; an error here is a corrupt capture.
 func (c *Capture) Index() (*PathIndex, error) {
 	idx := &PathIndex{}
 	if err := (&Rebuild{}).Run(c, indexer{idx}, nil); err != nil {

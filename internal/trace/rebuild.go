@@ -52,8 +52,8 @@ func (s *strand) sched() *sched.Strand {
 // holds them to what the engine can have recorded (DESIGN.md §4): the
 // strand life cycle, regions, sinks, puts and gets as Apply checks them,
 // blocks naming live strands, and at the end a root and no id left out.
-// Every rebuild — PathIndex, replay's event-order and table rebuilds and
-// its stream, the capture oracle — goes through one.
+// Every rebuild — PathIndex, replay's barriered and streamed rebuilds,
+// the capture oracle — goes through one.
 //
 // It holds the strands and futures introduced, dense by id, never sized
 // from a total a capture declares: an id is admitted only within idSlack

@@ -170,8 +170,8 @@ func TestIndexRoundTrip(t *testing.T) {
 }
 
 // TestIndexRejectsCorrupt: the index pass rejects the structural
-// corruptions the serial rebuild rejects, plus the sync-names-unplaced-
-// strand case (which the serial path could only hit as a panic).
+// corruptions every rebuild rejects, the sync of an unplaced strand
+// among them.
 func TestIndexRejectsCorrupt(t *testing.T) {
 	f0 := &sched.FutureTask{ID: 0}
 	s := func(id uint64) *sched.Strand { return &sched.Strand{ID: id, Fut: f0} }

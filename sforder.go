@@ -267,14 +267,6 @@ type ReplayConfig struct {
 	// count; access blocks are routed by shadow page — a location lives
 	// in one page, a page in one shard — so no location's history splits.
 	Workers int
-	// RebuildWorkers parallelizes the dag rebuild itself when above 1:
-	// the strand forest is partitioned into independent segments and
-	// the immutable fork-path labels are constructed concurrently (no
-	// order-maintenance list, no locks). ReachDePa only; the OM backend
-	// rebuilds serially.
-	// Ignored under Streaming, where the rebuild is the pipeline's
-	// producer stage.
-	RebuildWorkers int
 	// Streaming replays directly from the byte stream: structure
 	// events are applied and access blocks dispatched to the detection
 	// shards as they are decoded, through a bounded ready-queue — the
@@ -305,11 +297,10 @@ type ReplayResult = replay.Result
 // — independent of Workers and of the recorded schedule.
 func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 	opts := replay.Options{
-		Workers:        cfg.Workers,
-		RebuildWorkers: cfg.RebuildWorkers,
-		MaxRaces:       cfg.MaxRaces,
-		Reach:          cfg.Reach,
-		DedupByAddr:    cfg.DedupByAddr,
+		Workers:     cfg.Workers,
+		MaxRaces:    cfg.MaxRaces,
+		Reach:       cfg.Reach,
+		DedupByAddr: cfg.DedupByAddr,
 	}
 	if cfg.Streaming {
 		res, err := replay.RunStream(r, opts)
