@@ -8,7 +8,7 @@
 //	BenchmarkAblationFastPath     — ABL7: lock-avoiding access history on vs off
 //	BenchmarkAblationReach        — ABL10/11: English/Hebrew OM pair vs DePa fork-path cords
 //	BenchmarkReplayScaling        — ABL12: offline replay of recorded captures, shard scaling
-//	BenchmarkReplayRebuild        — ABL13: the replay rebuild, OM vs DePa, barriered vs streamed
+//	BenchmarkReplayRebuild        — ABL13: the replay rebuild, OM vs DePa, loaded vs streamed
 //
 // The Figure 4 timing grid is not here: its cells are the bench/
 // module's full_overhead_* / reach_overhead_t1 metrics and
@@ -398,13 +398,14 @@ func BenchmarkReplayScaling(b *testing.B) {
 }
 
 // BenchmarkReplayRebuild (ABL13): the replay rebuild on both substrates,
-// each in event order through trace.Rebuild, barriered (replay.Run on a
+// each in event order through trace.Rebuild, loaded (replay.Run on a
 // loaded capture) and streamed (replay.RunStream on its bytes), over the
 // dag-futures captures (spine, chain, pipeline), mm, and 64 generated
 // programs, each recorded at one worker. rebuild-ns is Result.Rebuild per
-// op: the whole rebuild barriered, the loader's structure-event share
-// streamed, summed over the 64 programs in the progen cells. Detection runs
-// on 2 shards throughout.
+// op, the loader's time apart from handing blocks out, and wall-ns the
+// replay's whole wall (Detect + Merge), which contains it since the phases
+// overlap; both are summed over the 64 programs in the progen cells. Detection runs on 2
+// shards throughout.
 func BenchmarkReplayRebuild(b *testing.B) {
 	record := func(bench *workload.Benchmark) []byte {
 		raw, err := harness.RecordCapture(bench, 1)
@@ -440,12 +441,12 @@ func BenchmarkReplayRebuild(b *testing.B) {
 		for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa} {
 			opts := replay.Options{Workers: 2, Reach: sub}
 			for _, stream := range []bool{false, true} {
-				mode := "barrier"
+				mode := "loaded"
 				if stream {
 					mode = "stream"
 				}
 				b.Run(fmt.Sprintf("%s/%v/%s", set.label, sub, mode), func(b *testing.B) {
-					var rebuild time.Duration
+					var rebuild, wall time.Duration
 					for i := 0; i < b.N; i++ {
 						for j, c := range caps {
 							var res *replay.Result
@@ -459,9 +460,11 @@ func BenchmarkReplayRebuild(b *testing.B) {
 								b.Fatal(err)
 							}
 							rebuild += res.Rebuild
+							wall += res.Detect + res.Merge
 						}
 					}
 					b.ReportMetric(float64(rebuild.Nanoseconds())/float64(b.N), "rebuild-ns")
+					b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N), "wall-ns")
 				})
 			}
 		}

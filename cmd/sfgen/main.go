@@ -77,7 +77,8 @@ func main() {
 }
 
 // checkSaved loads a capture, prints its dag's shape, and fails unless
-// barriered and streamed replay both equal the oracle over the capture.
+// replay of the loaded capture and of its bytes both equal the oracle over
+// it.
 func checkSaved(path string) {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "sfgen: %s: "+format+"\n", append([]any{path}, args...)...)
@@ -95,7 +96,7 @@ func checkSaved(path string) {
 	if err != nil {
 		fail("%v", err)
 	}
-	barriered, err := replay.Run(c, replay.Options{})
+	loaded, err := replay.Run(c, replay.Options{})
 	if err != nil {
 		fail("replay: %v", err)
 	}
@@ -103,8 +104,8 @@ func checkSaved(path string) {
 	if err != nil {
 		fail("streamed replay: %v", err)
 	}
-	if !slices.Equal(barriered.RacyAddrs, want) || !slices.Equal(streamed.RacyAddrs, want) {
-		fail("replay %v, streamed %v != oracle %v", barriered.RacyAddrs, streamed.RacyAddrs, want)
+	if !slices.Equal(loaded.RacyAddrs, want) || !slices.Equal(streamed.RacyAddrs, want) {
+		fail("replay %v, streamed %v != oracle %v", loaded.RacyAddrs, streamed.RacyAddrs, want)
 	}
 	work, span := g.WorkSpan()
 	fmt.Printf("sfgen: %s ok — %d nodes, %d futures, work %d, span %d, %d entries, %d racy addresses\n",

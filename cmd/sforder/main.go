@@ -30,7 +30,6 @@ import (
 	"sforder/internal/harness"
 	"sforder/internal/obsv"
 	"sforder/internal/replay"
-	"sforder/internal/trace"
 	"sforder/internal/workload"
 )
 
@@ -53,9 +52,8 @@ func main() {
 		reachSub      = flag.String("reach", "om", "with -bench, and with -replay for the rebuild: SF-Order reachability substrate: om (English/Hebrew lists) or depa (prefix-sharing fork-path cords, ABL10/11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
-		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: rebuild the dag and re-run detection offline, sharded by shadow page")
+		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: stream it through the dag rebuild and detection, sharded by shadow page, in memory constant in its length")
 		replayWorkers = flag.Int("replayworkers", 0, "with -replay: number of parallel detection shards (0 = GOMAXPROCS)")
-		stream        = flag.Bool("stream", false, "with -replay: stream the capture through a bounded pipeline — detection starts while the file is still being decoded, and resident memory stays constant in trace length")
 	)
 	flag.Parse()
 
@@ -88,7 +86,7 @@ func main() {
 
 	switch {
 	case *replayIn != "":
-		runReplay(*replayIn, *replayWorkers, *stream, *reachSub, *dedup, *stats, reg)
+		runReplay(*replayIn, *replayWorkers, *reachSub, *dedup, *stats, reg)
 	case *table != "":
 		runTable(*table, benches, *workers, *repeats, *scale, *jsonOut, !*fastpath)
 	case *bench != "":
@@ -108,59 +106,41 @@ func main() {
 	}
 }
 
-// runReplay loads an sftrace capture and re-runs detection offline:
-// the dag is rebuilt on the selected reachability substrate, then the
-// access blocks are routed by shadow page across the requested shards (a
+// runReplay streams an sftrace capture through offline detection: the
+// dag is rebuilt on the selected reachability substrate while the access
+// blocks are routed by shadow page across the requested shards (a
 // location lives in one page, a page in one shard) and detected in
 // parallel (ABL12).
-func runReplay(path string, workers int, stream bool, reachName string, dedup, stats bool, reg *obsv.Registry) {
+func runReplay(path string, workers int, reachName string, dedup, stats bool, reg *obsv.Registry) {
 	sub, err := core.ParseSubstrate(reachName)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	opts := replay.Options{
+	f, err := os.Open(path)
+	check(err)
+	res, err := replay.RunStream(f, replay.Options{
 		Workers:     workers,
 		Reach:       sub,
 		DedupByAddr: dedup,
 		Stats:       reg,
-	}
-	f, err := os.Open(path)
-	check(err)
-	var res *replay.Result
-	if stream {
-		res, err = replay.RunStream(f, opts)
-		check(f.Close())
-	} else {
-		var c *trace.Capture
-		c, err = trace.Load(f)
-		check(f.Close())
-		if err == nil {
-			res, err = replay.Run(c, opts)
-		}
-	}
+	})
+	check(f.Close())
 	if err != nil {
 		fatalf("replay: %s: %v", path, err)
 	}
-	mode := "barriered"
-	if res.Streamed {
-		mode = "streamed"
-	}
-	fmt.Printf("%s  replay workers=%d reach=%s mode=%s\n", path, res.Shards, sub, mode)
+	fmt.Printf("%s  replay workers=%d reach=%s\n", path, res.Shards, sub)
 	fmt.Printf("  strands    %d\n", res.Strands)
 	fmt.Printf("  futures    %d\n", res.Futures-1)
 	fmt.Printf("  events     %d\n", res.Events)
 	fmt.Printf("  accesses   %d (max shard %d)\n", res.Entries, res.MaxShardEntries)
 	fmt.Printf("  queries    %d\n", res.Queries)
 	fmt.Printf("  races      %d (%d racy addrs)\n", res.RaceCount, len(res.RacyAddrs))
-	// Per-phase breakdown. Under streaming, rebuild time is the loader's
-	// structure-event share and detect is the full pipeline wall (the
-	// phases overlap); barriered runs report disjoint phases.
+	// Per-phase breakdown: rebuild is the loader's time apart from handing
+	// blocks out, inside detect, the pipeline wall (the phases overlap).
 	fmt.Printf("  rebuild    %v\n", res.Rebuild)
 	fmt.Printf("  detect     %v\n", res.Detect)
 	fmt.Printf("  merge      %v\n", res.Merge)
-	if res.Streamed {
-		fmt.Printf("  stream     peak %d blocks / %d bytes in flight\n", res.StreamPeakBlocks, res.StreamPeakBytes)
-	}
+	fmt.Printf("  stream     peak %d blocks / %d bytes in flight\n", res.StreamPeakBlocks, res.StreamPeakBytes)
 	fmt.Printf("  reach mem  %d bytes\n", res.ReachMemBytes)
 	for _, r := range res.Races {
 		fmt.Printf("  race: %v\n", r)

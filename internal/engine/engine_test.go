@@ -211,7 +211,7 @@ var accessPaths = []accessPath{
 // cell of detector × substrate × executor × reader policy × history path ×
 // access path runs the whole corpus, and its racy-address set must equal
 // the dag oracle's — online, online while recording, and offline through
-// the barriered and the streamed replay of that recording. The paper's
+// replay of that recording, loaded and streamed. The paper's
 // evaluation is differential (SF-Order, F-Order and MultiBags report the
 // same races on structured futures), so the detectors are rows of one
 // table. The access paths of one cell see the same accesses: the counting

@@ -27,9 +27,9 @@ func recordProgram(tb testing.TB, seed int64, workers int) []byte {
 	return buf.Bytes()
 }
 
-// againstOracle holds every replay path on a loaded capture, raw its
-// bytes, to the oracle: barriered on the OM and on the DePa rebuild,
-// streamed at one and two shards. On a capture the oracle accepts each
+// againstOracle holds replay of a loaded capture, raw its bytes, to the
+// oracle: loaded on the OM and on the DePa rebuild, streamed at one and two
+// shards. On a capture the oracle accepts each
 // must report its racy set; on one it rejects — the trace.Rebuild's
 // life-cycle rule or an invalid SF-dag — each must reject too.
 func againstOracle(t *testing.T, c *trace.Capture, raw []byte) {
@@ -39,10 +39,10 @@ func againstOracle(t *testing.T, c *trace.Capture, raw []byte) {
 		name string
 		run  func() (*Result, error)
 	}{
-		{"barriered, OM event order", func() (*Result, error) {
+		{"loaded, OM", func() (*Result, error) {
 			return Run(c, Options{Workers: 2, Reach: core.SubstrateOM})
 		}},
-		{"barriered, DePa event order", func() (*Result, error) {
+		{"loaded, DePa", func() (*Result, error) {
 			return Run(c, Options{Workers: 2, Reach: core.SubstrateDePa})
 		}},
 		{"streamed, 1 shard", func() (*Result, error) {
@@ -91,18 +91,19 @@ type record struct {
 // records lists a capture's events and blocks in file order, as copies.
 func records(c *trace.Capture) []record {
 	var out []record
-	b := 0
-	for i := 0; i <= len(c.Events); i++ {
-		for ; b < len(c.Blocks) && c.BlockAt[b] <= i; b++ {
-			out = append(out, record{blk: &c.Blocks[b]})
-		}
-		if i < len(c.Events) {
-			ev := c.Events[i]
+	for next := c.Cursor(); ; {
+		ev, blk, err := next()
+		switch {
+		case err != nil:
+			return out
+		case ev != nil:
+			ev := *ev
 			ev.Sinks = slices.Clone(ev.Sinks)
 			out = append(out, record{ev: &ev})
+		default:
+			out = append(out, record{blk: blk})
 		}
 	}
-	return out
 }
 
 // rewrite writes records through a trace.Recorder, whatever they say.

@@ -83,16 +83,15 @@ func (l *logTap) TapAccesses(s *sched.Strand, addrs []uint64, kinds []detect.Acc
 // the tapped entries in tap order.
 func runReference(t *testing.T, c *trace.Capture, log []entry) (racy []uint64, count uint64) {
 	t.Helper()
-	reach, rb := core.NewReach(), &trace.Rebuild{}
+	reach := core.NewReach()
 	defer reach.Release()
-	for i := range c.Events {
-		if err := rb.Apply(reach, &c.Events[i]); err != nil {
-			t.Fatal(err)
-		}
+	strands := map[uint64]*sched.Strand{} // every tapped entry's strand has a block
+	if err := (&trace.Rebuild{}).Run(c, reach, func(s *sched.Strand, _ *trace.AccessBlock) { strands[s.ID] = s }); err != nil {
+		t.Fatal(err)
 	}
 	ref := &reference{locs: map[uint64]*refLoc{}, racy: map[uint64]bool{}}
 	for _, e := range log {
-		ref.apply(reach, rb.Strand(e.strand), e.addr, e.kind)
+		ref.apply(reach, strands[e.strand], e.addr, e.kind)
 	}
 	for a := range ref.racy {
 		racy = append(racy, a)
@@ -237,7 +236,7 @@ func TestCraftedCapturesMatchReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa} {
 				opts := Options{Workers: workers, Reach: sub, MaxRaces: 1 << 20}
-				barriered, err := Run(c, opts)
+				loaded, err := Run(c, opts)
 				if err != nil {
 					t.Fatalf("%s/%dw: %v", name, workers, err)
 				}
@@ -245,7 +244,7 @@ func TestCraftedCapturesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%dw streamed: %v", name, workers, err)
 				}
-				for how, res := range map[string]*Result{"barriered": barriered, "streamed": streamed} {
+				for how, res := range map[string]*Result{"loaded": loaded, "streamed": streamed} {
 					if !slices.Equal(res.RacyAddrs, wantRacy) || res.RaceCount != wantCount {
 						t.Fatalf("%s/%dw %s: racy %v, %d races; the reference %v, %d",
 							name, workers, how, res.RacyAddrs, res.RaceCount, wantRacy, wantCount)

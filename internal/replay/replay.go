@@ -3,21 +3,25 @@
 // record once, detect anywhere, with parallelism bounded by the replay
 // worker count instead of the program's span.
 //
-// Replay has two phases:
+// Replay is one pipeline: a loader walks the capture once in file order,
+// applying each structure event and handing each access block to a
+// detection shard the moment it comes up, so the two stages overlap.
 //
-//  1. Rebuild. The capture's structure events are fed, in file order,
-//     through the pluggable reachability substrate (internal/core — OM
-//     lists or DePa cords) exactly as the online tracer would have been.
-//     File order is a happens-before-consistent linearization of the run
-//     — each recording worker's events in call order, a worker's share
-//     written before any hand-off lets another worker see its work (see
-//     internal/trace) — so every Tracer precondition holds; every path
-//     applies them through trace.Rebuild, which rejects a capture the
-//     engine cannot have recorded. Run and RunStream rebuild alike and
-//     differ only in dispatch: Run loads the capture and then hands out
-//     its blocks, RunStream hands each block out as it is decoded. After
-//     the rebuild the reachability state is read-only — labels any
-//     number of workers can query lock-free.
+//  1. Rebuild. The loader feeds the structure events through the
+//     pluggable reachability substrate (internal/core — OM lists or DePa
+//     cords) exactly as the online tracer would have been, through
+//     trace.Rebuild, which rejects a capture the engine cannot have
+//     recorded. File order is a happens-before-consistent linearization
+//     of the run — each recording worker's events in call order, a
+//     worker's share written before any hand-off lets another worker see
+//     its work (see internal/trace) — so every Tracer precondition holds.
+//     The loader applies every event before forwarding any later block,
+//     and a channel send happens-before its receive, so by the time a
+//     shard queries Precedes(u, v) for a block's strand every label and
+//     bitmap the query reads is published and immutable (labels are
+//     frozen at construction; a strand's gp is set before the first block
+//     naming it was recorded; OM label words are seqlock-validated
+//     optimistic reads designed for exactly this concurrency).
 //
 //  2. Sharded detection. Access blocks are routed by shadow page across P
 //     shards, each block visited once. A block is one page's read and
@@ -36,7 +40,6 @@ package replay
 import (
 	"io"
 	"time"
-	"unsafe"
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
@@ -90,109 +93,67 @@ type Result struct {
 	// MaxShardEntries ≈ Entries/Shards means near-perfect partitioning).
 	Shards          int
 	MaxShardEntries uint64
-	// Rebuild, Detect and Merge are the wall-clock times of the three
-	// phases. Under streaming, Rebuild is the loader time spent applying
-	// structure events and Detect the full pipeline wall (the phases
-	// overlap by construction).
+	// Rebuild is the loader's time walking the capture and applying its
+	// structure events (all but handing blocks out), Detect the wall of the
+	// whole pipeline, which contains it (the phases overlap), and Merge the
+	// wall of the merge after it.
 	Rebuild time.Duration
 	Detect  time.Duration
 	Merge   time.Duration
 	// ReachMemBytes estimates the rebuilt reachability footprint.
 	ReachMemBytes int
-	// Streamed reports the pipelined path (RunStream); StreamPeakBlocks is
-	// the high-water mark of the bounded ready-queue between the loader and
-	// the detection shards — bounded by StreamQueueCap+Workers+1 blocks
-	// regardless of capture length — and StreamPeakBytes what those blocks
-	// occupy, a fixed size each.
-	Streamed         bool
+	// StreamPeakBlocks is the high-water mark of the bounded ready-queue
+	// between the loader and the detection shards — bounded by
+	// StreamQueueCap+Workers+1 blocks regardless of capture length — and
+	// StreamPeakBytes what those blocks occupy, a fixed size each.
 	StreamPeakBlocks int64
 	StreamPeakBytes  int64
 }
 
-// Run replays a capture and returns the offline detection result: the
-// rebuild over the loaded structure events, then the pipeline over the
-// loaded access blocks.
+// Run replays a loaded capture, walking its events and blocks in file
+// order. A page's blocks reach its one shard in file order either way, so
+// its report is bit-identical to RunStream's on the capture's bytes.
 func Run(c *trace.Capture, opts Options) (*Result, error) {
-	if err := opts.Reach.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Strands: c.Strands, Futures: uint64(c.Futures),
-		Events: uint64(len(c.Events)), Entries: c.Entries,
-	}
-	rebuildStart := time.Now()
-	reach := core.New(core.Config{Reach: opts.Reach})
-	// The Result holds only values, so the arena slabs go back to their
-	// pools on every return path, after it is assembled.
-	defer reach.Release()
-	rb := &trace.Rebuild{Reach: reach}
-	if err := rb.Run(c, reach, nil); err != nil {
-		return nil, err
-	}
-	res.Rebuild = time.Since(rebuildStart)
-
-	detectStart := time.Now()
-	pl := startShards(reach, opts)
-	for i := range c.Blocks {
-		// The rebuild has checked every block's strand.
-		pl.dispatch(rb.Strand(c.Blocks[i].Strand), &c.Blocks[i])
-	}
-	pl.wait()
-	res.Detect = time.Since(detectStart)
-	pl.finish(res, int64(len(c.Blocks)), c.Bytes)
-	return res, nil
+	return run(c.Cursor(), func() int64 { return c.Bytes }, opts)
 }
 
-// RunStream replays a capture directly from its byte stream, pipelining
-// the two phases: the loader thread decodes the file once in order,
-// applying structure events to the growing reachability state and
-// handing each access block to the shard owning its page the moment it is
-// read — detection of early blocks overlaps decoding of later ones, and
-// the capture is never resident in memory (peak in-flight blocks are
-// bounded by StreamQueueCap + Workers + 1, independent of trace
+// RunStream replays a capture directly from its byte stream, decoding it
+// once in order: the capture is never resident in memory (peak in-flight
+// blocks are bounded by StreamQueueCap + Workers + 1, independent of trace
 // length).
-//
-// Soundness is the same order argument as the barriered path, carried
-// by the queues: file order is an HB-consistent linearization (the
-// recorder writes a worker's lane before each hand-off), the
-// loader applies every structure event before forwarding any later
-// block, and a channel send happens-before its receive — so by the time
-// a shard queries Precedes(u, v) for a block's strand, every label and
-// bitmap the query reads is already published and immutable (labels are
-// frozen at construction; a strand's gp is set before the first block
-// naming it was recorded; OM label words are seqlock-validated
-// optimistic reads designed for exactly this concurrency). A page's
-// blocks reach its one shard in file order, so verdicts, and the merged
-// report, are bit-identical to replay.Run on the loaded capture.
 func RunStream(r io.Reader, opts Options) (*Result, error) {
-	if err := opts.Reach.Validate(); err != nil {
-		return nil, err
-	}
 	dec, err := trace.OpenStream(r)
 	if err != nil {
 		return nil, err
 	}
-	reach := core.New(core.Config{Reach: opts.Reach})
-	defer reach.Release() // as in Run
+	return run(dec.Next, dec.Bytes, opts)
+}
 
-	// The loader: decode in order, apply structure events inline, route
-	// access blocks. It stops at the first error; the trailer check
-	// inside the Stream means a clean io.EOF is a complete, verified
-	// capture.
+// run is the pipeline: the loader walks the capture through next, a
+// trace.Stream's or a loaded capture's Cursor, and reads its encoded size
+// from bytes after io.EOF. It stops at the first error; the trailer check
+// inside a Stream means a clean io.EOF is a complete, verified capture.
+func run(next func() (*trace.Event, *trace.AccessBlock, error), bytes func() int64, opts Options) (*Result, error) {
+	if err := opts.Reach.Validate(); err != nil {
+		return nil, err
+	}
+	reach := core.New(core.Config{Reach: opts.Reach})
+	// The Result holds only values, so the arena slabs go back to their
+	// pools on every return path, after it is assembled.
+	defer reach.Release()
 	start := time.Now()
 	pl := startShards(reach, opts)
 	rb := &trace.Rebuild{Reach: reach}
-	res := &Result{Streamed: true}
+	res := &Result{}
+	var err error
 	for err == nil {
 		var ev *trace.Event
 		var blk *trace.AccessBlock
-		if ev, blk, err = dec.Next(); err != nil {
+		if ev, blk, err = next(); err != nil {
 			break
 		}
 		if ev != nil {
-			t0 := time.Now()
 			err = rb.Apply(reach, ev)
-			res.Rebuild += time.Since(t0)
 		} else {
 			var s *sched.Strand
 			if s, err = rb.Block(blk); err == nil {
@@ -200,6 +161,9 @@ func RunStream(r io.Reader, opts Options) (*Result, error) {
 			}
 		}
 	}
+	// The loader's time outside handing blocks out, timed per batch: a
+	// clock read an event costs about what applying it does.
+	res.Rebuild = time.Since(start) - pl.sending
 	pl.wait()
 	if err != io.EOF {
 		return nil, err
@@ -207,23 +171,14 @@ func RunStream(r io.Reader, opts Options) (*Result, error) {
 	if err = rb.Done(); err != nil {
 		return nil, err
 	}
-	res.Strands, res.Futures = dec.Strands(), uint64(dec.Futures())
-	res.Events, res.Entries = dec.Events(), dec.Entries()
+	res.Strands, res.Futures, res.Events = rb.Counts()
 	res.Detect = time.Since(start)
-	res.StreamPeakBlocks, res.StreamPeakBytes = pl.peakBlocks, pl.peakBlocks*int64(unsafe.Sizeof(job{}))
-	pl.finish(res, int64(dec.Blocks()), dec.Bytes())
+	pl.finish(res, bytes())
 	return res, nil
 }
 
 // registerStats publishes the replay.* gauges for a completed run.
 func registerStats(reg *obsv.Registry, res *Result, blocks, bytes, arena int64) {
-	wall := res.Rebuild + res.Detect + res.Merge
-	if res.Streamed {
-		// Streamed Detect is the full pipeline wall and already
-		// contains the (overlapped) rebuild time.
-		wall = res.Detect + res.Merge
-	}
-	flag := map[bool]int64{true: 1}
 	vals := map[string]int64{
 		"replay.events":             int64(res.Events),
 		"replay.entries":            int64(res.Entries),
@@ -231,13 +186,12 @@ func registerStats(reg *obsv.Registry, res *Result, blocks, bytes, arena int64) 
 		"replay.shards":             int64(res.Shards),
 		"replay.max_shard_entries":  int64(res.MaxShardEntries),
 		"replay.bytes":              bytes,
-		"replay.wall_ns":            int64(wall),
+		"replay.wall_ns":            int64(res.Detect + res.Merge),
 		"replay.rebuild_ns":         int64(res.Rebuild),
 		"replay.detect_ns":          int64(res.Detect),
 		"replay.merge_ns":           int64(res.Merge),
 		"replay.queries":            int64(res.Queries),
 		"replay.races":              int64(res.RaceCount),
-		"replay.streamed":           flag[res.Streamed],
 		"replay.stream_peak_blocks": res.StreamPeakBlocks,
 		"replay.stream_peak_bytes":  res.StreamPeakBytes,
 		// The slabs go back to their pools when the replay returns; the

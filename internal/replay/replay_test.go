@@ -241,7 +241,7 @@ func TestShardBoundaryRace(t *testing.T) {
 }
 
 // TestReplayDeterministicAcrossWorkers: the merged detailed reports are
-// identical for every worker count, barriered and streamed — sharding and
+// identical for every worker count, loaded and streamed — sharding and
 // merge order leak nothing into the result. That includes a report cut by
 // MaxRaces: the shards keep every record and the cap falls on the sorted
 // merge, so the same records survive whatever the shard count.
@@ -256,7 +256,7 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 		var base *replay.Result
 		for _, workers := range []int{1, 2, 4, 8} {
 			opts := replay.Options{Workers: workers, Reach: core.SubstrateDePa, MaxRaces: maxRaces}
-			barriered, err := replay.Run(c, opts)
+			loaded, err := replay.Run(c, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if base == nil {
-				base = barriered
+				base = loaded
 				if base.RaceCount == 0 {
 					t.Fatal("seed produced no races; pick another")
 				}
@@ -273,7 +273,7 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 					t.Fatalf("%d races, %d retained: the cap of %d cuts nothing", base.RaceCount, len(base.Races), maxRaces)
 				}
 			}
-			sameRaces(t, fmt.Sprintf("cap %d, %d workers barriered", maxRaces, workers), barriered, base)
+			sameRaces(t, fmt.Sprintf("cap %d, %d workers loaded", maxRaces, workers), loaded, base)
 			sameRaces(t, fmt.Sprintf("cap %d, %d workers streamed", maxRaces, workers), streamed, base)
 		}
 	}
@@ -430,7 +430,7 @@ func TestReplayConcurrentRuns(t *testing.T) {
 }
 
 // TestReplayReleasesArenaSlabs: a replay hands the rebuilt reachability's
-// arena slabs back to their pools when it returns, barriered or streamed,
+// arena slabs back to their pools when it returns, loaded or streamed,
 // so the next one draws them from there instead of the heap. With the
 // pools emptied first and the collector off in between, a second replay
 // must allocate less than the first by most of the slab bytes it held.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"sforder/internal/core"
 	"sforder/internal/detect"
@@ -15,15 +16,20 @@ import (
 	"sforder/internal/trace"
 )
 
-// StreamQueueCap is the ready-queue capacity of the pipeline: how many
-// access blocks detection may lag behind the loader before the loader
-// blocks. A block has one owner, so what is resident is the sum over the
-// shards: together they may keep StreamQueueCap + 1 — split evenly, each
-// queue one short of its share for the block in the shard's hands — and
-// the loader holds one more. That never exceeds StreamQueueCap + Workers
-// + 1 (queues are unbuffered past StreamQueueCap + 1 shards), the constant
-// bounding a streamed replay's resident capture whatever its length.
+// StreamQueueCap bounds the access blocks resident between the loader and
+// the shards. A block has one owner: the loader gathers up to batch of them
+// before it hands them out, and the shards keep the rest, StreamQueueCap +
+// 1 - batch split evenly, each queue one short of its share for the block
+// in the shard's hands. That never exceeds StreamQueueCap + Workers + 1
+// (queues are unbuffered past StreamQueueCap + 1 - batch shards), the
+// constant bounding a replay's resident capture whatever its length.
 const StreamQueueCap = 64
+
+// batch is how many blocks the loader gathers before it hands them out. A
+// shard sent blocks one at a time drains its queue, parks, and is woken for
+// the next, which on a sparse capture costs more than applying the block
+// (EXPERIMENTS ABL13).
+const batch = 32
 
 // ShardOf returns the detection shard owning shadow page page among p
 // shards: the page directory's Fibonacci hash of the page, modulo p. A
@@ -60,17 +66,20 @@ func (sh *shard) Precedes(u, v *sched.Strand) bool {
 	return sh.reach.PrecedesUncounted(u, v)
 }
 
-// pipeline is the detection stage both replay paths share: the shards and
-// the dispatcher routing access blocks to them by shadow page.
+// pipeline is replay's detection stage: the shards and the dispatcher
+// routing access blocks to them by shadow page.
 type pipeline struct {
 	shards []*shard
 	reach  *core.Reach
 	opts   Options
 	wg     sync.WaitGroup
-	// Jobs dispatched and not yet applied, and their high-water mark, which
-	// only the dispatching goroutine touches.
-	inBlocks   atomic.Int64
-	peakBlocks int64
+	// Jobs dispatched and not yet applied, their high-water mark, and jobs
+	// dispatched in all; the last two, the jobs not yet handed out, and the
+	// time spent handing them out only the dispatching goroutine touches.
+	inBlocks           atomic.Int64
+	peakBlocks, blocks int64
+	pending            []job
+	sending            time.Duration
 }
 
 // startShards starts opts.Workers detection shards querying reach. The
@@ -78,9 +87,9 @@ type pipeline struct {
 // is what makes the truncated report the same for every shard count.
 func startShards(reach *core.Reach, opts Options) *pipeline {
 	p := cmp.Or(max(opts.Workers, 0), runtime.GOMAXPROCS(0))
-	pl := &pipeline{shards: make([]*shard, p), reach: reach, opts: opts}
+	pl := &pipeline{shards: make([]*shard, p), reach: reach, opts: opts, pending: make([]job, 0, batch)}
 	for i := range pl.shards {
-		sh := &shard{reach: reach, in: make(chan job, max((StreamQueueCap+1)/p-1, 0))}
+		sh := &shard{reach: reach, in: make(chan job, max((StreamQueueCap+1-batch)/p-1, 0))}
 		sh.hist = detect.NewHistory(detect.Options{Reach: sh, MaxRaces: math.MaxInt, DedupByAddr: opts.DedupByAddr})
 		pl.shards[i] = sh
 		pl.wg.Add(1)
@@ -96,16 +105,32 @@ func startShards(reach *core.Reach, opts Options) *pipeline {
 	return pl
 }
 
-// dispatch routes an access block of strand s, whole, to the shard owning
-// its page. A send blocks while the shard's queue is full: the
-// backpressure.
+// dispatch takes an access block of strand s for the shard owning its page
+// and hands out the gathered blocks once there are batch of them.
 func (pl *pipeline) dispatch(s *sched.Strand, b *trace.AccessBlock) {
 	pl.peakBlocks = max(pl.peakBlocks, pl.inBlocks.Add(1))
-	pl.shards[ShardOf(b.Page, len(pl.shards))].in <- job{s: s, blk: *b}
+	pl.blocks++
+	if pl.pending = append(pl.pending, job{s: s, blk: *b}); len(pl.pending) == batch {
+		pl.flush()
+	}
 }
 
-// wait closes the queues and returns once every shard has drained its own.
+// flush hands the gathered blocks out, in order, each whole to the shard
+// owning its page. A send blocks while the shard's queue is full: the
+// backpressure.
+func (pl *pipeline) flush() {
+	t0 := time.Now()
+	for i := range pl.pending {
+		pl.shards[ShardOf(pl.pending[i].blk.Page, len(pl.shards))].in <- pl.pending[i]
+	}
+	pl.pending = pl.pending[:0]
+	pl.sending += time.Since(t0)
+}
+
+// wait hands out the last blocks, closes the queues and returns once every
+// shard has drained its own.
 func (pl *pipeline) wait() {
+	pl.flush()
 	for _, sh := range pl.shards {
 		close(sh.in)
 	}
@@ -117,10 +142,11 @@ func (pl *pipeline) wait() {
 // of its pages' accesses, so sorting by every field that tells two records
 // apart makes the report — and what survives the MaxRaces cap —
 // independent of shard interleaving and shard count.
-func (pl *pipeline) finish(res *Result, blocks, bytes int64) {
+func (pl *pipeline) finish(res *Result, bytes int64) {
 	mergeStart := time.Now()
 	res.Shards = len(pl.shards)
 	for _, sh := range pl.shards {
+		res.Entries += sh.entries
 		res.RaceCount += sh.hist.RaceCount()
 		res.Queries += sh.queries
 		res.MaxShardEntries = max(res.MaxShardEntries, sh.entries)
@@ -135,8 +161,9 @@ func (pl *pipeline) finish(res *Result, blocks, bytes int64) {
 	slices.Sort(res.RacyAddrs)
 	res.Merge = time.Since(mergeStart)
 	res.ReachMemBytes = pl.reach.MemBytes()
+	res.StreamPeakBlocks, res.StreamPeakBytes = pl.peakBlocks, pl.peakBlocks*int64(unsafe.Sizeof(job{}))
 	if reg := pl.opts.Stats; reg != nil {
 		pl.reach.RegisterStats(reg)
-		registerStats(reg, res, blocks, bytes, pl.reach.ArenaBytes())
+		registerStats(reg, res, pl.blocks, bytes, pl.reach.ArenaBytes())
 	}
 }

@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -42,8 +43,8 @@ func recordBytes(t testing.TB, main func(*sched.Task), workers int) ([]byte, []u
 // long enough that a strand flushes early, so the online history shares,
 // splits and merges page states and the capture's blocks come from slot
 // sets — through every way a verdict is reached: online at 1 and 4
-// workers, barriered and streamed replay of both recordings, and replay of
-// a detection-free recording. Each must equal the dag oracle's.
+// workers, replay of both recordings loaded and streamed, and replay of a
+// detection-free recording. Each must equal the dag oracle's.
 func TestRunShapedProgramsAllWays(t *testing.T) {
 	for _, shape := range []progen.Config{
 		{MaxDepth: 4, MaxOps: 8, Addrs: 700, MaxRun: 48},
@@ -66,11 +67,11 @@ func TestRunShapedProgramsAllWays(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				barriered, err := replay.Run(c, replay.Options{Workers: 4})
+				loaded, err := replay.Run(c, replay.Options{Workers: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
-				check("barriered replay", barriered.RacyAddrs)
+				check("loaded replay", loaded.RacyAddrs)
 				streamed, err := replay.RunStream(bytes.NewReader(raw), replay.Options{Workers: 4})
 				if err != nil {
 					t.Fatal(err)
@@ -86,11 +87,35 @@ func TestRunShapedProgramsAllWays(t *testing.T) {
 	}
 }
 
-// TestStreamReplayMatchesBarriered is the streaming verdict-equality
-// fuzz: on random programs — serial and parallel-recorded — RunStream
-// over every substrate and worker count must produce the exact merged
-// report of the barriered replay.Run on the loaded capture, which
-// itself matches online detection.
+// sameResult holds a and b to one Result, field by field: the merged
+// report, the counts, Queries, Shards, MaxShardEntries and ReachMemBytes.
+// The timings and the stream peak, which depends on how fast the shards
+// drain, are excepted; each peak must be within bound, and nonzero when
+// the capture has a block.
+func sameResult(t *testing.T, tag string, a, b *replay.Result, bound int64) {
+	t.Helper()
+	sameRaces(t, tag, a, b)
+	rest := func(r *replay.Result) [9]any {
+		return [9]any{r.RaceCount, r.Strands, r.Futures, r.Events, r.Entries,
+			r.Queries, r.Shards, r.MaxShardEntries, r.ReachMemBytes}
+	}
+	if rest(a) != rest(b) {
+		t.Fatalf("%s: count, strand, future, event, entry, query, shard, max-shard and reach-memory fields %v, %v",
+			tag, rest(a), rest(b))
+	}
+	for _, r := range []*replay.Result{a, b} {
+		if (r.StreamPeakBlocks > 0) != (r.Entries > 0) || r.StreamPeakBlocks > bound || (r.StreamPeakBytes > 0) != (r.Entries > 0) {
+			t.Fatalf("%s: stream peak %d blocks, %d bytes; bound %d blocks", tag, r.StreamPeakBlocks, r.StreamPeakBytes, bound)
+		}
+	}
+}
+
+// TestStreamReplayMatchesBarriered holds the two entry points of the one
+// replay pipeline to each other: on random programs — serial and
+// parallel-recorded — replay.RunStream on a capture's bytes must return
+// the Result of replay.Run on the loaded capture (sameResult) on every
+// substrate at 1 and 4 shards, and its racy set must be online
+// detection's.
 func TestStreamReplayMatchesBarriered(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8, Addrs: 6})
@@ -105,7 +130,7 @@ func TestStreamReplayMatchesBarriered(t *testing.T) {
 		}
 		for _, sub := range substrates {
 			for _, workers := range []int{1, 4} {
-				barriered, err := replay.Run(c, replay.Options{
+				loaded, err := replay.Run(c, replay.Options{
 					Workers: workers, Reach: sub.sub,
 				})
 				if err != nil {
@@ -117,18 +142,16 @@ func TestStreamReplayMatchesBarriered(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s/%dw stream: %v", seed, sub.name, workers, err)
 				}
-				if !res.Streamed {
-					t.Fatalf("seed %d: result not marked streamed", seed)
-				}
-				sameRaces(t, sub.name, res, barriered)
+				tag := fmt.Sprintf("seed %d %s/%dw", seed, sub.name, workers)
+				sameResult(t, tag, res, loaded, int64(replay.StreamQueueCap+workers+1))
 				if !sameAddrs(res.RacyAddrs, online) {
-					t.Fatalf("seed %d %s/%dw: stream %v, online %v",
-						seed, sub.name, workers, res.RacyAddrs, online)
+					t.Fatalf("%s: stream %v, online %v", tag, res.RacyAddrs, online)
 				}
-				if res.Entries != c.Entries || res.Strands != c.Strands || res.Events != uint64(len(c.Events)) {
-					t.Fatalf("seed %d %s/%dw: totals %d/%d/%d, capture %d/%d/%d",
-						seed, sub.name, workers, res.Entries, res.Strands, res.Events,
-						c.Entries, c.Strands, uint64(len(c.Events)))
+				if res.Entries != c.Entries || res.Strands != c.Strands || res.Futures != uint64(c.Futures) ||
+					res.Events != uint64(len(c.Events)) {
+					t.Fatalf("%s: totals %d/%d/%d/%d, capture %d/%d/%d/%d", tag,
+						res.Entries, res.Strands, res.Futures, res.Events,
+						c.Entries, c.Strands, c.Futures, len(c.Events))
 				}
 			}
 		}
@@ -161,32 +184,35 @@ func chainCapture(t testing.TB, blocks, per int) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamBoundedMemory pins the streaming memory bound: peak
-// capture-resident blocks never exceed StreamQueueCap + Workers + 1,
-// and the peak does not grow when the trace gets 10× longer — constant
-// memory in trace length.
+// TestStreamBoundedMemory pins the pipeline's memory bound through both
+// entry points: blocks in flight between the loader and the shards never
+// exceed StreamQueueCap + Workers + 1, also when the trace gets 10×
+// longer — constant memory in trace length — and the peak is accounted.
 func TestStreamBoundedMemory(t *testing.T) {
 	const workers = 2
 	bound := int64(replay.StreamQueueCap + workers + 1)
-	var peaks []int64
+	opts := replay.Options{Workers: workers, Reach: core.SubstrateDePa}
 	for _, blocks := range []int{200, 2000} {
 		raw := chainCapture(t, blocks, 8)
-		res, err := replay.RunStream(bytes.NewReader(raw), replay.Options{
-			Workers: workers, Reach: core.SubstrateDePa,
-		})
+		c, err := trace.Load(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.StreamPeakBlocks == 0 || res.StreamPeakBytes == 0 {
-			t.Fatalf("%d blocks: no peak accounted", blocks)
+		for how, run := range map[string]func() (*replay.Result, error){
+			"loaded":   func() (*replay.Result, error) { return replay.Run(c, opts) },
+			"streamed": func() (*replay.Result, error) { return replay.RunStream(bytes.NewReader(raw), opts) },
+		} {
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.StreamPeakBlocks == 0 || res.StreamPeakBytes == 0 {
+				t.Fatalf("%d blocks %s: no peak accounted", blocks, how)
+			}
+			if res.StreamPeakBlocks > bound {
+				t.Fatalf("%d blocks %s: peak %d blocks, bound %d", blocks, how, res.StreamPeakBlocks, bound)
+			}
 		}
-		if res.StreamPeakBlocks > bound {
-			t.Fatalf("%d blocks: peak %d blocks, bound %d", blocks, res.StreamPeakBlocks, bound)
-		}
-		peaks = append(peaks, res.StreamPeakBlocks)
-	}
-	if peaks[1] > bound {
-		t.Fatalf("10× trace pushed the peak to %d (bound %d)", peaks[1], bound)
 	}
 }
 
@@ -249,7 +275,8 @@ func TestStreamConcurrentPublication(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStreamGauges: a streamed run registers the stream gauges.
+// TestStreamGauges: a streamed run registers the stream gauges, and its
+// wall is the pipeline's plus the merge.
 func TestStreamGauges(t *testing.T) {
 	p := progen.New(progen.Config{Seed: 3, MaxDepth: 4, MaxOps: 7})
 	raw, _ := recordBytes(t, p.Main(), 1)
@@ -261,9 +288,6 @@ func TestStreamGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if snap["replay.streamed"] != 1 {
-		t.Errorf("replay.streamed = %d, want 1", snap["replay.streamed"])
-	}
 	if snap["replay.stream_peak_blocks"] != res.StreamPeakBlocks {
 		t.Errorf("peak gauge %d, result %d", snap["replay.stream_peak_blocks"], res.StreamPeakBlocks)
 	}
@@ -272,5 +296,8 @@ func TestStreamGauges(t *testing.T) {
 	}
 	if snap["replay.merge_ns"] < 0 {
 		t.Errorf("merge gauge negative")
+	}
+	if snap["replay.wall_ns"] != snap["replay.detect_ns"]+snap["replay.merge_ns"] {
+		t.Errorf("wall %d ns, detect %d + merge %d", snap["replay.wall_ns"], snap["replay.detect_ns"], snap["replay.merge_ns"])
 	}
 }

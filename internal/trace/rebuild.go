@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 
 	"sforder/internal/sched"
 )
@@ -52,8 +53,8 @@ func (s *strand) sched() *sched.Strand {
 // holds them to what the engine can have recorded (DESIGN.md §4): the
 // strand life cycle, regions, sinks, puts and gets as Apply checks them,
 // blocks naming live strands, and at the end a root and no id left out.
-// Every rebuild — PathIndex, replay's barriered and streamed rebuilds,
-// the capture oracle — goes through one.
+// Every rebuild — PathIndex, replay, the capture oracle — goes through
+// one.
 //
 // It holds the strands and futures introduced, dense by id, never sized
 // from a total a capture declares: an id is admitted only within idSlack
@@ -101,10 +102,6 @@ func (rb *Rebuild) get(id uint64) *strand {
 	}
 	return rb.strands[id]
 }
-
-// Strand returns the introduced strand id, in any state. It panics on an
-// id no event introduced.
-func (rb *Rebuild) Strand(id uint64) *sched.Strand { return &rb.strands[id].Strand }
 
 // end ends the live strand id in state to.
 func (rb *Rebuild) end(id uint64, to uint8) *strand {
@@ -282,32 +279,32 @@ func (rb *Rebuild) Done() error {
 	return nil
 }
 
-// Run applies c to r: its structure events in file order, each access
-// block checked at its place in the file and handed to visit, if non-nil,
-// with its strand; then Done.
+// Counts returns the strands and futures the applied events introduced
+// and the number of events applied: after Done, the capture's totals.
+func (rb *Rebuild) Counts() (strands, futures, events uint64) {
+	return uint64(len(rb.strands)), uint64(len(rb.futs)), uint64(rb.events)
+}
+
+// Run applies c to r: its records in file order, each structure event
+// through Apply and each access block checked at its place and handed to
+// visit, if non-nil, with its strand; then Done.
 func (rb *Rebuild) Run(c *Capture, r sched.Tracer, visit func(*sched.Strand, *AccessBlock)) error {
-	if len(c.BlockAt) != len(c.Blocks) {
-		return fmt.Errorf("trace: rebuild: %d block positions for %d blocks", len(c.BlockAt), len(c.Blocks))
-	}
-	b := 0
-	for i := 0; i <= len(c.Events); i++ {
-		for ; b < len(c.Blocks) && c.BlockAt[b] <= i; b++ {
-			s, err := rb.Block(&c.Blocks[b])
-			if err != nil {
-				return err
-			}
-			if visit != nil {
-				visit(s, &c.Blocks[b])
-			}
-		}
-		if i < len(c.Events) {
-			if err := rb.Apply(r, &c.Events[i]); err != nil {
-				return err
+	for next := c.Cursor(); ; {
+		ev, blk, err := next()
+		switch {
+		case err == io.EOF:
+			return rb.Done()
+		case err != nil:
+		case ev != nil:
+			err = rb.Apply(r, ev)
+		default:
+			var s *sched.Strand
+			if s, err = rb.Block(blk); err == nil && visit != nil {
+				visit(s, blk)
 			}
 		}
+		if err != nil {
+			return err
+		}
 	}
-	if b < len(c.Blocks) {
-		return fmt.Errorf("trace: rebuild: block %d placed past the last event", b)
-	}
-	return rb.Done()
 }

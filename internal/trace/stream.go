@@ -216,12 +216,10 @@ func (s *Stream) Next() (ev *Event, blk *AccessBlock, err error) {
 	return ev, nil, nil
 }
 
-// Events, Entries, Blocks, Strands, Futures, and Bytes report the
-// totals decoded so far; after Next has returned io.EOF they are the
-// whole capture's (with Bytes excluding any trailing data beyond it).
-func (s *Stream) Events() uint64  { return s.events }
+// Entries, Strands, Futures, and Bytes report the totals decoded so far;
+// after Next has returned io.EOF they are the whole capture's (with Bytes
+// excluding any trailing data beyond it).
 func (s *Stream) Entries() uint64 { return s.entries }
-func (s *Stream) Blocks() uint64  { return s.blocks }
 func (s *Stream) Strands() uint64 { return s.strands }
 func (s *Stream) Futures() int    { return s.futures }
 func (s *Stream) Bytes() int64    { return s.bytes }

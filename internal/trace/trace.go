@@ -492,3 +492,25 @@ func Load(r io.Reader) (*Capture, error) {
 		}
 	}
 }
+
+// Cursor returns a walk of c in file order, its blocks placed among its
+// events as BlockAt records: each call returns exactly one of an event and
+// a block, as Stream.Next does, and io.EOF after the last.
+func (c *Capture) Cursor() func() (*Event, *AccessBlock, error) {
+	event, blk := 0, 0
+	return func() (*Event, *AccessBlock, error) {
+		switch {
+		case len(c.BlockAt) != len(c.Blocks):
+			return nil, nil, fmt.Errorf("trace: rebuild: %d block positions for %d blocks", len(c.BlockAt), len(c.Blocks))
+		case blk < len(c.Blocks) && c.BlockAt[blk] <= event:
+			blk++
+			return nil, &c.Blocks[blk-1], nil
+		case event < len(c.Events):
+			event++
+			return &c.Events[event-1], nil, nil
+		case blk < len(c.Blocks):
+			return nil, nil, fmt.Errorf("trace: rebuild: block %d placed past the last event", blk)
+		}
+		return nil, nil, io.EOF
+	}
+}

@@ -69,11 +69,9 @@ func TestCaptureRoundTrip(t *testing.T) {
 				t.Fatalf("seed %d: strand %d referenced before introduction", seed, id)
 			}
 		}
-		// Interleave events and blocks in file order. Load keeps the two
-		// streams separately ordered; reconstruct the interleaving by
-		// replaying the raw bytes is overkill — instead check the weaker
-		// per-stream property events give us, then that block strands
-		// exist at all. The strict interleaved check runs in the replay
+		// Load keeps events and blocks in two lists, each in file order;
+		// check the weaker property the events alone give us, then that
+		// block strands exist at all. The strict interleaved check runs in the replay
 		// package's tests, which re-decode with the engine.
 		for _, ev := range c.Events {
 			switch ev.Op {

@@ -46,7 +46,6 @@ import (
 	"sforder/internal/obsv"
 	"sforder/internal/replay"
 	"sforder/internal/sched"
-	"sforder/internal/trace"
 )
 
 // Task is the execution context of one function instance; user code
@@ -267,13 +266,6 @@ type ReplayConfig struct {
 	// count; access blocks are routed by shadow page — a location lives
 	// in one page, a page in one shard — so no location's history splits.
 	Workers int
-	// Streaming replays directly from the byte stream: structure
-	// events are applied and access blocks dispatched to the detection
-	// shards as they are decoded, through a bounded ready-queue — the
-	// capture is never loaded into memory, so arbitrarily long traces
-	// replay in constant resident space. The verdict is identical to
-	// the barriered replay.
-	Streaming bool
 	// Reach selects the reachability substrate the dag is rebuilt on.
 	// ReachDePa is the natural offline choice (immutable labels,
 	// lock-free queries); the default OM pair also works.
@@ -288,32 +280,22 @@ type ReplayConfig struct {
 // ReplayResult reports a completed offline replay.
 type ReplayResult = replay.Result
 
-// Replay loads a capture recorded via Config.Record from r, rebuilds
-// the computation dag on the selected reachability substrate, and
-// re-runs full race detection offline, with access blocks routed by
-// shadow page across Workers parallel shards (a location lives in one
-// page, a page in one shard). The location-level verdict (which addresses
-// race) equals the online run's; the detailed race list is deterministic
-// — independent of Workers and of the recorded schedule.
+// Replay streams a capture recorded via Config.Record from r: structure
+// events rebuild the computation dag on the selected reachability
+// substrate as they are decoded, and access blocks go, through a bounded
+// ready-queue, to Workers parallel detection shards routed by shadow page
+// (a location lives in one page, a page in one shard). The capture is
+// never loaded into memory, so arbitrarily long traces replay in constant
+// resident space. The location-level verdict (which addresses race)
+// equals the online run's; the detailed race list is deterministic —
+// independent of Workers and of the recorded schedule.
 func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
-	opts := replay.Options{
+	res, err := replay.RunStream(r, replay.Options{
 		Workers:     cfg.Workers,
 		MaxRaces:    cfg.MaxRaces,
 		Reach:       cfg.Reach,
 		DedupByAddr: cfg.DedupByAddr,
-	}
-	if cfg.Streaming {
-		res, err := replay.RunStream(r, opts)
-		if err != nil {
-			return nil, fmt.Errorf("sforder: replay: %w", err)
-		}
-		return res, nil
-	}
-	c, err := trace.Load(r)
-	if err != nil {
-		return nil, fmt.Errorf("sforder: replay: %w", err)
-	}
-	res, err := replay.Run(c, opts)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sforder: replay: %w", err)
 	}

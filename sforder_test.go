@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sforder"
+	"sforder/internal/replay"
 )
 
 func TestQuickstartRace(t *testing.T) {
@@ -251,8 +252,9 @@ func TestDetectorStrings(t *testing.T) {
 }
 
 // TestReplayRoundTrip records a racy run through the public API and
-// replays it barriered and streamed, on both substrates, checking all
-// agree with the online verdict.
+// replays it, which streams, on both substrates, checking each agrees
+// with the online verdict and kept its blocks in flight within the
+// pipeline's bound.
 func TestReplayRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	main := func(t *sforder.Task) {
@@ -273,8 +275,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	raw := buf.Bytes()
 	for _, cfg := range []sforder.ReplayConfig{
 		{Workers: 2, Reach: sforder.ReachDePa},
-		{Workers: 2, Streaming: true, Reach: sforder.ReachDePa},
-		{Workers: 2, Streaming: true}, // default OM backend streams too
+		{Workers: 2, Reach: sforder.ReachOM},
 	} {
 		rr, err := sforder.Replay(bytes.NewReader(raw), cfg)
 		if err != nil {
@@ -284,8 +285,8 @@ func TestReplayRoundTrip(t *testing.T) {
 			t.Fatalf("%+v: replay verdict %d races on %v, want addr 3",
 				cfg, rr.RaceCount, rr.RacyAddrs)
 		}
-		if cfg.Streaming != rr.Streamed {
-			t.Fatalf("%+v: streamed=%v", cfg, rr.Streamed)
+		if bound := int64(replay.StreamQueueCap + cfg.Workers + 1); rr.StreamPeakBlocks <= 0 || rr.StreamPeakBlocks > bound {
+			t.Fatalf("%+v: stream peak %d blocks, bound %d", cfg, rr.StreamPeakBlocks, bound)
 		}
 	}
 }
