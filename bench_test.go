@@ -56,9 +56,9 @@ func benchSet() []*workload.Benchmark {
 
 // measure runs one harness configuration per iteration, excluding input
 // generation from the timing.
-func measure(b *testing.B, bench *workload.Benchmark, cfg harness.Config) *harness.Result {
+func measure(b *testing.B, bench *workload.Benchmark, cfg engine.Config) *engine.Result {
 	b.Helper()
-	var last *harness.Result
+	var last *engine.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -74,7 +74,7 @@ func measure(b *testing.B, bench *workload.Benchmark, cfg harness.Config) *harne
 }
 
 // runPrepared is harness.Run with the workload instance pre-built.
-func runPrepared(run *workload.Run, cfg harness.Config) (*harness.Result, error) {
+func runPrepared(run *workload.Run, cfg engine.Config) (*engine.Result, error) {
 	// Reuse the harness by wrapping the prepared run in a one-shot
 	// benchmark (Make returns the same instance once).
 	used := false
@@ -94,9 +94,9 @@ func BenchmarkFig3Characteristics(b *testing.B) {
 	for _, bench := range benchSet() {
 		bench := bench
 		b.Run(bench.Name, func(b *testing.B) {
-			res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{
+			res := measure(b, bench, engine.Config{
 				Serial: true, Stats: obsv.NewRegistry(), // a registry turns the access counters on
-			}})
+			})
 			b.ReportMetric(float64(res.Counts.Reads), "reads")
 			b.ReportMetric(float64(res.Counts.Writes), "writes")
 			b.ReportMetric(float64(res.Queries), "queries")
@@ -114,7 +114,7 @@ func BenchmarkFig5Memory(b *testing.B) {
 		for _, det := range []engine.Detector{engine.FOrder, engine.SFOrder} {
 			det := det
 			b.Run(bench.Name+"/"+det.String(), func(b *testing.B) {
-				res := measure(b, bench, harness.Config{Mode: harness.Reach, Config: engine.Config{Detector: det, Serial: true}})
+				res := measure(b, bench, engine.Config{Detector: det, ReachabilityOnly: true, Serial: true})
 				b.ReportMetric(float64(res.ReachMem), "reach-bytes")
 			})
 		}
@@ -130,7 +130,7 @@ func BenchmarkAblationReaderPolicy(b *testing.B) {
 		for _, policy := range []detect.ReaderPolicy{detect.ReadersAll, detect.ReadersLR} {
 			policy := policy
 			b.Run(bench.Name+"/"+policy.String(), func(b *testing.B) {
-				res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{Serial: true, Policy: policy}})
+				res := measure(b, bench, engine.Config{Serial: true, Policy: policy})
 				b.ReportMetric(float64(res.HistMem), "hist-bytes")
 			})
 		}
@@ -154,16 +154,16 @@ func BenchmarkKSweep(b *testing.B) {
 				continue
 			}
 			b.Run(fmt.Sprintf("chain-k%d/%s", k, det), func(b *testing.B) {
-				res := measure(b, bench, harness.Config{Mode: harness.Reach, Config: engine.Config{Detector: det, Serial: true}})
+				res := measure(b, bench, engine.Config{Detector: det, ReachabilityOnly: true, Serial: true})
 				b.ReportMetric(float64(res.ReachMem), "reach-bytes")
 			})
 		}
 		b.Run(fmt.Sprintf("chain-k%d/base", k), func(b *testing.B) {
-			measure(b, bench, harness.Config{Mode: harness.Base, Config: engine.Config{Serial: true}})
+			measure(b, bench, engine.Config{Detector: engine.NoDetector, Serial: true})
 		})
 	}
 	b.Run("fib-n16/SF-Order", func(b *testing.B) {
-		measure(b, workload.Fib(16), harness.Config{Mode: harness.Reach, Config: engine.Config{Serial: true}})
+		measure(b, workload.Fib(16), engine.Config{ReachabilityOnly: true, Serial: true})
 	})
 }
 
@@ -218,9 +218,7 @@ func BenchmarkAblationFastPath(b *testing.B) {
 				name = bench.Name + "/fastpath-on"
 			}
 			b.Run(name, func(b *testing.B) {
-				res := measure(b, bench, harness.Config{Mode: harness.Full, Config: engine.Config{
-					Serial: true, LockedHistory: !fast, Stats: obsv.NewRegistry(),
-				}})
+				res := measure(b, bench, engine.Config{Serial: true, LockedHistory: !fast, Stats: obsv.NewRegistry()})
 				b.ReportMetric(float64(res.Stats["hist.lock_acquires"]), "lock-acquires")
 				b.ReportMetric(float64(res.Stats["hist.fastpath_hits"]), "fastpath-hits")
 			})
@@ -263,19 +261,19 @@ func benchmarkPrograms() [][]*workload.Benchmark {
 //	  ./sf.test -test.run '^$' -test.bench "AblationReach/.*/.*/$s\$" -test.benchtime 10x; done
 func BenchmarkAblationReach(b *testing.B) {
 	cells := []struct {
-		name    string
-		mode    harness.Mode
-		workers int
+		name      string
+		reachOnly bool
+		workers   int
 	}{
-		{"reach_t1", harness.Reach, 1},
-		{"full_t1", harness.Full, 1},
-		{"full_tp", harness.Full, harness.DefaultWorkers()},
+		{"reach_t1", true, 1},
+		{"full_t1", false, 1},
+		{"full_tp", false, harness.DefaultWorkers()},
 	}
 	for _, runs := range benchmarkPrograms() {
 		for _, cell := range cells {
 			for _, sub := range []core.Substrate{core.SubstrateOM, core.SubstrateDePa} {
 				b.Run(fmt.Sprintf("%s/%s/%s", runs[0].Name, cell.name, sub), func(b *testing.B) {
-					cfg := harness.Config{Mode: cell.mode, Config: engine.Config{Workers: cell.workers, Reach: sub}}
+					cfg := engine.Config{ReachabilityOnly: cell.reachOnly, Workers: cell.workers, Reach: sub}
 					walls := make([]time.Duration, b.N)
 					var mem int
 					for i := range walls {

@@ -53,13 +53,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sfgen: -save keeps one seed's capture; it takes no -seeds above 1")
 		os.Exit(2)
 	}
-	d, ok := map[string]engine.Detector{
-		"sforder":   engine.SFOrder,
-		"forder":    engine.FOrder,
-		"multibags": engine.MultiBags,
-	}[*detector]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "sfgen: unknown detector %q\n", *detector)
+	d, err := engine.ParseDetector(*detector)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sfgen: %v\n", err)
 		os.Exit(2)
 	}
 

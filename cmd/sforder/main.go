@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -49,7 +50,7 @@ func main() {
 		httpAddr      = flag.String("http", "", "serve /stats, /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
 		dedup         = flag.Bool("dedup", false, "with -bench: report at most one race record per address")
 		fastpath      = flag.Bool("fastpath", true, "use the lock-avoiding access history in full mode (what ships); -fastpath=false is the paper's locked history (sforder.Config.LockedHistory, ABL7)")
-		reachSub      = flag.String("reach", "om", "with -bench, and with -replay for the rebuild: SF-Order reachability substrate: om (English/Hebrew lists) or depa (prefix-sharing fork-path cords, ABL10/11)")
+		reachSub      = flag.String("reach", "om", "with -bench and -table, and with -replay for the rebuild: SF-Order reachability substrate: om (English/Hebrew lists) or depa (prefix-sharing fork-path cords, ABL10/11)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
 		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: stream it through the dag rebuild and detection, sharded by shadow page, in memory constant in its length")
@@ -88,16 +89,14 @@ func main() {
 	case *replayIn != "":
 		runReplay(*replayIn, *replayWorkers, *reachSub, *dedup, *stats, reg)
 	case *table != "":
-		runTable(*table, benches, *workers, *repeats, *scale, *jsonOut, !*fastpath)
+		runTable(*table, benches, runConfig(*detector, *mode, *policy, *reachSub, *workers, *fastpath, *dedup),
+			*workers, *repeats, *scale, *jsonOut)
 	case *bench != "":
-		runOne(*bench, sc, *detector, *mode, *policy, *workers, oneOpts{
+		runOne(*bench, sc, runConfig(*detector, *mode, *policy, *reachSub, *workers, *fastpath, *dedup), oneOpts{
 			reg:       reg,
 			stats:     *stats,
 			traceOut:  *traceOut,
 			recordOut: *record,
-			dedup:     *dedup,
-			fastpath:  *fastpath,
-			reach:     *reachSub,
 			block:     *httpAddr != "",
 		})
 	default:
@@ -151,19 +150,52 @@ func runReplay(path string, workers int, reachName string, dedup, stats bool, re
 	}
 }
 
-// oneOpts carries the observability knobs of a -bench run.
+// runConfig builds the one engine configuration -bench runs and every
+// -table starts from: a table sweeps what it measures (detector, level,
+// workers, and the policy for abl) and takes the rest from it. -mode base
+// is NoDetector and -mode reach ReachabilityOnly.
+func runConfig(detector, mode, policy, reach string, workers int, fastpath, dedup bool) engine.Config {
+	det, err := engine.ParseDetector(detector)
+	check(err)
+	sub, err := core.ParseSubstrate(reach)
+	check(err)
+	pol, ok := map[string]detect.ReaderPolicy{
+		"all": detect.ReadersAll,
+		"lr":  detect.ReadersLR,
+	}[policy]
+	if !ok {
+		fatalf("unknown policy %q", policy)
+	}
+	cfg := engine.Config{
+		Detector:      det,
+		Reach:         sub,
+		Workers:       workers,
+		Policy:        pol,
+		DedupByAddr:   dedup,
+		LockedHistory: !fastpath,
+	}
+	switch mode {
+	case "base":
+		cfg.Detector = engine.NoDetector
+	case "reach":
+		cfg.ReachabilityOnly = true
+	case "full":
+	default:
+		fatalf("unknown mode %q", mode)
+	}
+	return cfg
+}
+
+// oneOpts carries the observability outputs of a -bench run.
 type oneOpts struct {
 	reg       *obsv.Registry
 	stats     bool
 	traceOut  string
 	recordOut string
-	dedup     bool
-	fastpath  bool
-	reach     string
 	block     bool // keep serving -http after the run completes
 }
 
-func runTable(table string, benches []*workload.Benchmark, workers, repeats int, scale string, jsonOut, locked bool) {
+func runTable(table string, benches []*workload.Benchmark, base engine.Config, workers, repeats int, scale string, jsonOut bool) {
 	report := &harness.Report{Env: harness.Env{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    workers,
@@ -172,7 +204,7 @@ func runTable(table string, benches []*workload.Benchmark, workers, repeats int,
 	}}
 	switch table {
 	case "fig3":
-		rows, err := harness.Fig3(benches, locked)
+		rows, err := harness.Fig3(benches, base)
 		check(err)
 		if jsonOut {
 			report.Fig3 = rows
@@ -181,21 +213,21 @@ func runTable(table string, benches []*workload.Benchmark, workers, repeats int,
 		fmt.Println("Figure 3: benchmark execution characteristics")
 		harness.PrintFig3(os.Stdout, rows)
 	case "fig4":
-		rows, err := harness.Fig4(benches, workers, repeats, locked)
+		rows, err := harness.Fig4(benches, workers, repeats, base)
 		check(err)
 		if jsonOut {
 			report.Fig4 = rows
 			break
 		}
 		history := "shipping"
-		if locked {
+		if base.LockedHistory {
 			history = "locked"
 		}
 		fmt.Printf("Figure 4: execution times (P=%d workers, GOMAXPROCS=%d, best of %d, %s history)\n",
 			workers, runtime.GOMAXPROCS(0), repeats, history)
 		harness.PrintFig4(os.Stdout, rows)
 	case "fig5":
-		rows, err := harness.Fig5(benches)
+		rows, err := harness.Fig5(benches, base)
 		check(err)
 		if jsonOut {
 			report.Fig5 = rows
@@ -204,7 +236,7 @@ func runTable(table string, benches []*workload.Benchmark, workers, repeats int,
 		fmt.Println("Figure 5: reachability-maintenance memory")
 		harness.PrintFig5(os.Stdout, rows)
 	case "abl":
-		rows, err := harness.AblationReaderPolicy(benches, repeats, locked)
+		rows, err := harness.AblationReaderPolicy(benches, repeats, base)
 		check(err)
 		if jsonOut {
 			report.Ablation = rows
@@ -220,79 +252,37 @@ func runTable(table string, benches []*workload.Benchmark, workers, repeats int,
 	}
 }
 
-func runOne(name string, sc workload.Scale, detector, mode, policy string, workers int, obs oneOpts) {
+func runOne(name string, sc workload.Scale, cfg engine.Config, obs oneOpts) {
 	b := workload.ByName(name, sc)
 	if b == nil {
 		fatalf("unknown benchmark %q", name)
 	}
-	det, ok := map[string]engine.Detector{
-		"sforder":   engine.SFOrder,
-		"forder":    engine.FOrder,
-		"multibags": engine.MultiBags,
-	}[detector]
-	if !ok {
-		fatalf("unknown detector %q", detector)
-	}
-	md, ok := map[string]harness.Mode{
-		"base":  harness.Base,
-		"reach": harness.Reach,
-		"full":  harness.Full,
-	}[mode]
-	if !ok {
-		fatalf("unknown mode %q", mode)
-	}
-	pol, ok := map[string]detect.ReaderPolicy{
-		"all": detect.ReadersAll,
-		"lr":  detect.ReadersLR,
-	}[policy]
-	if !ok {
-		fatalf("unknown policy %q", policy)
-	}
-	sub, err := core.ParseSubstrate(obs.reach)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	cfg := harness.Config{Mode: md, Config: engine.Config{
-		Detector:      det,
-		Workers:       workers,
-		Reach:         sub,
-		Serial:        det == engine.MultiBags,
-		Policy:        pol,
-		DedupByAddr:   obs.dedup,
-		LockedHistory: !obs.fastpath,
-		Stats:         obs.reg,
-	}}
-	var traceFile *os.File
-	if obs.traceOut != "" {
-		f, err := os.Create(obs.traceOut)
-		check(err)
-		traceFile = f
-		cfg.Trace = obsv.NewTraceWriter(f)
-	}
-	var recordFile *os.File
-	if obs.recordOut != "" {
-		f, err := os.Create(obs.recordOut)
-		check(err)
-		recordFile = f
-		cfg.Record = f
+	cfg.Stats = obs.reg
+	var files []*os.File
+	for _, out := range []struct {
+		path string
+		to   *io.Writer
+	}{{obs.traceOut, &cfg.Trace}, {obs.recordOut, &cfg.Record}} {
+		if out.path != "" {
+			f, err := os.Create(out.path)
+			check(err)
+			files = append(files, f)
+			*out.to = f
+		}
 	}
 	res, err := harness.Run(b, cfg)
-	if cfg.Trace != nil {
-		check(cfg.Trace.Close())
-		check(traceFile.Close())
-	}
-	if recordFile != nil {
-		check(recordFile.Close())
+	for _, f := range files {
+		check(f.Close())
 	}
 	check(err)
-	fmt.Printf("%s  detector=%v mode=%v workers=%d\n", b, det, md, workers)
+	fmt.Printf("%s  detector=%v mode=%s workers=%d\n", b, cfg.Detector, harness.Level(cfg), cfg.Workers)
 	fmt.Printf("  time      %v\n", res.Elapsed)
 	fmt.Printf("  strands   %d\n", res.Counts.Strands)
 	fmt.Printf("  futures   %d\n", res.Counts.Futures-1)
 	fmt.Printf("  queries   %d\n", res.Queries)
 	fmt.Printf("  races     %d\n", res.RaceCount)
 	fmt.Printf("  reach mem %d bytes\n", res.ReachMem)
-	if md == harness.Full {
+	if harness.Level(cfg) == "full" {
 		fmt.Printf("  hist mem  %d bytes\n", res.HistMem)
 	}
 	if obs.traceOut != "" {

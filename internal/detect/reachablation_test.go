@@ -90,9 +90,7 @@ func TestReachSubstrateAdversarialSpine(t *testing.T) {
 	run := func(sub core.Substrate) map[string]int64 {
 		t.Helper()
 		reg := obsv.NewRegistry()
-		res, err := harness.Run(workload.Spine(depth, 2), harness.Config{Mode: harness.Full, Config: engine.Config{
-			Workers: 4, Reach: sub, Stats: reg,
-		}})
+		res, err := harness.Run(workload.Spine(depth, 2), engine.Config{Workers: 4, Reach: sub, Stats: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,9 +139,7 @@ func TestCordSpineEfficiency(t *testing.T) {
 	const depth = 1500
 	const sub = core.SubstrateDePa
 	reg := obsv.NewRegistry()
-	res, err := harness.Run(workload.Spine(depth, 2), harness.Config{Mode: harness.Full, Config: engine.Config{
-		Workers: 4, Reach: sub, Stats: reg,
-	}})
+	res, err := harness.Run(workload.Spine(depth, 2), engine.Config{Workers: 4, Reach: sub, Stats: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

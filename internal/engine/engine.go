@@ -52,7 +52,23 @@ func (d Detector) String() string {
 	}
 }
 
-// Config is one engine configuration. The zero value is what ships.
+// ParseDetector maps a command-line name to a Detector: sforder, forder
+// or multibags, the three the paper's Figure 4 compares.
+func ParseDetector(name string) (Detector, error) {
+	switch name {
+	case "sforder":
+		return SFOrder, nil
+	case "forder":
+		return FOrder, nil
+	case "multibags":
+		return MultiBags, nil
+	}
+	return SFOrder, fmt.Errorf("unknown detector %q (want sforder, forder or multibags)", name)
+}
+
+// Config is one engine configuration. The zero value is what ships. It is
+// also the paper's instrumentation level (§4): base is NoDetector, reach
+// is ReachabilityOnly, and full is any other detector.
 type Config struct {
 	Detector Detector
 	// Reach selects SFOrder's reachability substrate; other detectors
@@ -83,8 +99,9 @@ type Config struct {
 	// snapshot.
 	Stats *obsv.Registry
 	// Trace, when non-nil, receives the strand timeline in Chrome
-	// trace-event JSON. The caller closes it.
-	Trace *obsv.TraceWriter
+	// trace-event JSON. The stream is finalized before Run returns; write
+	// errors surface as Run's error.
+	Trace io.Writer
 	// Record, when non-nil, captures the run — dag events plus the
 	// deduplicated access stream — in the sftrace format for offline
 	// replay, under any Detector. The capture is finalized before Run
@@ -170,7 +187,9 @@ func run(cfg Config, main func(*sched.Task), interpose func(sched.AccessChecker)
 		Workers:        cfg.Workers,
 		CheckStructure: cfg.CheckStructure,
 		Stats:          cfg.Stats,
-		Trace:          cfg.Trace,
+	}
+	if cfg.Trace != nil {
+		opts.Trace = obsv.NewTraceWriter(cfg.Trace)
 	}
 	var rec *trace.Recorder
 	if cfg.Record != nil {
@@ -224,6 +243,11 @@ func run(cfg Config, main func(*sched.Task), interpose func(sched.AccessChecker)
 	if rec != nil {
 		if cerr := rec.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("record: %w", cerr)
+		}
+	}
+	if opts.Trace != nil {
+		if cerr := opts.Trace.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("trace: %w", cerr)
 		}
 	}
 	if reach != nil {

@@ -520,6 +520,62 @@ func TestDetectorStrings(t *testing.T) {
 	}
 }
 
+// TestParseDetector: the three detectors the command-line tools name, and
+// an error that lists them for anything else.
+func TestParseDetector(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want engine.Detector
+		err  bool
+	}{
+		{"sforder", engine.SFOrder, false},
+		{"forder", engine.FOrder, false},
+		{"multibags", engine.MultiBags, false},
+		{"", engine.SFOrder, true},
+		{"SF-Order", engine.SFOrder, true},
+		{"wsporder", engine.SFOrder, true},
+	} {
+		got, err := engine.ParseDetector(c.in)
+		if (err != nil) != c.err || got != c.want {
+			t.Errorf("ParseDetector(%q) = (%v, %v), want (%v, err=%v)", c.in, got, err, c.want, c.err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "want sforder, forder or multibags") {
+			t.Errorf("ParseDetector(%q): error %q does not list the names", c.in, err)
+		}
+	}
+}
+
+// failAfter is a writer that fails every write past its first n bytes.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n < len(p) {
+		return 0, fmt.Errorf("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestTraceIsClosedByRun: the engine wraps Config.Trace and finalizes the
+// JSON before Run returns, and a write error is Run's error.
+func TestTraceIsClosedByRun(t *testing.T) {
+	main := func(t *sched.Task) {
+		t.Spawn(func(c *sched.Task) { c.Write(1) })
+		t.Sync()
+	}
+	var buf bytes.Buffer
+	if _, err := engine.Run(engine.Config{Serial: true, Trace: &buf}, main); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "{\"traceEvents\": [") || !strings.HasSuffix(buf.String(), "]}\n") {
+		t.Errorf("trace not finalized: %q", buf.String())
+	}
+	_, err := engine.Run(engine.Config{Serial: true, Trace: &failAfter{n: 32}}, main)
+	if err == nil || !strings.Contains(err.Error(), "trace: disk full") {
+		t.Errorf("a failing trace writer: error %v, want the trace's write error", err)
+	}
+}
+
 // TestPanickingMainKeepsItsRaces: a program that races and then panics on
 // a 4-worker engine returns the error together with a Result holding the
 // race, under every detector that runs in parallel (MultiBags runs on the

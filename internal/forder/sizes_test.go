@@ -3,20 +3,23 @@ package forder
 import (
 	"testing"
 	"unsafe"
+
+	"sforder/internal/om"
 )
 
 // TestAccountingSizes pins the per-strand record size to the real
-// struct layout (unsafe.Sizeof-derived; 64-bit expectation pinned so
-// growth fails loudly instead of skewing MemBytes).
+// struct layout (unsafe.Sizeof-derived), with the 64-bit number pinned so
+// growth fails loudly instead of skewing MemBytes.
 func TestAccountingSizes(t *testing.T) {
 	if nodeSize != int(unsafe.Sizeof(node{})) {
 		t.Errorf("nodeSize %d != sizeof(node) %d", nodeSize, unsafe.Sizeof(node{}))
 	}
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("expected value below is for 64-bit platforms")
-	}
-	// Two inline om.Items of 24 bytes and the opset map pointer.
-	if nodeSize != 56 {
-		t.Errorf("node grew: %d bytes, expected 56", nodeSize)
+	// Two inline om.Items (24 bytes on every platform, 8-byte aligned for
+	// their label) and the opset map pointer, rounded up to that
+	// alignment: 56 bytes on 64-bit platforms.
+	const ptr = unsafe.Sizeof(uintptr(0))
+	item := unsafe.Sizeof(om.Item{})
+	if want := int(2*item+ptr+7) &^ 7; item != 24 || nodeSize != want || ptr == 8 && nodeSize != 56 {
+		t.Errorf("node grew: %d bytes of %d-byte items, expected %d (56)", nodeSize, item, want)
 	}
 }

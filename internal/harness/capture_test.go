@@ -15,7 +15,7 @@ import (
 func standaloneCapture(t *testing.T, b *workload.Benchmark, workers int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := harness.Run(b, harness.Config{Mode: harness.Base, Config: engine.Config{Workers: workers, Record: &buf}}); err != nil {
+	if _, err := harness.Run(b, engine.Config{Detector: engine.NoDetector, Workers: workers, Record: &buf}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -17,9 +17,7 @@ func TestFastPathLockReduction(t *testing.T) {
 	for _, bench := range []*workload.Benchmark{workload.MM(32, 8), workload.HW(2, 8, 128)} {
 		locks := map[bool]int64{}
 		for _, fast := range []bool{false, true} {
-			res, err := harness.Run(bench, harness.Config{Mode: harness.Full, Config: engine.Config{
-				Serial: true, LockedHistory: !fast, Stats: obsv.NewRegistry(),
-			}})
+			res, err := harness.Run(bench, engine.Config{Serial: true, LockedHistory: !fast, Stats: obsv.NewRegistry()})
 			if err != nil {
 				t.Fatalf("%s fastpath=%v: %v", bench.Name, fast, err)
 			}
@@ -42,9 +40,7 @@ func TestFastPathLockReduction(t *testing.T) {
 // benchmarks, with fastpath counters flowing through the registry.
 func TestFastPathParallelAgreesWithSerial(t *testing.T) {
 	bench := workload.MM(32, 8)
-	res, err := harness.Run(bench, harness.Config{Mode: harness.Full, Config: engine.Config{
-		Workers: 4, Stats: obsv.NewRegistry(),
-	}})
+	res, err := harness.Run(bench, engine.Config{Workers: 4, Stats: obsv.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,15 +53,14 @@ func TestFastPathParallelAgreesWithSerial(t *testing.T) {
 }
 
 // TestZeroConfigIsTheShippingHistory is the harness twin of the public
-// API's test of the same name: a Config that names nothing but the mode
-// (and the registry the counters are read from) runs the strand-buffered
-// history, so on hw every page-lock acquisition is one batch flush and
-// there are far fewer of them than accesses. Fig3/4/5 build their cells
-// from such literals; this is what makes them measure what ships.
+// API's test of the same name: a Config that names nothing but the
+// registry the counters are read from runs the strand-buffered history,
+// so on hw every page-lock acquisition is one batch flush and there are
+// far fewer of them than accesses. Fig3/4/5 build their cells on the base
+// Config cmd/sforder passes, the zero one by default; this is what makes
+// them measure what ships.
 func TestZeroConfigIsTheShippingHistory(t *testing.T) {
-	res, err := harness.Run(workload.HW(2, 8, 128), harness.Config{
-		Mode: harness.Full, Config: engine.Config{Stats: obsv.NewRegistry()},
-	})
+	res, err := harness.Run(workload.HW(2, 8, 128), engine.Config{Stats: obsv.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

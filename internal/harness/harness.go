@@ -1,7 +1,7 @@
 // Package harness runs the paper's benchmarks under the paper's
-// configurations — each one an internal/engine configuration at a base,
-// reach or full instrumentation level — and regenerates its evaluation
-// artifacts:
+// configurations — each one an internal/engine configuration, whose
+// detector and ReachabilityOnly fields are its base, reach or full
+// instrumentation level — and regenerates its evaluation artifacts:
 //
 //   - Figure 3: benchmark execution characteristics (reads, writes,
 //     reachability queries, futures, dag nodes);
@@ -24,75 +24,41 @@ import (
 	"sforder/internal/workload"
 )
 
-// Mode selects the instrumentation level (paper §4).
-type Mode int
-
-const (
-	// Base runs without any instrumentation.
-	Base Mode = iota
-	// Reach maintains the reachability structures but checks no
-	// accesses.
-	Reach
-	// Full runs complete race detection.
-	Full
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Base:
+// Level names cfg's instrumentation level in the paper's terms (§4):
+// base runs no detector, reach maintains the reachability structures but
+// checks no accesses, full runs complete race detection.
+func Level(cfg engine.Config) string {
+	switch {
+	case cfg.Detector == engine.NoDetector:
 		return "base"
-	case Reach:
+	case cfg.ReachabilityOnly:
 		return "reach"
-	case Full:
-		return "full"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+	return "full"
 }
 
-// Config is one measured configuration: an engine configuration — whose
-// zero value is the shipping one — at one of the paper's three
-// instrumentation levels. Mode decides whether the engine's Detector
-// runs at all (Base) and whether it checks accesses (Full) or only
-// maintains reachability (Reach).
-type Config struct {
-	engine.Config
-	Mode Mode
-}
-
-// Result is one measured run.
-type Result = engine.Result
-
-// Run executes benchmark b once under cfg and returns the measurement.
-// The benchmark's Verify hook is checked; a failed run or a verification
-// failure is an error (the run was not a valid measurement).
-func Run(b *workload.Benchmark, cfg Config) (*Result, error) {
-	if cfg.Detector == engine.MultiBags && !cfg.Serial && cfg.Mode != Base {
-		return nil, fmt.Errorf("harness: MultiBags requires Serial (it is a sequential algorithm)")
-	}
-	ecfg := cfg.Config
-	ecfg.ReachabilityOnly = cfg.Mode == Reach
-	if cfg.Mode == Base {
-		ecfg.Detector = engine.NoDetector
-	}
+// Run executes benchmark b once under cfg and checks the benchmark's
+// Verify hook; a failed run or a verification failure is an error (the
+// run was not a valid measurement).
+func Run(b *workload.Benchmark, cfg engine.Config) (*engine.Result, error) {
 	run := b.Make()
-	res, err := engine.Run(ecfg, run.Main)
+	res, err := engine.Run(cfg, run.Main)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s %v/%v: %w", b.Name, cfg.Detector, cfg.Mode, err)
+		return nil, fmt.Errorf("harness: %s %v/%s: %w", b.Name, cfg.Detector, Level(cfg), err)
 	}
 	if err := run.Verify(); err != nil {
-		return nil, fmt.Errorf("harness: %s %v/%v verification: %w", b.Name, cfg.Detector, cfg.Mode, err)
+		return nil, fmt.Errorf("harness: %s %v/%s verification: %w", b.Name, cfg.Detector, Level(cfg), err)
 	}
 	return res, nil
 }
 
 // RunBest runs cfg `repeats` times and returns the fastest measurement
 // (minimum wall-clock), the usual stabilizer for small benchmarks.
-func RunBest(b *workload.Benchmark, cfg Config, repeats int) (*Result, error) {
+func RunBest(b *workload.Benchmark, cfg engine.Config, repeats int) (*engine.Result, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	var best *Result
+	var best *engine.Result
 	for i := 0; i < repeats; i++ {
 		r, err := Run(b, cfg)
 		if err != nil {
@@ -123,7 +89,7 @@ func DefaultWorkers() int {
 // replay.RunStream.
 func RecordCapture(b *workload.Benchmark, workers int) ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := Run(b, Config{Mode: Full, Config: engine.Config{Workers: workers, Record: &buf}}); err != nil {
+	if _, err := Run(b, engine.Config{Workers: workers, Record: &buf}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

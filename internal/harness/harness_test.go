@@ -17,55 +17,45 @@ func testBenches() []*workload.Benchmark {
 
 func TestRunAllDetectorModes(t *testing.T) {
 	b := workload.MM(16, 8)
-	cases := []harness.Config{
-		{Mode: harness.Base, Config: engine.Config{Serial: true}},
-		{Mode: harness.Base, Config: engine.Config{Workers: 2}},
-		{Mode: harness.Reach, Config: engine.Config{Serial: true}},
-		{Mode: harness.Full, Config: engine.Config{Workers: 2}},
-		{Mode: harness.Full, Config: engine.Config{Workers: 2, LockedHistory: true}},
-		{Mode: harness.Full, Config: engine.Config{Serial: true, Policy: detect.ReadersLR}},
-		{Mode: harness.Reach, Config: engine.Config{Detector: engine.FOrder, Workers: 2}},
-		{Mode: harness.Full, Config: engine.Config{Detector: engine.FOrder, Serial: true}},
-		{Mode: harness.Reach, Config: engine.Config{Detector: engine.MultiBags, Serial: true}},
-		{Mode: harness.Full, Config: engine.Config{Detector: engine.MultiBags, Serial: true}},
+	cases := []engine.Config{
+		{Detector: engine.NoDetector, Serial: true},
+		{Detector: engine.NoDetector, Workers: 2},
+		{ReachabilityOnly: true, Serial: true},
+		{Workers: 2},
+		{Workers: 2, LockedHistory: true},
+		{Serial: true, Policy: detect.ReadersLR},
+		{Detector: engine.FOrder, ReachabilityOnly: true, Workers: 2},
+		{Detector: engine.FOrder, Serial: true},
+		{Detector: engine.MultiBags, ReachabilityOnly: true, Serial: true},
+		{Detector: engine.MultiBags, Serial: true},
 	}
 	for _, cfg := range cases {
+		level := harness.Level(cfg)
 		res, err := harness.Run(b, cfg)
 		if err != nil {
-			t.Fatalf("%v/%v: %v", cfg.Detector, cfg.Mode, err)
+			t.Fatalf("%v/%s: %v", cfg.Detector, level, err)
 		}
 		if res.RaceCount != 0 {
-			t.Errorf("%v/%v: unexpected races", cfg.Detector, cfg.Mode)
+			t.Errorf("%v/%s: unexpected races", cfg.Detector, level)
 		}
-		if cfg.Mode != harness.Base && res.ReachMem <= 0 {
-			t.Errorf("%v/%v: no reach memory accounted", cfg.Detector, cfg.Mode)
+		if level != "base" && res.ReachMem <= 0 {
+			t.Errorf("%v/%s: no reach memory accounted", cfg.Detector, level)
 		}
-		if cfg.Mode == harness.Full && res.Queries == 0 {
-			t.Errorf("%v/%v: no queries served", cfg.Detector, cfg.Mode)
+		if level == "full" && res.Queries == 0 {
+			t.Errorf("%v/%s: no queries served", cfg.Detector, level)
 		}
-	}
-}
-
-func TestMultiBagsRejectsParallel(t *testing.T) {
-	_, err := harness.Run(workload.MM(16, 8), harness.Config{
-		Mode: harness.Full, Config: engine.Config{Detector: engine.MultiBags, Workers: 2},
-	})
-	if err == nil {
-		t.Fatal("MultiBags must reject parallel execution")
 	}
 }
 
 func TestLRPolicyRequiresSFOrder(t *testing.T) {
-	_, err := harness.Run(workload.MM(16, 8), harness.Config{
-		Mode: harness.Full, Config: engine.Config{Detector: engine.FOrder, Serial: true, Policy: detect.ReadersLR},
-	})
+	_, err := harness.Run(workload.MM(16, 8), engine.Config{Detector: engine.FOrder, Serial: true, Policy: detect.ReadersLR})
 	if err == nil {
 		t.Fatal("ReadersLR with F-Order must be rejected")
 	}
 }
 
 func TestFig3(t *testing.T) {
-	rows, err := harness.Fig3(testBenches(), false)
+	rows, err := harness.Fig3(testBenches(), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +78,7 @@ func TestFig3(t *testing.T) {
 }
 
 func TestFig4(t *testing.T) {
-	rows, err := harness.Fig4(testBenches()[:1], 2, 1, false)
+	rows, err := harness.Fig4(testBenches()[:1], 2, 1, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +100,7 @@ func TestFig4(t *testing.T) {
 }
 
 func TestFig5(t *testing.T) {
-	rows, err := harness.Fig5(testBenches())
+	rows, err := harness.Fig5(testBenches(), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +119,7 @@ func TestFig5(t *testing.T) {
 func TestFig5SFOrderSmallerOnFutureHeavy(t *testing.T) {
 	// The headline qualitative claim of Figure 5: SF-Order's bitmaps
 	// are much smaller than F-Order's hash tables on future-heavy runs.
-	rows, err := harness.Fig5([]*workload.Benchmark{workload.SW(64, 8)})
+	rows, err := harness.Fig5([]*workload.Benchmark{workload.SW(64, 8)}, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +130,7 @@ func TestFig5SFOrderSmallerOnFutureHeavy(t *testing.T) {
 }
 
 func TestAblationReaderPolicy(t *testing.T) {
-	rows, err := harness.AblationReaderPolicy(testBenches()[:1], 1, false)
+	rows, err := harness.AblationReaderPolicy(testBenches()[:1], 1, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +145,7 @@ func TestAblationReaderPolicy(t *testing.T) {
 }
 
 func TestRunBestPicksMinimum(t *testing.T) {
-	res, err := harness.RunBest(workload.MM(16, 8), harness.Config{Mode: harness.Base, Config: engine.Config{Serial: true}}, 3)
+	res, err := harness.RunBest(workload.MM(16, 8), engine.Config{Detector: engine.NoDetector, Serial: true}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +155,14 @@ func TestRunBestPicksMinimum(t *testing.T) {
 }
 
 func TestStrings(t *testing.T) {
-	if harness.Base.String() != "base" || harness.Full.String() != "full" {
-		t.Error("mode strings")
+	for want, cfg := range map[string]engine.Config{
+		"base":  {Detector: engine.NoDetector, ReachabilityOnly: true},
+		"reach": {Detector: engine.FOrder, ReachabilityOnly: true},
+		"full":  {},
+	} {
+		if got := harness.Level(cfg); got != want {
+			t.Errorf("Level(%+v) = %q, want %q", cfg, got, want)
+		}
 	}
 	if harness.DefaultWorkers() < 2 {
 		t.Error("DefaultWorkers < 2")

@@ -49,13 +49,13 @@ func (r Fig4Row) MarshalJSON() ([]byte, error) {
 		BaseTP  Fig4Cell  `json:"base_tp"`
 		Cells   []cellOut `json:"cells"`
 	}{Bench: r.Bench, Workers: r.Workers, BaseT1: r.BaseT1, BaseTP: r.BaseTP}
-	for _, mode := range []Mode{Reach, Full} {
+	for _, level := range fig4Levels {
 		for _, det := range []engine.Detector{engine.MultiBags, engine.FOrder, engine.SFOrder} {
 			for _, tp := range []bool{false, true} {
 				if det == engine.MultiBags && tp {
 					continue
 				}
-				k := key(det, mode, tp)
+				k := key(det, level, tp)
 				c, ok := r.ByConfig[k]
 				if !ok {
 					continue

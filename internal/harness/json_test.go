@@ -6,12 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"sforder/internal/engine"
 	"sforder/internal/harness"
 	"sforder/internal/workload"
 )
 
 func TestReportJSONRoundTrip(t *testing.T) {
-	rows, err := harness.Fig3([]*workload.Benchmark{workload.MM(16, 8)}, false)
+	rows, err := harness.Fig3([]*workload.Benchmark{workload.MM(16, 8)}, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 }
 
 func TestFig4RowJSONCells(t *testing.T) {
-	rows, err := harness.Fig4([]*workload.Benchmark{workload.MM(16, 8)}, 2, 1, false)
+	rows, err := harness.Fig4([]*workload.Benchmark{workload.MM(16, 8)}, 2, 1, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

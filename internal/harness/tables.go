@@ -26,14 +26,14 @@ type Fig3Row struct {
 // a stats registry attached gathers all columns at once — every column
 // is read from the registry snapshot rather than from per-component
 // getters, so the table and the -stats/-http surfaces can never
-// disagree. locked selects the paper-faithful locked history in place of
-// the shipping one (it moves the queries column only).
-func Fig3(benches []*workload.Benchmark, locked bool) ([]Fig3Row, error) {
+// disagree. Every other field comes from base (the locked history, for
+// one, moves the queries column).
+func Fig3(benches []*workload.Benchmark, base engine.Config) ([]Fig3Row, error) {
 	var rows []Fig3Row
 	for _, b := range benches {
-		res, err := Run(b, Config{Mode: Full, Config: engine.Config{
-			Serial: true, LockedHistory: locked, Stats: obsv.NewRegistry(),
-		}})
+		cfg := base
+		cfg.Detector, cfg.ReachabilityOnly, cfg.Serial, cfg.Stats = engine.SFOrder, false, true, obsv.NewRegistry()
+		res, err := Run(b, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -99,30 +99,34 @@ type Fig4Row struct {
 	ByConfig map[string]Fig4Cell // keys like "MultiBags/reach/T1", "SF-Order/full/TP"
 }
 
-func key(d engine.Detector, m Mode, tp bool) string {
+// fig4Levels are Figure 4's two lines per benchmark, as Level names them.
+var fig4Levels = []string{"reach", "full"}
+
+func key(d engine.Detector, level string, tp bool) string {
 	suffix := "T1"
 	if tp {
 		suffix = "TP"
 	}
-	return fmt.Sprintf("%s/%s/%s", d, m, suffix)
+	return fmt.Sprintf("%s/%s/%s", d, level, suffix)
 }
 
 // Fig4 measures the full grid for the given benchmarks. repeats selects
 // best-of-n timing. MultiBags runs only at T1 (it is sequential, which
 // is the point of the comparison); the parallel detectors run at one
-// worker and at workers workers. The history is the shipping one, or
-// with locked the paper's lock-per-access history its shape checks are
-// made against.
-func Fig4(benches []*workload.Benchmark, workers, repeats int, locked bool) ([]Fig4Row, error) {
+// worker and at workers workers. Every other field — the history, the
+// substrate, the reader policy — comes from base: the zero Config
+// measures what ships, LockedHistory the paper's lock-per-access history
+// its shape checks are made against.
+func Fig4(benches []*workload.Benchmark, workers, repeats int, base engine.Config) ([]Fig4Row, error) {
 	var rows []Fig4Row
 	for _, b := range benches {
 		row := Fig4Row{Bench: b.Name, Workers: workers, ByConfig: map[string]Fig4Cell{}}
 		// seconds is the best-of-repeats wall of one cell on w workers;
 		// w == 0 selects the serial executor.
-		seconds := func(det engine.Detector, mode Mode, w int) (float64, error) {
-			r, err := RunBest(b, Config{Mode: mode, Config: engine.Config{
-				Detector: det, Workers: w, Serial: w == 0, LockedHistory: locked,
-			}}, repeats)
+		seconds := func(det engine.Detector, reachOnly bool, w int) (float64, error) {
+			cfg := base
+			cfg.Detector, cfg.ReachabilityOnly, cfg.Workers, cfg.Serial = det, reachOnly, w, w == 0
+			r, err := RunBest(b, cfg, repeats)
 			if err != nil {
 				return 0, err
 			}
@@ -130,33 +134,34 @@ func Fig4(benches []*workload.Benchmark, workers, repeats int, locked bool) ([]F
 		}
 
 		var err error
-		if row.BaseT1, err = seconds(engine.NoDetector, Base, 0); err != nil {
+		if row.BaseT1, err = seconds(engine.NoDetector, false, 0); err != nil {
 			return nil, err
 		}
-		baseTP, err := seconds(engine.NoDetector, Base, workers)
+		baseTP, err := seconds(engine.NoDetector, false, workers)
 		if err != nil {
 			return nil, err
 		}
 		row.BaseTP = Fig4Cell{Seconds: baseTP, Scale: row.BaseT1 / baseTP}
 
-		for _, mode := range []Mode{Reach, Full} {
+		for _, level := range fig4Levels {
+			reachOnly := level == "reach"
 			// MultiBags: serial executor only.
-			mb, err := seconds(engine.MultiBags, mode, 0)
+			mb, err := seconds(engine.MultiBags, reachOnly, 0)
 			if err != nil {
 				return nil, err
 			}
-			row.ByConfig[key(engine.MultiBags, mode, false)] = Fig4Cell{Seconds: mb, Overhead: mb / row.BaseT1}
+			row.ByConfig[key(engine.MultiBags, level, false)] = Fig4Cell{Seconds: mb, Overhead: mb / row.BaseT1}
 			for _, det := range []engine.Detector{engine.FOrder, engine.SFOrder} {
-				t1, err := seconds(det, mode, 1)
+				t1, err := seconds(det, reachOnly, 1)
 				if err != nil {
 					return nil, err
 				}
-				row.ByConfig[key(det, mode, false)] = Fig4Cell{Seconds: t1, Overhead: t1 / row.BaseT1}
-				tp, err := seconds(det, mode, workers)
+				row.ByConfig[key(det, level, false)] = Fig4Cell{Seconds: t1, Overhead: t1 / row.BaseT1}
+				tp, err := seconds(det, reachOnly, workers)
 				if err != nil {
 					return nil, err
 				}
-				row.ByConfig[key(det, mode, true)] = Fig4Cell{Seconds: tp, Overhead: tp / baseTP, Scale: t1 / tp}
+				row.ByConfig[key(det, level, true)] = Fig4Cell{Seconds: tp, Overhead: tp / baseTP, Scale: t1 / tp}
 			}
 		}
 		rows = append(rows, row)
@@ -171,7 +176,7 @@ func PrintFig4(w io.Writer, rows []Fig4Row) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "bench\tbase(T1)\tbase(TP)\tconfig\tMultiBags(T1)\tF-Order(T1)\tSF-Order(T1)\tF-Order(TP)\tSF-Order(TP)")
 	for _, r := range rows {
-		for i, mode := range []Mode{Reach, Full} {
+		for i, level := range fig4Levels {
 			b1, bp := "", ""
 			if i == 0 {
 				b1 = fmt.Sprintf("%.3f", r.BaseT1)
@@ -181,13 +186,13 @@ func PrintFig4(w io.Writer, rows []Fig4Row) {
 			if i == 0 {
 				name = r.Bench
 			}
-			mb := r.ByConfig[key(engine.MultiBags, mode, false)]
-			f1 := r.ByConfig[key(engine.FOrder, mode, false)]
-			s1 := r.ByConfig[key(engine.SFOrder, mode, false)]
-			fp := r.ByConfig[key(engine.FOrder, mode, true)]
-			sp := r.ByConfig[key(engine.SFOrder, mode, true)]
+			mb := r.ByConfig[key(engine.MultiBags, level, false)]
+			f1 := r.ByConfig[key(engine.FOrder, level, false)]
+			s1 := r.ByConfig[key(engine.SFOrder, level, false)]
+			fp := r.ByConfig[key(engine.FOrder, level, true)]
+			sp := r.ByConfig[key(engine.SFOrder, level, true)]
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%.3f (%.2fx)\t%.3f (%.2fx)\t%.3f (%.2fx)\t%.3f [%.2fx]\t%.3f [%.2fx]\n",
-				name, b1, bp, mode,
+				name, b1, bp, level,
 				mb.Seconds, mb.Overhead,
 				f1.Seconds, f1.Overhead,
 				s1.Seconds, s1.Overhead,
@@ -207,17 +212,18 @@ type Fig5Row struct {
 }
 
 // Fig5 measures reachability-maintenance memory under the reach
-// configuration (serial runs keep the measurement deterministic). The
+// configuration (serial runs keep the measurement deterministic), with
+// every other field — SF-Order's substrate, for one — from base. The
 // memory column is read from each run's registry snapshot
 // (reach.mem_bytes).
-func Fig5(benches []*workload.Benchmark) ([]Fig5Row, error) {
+func Fig5(benches []*workload.Benchmark, base engine.Config) ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, b := range benches {
 		var mem [2]int64 // F-Order, SF-Order
 		for i, det := range []engine.Detector{engine.FOrder, engine.SFOrder} {
-			res, err := Run(b, Config{Mode: Reach, Config: engine.Config{
-				Detector: det, Serial: true, Stats: obsv.NewRegistry(),
-			}})
+			cfg := base
+			cfg.Detector, cfg.ReachabilityOnly, cfg.Serial, cfg.Stats = det, true, true, obsv.NewRegistry()
+			res, err := Run(b, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -259,16 +265,17 @@ type AblationRow struct {
 	LRHistMB   float64
 }
 
-// AblationReaderPolicy measures ABL1 from DESIGN.md.
-func AblationReaderPolicy(benches []*workload.Benchmark, repeats int, locked bool) ([]AblationRow, error) {
+// AblationReaderPolicy measures ABL1 from DESIGN.md: serial SF-Order full
+// detection under each policy, every other field from base.
+func AblationReaderPolicy(benches []*workload.Benchmark, repeats int, base engine.Config) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, b := range benches {
-		var res [2]*Result // ReadersAll, ReadersLR
+		var res [2]*engine.Result // ReadersAll, ReadersLR
 		for i, policy := range []detect.ReaderPolicy{detect.ReadersAll, detect.ReadersLR} {
+			cfg := base
+			cfg.Detector, cfg.ReachabilityOnly, cfg.Serial, cfg.Policy = engine.SFOrder, false, true, policy
 			var err error
-			res[i], err = RunBest(b, Config{Mode: Full, Config: engine.Config{
-				Serial: true, Policy: policy, LockedHistory: locked,
-			}}, repeats)
+			res[i], err = RunBest(b, cfg, repeats)
 			if err != nil {
 				return nil, err
 			}

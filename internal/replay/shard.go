@@ -145,19 +145,35 @@ func (pl *pipeline) wait() {
 func (pl *pipeline) finish(res *Result, bytes int64) {
 	mergeStart := time.Now()
 	res.Shards = len(pl.shards)
+	var races []*detect.Race
 	for _, sh := range pl.shards {
 		res.Entries += sh.entries
 		res.RaceCount += sh.hist.RaceCount()
 		res.Queries += sh.queries
 		res.MaxShardEntries = max(res.MaxShardEntries, sh.entries)
-		res.Races = append(res.Races, sh.hist.Races()...)
+		for rs, i := sh.hist.Races(), 0; i < len(rs); i++ {
+			races = append(races, &rs[i])
+		}
 		res.RacyAddrs = append(res.RacyAddrs, sh.hist.RacyAddrs()...)
 	}
-	slices.SortFunc(res.Races, func(a, b detect.Race) int {
-		return cmp.Or(cmp.Compare(a.Addr, b.Addr), cmp.Compare(a.PrevStrand, b.PrevStrand),
-			cmp.Compare(a.CurStrand, b.CurStrand), cmp.Compare(a.Prev, b.Prev), cmp.Compare(a.Cur, b.Cur))
+	// The shards keep every record, and a record is ~80 bytes: sort
+	// pointers to them, then copy out only the ones the cap keeps.
+	slices.SortFunc(races, func(a, b *detect.Race) int {
+		switch {
+		case a.Addr != b.Addr:
+			return cmp.Compare(a.Addr, b.Addr)
+		case a.PrevStrand != b.PrevStrand:
+			return cmp.Compare(a.PrevStrand, b.PrevStrand)
+		case a.CurStrand != b.CurStrand:
+			return cmp.Compare(a.CurStrand, b.CurStrand)
+		}
+		return cmp.Or(cmp.Compare(a.Prev, b.Prev), cmp.Compare(a.Cur, b.Cur))
 	})
-	res.Races = res.Races[:min(len(res.Races), cmp.Or(pl.opts.MaxRaces, 256))]
+	kept := races[:min(len(races), cmp.Or(pl.opts.MaxRaces, 256))]
+	res.Races = slices.Grow(res.Races, len(kept))
+	for _, r := range kept {
+		res.Races = append(res.Races, *r)
+	}
 	slices.Sort(res.RacyAddrs)
 	res.Merge = time.Since(mergeStart)
 	res.ReachMemBytes = pl.reach.MemBytes()

@@ -3,20 +3,19 @@ package wsp
 import (
 	"testing"
 	"unsafe"
+
+	"sforder/internal/om"
 )
 
 // TestAccountingSizes pins the per-strand record size to the real
-// struct layout (unsafe.Sizeof-derived; 64-bit expectation pinned so
-// growth fails loudly instead of skewing MemBytes).
+// struct layout (unsafe.Sizeof-derived), with the 64-bit number pinned so
+// growth fails loudly instead of skewing MemBytes.
 func TestAccountingSizes(t *testing.T) {
 	if nodeSize != int(unsafe.Sizeof(node{})) {
 		t.Errorf("nodeSize %d != sizeof(node) %d", nodeSize, unsafe.Sizeof(node{}))
 	}
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("expected value below is for 64-bit platforms")
-	}
-	// Two inline om.Items of 24 bytes.
-	if nodeSize != 48 {
-		t.Errorf("node grew: %d bytes, expected 48", nodeSize)
+	// Two inline om.Items, 24 bytes on every platform.
+	if item := unsafe.Sizeof(om.Item{}); item != 24 || nodeSize != int(2*item) {
+		t.Errorf("node grew: %d bytes of %d-byte items, expected 48", nodeSize, item)
 	}
 }

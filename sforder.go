@@ -226,22 +226,15 @@ func Run(cfg Config, main func(*Task)) (*Result, error) {
 		LockedHistory:    cfg.LockedHistory,
 		DedupByAddr:      cfg.DedupByAddr,
 		CheckStructure:   cfg.CheckStructure,
+		Trace:            cfg.Trace,
 		Record:           cfg.Record,
 	}
 	if cfg.Stats {
 		ecfg.Stats = obsv.NewRegistry()
 	}
-	if cfg.Trace != nil {
-		ecfg.Trace = obsv.NewTraceWriter(cfg.Trace)
-	}
 	r, err := engine.Run(ecfg, main)
 	if err != nil {
 		err = fmt.Errorf("sforder: %w", err)
-	}
-	if ecfg.Trace != nil {
-		if cerr := ecfg.Trace.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("sforder: trace: %w", cerr)
-		}
 	}
 	if r == nil {
 		return nil, err
