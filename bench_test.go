@@ -314,7 +314,7 @@ func BenchmarkAblationBitmapVsHash(b *testing.B) {
 				var mem func() int
 				switch det {
 				case engine.SFOrder:
-					r := core.NewReach()
+					r := core.New(core.Config{})
 					tracer, mem = r, r.MemBytes
 				default:
 					r := forder.NewReach()

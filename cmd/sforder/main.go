@@ -50,7 +50,7 @@ func main() {
 		httpAddr      = flag.String("http", "", "serve /stats, /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
 		dedup         = flag.Bool("dedup", false, "with -bench: report at most one race record per address")
 		fastpath      = flag.Bool("fastpath", true, "use the lock-avoiding access history in full mode (what ships); -fastpath=false is the paper's locked history (sforder.Config.LockedHistory, ABL7)")
-		reachSub      = flag.String("reach", "om", "with -bench and -table, and with -replay for the rebuild: SF-Order reachability substrate: om (English/Hebrew lists) or depa (prefix-sharing fork-path cords, ABL10/11)")
+		reachSub      = flag.String("reach", "depa", "with -bench and -table: SF-Order reachability substrate: depa (prefix-sharing fork-path cords, ABL10/11) or om (the paper's English/Hebrew lists)")
 		extras        = flag.Bool("extras", false, "append the adversarial extras (spine, pipeline, ksweep) to -table runs")
 		record        = flag.String("record", "", "with -bench: capture the run (dag events + access stream) to this sftrace file for offline -replay")
 		replayIn      = flag.String("replay", "", "replay a capture recorded with -record: stream it through the dag rebuild and detection, sharded by shadow page, in memory constant in its length")
@@ -87,7 +87,7 @@ func main() {
 
 	switch {
 	case *replayIn != "":
-		runReplay(*replayIn, *replayWorkers, *reachSub, *dedup, *stats, reg)
+		runReplay(*replayIn, *replayWorkers, *dedup, *stats, reg)
 	case *table != "":
 		runTable(*table, benches, runConfig(*detector, *mode, *policy, *reachSub, *workers, *fastpath, *dedup),
 			*workers, *repeats, *scale, *jsonOut)
@@ -106,20 +106,14 @@ func main() {
 }
 
 // runReplay streams an sftrace capture through offline detection: the
-// dag is rebuilt on the selected reachability substrate while the access
-// blocks are routed by shadow page across the requested shards (a
-// location lives in one page, a page in one shard) and detected in
-// parallel (ABL12).
-func runReplay(path string, workers int, reachName string, dedup, stats bool, reg *obsv.Registry) {
-	sub, err := core.ParseSubstrate(reachName)
-	if err != nil {
-		fatalf("%v", err)
-	}
+// dag is rebuilt on DePa labels while the access blocks are routed by
+// shadow page across the requested shards (a location lives in one page,
+// a page in one shard) and detected in parallel (ABL12).
+func runReplay(path string, workers int, dedup, stats bool, reg *obsv.Registry) {
 	f, err := os.Open(path)
 	check(err)
 	res, err := replay.RunStream(f, replay.Options{
 		Workers:     workers,
-		Reach:       sub,
 		DedupByAddr: dedup,
 		Stats:       reg,
 	})
@@ -127,7 +121,7 @@ func runReplay(path string, workers int, reachName string, dedup, stats bool, re
 	if err != nil {
 		fatalf("replay: %s: %v", path, err)
 	}
-	fmt.Printf("%s  replay workers=%d reach=%s\n", path, res.Shards, sub)
+	fmt.Printf("%s  replay workers=%d\n", path, res.Shards)
 	fmt.Printf("  strands    %d\n", res.Strands)
 	fmt.Printf("  futures    %d\n", res.Futures-1)
 	fmt.Printf("  events     %d\n", res.Events)

@@ -18,7 +18,7 @@ import (
 // address sets.
 func runFull(t *testing.T, policy detect.ReaderPolicy, workers int, serial bool, main func(*sched.Task)) (got, want []uint64, hist *detect.History) {
 	t.Helper()
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	hist = detect.NewHistory(detect.Options{
 		Reach:  reach,
 		Policy: policy,
@@ -194,7 +194,7 @@ func TestLRBoundTwoK(t *testing.T) {
 	}
 
 	// Sanity contrast: ReadersAll retains many more on the same program.
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	all := detect.NewHistory(detect.Options{Reach: reach})
 	if _, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Checker: all}, main); err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestLRBoundTwoK(t *testing.T) {
 
 // TestQueriesCounted: the reach component counts access-history queries.
 func TestQueriesCounted(t *testing.T) {
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	hist := detect.NewHistory(detect.Options{Reach: reach})
 	_, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Checker: hist}, func(t *sched.Task) {
 		t.Write(1)

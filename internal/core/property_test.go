@@ -24,7 +24,7 @@ func TestQuickPrecedesIsStrictPartialOrder(t *testing.T) {
 			MaxDepth: 1 + int(depth%4),
 			MaxOps:   1 + int(ops%7),
 		})
-		r := core.NewReach()
+		r := core.New(core.Config{})
 		rec := dag.NewRecorder()
 		if _, err := sched.Run(sched.Options{Serial: true, Tracer: sched.MultiTracer{r, rec}}, p.Main()); err != nil {
 			return false
@@ -68,7 +68,7 @@ func TestQuickPrecedesIsStrictPartialOrder(t *testing.T) {
 func TestQuickGpMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 7})
-		r := core.NewReach()
+		r := core.New(core.Config{})
 		rec := dag.NewRecorder()
 		if _, err := sched.Run(sched.Options{Serial: true, Tracer: sched.MultiTracer{r, rec}}, p.Main()); err != nil {
 			return false
@@ -118,7 +118,7 @@ func FuzzDetectorAgainstOracle(f *testing.F) {
 			MaxOps:   1 + int(ops%9),
 			Addrs:    5,
 		})
-		reach := core.NewReach()
+		reach := core.New(core.Config{})
 		hist := detect.NewHistory(detect.Options{Reach: reach})
 		rec := dag.NewRecorder()
 		log := oracle.NewLogger()

@@ -67,11 +67,11 @@ type futMeta struct {
 	kids atomic.Pointer[bitset.RunSet]
 }
 
-// Config selects the reachability substrate. The zero value is the paper
-// configuration: the English/Hebrew OM pair.
+// Config selects the reachability substrate. The zero value is what
+// ships: DePa fork-path cords.
 type Config struct {
-	// Reach selects the reachability substrate: the English/Hebrew OM
-	// list pair (default) or DePa fork-path cords (ABL10/ABL11).
+	// Reach selects the reachability substrate: DePa fork-path cords
+	// (default) or the paper's OM list pair (ABL10/ABL11).
 	Reach Substrate
 }
 
@@ -116,10 +116,6 @@ func New(cfg Config) *Reach {
 	}
 	panic(cfg.Reach.Validate())
 }
-
-// NewReach returns an empty SF-Order reachability component with the
-// default (paper) configuration.
-func NewReach() *Reach { return New(Config{}) }
 
 // SetLanes implements sched.LaneTracer: called by the engine before the
 // first event with the worker count, it sizes the per-worker arenas.

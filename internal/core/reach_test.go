@@ -11,24 +11,11 @@ import (
 	"sforder/internal/sched"
 )
 
-// runWithReach executes main with SF-Order reachability plus a dag
-// recorder attached and returns both.
+// runWithReach executes main with SF-Order reachability in the default
+// configuration plus a dag recorder attached and returns both.
 func runWithReach(t *testing.T, workers int, serial bool, main func(*sched.Task)) (*core.Reach, *dag.Recorder) {
 	t.Helper()
-	r := core.NewReach()
-	rec := dag.NewRecorder()
-	_, err := sched.Run(sched.Options{
-		Serial:  serial,
-		Workers: workers,
-		Tracer:  sched.MultiTracer{r, rec},
-	}, main)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.G.Validate(); err != nil {
-		t.Fatalf("recorded dag invalid: %v", err)
-	}
-	return r, rec
+	return runWithReachCfg(t, core.Config{}, workers, serial, main)
 }
 
 // crossValidate compares SF-Order Precedes against the exhaustive
@@ -178,12 +165,13 @@ func TestHandleGottenInSpawnedChild(t *testing.T) {
 	crossValidate(t, "get-in-child", r, rec)
 }
 
-// TestRandomProgramsSerial cross-validates Precedes against the oracle
-// on a battery of random structured-future programs, executed serially.
+// TestRandomProgramsSerial cross-validates the OM pair's Precedes against
+// the oracle on a battery of random structured-future programs, executed
+// serially (TestDePaRandomProgramsSerial does the same for DePa).
 func TestRandomProgramsSerial(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 7})
-		r, rec := runWithReach(t, 0, true, p.Main())
+		r, rec := runWithReachCfg(t, core.Config{Reach: core.SubstrateOM}, 0, true, p.Main())
 		crossValidate(t, fmt.Sprintf("seed%d", seed), r, rec)
 	}
 }
@@ -193,7 +181,7 @@ func TestRandomProgramsSerial(t *testing.T) {
 func TestRandomProgramsParallel(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 7})
-		r, rec := runWithReach(t, 4, false, p.Main())
+		r, rec := runWithReachCfg(t, core.Config{Reach: core.SubstrateOM}, 4, false, p.Main())
 		crossValidate(t, fmt.Sprintf("par-seed%d", seed), r, rec)
 	}
 }

@@ -57,19 +57,24 @@ func TestAccountingSizes(t *testing.T) {
 // every counted byte that lives in a slab (records, DePa labels, set
 // windows; OM buckets are heap) is in ArenaBytes, which exceeds them by
 // no more than the uncounted future records plus one part-filled chunk
-// per pool per lane (the workers' and the shared one).
+// per pool per lane (the workers' and the shared one). The programs are
+// the dag-futures workload's, and at one worker the zero Config's reach
+// bytes over the three must be at most 0.6× OM's: DePa ships because it
+// takes about 44% off them (EXPERIMENTS NODEREC).
 func TestMemBytesTracksArenas(t *testing.T) {
 	// A chunk holds 256 strand records or 64 future records here, and
 	// 256 cord labels or 256 frozen chunks in internal/depa. These
 	// programs' sets are all single runs, so no window page is drawn.
 	metaSize := int64(unsafe.Sizeof(futMeta{}))
 	labelChunks := int64(256*unsafe.Sizeof(depa.Label{})) + int64(256*depa.ChunkBytes)
-	for _, sub := range []Substrate{SubstrateOM, SubstrateDePa} {
+	oneWorker := map[Substrate]int64{} // summed MemBytes at one worker
+	for _, cfg := range []Config{{Reach: SubstrateOM}, {}} {
+		sub := cfg.Reach
 		for _, b := range []*workload.Benchmark{
 			workload.Spine(5000, 2), workload.Chain(20000, 2), workload.Pipeline(1000, 16, 8),
 		} {
 			for _, workers := range []int{1, 2} {
-				r := New(Config{Reach: sub})
+				r := New(cfg)
 				run := b.Make()
 				counts, err := sched.Run(sched.Options{Workers: workers, Tracer: r}, run.Main)
 				if err != nil {
@@ -97,9 +102,17 @@ func TestMemBytesTracksArenas(t *testing.T) {
 					t.Errorf("%v %s %d workers: arenas hold %d B, want [%d, %d]",
 						sub, b.Name, workers, arena, slabbed, limit)
 				}
+				if workers == 1 {
+					oneWorker[sub] += int64(r.MemBytes())
+				}
 				r.Release()
 			}
 		}
+	}
+	zero, om := oneWorker[Config{}.Reach], oneWorker[SubstrateOM]
+	t.Logf("reach bytes at one worker: zero Config %d B, OM %d B (%.3f×)", zero, om, float64(zero)/float64(om))
+	if 10*zero > 6*om {
+		t.Errorf("zero Config holds %d B of reach at one worker, OM %d B: want at most 0.6×", zero, om)
 	}
 }
 
@@ -107,7 +120,7 @@ func TestMemBytesTracksArenas(t *testing.T) {
 // cost: counted payload plus one header a set.
 func setBytes(t *testing.T, b *workload.Benchmark, workers int) int64 {
 	t.Helper()
-	r := NewReach()
+	r := New(Config{})
 	defer r.Release()
 	run := b.Make()
 	if _, err := sched.Run(sched.Options{Workers: workers, Tracer: r}, run.Main); err != nil {
@@ -154,7 +167,7 @@ func TestSetsNeverExceedFlat(t *testing.T) {
 	for _, cfg := range []progen.Config{{MaxDepth: 4, MaxOps: 8}, {MaxDepth: 3, MaxOps: 8}} {
 		for seed := int64(0); seed < 40; seed++ {
 			cfg.Seed = seed
-			r := NewReach()
+			r := New(Config{})
 			rec := dag.NewRecorder()
 			if _, err := sched.Run(sched.Options{Serial: true, Tracer: sched.MultiTracer{r, rec}}, progen.New(cfg).Main()); err != nil {
 				t.Fatal(err)
@@ -195,7 +208,7 @@ func TestSetsNeverExceedFlat(t *testing.T) {
 // Run under -race in CI.
 func TestSharedChildCPHammer(t *testing.T) {
 	const parents, strands, creates = 40, 8, 6
-	r := NewReach()
+	r := New(Config{})
 	var mu sync.Mutex
 	kids := make(map[*sched.FutureTask][]*sched.FutureTask) // parent → children
 	_, err := sched.Run(sched.Options{Workers: strands, Tracer: r}, func(t *sched.Task) {

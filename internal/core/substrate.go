@@ -15,16 +15,16 @@ import (
 type Substrate int
 
 const (
+	// SubstrateDePa, the zero value and what ships, uses immutable
+	// DePa-style fork-path labels (internal/depa) stored as prefix-sharing
+	// cords: no relabeling, no maintenance lock, no exhaustion; label
+	// memory is O(strands) and comparisons skip the shared prefix by
+	// pointer equality, examining O(1) words at any depth (ABL10/ABL11).
+	SubstrateDePa Substrate = iota
 	// SubstrateOM is the paper's English/Hebrew order-maintenance list
 	// pair (§3.2): O(1) amortized labels, but splits and renumberings
 	// take a per-list maintenance lock.
-	SubstrateOM Substrate = iota
-	// SubstrateDePa uses immutable DePa-style fork-path labels
-	// (internal/depa) stored as prefix-sharing cords: no relabeling, no
-	// maintenance lock, exhaustion structurally impossible; label memory
-	// is O(strands) and comparisons skip the shared prefix by pointer
-	// equality, examining O(1) words at any depth.
-	SubstrateDePa
+	SubstrateOM
 )
 
 // String returns the -reach flag spelling of the substrate.
@@ -48,15 +48,15 @@ func (s Substrate) Validate() error {
 	return nil
 }
 
-// ParseSubstrate parses a -reach flag value ("om" or "depa").
+// ParseSubstrate parses a -reach flag value ("depa", the default, or "om").
 func ParseSubstrate(name string) (Substrate, error) {
 	switch name {
-	case "om", "":
-		return SubstrateOM, nil
-	case "depa":
+	case "depa", "":
 		return SubstrateDePa, nil
+	case "om":
+		return SubstrateOM, nil
 	}
-	return SubstrateOM, fmt.Errorf("unknown reachability substrate %q (want om or depa)", name)
+	return SubstrateDePa, fmt.Errorf("unknown reachability substrate %q (want om or depa)", name)
 }
 
 // Reachability is the substrate interface: the part of SF-Order that

@@ -11,8 +11,8 @@ import (
 	"sforder/internal/sched"
 )
 
-// runWithReachCfg is runWithReach with an explicit core.Config, for the
-// substrate (ABL10) tests.
+// runWithReachCfg executes main with SF-Order reachability configured by
+// cfg plus a dag recorder attached and returns both.
 func runWithReachCfg(t *testing.T, cfg core.Config, workers int, serial bool, main func(*sched.Task)) (*core.Reach, *dag.Recorder) {
 	t.Helper()
 	r := core.New(cfg)
@@ -37,13 +37,13 @@ func TestParseSubstrate(t *testing.T) {
 		want core.Substrate
 		err  bool
 	}{
-		{"om", core.SubstrateOM, false},
-		{"", core.SubstrateOM, false},
 		{"depa", core.SubstrateDePa, false},
+		{"", core.SubstrateDePa, false},
+		{"om", core.SubstrateOM, false},
 		// The deleted third -reach value (EXPERIMENTS ABL10/ABL11), in
 		// two halves so that a grep for it over the sources stays empty.
-		{"hy" + "brid", core.SubstrateOM, true},
-		{"interval", core.SubstrateOM, true},
+		{"hy" + "brid", core.SubstrateDePa, true},
+		{"interval", core.SubstrateDePa, true},
 	} {
 		got, err := core.ParseSubstrate(c.in)
 		if (err != nil) != c.err || got != c.want {
@@ -53,10 +53,10 @@ func TestParseSubstrate(t *testing.T) {
 	if core.SubstrateDePa.String() != "depa" || core.SubstrateOM.String() != "om" {
 		t.Error("Substrate.String round trip broken")
 	}
-	// The numbers are pinned: the benchmark's replay.Options{} relies on
-	// the zero value being OM, and a stored 2 must not read as "om".
-	if core.SubstrateOM != 0 || core.SubstrateDePa != 1 {
-		t.Errorf("SubstrateOM, SubstrateDePa = %d, %d, want 0, 1", core.SubstrateOM, core.SubstrateDePa)
+	// The numbers are pinned: the zero value is DePa, what ships, and a
+	// stored 2 must not read as a substrate.
+	if core.SubstrateDePa != 0 || core.SubstrateOM != 1 {
+		t.Errorf("SubstrateDePa, SubstrateOM = %d, %d, want 0, 1", core.SubstrateDePa, core.SubstrateOM)
 	}
 	if got := core.Substrate(2).String(); got != "Substrate(2)" {
 		t.Errorf("Substrate(2).String() = %q", got)
@@ -94,7 +94,7 @@ func TestDePaRandomProgramsParallel(t *testing.T) {
 func TestSubstratesAgree(t *testing.T) {
 	for seed := int64(50); seed < 60; seed++ {
 		p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 8})
-		omR, omRec := runWithReachCfg(t, core.Config{}, 0, true, p.Main())
+		omR, omRec := runWithReachCfg(t, core.Config{Reach: core.SubstrateOM}, 0, true, p.Main())
 		dpR, dpRec := runWithReachCfg(t, core.Config{Reach: core.SubstrateDePa}, 0, true, p.Main())
 		omS, dpS := omRec.Strands(), dpRec.Strands()
 		if len(omS) != len(dpS) {

@@ -20,7 +20,7 @@ import (
 // the StrandCloser hook fires (required by the fast path).
 func runRacy(t *testing.T, p *progen.Program, opts detect.Options) []uint64 {
 	t.Helper()
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	opts.Reach = reach
 	if opts.Policy == detect.ReadersLR {
 		opts.LeftOf = reach.LeftOf
@@ -36,7 +36,7 @@ func runRacy(t *testing.T, p *progen.Program, opts detect.Options) []uint64 {
 // the ground-truth racy-location set.
 func runOracle(t *testing.T, p *progen.Program) []uint64 {
 	t.Helper()
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	rec := dag.NewRecorder()
 	log := oracle.NewLogger()
 	_, err := sched.Run(sched.Options{
@@ -127,7 +127,7 @@ func TestFastPathLRPolicyAgreement(t *testing.T) {
 func TestFastPathParallelAgreement(t *testing.T) {
 	fuzz(t, 15, func(name string, p *progen.Program, want []uint64) {
 		for rep := 0; rep < 3; rep++ {
-			reach := core.NewReach()
+			reach := core.New(core.Config{})
 			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
 			if _, err := sched.Run(sched.Options{Workers: 4, Tracer: reach, Checker: hist}, p.Main()); err != nil {
 				t.Fatal(err)
@@ -201,7 +201,7 @@ func TestFastPathOverlappingFlushHammer(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for rep := 0; rep < 4; rep++ {
-			reach := core.NewReach()
+			reach := core.New(core.Config{})
 			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
 			reg := obsv.NewRegistry()
 			hist.RegisterStats(reg)
@@ -285,7 +285,7 @@ func TestSharedStateSplitMergeHammer(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		for rep := 0; rep < 4; rep++ {
-			reach := core.NewReach()
+			reach := core.New(core.Config{})
 			hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
 			reg := obsv.NewRegistry()
 			hist.RegisterStats(reg)

@@ -4,7 +4,7 @@
 // scheduler run, with the recorder, the stats registry and the timeline
 // attached where asked. The public API (package sforder), the evaluation
 // harness, cmd/sforder and cmd/sfgen all run through Run; the zero Config
-// is the shipping configuration — SF-Order on the OM substrate, the
+// is the shipping configuration — SF-Order on the DePa substrate, the
 // lock-avoiding history, ReadersAll.
 package engine
 

@@ -77,24 +77,37 @@ func TestFig3(t *testing.T) {
 	}
 }
 
+// TestFig4 runs the grid on the zero Config and under ReadersLR. The
+// policy reaches SF-Order's cells only: F-Order and MultiBags reject it.
 func TestFig4(t *testing.T) {
-	rows, err := harness.Fig4(testBenches()[:1], 2, 1, engine.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := rows[0]
-	if row.BaseT1 <= 0 {
-		t.Error("base T1 not measured")
-	}
-	if len(row.ByConfig) != 10 {
-		t.Errorf("expected 10 cells (2 modes × [MB-T1 + 2 detectors × 2 P]), got %d", len(row.ByConfig))
-	}
-	var buf bytes.Buffer
-	harness.PrintFig4(&buf, rows)
-	out := buf.String()
-	for _, want := range []string{"reach", "full", "SF-Order(T1)", "mm"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Fig4 output missing %q:\n%s", want, out)
+	for _, base := range []engine.Config{{}, {Policy: detect.ReadersLR}} {
+		rows, err := harness.Fig4(testBenches()[:1], 2, 1, base)
+		if err != nil {
+			t.Fatalf("%v: %v", base.Policy, err)
+		}
+		row := rows[0]
+		if row.BaseT1 <= 0 {
+			t.Errorf("%v: base T1 not measured", base.Policy)
+		}
+		if len(row.ByConfig) != 10 {
+			t.Errorf("%v: expected 10 cells (2 modes × [MB-T1 + 2 detectors × 2 P]), got %d", base.Policy, len(row.ByConfig))
+		}
+		for _, det := range []engine.Detector{engine.MultiBags, engine.FOrder, engine.SFOrder} {
+			want := detect.ReadersAll
+			if det == engine.SFOrder {
+				want = base.Policy
+			}
+			if got := harness.Fig4Config(base, det, false, 2).Policy; got != want {
+				t.Errorf("%v base: %v cells run %v, want %v", base.Policy, det, got, want)
+			}
+		}
+		var buf bytes.Buffer
+		harness.PrintFig4(&buf, rows)
+		out := buf.String()
+		for _, want := range []string{"reach", "full", "SF-Order(T1)", "mm"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v: Fig4 output missing %q:\n%s", base.Policy, want, out)
+			}
 		}
 	}
 }

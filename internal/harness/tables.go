@@ -121,12 +121,9 @@ func Fig4(benches []*workload.Benchmark, workers, repeats int, base engine.Confi
 	var rows []Fig4Row
 	for _, b := range benches {
 		row := Fig4Row{Bench: b.Name, Workers: workers, ByConfig: map[string]Fig4Cell{}}
-		// seconds is the best-of-repeats wall of one cell on w workers;
-		// w == 0 selects the serial executor.
+		// seconds is the best-of-repeats wall of one cell.
 		seconds := func(det engine.Detector, reachOnly bool, w int) (float64, error) {
-			cfg := base
-			cfg.Detector, cfg.ReachabilityOnly, cfg.Workers, cfg.Serial = det, reachOnly, w, w == 0
-			r, err := RunBest(b, cfg, repeats)
+			r, err := RunBest(b, fig4Config(base, det, reachOnly, w), repeats)
 			if err != nil {
 				return 0, err
 			}
@@ -167,6 +164,18 @@ func Fig4(benches []*workload.Benchmark, workers, repeats int, base engine.Confi
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// fig4Config is one cell's configuration: det at a level on w workers (0
+// selects the serial executor), the rest from base. The reader policy
+// governs SF-Order's history only; F-Order and MultiBags keep all readers.
+func fig4Config(base engine.Config, det engine.Detector, reachOnly bool, w int) engine.Config {
+	cfg := base
+	cfg.Detector, cfg.ReachabilityOnly, cfg.Workers, cfg.Serial = det, reachOnly, w, w == 0
+	if det != engine.SFOrder {
+		cfg.Policy = detect.ReadersAll
+	}
+	return cfg
 }
 
 // PrintFig4 renders the grid like the paper's Figure 4 (times in

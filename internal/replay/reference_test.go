@@ -83,7 +83,7 @@ func (l *logTap) TapAccesses(s *sched.Strand, addrs []uint64, kinds []detect.Acc
 // the tapped entries in tap order.
 func runReference(t *testing.T, c *trace.Capture, log []entry) (racy []uint64, count uint64) {
 	t.Helper()
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	defer reach.Release()
 	strands := map[uint64]*sched.Strand{} // every tapped entry's strand has a block
 	if err := (&trace.Rebuild{}).Run(c, reach, func(s *sched.Strand, _ *trace.AccessBlock) { strands[s.ID] = s }); err != nil {
@@ -156,7 +156,7 @@ func lockedCapture(t *testing.T, seed int64) ([]byte, []entry) {
 	t.Helper()
 	var buf bytes.Buffer
 	lt := &logTap{rec: trace.NewRecorder(&buf)}
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	defer reach.Release()
 	hist := detect.NewHistory(detect.Options{Reach: reach, Tap: lt})
 	p := progen.New(progen.Config{Seed: seed, MaxDepth: 4, MaxOps: 9, Addrs: 600, MaxRun: 40})

@@ -57,9 +57,10 @@ type Options struct {
 	// event order (EXPERIMENTS ABL13). The field stays only because the
 	// frozen bench/adapter.go sets it.
 	RebuildWorkers int
-	// Reach selects the reachability substrate the dag is rebuilt on.
-	// SubstrateDePa is the natural offline choice (frozen immutable
-	// labels, lock-free queries); both work.
+	// Reach selects the substrate the dag is rebuilt on (zero: DePa). No
+	// public surface sets it: it stays only for the frozen bench/adapter.go
+	// (its .depa row) and the cross-substrate tests, which use OM as their
+	// reference, and goes with ROADMAP 1(a)/3.
 	Reach core.Substrate
 	// MaxRaces caps retained detailed race records (0 = 256), applied
 	// after the deterministic merge.

@@ -37,7 +37,7 @@ func record(t testing.TB, main func(*sched.Task), workers int) (*trace.Capture, 
 	t.Helper()
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf)
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true, Tap: rec})
 	opts := sched.Options{Tracer: reach, Aux: rec, Checker: hist}
 	if workers <= 1 {

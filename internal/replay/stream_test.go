@@ -21,7 +21,7 @@ func recordBytes(t testing.TB, main func(*sched.Task), workers int) ([]byte, []u
 	t.Helper()
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf)
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true, Tap: rec})
 	opts := sched.Options{Tracer: reach, Aux: rec, Checker: hist}
 	if workers <= 1 {

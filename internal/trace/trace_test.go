@@ -179,7 +179,7 @@ func TestStandaloneBlocksMatchTappedOnes(t *testing.T) {
 			rec := trace.NewRecorder(&buf)
 			opts := sched.Options{Serial: true, Aux: rec, Checker: rec}
 			if tapped {
-				reach := core.NewReach()
+				reach := core.New(core.Config{})
 				opts.Tracer = reach
 				opts.Checker = detect.NewHistory(detect.Options{Reach: reach, FastPath: true, Tap: rec})
 			}
@@ -325,7 +325,7 @@ func TestTapRecording(t *testing.T) {
 	p := progen.New(progen.Config{Seed: 3, MaxDepth: 4, MaxOps: 7})
 	reg := obsv.NewRegistry()
 	rec.RegisterStats(reg)
-	reach := core.NewReach()
+	reach := core.New(core.Config{})
 	hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true, Tap: rec})
 	if _, err := sched.Run(sched.Options{Serial: true, Tracer: reach, Aux: rec, Checker: hist}, p.Main()); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ func TestChainComputesAndIsRaceFree(t *testing.T) {
 	b := workload.Chain(50, 8)
 	for _, serial := range []bool{true, false} {
 		run := b.Make()
-		reach := core.NewReach()
+		reach := core.New(core.Config{})
 		hist := detect.NewHistory(detect.Options{Reach: reach})
 		_, err := sched.Run(sched.Options{
 			Serial: serial, Workers: 3, Tracer: reach, Checker: hist,
@@ -47,7 +47,7 @@ func TestFibComputesAndIsRaceFree(t *testing.T) {
 	b := workload.Fib(12)
 	for _, serial := range []bool{true, false} {
 		run := b.Make()
-		reach := core.NewReach()
+		reach := core.New(core.Config{})
 		hist := detect.NewHistory(detect.Options{Reach: reach})
 		_, err := sched.Run(sched.Options{
 			Serial: serial, Workers: 3, Tracer: reach, Checker: hist,

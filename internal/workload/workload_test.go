@@ -45,7 +45,7 @@ func TestBenchmarksRaceFree(t *testing.T) {
 			b, policy := b, policy
 			t.Run(b.Name+"/"+policy.String(), func(t *testing.T) {
 				run := b.Make()
-				reach := core.NewReach()
+				reach := core.New(core.Config{})
 				hist := detect.NewHistory(detect.Options{
 					Reach:  reach,
 					Policy: policy,
@@ -72,7 +72,7 @@ func TestBenchmarksRaceFreeParallel(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			run := b.Make()
-			reach := core.NewReach()
+			reach := core.New(core.Config{})
 			hist := detect.NewHistory(detect.Options{Reach: reach})
 			if _, err := sched.Run(sched.Options{Workers: 4, Tracer: reach, Checker: hist}, run.Main); err != nil {
 				t.Fatal(err)
@@ -148,7 +148,7 @@ func TestAccessCountsPinned(t *testing.T) {
 		if int64(c.Reads) != w.reads || int64(c.Writes) != w.writes {
 			t.Errorf("%s: %d reads and %d writes, pinned %d and %d", b.Name, c.Reads, c.Writes, w.reads, w.writes)
 		}
-		reach := core.NewReach()
+		reach := core.New(core.Config{})
 		hist := detect.NewHistory(detect.Options{Reach: reach, FastPath: true})
 		stats := obsv.NewRegistry()
 		hist.RegisterStats(stats)

@@ -351,7 +351,7 @@ func TestStatsCatalogInREADME(t *testing.T) {
 		cfg  sforder.Config
 	}{
 		{"SF-Order", sforder.Config{Detector: sforder.SFOrder}},
-		{"SF-Order/DePa", sforder.Config{Detector: sforder.SFOrder, Reach: sforder.ReachDePa}},
+		{"SF-Order/OM", sforder.Config{Detector: sforder.SFOrder, Reach: sforder.ReachOM}},
 		{"F-Order", sforder.Config{Detector: sforder.FOrder}},
 		{"MultiBags", sforder.Config{Detector: sforder.MultiBags}},
 		{"WSP-Order", sforder.Config{Detector: sforder.WSPOrder}},

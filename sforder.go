@@ -95,15 +95,16 @@ const (
 type ReachBackend = core.Substrate
 
 const (
-	// ReachOM (default) is the paper's English/Hebrew order-maintenance
-	// list pair: O(1) amortized labels, maintenance lock at splits and
-	// renumberings.
-	ReachOM = core.SubstrateOM
-	// ReachDePa uses immutable DePa-style fork-path labels stored as
-	// prefix-sharing cords: no relabeling and no maintenance lock,
-	// O(strands) total label memory, and order comparisons that skip
-	// the shared prefix by pointer equality (ABL10/ABL11).
+	// ReachDePa (default) uses immutable DePa-style fork-path labels
+	// stored as prefix-sharing cords: no relabeling and no maintenance
+	// lock, O(strands) total label memory, and order comparisons that
+	// skip the shared prefix by pointer equality (ABL10/ABL11).
 	ReachDePa = core.SubstrateDePa
+	// ReachOM is the paper's English/Hebrew order-maintenance list pair:
+	// O(1) amortized labels, maintenance lock at splits and
+	// renumberings. The frozen benchmark's online rows still measure it
+	// until ROADMAP 1(a).
+	ReachOM = core.SubstrateOM
 )
 
 // ReaderPolicy selects how many previous readers the access history
@@ -150,10 +151,10 @@ type Config struct {
 	// readable on programs with systematic races (e.g. a racy loop).
 	DedupByAddr bool
 	// Stats collects the observability registry — the named counters
-	// every component publishes (sched.*, reach.*, om.*, hist.*) — and
-	// returns its snapshot as Result.Stats. Off by default; enabling it
-	// does not perturb the hot paths (the registry reads the same
-	// atomics the components already maintain).
+	// every component publishes (sched.*, reach.*, depa.* or om.*,
+	// hist.*) — and returns its snapshot as Result.Stats. Off by default;
+	// enabling it does not perturb the hot paths (the registry reads the
+	// same atomics the components already maintain).
 	Stats bool
 	// Trace, when non-nil, streams the strand timeline to it in Chrome
 	// trace-event JSON (chrome://tracing, Perfetto): per-strand
@@ -171,8 +172,8 @@ type Config struct {
 	// dag) and the static cmd/sfvet analyzer. Violations surface as
 	// Run's error in parallel mode and panic in Serial mode.
 	CheckStructure bool
-	// Reach selects the SFOrder reachability substrate: the OM list
-	// pair (default) or DePa fork-path cords.
+	// Reach selects the SFOrder reachability substrate: DePa fork-path
+	// cords (default) or the paper's OM list pair.
 	Reach ReachBackend
 	// Record, when non-nil, captures the run — every dag structure
 	// event plus the deduplicated access stream — to it in the sftrace
@@ -202,7 +203,7 @@ type Result struct {
 	HistoryMemBytes int
 	// Stats is the observability registry snapshot, present when
 	// Config.Stats was set: every counter the components published
-	// (sched.*, reach.*, om.*, hist.*), by name. See README.md
+	// (sched.*, reach.*, depa.* or om.*, hist.*), by name. See README.md
 	// ("Observability") for the catalog.
 	Stats map[string]int64
 }
@@ -259,10 +260,6 @@ type ReplayConfig struct {
 	// count; access blocks are routed by shadow page — a location lives
 	// in one page, a page in one shard — so no location's history splits.
 	Workers int
-	// Reach selects the reachability substrate the dag is rebuilt on.
-	// ReachDePa is the natural offline choice (immutable labels,
-	// lock-free queries); the default OM pair also works.
-	Reach ReachBackend
 	// MaxRaces caps retained detailed race records (0 = 256), applied
 	// after the deterministic cross-shard merge.
 	MaxRaces int
@@ -274,10 +271,10 @@ type ReplayConfig struct {
 type ReplayResult = replay.Result
 
 // Replay streams a capture recorded via Config.Record from r: structure
-// events rebuild the computation dag on the selected reachability
-// substrate as they are decoded, and access blocks go, through a bounded
-// ready-queue, to Workers parallel detection shards routed by shadow page
-// (a location lives in one page, a page in one shard). The capture is
+// events rebuild the computation dag on DePa labels as they are decoded,
+// and access blocks go, through a bounded ready-queue, to Workers
+// parallel detection shards routed by shadow page (a location lives in
+// one page, a page in one shard). The capture is
 // never loaded into memory, so arbitrarily long traces replay in constant
 // resident space. The location-level verdict (which addresses race)
 // equals the online run's; the detailed race list is deterministic —
@@ -286,7 +283,6 @@ func Replay(r io.Reader, cfg ReplayConfig) (*ReplayResult, error) {
 	res, err := replay.RunStream(r, replay.Options{
 		Workers:     cfg.Workers,
 		MaxRaces:    cfg.MaxRaces,
-		Reach:       cfg.Reach,
 		DedupByAddr: cfg.DedupByAddr,
 	})
 	if err != nil {

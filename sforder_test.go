@@ -252,9 +252,8 @@ func TestDetectorStrings(t *testing.T) {
 }
 
 // TestReplayRoundTrip records a racy run through the public API and
-// replays it, which streams, on both substrates, checking each agrees
-// with the online verdict and kept its blocks in flight within the
-// pipeline's bound.
+// replays it, which streams, checking the replay agrees with the online
+// verdict and kept its blocks in flight within the pipeline's bound.
 func TestReplayRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	main := func(t *sforder.Task) {
@@ -272,22 +271,16 @@ func TestReplayRoundTrip(t *testing.T) {
 	if res.RaceCount == 0 {
 		t.Fatal("seeded race missed online")
 	}
-	raw := buf.Bytes()
-	for _, cfg := range []sforder.ReplayConfig{
-		{Workers: 2, Reach: sforder.ReachDePa},
-		{Workers: 2, Reach: sforder.ReachOM},
-	} {
-		rr, err := sforder.Replay(bytes.NewReader(raw), cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		if rr.RaceCount == 0 || len(rr.RacyAddrs) != 1 || rr.RacyAddrs[0] != 3 {
-			t.Fatalf("%+v: replay verdict %d races on %v, want addr 3",
-				cfg, rr.RaceCount, rr.RacyAddrs)
-		}
-		if bound := int64(replay.StreamQueueCap + cfg.Workers + 1); rr.StreamPeakBlocks <= 0 || rr.StreamPeakBlocks > bound {
-			t.Fatalf("%+v: stream peak %d blocks, bound %d", cfg, rr.StreamPeakBlocks, bound)
-		}
+	cfg := sforder.ReplayConfig{Workers: 2}
+	rr, err := sforder.Replay(bytes.NewReader(buf.Bytes()), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rr.RaceCount == 0 || len(rr.RacyAddrs) != 1 || rr.RacyAddrs[0] != 3 {
+		t.Fatalf("replay verdict %d races on %v, want addr 3", rr.RaceCount, rr.RacyAddrs)
+	}
+	if bound := int64(replay.StreamQueueCap + cfg.Workers + 1); rr.StreamPeakBlocks <= 0 || rr.StreamPeakBlocks > bound {
+		t.Fatalf("stream peak %d blocks, bound %d", rr.StreamPeakBlocks, bound)
 	}
 }
 
