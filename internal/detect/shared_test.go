@@ -203,6 +203,9 @@ func checkPages(t *testing.T, h *History, ref *refHistory, step string) {
 		if slots != pageSize {
 			t.Fatalf("%s: page %#x: the live states own %d slots of %d", step, p.num, slots, pageSize)
 		}
+		if zeroIndex != (slotIndex{}) {
+			t.Fatalf("%s: page %#x: the shared zero index was written", step, p.num)
+		}
 		for i := p.free; i != noState; i = p.at(i).link {
 			if st := p.at(i); st.n != 0 || live[i] || st.writer != nil || st.rn != 0 {
 				t.Fatalf("%s: page %#x: state %d on the free list is not dead: %+v", step, p.num, i, *st)
@@ -535,7 +538,7 @@ func TestWordHelpers(t *testing.T) {
 			t.Fatalf("uniform(%#x, %#x) = %d, %v; want %d, %v", x, m, i, ok, first, wantOK)
 		}
 	}
-	var p page
+	p := page{idx: new(slotIndex)}
 	p.idx[3] = x
 	for b, want := range []uint16{7, 3, 0, 7, 3, 0, 7, 7} {
 		if got := p.stateOf(3*8 + b); got != want {
@@ -580,6 +583,14 @@ func FuzzApplyPage(f *testing.F) {
 	// rest keeps the old one; a strand of future 1 writes 0–40, over both;
 	// a strand of future 2 reads the page.
 	f.Add([]byte{5, 0, 1, 0, 63, 0, 1, 1, 0, 63, 0, 2, 1, 0, 63, 0, 3, 1, 10, 19, 0, 4, 0, 1, 0, 40, 5, 1, 0, 255, 0})
+	// Page 0 kept on the shared zero index through whole-page writes and
+	// reads, a whole-page read and write in one call among them, then split
+	// by a read of slots 10–50, written whole, and split again by a strided
+	// write; page 1 read whole throughout, never split.
+	for _, seed := range []byte{0, 3} {
+		f.Add([]byte{seed, 0, 0, 1, 0, 255, 9, 1, 0, 255, 0, 1, 1, 0, 255, 0, 2, 0, 1, 0, 255,
+			3, 1, 0, 255, 1, 0, 255, 12, 1, 0, 255, 0, 4, 1, 10, 40, 0, 5, 0, 1, 0, 255, 0, 0, 2, 3, 4, 20})
+	}
 	f.Add(bitSplits())
 	f.Add(readerGrowth(0))
 	f.Add(readerGrowth(6))

@@ -23,17 +23,26 @@ func TestAccountingSizes(t *testing.T) {
 	if want := int(ptr + ptr + 4 + 4 + 8); stateBytes != want || ptr == 8 && stateBytes != 32 {
 		t.Errorf("state is %d bytes, its fields add up to %d; 32 on 64-bit platforms", stateBytes, want)
 	}
-	// page: mu, num, next, a one-byte state index per slot, the first two
-	// states inline, the chunk pointers' slice header, the racy set's
-	// pointer, and the state count and the free list's head in a word of
-	// their own, padded to the page's pointer alignment: 384 bytes on
-	// 64-bit platforms, so a page of up to two states is one allocation
-	// that fills its size class.
-	if want := int(unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + pageSize + 2*unsafe.Sizeof(state{}) + unsafe.Sizeof([]*state(nil)) + ptr + ptr); pageBytes != want {
+	// page: mu, num, next, the index's pointer, the first two states
+	// inline, the chunk pointers' first-element pointer, the racy set's
+	// pointer, and the state count, the free list's head and the chunk
+	// count, padded to the page's alignment: 120 bytes in the 128-byte size
+	// class on 64-bit platforms, 88 in the 96-byte one on 32-bit ones.
+	align := unsafe.Alignof(page{})
+	if want := int((unsafe.Sizeof(sync.Mutex{}) + 8 + ptr + ptr + 2*unsafe.Sizeof(state{}) + ptr + ptr + 2 + 2 + 1 + align - 1) / align * align); pageBytes != want {
 		t.Errorf("page is %d bytes, its fields add up to %d", pageBytes, want)
 	}
-	if ptr == 8 && (pageBytes != 384 || pageHeap != pageBytes) {
-		t.Errorf("page is %d bytes in a %d-byte slot, want 384 in 384 on 64-bit platforms", pageBytes, pageHeap)
+	// The index: a byte a slot, no pointers, so no malloc header on
+	// either platform. A page that owns one costs the header and the
+	// index, 384 bytes on 64-bit platforms and 352 on 32-bit ones.
+	if indexBytes != pageSize || indexHeap != pageSize {
+		t.Errorf("an index is %d bytes in a %d-byte slot, want %d in %d", indexBytes, indexHeap, pageSize, pageSize)
+	}
+	if want := map[uintptr][2]int{8: {120, 128}, 4: {88, 96}}[ptr]; pageBytes != want[0] || pageHeap != want[1] {
+		t.Errorf("page is %d bytes in a %d-byte slot, want %d in %d", pageBytes, pageHeap, want[0], want[1])
+	}
+	if owned, want := pageHeap+indexHeap, map[uintptr]int{8: 384, 4: 352}[ptr]; owned != want {
+		t.Errorf("a page with its own index takes %d bytes, want %d", owned, want)
 	}
 	if want := pageSize / 8; racyBytes != want {
 		t.Errorf("a racy set is %d bytes, a bit a slot adds up to %d", racyBytes, want)
@@ -66,34 +75,38 @@ type memPattern struct {
 	locations int
 	fill      func(h *History, locations int) []*sched.Strand
 	policy    ReaderPolicy
-	pages     int // pages the pattern fills
-	chunks    int // chunks of states each page allocates
-	lists     int // reader lists each page keeps
-	readers   int // strands each list holds
-	limit     int // MemBytes per location on 64-bit platforms
+	pages     int  // pages the pattern fills
+	shared    bool // whether they keep sharing the zero index
+	chunks    int  // chunks of states each page allocates
+	lists     int  // reader lists each page keeps
+	readers   int  // strands each list holds
+	limit     int  // MemBytes per location on 64-bit platforms
 }
 
 // bound is tc's MemBytes per location derived from the pointer size: the
 // top array, a directory block a page (at most the 64 there are), and each
-// page with its chunks, its chunk pointers and its reader lists, each at
-// what the heap gives it. On 64-bit platforms it is tc.limit.
+// page with its own index unless it shares the zero one, its chunks, its
+// chunk pointers and its reader lists, each at what the heap gives it. On
+// 64-bit platforms it is tc.limit.
 func (tc memPattern) bound() int {
 	const ptr = int(unsafe.Sizeof(uintptr(0)))
 	st := 2*ptr + 16 // a state
-	page := heapBytes(8 + 8 + ptr + pageSize + 2*st + 3*ptr + ptr + ptr)
+	page := heapBytes((8 + 8 + 4*ptr + 2*st + 5 + ptr - 1) / ptr * ptr)
+	if !tc.shared {
+		page += sizeClass(pageSize) // a byte a slot, no pointers
+	}
 	for c := range tc.chunks {
 		page += heapBytes(st << (c / 2))
 	}
-	// Grown by append, as the table grows its chunk pointers and lists.
-	var more []*state
-	var list []*sched.Strand
-	for range tc.chunks {
-		more = append(more, nil)
+	// The chunk pointers' array doubles from one; the lists grow by append.
+	if tc.chunks > 0 {
+		page += heapBytes(ptr << bits.Len(uint(tc.chunks-1)))
 	}
+	var list []*sched.Strand
 	for range tc.readers {
 		list = append(list, nil)
 	}
-	page += ptr*cap(more) + tc.lists*ptr*cap(list)
+	page += tc.lists * ptr * cap(list)
 	blocks := min(tc.pages, 1<<topBits)
 	return ((1<<topBits)*ptr + blocks*heapBytes((1<<blockBits)*ptr) + tc.pages*page) / tc.locations
 }
@@ -143,27 +156,29 @@ func nothingShared(futures int) func(h *History, locations int) []*sched.Strand 
 }
 
 var memPatterns = []memPattern{
-	// A page of 256 slots is one state: 384 for the page with its index
-	// map and its two inline states, one reader; and at most 2 for the
+	// A page of 256 slots is one state, all its slots written and read
+	// whole, so it never needs an index of its own: 128 for the page with
+	// its two inline states, 8 for one reader; and at most 2 for the
 	// directory. (Per-slot records cost 66 / 122 / 1144 on these three
-	// rows.)
-	{"dense stride 1", 1 << 14, writeThenRead(1), ReadersAll, 64, 0, 1, 1, 3},
-	// 32 locations to a page, still one state.
-	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), ReadersAll, 512, 0, 1, 1, 14},
+	// rows; with an index a page, 3 here.)
+	{"dense stride 1", 1 << 14, writeThenRead(1), ReadersAll, 64, true, 0, 1, 1, 2},
+	// 32 locations to a page, two states: the page's own index maps the
+	// written slots to one and the rest to the untouched one.
+	{"pointer-keyed stride 8 (ShadowAddr)", 1 << 14, writeThenRead(8), ReadersAll, 512, false, 0, 1, 1, 14},
 	// As in racy-small: the top array and the one directory block the page
-	// hashes into (512 B each), the page with its states and one reader,
-	// over 32 locations. (With the whole 32 KiB directory: 1048.)
-	{"one 32-address page", 32, writeThenRead(1), ReadersAll, 1, 0, 1, 1, 44},
+	// hashes into (512 B each), the page with its index, its states and one
+	// reader, over 32 locations. (With the whole 32 KiB directory: 1048.)
+	{"one 32-address page", 32, writeThenRead(1), ReadersAll, 1, false, 0, 1, 1, 44},
 	// A state (32), a reader (8) and an index byte per slot, 5 for the page
 	// header, its chunks' malloc headers and size-class rounding (a 32-state
 	// chunk takes 1,152 bytes, a 64-state one 2,304), its chunk pointers and
 	// the directory: per-slot records cost 66 here. The chunks must end at
 	// the 256 states a page can use, not where append's doubling would
 	// leave a table.
-	{"nothing shared", 1 << 14, nothingShared(1), ReadersAll, 64, 14, pageSize, 1, 46},
+	{"nothing shared", 1 << 14, nothingShared(1), ReadersAll, 64, false, 14, pageSize, 1, 46},
 	// Under ReadersLR the three readers are three futures' pairs: a list of
 	// six strands, at append's capacity of eight, 64 bytes a state.
-	{"nothing shared, three futures (ReadersLR)", 1 << 14, nothingShared(3), ReadersLR, 64, 14, pageSize, 6, 102},
+	{"nothing shared, three futures (ReadersLR)", 1 << 14, nothingShared(3), ReadersLR, 64, false, 14, pageSize, 6, 102},
 }
 
 // newMemHistory is the history a memPattern fills.
@@ -273,11 +288,16 @@ func TestStatesNeverMove(t *testing.T) {
 		// (1,024 bytes), the one past 64 and the one past 96, taking 1,152,
 		// and a chunk of 64 taking 2,304; on 32-bit ones every chunk of 8
 		// states and more.
-		headers := 0
-		for c, room := 0, 2; room < capacity; c++ {
-			n := 1 << (c / 2)
+		headers, chunks := 0, 0
+		for room := 2; room < capacity; chunks++ {
+			n := 1 << (chunks / 2)
 			headers += heapBytes(n*stateBytes) - n*stateBytes
 			room += n
+		}
+		// The chunk pointers' array doubles from one pointer.
+		pointers := 0
+		if chunks > 0 {
+			pointers = heapBytes(ptr << bits.Len(uint(chunks-1)))
 		}
 		pinned := 0
 		for _, c := range []struct{ past, extra int }{{64, 128}, {96, 128}, {128, 256}, {192, 256}} {
@@ -288,14 +308,16 @@ func TestStatesNeverMove(t *testing.T) {
 		if ptr == 8 && (headers != pinned || stateBytes != 32) {
 			t.Fatalf("step %d: the chunks carry %d bytes of headers, %d on 64-bit platforms", k, headers, pinned)
 		}
-		want := topBytes + blockHeap + pageHeap + (capacity-2)*stateBytes + headers + ptr*cap(p.more) + ptr*readers
-		if got := h.MemBytes(); got != want || p.capacity() != capacity {
+		// The first write splits the page's one state, which gives the page
+		// its own index.
+		want := topBytes + blockHeap + pageHeap + indexHeap + (capacity-2)*stateBytes + headers + pointers + ptr*readers
+		if got := h.MemBytes(); got != want || p.capacity() != capacity || int(p.chunks) != chunks {
 			t.Fatalf("step %d: %d states in room for %d, MemBytes %d; want room for %d, %d bytes",
 				k, p.count, p.capacity(), got, capacity, want)
 		}
 	}
-	if p := h.tbl.pageFor(0); p.count != pageSize || len(p.more) != 14 || h.tbl.liveStates() != pageSize {
-		t.Fatalf("the page holds %d states (%d live) in %d chunks, want %d in 14", p.count, h.tbl.liveStates(), len(p.more), pageSize)
+	if p := h.tbl.pageFor(0); p.count != pageSize || p.chunks != 14 || h.tbl.liveStates() != pageSize {
+		t.Fatalf("the page holds %d states (%d live) in %d chunks, want %d in 14", p.count, h.tbl.liveStates(), p.chunks, pageSize)
 	}
 }
 

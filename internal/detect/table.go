@@ -66,18 +66,37 @@ type page struct {
 	num  uint64 // addr >> pageBits
 	next *page  // directory-collision chain; immutable after publication
 	// Guarded by mu: idx maps a slot to its state, a byte a slot and
-	// eight to a word (stateOf), and the slots of a fresh page all point
-	// at state 0, the history of an untouched location. The states are
-	// first, inline, then the chunks of more, in order (at); count is how
-	// many newState has handed out. racy is the set of racy slots, made
-	// at the first report. free heads the list of dead states, chained by
+	// eight to a word (stateOf). A fresh page shares zeroIndex, every
+	// slot at state 0, the history of an untouched location, and gets an
+	// index of its own when a slot first moves to another state (own).
+	// The states are first, inline, then the chunks of more, in order
+	// (at): more points at the first of the chunks' pointers, in an array
+	// whose length is the power of two at or above chunks. count is how
+	// many newState has handed out. racy is the set of racy slots, made at
+	// the first report. free heads the list of dead states, chained by
 	// link.
-	idx   [pageSize / 8]uint64
-	first [2]state
-	more  []*state
-	racy  *SlotSet
-	count uint16
-	free  uint16
+	idx    *slotIndex
+	first  [2]state
+	more   **state
+	racy   *SlotSet
+	count  uint16
+	free   uint16
+	chunks uint8
+}
+
+// slotIndex is a page's slot-to-state map.
+type slotIndex [pageSize / 8]uint64
+
+// zeroIndex is the index of every page whose slots all still point at
+// state 0. It is never written.
+var zeroIndex slotIndex
+
+// own gives p an index of its own, a copy of the shared zeroIndex, before
+// a slot's state changes; the caller holds p.mu.
+func (p *page) own() {
+	if p.idx == &zeroIndex {
+		p.idx = new(slotIndex)
+	}
 }
 
 // state is the access-history metadata of every slot of a page pointing at
@@ -144,7 +163,7 @@ func (t *table) pageFor(num uint64) *page {
 		if p := head.find(num); p != nil {
 			return p
 		}
-		np := &page{num: num, next: head, count: 1, free: noState}
+		np := &page{num: num, next: head, idx: &zeroIndex, count: 1, free: noState}
 		np.first = [2]state{{n: pageSize, to: noState}, {to: noState}}
 		if sp.CompareAndSwap(head, np) {
 			return np
@@ -168,7 +187,8 @@ func (t *table) newBlock(i int) *dirBlock {
 // adds half the largest power of two not above its first index, so at
 // most a third of what a page holds is spare, and the last chunk ends at
 // exactly pageSize. A chunk is kept as its first element's pointer, as
-// bitset.RunSet keeps its window.
+// bitset.RunSet keeps its window, and so are the chunk pointers, which at
+// indexes directly, so that it stays inlinable.
 
 // at returns state i of p.
 func (p *page) at(i uint16) *state {
@@ -177,13 +197,13 @@ func (p *page) at(i uint16) *state {
 	}
 	// i is in [2<<b, 4<<b): chunk 2b of more if i < 3<<b, else 2b+1.
 	b := uint(bits.Len16(i)) - 2
-	c := p.more[2*b+uint(i>>b)-2]
+	c := *(**state)(unsafe.Add(unsafe.Pointer(p.more), uintptr(2*b+uint(i>>b)-2)*unsafe.Sizeof(*p.more)))
 	return (*state)(unsafe.Add(unsafe.Pointer(c), uintptr(i&(1<<b-1))*unsafe.Sizeof(state{})))
 }
 
 // capacity is how many states p holds: two inline and the chunks of more.
 func (p *page) capacity() int {
-	c := len(p.more)
+	c := int(p.chunks)
 	return (2 + c&1) << (c / 2)
 }
 
@@ -205,11 +225,18 @@ func (p *page) newState() uint16 {
 	}
 	i := p.count
 	if int(i) == p.capacity() {
-		chunk := make([]state, 1<<(len(p.more)/2))
+		c := int(p.chunks)
+		chunk := make([]state, 1<<(c/2))
 		for k := range chunk {
 			chunk[k].to = noState
 		}
-		p.more = append(p.more, unsafe.SliceData(chunk))
+		if c&(c-1) == 0 { // 0, 1, 2, 4 or 8 chunk pointers fill their array: double it
+			more := make([]*state, max(1, 2*c))
+			copy(more, unsafe.Slice(p.more, c))
+			p.more = unsafe.SliceData(more)
+		}
+		unsafe.Slice(p.more, c+1)[c] = unsafe.SliceData(chunk)
+		p.chunks++
 	}
 	p.count++
 	return i
@@ -390,6 +417,7 @@ func (p *page) split(st *state, hit uint16, room int) *state {
 // clears the marks on the chain from head. The eight slots of a byte of
 // set that point at one state move with one masked store.
 func (p *page) move(set *SlotSet, head uint16) {
+	p.own()
 	for w, word := range set {
 		for word != 0 {
 			k, m, rest := nextByte(word)
@@ -419,6 +447,7 @@ func (p *page) move(set *SlotSet, head uint16) {
 // point repoints every slot of set at state to: a whole set word is eight
 // stores, a byte of it one masked store.
 func (p *page) point(set *SlotSet, to uint16) {
+	p.own()
 	b := uint64(to) * ones
 	for w, word := range set {
 		if word == ^uint64(0) {
@@ -463,48 +492,62 @@ const (
 	topBytes   = int(unsafe.Sizeof(table{}))
 	blockBytes = int(unsafe.Sizeof(dirBlock{}))
 	pageBytes  = int(unsafe.Sizeof(page{}))
+	indexBytes = int(unsafe.Sizeof(slotIndex{}))
 	racyBytes  = int(unsafe.Sizeof(SlotSet{}))
 	stateBytes = int(unsafe.Sizeof(state{}))
 	ptrBytes   = int(unsafe.Sizeof(uintptr(0)))
 )
 
+// sizeClass is what the heap gives an object of size bytes that holds no
+// pointers: size rounded up to a size class, the capacity append gives as
+// many bytes.
+func sizeClass(size int) int { return cap(slices.Grow([]byte(nil), size)) }
+
 // heapBytes is what the heap gives an object of size bytes that holds
 // pointers: past 8×ptrBytes pointer words (512 bytes on 64-bit platforms,
-// 128 on 32-bit ones) Go puts an 8-byte malloc header in front of it, and
-// it rounds the sum up to a size class, the capacity append gives as many
-// bytes. sizes_test.go holds the chunks' sizes against the allocator.
+// 128 on 32-bit ones) Go puts an 8-byte malloc header in front of it
+// before it rounds to a size class. sizes_test.go holds the chunks' sizes
+// against the allocator.
 func heapBytes(size int) int {
 	if size > 8*ptrBytes*ptrBytes {
 		size += 8
 	}
-	return cap(slices.Grow([]byte(nil), size))
+	return sizeClass(size)
 }
 
-// What the heap gives a directory block, a page and the first c chunks of
-// a page (moreBytes[c]; a page has at most 2×(pageBits-1) = 14). On 64-bit
-// platforms a block and a page fill their size classes; on 32-bit ones
-// both carry a malloc header.
+// What the heap gives a directory block, a page, a page's own index and
+// the first c chunks of a page with their pointers' array (moreBytes[c]; a
+// page has at most 2×(pageBits-1) = 14). A block fills its size class on
+// 64-bit platforms and carries a malloc header on 32-bit ones; a page
+// takes 128 bytes and 96, and with its own index 384 and 352.
 var (
 	blockHeap = heapBytes(blockBytes)
 	pageHeap  = heapBytes(pageBytes)
+	indexHeap = sizeClass(indexBytes)
 	moreBytes = func() (t [2*(pageBits-1) + 1]int) {
 		for c := range len(t) - 1 {
 			t[c+1] = t[c] + heapBytes(stateBytes<<(c/2))
+		}
+		for c := 1; c < len(t); c++ {
+			t[c] += heapBytes(ptrBytes << bits.Len(uint(c-1)))
 		}
 		return t
 	}()
 )
 
 // memBytes is the table's heap footprint: the top array, every allocated
-// directory block, every page with its index map, inline states and racy
-// set, its chunks of states, all at their heap size, the chunk pointers at
-// capacity, and the reader lists of live and dead states at capacity —
-// under either policy every retained reader is in them.
+// directory block, every page with its inline states, its own index if it
+// has one and its racy set, its chunks of states and their pointers' array,
+// all at their heap size, and the reader lists of live and dead states at
+// capacity — under either policy every retained reader is in them.
 func (t *table) memBytes() int {
 	total := topBytes
 	t.forEachBlock(func(*dirBlock) { total += blockHeap })
 	t.forEachPage(func(p *page) {
-		total += pageHeap + moreBytes[len(p.more)] + ptrBytes*cap(p.more)
+		total += pageHeap + moreBytes[p.chunks]
+		if p.idx != &zeroIndex {
+			total += indexHeap
+		}
 		if p.racy != nil {
 			total += racyBytes
 		}

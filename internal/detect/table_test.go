@@ -6,8 +6,10 @@ import (
 	"testing"
 	"unsafe"
 
+	"sforder/internal/core"
 	"sforder/internal/detect"
 	"sforder/internal/sched"
+	"sforder/internal/workload"
 )
 
 // newParallelHistory returns a locked-path history in which no two
@@ -150,13 +152,13 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 	}
 	ptr := int(unsafe.Sizeof(uintptr(0)))
 	// A page read on eight slots by eight parallel strands holds nine
-	// states: two inline and five chunks of 1, 1, 2, 2 and 4 — room for
-	// 12, each chunk its size class — whose pointers take append's
-	// capacity of eight. Each of the eight readers has a one-reader list
-	// in append's smallest size class, 8 bytes: one pointer on 64-bit
-	// platforms, two on 32-bit ones. The write that races on every one of
-	// the slots gives the page a racy set.
-	pageModel := detect.PageBytes + (12-2)*detect.StateBytes + 8*ptr + goroutines*max(ptr, 8) + detect.RacyBytes
+	// states, which takes it an index of its own: two states inline and
+	// five chunks of 1, 1, 2, 2 and 4 — room for 12, each chunk its size
+	// class — whose pointers' array doubles to eight. Each of the eight
+	// readers has a one-reader list in append's smallest size class, 8
+	// bytes: one pointer on 64-bit platforms, two on 32-bit ones. The write
+	// that races on every one of the slots gives the page a racy set.
+	pageModel := detect.PageBytes + detect.IndexBytes + (12-2)*detect.StateBytes + 8*ptr + goroutines*max(ptr, 8) + detect.RacyBytes
 	fut := &sched.FutureTask{ID: 0}
 	for round := 0; round < 10; round++ {
 		h := newParallelHistory()
@@ -197,10 +199,43 @@ func TestTableConcurrentBlockCreation(t *testing.T) {
 		}
 	}
 
-	// One page, one block: a written page holds two states, both inline.
+	// One page, one block: a page written on one slot holds two states,
+	// both inline, and an index of its own.
 	h := newParallelHistory()
 	h.Write(&sched.Strand{ID: 0, Fut: fut}, 5)
-	if got, want := h.MemBytes(), detect.TopBytes+detect.BlockBytes+detect.PageBytes; got != want {
-		t.Errorf("a history on one page counts %d bytes, want %d: the top array, one block and the page with its states", got, want)
+	if got, want := h.MemBytes(), detect.TopBytes+detect.BlockBytes+detect.PageBytes+detect.IndexBytes; got != want {
+		t.Errorf("a history on one page counts %d bytes, want %d: the top array, one block and the page with its index and states", got, want)
+	}
+}
+
+// TestPagesShareTheZeroIndex holds the shared index to the programs it
+// pays off on: a page gets an index of its own only once its slots split
+// between states, and on write-mixed's ferret and hw, run at one worker
+// with full detection as the benchmark runs them, most pages never
+// split. Ferret writes and reads its pages whole: at most 1 of its 1,025
+// pages may own an index. Hw splits more: at most 426 of its 513.
+func TestPagesShareTheZeroIndex(t *testing.T) {
+	for _, tc := range []struct {
+		b            *workload.Benchmark
+		pages, owned int
+	}{
+		{workload.Ferret(64, 1024), 1025, 1},
+		{workload.HW(6, 32, 1024), 513, 426},
+	} {
+		reach := core.New(core.Config{Reach: core.SubstrateOM})
+		h := detect.NewHistory(detect.Options{Reach: reach, Policy: detect.ReadersAll, FastPath: true})
+		run := tc.b.Make()
+		if _, err := sched.Run(sched.Options{Workers: 1, Tracer: reach, Checker: h}, run.Main); err != nil {
+			t.Fatal(err)
+		}
+		if err := run.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		owned, pages := detect.OwnedIndexes(h)
+		t.Logf("%s: %d of %d pages own an index, %d B of history", tc.b.Name, owned, pages, h.MemBytes())
+		if pages != tc.pages || owned > tc.owned {
+			t.Errorf("%s: %d of %d pages own an index, want at most %d of %d", tc.b.Name, owned, pages, tc.owned, tc.pages)
+		}
+		reach.Release()
 	}
 }

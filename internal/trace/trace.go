@@ -56,7 +56,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -171,7 +170,7 @@ type Capture struct {
 	Bytes   int64         // encoded size consumed
 }
 
-const laneFlush = 64 << 10 // a lane this large goes to the file without a hand-off
+const laneFlush = 64 << 10 // a lane, or the recorder's buffer, this large goes to the file
 
 // lane is one sched lane's unwritten bytes, in call order, and the events
 // and entries they hold; padded so two lanes never share a cache line.
@@ -195,19 +194,20 @@ type lane struct {
 // calls. Close must be called once, after the run, to write the trailer.
 type Recorder struct {
 	mu     sync.Mutex
-	w      *bufio.Writer
+	w      io.Writer
+	out    []byte // flushed lanes not yet written to w, sized by flushLocked
 	lanes  []lane
 	err    error
 	closed bool
 
-	structEvents  uint64 // counts and bytes that have reached the file
+	structEvents  uint64 // counts and bytes of the flushed lanes
 	accessEntries uint64
 	bytes         uint64
 }
 
 // NewRecorder starts a capture on w, writing the header immediately.
 func NewRecorder(w io.Writer) *Recorder {
-	r := &Recorder{w: bufio.NewWriterSize(w, 1<<16), lanes: make([]lane, 1)}
+	r := &Recorder{w: w, lanes: make([]lane, 1)}
 	l := &r.lanes[0]
 	l.buf = append(l.buf, magic[:]...)
 	l.buf = append(l.buf, byteMark[:]...)
@@ -237,17 +237,41 @@ func (r *Recorder) flush(l *lane, hand bool) {
 	}
 }
 
-// flushLocked writes and resets l; the caller holds r.mu (or, for the
-// constructor, exclusive access).
+// flushLocked moves l to the recorder's buffer and resets l; the caller
+// holds r.mu (or, for the constructor, exclusive access). The buffer is 4
+// KiB, enough for a small capture, and laneFlush once a capture outgrows
+// that; then it goes to the file whenever the next lane does not fit.
 func (r *Recorder) flushLocked(l *lane) {
 	r.structEvents += l.events
 	r.accessEntries += l.entries
+	if n := len(r.out) + len(l.buf); r.err == nil && !r.closed && n > cap(r.out) {
+		if cap(r.out) >= laneFlush {
+			r.writeOut()
+		} else {
+			size := 4 << 10
+			if cap(r.out) > 0 {
+				size = laneFlush
+			}
+			out := make([]byte, len(r.out), max(size, n))
+			copy(out, r.out)
+			r.out = out
+		}
+	}
 	if r.err == nil && !r.closed {
-		n, err := r.w.Write(l.buf)
-		r.bytes += uint64(n)
-		r.err = err
+		r.out = append(r.out, l.buf...)
+		r.bytes += uint64(len(l.buf))
 	}
 	*l = lane{buf: l.buf[:0]}
+}
+
+// writeOut writes the recorder's buffer to the file and empties it; the
+// caller has seen no error yet.
+func (r *Recorder) writeOut() {
+	n, err := r.w.Write(r.out)
+	if err == nil && n < len(r.out) {
+		err = io.ErrShortWrite
+	}
+	r.err, r.out = err, r.out[:0]
 }
 
 // structEvent appends one structure event to l and flushes it when hand.
@@ -406,14 +430,16 @@ func (r *Recorder) Close() error {
 	l.buf = binary.AppendUvarint(l.buf, r.structEvents)
 	l.buf = binary.AppendUvarint(l.buf, r.accessEntries)
 	r.flushLocked(l)
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
+	if r.err == nil {
+		r.writeOut()
 	}
 	r.closed = true
 	return r.err
 }
 
-// Bytes returns how many bytes have reached the file so far.
+// Bytes returns how many bytes the recorder has taken from its lanes so
+// far: written to the file or waiting in its buffer. After Close it is the
+// capture's size.
 func (r *Recorder) Bytes() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -421,7 +447,8 @@ func (r *Recorder) Bytes() uint64 {
 }
 
 // RegisterStats publishes the recorder counters (record.*) on reg. They
-// count what has reached the file, and are complete after Close.
+// count what the recorder has taken from its lanes, written to the file or
+// waiting in its buffer, and are complete after Close.
 func (r *Recorder) RegisterStats(reg *obsv.Registry) {
 	reg.RegisterFunc("record.struct_events", func() int64 {
 		r.mu.Lock()

@@ -3,6 +3,7 @@ package trace_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/bits"
 	"reflect"
@@ -18,6 +19,7 @@ import (
 	"sforder/internal/progen"
 	"sforder/internal/sched"
 	"sforder/internal/trace"
+	"sforder/internal/workload"
 )
 
 // record runs a random program serially with the recorder attached as
@@ -284,6 +286,79 @@ func TestStandaloneRecorderFootprintIsPerPage(t *testing.T) {
 	rec.StrandClose(s)
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecorderBuffersWhatItRecords: the recorder's buffer is 4 KiB until
+// a capture outgrows it, so recording a one-strand program, a few dozen
+// bytes of capture taken as the history's tap, allocates a few KiB, not a
+// 64 KiB write buffer.
+func TestRecorderBuffersWhatItRecords(t *testing.T) {
+	addrs := make([]uint64, 64)
+	kinds := make([]detect.AccessKind, len(addrs))
+	for a := range addrs {
+		addrs[a], kinds[a] = uint64(a), detect.AccessWrite
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := trace.NewRecorder(io.Discard)
+	s := &sched.Strand{Fut: &sched.FutureTask{}}
+	rec.OnRoot(s)
+	rec.TapAccesses(s, addrs, kinds)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-byte capture allocated %d bytes", rec.Bytes(), got)
+	if got >= 8<<10 {
+		t.Errorf("recording a one-strand program allocated %d bytes, want under %d", got, 8<<10)
+	}
+}
+
+// limitWriter takes limit bytes and then fails, or, if short, stops
+// taking them without an error.
+type limitWriter struct {
+	limit int
+	short bool
+}
+
+var errFull = errors.New("writer full")
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.limit {
+		w.limit -= len(p)
+		return len(p), nil
+	}
+	n := w.limit
+	w.limit = 0
+	if w.short {
+		return n, nil
+	}
+	return n, errFull
+}
+
+// TestRecorderReportsWriteErrors: a write that fails, the first or a
+// later one, and one that takes less than it was given without an error,
+// make Close fail with that error.
+func TestRecorderReportsWriteErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    *limitWriter
+		want error
+	}{
+		{"fails at once", &limitWriter{limit: 0}, errFull},
+		{"fails mid-run", &limitWriter{limit: 100 << 10}, errFull},
+		{"short mid-run", &limitWriter{limit: 100 << 10, short: true}, io.ErrShortWrite},
+	} {
+		rec := trace.NewRecorder(tc.w)
+		run := workload.Sort(100000, 2048).Make() // a capture of about 280 KB
+		if _, err := sched.Run(sched.Options{Workers: 1, Aux: rec, Checker: rec}, run.Main); err != nil {
+			t.Fatal(err)
+		}
+		if err := rec.Close(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Close returned %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
